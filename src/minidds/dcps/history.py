@@ -8,8 +8,10 @@ expiry; the reader cache backs read/take ordering.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 from minidds import qos
 from minidds.idl import Sample
@@ -52,22 +54,39 @@ class WriterSample:
 
 class WriterHistory:
     """Outgoing sample store; samples leave on ack release, keep-last
-    eviction, expiry, or (keep-all) not at all until limits push back."""
+    eviction, expiry, or (keep-all) not at all until limits push back.
+
+    Sequences must be inserted in increasing order, as the writer assigns
+    them (``last_sequence + 1``). Every index keeps that order:
+
+    - ``by_seq`` maps sequence to sample and, being a dict, iterates in
+      sequence order;
+    - ``per_instance`` holds each instance's cached sequences in an
+      ascending deque, so keep-last eviction and release, which only
+      ever drop an instance's oldest samples, pop from its left end;
+    - ``_order[_head:]`` lists every cached sequence in ascending order,
+      plus sequences already evicted or expired, which are skipped when
+      met and dropped when they outnumber the cached ones.
+
+    Costs, for n cached samples: ``insert`` O(1) amortized; ``release``
+    O(released), O(1) when nothing is acknowledged; ``expire`` O(1) while
+    every sample inserted so far had an infinite lifespan, an O(n) scan
+    once one had a finite one; ``next_cached`` O(1) when the asked
+    sequence is cached, O(log n + skipped) otherwise.
+    """
 
     def __init__(self, history: qos.History, limits: qos.ResourceLimits):
         self.history = history
         self.limits = limits
+        self._cap = _per_instance_cap(history, limits)
         self.by_seq: dict[int, WriterSample] = {}
-        self.per_instance: dict[int, list[int]] = {}
+        self.per_instance: dict[int, deque[int]] = {}
+        self._order: list[int] = []
+        self._head = 0
+        self._finite_lifespan = False
 
     def __len__(self) -> int:
         return len(self.by_seq)
-
-    def get(self, sequence: int) -> Optional[WriterSample]:
-        return self.by_seq.get(sequence)
-
-    def oldest_sequence(self) -> Optional[int]:
-        return min(self.by_seq) if self.by_seq else None
 
     def has_room(self, handle: int) -> bool:
         """Whether an insert for this instance would be accepted without
@@ -78,8 +97,7 @@ class WriterHistory:
                 return False
         if self.history.kind == qos.HistoryKind.KEEP_LAST:
             return True
-        cap = _per_instance_cap(self.history, self.limits)
-        if cap is not None and len(self.per_instance.get(handle, ())) >= cap:
+        if self._cap is not None and len(self.per_instance.get(handle, ())) >= self._cap:
             return False
         if self.limits.max_samples is not None and len(self.by_seq) >= self.limits.max_samples:
             return False
@@ -94,44 +112,86 @@ class WriterHistory:
             raise ResourceLimitsError("writer history full")
         evicted: list[WriterSample] = []
         if self.history.kind == qos.HistoryKind.KEEP_LAST:
-            # Re-fetch the bucket after every removal: _remove deletes it
-            # from the index when it empties, so a held reference would
-            # strand the inserted sequence outside the index.
-            cap = _per_instance_cap(self.history, self.limits)
-            while (cap is not None
-                   and len(self.per_instance.get(handle, ())) >= cap):
-                evicted.append(self._remove(self.per_instance[handle][0]))
+            # _pop_oldest drops a bucket it empties: look it up afresh.
+            while (self._cap is not None
+                   and len(self.per_instance.get(handle, ())) >= self._cap):
+                evicted.append(self._pop_oldest(handle))
             if (self.limits.max_samples is not None
                     and len(self.by_seq) >= self.limits.max_samples):
-                seqs = self.per_instance.get(handle)
-                if seqs:
-                    evicted.append(self._remove(seqs[0]))
+                if handle in self.per_instance:
+                    evicted.append(self._pop_oldest(handle))
                 else:
                     raise ResourceLimitsError("writer history full (max_samples)")
         self.by_seq[sample.sequence] = sample
-        self.per_instance.setdefault(handle, []).append(sample.sequence)
+        self._order.append(sample.sequence)
+        bucket = self.per_instance.get(handle)
+        if bucket is None:
+            self.per_instance[handle] = deque((sample.sequence,))
+        else:
+            bucket.append(sample.sequence)
+        if sample.expiry_wall_ns != qos.INFINITE_NS:
+            self._finite_lifespan = True
+        if evicted:
+            self._compact()
         return evicted
 
-    def _remove(self, sequence: int) -> WriterSample:
-        sample = self.by_seq.pop(sequence)
-        seqs = self.per_instance[sample.instance_handle]
-        seqs.remove(sequence)
-        if not seqs:
-            del self.per_instance[sample.instance_handle]
+    def _pop_oldest(self, handle: int) -> WriterSample:
+        bucket = self.per_instance[handle]
+        sample = self.by_seq.pop(bucket.popleft())
+        if not bucket:
+            del self.per_instance[handle]
         return sample
 
+    def _compact(self) -> None:
+        """Drop passed and removed entries from ``_order`` once they
+        outnumber the cached samples, so each removal costs O(1) amortized."""
+        if len(self._order) > 2 * len(self.by_seq) + 64:
+            self._order = [s for s in self._order[self._head:] if s in self.by_seq]
+            self._head = 0
+
     def release(self, up_to_sequence: int) -> list[int]:
-        """Drop fully acknowledged samples (volatile writers only)."""
-        released = [s for s in self.by_seq if s <= up_to_sequence]
-        for seq in released:
-            self._remove(seq)
+        """Drop fully acknowledged samples (volatile writers only); returns
+        their sequences in ascending order."""
+        order = self._order
+        i = self._head
+        released: list[int] = []
+        while i < len(order) and order[i] <= up_to_sequence:
+            sample = self.by_seq.get(order[i])
+            if sample is not None:
+                # Every cached sequence below this one is gone, so it is
+                # the oldest of its instance.
+                released.append(self._pop_oldest(sample.instance_handle).sequence)
+            i += 1
+        self._head = i
+        if released:
+            self._compact()
         return released
 
     def expire(self, now_wall_ns: int) -> list[WriterSample]:
+        """Drop samples whose expiry is before ``now_wall_ns``; returns them
+        in ascending sequence order."""
+        if not self._finite_lifespan:
+            return []
         expired = [s for s in self.by_seq.values() if s.expiry_wall_ns < now_wall_ns]
         for sample in expired:
-            self._remove(sample.sequence)
+            del self.by_seq[sample.sequence]
+            bucket = self.per_instance[sample.instance_handle]
+            bucket.remove(sample.sequence)
+            if not bucket:
+                del self.per_instance[sample.instance_handle]
+        if expired:
+            self._compact()
         return expired
+
+    def next_cached(self, sequence: int) -> Optional[int]:
+        """The lowest cached sequence at or above ``sequence``, if any."""
+        if sequence in self.by_seq:
+            return sequence
+        order = self._order
+        for i in range(bisect_left(order, sequence, self._head), len(order)):
+            if order[i] in self.by_seq:
+                return order[i]
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +226,7 @@ class ReaderHistory:
     def __init__(self, history: qos.History, limits: qos.ResourceLimits):
         self.history = history
         self.limits = limits
+        self._cap = _per_instance_cap(history, limits)
         self.instances: dict[int, list[CachedSample]] = {}
         self._arrival_counter = 0
         self.total = 0
@@ -178,7 +239,7 @@ class ReaderHistory:
                     and len(self.instances) >= self.limits.max_instances):
                 return InsertOutcome(False, "max_instances")
             samples = self.instances[handle] = []
-        cap = _per_instance_cap(self.history, self.limits)
+        cap = self._cap
         if self.history.kind == qos.HistoryKind.KEEP_ALL:
             if cap is not None and len(samples) >= cap:
                 return InsertOutcome(False, "max_samples_per_instance")

@@ -129,10 +129,6 @@ class Discovery:
         peer = self._peers.get(prefix)
         return peer.address if peer is not None else None
 
-    def endpoint(self, guid: Guid) -> Optional[EndpointDescriptor]:
-        peer = self._peers.get(guid.prefix)
-        return peer.endpoints.get(guid) if peer is not None else None
-
     def remote_endpoints(self) -> list[EndpointDescriptor]:
         return [ep for peer in self._peers.values()
                 for ep in peer.endpoints.values()]

@@ -81,22 +81,16 @@ class WriterSession:
     def add_reader(self, guid: Guid, *, reliable: bool, wants_history: bool,
                    now_ns: int) -> list[Directed]:
         """Register a matched reader; returns any late-joiner replay."""
-        cached = sorted(self.history.by_seq)
-        if reliable and wants_history and cached:
-            floor = cached[0]
-        else:
-            floor = self.last_sequence + 1
-        proxy = _ReaderProxy(guid, reliable, acked_below=floor,
-                             last_heartbeat_ns=now_ns - self.heartbeat_period_ns)
-        self._proxies[guid] = proxy
-        out: list[Directed] = []
-        if reliable and wants_history:
-            for seq in cached:
-                if seq < floor:
-                    continue
-                sample = self.history.by_seq[seq]
-                out.append(Directed(guid, self._data_for(sample, guid.entity_id)))
-        return out
+        cached = self.history.by_seq  # in sequence order
+        replay = reliable and wants_history and bool(cached)
+        floor = next(iter(cached)) if replay else self.last_sequence + 1
+        self._proxies[guid] = _ReaderProxy(
+            guid, reliable, acked_below=floor,
+            last_heartbeat_ns=now_ns - self.heartbeat_period_ns)
+        if not replay:
+            return []
+        return [Directed(guid, self._data_for(sample, guid.entity_id))
+                for sample in cached.values()]
 
     def remove_reader(self, guid: Guid) -> None:
         self._proxies.pop(guid, None)
@@ -176,8 +170,9 @@ class WriterSession:
             if now_ns - proxy.last_heartbeat_ns < self.heartbeat_period_ns:
                 continue
             proxy.last_heartbeat_ns = now_ns
-            pending = [s for s in self.history.by_seq if s >= proxy.acked_below]
-            first = min(pending) if pending else self.last_sequence + 1
+            first = self.history.next_cached(proxy.acked_below)
+            if first is None:
+                first = self.last_sequence + 1
             self._heartbeat_count += 1
             out.append(Directed(proxy.guid, wire.Heartbeat(
                 self.writer_entity_id, first, self.last_sequence,

@@ -56,7 +56,7 @@ class TestWriterHistory:
         history.insert(WriterSample(1, 0, b"", 0))
         evicted = history.insert(WriterSample(2, 0, b"", 0))
         assert [s.sequence for s in evicted] == [1]
-        assert history.per_instance == {0: [2]}
+        assert {h: list(seqs) for h, seqs in history.per_instance.items()} == {0: [2]}
         assert history.release(2) == [2]
         assert history.by_seq == {} and history.per_instance == {}
 
