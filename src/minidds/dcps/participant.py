@@ -373,24 +373,25 @@ class DomainParticipant:
                 targets = writer.matched_readers()
             else:
                 targets = [item.dest]
-            remote_prefixes = set()
+            addresses: dict = {}  # ordered and without repeats
             for target in targets:
                 if target.prefix == self.guid.prefix:
                     self._deliver_local(writer, target, sub)
                 else:
-                    remote_prefixes.add((target.prefix, target.entity_id))
-            sent_to = set()
-            for prefix, entity_id in remote_prefixes:
-                address = self.discovery.address_of(prefix)
-                if address is None or address in sent_to:
-                    continue
-                sent_to.add(address)
-                out = sub
-                if item.dest is not None and isinstance(sub, (wire.Heartbeat, wire.Gap)):
-                    out = wire.Direct(entity_id, sub)
-                message = wire.WireMessage(self.guid.prefix, (out,))
+                    address = self.discovery.address_of(target.prefix)
+                    if address is not None:
+                        addresses[address] = None
+            if not addresses:
+                continue
+            if item.dest is not None and isinstance(sub, (wire.Heartbeat, wire.Gap)):
+                sub = wire.Direct(item.dest.entity_id, sub)
+            # One encoding serves every destination participant.
+            data = None
+            for address in addresses:
                 try:
-                    self.transport.send(wire.encode_message(message), address)
+                    if data is None:
+                        data = wire.encode_message(wire.WireMessage(self.guid.prefix, (sub,)))
+                    self.transport.send(data, address)
                 except ValueError as exc:
                     log.warning("submessage not sent: %s", exc)
 

@@ -54,7 +54,7 @@ class ReaderStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _InstanceState:
     last_accepted_ns: Optional[int] = None
     newest_source: Optional[tuple[int, Guid]] = None
@@ -87,7 +87,6 @@ class DataReader:
                                      profile.value(qos.QosPolicyId.RESOURCE_LIMITS))
         self._deadlines = DeadlineTracker(self._deadline_period_ns)
         self._sessions: dict[Guid, ReliableReaderSession | BestEffortReaderSession] = {}
-        self._matched: dict[Guid, EndpointDescriptor] = {}
         self._match_records: dict[Guid, MatchRecord] = {}
         self._instances: dict[int, _InstanceState] = {}
         self.stats = ReaderStats()
@@ -98,7 +97,6 @@ class DataReader:
 
     def _add_match(self, record: MatchRecord) -> None:
         remote = record.remote
-        self._matched[remote.guid] = remote
         self._match_records[remote.guid] = record
         if remote.guid not in self._sessions:
             if self._reliable:
@@ -108,7 +106,6 @@ class DataReader:
                 self._sessions[remote.guid] = BestEffortReaderSession(remote.guid)
 
     def _remove_match(self, guid: Guid) -> None:
-        self._matched.pop(guid, None)
         self._match_records.pop(guid, None)
         session = self._sessions.pop(guid, None)
         if session is not None:
@@ -120,7 +117,7 @@ class DataReader:
         return list(self._match_records.values())
 
     def matched_writers(self) -> list[Guid]:
-        return list(self._matched)
+        return list(self._match_records)
 
     # -- arrival pipeline ---------------------------------------------
 
@@ -129,6 +126,9 @@ class DataReader:
         session = self._sessions.get(writer_guid)
         if session is None:
             return
+        # The session's guid, not the one decoded from this datagram, so
+        # per-instance state and sample infos share one Guid per writer.
+        writer_guid = session.writer_guid
         if not session.on_data(sub.sequence):
             self.stats.duplicates_discarded += 1
             return
@@ -145,7 +145,9 @@ class DataReader:
             return
 
         handle = sub.instance_handle
-        inst = self._instances.setdefault(handle, _InstanceState())
+        inst = self._instances.get(handle)
+        if inst is None:
+            inst = self._instances[handle] = _InstanceState()
 
         if self._exclusive:
             owns = self._arbitrate(inst, writer_guid, now_mono_ns)
@@ -190,7 +192,7 @@ class DataReader:
         period = self._deadline_period_ns
         candidates = {arriving}
         for writer, seen_ns in (inst.activity or {}).items():
-            if writer not in self._matched:
+            if writer not in self._match_records:
                 continue
             if period != qos.INFINITE_NS and now_ns - seen_ns >= period:
                 continue  # missed the deadline; not alive
@@ -200,8 +202,8 @@ class DataReader:
         return owner == arriving
 
     def _strength_of(self, writer: Guid) -> int:
-        descriptor = self._matched.get(writer)
-        return descriptor.rxo.ownership_strength if descriptor else 0
+        record = self._match_records.get(writer)
+        return record.remote.rxo.ownership_strength if record else 0
 
     def _notify(self) -> None:
         if self.listener is None:

@@ -93,7 +93,7 @@ class DataWriter:
         if len(payload) > MAX_PAYLOAD:
             raise SampleTooLargeError(
                 f"{len(payload)} byte payload exceeds the {MAX_PAYLOAD} byte limit")
-        handle = idl.key_hash(self.type, sample)
+        handle = idl.key_hash(self.type, sample, checked=True)
         clock = self.participant.clock
         block_deadline = None
         spins = 0

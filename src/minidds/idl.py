@@ -6,7 +6,8 @@ eleven primitive kinds below, `//` line comments, and an optional ``//@key``
 annotation marking key fields. When no field carries the annotation but a
 field is named exactly ``key``, that field is the key. Serialization is
 little-endian with each primitive aligned to its natural size from offset 0;
-strings are a 32-bit byte length plus UTF-8 bytes, aligned to 4.
+strings are a 32-bit byte length plus UTF-8 bytes, aligned to 4 (see
+"Payload encoding" in docs/wire.md).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -43,10 +45,6 @@ class PrimitiveKind(Enum):
         self.keyword = keyword
         self.size = size
         self.fmt = fmt
-
-    @property
-    def alignment(self) -> int:
-        return 4 if self is PrimitiveKind.STRING else self.size
 
 
 _KEYWORD_TO_KIND = {k.keyword: k for k in PrimitiveKind}
@@ -84,6 +82,12 @@ class TypeDescriptor:
     @property
     def key_fields(self) -> tuple[FieldDescriptor, ...]:
         return tuple(f for f in self.fields if f.is_key)
+
+    @cached_property
+    def _codec(self) -> "_Codec":
+        # Compiled on first use and kept on the (immutable) descriptor, so
+        # the hot path pays one attribute lookup, not a structural hash.
+        return _Codec(self)
 
 
 @dataclass(frozen=True)
@@ -347,82 +351,182 @@ def as_dict(descriptor: TypeDescriptor, sample: Sample) -> dict:
     return {f.name: v for f, v in zip(descriptor.fields, sample.values)}
 
 
-def _check_sample(descriptor: TypeDescriptor, sample: Sample) -> None:
-    if sample.type_name != descriptor.name:
-        raise TypeMismatchError(
-            f"sample of type {sample.type_name!r} does not match descriptor {descriptor.name!r}")
-    if len(sample.values) != len(descriptor.fields):
-        raise TypeMismatchError(
-            f"{descriptor.name}: expected {len(descriptor.fields)} values, got {len(sample.values)}")
-    for f, value in zip(descriptor.fields, sample.values):
-        _check_value(f.kind, value, f.name)
+_EXACT_TYPE = {kind: int for kind in _INT_RANGES}
+_EXACT_TYPE.update({PrimitiveKind.BOOLEAN: bool, PrimitiveKind.FLOAT: float,
+                    PrimitiveKind.DOUBLE: float, PrimitiveKind.STRING: str})
+_U32 = struct.Struct("<I")
+_PADS = tuple(bytes(n) for n in range(4))
 
 
-def _pack_field(out: bytearray, kind: PrimitiveKind, value, field_name: str) -> None:
-    align = kind.alignment
-    pad = (-len(out)) % align
-    out.extend(b"\x00" * pad)
-    if kind is PrimitiveKind.STRING:
-        encoded = value.encode("utf-8")
-        out.extend(struct.pack("<I", len(encoded)))
-        out.extend(encoded)
-        return
-    try:
-        out.extend(struct.pack("<" + kind.fmt, value))
-    except (struct.error, OverflowError) as exc:
-        raise TypeMismatchError(f"field {field_name!r}: {exc}") from None
+def _run_structs(kinds: Sequence[PrimitiveKind], padded: bool) -> tuple[struct.Struct, ...]:
+    """Structs for a run of fixed-size fields. Padded, there is one per
+    start offset mod 8, each holding the alignment padding before and
+    between the fields at that offset; unpadded (key bytes), just one."""
+    structs = []
+    for residue in range(8 if padded else 1):
+        fmt, offset = "<", residue
+        for kind in kinds:
+            pad = -offset % kind.size if padded else 0
+            fmt += "x" * pad + kind.fmt
+            offset += pad + kind.size
+        structs.append(struct.Struct(fmt))
+    return tuple(structs)
+
+
+def _segments(fields: Iterable[tuple[int, FieldDescriptor]], padded: bool) -> tuple:
+    """In declaration order: ``(index, None)`` per string field, and
+    ``(slice, structs)`` per run of fixed-size fields that are adjacent
+    in the type."""
+    runs: list = []  # [start, stop, kinds], or [index, None, None] for a string
+    for index, f in fields:
+        if f.kind is PrimitiveKind.STRING:
+            runs.append([index, None, None])
+        elif runs and runs[-1][1] == index:
+            runs[-1][1] += 1
+            runs[-1][2].append(f.kind)
+        else:
+            runs.append([index, index + 1, [f.kind]])
+    return tuple((start, None) if kinds is None
+                 else (slice(start, stop), _run_structs(kinds, padded))
+                 for start, stop, kinds in runs)
+
+
+class _Codec:
+    """One type's serialization, compiled once per descriptor.
+
+    Each field's check is reduced to an exact type (plus a range for
+    integers), so a well-formed sample is checked with one tuple
+    comparison; anything else goes through ``_check_value`` for the
+    precise error. Adjacent fixed-size fields pack and unpack with one
+    precompiled ``struct.Struct``. Error types, messages and offsets are
+    those of encoding field by field.
+    """
+
+    def __init__(self, descriptor: TypeDescriptor):
+        fields = descriptor.fields
+        self.name = descriptor.name
+        self.fields = fields
+        self.keyed = any(f.is_key for f in fields)
+        self.types = tuple(_EXACT_TYPE[f.kind] for f in fields)
+        self.ranges = tuple((i, *_INT_RANGES[f.kind]) for i, f in enumerate(fields)
+                            if f.kind in _INT_RANGES)
+        self.segments = _segments(enumerate(fields), padded=True)
+        self.key_segments = _segments(
+            ((i, f) for i, f in enumerate(fields) if f.is_key), padded=False)
+
+    def check(self, sample: Sample) -> None:
+        if sample.type_name != self.name:
+            raise TypeMismatchError(
+                f"sample of type {sample.type_name!r} does not match descriptor {self.name!r}")
+        values = sample.values
+        if len(values) != len(self.fields):
+            raise TypeMismatchError(
+                f"{self.name}: expected {len(self.fields)} values, got {len(values)}")
+        if tuple(map(type, values)) == self.types:
+            for i, lo, hi in self.ranges:
+                if not lo <= values[i] <= hi:
+                    break
+            else:
+                return
+        for f, value in zip(self.fields, values):
+            _check_value(f.kind, value, f.name)
+
+    def pack(self, values: Sequence) -> bytes:
+        """Encode checked values."""
+        out = bytearray()
+        try:
+            for index, structs in self.segments:
+                if structs is None:
+                    encoded = values[index].encode("utf-8")
+                    out += _PADS[-len(out) & 3]
+                    out += _U32.pack(len(encoded))
+                    out += encoded
+                else:
+                    out += structs[len(out) & 7].pack(*values[index])
+        except (struct.error, OverflowError):
+            # A float out of the kind's range: name the first such field.
+            for f, value in zip(self.fields, values):
+                if f.kind is not PrimitiveKind.STRING:
+                    try:
+                        struct.pack("<" + f.kind.fmt, value)
+                    except (struct.error, OverflowError) as exc:
+                        raise TypeMismatchError(f"field {f.name!r}: {exc}") from None
+            raise
+        return bytes(out)
+
+    def size(self, values: Sequence) -> int:
+        """Byte length ``pack`` would produce for checked values."""
+        size = 0
+        for index, structs in self.segments:
+            if structs is None:
+                size += (-size & 3) + 4 + len(values[index].encode("utf-8"))
+            else:
+                size += structs[size & 7].size
+        return size
+
+    def unpack(self, data: bytes) -> tuple:
+        values: list = []
+        offset = 0
+        n = len(data)
+        for index, structs in self.segments:
+            if structs is None:
+                name = self.fields[index].name
+                offset += -offset & 3
+                if offset + 4 > n:
+                    raise DecodeError(offset, f"truncated before length of field {name!r}")
+                (length,) = _U32.unpack_from(data, offset)
+                offset += 4
+                if offset + length > n:
+                    raise DecodeError(offset, f"string length {length} exceeds remaining bytes")
+                try:
+                    values.append(data[offset:offset + length].decode("utf-8"))
+                except UnicodeDecodeError:
+                    raise DecodeError(offset, f"field {name!r} is not valid UTF-8") from None
+                offset += length
+            else:
+                run = structs[offset & 7]
+                if offset + run.size > n:
+                    for f in self.fields[index]:  # find the one that does not fit
+                        offset += -offset % f.kind.size
+                        if offset + f.kind.size > n:
+                            raise DecodeError(offset, f"truncated in field {f.name!r}")
+                        offset += f.kind.size
+                values += run.unpack_from(data, offset)
+                offset += run.size
+        if offset != n:
+            raise DecodeError(offset, f"{n - offset} trailing bytes")
+        return tuple(values)
+
+    def key_bytes(self, values: Sequence) -> bytes:
+        """Key-field encodings of checked values, unpadded."""
+        out = bytearray()
+        for index, structs in self.key_segments:
+            if structs is None:
+                encoded = values[index].encode("utf-8")
+                out += _U32.pack(len(encoded))
+                out += encoded
+            else:
+                out += structs[0].pack(*values[index])
+        return bytes(out)
 
 
 def serialize(descriptor: TypeDescriptor, sample: Sample) -> bytes:
     """Encode a sample; equal samples yield equal bytes."""
-    _check_sample(descriptor, sample)
-    out = bytearray()
-    for f, value in zip(descriptor.fields, sample.values):
-        _pack_field(out, f.kind, value, f.name)
-    return bytes(out)
+    codec = descriptor._codec
+    codec.check(sample)
+    return codec.pack(sample.values)
 
 
 def serialized_size(descriptor: TypeDescriptor, sample: Sample) -> int:
     """Byte length ``serialize`` would produce, without producing it."""
-    _check_sample(descriptor, sample)
-    size = 0
-    for f, value in zip(descriptor.fields, sample.values):
-        size += (-size) % f.kind.alignment
-        if f.kind is PrimitiveKind.STRING:
-            size += 4 + len(value.encode("utf-8"))
-        else:
-            size += f.kind.size
-    return size
+    codec = descriptor._codec
+    codec.check(sample)
+    return codec.size(sample.values)
 
 
 def deserialize(descriptor: TypeDescriptor, data: bytes) -> Sample:
     """Decode bytes produced by ``serialize``; trailing bytes are an error."""
-    values = []
-    offset = 0
-    n = len(data)
-    for f in descriptor.fields:
-        offset += (-offset) % f.kind.alignment
-        if f.kind is PrimitiveKind.STRING:
-            if offset + 4 > n:
-                raise DecodeError(offset, f"truncated before length of field {f.name!r}")
-            (length,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            if offset + length > n:
-                raise DecodeError(offset, f"string length {length} exceeds remaining bytes")
-            try:
-                values.append(data[offset:offset + length].decode("utf-8"))
-            except UnicodeDecodeError:
-                raise DecodeError(offset, f"field {f.name!r} is not valid UTF-8") from None
-            offset += length
-        else:
-            if offset + f.kind.size > n:
-                raise DecodeError(offset, f"truncated in field {f.name!r}")
-            (value,) = struct.unpack_from("<" + f.kind.fmt, data, offset)
-            offset += f.kind.size
-            values.append(value)
-    if offset != n:
-        raise DecodeError(offset, f"{n - offset} trailing bytes")
-    return Sample(descriptor.name, tuple(values))
+    return Sample(descriptor.name, descriptor._codec.unpack(data))
 
 
 # ---------------------------------------------------------------------------
@@ -431,30 +535,25 @@ def deserialize(descriptor: TypeDescriptor, data: bytes) -> Sample:
 def fnv1a_64(data: bytes) -> int:
     value = FNV64_OFFSET
     for byte in data:
-        value ^= byte
-        value = (value * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
+        value = ((value ^ byte) * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
     return value
 
 
 def key_bytes(descriptor: TypeDescriptor, sample: Sample) -> bytes:
     """Key-field encodings concatenated in declaration order, unpadded."""
-    _check_sample(descriptor, sample)
-    out = bytearray()
-    for f, value in zip(descriptor.fields, sample.values):
-        if not f.is_key:
-            continue
-        if f.kind is PrimitiveKind.STRING:
-            encoded = value.encode("utf-8")
-            out.extend(struct.pack("<I", len(encoded)))
-            out.extend(encoded)
-        else:
-            out.extend(struct.pack("<" + f.kind.fmt, value))
-    return bytes(out)
+    codec = descriptor._codec
+    codec.check(sample)
+    return codec.key_bytes(sample.values)
 
 
-def key_hash(descriptor: TypeDescriptor, sample: Sample) -> int:
+def key_hash(descriptor: TypeDescriptor, sample: Sample, *, checked: bool = False) -> int:
     """64-bit instance handle. Unkeyed types map every sample to handle 0;
-    keyed samples hash their key bytes, so equal keys share a handle."""
-    if not descriptor.key_fields:
+    keyed samples hash their key bytes, so equal keys share a handle.
+    ``checked`` says the caller has already checked the sample against
+    the descriptor (``serialize`` does), so it is not checked again."""
+    codec = descriptor._codec
+    if not codec.keyed:
         return UNKEYED_HANDLE
-    return fnv1a_64(key_bytes(descriptor, sample))
+    if not checked:
+        codec.check(sample)
+    return fnv1a_64(codec.key_bytes(sample.values))

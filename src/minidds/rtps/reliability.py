@@ -245,6 +245,14 @@ class BestEffortReaderSession:
     Samples older than the newest delivered one are never delivered, but
     a bounded window remembers recent sequences so an out-of-order
     straggler still counts as received (not lost) exactly once.
+
+    The window is a ring of ``WINDOW`` seen flags: for every sequence s
+    in ``(last_sequence - WINDOW, last_sequence]``, ``_seen[s % WINDOW]``
+    is 1 exactly when s has arrived. Anything at or below the window is
+    too old to tell and counts as a duplicate. An in-order sample clears
+    the slots of the sequences it skips (all of them once it jumps a
+    whole window) with one bounded slice assignment, so each call costs
+    O(1) whatever the stream's length: nothing is rebuilt per sample.
     """
 
     WINDOW = 1024
@@ -254,23 +262,34 @@ class BestEffortReaderSession:
         self.last_sequence = 0
         self.samples_lost = 0
         self.unique_received = 0
-        self._recent: set[int] = set()
+        self._seen = bytearray(self.WINDOW)
 
     def on_data(self, sequence: int) -> bool:
-        if sequence > self.last_sequence:
-            self.samples_lost += sequence - self.last_sequence - 1
+        window = self.WINDOW
+        last = self.last_sequence
+        if sequence > last:
+            skipped = sequence - last - 1
+            if skipped >= window - 1:
+                self._seen = bytearray(window)
+            elif skipped:
+                start = (last + 1) % window
+                stop = start + skipped
+                if stop <= window:
+                    self._seen[start:stop] = bytes(skipped)
+                else:
+                    self._seen[start:] = bytes(window - start)
+                    self._seen[:stop - window] = bytes(stop - window)
+            self._seen[sequence % window] = 1
+            self.samples_lost += skipped
             self.unique_received += 1
             self.last_sequence = sequence
-            self._recent.add(sequence)
-            floor = sequence - self.WINDOW
-            if len(self._recent) > self.WINDOW:
-                self._recent = {s for s in self._recent if s > floor}
             return True
-        if sequence in self._recent or sequence <= self.last_sequence - self.WINDOW:
+        slot = sequence % window
+        if sequence <= last - window or self._seen[slot]:
             return False  # duplicate (or too old to tell)
         # A straggler that lost a race with newer samples: arrived, but
         # stays undelivered to preserve ordering.
         self.unique_received += 1
         self.samples_lost -= 1
-        self._recent.add(sequence)
+        self._seen[slot] = 1
         return False

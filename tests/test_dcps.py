@@ -10,6 +10,7 @@ from minidds.dcps.guid import Guid
 from minidds.dcps.history import (ReaderHistory, ResourceLimitsError, SampleInfo,
                                   WriterHistory, WriterSample)
 from minidds.dcps.participant import DomainParticipant
+from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
 MS = 1_000_000
@@ -515,3 +516,50 @@ class TestDiscovery:
         writer.write({"n": 1})
         with pytest.raises(ResourceLimitsError):
             writer.write({"n": 2})  # the peer never acks: no room appears
+
+
+class TestFanOut:
+    """One writer, one reader on each of two other participants."""
+
+    def setup_method(self):
+        net = InProcNetwork()
+        clock = ManualClock(1_000_000_000)
+        names = ("A", "B", "C")
+        self.parts = [DomainParticipant(0, transport=net.attach(name), clock=clock,
+                                        static_peers=tuple(n for n in names if n != name))
+                      for name in names]
+        keep_all = [qos.History(qos.HistoryKind.KEEP_ALL)]
+        a, b, c = self.parts
+        self.writer = a.create_datawriter(a.create_topic("kv", _keyed_type()))
+        self.readers = [p.create_datareader(p.create_topic("kv", _keyed_type()), keep_all)
+                        for p in (b, c)]
+        _spin(*self.parts, rounds=2)
+        assert len(self.writer.matched_readers()) == 2
+
+    def teardown_method(self):
+        for participant in self.parts:
+            participant.close()
+
+    def test_one_encoding_serves_every_destination(self, monkeypatch):
+        encoded = []
+        original = wire.encode_message
+
+        def counting(message):
+            encoded.append(message)
+            return original(message)
+
+        monkeypatch.setattr(wire, "encode_message", counting)
+        self.writer.write({"id": 1, "v": 2})
+        assert [type(sub) for m in encoded for sub in m.submessages] == [wire.Data]
+        _spin(*self.parts[1:])
+        for reader in self.readers:
+            assert _values(reader.take()) == [(1, 2)]
+
+    def test_remote_samples_share_one_writer_guid(self):
+        for n in range(3):
+            self.writer.write({"id": n % 2, "v": n})
+        _spin(*self.parts[1:])
+        for reader in self.readers:
+            guids = [info.writer_guid for _, info in reader.take()]
+            assert guids == [self.writer.guid] * 3
+            assert all(g is guids[0] for g in guids)

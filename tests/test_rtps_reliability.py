@@ -260,7 +260,10 @@ class TestBestEffortReaderSession:
         s = self._session()
         for seq in range(1, 3000):
             s.on_data(seq)
-        assert len(s._recent) <= BestEffortReaderSession.WINDOW + 1
+        # The ring holds one seen flag per window slot: at most WINDOW + 1
+        # sequences are ever remembered, however long the stream.
+        assert len(s._seen) <= BestEffortReaderSession.WINDOW + 1
+        assert sum(s._seen) <= BestEffortReaderSession.WINDOW + 1
 
 
 class TestDirectedRouting:
