@@ -13,60 +13,12 @@ from typing import Optional
 
 from minidds import qos
 from minidds.dcps.guid import Guid
+from minidds.qos import RxoQos
 
 
 class EndpointType(IntEnum):
     WRITER = 0
     READER = 1
-
-
-@dataclass(frozen=True)
-class RxoQos:
-    """The negotiated policy values an endpoint advertises, plus partition
-    names and ownership strength (match-affecting but not negotiated)."""
-
-    reliability: qos.ReliabilityKind = qos.ReliabilityKind.BEST_EFFORT
-    durability: qos.DurabilityKind = qos.DurabilityKind.VOLATILE
-    destination_order: qos.DestinationOrderKind = qos.DestinationOrderKind.BY_RECEPTION_TIMESTAMP
-    ownership: qos.OwnershipKind = qos.OwnershipKind.SHARED
-    ownership_strength: int = 0
-    presentation_scope: qos.AccessScope = qos.AccessScope.INSTANCE
-    presentation_coherent: bool = False
-    presentation_ordered: bool = False
-    deadline_period_ns: int = qos.INFINITE_NS
-    latency_budget_ns: int = 0
-    partitions: tuple[str, ...] = ("",)
-
-    @classmethod
-    def from_profile(cls, profile: qos.QosProfile) -> "RxoQos":
-        pres = profile.value(qos.QosPolicyId.PRESENTATION)
-        return cls(
-            reliability=profile.value(qos.QosPolicyId.RELIABILITY).kind,
-            durability=profile.value(qos.QosPolicyId.DURABILITY).kind,
-            destination_order=profile.value(qos.QosPolicyId.DESTINATION_ORDER).kind,
-            ownership=profile.value(qos.QosPolicyId.OWNERSHIP).kind,
-            ownership_strength=profile.value(qos.QosPolicyId.OWNERSHIP_STRENGTH).value,
-            presentation_scope=pres.access_scope,
-            presentation_coherent=pres.coherent_access,
-            presentation_ordered=pres.ordered_access,
-            deadline_period_ns=profile.value(qos.QosPolicyId.DEADLINE).period_ns,
-            latency_budget_ns=profile.value(qos.QosPolicyId.LATENCY_BUDGET).duration_ns,
-            partitions=profile.value(qos.QosPolicyId.PARTITION).names,
-        )
-
-    def to_profile(self, entity_kind: qos.EntityKind) -> qos.QosProfile:
-        return qos.profile(entity_kind, [
-            qos.Reliability(self.reliability),
-            qos.Durability(self.durability),
-            qos.DestinationOrder(self.destination_order),
-            qos.Ownership(self.ownership),
-            qos.OwnershipStrength(self.ownership_strength),
-            qos.Presentation(self.presentation_scope, self.presentation_coherent,
-                             self.presentation_ordered),
-            qos.Deadline(self.deadline_period_ns),
-            qos.LatencyBudget(self.latency_budget_ns),
-            qos.Partition(self.partitions),
-        ])
 
 
 @dataclass(frozen=True)
@@ -108,10 +60,7 @@ def match_endpoints(a: EndpointDescriptor, b: EndpointDescriptor) -> MatchRecord
         return NoMatch(f"topic {writer.topic_name!r} has conflicting types")
     if not qos.partitions_intersect(writer.rxo.partitions, reader.rxo.partitions):
         return NoMatch("partitions do not intersect")
-    report = qos.check_compatibility(
-        writer.rxo.to_profile(qos.EntityKind.DATA_WRITER),
-        reader.rxo.to_profile(qos.EntityKind.DATA_READER),
-    )
+    report = qos.check_rxo(writer.rxo, reader.rxo)
     if not report.compatible:
         return NoMatch(f"requested QoS exceeds offer: {report.describe()}", report)
     return MatchRecord(a.guid, b, report)

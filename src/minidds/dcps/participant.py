@@ -88,6 +88,9 @@ class DomainParticipant:
         self._readers: dict[int, DataReader] = {}
         self._entity_counter = 0
         self._lock = threading.RLock()
+        # Notified at the end of every spin_once, for writers blocked on a
+        # full keep-all history while a pump thread runs.
+        self._spun = threading.Condition(self._lock)
         self._thread: Optional[threading.Thread] = None
         self._running = False
         self.closed = False
@@ -267,6 +270,7 @@ class DomainParticipant:
                 directed = writer._expire(now_wall)
                 directed.extend(writer._step(now))
                 self._route(writer, directed)
+            self._spun.notify_all()
             return processed
 
     def _announce_destinations(self) -> list:
@@ -412,13 +416,6 @@ class DomainParticipant:
 
     # ------------------------------------------------------------------
     # lifecycle
-
-    def _pump_for_blocking(self) -> bool:
-        """Give protocol work a chance to run while a write waits for room."""
-        if self._thread is not None and self._running:
-            time.sleep(0.0005)
-            return True
-        return self.spin_once() > 0
 
     def pump(self, duration_s: float) -> None:
         """Drive the protocol inline for a wall-clock interval."""

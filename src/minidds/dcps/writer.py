@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping, Optional, Union
 
 from minidds import idl, qos
@@ -79,7 +80,8 @@ class DataWriter:
         Returns the sequence number. Raises ``TypeMismatchError`` for a
         sample of the wrong shape, ``SampleTooLargeError`` past the
         datagram limit, and ``ResourceLimitsError`` when a full keep-all
-        history does not drain within max_blocking_time.
+        history does not drain within max_blocking_time (on the
+        participant's clock).
         """
         if self.closed:
             raise RuntimeError("writer is closed")
@@ -96,7 +98,6 @@ class DataWriter:
         handle = idl.key_hash(self.type, sample, checked=True)
         clock = self.participant.clock
         block_deadline = None
-        spins = 0
         while True:
             with self.participant._lock:
                 if self.history.has_room(handle):
@@ -115,19 +116,24 @@ class DataWriter:
                     self.samples_written += 1
                     self.participant._route(self, directed)
                     return sequence
-            # Full keep-all cache: wait for acks to drain it, without
-            # holding the participant lock (the dispatch context needs it).
-            if not (self._reliable and self._keep_all):
-                raise ResourceLimitsError("writer history full")
-            now = clock.monotonic_ns()
-            if block_deadline is None:
-                block_deadline = now + self.participant.max_blocking_time_ns
-            elif now >= block_deadline:
-                raise ResourceLimitsError(
-                    "write blocked on a full keep-all history past max_blocking_time")
-            progressed = self.participant._pump_for_blocking()
-            spins += 1
-            if (not progressed and clock.monotonic_ns() == now) or spins > 100_000:
+                # Full keep-all cache: wait for acks to drain it.
+                if not (self._reliable and self._keep_all):
+                    raise ResourceLimitsError("writer history full")
+                now = clock.monotonic_ns()
+                if block_deadline is None:
+                    block_deadline = now + self.participant.max_blocking_time_ns
+                elif now >= block_deadline:
+                    raise ResourceLimitsError(
+                        "write blocked on a full keep-all history past max_blocking_time")
+                pump = self.participant._thread
+                if pump is not None and pump is not threading.current_thread():
+                    # The wait releases the lock the pump thread needs.
+                    self.participant._spun.wait((block_deadline - now) / 1e9)
+                    continue
+            # No pump thread: drive the protocol inline, outside the lock so
+            # other application threads keep access between spins.
+            self.participant.transport.wait(min(0.005, (block_deadline - now) / 1e9))
+            if self.participant.spin_once() == 0 and clock.monotonic_ns() == now:
                 raise ResourceLimitsError(
                     "write blocked on a full keep-all history with no drain in sight")
 

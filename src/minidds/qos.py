@@ -6,13 +6,18 @@ kinds it applies to, whether it takes part in request/offered negotiation,
 whether it may change after enable, and its functional group). Profiles are
 immutable snapshots; ``set_policy`` returns a new profile. Compatibility is
 a pure function producing a report, never an exception.
+
+The policies an endpoint advertises are listed once, in ``ADVERTISED_QOS``:
+``RxoQos``, the compatibility rules and the announce codec all read it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import ClassVar, Iterable, Mapping, Optional, Union
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Union
 
 # Duration sentinel: treated as "infinite", compares above any real duration
 # and still fits a signed 64-bit wire field.
@@ -295,6 +300,11 @@ _VALUE_TYPES: dict[QosPolicyId, type] = {
 }
 
 
+_VALUE_FIELDS: dict[QosPolicyId, tuple[str, ...]] = {
+    pid: tuple(f.name for f in dataclasses.fields(cls)) for pid, cls in _VALUE_TYPES.items()
+}
+
+
 def default_value(policy_id: QosPolicyId) -> QosValue:
     """The value an absent policy stands for."""
     return _VALUE_TYPES[policy_id]()
@@ -448,34 +458,83 @@ class CompatibilityReport:
         return "; ".join(parts)
 
 
+@dataclass(frozen=True)
+class RxoQos:
+    """The policy values an endpoint advertises in announces: the negotiated
+    ones, plus partition names and ownership strength (match-affecting but
+    not negotiated). ``ADVERTISED_QOS`` says which fields hold which policy."""
+
+    reliability: ReliabilityKind = ReliabilityKind.BEST_EFFORT
+    durability: DurabilityKind = DurabilityKind.VOLATILE
+    destination_order: DestinationOrderKind = DestinationOrderKind.BY_RECEPTION_TIMESTAMP
+    ownership: OwnershipKind = OwnershipKind.SHARED
+    ownership_strength: int = 0
+    presentation_scope: AccessScope = AccessScope.INSTANCE
+    presentation_coherent: bool = False
+    presentation_ordered: bool = False
+    deadline_period_ns: int = INFINITE_NS
+    latency_budget_ns: int = 0
+    partitions: tuple[str, ...] = ("",)
+
+    @classmethod
+    def from_profile(cls, prof: QosProfile) -> "RxoQos":
+        values = {}
+        for row in ADVERTISED_QOS:
+            value = prof.value(row.id)
+            for name, value_name in zip(row.fields, _VALUE_FIELDS[row.id]):
+                values[name] = getattr(value, value_name)
+        return cls(partitions=prof.value(QosPolicyId.PARTITION).names, **values)
+
+
+@dataclass(frozen=True)
+class AdvertisedPolicy:
+    """One row of ``ADVERTISED_QOS``: a policy, the ``RxoQos`` fields that
+    hold its value (in the field order of its value class) and, for a
+    negotiated policy, the comparison each offered field must pass against
+    the requested one."""
+
+    id: QosPolicyId
+    fields: tuple[str, ...]
+    satisfies: Optional[Callable[[object, object], bool]] = None
+
+    def values(self, rxo: RxoQos) -> list:
+        return [getattr(rxo, name) for name in self.fields]
+
+    def value(self, rxo: RxoQos) -> QosValue:
+        return _VALUE_TYPES[self.id](*self.values(rxo))
+
+
+# The advertised policies, in announce (wire) order. Kinds with a strength
+# ordering must be offered at least as strong as requested, and so must the
+# presentation flags (an offered flag serves any request; a missing one
+# serves only a request without it). Budget-style durations must be offered
+# at most as long as requested; ownership kinds must match exactly.
+ADVERTISED_QOS: tuple[AdvertisedPolicy, ...] = (
+    AdvertisedPolicy(QosPolicyId.RELIABILITY, ("reliability",), operator.ge),
+    AdvertisedPolicy(QosPolicyId.DURABILITY, ("durability",), operator.ge),
+    AdvertisedPolicy(QosPolicyId.DESTINATION_ORDER, ("destination_order",), operator.ge),
+    AdvertisedPolicy(QosPolicyId.OWNERSHIP, ("ownership",), operator.eq),
+    AdvertisedPolicy(QosPolicyId.OWNERSHIP_STRENGTH, ("ownership_strength",)),
+    AdvertisedPolicy(QosPolicyId.DEADLINE, ("deadline_period_ns",), operator.le),
+    AdvertisedPolicy(QosPolicyId.LATENCY_BUDGET, ("latency_budget_ns",), operator.le),
+    AdvertisedPolicy(QosPolicyId.PRESENTATION, ("presentation_scope", "presentation_coherent",
+                                                "presentation_ordered"), operator.ge),
+)
+
+
+def check_rxo(offered: RxoQos, requested: RxoQos) -> CompatibilityReport:
+    """Evaluate the request/offered contract between a writer's advertised
+    QoS and a reader's. Violations come in ``ADVERTISED_QOS`` order."""
+    return CompatibilityReport(tuple(
+        PolicyViolation(row.id, row.value(offered), row.value(requested))
+        for row in ADVERTISED_QOS if row.satisfies is not None
+        and not all(map(row.satisfies, row.values(offered), row.values(requested)))))
+
+
 def check_compatibility(offered: QosProfile, requested: QosProfile) -> CompatibilityReport:
-    """Evaluate the request/offered contract between a writer-side profile and
-    a reader-side profile.
-
-    Only negotiated (RxO yes) policies can produce violations. Kinds with a
-    declared strength ordering are compatible when the offer is at least the
-    request; budget-style durations are compatible when the offer is at most
-    the request; ownership kinds must match exactly.
-    """
-    violations = []
-
-    def check(pid: QosPolicyId, ok) -> None:
-        o = offered.value(pid)
-        r = requested.value(pid)
-        if not ok(o, r):
-            violations.append(PolicyViolation(pid, o, r))
-
-    check(QosPolicyId.RELIABILITY, lambda o, r: o.kind >= r.kind)
-    check(QosPolicyId.DURABILITY, lambda o, r: o.kind >= r.kind)
-    check(QosPolicyId.DESTINATION_ORDER, lambda o, r: o.kind >= r.kind)
-    check(QosPolicyId.PRESENTATION, lambda o, r: (
-        o.access_scope >= r.access_scope
-        and (o.coherent_access or not r.coherent_access)
-        and (o.ordered_access or not r.ordered_access)))
-    check(QosPolicyId.DEADLINE, lambda o, r: o.period_ns <= r.period_ns)
-    check(QosPolicyId.LATENCY_BUDGET, lambda o, r: o.duration_ns <= r.duration_ns)
-    check(QosPolicyId.OWNERSHIP, lambda o, r: o.kind == r.kind)
-    return CompatibilityReport(tuple(violations))
+    """``check_rxo`` on the advertised values of a writer-side profile and a
+    reader-side profile."""
+    return check_rxo(RxoQos.from_profile(offered), RxoQos.from_profile(requested))
 
 
 def partitions_intersect(a: Iterable[str], b: Iterable[str]) -> bool:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 from minidds import qos
 from minidds.dcps.guid import Guid, PREFIX_LEN
-from minidds.dcps.matching import EndpointDescriptor, EndpointType, RxoQos
+from minidds.dcps.matching import EndpointDescriptor, EndpointType
+from minidds.qos import RxoQos
 
 MAGIC = b"MDDS"
 VERSION = b"\x01\x00"
@@ -37,8 +38,24 @@ KIND_DIRECT = 0x06
 
 ACKNACK_MAX_BITS = 256
 
-# Policy ids on the wire reuse the QosPolicyId numbering.
+# Byte layout of each advertised policy's value: one struct format character
+# per field of its ``qos.ADVERTISED_QOS`` row. Policy ids on the wire reuse
+# the QosPolicyId numbering.
 _QP = qos.QosPolicyId
+_RXO_LAYOUTS = {pid: struct.Struct("<" + codes) for pid, codes in (
+    (_QP.RELIABILITY, "B"),
+    (_QP.DURABILITY, "B"),
+    (_QP.DESTINATION_ORDER, "B"),
+    (_QP.OWNERSHIP, "B"),
+    (_QP.OWNERSHIP_STRENGTH, "i"),
+    (_QP.DEADLINE, "q"),
+    (_QP.LATENCY_BUDGET, "q"),
+    (_QP.PRESENTATION, "BBB"),
+)}
+# (wire id, row, layout) per advertised policy, in announce order.
+_RXO_ENTRIES = [(row.id.value, row, _RXO_LAYOUTS[row.id]) for row in qos.ADVERTISED_QOS]
+_RXO_BY_ID = {entry[0]: entry for entry in _RXO_ENTRIES}
+_RXO_TYPES = get_type_hints(RxoQos)
 
 
 class WireError(Exception):
@@ -124,21 +141,10 @@ def _encode_rxo(rxo: RxoQos) -> bytes:
     out.extend(struct.pack("<H", len(rxo.partitions)))
     for name in rxo.partitions:
         out.extend(_pack_str(name))
-    entries = [
-        (_QP.RELIABILITY, struct.pack("<B", rxo.reliability)),
-        (_QP.DURABILITY, struct.pack("<B", rxo.durability)),
-        (_QP.DESTINATION_ORDER, struct.pack("<B", rxo.destination_order)),
-        (_QP.OWNERSHIP, struct.pack("<B", rxo.ownership)),
-        (_QP.OWNERSHIP_STRENGTH, struct.pack("<i", rxo.ownership_strength)),
-        (_QP.DEADLINE, struct.pack("<q", rxo.deadline_period_ns)),
-        (_QP.LATENCY_BUDGET, struct.pack("<q", rxo.latency_budget_ns)),
-        (_QP.PRESENTATION, struct.pack("<BBB", rxo.presentation_scope,
-                                       rxo.presentation_coherent, rxo.presentation_ordered)),
-    ]
-    out.append(len(entries))
-    for pid, body in entries:
-        out.append(pid.value)
-        out.extend(body)
+    out.append(len(_RXO_ENTRIES))
+    for pid, row, layout in _RXO_ENTRIES:
+        out.append(pid)
+        out.extend(layout.pack(*row.values(rxo)))
     return bytes(out)
 
 
@@ -263,47 +269,28 @@ def _decode_rxo(cur: _Cursor) -> RxoQos:
     (entry_count,) = cur.unpack("<B")
     for _ in range(entry_count):
         (pid_raw,) = cur.unpack("<B")
-        try:
-            pid = _QP(pid_raw)
-        except ValueError:
-            raise WireError(cur.base + cur.pos - 1, f"unknown policy id {pid_raw}") from None
-        if pid == _QP.RELIABILITY:
-            values["reliability"] = qos.ReliabilityKind(_decode_enum(cur, qos.ReliabilityKind))
-        elif pid == _QP.DURABILITY:
-            values["durability"] = qos.DurabilityKind(_decode_enum(cur, qos.DurabilityKind))
-        elif pid == _QP.DESTINATION_ORDER:
-            values["destination_order"] = qos.DestinationOrderKind(
-                _decode_enum(cur, qos.DestinationOrderKind))
-        elif pid == _QP.OWNERSHIP:
-            values["ownership"] = qos.OwnershipKind(_decode_enum(cur, qos.OwnershipKind))
-        elif pid == _QP.OWNERSHIP_STRENGTH:
-            (values["ownership_strength"],) = cur.unpack("<i")
-        elif pid == _QP.DEADLINE:
-            (values["deadline_period_ns"],) = cur.unpack("<q")
-        elif pid == _QP.LATENCY_BUDGET:
-            (values["latency_budget_ns"],) = cur.unpack("<q")
-        elif pid == _QP.PRESENTATION:
-            scope, coherent, ordered = cur.unpack("<BBB")
-            values["presentation_scope"] = qos.AccessScope(_check_enum(cur, qos.AccessScope, scope))
-            values["presentation_coherent"] = bool(coherent)
-            values["presentation_ordered"] = bool(ordered)
-        else:
-            raise WireError(cur.base + cur.pos - 1, f"policy {pid.name} not valid on the wire")
+        entry = _RXO_BY_ID.get(pid_raw)
+        if entry is None:
+            try:
+                reason = f"policy {_QP(pid_raw).name} not valid on the wire"
+            except ValueError:
+                reason = f"unknown policy id {pid_raw}"
+            raise WireError(cur.base + cur.pos - 1, reason)
+        _, row, layout = entry
+        start = cur.base + cur.pos
+        for i, (name, raw) in enumerate(zip(row.fields, cur.unpack(layout.format))):
+            kind = _RXO_TYPES[name]
+            if kind is bool:
+                raw = bool(raw)
+            elif kind is not int:
+                try:
+                    raw = kind(raw)
+                except ValueError:
+                    # Every field is one format character after the "<".
+                    raise WireError(start + struct.calcsize(layout.format[:i + 1]),
+                                    f"invalid {kind.__name__} value {raw}") from None
+            values[name] = raw
     return RxoQos(**values)
-
-
-def _decode_enum(cur: _Cursor, enum_cls) -> int:
-    (raw,) = cur.unpack("<B")
-    return _check_enum(cur, enum_cls, raw)
-
-
-def _check_enum(cur: _Cursor, enum_cls, raw: int) -> int:
-    try:
-        enum_cls(raw)
-    except ValueError:
-        raise WireError(cur.base + cur.pos - 1,
-                        f"invalid {enum_cls.__name__} value {raw}") from None
-    return raw
 
 
 def _decode_announce(cur: _Cursor) -> Announce:

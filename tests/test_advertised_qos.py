@@ -1,0 +1,167 @@
+"""The advertised QoS table: one list of policies for matching, the announce
+codec and the docs, and the request/offered rules checked against an
+independent statement of them."""
+
+import dataclasses
+import itertools
+import pathlib
+import random
+import re
+
+import pytest
+
+from minidds import qos
+from minidds.dcps.guid import Guid
+from minidds.dcps.matching import (EndpointDescriptor, EndpointType, MatchRecord,
+                                   NoMatch, RxoQos, match_endpoints)
+from minidds.rtps import wire
+
+P = qos.QosPolicyId
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "wire.md"
+
+# ---------------------------------------------------------------------------
+# One place
+
+
+def test_negotiated_rows_are_the_rxo_yes_policies():
+    negotiated = {row.id for row in qos.ADVERTISED_QOS if row.satisfies is not None}
+    rxo_yes = {pid for pid in P if qos.policy_meta(pid).rxo is qos.Rxo.YES}
+    assert negotiated == rxo_yes
+    assert len(negotiated) == 7
+
+
+def test_rows_cover_the_record_once():
+    ids = [row.id for row in qos.ADVERTISED_QOS]
+    assert len(ids) == len(set(ids))
+    row_fields = [name for row in qos.ADVERTISED_QOS for name in row.fields]
+    assert len(row_fields) == len(set(row_fields))
+    record_fields = {f.name for f in dataclasses.fields(RxoQos)}
+    assert set(row_fields) | {"partitions"} == record_fields
+    for row in qos.ADVERTISED_QOS:
+        # A row's fields line up with its value class, so a default record
+        # gives each policy its default value.
+        assert row.value(RxoQos()) == qos.default_value(row.id)
+
+
+def test_every_row_has_exactly_one_wire_layout():
+    assert list(wire._RXO_LAYOUTS) == [row.id for row in qos.ADVERTISED_QOS]
+    for row in qos.ADVERTISED_QOS:
+        layout = wire._RXO_LAYOUTS[row.id]
+        assert len(layout.format) == 1 + len(row.fields), row.id  # "<" + one per field
+
+
+def test_docs_table_lists_the_rows_in_order():
+    section = DOCS.read_text(encoding="utf-8").split("### ANNOUNCE", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    rows = re.findall(r"^\|\s*([A-Z_]+)\s*\|\s*(\d+)\s*\|", section, re.MULTILINE)
+    assert [(name, int(pid)) for name, pid in rows] == [
+        (row.id.name, row.id.value) for row in qos.ADVERTISED_QOS]
+
+
+# ---------------------------------------------------------------------------
+# The rules, stated independently of the table
+
+VALUES = {
+    P.RELIABILITY: [qos.Reliability(k) for k in qos.ReliabilityKind],
+    P.DURABILITY: [qos.Durability(k) for k in qos.DurabilityKind],
+    P.DESTINATION_ORDER: [qos.DestinationOrder(k) for k in qos.DestinationOrderKind],
+    P.OWNERSHIP: [qos.Ownership(k) for k in qos.OwnershipKind],
+    P.PRESENTATION: [qos.Presentation(scope, coherent, ordered)
+                     for scope, coherent, ordered in itertools.product(
+                         qos.AccessScope, (False, True), (False, True))],
+    P.DEADLINE: [qos.Deadline(ns) for ns in (0, 1, 5_000_000, 10_000_000, qos.INFINITE_NS)],
+    P.LATENCY_BUDGET: [qos.LatencyBudget(ns) for ns in (0, 1, 250, 5_000_000, qos.INFINITE_NS)],
+}
+
+
+def _violated(pid, o, r) -> bool:
+    if pid is P.RELIABILITY:
+        return (o.kind is qos.ReliabilityKind.BEST_EFFORT
+                and r.kind is qos.ReliabilityKind.RELIABLE)
+    if pid is P.DURABILITY:
+        return (o.kind is qos.DurabilityKind.VOLATILE
+                and r.kind is qos.DurabilityKind.TRANSIENT_LOCAL)
+    if pid is P.DESTINATION_ORDER:
+        return (o.kind is qos.DestinationOrderKind.BY_RECEPTION_TIMESTAMP
+                and r.kind is qos.DestinationOrderKind.BY_SOURCE_TIMESTAMP)
+    if pid is P.OWNERSHIP:
+        return o.kind is not r.kind
+    if pid is P.PRESENTATION:
+        return ((o.access_scope is qos.AccessScope.INSTANCE
+                 and r.access_scope is qos.AccessScope.TOPIC)
+                or (r.coherent_access and not o.coherent_access)
+                or (r.ordered_access and not o.ordered_access))
+    if pid is P.DEADLINE:
+        return o.period_ns > r.period_ns
+    if pid is P.LATENCY_BUDGET:
+        return o.duration_ns > r.duration_ns
+    raise AssertionError(pid)
+
+
+def _expected(offered: dict, requested: dict) -> dict:
+    out = {}
+    for pid in VALUES:
+        o = offered.get(pid, qos.default_value(pid))
+        r = requested.get(pid, qos.default_value(pid))
+        if _violated(pid, o, r):
+            out[pid] = (o, r)
+    return out
+
+
+def _record(values: dict, strength: int) -> RxoQos:
+    v = {pid: values.get(pid, qos.default_value(pid)) for pid in VALUES}
+    pres = v[P.PRESENTATION]
+    return RxoQos(reliability=v[P.RELIABILITY].kind,
+                  durability=v[P.DURABILITY].kind,
+                  destination_order=v[P.DESTINATION_ORDER].kind,
+                  ownership=v[P.OWNERSHIP].kind,
+                  ownership_strength=strength,
+                  presentation_scope=pres.access_scope,
+                  presentation_coherent=pres.coherent_access,
+                  presentation_ordered=pres.ordered_access,
+                  deadline_period_ns=v[P.DEADLINE].period_ns,
+                  latency_budget_ns=v[P.LATENCY_BUDGET].duration_ns)
+
+
+def _as_dict(report: qos.CompatibilityReport) -> dict:
+    out = {v.policy_id: (v.offered, v.requested) for v in report.violations}
+    assert len(out) == len(report.violations)  # no policy reported twice
+    return out
+
+
+def _check(offered: dict, requested: dict, strength: int = 0) -> None:
+    expected = _expected(offered, requested)
+    via_profiles = qos.check_compatibility(
+        qos.profile(qos.EntityKind.DATA_WRITER, offered.values()),
+        qos.profile(qos.EntityKind.DATA_READER, requested.values()))
+    assert _as_dict(via_profiles) == expected, (offered, requested)
+
+    writer = EndpointDescriptor(Guid(b"\x01" * 12, 1), 0, "t", "T",
+                                EndpointType.WRITER, _record(offered, strength))
+    reader = EndpointDescriptor(Guid(b"\x02" * 12, 1), 0, "t", "T",
+                                EndpointType.READER, _record(requested, -strength))
+    for a, b in ((writer, reader), (reader, writer)):
+        result = match_endpoints(a, b)
+        if expected:
+            assert isinstance(result, NoMatch)
+            assert result.report == via_profiles
+        else:
+            assert isinstance(result, MatchRecord)
+            assert result.report.compatible
+
+
+@pytest.mark.parametrize("pid", list(VALUES), ids=lambda pid: pid.name)
+def test_every_pair_of_one_policy(pid):
+    for o, r in itertools.product(VALUES[pid], repeat=2):
+        _check({pid: o}, {pid: r})
+
+
+def test_random_full_pairs():
+    rng = random.Random(20101)
+    violated = set()
+    for _ in range(2000):
+        offered = {pid: rng.choice(values) for pid, values in VALUES.items()}
+        requested = {pid: rng.choice(values) for pid, values in VALUES.items()}
+        _check(offered, requested, strength=rng.randint(-5, 5))
+        violated.update(_expected(offered, requested))
+    assert violated == set(VALUES)

@@ -91,6 +91,32 @@ class TestGoldenVectors:
         )
         assert encoded[20:] == bytes([0x01, 0]) + struct.pack("<H", len(body)) + body
 
+    def test_announce_bytes_full_qos(self):
+        # Recorded from the encoder that spelled out each policy entry by
+        # hand; every advertised value differs from its default.
+        ep = EndpointDescriptor(Guid(OTHER_PREFIX, 7), 3, "t", "T",
+                                EndpointType.WRITER, TestRoundTrips.RXO)
+        encoded = _encode(wire.Announce(3, (ep,)))
+        expected = bytes.fromhex(
+            "01 00 51 00"                              # ANNOUNCE, body 81 bytes
+            "03 00 00 00 01 00"                        # domain 3, one endpoint
+            "aa aa aa aa aa aa aa aa aa aa aa aa 07 00 00 00"  # guid
+            "00"                                       # writer
+            "01 00 74 01 00 54"                        # "t", "T"
+            "02 00 05 00 61 6c 70 68 61 05 00 62 c3 a9 74 61"  # alpha, béta
+            "08"                                       # policy entry count
+            "06 01"                                    # reliability RELIABLE
+            "01 01"                                    # durability TRANSIENT_LOCAL
+            "08 01"                                    # dest order BY_SOURCE
+            "09 01"                                    # ownership EXCLUSIVE
+            "0a fd ff ff ff"                           # strength -3
+            "0b 40 4b 4c 00 00 00 00 00"               # deadline 5 ms
+            "0c fa 00 00 00 00 00 00 00"               # latency budget 250 ns
+            "05 01 01 01"                              # presentation TOPIC, coherent, ordered
+        )
+        assert encoded[20:] == expected
+        assert wire.decode_message(encoded).submessages == (wire.Announce(3, (ep,)),)
+
 
 class TestRoundTrips:
     RXO = RxoQos(reliability=qos.ReliabilityKind.RELIABLE,
@@ -266,6 +292,27 @@ class TestDecodeErrors:
         raw[index] = 9
         with pytest.raises(wire.WireError):
             wire.decode_message(bytes(raw))
+
+
+    # Offsets in the default-QoS announce of one endpoint with topic "t"
+    # and type "T": the entries start at byte 58.
+    @pytest.mark.parametrize("offset,policy_id,reason", [
+        (59, 6, "invalid ReliabilityKind value 9"),
+        (61, 1, "invalid DurabilityKind value 9"),
+        (63, 8, "invalid DestinationOrderKind value 9"),
+        (65, 9, "invalid OwnershipKind value 9"),
+        (90, 5, "invalid AccessScope value 9"),
+    ])
+    def test_announce_invalid_enum_reported_at_its_byte(self, offset, policy_id, reason):
+        ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "t", "T",
+                                EndpointType.WRITER, RxoQos())
+        raw = bytearray(self._raw(wire.Announce(0, (ep,))))
+        assert (raw[offset - 1], raw[offset]) == (policy_id, 0)
+        raw[offset] = 9
+        with pytest.raises(wire.WireError) as exc:
+            wire.decode_message(bytes(raw))
+        assert (exc.value.offset, exc.value.reason) == (offset, reason)
+        assert str(exc.value) == f"offset {offset}: {reason}"
 
 
 class TestFuzz:
