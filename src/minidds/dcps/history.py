@@ -8,9 +8,10 @@ expiry; the reader cache backs read/take ordering.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from minidds import qos
@@ -197,7 +198,7 @@ class WriterHistory:
 # ---------------------------------------------------------------------------
 # Reader side
 
-@dataclass
+@dataclass(slots=True)
 class CachedSample:
     info: SampleInfo
     sample: Sample
@@ -205,6 +206,10 @@ class CachedSample:
 
     def order_key(self):
         return (self.info.sequence, self.info.writer_guid, self.arrival_index)
+
+
+_sequence_of = attrgetter("info.sequence")
+_NEAR = 16
 
 
 @dataclass
@@ -218,79 +223,118 @@ class InsertOutcome:
 class ReaderHistory:
     """Received sample store backing read/take.
 
-    Keep-last eviction removes the lowest (sequence, writer guid) entry per
-    instance, so a late retransmission older than the cached depth falls out
-    again immediately and the cache converges to the newest samples.
+    ``read`` and ``take`` hand samples out in ascending instance handle
+    order and, within an instance, in ``CachedSample.order_key`` order
+    (sequence, writer guid, arrival). ``instances[h]`` keeps instance
+    ``h``'s entries in that order: an arrival that sorts last, the common
+    case as each writer's sequences rise, is appended; any other is placed
+    by bisection. ``_handles`` lists the cached handles in ascending order.
+    Keep-last eviction removes an instance's lowest entries, from the
+    front, so a late retransmission older than the cached depth falls out
+    again at once and the cache converges to the newest samples.
+
+    Costs, for n cached samples: ``insert`` O(1) for an arrival that sorts
+    last in a cached instance, keep-last(1) replacement included, and
+    O(log n) plus a list shift for any other arrival or a new instance;
+    ``read`` and ``take`` O(returned + instances visited) plus one list
+    shift per take. A take that drains the cache hands it all out in one
+    pass and resets it.
     """
 
     def __init__(self, history: qos.History, limits: qos.ResourceLimits):
         self.history = history
         self.limits = limits
         self._cap = _per_instance_cap(history, limits)
+        self._keep_last = history.kind == qos.HistoryKind.KEEP_LAST
         self.instances: dict[int, list[CachedSample]] = {}
+        self._handles: list[int] = []
         self._arrival_counter = 0
         self.total = 0
 
     def insert(self, info: SampleInfo, sample: Sample) -> InsertOutcome:
         handle = info.instance_handle
-        samples = self.instances.get(handle)
-        if samples is None:
-            if (self.limits.max_instances is not None
-                    and len(self.instances) >= self.limits.max_instances):
-                return InsertOutcome(False, "max_instances")
-            samples = self.instances[handle] = []
+        limits = self.limits
         cap = self._cap
-        if self.history.kind == qos.HistoryKind.KEEP_ALL:
-            if cap is not None and len(samples) >= cap:
+        entries = self.instances.get(handle)
+        new_instance = entries is None
+        if new_instance:
+            if (limits.max_instances is not None
+                    and len(self.instances) >= limits.max_instances):
+                return InsertOutcome(False, "max_instances")
+            entries = []
+        if not self._keep_last:
+            if cap is not None and len(entries) >= cap:
                 return InsertOutcome(False, "max_samples_per_instance")
-            if self.limits.max_samples is not None and self.total >= self.limits.max_samples:
+            if limits.max_samples is not None and self.total >= limits.max_samples:
                 return InsertOutcome(False, "max_samples")
         entry = CachedSample(info, sample, self._arrival_counter)
         self._arrival_counter += 1
-        samples.append(entry)
+        sequence = info.sequence
+        if not entries or sequence > entries[-1].info.sequence:
+            position = len(entries)
+            entries.append(entry)
+        else:
+            # A reordered arrival usually belongs among the last few entries.
+            near = len(entries) - _NEAR
+            lo = near if near > 0 and entries[near].info.sequence < sequence else 0
+            position = bisect_right(entries, sequence, lo, key=_sequence_of)
+            if position and entries[position - 1].info.sequence == sequence:
+                # An equal sequence (another writer's) needs the full key.
+                position = bisect_right(entries, entry.order_key(),
+                                        key=CachedSample.order_key)
+            entries.insert(position, entry)
         self.total += 1
-        evicted_arriving = False
-        evicted_count = 0
-        if self.history.kind == qos.HistoryKind.KEEP_LAST:
-            while cap is not None and len(samples) > cap:
-                victim = min(samples, key=CachedSample.order_key)
-                samples.remove(victim)
-                self.total -= 1
-                evicted_count += 1
-                if victim is entry:
-                    evicted_arriving = True
-            while (self.limits.max_samples is not None
-                   and self.total > self.limits.max_samples):
-                victim = min(samples, key=CachedSample.order_key)
-                samples.remove(victim)
-                self.total -= 1
-                evicted_count += 1
-                if victim is entry:
-                    evicted_arriving = True
-        if not self.instances[handle]:
-            del self.instances[handle]
-        return InsertOutcome(True, evicted_arriving=evicted_arriving,
-                             evicted_count=evicted_count)
-
-    def _ordered(self) -> list[CachedSample]:
-        entries = []
-        for handle in sorted(self.instances):
-            entries.extend(sorted(self.instances[handle], key=CachedSample.order_key))
-        return entries
+        evicted = 0
+        if self._keep_last:
+            # An instance that held a sample never empties here: inserts
+            # keep total <= max_samples, so at most one more victim.
+            evicted = max(0, len(entries) - cap)
+            if limits.max_samples is not None:
+                evicted = max(evicted, self.total - limits.max_samples)
+            if evicted:
+                del entries[:evicted]
+                self.total -= evicted
+        if new_instance and entries:
+            self.instances[handle] = entries
+            insort(self._handles, handle)
+        return InsertOutcome(True, None, position < evicted, evicted)
 
     def read(self, max_samples: int) -> list[tuple[Sample, SampleInfo]]:
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
-        return [(e.sample, e.info) for e in self._ordered()[:max_samples]]
+        out: list[tuple[Sample, SampleInfo]] = []
+        for handle in self._handles:
+            out.extend([(e.sample, e.info)
+                        for e in self.instances[handle][:max_samples - len(out)]])
+            if len(out) == max_samples:
+                break
+        return out
 
     def take(self, max_samples: int) -> list[tuple[Sample, SampleInfo]]:
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
-        taken = self._ordered()[:max_samples]
-        for entry in taken:
-            samples = self.instances[entry.info.instance_handle]
-            samples.remove(entry)
-            if not samples:
-                del self.instances[entry.info.instance_handle]
-            self.total -= 1
-        return [(e.sample, e.info) for e in taken]
+        instances = self.instances
+        if max_samples >= self.total:
+            out = [(e.sample, e.info) for handle in self._handles
+                   for e in instances[handle]]
+            instances.clear()
+            self._handles.clear()
+            self.total = 0
+            return out
+        out = []
+        emptied = 0
+        for handle in self._handles:
+            entries = instances[handle]
+            room = max_samples - len(out)
+            if len(entries) > room:
+                out.extend([(e.sample, e.info) for e in entries[:room]])
+                del entries[:room]
+                break
+            out.extend([(e.sample, e.info) for e in entries])
+            del instances[handle]
+            emptied += 1
+            if len(out) == max_samples:
+                break
+        del self._handles[:emptied]
+        self.total -= len(out)
+        return out

@@ -326,9 +326,10 @@ class DomainParticipant:
                 readers = [self._readers.get(sub.reader_entity_id)]
             else:
                 readers = list(self._readers.values())
+            decoded: list = []
             for reader in readers:
                 if reader is not None:
-                    reader._handle_data(writer_guid, sub, now, now_wall)
+                    reader._handle_data(writer_guid, sub, now, now_wall, decoded)
         elif isinstance(sub, wire.Heartbeat):
             writer_guid = Guid(sender_prefix, sub.writer_entity_id)
             for reader in list(self._readers.values()):
@@ -378,9 +379,10 @@ class DomainParticipant:
             else:
                 targets = [item.dest]
             addresses: dict = {}  # ordered and without repeats
+            decoded: list = []  # local readers share one deserialize
             for target in targets:
                 if target.prefix == self.guid.prefix:
-                    self._deliver_local(writer, target, sub)
+                    self._deliver_local(writer, target, sub, decoded)
                 else:
                     address = self.discovery.address_of(target.prefix)
                     if address is not None:
@@ -399,14 +401,15 @@ class DomainParticipant:
                 except ValueError as exc:
                     log.warning("submessage not sent: %s", exc)
 
-    def _deliver_local(self, writer: DataWriter, target: Guid, sub) -> None:
+    def _deliver_local(self, writer: DataWriter, target: Guid, sub,
+                       decoded: list) -> None:
         reader = self._readers.get(target.entity_id)
         if reader is None:
             return
         now = self.clock.monotonic_ns()
         now_wall = self.clock.wall_ns()
         if isinstance(sub, wire.Data):
-            reader._handle_data(writer.guid, sub, now, now_wall)
+            reader._handle_data(writer.guid, sub, now, now_wall, decoded)
         elif isinstance(sub, wire.Heartbeat):
             ack = reader._handle_heartbeat(writer.guid, sub)
             if ack is not None:

@@ -122,7 +122,12 @@ class DataReader:
     # -- arrival pipeline ---------------------------------------------
 
     def _handle_data(self, writer_guid: Guid, sub: wire.Data,
-                     now_mono_ns: int, now_wall_ns: int) -> None:
+                     now_mono_ns: int, now_wall_ns: int, decoded: list) -> None:
+        """Run one DATA through the arrival pipeline. ``decoded`` is the
+        caller's memo for this DATA alone, shared by the readers it is
+        handed to: (type descriptor, sample) pairs, the sample None for a
+        malformed payload, so the payload is deserialized once per type
+        however many readers accept it."""
         session = self._sessions.get(writer_guid)
         if session is None:
             return
@@ -133,9 +138,17 @@ class DataReader:
             self.stats.duplicates_discarded += 1
             return
         self.stats.samples_received += 1
-        try:
-            sample = idl.deserialize(self.type, sub.payload)
-        except idl.DecodeError:
+        # Matched by identity: hashing the frozen descriptor costs microseconds.
+        for descriptor, sample in decoded:
+            if descriptor is self.type:
+                break
+        else:
+            try:
+                sample = idl.deserialize(self.type, sub.payload)
+            except idl.DecodeError:
+                sample = None
+            decoded.append((self.type, sample))
+        if sample is None:
             self.stats.malformed_payloads += 1
             return
 

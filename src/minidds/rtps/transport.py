@@ -16,6 +16,7 @@ import random
 import select
 import socket
 import struct
+import threading
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -61,8 +62,9 @@ class UdpTransport:
             self._sock.close()
             raise TransportError(
                 f"no free port in [{preferred}, {preferred + PORT_RETRIES}]")
-        self.port = bound
-        self.local_address = (bind_host, bound)
+        # The bound port, which differs from the requested one for port 0.
+        self.port = self._sock.getsockname()[1]
+        self.local_address = (bind_host, self.port)
         self._mcast_sock: socket.socket | None = None
         self.multicast_address: tuple[str, int] | None = None
         if multicast_group is not None:
@@ -188,11 +190,18 @@ class InProcTransport:
         self.network = network
         self.local_address = name
         self._queue: list[tuple[bytes, str]] = []
+        self._arrival = threading.Condition()
+        self._waiters = 0
 
     def _deliver(self, data: bytes, source: str, reorder_offset: int) -> None:
         # The new datagram may overtake up to `offset` queued ones.
         index = max(0, len(self._queue) - reorder_offset)
         self._queue.insert(index, (data, source))
+        # A waiter counts itself before it checks the queue, so it either
+        # sees this datagram or is counted here and woken.
+        if self._waiters:
+            with self._arrival:
+                self._arrival.notify_all()
 
     def send(self, data: bytes, dest: str) -> None:
         self.network.route(data, self.local_address, dest)
@@ -202,7 +211,16 @@ class InProcTransport:
         return out
 
     def wait(self, timeout: float) -> bool:
-        return bool(self._queue)
+        """Whether datagrams are queued, blocking up to ``timeout`` seconds
+        for one to arrive when none is."""
+        if self._queue:
+            return True
+        with self._arrival:
+            self._waiters += 1
+            try:
+                return bool(self._arrival.wait_for(lambda: self._queue, timeout))
+            finally:
+                self._waiters -= 1
 
     def close(self) -> None:
         self.network.detach(self.local_address)

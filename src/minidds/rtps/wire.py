@@ -38,6 +38,14 @@ KIND_DIRECT = 0x06
 
 ACKNACK_MAX_BITS = 256
 
+# Fixed byte layouts, compiled once and shared by encoder and decoder.
+_SUBMSG_HEADER = struct.Struct("<BBH")  # kind, flags, body length
+_DATA_HEAD = struct.Struct("<IIQqQI")  # writer, reader, seq, stamp, handle, length
+_HEARTBEAT = struct.Struct("<IQQI")
+_ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
+_GAP = struct.Struct("<IQQ")
+_DIRECT_HEAD = struct.Struct("<I")  # reader; the inner submessage follows
+
 # Byte layout of each advertised policy's value: one struct format character
 # per field of its ``qos.ADVERTISED_QOS`` row. Policy ids on the wire reuse
 # the QosPolicyId numbering.
@@ -164,13 +172,13 @@ def _encode_submessage(sub: Submessage) -> bytes:
         kind, body = KIND_ANNOUNCE, _encode_announce(sub)
     elif isinstance(sub, Data):
         kind = KIND_DATA
-        body = struct.pack("<IIQqQI", sub.writer_entity_id, sub.reader_entity_id,
-                           sub.sequence, sub.source_timestamp_ns,
-                           sub.instance_handle, len(sub.payload)) + sub.payload
+        body = _DATA_HEAD.pack(sub.writer_entity_id, sub.reader_entity_id,
+                               sub.sequence, sub.source_timestamp_ns,
+                               sub.instance_handle, len(sub.payload)) + sub.payload
     elif isinstance(sub, Heartbeat):
         kind = KIND_HEARTBEAT
-        body = struct.pack("<IQQI", sub.writer_entity_id, sub.first_seq,
-                           sub.last_seq, sub.count)
+        body = _HEARTBEAT.pack(sub.writer_entity_id, sub.first_seq,
+                               sub.last_seq, sub.count)
     elif isinstance(sub, AckNack):
         kind = KIND_ACKNACK
         if sub.missing:
@@ -185,23 +193,23 @@ def _encode_submessage(sub: Submessage) -> bytes:
         for seq in sub.missing:
             i = seq - sub.base_seq
             bits[i // 8] |= 1 << (i % 8)
-        body = (struct.pack("<I", sub.reader_entity_id) + sub.writer_guid.to_bytes()
-                + struct.pack("<QI", sub.base_seq, bit_count) + bytes(bits))
+        body = _ACKNACK_HEAD.pack(sub.reader_entity_id, sub.writer_guid.to_bytes(),
+                                  sub.base_seq, bit_count) + bytes(bits)
     elif isinstance(sub, Gap):
         kind = KIND_GAP
         if sub.gap_start > sub.gap_end:
             raise ValueError("gap range is empty")
-        body = struct.pack("<IQQ", sub.writer_entity_id, sub.gap_start, sub.gap_end)
+        body = _GAP.pack(sub.writer_entity_id, sub.gap_start, sub.gap_end)
     elif isinstance(sub, Direct):
         kind = KIND_DIRECT
         if not isinstance(sub.inner, (Heartbeat, Gap)):
             raise TypeError("only HEARTBEAT and GAP can be addressed")
-        body = struct.pack("<I", sub.reader_entity_id) + _encode_submessage(sub.inner)
+        body = _DIRECT_HEAD.pack(sub.reader_entity_id) + _encode_submessage(sub.inner)
     else:
         raise TypeError(f"not a submessage: {sub!r}")
     if len(body) > 0xFFFF:
         raise ValueError("submessage body too large")
-    return struct.pack("<BBH", kind, 0, len(body)) + body
+    return _SUBMSG_HEADER.pack(kind, 0, len(body)) + body
 
 
 def encode_message(message: WireMessage) -> bytes:
@@ -310,56 +318,111 @@ def _decode_announce(cur: _Cursor) -> Announce:
     return Announce(domain_id, tuple(endpoints))
 
 
-def _decode_submessage(kind: int, cur: _Cursor) -> Optional[Submessage]:
-    if kind == KIND_ANNOUNCE:
-        sub: Optional[Submessage] = _decode_announce(cur)
-    elif kind == KIND_DATA:
-        writer_eid, reader_eid, seq, ts, handle, payload_len = cur.unpack("<IIQqQI")
-        payload = cur.take(payload_len)
-        sub = Data(writer_eid, reader_eid, seq, ts, handle, payload)
-    elif kind == KIND_HEARTBEAT:
-        writer_eid, first, last, count = cur.unpack("<IQQI")
-        if first > last + 1:
-            raise WireError(cur.base, "heartbeat first_seq beyond last_seq + 1")
-        sub = Heartbeat(writer_eid, first, last, count)
-    elif kind == KIND_ACKNACK:
-        (reader_eid,) = cur.unpack("<I")
-        writer_guid = Guid.from_bytes(cur.take(16))
-        base_seq, bit_count = cur.unpack("<QI")
-        if bit_count > ACKNACK_MAX_BITS:
-            raise WireError(cur.base + cur.pos - 4, f"acknack bitmap of {bit_count} bits")
-        bits = cur.take((bit_count + 7) // 8)
-        missing = tuple(
-            base_seq + i
-            for i in range(bit_count)
-            if bits[i // 8] >> (i % 8) & 1
-        )
-        if missing and missing[0] != base_seq:
-            raise WireError(cur.base, "acknack base bit clear")
-        sub = AckNack(reader_eid, writer_guid, base_seq, missing)
-    elif kind == KIND_GAP:
-        writer_eid, start, end = cur.unpack("<IQQ")
-        if start > end:
-            raise WireError(cur.base, "gap range is empty")
-        sub = Gap(writer_eid, start, end)
-    elif kind == KIND_DIRECT:
-        (reader_eid,) = cur.unpack("<I")
-        inner_kind, _flags, inner_len = cur.unpack("<BBH")
-        inner_body = cur.take(inner_len)
-        if inner_kind in (KIND_HEARTBEAT, KIND_GAP):
-            inner = _decode_submessage(
-                inner_kind, _Cursor(inner_body, cur.base + cur.pos - inner_len))
-            sub = Direct(reader_eid, inner)  # type: ignore[arg-type]
-        else:
-            sub = None  # unrecognized inner kind; skip the wrapper whole
-    else:
-        raise AssertionError("unknown kinds are skipped by the caller")
+# Each decoder below reads one body, ``data[start:end]``, in place and
+# raises at the offset the field-by-field reading of docs/wire.md would
+# stop at: the start of the first field that does not fit, or the first
+# byte after a complete body.
+
+def _need(start: int, size: int, end: int) -> None:
+    if start + size > end:
+        raise WireError(start, "truncated body")
+
+
+def _done(pos: int, end: int) -> None:
+    if pos != end:
+        raise WireError(pos, "trailing bytes in submessage body")
+
+
+def _decode_announce_body(data: bytes, start: int, end: int) -> Announce:
+    cur = _Cursor(data[start:end], start)
+    sub = _decode_announce(cur)
     cur.done()
     return sub
 
 
+def _decode_data(data: bytes, start: int, end: int) -> Data:
+    _need(start, _DATA_HEAD.size, end)
+    writer_eid, reader_eid, seq, ts, handle, payload_len = _DATA_HEAD.unpack_from(data, start)
+    payload_start = start + _DATA_HEAD.size
+    payload_end = payload_start + payload_len
+    _need(payload_start, payload_len, end)
+    _done(payload_end, end)
+    return Data(writer_eid, reader_eid, seq, ts, handle, data[payload_start:payload_end])
+
+
+def _decode_heartbeat(data: bytes, start: int, end: int) -> Heartbeat:
+    _need(start, _HEARTBEAT.size, end)
+    writer_eid, first, last, count = _HEARTBEAT.unpack_from(data, start)
+    if first > last + 1:
+        raise WireError(start, "heartbeat first_seq beyond last_seq + 1")
+    _done(start + _HEARTBEAT.size, end)
+    return Heartbeat(writer_eid, first, last, count)
+
+
+def _decode_acknack(data: bytes, start: int, end: int) -> AckNack:
+    # The head's fields, in order: reader id (4), writer guid (16), base
+    # sequence and bit count (12).
+    _need(start, 4, end)
+    _need(start + 4, 16, end)
+    _need(start + 20, 12, end)
+    reader_eid, guid_raw, base_seq, bit_count = _ACKNACK_HEAD.unpack_from(data, start)
+    bits_start = start + _ACKNACK_HEAD.size
+    if bit_count > ACKNACK_MAX_BITS:
+        raise WireError(bits_start - 4, f"acknack bitmap of {bit_count} bits")
+    bits_end = bits_start + (bit_count + 7) // 8
+    _need(bits_start, bits_end - bits_start, end)
+    bits = data[bits_start:bits_end]
+    missing = tuple(
+        base_seq + i
+        for i in range(bit_count)
+        if bits[i // 8] >> (i % 8) & 1
+    )
+    if missing and missing[0] != base_seq:
+        raise WireError(start, "acknack base bit clear")
+    _done(bits_end, end)
+    return AckNack(reader_eid, Guid.from_bytes(guid_raw), base_seq, missing)
+
+
+def _decode_gap(data: bytes, start: int, end: int) -> Gap:
+    _need(start, _GAP.size, end)
+    writer_eid, gap_start, gap_end = _GAP.unpack_from(data, start)
+    if gap_start > gap_end:
+        raise WireError(start, "gap range is empty")
+    _done(start + _GAP.size, end)
+    return Gap(writer_eid, gap_start, gap_end)
+
+
+def _decode_direct(data: bytes, start: int, end: int) -> Optional[Direct]:
+    _need(start, _DIRECT_HEAD.size, end)
+    (reader_eid,) = _DIRECT_HEAD.unpack_from(data, start)
+    header_start = start + _DIRECT_HEAD.size
+    _need(header_start, _SUBMSG_HEADER.size, end)
+    inner_kind, _flags, inner_len = _SUBMSG_HEADER.unpack_from(data, header_start)
+    inner_start = header_start + _SUBMSG_HEADER.size
+    inner_end = inner_start + inner_len
+    _need(inner_start, inner_len, end)
+    decode_inner = _ADDRESSABLE.get(inner_kind)
+    # An unrecognized inner kind skips the wrapper whole.
+    sub = (None if decode_inner is None
+           else Direct(reader_eid, decode_inner(data, inner_start, inner_end)))
+    _done(inner_end, end)
+    return sub
+
+
+_ADDRESSABLE = {KIND_HEARTBEAT: _decode_heartbeat, KIND_GAP: _decode_gap}
+_DECODERS = {
+    KIND_ANNOUNCE: _decode_announce_body,
+    KIND_DATA: _decode_data,
+    KIND_HEARTBEAT: _decode_heartbeat,
+    KIND_ACKNACK: _decode_acknack,
+    KIND_GAP: _decode_gap,
+    KIND_DIRECT: _decode_direct,
+}
+
+
 def decode_message(data: bytes) -> WireMessage:
-    if len(data) < HEADER_LEN:
+    size = len(data)
+    if size < HEADER_LEN:
         raise WireError(0, "datagram shorter than header")
     if data[0:4] != MAGIC:
         raise WireError(0, "bad magic")
@@ -368,21 +431,19 @@ def decode_message(data: bytes) -> WireMessage:
     prefix = data[8:HEADER_LEN]
     pos = HEADER_LEN
     submessages = []
-    while pos < len(data):
-        if pos + SUBMSG_HEADER_LEN > len(data):
+    while pos < size:
+        if pos + SUBMSG_HEADER_LEN > size:
             raise WireError(pos, "truncated submessage header")
-        kind, _flags, length = struct.unpack_from("<BBH", data, pos)
+        kind, _flags, length = _SUBMSG_HEADER.unpack_from(data, pos)
         body_start = pos + SUBMSG_HEADER_LEN
         body_end = body_start + length
-        if body_end > len(data):
+        if body_end > size:
             raise WireError(pos, f"submessage length {length} overruns datagram")
-        if kind in (KIND_ANNOUNCE, KIND_DATA, KIND_HEARTBEAT, KIND_ACKNACK,
-                    KIND_GAP, KIND_DIRECT):
-            cur = _Cursor(data[body_start:body_end], body_start)
-            decoded = _decode_submessage(kind, cur)
+        decode = _DECODERS.get(kind)
+        if decode is not None:  # unknown kinds are skipped via the length field
+            decoded = decode(data, body_start, body_end)
             if decoded is not None:
                 submessages.append(decoded)
-        # Unknown kinds are skipped via the length field.
         pos = body_end
     if not submessages:
         raise WireError(HEADER_LEN, "no recognizable submessages")

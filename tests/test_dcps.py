@@ -9,7 +9,7 @@ from minidds.dcps.errors import (InconsistentTopicError, InvalidQosError,
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import (ReaderHistory, ResourceLimitsError, SampleInfo,
                                   WriterHistory, WriterSample)
-from minidds.dcps.participant import DomainParticipant
+from minidds.dcps.participant import DomainParticipant, Topic
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
@@ -563,3 +563,80 @@ class TestFanOut:
             guids = [info.writer_guid for _, info in reader.take()]
             assert guids == [self.writer.guid] * 3
             assert all(g is guids[0] for g in guids)
+
+
+class TestOneDeserializePerParticipant:
+    """A DATA handed to several readers of one participant is deserialized
+    once per type; each reader still runs its own session check first."""
+
+    def setup_method(self):
+        self.net = InProcNetwork()
+        self.clock = ManualClock(1_000_000_000)
+        self.a, self.b = _pair(self.net, self.clock)
+        self.rogue = self.net.attach("rogue")
+        self.writer = self.a.create_datawriter(self.a.create_topic("t", _counter_type()))
+        self.topic_b = self.b.create_topic("t", _counter_type())
+
+    def teardown_method(self):
+        self.a.close()
+        self.b.close()
+
+    def _reader(self, topic=None):
+        reader = self.b.create_datareader(topic or self.topic_b,
+                                          [qos.History(qos.HistoryKind.KEEP_ALL)])
+        _spin(self.a, self.b, self.a)
+        assert reader.matched_writers() == [self.writer.guid]
+        return reader
+
+    def _count_deserialize(self, monkeypatch):
+        calls = []
+        original = idl.deserialize
+
+        def counting(descriptor, data):
+            calls.append(descriptor)
+            return original(descriptor, data)
+
+        monkeypatch.setattr(idl, "deserialize", counting)
+        return calls
+
+    def _inject(self, sequence, payload):
+        """A DATA that claims to come from the matched writer."""
+        sub = wire.Data(self.writer.guid.entity_id, 0, sequence, 0, 0, payload)
+        self.rogue.send(wire.encode_message(wire.WireMessage(self.writer.guid.prefix, (sub,))),
+                        "B")
+        _spin(self.b)
+
+    def test_one_deserialize_serves_every_local_reader(self, monkeypatch):
+        readers = [self._reader(), self._reader()]
+        calls = self._count_deserialize(monkeypatch)
+        self.writer.write({"n": 7})
+        _spin(self.b)
+        assert calls == [self.topic_b.type]
+        first, second = (reader.take() for reader in readers)
+        assert first == second and _values(first) == [(7,)]
+
+    def test_malformed_payload_counts_on_each_reader_that_accepts_it(self, monkeypatch):
+        early = self._reader()
+        self.writer.write({"n": 1})  # sequence 1
+        _spin(self.b)
+        late = self._reader()
+        calls = self._count_deserialize(monkeypatch)
+        self._inject(1, b"\x01")  # a duplicate for early, fresh for late
+        assert (early.stats.duplicates_discarded, early.stats.malformed_payloads) == (1, 0)
+        assert (late.stats.duplicates_discarded, late.stats.malformed_payloads) == (0, 1)
+        assert len(calls) == 1
+        self._inject(2, b"\x01")
+        assert [r.stats.malformed_payloads for r in (early, late)] == [1, 2]
+        assert len(calls) == 2
+        assert _values(early.take()) == [(1,)] and late.take() == []
+
+    def test_readers_of_different_types_decode_with_their_own(self, monkeypatch):
+        signed = self._reader()
+        unsigned_type = idl.parse_idl("struct Counter { unsigned long n; };")[0]
+        unsigned = self._reader(Topic("t", unsigned_type, self.topic_b.qos))
+        calls = self._count_deserialize(monkeypatch)
+        self.writer.write({"n": -1})
+        _spin(self.b)
+        assert calls == [self.topic_b.type, unsigned_type]
+        assert _values(signed.take()) == [(-1,)]
+        assert _values(unsigned.take()) == [(2**32 - 1,)]

@@ -314,6 +314,55 @@ class TestDecodeErrors:
         assert (exc.value.offset, exc.value.reason) == (offset, reason)
         assert str(exc.value) == f"offset {offset}: {reason}"
 
+    # Body layouts from docs/wire.md with the body starting at byte 24;
+    # each error names the first field that does not fit, or the first
+    # byte past a complete body.
+    @pytest.mark.parametrize("kind,body,offset,reason", [
+        (0x02, struct.pack("<IIQqQI", 1, 0, 1, 0, 0, 4)[:30], 24, "truncated body"),
+        (0x02, struct.pack("<IIQqQI", 1, 0, 1, 0, 0, 10) + b"abcd", 60, "truncated body"),
+        (0x02, struct.pack("<IIQqQI", 1, 0, 1, 0, 0, 4) + b"abcdXYZ", 64,
+         "trailing bytes in submessage body"),
+        (0x02, struct.pack("<IIQqQI", 1, 0, 1, 0, 0, 0) + b"X", 60,
+         "trailing bytes in submessage body"),
+        (0x03, struct.pack("<IQQI", 1, 1, 3, 1)[:23], 24, "truncated body"),
+        (0x03, struct.pack("<IQQI", 1, 1, 3, 1) + b"X", 48,
+         "trailing bytes in submessage body"),
+        (0x05, struct.pack("<IQQ", 1, 1, 3)[:19], 24, "truncated body"),
+        (0x05, struct.pack("<IQQ", 1, 1, 3) + b"X", 44, "trailing bytes in submessage body"),
+        (0x04, struct.pack("<I", 1)[:3], 24, "truncated body"),
+        (0x04, struct.pack("<I", 1) + bytes(15), 28, "truncated body"),
+        (0x04, struct.pack("<I", 1) + bytes(16) + bytes(11), 44, "truncated body"),
+        (0x04, struct.pack("<I", 1) + bytes(16) + struct.pack("<QI", 1, 9) + b"\x01",
+         56, "truncated body"),
+        (0x04, struct.pack("<I", 1) + bytes(16) + struct.pack("<QI", 1, 300), 52,
+         "acknack bitmap of 300 bits"),
+        (0x04, struct.pack("<I", 1) + bytes(16) + struct.pack("<QI", 1, 2) + b"\x02", 24,
+         "acknack base bit clear"),
+        (0x04, struct.pack("<I", 1) + bytes(16) + struct.pack("<QI", 1, 1) + b"\x01X", 57,
+         "trailing bytes in submessage body"),
+        (0x06, struct.pack("<I", 1)[:2], 24, "truncated body"),
+        (0x06, struct.pack("<I", 1) + b"\x03\x00", 28, "truncated body"),
+        (0x06, struct.pack("<IBBH", 1, 3, 0, 28) + bytes(20), 32, "truncated body"),
+        (0x06, struct.pack("<IBBH", 1, 5, 0, 21) + struct.pack("<IQQ", 1, 1, 3) + b"X", 52,
+         "trailing bytes in submessage body"),
+        (0x06, struct.pack("<IBBH", 1, 5, 0, 20) + struct.pack("<IQQ", 1, 1, 3) + b"X", 52,
+         "trailing bytes in submessage body"),
+        (0x06, struct.pack("<IBBH", 1, 9, 0, 2) + b"ab" + b"X", 34,
+         "trailing bytes in submessage body"),
+    ])
+    def test_body_errors_are_reported_at_their_byte(self, kind, body, offset, reason):
+        raw = (b"MDDS\x01\x00\x00\x00" + PREFIX + bytes([kind, 0])
+               + struct.pack("<H", len(body)) + body)
+        with pytest.raises(wire.WireError) as exc:
+            wire.decode_message(raw)
+        assert (exc.value.offset, exc.value.reason) == (offset, reason)
+
+    def test_data_payload_is_sliced_from_the_datagram(self):
+        raw = _encode(wire.Data(1, 2, 3, 4, 5, b"payload"), wire.Gap(1, 1, 2))
+        data, gap = wire.decode_message(raw).submessages
+        assert data == wire.Data(1, 2, 3, 4, 5, b"payload")
+        assert type(data.payload) is bytes and gap == wire.Gap(1, 1, 2)
+
 
 class TestFuzz:
     def test_mutated_datagrams_never_crash(self):
