@@ -209,7 +209,6 @@ class CachedSample:
 
 
 _sequence_of = attrgetter("info.sequence")
-_NEAR = 16
 
 
 @dataclass
@@ -274,10 +273,7 @@ class ReaderHistory:
             position = len(entries)
             entries.append(entry)
         else:
-            # A reordered arrival usually belongs among the last few entries.
-            near = len(entries) - _NEAR
-            lo = near if near > 0 and entries[near].info.sequence < sequence else 0
-            position = bisect_right(entries, sequence, lo, key=_sequence_of)
+            position = bisect_right(entries, sequence, key=_sequence_of)
             if position and entries[position - 1].info.sequence == sequence:
                 # An equal sequence (another writer's) needs the full key.
                 position = bisect_right(entries, entry.order_key(),
@@ -315,6 +311,8 @@ class ReaderHistory:
             raise ValueError("max_samples must be >= 1")
         instances = self.instances
         if max_samples >= self.total:
+            # One comprehension over the whole cache; the loop below would
+            # build a list and delete a dict entry per instance.
             out = [(e.sample, e.info) for handle in self._handles
                    for e in instances[handle]]
             instances.clear()

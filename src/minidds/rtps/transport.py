@@ -17,6 +17,7 @@ import select
 import socket
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -189,14 +190,17 @@ class InProcTransport:
     def __init__(self, network: InProcNetwork, name: str):
         self.network = network
         self.local_address = name
-        self._queue: list[tuple[bytes, str]] = []
-        self._arrival = threading.Condition()
+        # Never replaced: each deque call is atomic, so a sender thread's
+        # insert and the pump's drain cannot lose a datagram between them.
+        self._queue: deque[tuple[bytes, str]] = deque()
+        self._arrival = threading.Condition(threading.Lock())
         self._waiters = 0
 
     def _deliver(self, data: bytes, source: str, reorder_offset: int) -> None:
-        # The new datagram may overtake up to `offset` queued ones.
-        index = max(0, len(self._queue) - reorder_offset)
-        self._queue.insert(index, (data, source))
+        # The new datagram may overtake up to `offset` queued ones. A drain
+        # in between only shortens the queue; insert then appends.
+        queue = self._queue
+        queue.insert(max(0, len(queue) - reorder_offset), (data, source))
         # A waiter counts itself before it checks the queue, so it either
         # sees this datagram or is counted here and woken.
         if self._waiters:
@@ -207,8 +211,8 @@ class InProcTransport:
         self.network.route(data, self.local_address, dest)
 
     def drain(self) -> list[tuple[bytes, str]]:
-        out, self._queue = self._queue, []
-        return out
+        popleft = self._queue.popleft
+        return [popleft() for _ in range(len(self._queue))]
 
     def wait(self, timeout: float) -> bool:
         """Whether datagrams are queued, blocking up to ``timeout`` seconds

@@ -28,6 +28,16 @@ def test_inproc_wait_returns_at_once_when_datagrams_are_queued():
     assert receiver.drain() == [(b"x", "b")]
 
 
+def test_inproc_reordered_delivery_overtakes_up_to_its_offset():
+    receiver = InProcNetwork().attach("a")
+    for data, offset in ((b"1", 0), (b"2", 0), (b"3", 1), (b"4", 9)):
+        receiver._deliver(data, "b", offset)
+    assert [d for d, _ in receiver.drain()] == [b"4", b"1", b"3", b"2"]
+    receiver._deliver(b"5", "b", 3)
+    assert receiver.drain() == [(b"5", "b")]
+    assert receiver.drain() == []
+
+
 def test_inproc_delivery_from_another_thread_wakes_the_waiter():
     net = InProcNetwork()
     receiver, sender = net.attach("a"), net.attach("b")
