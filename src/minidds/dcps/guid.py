@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 PREFIX_LEN = 12
-ENTITY_ALL = 0  # reserved entity id addressing every endpoint of a participant
 
 
 @dataclass(frozen=True, order=True)

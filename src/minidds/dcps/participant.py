@@ -7,6 +7,11 @@ your own loop, or ``start()`` a background thread that does both.
 
 Application calls are serialized with the dispatch context by one
 participant lock, so entities may be used from any thread.
+
+A submessage for a reader on this participant goes through the same
+dispatch as a datagram from this participant would, without being
+encoded: DATA, an addressed HEARTBEAT or GAP, and the reader's ACKNACK
+reply follow exactly the rules a remote peer's do.
 """
 
 from __future__ import annotations
@@ -202,10 +207,7 @@ class DomainParticipant:
                 self._writers.pop(entity.guid.entity_id, None)
             else:
                 self._readers.pop(entity.guid.entity_id, None)
-            for reader in self._readers.values():
-                reader._remove_match(entity.guid)
-            for writer in self._writers.values():
-                writer._remove_match(entity.guid)
+            self._unmatch(entity.guid)
             self.discovery.reset_announce_timer()
 
     # ------------------------------------------------------------------
@@ -243,7 +245,7 @@ class DomainParticipant:
         for entity in list(pool):
             self._consider_pair(entity, remote, now_ns)
 
-    def _unmatch_remote(self, guid: Guid) -> None:
+    def _unmatch(self, guid: Guid) -> None:
         for writer in self._writers.values():
             writer._remove_match(guid)
         for reader in self._readers.values():
@@ -264,7 +266,7 @@ class DomainParticipant:
                 self._send_announce(self._announce_destinations())
                 self.discovery.mark_announced(now)
             for guid in self.discovery.check_timeouts(now):
-                self._unmatch_remote(guid)
+                self._unmatch(guid)
             now_wall = self.clock.wall_ns()
             for writer in list(self._writers.values()):
                 directed = writer._expire(now_wall)
@@ -317,7 +319,7 @@ class DomainParticipant:
             for descriptor in event.added + event.changed:
                 self._match_remote(descriptor, now)
             for guid in event.removed:
-                self._unmatch_remote(guid)
+                self._unmatch(guid)
             if event.new_peer and not self.closed:
                 self._send_announce([source])
         elif isinstance(sub, wire.Data):
@@ -333,7 +335,7 @@ class DomainParticipant:
         elif isinstance(sub, wire.Heartbeat):
             writer_guid = Guid(sender_prefix, sub.writer_entity_id)
             for reader in list(self._readers.values()):
-                self._reply_acknack(reader, writer_guid, sub, sender_prefix, source)
+                self._reply_acknack(reader, writer_guid, sub, source, now, now_wall)
         elif isinstance(sub, wire.Direct):
             reader = self._readers.get(sub.reader_entity_id)
             if reader is None:
@@ -341,7 +343,7 @@ class DomainParticipant:
             inner = sub.inner
             writer_guid = Guid(sender_prefix, inner.writer_entity_id)
             if isinstance(inner, wire.Heartbeat):
-                self._reply_acknack(reader, writer_guid, inner, sender_prefix, source)
+                self._reply_acknack(reader, writer_guid, inner, source, now, now_wall)
             elif isinstance(inner, wire.Gap):
                 reader._handle_gap(writer_guid, inner)
         elif isinstance(sub, wire.AckNack):
@@ -357,12 +359,15 @@ class DomainParticipant:
                 reader._handle_gap(writer_guid, sub)
 
     def _reply_acknack(self, reader: DataReader, writer_guid: Guid,
-                       heartbeat: wire.Heartbeat, sender_prefix: bytes,
-                       source) -> None:
+                       heartbeat: wire.Heartbeat, source, now: int,
+                       now_wall: int) -> None:
         ack = reader._handle_heartbeat(writer_guid, heartbeat)
         if ack is None:
             return
-        address = self.discovery.address_of(sender_prefix)
+        if writer_guid.prefix == self.guid.prefix:
+            self._dispatch_submessage(ack, self.guid.prefix, None, now, now_wall)
+            return
+        address = self.discovery.address_of(writer_guid.prefix)
         if address is None:
             address = source
         message = wire.WireMessage(self.guid.prefix, (ack,))
@@ -378,19 +383,20 @@ class DomainParticipant:
                 targets = writer.matched_readers()
             else:
                 targets = [item.dest]
+                if isinstance(sub, (wire.Heartbeat, wire.Gap)):
+                    sub = wire.Direct(item.dest.entity_id, sub)
+            local = False
             addresses: dict = {}  # ordered and without repeats
-            decoded: list = []  # local readers share one deserialize
             for target in targets:
                 if target.prefix == self.guid.prefix:
-                    self._deliver_local(writer, target, sub, decoded)
+                    local = True
                 else:
                     address = self.discovery.address_of(target.prefix)
                     if address is not None:
                         addresses[address] = None
-            if not addresses:
-                continue
-            if item.dest is not None and isinstance(sub, (wire.Heartbeat, wire.Gap)):
-                sub = wire.Direct(item.dest.entity_id, sub)
+            if local:
+                self._dispatch_submessage(sub, self.guid.prefix, None,
+                                          self.clock.monotonic_ns(), self.clock.wall_ns())
             # One encoding serves every destination participant.
             data = None
             for address in addresses:
@@ -400,22 +406,6 @@ class DomainParticipant:
                     self.transport.send(data, address)
                 except ValueError as exc:
                     log.warning("submessage not sent: %s", exc)
-
-    def _deliver_local(self, writer: DataWriter, target: Guid, sub,
-                       decoded: list) -> None:
-        reader = self._readers.get(target.entity_id)
-        if reader is None:
-            return
-        now = self.clock.monotonic_ns()
-        now_wall = self.clock.wall_ns()
-        if isinstance(sub, wire.Data):
-            reader._handle_data(writer.guid, sub, now, now_wall, decoded)
-        elif isinstance(sub, wire.Heartbeat):
-            ack = reader._handle_heartbeat(writer.guid, sub)
-            if ack is not None:
-                self._route(writer, writer._on_acknack(reader.guid, ack, now))
-        elif isinstance(sub, wire.Gap):
-            reader._handle_gap(writer.guid, sub)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -44,15 +44,6 @@ class ReaderStats:
     samples_lost: int = 0  # sequences given up as unrecoverable
     sequences_seen: int = 0  # distinct sequences that arrived, delivered or not
 
-    def drops(self) -> dict[str, int]:
-        return {
-            "lifespan_expired": self.lifespan_expired,
-            "ownership_filtered": self.ownership_filtered,
-            "time_filter_dropped": self.time_filter_dropped,
-            "destination_order_dropped": self.destination_order_dropped,
-            "rejected_by_limits": self.rejected_by_limits,
-        }
-
 
 @dataclass(slots=True)
 class _InstanceState:

@@ -45,6 +45,8 @@ _HEARTBEAT = struct.Struct("<IQQI")
 _ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
 _GAP = struct.Struct("<IQQ")
 _DIRECT_HEAD = struct.Struct("<I")  # reader; the inner submessage follows
+_ANNOUNCE_HEAD = struct.Struct("<IH")  # domain, endpoint count
+_U16 = struct.Struct("<H")  # string byte count, partition count
 
 # Byte layout of each advertised policy's value: one struct format character
 # per field of its ``qos.ADVERTISED_QOS`` row. Policy ids on the wire reuse
@@ -141,12 +143,12 @@ def _pack_str(text: str) -> bytes:
     encoded = text.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise ValueError("string too long for wire")
-    return struct.pack("<H", len(encoded)) + encoded
+    return _U16.pack(len(encoded)) + encoded
 
 
 def _encode_rxo(rxo: RxoQos) -> bytes:
     out = bytearray()
-    out.extend(struct.pack("<H", len(rxo.partitions)))
+    out.extend(_U16.pack(len(rxo.partitions)))
     for name in rxo.partitions:
         out.extend(_pack_str(name))
     out.append(len(_RXO_ENTRIES))
@@ -157,7 +159,7 @@ def _encode_rxo(rxo: RxoQos) -> bytes:
 
 
 def _encode_announce(sub: Announce) -> bytes:
-    out = bytearray(struct.pack("<IH", sub.domain_id, len(sub.endpoints)))
+    out = bytearray(_ANNOUNCE_HEAD.pack(sub.domain_id, len(sub.endpoints)))
     for ep in sub.endpoints:
         out.extend(ep.guid.to_bytes())
         out.append(ep.kind)
@@ -232,96 +234,11 @@ def encode_message(message: WireMessage) -> bytes:
 # ---------------------------------------------------------------------------
 # Decoding
 
-class _Cursor:
-    """Bounds-checked reader over one body slice."""
-
-    def __init__(self, data: bytes, base_offset: int):
-        self.data = data
-        self.pos = 0
-        self.base = base_offset
-
-    def _need(self, count: int) -> None:
-        if self.pos + count > len(self.data):
-            raise WireError(self.base + self.pos, "truncated body")
-
-    def take(self, count: int) -> bytes:
-        self._need(count)
-        chunk = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
-    def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        self._need(size)
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values
-
-    def take_str(self) -> str:
-        (length,) = self.unpack("<H")
-        raw = self.take(length)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise WireError(self.base + self.pos - length, "text is not valid UTF-8") from None
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise WireError(self.base + self.pos, "trailing bytes in submessage body")
-
-
-def _decode_rxo(cur: _Cursor) -> RxoQos:
-    (partition_count,) = cur.unpack("<H")
-    partitions = tuple(cur.take_str() for _ in range(partition_count))
-    values: dict = {"partitions": partitions or ("",)}
-    (entry_count,) = cur.unpack("<B")
-    for _ in range(entry_count):
-        (pid_raw,) = cur.unpack("<B")
-        entry = _RXO_BY_ID.get(pid_raw)
-        if entry is None:
-            try:
-                reason = f"policy {_QP(pid_raw).name} not valid on the wire"
-            except ValueError:
-                reason = f"unknown policy id {pid_raw}"
-            raise WireError(cur.base + cur.pos - 1, reason)
-        _, row, layout = entry
-        start = cur.base + cur.pos
-        for i, (name, raw) in enumerate(zip(row.fields, cur.unpack(layout.format))):
-            kind = _RXO_TYPES[name]
-            if kind is bool:
-                raw = bool(raw)
-            elif kind is not int:
-                try:
-                    raw = kind(raw)
-                except ValueError:
-                    # Every field is one format character after the "<".
-                    raise WireError(start + struct.calcsize(layout.format[:i + 1]),
-                                    f"invalid {kind.__name__} value {raw}") from None
-            values[name] = raw
-    return RxoQos(**values)
-
-
-def _decode_announce(cur: _Cursor) -> Announce:
-    domain_id, endpoint_count = cur.unpack("<IH")
-    endpoints = []
-    for _ in range(endpoint_count):
-        guid = Guid.from_bytes(cur.take(16))
-        (kind_raw,) = cur.unpack("<B")
-        try:
-            kind = EndpointType(kind_raw)
-        except ValueError:
-            raise WireError(cur.base + cur.pos - 1, f"invalid endpoint kind {kind_raw}") from None
-        topic_name = cur.take_str()
-        type_name = cur.take_str()
-        rxo = _decode_rxo(cur)
-        endpoints.append(EndpointDescriptor(guid, domain_id, topic_name, type_name, kind, rxo))
-    return Announce(domain_id, tuple(endpoints))
-
-
 # Each decoder below reads one body, ``data[start:end]``, in place and
 # raises at the offset the field-by-field reading of docs/wire.md would
 # stop at: the start of the first field that does not fit, or the first
-# byte after a complete body.
+# byte after a complete body. The ANNOUNCE parts return the position
+# after what they read.
 
 def _need(start: int, size: int, end: int) -> None:
     if start + size > end:
@@ -333,11 +250,78 @@ def _done(pos: int, end: int) -> None:
         raise WireError(pos, "trailing bytes in submessage body")
 
 
-def _decode_announce_body(data: bytes, start: int, end: int) -> Announce:
-    cur = _Cursor(data[start:end], start)
-    sub = _decode_announce(cur)
-    cur.done()
-    return sub
+def _decode_str(data: bytes, pos: int, end: int) -> tuple[str, int]:
+    _need(pos, 2, end)
+    (length,) = _U16.unpack_from(data, pos)
+    pos += 2
+    _need(pos, length, end)
+    try:
+        return data[pos:pos + length].decode("utf-8"), pos + length
+    except UnicodeDecodeError:
+        raise WireError(pos, "text is not valid UTF-8") from None
+
+
+def _decode_rxo(data: bytes, pos: int, end: int) -> tuple[RxoQos, int]:
+    _need(pos, 2, end)
+    (partition_count,) = _U16.unpack_from(data, pos)
+    pos += 2
+    partitions = []
+    for _ in range(partition_count):
+        name, pos = _decode_str(data, pos, end)
+        partitions.append(name)
+    values: dict = {"partitions": tuple(partitions) or ("",)}
+    _need(pos, 1, end)
+    entry_count = data[pos]
+    pos += 1
+    for _ in range(entry_count):
+        _need(pos, 1, end)
+        pid_raw = data[pos]
+        entry = _RXO_BY_ID.get(pid_raw)
+        if entry is None:
+            try:
+                reason = f"policy {_QP(pid_raw).name} not valid on the wire"
+            except ValueError:
+                reason = f"unknown policy id {pid_raw}"
+            raise WireError(pos, reason)
+        pos += 1
+        _, row, layout = entry
+        _need(pos, layout.size, end)
+        for i, (name, raw) in enumerate(zip(row.fields, layout.unpack_from(data, pos))):
+            kind = _RXO_TYPES[name]
+            if kind is bool:
+                raw = bool(raw)
+            elif kind is not int:
+                try:
+                    raw = kind(raw)
+                except ValueError:
+                    # Every field is one format character after the "<".
+                    raise WireError(pos + struct.calcsize(layout.format[:i + 1]),
+                                    f"invalid {kind.__name__} value {raw}") from None
+            values[name] = raw
+        pos += layout.size
+    return RxoQos(**values), pos
+
+
+def _decode_announce(data: bytes, start: int, end: int) -> Announce:
+    _need(start, _ANNOUNCE_HEAD.size, end)
+    domain_id, endpoint_count = _ANNOUNCE_HEAD.unpack_from(data, start)
+    pos = start + _ANNOUNCE_HEAD.size
+    endpoints = []
+    for _ in range(endpoint_count):
+        _need(pos, 16, end)
+        guid = Guid.from_bytes(data[pos:pos + 16])
+        _need(pos + 16, 1, end)
+        kind_raw = data[pos + 16]
+        try:
+            kind = EndpointType(kind_raw)
+        except ValueError:
+            raise WireError(pos + 16, f"invalid endpoint kind {kind_raw}") from None
+        topic_name, pos = _decode_str(data, pos + 17, end)
+        type_name, pos = _decode_str(data, pos, end)
+        rxo, pos = _decode_rxo(data, pos, end)
+        endpoints.append(EndpointDescriptor(guid, domain_id, topic_name, type_name, kind, rxo))
+    _done(pos, end)
+    return Announce(domain_id, tuple(endpoints))
 
 
 def _decode_data(data: bytes, start: int, end: int) -> Data:
@@ -411,7 +395,7 @@ def _decode_direct(data: bytes, start: int, end: int) -> Optional[Direct]:
 
 _ADDRESSABLE = {KIND_HEARTBEAT: _decode_heartbeat, KIND_GAP: _decode_gap}
 _DECODERS = {
-    KIND_ANNOUNCE: _decode_announce_body,
+    KIND_ANNOUNCE: _decode_announce,
     KIND_DATA: _decode_data,
     KIND_HEARTBEAT: _decode_heartbeat,
     KIND_ACKNACK: _decode_acknack,

@@ -640,3 +640,77 @@ class TestOneDeserializePerParticipant:
         assert calls == [self.topic_b.type, unsigned_type]
         assert _values(signed.take()) == [(-1,)]
         assert _values(unsigned.take()) == [(2**32 - 1,)]
+
+
+class TestSameParticipantReliable:
+    """A reliable reader on the writer's own participant acks like a remote
+    one: its replies to the writer's heartbeats release the cache."""
+
+    RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
+                qos.History(qos.HistoryKind.KEEP_ALL)]
+    DURABLE = RELIABLE + [qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)]
+
+    def setup_method(self):
+        self.net = InProcNetwork()
+        self.clock = ManualClock(1_000_000_000)
+        self.a, self.b = _pair(self.net, self.clock)
+        self.topic = self.a.create_topic("t", _counter_type())
+
+    def teardown_method(self):
+        self.a.close()
+        self.b.close()
+
+    def _heartbeat_rounds(self, *participants):
+        for _ in range(4):
+            _spin(*participants)
+            self.clock.advance(60 * MS)
+
+    def test_local_acknacks_release_a_keep_all_writer(self):
+        reader = self.a.create_datareader(self.topic, self.RELIABLE)
+        writer = self.a.create_datawriter(self.topic, self.RELIABLE)
+        for n in (1, 2, 3):
+            writer.write({"n": n})
+        assert writer.unacknowledged()
+        assert len(writer.history) == 3
+        self._heartbeat_rounds(self.a)
+        assert not writer.unacknowledged()
+        assert len(writer.history) == 0
+        assert _values(reader.take()) == [(1,), (2,), (3,)]
+        assert reader.stats.duplicates_discarded == 0
+
+    def test_local_and_remote_reader_share_one_write(self, monkeypatch):
+        local = self.a.create_datareader(self.topic, self.RELIABLE)
+        writer = self.a.create_datawriter(self.topic, self.RELIABLE)
+        remote = self.b.create_datareader(self.b.create_topic("t", _counter_type()),
+                                          self.RELIABLE)
+        _spin(self.a, self.b, self.a)
+        assert writer.matched_readers() == [local.guid, remote.guid]
+        encoded = []
+        original = wire.encode_message
+
+        def counting(message):
+            encoded.append(message)
+            return original(message)
+
+        monkeypatch.setattr(wire, "encode_message", counting)
+        writer.write({"n": 9})
+        assert [type(sub) for m in encoded for sub in m.submessages] == [wire.Data]
+        self._heartbeat_rounds(self.a, self.b)
+        assert not writer.unacknowledged()
+        assert len(writer.history) == 0
+        for reader in (local, remote):
+            assert _values(reader.take()) == [(9,)]
+            assert reader.stats.samples_received == 1
+
+    def test_transient_local_late_joiner_acks_the_replay(self):
+        writer = self.a.create_datawriter(self.topic, self.DURABLE)
+        for n in (1, 2, 3):
+            writer.write({"n": n})
+        assert not writer.unacknowledged()  # no reader yet
+        reader = self.a.create_datareader(self.topic, self.DURABLE)
+        assert _values(reader.read()) == [(1,), (2,), (3,)]
+        assert writer.unacknowledged()  # the replay waits for an ack
+        self._heartbeat_rounds(self.a)
+        assert not writer.unacknowledged()
+        assert len(writer.history) == 3  # the cache outlives acks for late joiners
+        assert reader.stats.samples_received == 3
