@@ -4,24 +4,35 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 PREFIX_LEN = 12
 
 
-@dataclass(frozen=True, order=True)
-class Guid:
-    """Globally unique endpoint id, totally ordered (prefix, then entity id)."""
-
+class _GuidFields(NamedTuple):
     prefix: bytes
     entity_id: int
 
-    def __post_init__(self):
-        if len(self.prefix) != PREFIX_LEN:
+
+class Guid(_GuidFields):
+    """Globally unique endpoint id, totally ordered (prefix, then entity id).
+
+    A tuple, so hashing, equality and ordering run in C on every session
+    and proxy lookup; ``hash(Guid(p, e)) == hash((p, e))``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, prefix: bytes, entity_id: int) -> "Guid":
+        if len(prefix) != PREFIX_LEN:
             raise ValueError(f"guid prefix must be {PREFIX_LEN} bytes")
-        if not 0 <= self.entity_id < 2**32:
+        if not 0 <= entity_id < 2**32:
             raise ValueError("entity id must fit 32 bits")
+        return tuple.__new__(cls, (prefix, entity_id))
+
+    @classmethod
+    def _make(cls, iterable) -> "Guid":  # so that _replace validates too
+        return cls(*iterable)
 
     def to_bytes(self) -> bytes:
         return self.prefix + self.entity_id.to_bytes(4, "little")

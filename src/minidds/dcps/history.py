@@ -11,8 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from minidds import qos
 from minidds.idl import Sample
@@ -23,8 +22,7 @@ class ResourceLimitsError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SampleInfo:
+class SampleInfo(NamedTuple):
     writer_guid: Guid
     sequence: int
     source_timestamp_ns: int
@@ -198,17 +196,9 @@ class WriterHistory:
 # ---------------------------------------------------------------------------
 # Reader side
 
-@dataclass(slots=True)
-class CachedSample:
-    info: SampleInfo
-    sample: Sample
-    arrival_index: int
-
-    def order_key(self):
-        return (self.info.sequence, self.info.writer_guid, self.arrival_index)
-
-
-_sequence_of = attrgetter("info.sequence")
+def _order_key(entry: tuple[Sample, SampleInfo]) -> tuple[int, Guid]:
+    info = entry[1]
+    return info.sequence, info.writer_guid
 
 
 @dataclass
@@ -222,12 +212,14 @@ class InsertOutcome:
 class ReaderHistory:
     """Received sample store backing read/take.
 
-    ``read`` and ``take`` hand samples out in ascending instance handle
-    order and, within an instance, in ``CachedSample.order_key`` order
-    (sequence, writer guid, arrival). ``instances[h]`` keeps instance
-    ``h``'s entries in that order: an arrival that sorts last, the common
-    case as each writer's sequences rise, is appended; any other is placed
-    by bisection. ``_handles`` lists the cached handles in ascending order.
+    ``read`` and ``take`` hand out ``(sample, info)`` pairs in ascending
+    instance handle order and, within an instance, in (sequence, writer
+    guid) order, equal keys in arrival order. ``instances[h]`` keeps
+    instance ``h``'s pairs in that order: an arrival that sorts last, the
+    common case as each writer's sequences rise, is appended; any other is
+    placed by bisection after every equal key. The pairs are stored as
+    they are handed out, so ``take`` returns slices of the cache.
+    ``_handles`` lists the cached handles in ascending order.
     Keep-last eviction removes an instance's lowest entries, from the
     front, so a late retransmission older than the cached depth falls out
     again at once and the cache converges to the newest samples.
@@ -245,9 +237,8 @@ class ReaderHistory:
         self.limits = limits
         self._cap = _per_instance_cap(history, limits)
         self._keep_last = history.kind == qos.HistoryKind.KEEP_LAST
-        self.instances: dict[int, list[CachedSample]] = {}
+        self.instances: dict[int, list[tuple[Sample, SampleInfo]]] = {}
         self._handles: list[int] = []
-        self._arrival_counter = 0
         self.total = 0
 
     def insert(self, info: SampleInfo, sample: Sample) -> InsertOutcome:
@@ -266,19 +257,13 @@ class ReaderHistory:
                 return InsertOutcome(False, "max_samples_per_instance")
             if limits.max_samples is not None and self.total >= limits.max_samples:
                 return InsertOutcome(False, "max_samples")
-        entry = CachedSample(info, sample, self._arrival_counter)
-        self._arrival_counter += 1
         sequence = info.sequence
-        if not entries or sequence > entries[-1].info.sequence:
+        if not entries or sequence > entries[-1][1].sequence:
             position = len(entries)
-            entries.append(entry)
+            entries.append((sample, info))
         else:
-            position = bisect_right(entries, sequence, key=_sequence_of)
-            if position and entries[position - 1].info.sequence == sequence:
-                # An equal sequence (another writer's) needs the full key.
-                position = bisect_right(entries, entry.order_key(),
-                                        key=CachedSample.order_key)
-            entries.insert(position, entry)
+            position = bisect_right(entries, (sequence, info.writer_guid), key=_order_key)
+            entries.insert(position, (sample, info))
         self.total += 1
         evicted = 0
         if self._keep_last:
@@ -300,8 +285,7 @@ class ReaderHistory:
             raise ValueError("max_samples must be >= 1")
         out: list[tuple[Sample, SampleInfo]] = []
         for handle in self._handles:
-            out.extend([(e.sample, e.info)
-                        for e in self.instances[handle][:max_samples - len(out)]])
+            out += self.instances[handle][:max_samples - len(out)]
             if len(out) == max_samples:
                 break
         return out
@@ -311,10 +295,11 @@ class ReaderHistory:
             raise ValueError("max_samples must be >= 1")
         instances = self.instances
         if max_samples >= self.total:
-            # One comprehension over the whole cache; the loop below would
-            # build a list and delete a dict entry per instance.
-            out = [(e.sample, e.info) for handle in self._handles
-                   for e in instances[handle]]
+            # One pass over the whole cache; the loop below would delete
+            # a dict entry per instance.
+            out = []
+            for handle in self._handles:
+                out += instances[handle]
             instances.clear()
             self._handles.clear()
             self.total = 0
@@ -325,10 +310,10 @@ class ReaderHistory:
             entries = instances[handle]
             room = max_samples - len(out)
             if len(entries) > room:
-                out.extend([(e.sample, e.info) for e in entries[:room]])
+                out += entries[:room]
                 del entries[:room]
                 break
-            out.extend([(e.sample, e.info) for e in entries])
+            out += entries
             del instances[handle]
             emptied += 1
             if len(out) == max_samples:

@@ -380,7 +380,7 @@ class DomainParticipant:
         for item in directed:
             sub = item.submessage
             if item.dest is None:
-                targets = writer.matched_readers()
+                targets = writer._match_records
             else:
                 targets = [item.dest]
                 if isinstance(sub, (wire.Heartbeat, wire.Gap)):

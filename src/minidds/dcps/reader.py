@@ -105,10 +105,12 @@ class DataReader:
             self.stats.sequences_seen += session.unique_received
 
     def matches(self) -> list[MatchRecord]:
-        return list(self._match_records.values())
+        with self.participant._lock:
+            return list(self._match_records.values())
 
     def matched_writers(self) -> list[Guid]:
-        return list(self._match_records)
+        with self.participant._lock:
+            return list(self._match_records)
 
     # -- arrival pipeline ---------------------------------------------
 
@@ -246,18 +248,20 @@ class DataReader:
             return self.history.take(max_samples)
 
     def check_deadlines(self, now_ns: Optional[int] = None) -> list[tuple[int, int]]:
-        if now_ns is None:
-            now_ns = self.participant.clock.monotonic_ns()
-        return self._deadlines.missed(now_ns)
+        with self.participant._lock:
+            if now_ns is None:
+                now_ns = self.participant.clock.monotonic_ns()
+            return self._deadlines.missed(now_ns)
 
     def statistics(self) -> ReaderStats:
-        lost = sum(s.samples_lost for s in self._sessions.values())
-        seen = sum(s.unique_received for s in self._sessions.values())
-        return replace(
-            self.stats,
-            samples_lost=self.stats.samples_lost + lost,
-            sequences_seen=self.stats.sequences_seen + seen,
-        )
+        with self.participant._lock:
+            lost = sum(s.samples_lost for s in self._sessions.values())
+            seen = sum(s.unique_received for s in self._sessions.values())
+            return replace(
+                self.stats,
+                samples_lost=self.stats.samples_lost + lost,
+                sequences_seen=self.stats.sequences_seen + seen,
+            )
 
     def close(self) -> None:
         if not self.closed:

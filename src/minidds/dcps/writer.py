@@ -66,10 +66,12 @@ class DataWriter:
             self.session.remove_reader(guid)
 
     def matches(self) -> list[MatchRecord]:
-        return list(self._match_records.values())
+        with self.participant._lock:
+            return list(self._match_records.values())
 
     def matched_readers(self) -> list[Guid]:
-        return list(self._match_records)
+        with self.participant._lock:
+            return list(self._match_records)
 
     # -- write path ---------------------------------------------------
 
@@ -143,8 +145,7 @@ class DataWriter:
         return self.session.step(now_ns)
 
     def _expire(self, now_wall_ns: int) -> list[Directed]:
-        expired = self.history.expire(now_wall_ns)
-        return self.session.note_evicted(expired) if expired else []
+        return self.session.note_evicted(self.history.expire(now_wall_ns))
 
     def _on_acknack(self, reader_guid: Guid, sub: wire.AckNack,
                     now_ns: int) -> list[Directed]:
@@ -153,12 +154,14 @@ class DataWriter:
     # -- introspection ------------------------------------------------
 
     def check_deadlines(self, now_ns: Optional[int] = None) -> list[tuple[int, int]]:
-        if now_ns is None:
-            now_ns = self.participant.clock.monotonic_ns()
-        return self._deadlines.missed(now_ns)
+        with self.participant._lock:
+            if now_ns is None:
+                now_ns = self.participant.clock.monotonic_ns()
+            return self._deadlines.missed(now_ns)
 
     def unacknowledged(self) -> bool:
-        return not self.session.all_acked()
+        with self.participant._lock:
+            return not self.session.all_acked()
 
     def close(self) -> None:
         if not self.closed:

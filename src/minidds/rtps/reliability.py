@@ -20,7 +20,7 @@ the skipped range as unrecoverable, counted in ``samples_lost``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import WriterHistory, WriterSample
@@ -35,8 +35,7 @@ RESPONSE_DELAY_NS = 5_000_000
 _MAX_GIVEUP_SPAN = 65536
 
 
-@dataclass(frozen=True)
-class Directed:
+class Directed(NamedTuple):
     dest: Optional[Guid]
     submessage: wire.Submessage
 
@@ -114,6 +113,8 @@ class WriterSession:
 
     def note_evicted(self, evicted: list[WriterSample]) -> list[Directed]:
         """Advertise history-evicted sequences so readers stop asking."""
+        if not evicted:
+            return []
         unsettled = [s.sequence for s in evicted if any(
             p.reliable and s.sequence >= p.acked_below for p in self._proxies.values())]
         return [Directed(None, wire.Gap(self.writer_entity_id, lo, hi))

@@ -14,8 +14,7 @@ readable. Decoding never reads past the datagram; malformed input raises
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Optional, Union, get_type_hints
+from typing import NamedTuple, Optional, Union, get_type_hints
 
 from minidds import qos
 from minidds.dcps.guid import Guid, PREFIX_LEN
@@ -75,14 +74,12 @@ class WireError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Announce:
+class Announce(NamedTuple):
     domain_id: int
     endpoints: tuple[EndpointDescriptor, ...]
 
 
-@dataclass(frozen=True)
-class Data:
+class Data(NamedTuple):
     writer_entity_id: int
     reader_entity_id: int  # 0 addresses all matched readers
     sequence: int
@@ -91,31 +88,27 @@ class Data:
     payload: bytes
 
 
-@dataclass(frozen=True)
-class Heartbeat:
+class Heartbeat(NamedTuple):
     writer_entity_id: int
     first_seq: int
     last_seq: int
     count: int
 
 
-@dataclass(frozen=True)
-class AckNack:
+class AckNack(NamedTuple):
     reader_entity_id: int
     writer_guid: Guid
     base_seq: int  # everything below this is acknowledged
     missing: tuple[int, ...] = ()  # sorted, within [base_seq, base_seq + 255]
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(NamedTuple):
     writer_entity_id: int
     gap_start: int
     gap_end: int  # inclusive; the range is irrecoverable
 
 
-@dataclass(frozen=True)
-class Direct:
+class Direct(NamedTuple):
     """Addressed wrapper: the inner submessage applies to one reader only.
 
     HEARTBEAT and GAP bodies have no reader field, but writer sessions
@@ -130,8 +123,7 @@ class Direct:
 Submessage = Union[Announce, Data, Heartbeat, AckNack, Gap, Direct]
 
 
-@dataclass(frozen=True)
-class WireMessage:
+class WireMessage(NamedTuple):
     sender_prefix: bytes
     submessages: tuple[Submessage, ...]
 
@@ -286,7 +278,7 @@ def _decode_rxo(data: bytes, pos: int, end: int) -> tuple[RxoQos, int]:
         pos += 1
         _, row, layout = entry
         _need(pos, layout.size, end)
-        for i, (name, raw) in enumerate(zip(row.fields, layout.unpack_from(data, pos))):
+        for name, raw in zip(row.fields, layout.unpack_from(data, pos)):
             kind = _RXO_TYPES[name]
             if kind is bool:
                 raw = bool(raw)
@@ -294,9 +286,8 @@ def _decode_rxo(data: bytes, pos: int, end: int) -> tuple[RxoQos, int]:
                 try:
                     raw = kind(raw)
                 except ValueError:
-                    # Every field is one format character after the "<".
-                    raise WireError(pos + struct.calcsize(layout.format[:i + 1]),
-                                    f"invalid {kind.__name__} value {raw}") from None
+                    # Every enum is the first field of its row.
+                    raise WireError(pos, f"invalid {kind.__name__} value {raw}") from None
             values[name] = raw
         pos += layout.size
     return RxoQos(**values), pos

@@ -3,10 +3,12 @@ codec and the docs, and the request/offered rules checked against an
 independent statement of them."""
 
 import dataclasses
+import enum
 import itertools
 import pathlib
 import random
 import re
+import typing
 
 import pytest
 
@@ -48,6 +50,19 @@ def test_every_row_has_exactly_one_wire_layout():
     for row in qos.ADVERTISED_QOS:
         layout = wire._RXO_LAYOUTS[row.id]
         assert len(layout.format) == 1 + len(row.fields), row.id  # "<" + one per field
+
+
+def test_every_enum_field_leads_its_row():
+    # The announce decoder reports an invalid enum value at the start of
+    # its policy's value, which is the enum's byte only when it comes first.
+    hints = typing.get_type_hints(RxoQos)
+    for row in qos.ADVERTISED_QOS:
+        for i, name in enumerate(row.fields):
+            kind = hints[name]
+            if isinstance(kind, type) and issubclass(kind, enum.Enum):
+                assert i == 0, (row.id, name)
+            else:
+                assert kind in (int, bool), (row.id, name, kind)
 
 
 def test_docs_table_lists_the_rows_in_order():

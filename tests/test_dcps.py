@@ -1,5 +1,7 @@
 """Entity layer: caches, the arrival pipeline, matching, and discovery."""
 
+import threading
+
 import pytest
 
 from minidds import idl, qos
@@ -714,3 +716,38 @@ class TestSameParticipantReliable:
         assert not writer.unacknowledged()
         assert len(writer.history) == 3  # the cache outlives acks for late joiners
         assert reader.stats.samples_received == 3
+
+
+# ---------------------------------------------------------------------------
+# Read-only entry points and the participant lock
+
+_READ_ONLY_CALLS = {
+    "reader.statistics": lambda r, w: r.statistics(),
+    "reader.check_deadlines": lambda r, w: r.check_deadlines(),
+    "reader.matches": lambda r, w: r.matches(),
+    "reader.matched_writers": lambda r, w: r.matched_writers(),
+    "writer.check_deadlines": lambda r, w: w.check_deadlines(),
+    "writer.unacknowledged": lambda r, w: w.unacknowledged(),
+    "writer.matches": lambda r, w: w.matches(),
+    "writer.matched_readers": lambda r, w: w.matched_readers(),
+}
+
+
+@pytest.mark.parametrize("name", list(_READ_ONLY_CALLS))
+def test_read_only_call_waits_for_the_participant_lock(solo, name):
+    """State these calls read is mutated by the pump thread under the
+    participant lock, so while another thread holds the lock the call
+    must not return."""
+    topic = solo.create_topic("counters", _counter_type())
+    reader = solo.create_datareader(topic)
+    writer = solo.create_datawriter(topic)
+    writer.write({"n": 1})
+    call = _READ_ONLY_CALLS[name]
+    returned = threading.Event()
+    caller = threading.Thread(target=lambda: (call(reader, writer), returned.set()))
+    with solo._lock:
+        caller.start()
+        assert not returned.wait(0.1), f"{name} returned while the lock was held"
+    assert returned.wait(5.0)
+    caller.join(5.0)
+    assert not caller.is_alive()

@@ -9,15 +9,26 @@ size, must give the same outcomes, totals and samples from both.
 
 import random
 import time
+from dataclasses import dataclass
 
 import pytest
 
 from minidds import idl, qos
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import CachedSample, InsertOutcome, ReaderHistory, SampleInfo
+from minidds.dcps.history import InsertOutcome, ReaderHistory, SampleInfo
 
 WRITERS = [Guid(bytes([i]) * 12, 7) for i in (2, 1)]  # listed out of guid order
 HANDLES = [0, 3, 2**63 + 5, 11]
+
+
+@dataclass(slots=True)
+class CachedSample:
+    info: SampleInfo
+    sample: idl.Sample
+    arrival_index: int
+
+    def order_key(self):
+        return (self.info.sequence, self.info.writer_guid, self.arrival_index)
 
 
 class _ReferenceHistory:
@@ -198,6 +209,19 @@ def test_keep_last_one_replaces_in_place():
     assert (late.evicted_arriving, late.evicted_count) == (True, 1)
     assert [info.sequence for _, info in history.take(5)] == [4]
     assert history.total == 0 and history.read(5) == []
+
+
+def test_equal_sequence_and_writer_keep_arrival_order():
+    """A re-matched writer's replay can deliver a (sequence, writer) pair
+    the cache already holds; the copies come out in arrival order, both
+    when the repeat sorts last and when it lands before a newer sample."""
+    history = ReaderHistory(qos.History(qos.HistoryKind.KEEP_ALL), qos.ResourceLimits())
+    guid = WRITERS[0]
+    for seq, value in ((3, "first"), (3, "second"), (5, "newer"), (3, "third")):
+        assert history.insert(SampleInfo(guid, seq, 0, 0, 1),
+                              idl.Sample("Reading", (value,))).accepted
+    taken = history.take(10)
+    assert [sample.values[0] for sample, _ in taken] == ["first", "second", "third", "newer"]
 
 
 class _Budget:
