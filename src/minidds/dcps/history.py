@@ -201,12 +201,14 @@ def _order_key(entry: tuple[Sample, SampleInfo]) -> tuple[int, Guid]:
     return info.sequence, info.writer_guid
 
 
-@dataclass
-class InsertOutcome:
+class InsertOutcome(NamedTuple):
     accepted: bool
     reason: Optional[str] = None  # set when rejected
     evicted_arriving: bool = False
     evicted_count: int = 0
+
+
+_ACCEPTED = InsertOutcome(True)  # a value, so every plain insert can share it
 
 
 class ReaderHistory:
@@ -278,6 +280,8 @@ class ReaderHistory:
         if new_instance and entries:
             self.instances[handle] = entries
             insort(self._handles, handle)
+        if not evicted:
+            return _ACCEPTED
         return InsertOutcome(True, None, position < evicted, evicted)
 
     def read(self, max_samples: int) -> list[tuple[Sample, SampleInfo]]:

@@ -12,6 +12,12 @@ A submessage for a reader on this participant goes through the same
 dispatch as a datagram from this participant would, without being
 encoded: DATA, an addressed HEARTBEAT or GAP, and the reader's ACKNACK
 reply follow exactly the rules a remote peer's do.
+
+Dispatch hands a DATA, HEARTBEAT or GAP to the local readers in reader
+creation order; a reader not matched with the submessage's writer
+ignores it. ``spin_once`` releases each drained datagram as soon as it
+is dispatched, so a received burst is never held both as datagrams and
+as cached samples.
 """
 
 from __future__ import annotations
@@ -257,10 +263,11 @@ class DomainParticipant:
     def spin_once(self) -> int:
         """One protocol iteration; returns the number of datagrams handled."""
         with self._lock:
-            processed = 0
-            for data, source in self.transport.drain():
+            batch = self.transport.drain()
+            for i, (data, source) in enumerate(batch):
+                batch[i] = None  # release each datagram once it is dispatched
                 self._dispatch_datagram(data, source)
-                processed += 1
+            processed = len(batch)
             now = self.clock.monotonic_ns()
             if not self.closed and self.discovery.announce_due(now):
                 self._send_announce(self._announce_destinations())
@@ -323,7 +330,8 @@ class DomainParticipant:
             if event.new_peer and not self.closed:
                 self._send_announce([source])
         elif isinstance(sub, wire.Data):
-            writer_guid = Guid(sender_prefix, sub.writer_entity_id)
+            # A plain tuple finds the session keyed by the equal Guid.
+            writer_guid = (sender_prefix, sub.writer_entity_id)
             if sub.reader_entity_id:
                 readers = [self._readers.get(sub.reader_entity_id)]
             else:
@@ -333,7 +341,7 @@ class DomainParticipant:
                 if reader is not None:
                     reader._handle_data(writer_guid, sub, now, now_wall, decoded)
         elif isinstance(sub, wire.Heartbeat):
-            writer_guid = Guid(sender_prefix, sub.writer_entity_id)
+            writer_guid = (sender_prefix, sub.writer_entity_id)
             for reader in list(self._readers.values()):
                 self._reply_acknack(reader, writer_guid, sub, source, now, now_wall)
         elif isinstance(sub, wire.Direct):
@@ -341,7 +349,7 @@ class DomainParticipant:
             if reader is None:
                 return
             inner = sub.inner
-            writer_guid = Guid(sender_prefix, inner.writer_entity_id)
+            writer_guid = (sender_prefix, inner.writer_entity_id)
             if isinstance(inner, wire.Heartbeat):
                 self._reply_acknack(reader, writer_guid, inner, source, now, now_wall)
             elif isinstance(inner, wire.Gap):
@@ -354,20 +362,21 @@ class DomainParticipant:
                 reader_guid = Guid(sender_prefix, sub.reader_entity_id)
                 self._route(writer, writer._on_acknack(reader_guid, sub, now))
         elif isinstance(sub, wire.Gap):
-            writer_guid = Guid(sender_prefix, sub.writer_entity_id)
+            writer_guid = (sender_prefix, sub.writer_entity_id)
             for reader in list(self._readers.values()):
                 reader._handle_gap(writer_guid, sub)
 
-    def _reply_acknack(self, reader: DataReader, writer_guid: Guid,
+    def _reply_acknack(self, reader: DataReader, writer_guid: tuple[bytes, int],
                        heartbeat: wire.Heartbeat, source, now: int,
                        now_wall: int) -> None:
         ack = reader._handle_heartbeat(writer_guid, heartbeat)
         if ack is None:
             return
-        if writer_guid.prefix == self.guid.prefix:
+        prefix = writer_guid[0]
+        if prefix == self.guid.prefix:
             self._dispatch_submessage(ack, self.guid.prefix, None, now, now_wall)
             return
-        address = self.discovery.address_of(writer_guid.prefix)
+        address = self.discovery.address_of(prefix)
         if address is None:
             address = source
         message = wire.WireMessage(self.guid.prefix, (ack,))

@@ -114,7 +114,7 @@ class DataReader:
 
     # -- arrival pipeline ---------------------------------------------
 
-    def _handle_data(self, writer_guid: Guid, sub: wire.Data,
+    def _handle_data(self, writer_guid: tuple[bytes, int], sub: wire.Data,
                      now_mono_ns: int, now_wall_ns: int, decoded: list) -> None:
         """Run one DATA through the arrival pipeline. ``decoded`` is the
         caller's memo for this DATA alone, shared by the readers it is
@@ -225,14 +225,14 @@ class DataReader:
 
     # -- protocol plumbing --------------------------------------------
 
-    def _handle_heartbeat(self, writer_guid: Guid,
+    def _handle_heartbeat(self, writer_guid: tuple[bytes, int],
                           sub: wire.Heartbeat) -> Optional[wire.AckNack]:
         session = self._sessions.get(writer_guid)
         if isinstance(session, ReliableReaderSession):
             return session.on_heartbeat(sub)
         return None
 
-    def _handle_gap(self, writer_guid: Guid, sub: wire.Gap) -> None:
+    def _handle_gap(self, writer_guid: tuple[bytes, int], sub: wire.Gap) -> None:
         session = self._sessions.get(writer_guid)
         if isinstance(session, ReliableReaderSession):
             session.on_gap(sub)

@@ -25,6 +25,9 @@ log = logging.getLogger(__name__)
 BASE_PORT = 7400
 PORT_RETRIES = 16
 DEFAULT_MULTICAST_GROUP = "239.255.0.1"
+# What a drain charges a datagram on top of its payload: below the
+# kernel's own per-datagram bookkeeping, which SO_RCVBUF also counts.
+DATAGRAM_OVERHEAD = 512
 
 
 class TransportError(Exception):
@@ -41,7 +44,11 @@ class UdpTransport:
     If the preferred port (7400 + domain_id) is taken, the next 16 ports
     are tried so several participants can share one host. An optional
     second socket joins a multicast group for discovery; failures to set
-    that up are logged and unicast continues alone.
+    that up are logged and unicast continues alone. One ``drain`` reads
+    at most one receive buffer (``SO_RCVBUF``) of datagrams per socket,
+    each charged its payload plus ``DATAGRAM_OVERHEAD`` bytes, so a flood
+    of any datagram size cannot hold a spin, and the participant lock,
+    forever.
     """
 
     def __init__(self, domain_id: int = 0, *, port: int | None = None,
@@ -66,7 +73,9 @@ class UdpTransport:
         # The bound port, which differs from the requested one for port 0.
         self.port = self._sock.getsockname()[1]
         self.local_address = (bind_host, self.port)
-        self._mcast_sock: socket.socket | None = None
+        # Each bound socket and its receive buffer size, its drain budget.
+        self._socks = {self._sock: self._sock.getsockopt(socket.SOL_SOCKET,
+                                                         socket.SO_RCVBUF)}
         self.multicast_address: tuple[str, int] | None = None
         if multicast_group is not None:
             self._join_multicast(multicast_group,
@@ -86,7 +95,7 @@ class UdpTransport:
             sock.setsockopt(socket.IPPROTO_IP, socket.IP_ADD_MEMBERSHIP, member)
             self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, 1)
             self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1)
-            self._mcast_sock = sock
+            self._socks[sock] = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
             self.multicast_address = (group, port)
         except OSError as exc:
             log.warning("multicast %s:%d unavailable (%s); using unicast only",
@@ -100,32 +109,29 @@ class UdpTransport:
 
     def drain(self) -> list[tuple[bytes, tuple[str, int]]]:
         out: list[tuple[bytes, tuple[str, int]]] = []
-        for sock in filter(None, (self._sock, self._mcast_sock)):
-            while True:
+        for sock, budget in self._socks.items():
+            while budget > 0:
                 try:
                     data, src = sock.recvfrom(65535)
-                except BlockingIOError:
-                    break
-                except OSError:
+                except OSError:  # BlockingIOError once the socket is dry
                     break
                 out.append((data, src))
+                budget -= len(data) + DATAGRAM_OVERHEAD
         return out
 
     def wait(self, timeout: float) -> bool:
-        socks = [s for s in (self._sock, self._mcast_sock) if s is not None]
-        if self._closed or not socks:
+        if self._closed:
             return False
         try:
-            readable, _, _ = select.select(socks, [], [], timeout)
+            readable, _, _ = select.select(list(self._socks), [], [], timeout)
         except OSError:
             return False
         return bool(readable)
 
     def close(self) -> None:
         self._closed = True
-        self._sock.close()
-        if self._mcast_sock is not None:
-            self._mcast_sock.close()
+        for sock in self._socks:
+            sock.close()
 
 
 @dataclass(frozen=True)

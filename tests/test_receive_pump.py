@@ -1,0 +1,167 @@
+"""The participant's receive pump: matched readers are served in reader
+creation order, a listener may add a reader mid-dispatch, closed
+readers and departed writers get no further delivery, and one spin
+never holds a received burst both as datagrams and as cached samples."""
+
+import tracemalloc
+
+import pytest
+
+from minidds import idl, qos
+from minidds.clock import ManualClock
+from minidds.dcps.guid import Guid
+from minidds.dcps.matching import EndpointDescriptor, EndpointType
+from minidds.dcps.participant import DomainParticipant
+from minidds.rtps import wire
+from minidds.rtps.transport import InProcNetwork
+
+MS = 1_000_000
+COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
+RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
+            qos.History(qos.HistoryKind.KEEP_ALL)]
+
+
+def _payload(n):
+    return idl.serialize(COUNTER, idl.make_sample(COUNTER, {"n": n}))
+
+
+def _spin(*participants, rounds=1):
+    for _ in range(rounds):
+        for participant in participants:
+            participant.spin_once()
+
+
+@pytest.fixture
+def pair():
+    """Participants A (static peer B) and B, and a rogue address that can
+    send B datagrams under any sender prefix."""
+    net = InProcNetwork()
+    clock = ManualClock(1_000_000_000)
+    a = DomainParticipant(0, transport=net.attach("A"), clock=clock, static_peers=("B",))
+    b = DomainParticipant(0, transport=net.attach("B"), clock=clock)
+    yield a, b, net.attach("rogue"), clock
+    a.close()
+    b.close()
+
+
+def _send(rogue, prefix, *subs):
+    rogue.send(wire.encode_message(wire.WireMessage(prefix, subs)), "B")
+
+
+def _matched(a, b):
+    """A reliable writer on A and a matched reliable reader on B."""
+    writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE)
+    reader = b.create_datareader(b.create_topic("t", COUNTER), RELIABLE)
+    _spin(a, b, a)
+    assert reader.matched_writers() == [writer.guid]
+    return writer, reader
+
+
+def _no_delivery_from(writer, reader, b, rogue):
+    _send(rogue, writer.guid.prefix,
+          wire.Data(writer.guid.entity_id, 0, 99, 0, 0, _payload(1)))
+    _spin(b)
+    return reader.take() == [] and reader.statistics().samples_received == 0
+
+
+def test_a_closed_reader_gets_no_delivery(pair):
+    a, b, rogue, _ = pair
+    writer, reader = _matched(a, b)
+    reader.close()
+    assert _no_delivery_from(writer, reader, b, rogue)
+
+
+def test_a_writer_gone_from_announces_delivers_no_more(pair):
+    a, b, rogue, clock = pair
+    writer, reader = _matched(a, b)
+    writer.close()
+    for _ in range(4):
+        clock.advance(1_000 * MS)
+        _spin(a, b)
+    assert reader.matched_writers() == []
+    assert _no_delivery_from(writer, reader, b, rogue)
+
+
+def test_a_silent_peer_delivers_no_more(pair):
+    a, b, rogue, clock = pair
+    writer, reader = _matched(a, b)
+    _spin(b)
+    clock.advance(3_100 * MS)
+    _spin(b)  # A never spins in this window
+    assert reader.matched_writers() == []
+    assert _no_delivery_from(writer, reader, b, rogue)
+
+
+def test_a_listener_may_create_a_reader_mid_dispatch(pair):
+    """Dispatch walks a copy of the reader table, so a reader created by
+    a listener neither breaks the walk nor sees the DATA that made it."""
+    a, b, _, _ = pair
+    writer, reader = _matched(a, b)
+    topic = b.create_topic("t", COUNTER)
+    created = []
+    reader.listener = lambda _r: created.append(b.create_datareader(topic, RELIABLE))
+    writer.write({"n": 7})
+    _spin(b)
+    assert [s.values for s, _ in reader.take()] == [(7,)]
+    assert len(created) == 1 and created[0].take() == []
+
+
+def test_matched_readers_are_served_in_creation_order(pair, monkeypatch):
+    """The first reader asks for TRANSIENT_LOCAL, which the remote writer
+    offers only in its second announce, so it matches after the second
+    reader; both are still served in the order they were created."""
+    _, b, rogue, _ = pair
+    topic = b.create_topic("t", COUNTER)
+    first = b.create_datareader(
+        topic, RELIABLE + [qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)])
+    second = b.create_datareader(topic, RELIABLE)
+    prefix = b"\x09" * 12
+    writer_guid = Guid(prefix, 1)
+    for durability in (qos.DurabilityKind.VOLATILE, qos.DurabilityKind.TRANSIENT_LOCAL):
+        rxo = qos.RxoQos(reliability=qos.ReliabilityKind.RELIABLE, durability=durability)
+        descriptor = EndpointDescriptor(writer_guid, 0, "t", COUNTER.name,
+                                        EndpointType.WRITER, rxo)
+        _send(rogue, prefix, wire.Announce(0, (descriptor,)))
+        _spin(b)
+        if durability == qos.DurabilityKind.VOLATILE:
+            assert [r.matched_writers() for r in (first, second)] == [[], [writer_guid]]
+
+    notified = []
+    for reader in (first, second):
+        reader.listener = notified.append
+    _send(rogue, prefix, wire.Data(1, 0, 1, 0, 0, _payload(3)))
+    _spin(b)
+    assert notified == [first, second]
+
+    acked = []
+    monkeypatch.setattr(b.transport, "send", lambda data, _dest: acked.extend(
+        sub.reader_entity_id for sub in wire.decode_message(data).submessages
+        if isinstance(sub, wire.AckNack)))
+    _send(rogue, prefix, wire.Heartbeat(1, 1, 1, 1))
+    _spin(b)
+    assert acked == [first.guid.entity_id, second.guid.entity_id]
+
+
+def test_one_spin_holds_a_burst_once(pair):
+    """200 samples of 20 kB wait in B's queue; the spin that caches them
+    may allocate on top of the queued burst no more than half of it."""
+    a, b, _, _ = pair
+    blob = idl.parse_idl("struct Blob { string s; };")[0]
+    writer = a.create_datawriter(a.create_topic("blob", blob), RELIABLE)
+    reader = b.create_datareader(b.create_topic("blob", blob), RELIABLE)
+    _spin(a, b, a)
+    assert reader.matched_writers() == [writer.guid]
+    tracemalloc.start()
+    try:
+        for i in range(200):
+            writer.write({"s": chr(65 + i % 26) * 20_000})
+        burst = sum(len(data) for data, _ in b.transport._queue)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _spin(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert burst > 200 * 20_000
+    assert len(reader.take()) == 200
+    assert (burst + peak - held) / burst < 1.5

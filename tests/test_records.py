@@ -5,7 +5,7 @@ ordering, text form and byte form."""
 import pytest
 
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import SampleInfo
+from minidds.dcps.history import InsertOutcome, SampleInfo
 from minidds.dcps.matching import EndpointDescriptor, EndpointType
 from minidds.rtps import wire
 from minidds.rtps.reliability import Directed
@@ -29,6 +29,7 @@ def _records():
                                                  EndpointType.WRITER),)),
             Directed(Guid(PREFIX, 4), heartbeat),
             SampleInfo(Guid(PREFIX, 3), 5, 1_000, 2_000, 9),
+            InsertOutcome(True, None, False, 2),
             Guid(PREFIX, 7),
         ]
     return list(zip(build(), build()))
@@ -49,6 +50,9 @@ def test_records_of_other_values_differ():
     assert wire.Gap(3, 2, 4) != wire.Gap(3, 2, 5)
     assert SampleInfo(GUID, 5, 0, 0, 1) != SampleInfo(GUID, 6, 0, 0, 1)
     assert wire.AckNack(4, GUID, 6) == wire.AckNack(4, GUID, 6, ())
+    assert InsertOutcome(False, "max_samples") != InsertOutcome(False, "max_instances")
+    assert InsertOutcome(False, "max_samples") == InsertOutcome(
+        accepted=False, reason="max_samples", evicted_arriving=False, evicted_count=0)
 
 
 @pytest.mark.parametrize("prefix, entity_id, message", [

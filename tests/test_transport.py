@@ -1,6 +1,7 @@
-"""Transport waits and addresses: the in-process ``wait`` blocks until a
-delivery or its timeout, and a UDP transport on port 0 reports the port
-the system bound."""
+"""Transport waits, addresses and drains: the in-process ``wait`` blocks
+until a delivery or its timeout, a UDP transport on port 0 reports the
+port the system bound, and a UDP drain under a flood reads at most one
+receive buffer's worth."""
 
 import random
 import socket
@@ -8,6 +9,9 @@ import sys
 import threading
 import time
 
+import pytest
+
+from minidds.rtps import transport as transport_module
 from minidds.rtps.transport import InProcNetwork, UdpTransport
 
 
@@ -106,3 +110,56 @@ def test_udp_port_zero_records_the_bound_port():
         assert [data for data, _ in transport.drain()] == [b"x"]
     finally:
         transport.close()
+
+
+class _FloodedSocket:
+    """A bound UDP socket whose sender never stops: ``recvfrom`` never runs
+    dry. Past a guard it raises, so an unbounded drain fails, not hangs."""
+
+    RCVBUF = 8192
+    GUARD = 100_000
+    payload = b""
+
+    def __init__(self, *_args):
+        self.reads = 0
+        self.rcvbuf_queries = 0
+
+    def setblocking(self, _flag):
+        pass
+
+    def bind(self, address):
+        self.address = address
+
+    def getsockname(self):
+        return self.address
+
+    def getsockopt(self, level, option):
+        assert (level, option) == (socket.SOL_SOCKET, socket.SO_RCVBUF)
+        self.rcvbuf_queries += 1
+        return self.RCVBUF
+
+    def recvfrom(self, _size):
+        self.reads += 1
+        if self.reads > self.GUARD:
+            raise AssertionError("drain kept reading a flooded socket")
+        return self.payload, ("127.0.0.1", 9)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("size", [0, 1, 1_000, 65_507])
+def test_udp_drain_under_a_flood_reads_at_most_one_buffer(monkeypatch, size):
+    monkeypatch.setattr(_FloodedSocket, "payload", b"x" * size)
+    monkeypatch.setattr(transport_module.socket, "socket", _FloodedSocket)
+    transport = UdpTransport(port=7400, bind_host="127.0.0.1")
+    sock = transport._sock
+    for spins in range(1, 4):
+        drained = transport.drain()
+        assert drained and all(data == sock.payload for data, _ in drained)
+        assert sum(len(data) for data, _ in drained) < _FloodedSocket.RCVBUF + size
+        # However small the datagrams, the kernel charges each at least
+        # 256 bytes of the buffer, so no more fit into it.
+        assert len(drained) <= _FloodedSocket.RCVBUF // max(size, 256) + 1
+        assert sock.reads == len(drained) * spins
+    assert sock.rcvbuf_queries == 1  # once, at bind
