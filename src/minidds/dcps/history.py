@@ -208,7 +208,10 @@ class InsertOutcome(NamedTuple):
     evicted_count: int = 0
 
 
-_ACCEPTED = InsertOutcome(True)  # a value, so every plain insert can share it
+# Values, so every plain insert, and every in-place keep-last
+# replacement, can share one.
+_ACCEPTED = InsertOutcome(True)
+_REPLACED = InsertOutcome(True, None, False, 1)
 
 
 class ReaderHistory:
@@ -227,7 +230,8 @@ class ReaderHistory:
     again at once and the cache converges to the newest samples.
 
     Costs, for n cached samples: ``insert`` O(1) for an arrival that sorts
-    last in a cached instance, keep-last(1) replacement included, and
+    last in a cached instance (in a full keep-last instance it replaces
+    the front entry in place, plus a shift of the instance's depth), and
     O(log n) plus a list shift for any other arrival or a new instance;
     ``read`` and ``take`` O(returned + instances visited) plus one list
     shift per take. A take that drains the cache hands it all out in one
@@ -239,15 +243,24 @@ class ReaderHistory:
         self.limits = limits
         self._cap = _per_instance_cap(history, limits)
         self._keep_last = history.kind == qos.HistoryKind.KEEP_LAST
+        # The length at which a keep-last instance is full; None for keep-all.
+        self._full = self._cap if self._keep_last else None
         self.instances: dict[int, list[tuple[Sample, SampleInfo]]] = {}
         self._handles: list[int] = []
         self.total = 0
 
     def insert(self, info: SampleInfo, sample: Sample) -> InsertOutcome:
         handle = info.instance_handle
+        entries = self.instances.get(handle)
+        if (entries is not None and len(entries) == self._full
+                and info.sequence > entries[-1][1].sequence):
+            # Sorts last in a full keep-last instance: it replaces the
+            # front entry, and the total, hence max_samples, is unchanged.
+            del entries[0]
+            entries.append((sample, info))
+            return _REPLACED
         limits = self.limits
         cap = self._cap
-        entries = self.instances.get(handle)
         new_instance = entries is None
         if new_instance:
             if (limits.max_instances is not None

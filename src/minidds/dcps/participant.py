@@ -13,6 +13,16 @@ dispatch as a datagram from this participant would, without being
 encoded: DATA, an addressed HEARTBEAT or GAP, and the reader's ACKNACK
 reply follow exactly the rules a remote peer's do.
 
+A write goes out by its writer's send plan: whether a matched reader is
+on this participant, and the addresses of the other matched readers'
+participants, in order and without repeats. The plan depends only on
+the writer's matches and on discovery's peer addresses, so it is built
+at the first write after the writer gains or loses a match, or after
+discovery adds, drops or re-addresses a peer (``Discovery.epoch``), and
+reused for every write in between. An item addressed to one reader (a
+retransmission, an addressed HEARTBEAT or GAP) looks up that reader's
+address each time.
+
 Dispatch hands a DATA, HEARTBEAT or GAP to the local readers in reader
 creation order; a reader not matched with the submessage's writer
 ignores it. ``spin_once`` releases each drained datagram as soon as it
@@ -389,20 +399,15 @@ class DomainParticipant:
         for item in directed:
             sub = item.submessage
             if item.dest is None:
-                targets = writer._match_records
+                plan = writer._send_plan
+                if plan is None or plan[0] != self.discovery.epoch:
+                    plan = writer._send_plan = (
+                        self.discovery.epoch, *self._destinations(writer._match_records))
+                _, local, addresses = plan
             else:
-                targets = [item.dest]
                 if isinstance(sub, (wire.Heartbeat, wire.Gap)):
                     sub = wire.Direct(item.dest.entity_id, sub)
-            local = False
-            addresses: dict = {}  # ordered and without repeats
-            for target in targets:
-                if target.prefix == self.guid.prefix:
-                    local = True
-                else:
-                    address = self.discovery.address_of(target.prefix)
-                    if address is not None:
-                        addresses[address] = None
+                local, addresses = self._destinations((item.dest,))
             if local:
                 self._dispatch_submessage(sub, self.guid.prefix, None,
                                           self.clock.monotonic_ns(), self.clock.wall_ns())
@@ -415,6 +420,20 @@ class DomainParticipant:
                     self.transport.send(data, address)
                 except ValueError as exc:
                     log.warning("submessage not sent: %s", exc)
+
+    def _destinations(self, readers: Iterable[Guid]) -> tuple[bool, tuple]:
+        """Whether one of the readers is on this participant, and the
+        addresses of the others' participants, in order and without repeats."""
+        local = False
+        addresses: dict = {}
+        for reader in readers:
+            if reader.prefix == self.guid.prefix:
+                local = True
+            else:
+                address = self.discovery.address_of(reader.prefix)
+                if address is not None:
+                    addresses[address] = None
+        return local, tuple(addresses)
 
     # ------------------------------------------------------------------
     # lifecycle

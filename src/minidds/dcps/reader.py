@@ -181,7 +181,8 @@ class DataReader:
         inst.last_accepted_ns = now_mono_ns
         if self._by_source:
             inst.newest_source = (sub.source_timestamp_ns, writer_guid)
-        self._deadlines.record(handle, now_mono_ns)
+        if self._deadlines.active:
+            self._deadlines.record(handle, now_mono_ns)
 
         info = SampleInfo(writer_guid, sub.sequence, sub.source_timestamp_ns,
                           now_mono_ns, handle)
@@ -191,7 +192,8 @@ class DataReader:
             return
         self.stats.evicted_by_history += outcome.evicted_count
         self.stats.samples_accepted += 1
-        self._notify()
+        if self.listener is not None:
+            self._notify()
 
     def _arbitrate(self, inst: _InstanceState, arriving: Guid, now_ns: int) -> bool:
         """Whether the arriving writer currently owns the instance."""
@@ -212,8 +214,6 @@ class DataReader:
         return record.remote.rxo.ownership_strength if record else 0
 
     def _notify(self) -> None:
-        if self.listener is None:
-            return
         began = time.monotonic()
         try:
             self.listener(self)

@@ -14,16 +14,13 @@ class DeadlineTracker:
 
     def __init__(self, period_ns: int):
         self.period_ns = period_ns
+        # With no deadline there is nothing to track: callers test this
+        # and skip ``record`` on the sample path.
+        self.active = period_ns != INFINITE_NS
         self._last: dict[int, int] = {}
         self._accumulated: dict[int, int] = {}
 
-    @property
-    def active(self) -> bool:
-        return self.period_ns != INFINITE_NS
-
     def record(self, handle: int, now_ns: int) -> None:
-        if not self.active:
-            return
         last = self._last.get(handle)
         if last is not None and now_ns > last:
             self._accumulated[handle] = (self._accumulated.get(handle, 0)

@@ -45,6 +45,9 @@ class DataWriter:
         self._deadlines = DeadlineTracker(
             profile.value(qos.QosPolicyId.DEADLINE).period_ns)
         self._match_records: dict[Guid, MatchRecord] = {}
+        # Where a write goes, derived from the matches; the participant
+        # builds it and a match change resets it (see participant._route).
+        self._send_plan = None
         self.samples_written = 0
         self.closed = False
 
@@ -52,6 +55,7 @@ class DataWriter:
 
     def _add_match(self, record: MatchRecord, now_ns: int) -> list[Directed]:
         remote = record.remote
+        self._send_plan = None
         if remote.guid in self._match_records:
             self._match_records[remote.guid] = record
             return []
@@ -63,6 +67,7 @@ class DataWriter:
 
     def _remove_match(self, guid: Guid) -> None:
         if self._match_records.pop(guid, None) is not None:
+            self._send_plan = None
             self.session.remove_reader(guid)
 
     def matches(self) -> list[MatchRecord]:
@@ -100,21 +105,28 @@ class DataWriter:
         handle = idl.key_hash(self.type, sample, checked=True)
         clock = self.participant.clock
         block_deadline = None
+        session = self.session
         while True:
             with self.participant._lock:
-                if self.history.has_room(handle):
+                # A sample nobody can ask for again is not cached at all.
+                caching = session.keeps_history
+                if not caching or self.history.has_room(handle):
                     now_wall = clock.wall_ns()
                     source_ts = (source_timestamp_ns
                                  if source_timestamp_ns is not None else now_wall)
                     expiry = qos.INFINITE_NS
                     if self._lifespan_ns != qos.INFINITE_NS:
                         expiry = source_ts + self._lifespan_ns
-                    sequence = self.session.last_sequence + 1
+                    sequence = session.last_sequence + 1
                     record = WriterSample(sequence, handle, payload, source_ts, expiry)
-                    evicted = self.history.insert(record)
-                    directed = self.session.on_write(record)
-                    directed.extend(self.session.note_evicted(evicted))
-                    self._deadlines.record(handle, clock.monotonic_ns())
+                    if caching:
+                        evicted = self.history.insert(record)
+                        directed = session.on_write(record)
+                        directed.extend(session.note_evicted(evicted))
+                    else:
+                        directed = session.on_write(record)
+                    if self._deadlines.active:
+                        self._deadlines.record(handle, clock.monotonic_ns())
                     self.samples_written += 1
                     self.participant._route(self, directed)
                     return sequence

@@ -54,6 +54,9 @@ class Discovery:
         self.static_peers = tuple(static_peers)
         self._peers: dict[bytes, _Peer] = {}
         self._last_announce_ns: Optional[int] = None
+        # Bumped whenever a peer is added, dropped or changes address, so
+        # whatever was derived from ``address_of`` knows to derive again.
+        self.epoch = 0
 
     # -- transmit side ------------------------------------------------
 
@@ -89,7 +92,10 @@ class Discovery:
         if peer is None:
             peer = _Peer(address=source, last_seen_ns=now_ns)
             self._peers[sender_prefix] = peer
-        peer.address = source
+            self.epoch += 1
+        elif peer.address != source:
+            peer.address = source
+            self.epoch += 1
         peer.last_seen_ns = now_ns
 
         present = {ep.guid: ep for ep in announce.endpoints}
@@ -121,6 +127,7 @@ class Discovery:
                        if now_ns - peer.last_seen_ns >= cutoff]:
             removed.extend(self._peers[prefix].endpoints)
             del self._peers[prefix]
+            self.epoch += 1
         return removed
 
     # -- lookups ------------------------------------------------------

@@ -5,12 +5,15 @@ Sessions are transport-free state machines: every input carries ``now``
 route. A ``dest`` of None means "every matched peer of this writer";
 otherwise the datagram goes only to that reader's participant.
 
-Writer side, per matched reader: acknowledged floor, heartbeat timer,
-and per-sequence retransmit stamps. Heartbeats flow every
-``heartbeat_period`` (50 ms) while that reader has unacked samples and
-stop once it is caught up. A requested sequence still in the cache is
-retransmitted at most once per ``response_delay`` (5 ms); a requested
-sequence no longer in the cache is answered with a GAP.
+Writer side: ``keeps_history`` says whether a written sample can be sent
+again, to a TRANSIENT_LOCAL writer's late joiner or on a RELIABLE
+reader's request; it is updated as readers match and unmatch, and while
+it is false the writer caches nothing. Per matched reader: acknowledged
+floor, heartbeat timer, and per-sequence retransmit stamps. Heartbeats
+flow every ``heartbeat_period`` (50 ms) while that reader has unacked
+samples and stop once it is caught up. A requested sequence still in
+the cache is retransmitted at most once per ``response_delay`` (5 ms);
+a requested sequence no longer in the cache is answered with a GAP.
 
 Reader side: a settled floor plus a sparse set of received sequences
 above it. GAPs and a heartbeat ``first_seq`` above the floor both mark
@@ -74,6 +77,7 @@ class WriterSession:
         self.last_sequence = 0
         self._heartbeat_count = 0
         self._proxies: dict[Guid, _ReaderProxy] = {}
+        self.keeps_history = transient_local
 
     # -- membership ---------------------------------------------------
 
@@ -86,6 +90,7 @@ class WriterSession:
         self._proxies[guid] = _ReaderProxy(
             guid, reliable, acked_below=floor,
             last_heartbeat_ns=now_ns - self.heartbeat_period_ns)
+        self._note_membership()
         if not replay:
             return []
         return [Directed(guid, self._data_for(sample, guid.entity_id))
@@ -93,7 +98,12 @@ class WriterSession:
 
     def remove_reader(self, guid: Guid) -> None:
         self._proxies.pop(guid, None)
+        self._note_membership()
         self._maybe_release()
+
+    def _note_membership(self) -> None:
+        self.keeps_history = self.transient_local or any(
+            p.reliable for p in self._proxies.values())
 
     def matched_readers(self) -> list[Guid]:
         return list(self._proxies)
@@ -108,7 +118,8 @@ class WriterSession:
     def on_write(self, sample: WriterSample) -> list[Directed]:
         self.last_sequence = max(self.last_sequence, sample.sequence)
         out = [Directed(None, self._data_for(sample, 0))]
-        self._maybe_release()
+        if self.history.by_seq:  # an empty cache has nothing to release
+            self._maybe_release()
         return out
 
     def note_evicted(self, evicted: list[WriterSample]) -> list[Directed]:
@@ -207,6 +218,7 @@ class ReliableReaderSession:
             self.samples_lost += (end - self.floor) - got
             self.received = {s for s in self.received if s > end}
             self.floor = end
+            self._compact()  # what arrived just above the range settles too
         else:
             for seq in range(start, end + 1):
                 if seq not in self.received:

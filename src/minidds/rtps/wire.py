@@ -24,6 +24,7 @@ from minidds.qos import RxoQos
 MAGIC = b"MDDS"
 VERSION = b"\x01\x00"
 RESERVED = b"\x00\x00"
+_HEADER_START = MAGIC + VERSION + RESERVED
 HEADER_LEN = 20
 SUBMSG_HEADER_LEN = 4
 MAX_DATAGRAM = 65507
@@ -38,8 +39,11 @@ KIND_DIRECT = 0x06
 ACKNACK_MAX_BITS = 256
 
 # Fixed byte layouts, compiled once and shared by encoder and decoder.
+_HEADER = struct.Struct("<4s2s2x12s")  # magic, version, reserved, sender prefix
 _SUBMSG_HEADER = struct.Struct("<BBH")  # kind, flags, body length
 _DATA_HEAD = struct.Struct("<IIQqQI")  # writer, reader, seq, stamp, handle, length
+# A DATA submessage's header and head together, so one pack writes both.
+_DATA_SUBMSG = struct.Struct(_SUBMSG_HEADER.format + _DATA_HEAD.format[1:])
 _HEARTBEAT = struct.Struct("<IQQI")
 _ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
 _GAP = struct.Struct("<IQQ")
@@ -162,13 +166,17 @@ def _encode_announce(sub: Announce) -> bytes:
 
 
 def _encode_submessage(sub: Submessage) -> bytes:
+    if isinstance(sub, Data):
+        payload = sub.payload
+        length = _DATA_HEAD.size + len(payload)
+        if length > 0xFFFF:
+            raise ValueError("submessage body too large")
+        return _DATA_SUBMSG.pack(KIND_DATA, 0, length, sub.writer_entity_id,
+                                 sub.reader_entity_id, sub.sequence,
+                                 sub.source_timestamp_ns, sub.instance_handle,
+                                 len(payload)) + payload
     if isinstance(sub, Announce):
         kind, body = KIND_ANNOUNCE, _encode_announce(sub)
-    elif isinstance(sub, Data):
-        kind = KIND_DATA
-        body = _DATA_HEAD.pack(sub.writer_entity_id, sub.reader_entity_id,
-                               sub.sequence, sub.source_timestamp_ns,
-                               sub.instance_handle, len(sub.payload)) + sub.payload
     elif isinstance(sub, Heartbeat):
         kind = KIND_HEARTBEAT
         body = _HEARTBEAT.pack(sub.writer_entity_id, sub.first_seq,
@@ -211,20 +219,19 @@ def encode_message(message: WireMessage) -> bytes:
         raise ValueError("sender prefix must be 12 bytes")
     if not message.submessages:
         raise ValueError("a message carries at least one submessage")
-    out = bytearray()
-    out.extend(MAGIC)
-    out.extend(VERSION)
-    out.extend(RESERVED)
-    out.extend(message.sender_prefix)
-    for sub in message.submessages:
-        out.extend(_encode_submessage(sub))
+    out = b"".join([_HEADER_START, message.sender_prefix,
+                    *map(_encode_submessage, message.submessages)])
     if len(out) > MAX_DATAGRAM:
         raise ValueError(f"datagram of {len(out)} bytes exceeds UDP limit")
-    return bytes(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Decoding
+
+# Builds a record from a tuple of its fields without the Python-level
+# ``__new__`` that NamedTuple generates; for the per-datagram records.
+_tuple_new = tuple.__new__
 
 # Each decoder below reads one body, ``data[start:end]``, in place and
 # raises at the offset the field-by-field reading of docs/wire.md would
@@ -316,13 +323,18 @@ def _decode_announce(data: bytes, start: int, end: int) -> Announce:
 
 
 def _decode_data(data: bytes, start: int, end: int) -> Data:
-    _need(start, _DATA_HEAD.size, end)
-    writer_eid, reader_eid, seq, ts, handle, payload_len = _DATA_HEAD.unpack_from(data, start)
+    # The checks of _need and _done, inlined on the hottest kind.
     payload_start = start + _DATA_HEAD.size
+    if payload_start > end:
+        raise WireError(start, "truncated body")
+    writer_eid, reader_eid, seq, ts, handle, payload_len = _DATA_HEAD.unpack_from(data, start)
     payload_end = payload_start + payload_len
-    _need(payload_start, payload_len, end)
-    _done(payload_end, end)
-    return Data(writer_eid, reader_eid, seq, ts, handle, data[payload_start:payload_end])
+    if payload_end > end:
+        raise WireError(payload_start, "truncated body")
+    if payload_end != end:
+        raise WireError(payload_end, "trailing bytes in submessage body")
+    return _tuple_new(Data, (writer_eid, reader_eid, seq, ts, handle,
+                             data[payload_start:payload_end]))
 
 
 def _decode_heartbeat(data: bytes, start: int, end: int) -> Heartbeat:
@@ -399,11 +411,11 @@ def decode_message(data: bytes) -> WireMessage:
     size = len(data)
     if size < HEADER_LEN:
         raise WireError(0, "datagram shorter than header")
-    if data[0:4] != MAGIC:
+    magic, version, prefix = _HEADER.unpack_from(data)
+    if magic != MAGIC:
         raise WireError(0, "bad magic")
-    if data[4:6] != VERSION:
+    if version != VERSION:
         raise WireError(4, f"unsupported version {data[4]}.{data[5]}")
-    prefix = data[8:HEADER_LEN]
     pos = HEADER_LEN
     submessages = []
     while pos < size:
@@ -422,4 +434,4 @@ def decode_message(data: bytes) -> WireMessage:
         pos = body_end
     if not submessages:
         raise WireError(HEADER_LEN, "no recognizable submessages")
-    return WireMessage(prefix, tuple(submessages))
+    return _tuple_new(WireMessage, (prefix, tuple(submessages)))

@@ -195,6 +195,22 @@ class TestReliableReaderSession:
         assert ack.base_seq == 5
         assert ack.missing == (5, 6)
 
+    def test_given_up_range_settles_what_arrived_above_it(self):
+        """A reader matched mid-stream first sees 4, 6 and 8: the first
+        heartbeat gives up 1-3 and must also settle 4, so the ACKNACK
+        starts at the lowest missing sequence, as the encoder requires."""
+        s = self._session()
+        for seq in (4, 6, 8):
+            s.on_data(seq)
+        ack = s.on_heartbeat(wire.Heartbeat(11, 4, 8, count=1))
+        assert s.floor == 4
+        assert (ack.base_seq, ack.missing) == (5, (5, 7))
+        wire.encode_message(wire.WireMessage(b"\x00" * 12, (ack,)))
+        gap = self._session()
+        gap.on_data(3)
+        gap.on_gap(wire.Gap(11, 1, 2))
+        assert gap.floor == 3
+
     def test_gap_counts_only_unreceived(self):
         s = self._session()
         s.on_data(1)
