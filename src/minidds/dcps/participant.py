@@ -23,9 +23,13 @@ reused for every write in between. An item addressed to one reader (a
 retransmission, an addressed HEARTBEAT or GAP) looks up that reader's
 address each time.
 
-Dispatch hands a DATA, HEARTBEAT or GAP to the local readers in reader
-creation order; a reader not matched with the submessage's writer
-ignores it. ``spin_once`` releases each drained datagram as soon as it
+Dispatch looks up a DATA, HEARTBEAT or GAP's writer in one table of the
+(reader, session) pairs matched with it, in reader creation order, so
+readers not matched are not visited; an addressed DATA or DIRECT picks
+its reader out of the entry. An entry is an immutable tuple, so a
+listener may create or close a reader mid-dispatch, and is replaced
+only where a reader gains or loses a match with that writer (closing a
+reader too). ``spin_once`` releases each drained datagram as soon as it
 is dispatched, so a received burst is never held both as datagrams and
 as cached samples.
 """
@@ -42,8 +46,8 @@ from minidds.clock import SystemClock
 from minidds.dcps.errors import (InconsistentTopicError, InvalidQosError,
                                  TransportUnavailableError)
 from minidds.dcps.guid import Guid, fresh_prefix
-from minidds.dcps.matching import (EndpointDescriptor, EndpointType, MatchRecord,
-                                   NoMatch, RxoQos, match_endpoints)
+from minidds.dcps.matching import (EndpointDescriptor, EndpointType, NoMatch, RxoQos,
+                                   match_endpoints)
 from minidds.dcps.reader import DataReader
 from minidds.dcps.writer import DataWriter
 from minidds.rtps import wire
@@ -107,6 +111,7 @@ class DomainParticipant:
         self._topics: dict[str, Topic] = {}
         self._writers: dict[int, DataWriter] = {}
         self._readers: dict[int, DataReader] = {}
+        self._matched: dict[Guid, tuple] = {}  # writer -> (reader, session) pairs
         self._entity_counter = 0
         self._lock = threading.RLock()
         # Notified at the end of every spin_once, for writers blocked on a
@@ -223,6 +228,8 @@ class DomainParticipant:
                 self._writers.pop(entity.guid.entity_id, None)
             else:
                 self._readers.pop(entity.guid.entity_id, None)
+                for writer_guid in entity._sessions:
+                    self._unlink(writer_guid, entity)
             self._unmatch(entity.guid)
             self.discovery.reset_announce_timer()
 
@@ -232,17 +239,21 @@ class DomainParticipant:
     def _consider_pair(self, local_entity, remote: EndpointDescriptor,
                        now_ns: int) -> None:
         result = match_endpoints(local_entity.descriptor, remote)
-        if isinstance(result, MatchRecord):
-            if isinstance(local_entity, DataWriter):
-                replay = local_entity._add_match(result, now_ns)
-                self._route(local_entity, replay)
-            else:
-                local_entity._add_match(result)
-        else:
-            assert isinstance(result, NoMatch)
+        if isinstance(result, NoMatch):
             if result.report is not None:
                 self._note_incompatible(local_entity.descriptor, remote, result.report)
+            if isinstance(local_entity, DataReader) and remote.guid in local_entity._sessions:
+                self._unlink(remote.guid, local_entity)
             local_entity._remove_match(remote.guid)
+        elif isinstance(local_entity, DataWriter):
+            self._route(local_entity, local_entity._add_match(result, now_ns))
+        else:
+            session = local_entity._add_match(result)
+            if session is not None:
+                # In reader creation order; the sort merges one pair into a sorted run.
+                pairs = self._matched.get(remote.guid, ()) + ((local_entity, session),)
+                self._matched[remote.guid] = tuple(
+                    sorted(pairs, key=lambda pair: pair[0].guid.entity_id))
 
     def _note_incompatible(self, local: EndpointDescriptor,
                            remote: EndpointDescriptor,
@@ -264,8 +275,13 @@ class DomainParticipant:
     def _unmatch(self, guid: Guid) -> None:
         for writer in self._writers.values():
             writer._remove_match(guid)
-        for reader in self._readers.values():
+        for reader, _ in self._matched.pop(guid, ()):
             reader._remove_match(guid)
+
+    def _unlink(self, writer_guid: Guid, reader: DataReader) -> None:
+        pairs = tuple(p for p in self._matched.pop(writer_guid, ()) if p[0] is not reader)
+        if pairs:
+            self._matched[writer_guid] = pairs
 
     # ------------------------------------------------------------------
     # datagram pump
@@ -287,7 +303,7 @@ class DomainParticipant:
             now_wall = self.clock.wall_ns()
             for writer in list(self._writers.values()):
                 directed = writer._expire(now_wall)
-                directed.extend(writer._step(now))
+                directed.extend(writer.session.step(now))
                 self._route(writer, directed)
             self._spun.notify_all()
             return processed
@@ -340,57 +356,30 @@ class DomainParticipant:
             if event.new_peer and not self.closed:
                 self._send_announce([source])
         elif isinstance(sub, wire.Data):
-            # A plain tuple finds the session keyed by the equal Guid.
-            writer_guid = (sender_prefix, sub.writer_entity_id)
-            if sub.reader_entity_id:
-                readers = [self._readers.get(sub.reader_entity_id)]
-            else:
-                readers = list(self._readers.values())
+            # A plain tuple finds the entry keyed by the equal Guid.
+            pairs = self._matched.get((sender_prefix, sub.writer_entity_id), ())
+            if sub.reader_entity_id:  # addressed: that reader, if it is matched
+                pairs = [p for p in pairs if p[0].guid.entity_id == sub.reader_entity_id]
             decoded: list = []
-            for reader in readers:
-                if reader is not None:
-                    reader._handle_data(writer_guid, sub, now, now_wall, decoded)
-        elif isinstance(sub, wire.Heartbeat):
-            writer_guid = (sender_prefix, sub.writer_entity_id)
-            for reader in list(self._readers.values()):
-                self._reply_acknack(reader, writer_guid, sub, source, now, now_wall)
-        elif isinstance(sub, wire.Direct):
-            reader = self._readers.get(sub.reader_entity_id)
-            if reader is None:
-                return
-            inner = sub.inner
-            writer_guid = (sender_prefix, inner.writer_entity_id)
-            if isinstance(inner, wire.Heartbeat):
-                self._reply_acknack(reader, writer_guid, inner, source, now, now_wall)
-            elif isinstance(inner, wire.Gap):
-                reader._handle_gap(writer_guid, inner)
+            for reader, session in pairs:
+                reader._handle_data(session, sub, now, now_wall, decoded)
         elif isinstance(sub, wire.AckNack):
             if sub.writer_guid.prefix != self.guid.prefix:
                 return
             writer = self._writers.get(sub.writer_guid.entity_id)
             if writer is not None:
                 reader_guid = Guid(sender_prefix, sub.reader_entity_id)
-                self._route(writer, writer._on_acknack(reader_guid, sub, now))
-        elif isinstance(sub, wire.Gap):
-            writer_guid = (sender_prefix, sub.writer_entity_id)
-            for reader in list(self._readers.values()):
-                reader._handle_gap(writer_guid, sub)
-
-    def _reply_acknack(self, reader: DataReader, writer_guid: tuple[bytes, int],
-                       heartbeat: wire.Heartbeat, source, now: int,
-                       now_wall: int) -> None:
-        ack = reader._handle_heartbeat(writer_guid, heartbeat)
-        if ack is None:
-            return
-        prefix = writer_guid[0]
-        if prefix == self.guid.prefix:
-            self._dispatch_submessage(ack, self.guid.prefix, None, now, now_wall)
-            return
-        address = self.discovery.address_of(prefix)
-        if address is None:
-            address = source
-        message = wire.WireMessage(self.guid.prefix, (ack,))
-        self.transport.send(wire.encode_message(message), address)
+                self._route(writer, writer.session.on_acknack(reader_guid, sub, now))
+        elif isinstance(sub, (wire.Heartbeat, wire.Gap, wire.Direct)):
+            reader_entity_id, sub = sub if isinstance(sub, wire.Direct) else (0, sub)
+            pairs = self._matched.get((sender_prefix, sub.writer_entity_id), ())
+            if reader_entity_id:
+                pairs = [p for p in pairs if p[0].guid.entity_id == reader_entity_id]
+            for _, session in pairs:
+                if isinstance(sub, wire.Gap):
+                    session.on_gap(sub)
+                elif (ack := session.on_heartbeat(sub)) is not None:
+                    self._send(ack, *self._destinations((ack.writer_guid,)))
 
     # ------------------------------------------------------------------
     # outbound routing
@@ -403,23 +392,28 @@ class DomainParticipant:
                 if plan is None or plan[0] != self.discovery.epoch:
                     plan = writer._send_plan = (
                         self.discovery.epoch, *self._destinations(writer._match_records))
-                _, local, addresses = plan
+                self._send(sub, plan[1], plan[2])
             else:
                 if isinstance(sub, (wire.Heartbeat, wire.Gap)):
                     sub = wire.Direct(item.dest.entity_id, sub)
-                local, addresses = self._destinations((item.dest,))
-            if local:
-                self._dispatch_submessage(sub, self.guid.prefix, None,
-                                          self.clock.monotonic_ns(), self.clock.wall_ns())
-            # One encoding serves every destination participant.
-            data = None
-            for address in addresses:
-                try:
-                    if data is None:
-                        data = wire.encode_message(wire.WireMessage(self.guid.prefix, (sub,)))
-                    self.transport.send(data, address)
-                except ValueError as exc:
-                    log.warning("submessage not sent: %s", exc)
+                self._send(sub, *self._destinations((item.dest,)))
+
+    def _send(self, sub, local: bool, addresses: Iterable) -> None:
+        """Dispatch a submessage to this participant's readers when
+        ``local``, and send it to each address; a submessage the encoder
+        refuses is logged and dropped."""
+        if local:
+            self._dispatch_submessage(sub, self.guid.prefix, None,
+                                      self.clock.monotonic_ns(), self.clock.wall_ns())
+        # One encoding serves every destination participant.
+        data = None
+        for address in addresses:
+            try:
+                if data is None:
+                    data = wire.encode_message(wire.WireMessage(self.guid.prefix, (sub,)))
+                self.transport.send(data, address)
+            except ValueError as exc:
+                log.warning("submessage not sent: %s", exc)
 
     def _destinations(self, readers: Iterable[Guid]) -> tuple[bool, tuple]:
         """Whether one of the readers is on this participant, and the

@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 # warning; callbacks are documented as non-blocking.
 _LISTENER_BUDGET_S = 0.1
 
+ReaderSession = ReliableReaderSession | BestEffortReaderSession
+
 
 @dataclass
 class ReaderStats:
@@ -77,7 +79,7 @@ class DataReader:
         self.history = ReaderHistory(profile.value(qos.QosPolicyId.HISTORY),
                                      profile.value(qos.QosPolicyId.RESOURCE_LIMITS))
         self._deadlines = DeadlineTracker(self._deadline_period_ns)
-        self._sessions: dict[Guid, ReliableReaderSession | BestEffortReaderSession] = {}
+        self._sessions: dict[Guid, ReaderSession] = {}
         self._match_records: dict[Guid, MatchRecord] = {}
         self._instances: dict[int, _InstanceState] = {}
         self.stats = ReaderStats()
@@ -86,15 +88,16 @@ class DataReader:
 
     # -- matching (driven by the participant) -------------------------
 
-    def _add_match(self, record: MatchRecord) -> None:
+    def _add_match(self, record: MatchRecord) -> Optional[ReaderSession]:
+        """Record a match; returns the session of a newly matched writer."""
         remote = record.remote
         self._match_records[remote.guid] = record
-        if remote.guid not in self._sessions:
-            if self._reliable:
-                self._sessions[remote.guid] = ReliableReaderSession(
-                    remote.guid, self.guid.entity_id)
-            else:
-                self._sessions[remote.guid] = BestEffortReaderSession(remote.guid)
+        if remote.guid in self._sessions:
+            return None
+        session = self._sessions[remote.guid] = (
+            ReliableReaderSession(remote.guid, self.guid.entity_id) if self._reliable
+            else BestEffortReaderSession(remote.guid))
+        return session
 
     def _remove_match(self, guid: Guid) -> None:
         self._match_records.pop(guid, None)
@@ -114,18 +117,13 @@ class DataReader:
 
     # -- arrival pipeline ---------------------------------------------
 
-    def _handle_data(self, writer_guid: tuple[bytes, int], sub: wire.Data,
+    def _handle_data(self, session: ReaderSession, sub: wire.Data,
                      now_mono_ns: int, now_wall_ns: int, decoded: list) -> None:
-        """Run one DATA through the arrival pipeline. ``decoded`` is the
-        caller's memo for this DATA alone, shared by the readers it is
-        handed to: (type descriptor, sample) pairs, the sample None for a
-        malformed payload, so the payload is deserialized once per type
-        however many readers accept it."""
-        session = self._sessions.get(writer_guid)
-        if session is None:
-            return
-        # The session's guid, not the one decoded from this datagram, so
-        # per-instance state and sample infos share one Guid per writer.
+        """Run one DATA from the session's writer through the arrival
+        pipeline. ``decoded`` is the caller's memo for this DATA alone,
+        shared by the readers it is handed to: (type descriptor, sample)
+        pairs, the sample None for a malformed payload, so the payload is
+        deserialized once per type however many readers accept it."""
         writer_guid = session.writer_guid
         if not session.on_data(sub.sequence):
             self.stats.duplicates_discarded += 1
@@ -222,20 +220,6 @@ class DataReader:
         if __debug__ and time.monotonic() - began > _LISTENER_BUDGET_S:
             log.warning("reader listener blocked the dispatch context for %.0f ms",
                         (time.monotonic() - began) * 1e3)
-
-    # -- protocol plumbing --------------------------------------------
-
-    def _handle_heartbeat(self, writer_guid: tuple[bytes, int],
-                          sub: wire.Heartbeat) -> Optional[wire.AckNack]:
-        session = self._sessions.get(writer_guid)
-        if isinstance(session, ReliableReaderSession):
-            return session.on_heartbeat(sub)
-        return None
-
-    def _handle_gap(self, writer_guid: tuple[bytes, int], sub: wire.Gap) -> None:
-        session = self._sessions.get(writer_guid)
-        if isinstance(session, ReliableReaderSession):
-            session.on_gap(sub)
 
     # -- application surface ------------------------------------------
 

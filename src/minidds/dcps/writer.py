@@ -153,15 +153,8 @@ class DataWriter:
 
     # -- timers (driven by the participant) ---------------------------
 
-    def _step(self, now_ns: int) -> list[Directed]:
-        return self.session.step(now_ns)
-
     def _expire(self, now_wall_ns: int) -> list[Directed]:
         return self.session.note_evicted(self.history.expire(now_wall_ns))
-
-    def _on_acknack(self, reader_guid: Guid, sub: wire.AckNack,
-                    now_ns: int) -> list[Directed]:
-        return self.session.on_acknack(reader_guid, sub, now_ns)
 
     # -- introspection ------------------------------------------------
 

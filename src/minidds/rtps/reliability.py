@@ -17,7 +17,13 @@ a requested sequence no longer in the cache is answered with a GAP.
 
 Reader side: a settled floor plus a sparse set of received sequences
 above it. GAPs and a heartbeat ``first_seq`` above the floor both mark
-the skipped range as unrecoverable, counted in ``samples_lost``.
+the skipped range as unrecoverable, counted in ``samples_lost``. The
+exception is a reader's first heartbeat while nothing has settled or
+been given up: it sets the floor one below the lower of its
+``first_seq`` and the lowest sequence already received, since a reader
+matched mid-stream was never owed what the writer sent before that.
+Both reader sessions answer HEARTBEAT and GAP; the best-effort one
+ignores them.
 """
 
 from __future__ import annotations
@@ -241,6 +247,10 @@ class ReliableReaderSession:
     def on_heartbeat(self, hb: wire.Heartbeat) -> Optional[wire.AckNack]:
         if hb.count <= self._last_heartbeat_count:
             return None  # stale or duplicated heartbeat
+        if not (self._last_heartbeat_count or self.floor or self.samples_lost):
+            # The first heartbeat: below it and every arrival, nothing was sent here.
+            self.floor = max(0, min((hb.first_seq, *self.received)) - 1)
+            self._compact()
         self._last_heartbeat_count = hb.count
         if hb.first_seq > self.floor + 1:
             # The writer no longer offers anything below first_seq.
@@ -306,3 +316,9 @@ class BestEffortReaderSession:
         self.samples_lost -= 1
         self._seen[slot] = 1
         return False
+
+    def on_heartbeat(self, hb: wire.Heartbeat) -> None:
+        return None  # a best-effort reader never acknowledges
+
+    def on_gap(self, gap: wire.Gap) -> None:
+        pass

@@ -1,8 +1,11 @@
 """The participant's receive pump: matched readers are served in reader
-creation order, a listener may add a reader mid-dispatch, closed
-readers and departed writers get no further delivery, and one spin
-never holds a received burst both as datagrams and as cached samples."""
+creation order and no other reader is visited, a listener may add a
+reader mid-dispatch, closed readers and departed writers get no further
+delivery and leave no trace in the match table, an ACKNACK the encoder
+refuses is dropped like any other submessage, and one spin never holds
+a received burst both as datagrams and as cached samples."""
 
+import logging
 import tracemalloc
 
 import pytest
@@ -12,6 +15,7 @@ from minidds.clock import ManualClock
 from minidds.dcps.guid import Guid
 from minidds.dcps.matching import EndpointDescriptor, EndpointType
 from minidds.dcps.participant import DomainParticipant
+from minidds.dcps.reader import DataReader
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
@@ -19,6 +23,8 @@ MS = 1_000_000
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
 RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
             qos.History(qos.HistoryKind.KEEP_ALL)]
+BEST_EFFORT = [qos.Reliability(qos.ReliabilityKind.BEST_EFFORT),
+               qos.History(qos.HistoryKind.KEEP_ALL)]
 
 
 def _payload(n):
@@ -93,8 +99,9 @@ def test_a_silent_peer_delivers_no_more(pair):
 
 
 def test_a_listener_may_create_a_reader_mid_dispatch(pair):
-    """Dispatch walks a copy of the reader table, so a reader created by
-    a listener neither breaks the walk nor sees the DATA that made it."""
+    """Dispatch walks an immutable entry of the match table, so a reader
+    created by a listener neither breaks the walk nor sees the DATA that
+    made it."""
     a, b, _, _ = pair
     writer, reader = _matched(a, b)
     topic = b.create_topic("t", COUNTER)
@@ -165,3 +172,105 @@ def test_one_spin_holds_a_burst_once(pair):
     assert burst > 200 * 20_000
     assert len(reader.take()) == 200
     assert (burst + peak - held) / burst < 1.5
+
+
+def _acknacks_sent(participant, monkeypatch):
+    """The reader entity ids of every ACKNACK the participant sends."""
+    acked = []
+    send = participant.transport.send
+
+    def recording(data, dest):
+        acked.extend(sub.reader_entity_id for sub in wire.decode_message(data).submessages
+                     if isinstance(sub, wire.AckNack))
+        send(data, dest)
+
+    monkeypatch.setattr(participant.transport, "send", recording)
+    return acked
+
+
+def test_a_data_visits_only_its_matched_readers(pair, monkeypatch):
+    a, b, _, _ = pair
+    writer, reader = _matched(a, b)
+    second = b.create_datareader(b.create_topic("t", COUNTER), RELIABLE)
+    for i in range(256):
+        b.create_datareader(b.create_topic(f"other{i}", COUNTER), RELIABLE)
+    visited = []
+    handle_data = DataReader._handle_data
+    monkeypatch.setattr(DataReader, "_handle_data", lambda self, *args: (
+        visited.append(self), handle_data(self, *args)))
+    writer.write({"n": 1})
+    _spin(b)
+    assert visited == [reader, second]
+    assert [len(r.take()) for r in (reader, second)] == [1, 1]
+
+
+def test_a_best_effort_reader_ignores_heartbeat_gap_and_direct(pair, monkeypatch):
+    a, b, rogue, _ = pair
+    writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE)
+    reader = b.create_datareader(b.create_topic("t", COUNTER), BEST_EFFORT)
+    _spin(a, b, a)
+    assert reader.matched_writers() == [writer.guid]
+    acked = _acknacks_sent(b, monkeypatch)
+    before = reader.statistics()
+    eid, target = writer.guid.entity_id, reader.guid.entity_id
+    _send(rogue, writer.guid.prefix,
+          wire.Heartbeat(eid, 5, 9, 1), wire.Gap(eid, 1, 4),
+          wire.Direct(target, wire.Heartbeat(eid, 5, 9, 2)),
+          wire.Direct(target, wire.Gap(eid, 1, 9)))
+    _spin(b)
+    assert acked == []
+    assert reader.statistics() == before
+
+
+def test_an_addressed_submessage_for_an_unmatched_reader_is_dropped(pair, monkeypatch):
+    a, b, rogue, _ = pair
+    writer, reader = _matched(a, b)
+    other = b.create_datareader(b.create_topic("u", COUNTER), RELIABLE)
+    acked = _acknacks_sent(b, monkeypatch)
+    eid = writer.guid.entity_id
+    for target in (other.guid.entity_id, 999):
+        _send(rogue, writer.guid.prefix,
+              wire.Data(eid, target, 1, 0, 0, _payload(1)),
+              wire.Direct(target, wire.Heartbeat(eid, 1, 1, target)))
+    _spin(b)
+    assert acked == []
+    assert [r.statistics().samples_received for r in (reader, other)] == [0, 0]
+    _send(rogue, writer.guid.prefix,
+          wire.Data(eid, reader.guid.entity_id, 1, 0, 0, _payload(1)))
+    _spin(b)
+    assert [s.values for s, _ in reader.take()] == [(1,)]
+
+
+def test_the_match_table_forgets_departed_endpoints(pair):
+    a, b, _, clock = pair
+    writer, reader = _matched(a, b)
+    topic = b.create_topic("t", COUNTER)
+    for _ in range(50):  # churn
+        b.create_datareader(topic, RELIABLE).close()
+    assert list(b._matched) == [writer.guid]
+    assert [r for r, _ in b._matched[writer.guid]] == [reader]
+    reader.close()
+    assert b._matched == {}
+
+    readers = [b.create_datareader(topic, RELIABLE) for _ in range(3)]
+    assert [r for r, _ in b._matched[writer.guid]] == readers
+    _spin(b)
+    clock.advance(3_100 * MS)
+    _spin(b)  # A never spins in this window, so it times out
+    assert [r.matched_writers() for r in readers] == [[], [], []]
+    assert b._matched == {}
+
+
+def test_an_acknack_the_encoder_refuses_is_logged_and_dropped(pair, monkeypatch, caplog):
+    a, b, rogue, _ = pair
+    writer, reader = _matched(a, b)
+    session = reader._sessions[writer.guid]
+    refused = wire.AckNack(reader.guid.entity_id, writer.guid, 1, (1, 1 + wire.ACKNACK_MAX_BITS))
+    monkeypatch.setattr(session, "on_heartbeat", lambda _hb: refused)
+    eid = writer.guid.entity_id
+    _send(rogue, writer.guid.prefix, wire.Heartbeat(eid, 1, 1, 1),
+          wire.Data(eid, 0, 1, 0, 0, _payload(4)))
+    with caplog.at_level(logging.WARNING, logger="minidds.dcps.participant"):
+        b.spin_once()  # returns: the refused ACKNACK does not escape it
+    assert "submessage not sent" in caplog.text
+    assert [s.values for s, _ in reader.take()] == [(4,)]

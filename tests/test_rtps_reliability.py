@@ -195,9 +195,28 @@ class TestReliableReaderSession:
         assert ack.base_seq == 5
         assert ack.missing == (5, 6)
 
+    def test_first_heartbeat_settles_what_was_never_sent(self):
+        """A reader matched mid-stream is owed nothing below the lower of
+        the first heartbeat's first_seq and its first arrival; later
+        heartbeats, and any after a GAP, give up skipped ranges as before."""
+        s = self._session()
+        s.on_data(6)
+        ack = s.on_heartbeat(wire.Heartbeat(11, 6, 6, count=1))
+        assert (s.floor, s.samples_lost, ack.base_seq) == (6, 0, 7)
+        s.on_heartbeat(wire.Heartbeat(11, 9, 9, count=2))
+        assert (s.floor, s.samples_lost) == (8, 2)  # 7 and 8 were sent, then given up
+        below = self._session()
+        below.on_data(2)
+        below.on_heartbeat(wire.Heartbeat(11, 4, 4, count=1))
+        assert (below.floor, below.samples_lost) == (3, 1)  # 3 came after 2: owed
+        gapped = self._session()
+        gapped.on_gap(wire.Gap(11, 1, 2))
+        gapped.on_heartbeat(wire.Heartbeat(11, 5, 5, count=1))
+        assert (gapped.floor, gapped.samples_lost) == (4, 4)
+
     def test_given_up_range_settles_what_arrived_above_it(self):
         """A reader matched mid-stream first sees 4, 6 and 8: the first
-        heartbeat gives up 1-3 and must also settle 4, so the ACKNACK
+        heartbeat settles 1-3 and must also settle 4, so the ACKNACK
         starts at the lowest missing sequence, as the encoder requires."""
         s = self._session()
         for seq in (4, 6, 8):
