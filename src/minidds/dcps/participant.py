@@ -13,25 +13,32 @@ dispatch as a datagram from this participant would, without being
 encoded: DATA, an addressed HEARTBEAT or GAP, and the reader's ACKNACK
 reply follow exactly the rules a remote peer's do.
 
-A write goes out by its writer's send plan: whether a matched reader is
-on this participant, and the addresses of the other matched readers'
-participants, in order and without repeats. The plan depends only on
-the writer's matches and on discovery's peer addresses, so it is built
-at the first write after the writer gains or loses a match, or after
-discovery adds, drops or re-addresses a peer (``Discovery.epoch``), and
-reused for every write in between. An item addressed to one reader (a
-retransmission, an addressed HEARTBEAT or GAP) looks up that reader's
+A write's DATA goes straight to its writer's send plan (``_broadcast``):
+whether a matched reader is on this participant, and the addresses of
+the other matched readers' participants, in order and without repeats.
+The plan depends only on the writer's matches and on discovery's peer
+addresses, so it is built at the first write after the writer gains or
+loses a match, or after discovery adds, drops or re-addresses a peer
+(``Discovery.epoch``), and reused for every write in between. The
+DATA is encoded once for all of them. The writer's other output (GAPs,
+retransmissions, late-joiner replays, HEARTBEATs) goes through
+``_route``; an item addressed to one reader looks up that reader's
 address each time.
 
-Dispatch looks up a DATA, HEARTBEAT or GAP's writer in one table of the
-(reader, session) pairs matched with it, in reader creation order, so
-readers not matched are not visited; an addressed DATA or DIRECT picks
-its reader out of the entry. An entry is an immutable tuple, so a
-listener may create or close a reader mid-dispatch, and is replaced
-only where a reader gains or loses a match with that writer (closing a
-reader too). ``spin_once`` releases each drained datagram as soon as it
-is dispatched, so a received burst is never held both as datagrams and
-as cached samples.
+``spin_once`` decodes each datagram and hands its submessages to one
+dispatch loop, which tests for DATA, the common kind, first; a send to
+this participant's own readers enters the same loop. It looks up a
+DATA, HEARTBEAT or GAP's writer in one table of the (reader, session)
+pairs matched with it, in reader creation order, so readers not matched
+are not visited; an addressed DATA or DIRECT picks its reader out of
+the entry. An entry is an immutable tuple, so a listener may create or
+close a reader mid-dispatch, and is replaced only where a reader gains
+or loses a match with that writer (closing a reader too). The readers
+of one DATA share its ``SampleInfo`` and its deserialized sample (one
+per reader type), both immutable; each reader keeps its own session,
+ownership, time-filter and source-order state. ``spin_once`` releases
+each drained datagram as soon as it is dispatched, so a received burst
+is never held both as datagrams and as cached samples.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from minidds.clock import SystemClock
 from minidds.dcps.errors import (InconsistentTopicError, InvalidQosError,
                                  TransportUnavailableError)
 from minidds.dcps.guid import Guid, fresh_prefix
+from minidds.dcps.history import SampleInfo
 from minidds.dcps.matching import (EndpointDescriptor, EndpointType, NoMatch, RxoQos,
                                    match_endpoints)
 from minidds.dcps.reader import DataReader
@@ -224,12 +232,14 @@ class DomainParticipant:
 
     def _drop_endpoint(self, entity) -> None:
         with self._lock:
-            if isinstance(entity, DataWriter):
-                self._writers.pop(entity.guid.entity_id, None)
-            else:
-                self._readers.pop(entity.guid.entity_id, None)
-                for writer_guid in entity._sessions:
-                    self._unlink(writer_guid, entity)
+            is_writer = isinstance(entity, DataWriter)
+            (self._writers if is_writer else self._readers).pop(entity.guid.entity_id, None)
+            # A closed endpoint lists no match; a reader's statistics keep
+            # what its sessions counted.
+            for guid in list(entity._match_records):
+                if not is_writer:
+                    self._unlink(guid, entity)
+                entity._remove_match(guid)
             self._unmatch(entity.guid)
             self.discovery.reset_announce_timer()
 
@@ -292,7 +302,13 @@ class DomainParticipant:
             batch = self.transport.drain()
             for i, (data, source) in enumerate(batch):
                 batch[i] = None  # release each datagram once it is dispatched
-                self._dispatch_datagram(data, source)
+                try:
+                    message = wire.decode_message(data)
+                except wire.WireError as exc:
+                    self.malformed_datagrams += 1
+                    log.debug("dropped malformed datagram from %s: %s", source, exc)
+                    continue
+                self._dispatch(message.submessages, message.sender_prefix, source)
             processed = len(batch)
             now = self.clock.monotonic_ns()
             if not self.closed and self.discovery.announce_due(now):
@@ -330,81 +346,81 @@ class DomainParticipant:
         for destination in destinations:
             self.transport.send(data, destination)
 
-    def _dispatch_datagram(self, data: bytes, source) -> None:
-        try:
-            message = wire.decode_message(data)
-        except wire.WireError as exc:
-            self.malformed_datagrams += 1
-            log.debug("dropped malformed datagram from %s: %s", source, exc)
-            return
+    def _dispatch(self, submessages, sender_prefix: bytes, source) -> None:
+        """Hand the submessages of one datagram, or of one local send, to
+        the endpoints they concern; DATA, the common kind, is tested first."""
         now = self.clock.monotonic_ns()
         now_wall = self.clock.wall_ns()
-        for sub in message.submessages:
-            self._dispatch_submessage(sub, message.sender_prefix, source,
-                                      now, now_wall)
-
-    def _dispatch_submessage(self, sub, sender_prefix: bytes, source,
-                             now: int, now_wall: int) -> None:
-        if isinstance(sub, wire.Announce):
-            event = self.discovery.process_announce(sub, sender_prefix, source, now)
-            if event is None:
-                return
-            for descriptor in event.added + event.changed:
-                self._match_remote(descriptor, now)
-            for guid in event.removed:
-                self._unmatch(guid)
-            if event.new_peer and not self.closed:
-                self._send_announce([source])
-        elif isinstance(sub, wire.Data):
-            # A plain tuple finds the entry keyed by the equal Guid.
-            pairs = self._matched.get((sender_prefix, sub.writer_entity_id), ())
-            if sub.reader_entity_id:  # addressed: that reader, if it is matched
-                pairs = [p for p in pairs if p[0].guid.entity_id == sub.reader_entity_id]
-            decoded: list = []
-            for reader, session in pairs:
-                reader._handle_data(session, sub, now, now_wall, decoded)
-        elif isinstance(sub, wire.AckNack):
-            if sub.writer_guid.prefix != self.guid.prefix:
-                return
-            writer = self._writers.get(sub.writer_guid.entity_id)
-            if writer is not None:
-                reader_guid = Guid(sender_prefix, sub.reader_entity_id)
-                self._route(writer, writer.session.on_acknack(reader_guid, sub, now))
-        elif isinstance(sub, (wire.Heartbeat, wire.Gap, wire.Direct)):
-            reader_entity_id, sub = sub if isinstance(sub, wire.Direct) else (0, sub)
-            pairs = self._matched.get((sender_prefix, sub.writer_entity_id), ())
-            if reader_entity_id:
-                pairs = [p for p in pairs if p[0].guid.entity_id == reader_entity_id]
-            for _, session in pairs:
-                if isinstance(sub, wire.Gap):
-                    session.on_gap(sub)
-                elif (ack := session.on_heartbeat(sub)) is not None:
-                    self._send(ack, *self._destinations((ack.writer_guid,)))
+        for sub in submessages:
+            if type(sub) is wire.Data:
+                # A plain tuple finds the entry keyed by the equal Guid.
+                pairs = self._matched.get((sender_prefix, sub.writer_entity_id))
+                if pairs and sub.reader_entity_id:  # addressed: that reader, if matched
+                    pairs = [p for p in pairs if p[0].guid.entity_id == sub.reader_entity_id]
+                if not pairs:
+                    continue
+                # Every field is the same for each reader: they share one
+                # record, and one sample per type in the ``decoded`` memo.
+                info = SampleInfo(pairs[0][1].writer_guid, sub.sequence,
+                                  sub.source_timestamp_ns, now, sub.instance_handle)
+                decoded: list = []
+                for reader, session in pairs:
+                    reader._handle_data(session, info, sub.payload, now_wall, decoded)
+            elif isinstance(sub, wire.Announce):
+                event = self.discovery.process_announce(sub, sender_prefix, source, now)
+                if event is None:
+                    continue
+                for descriptor in event.added + event.changed:
+                    self._match_remote(descriptor, now)
+                for guid in event.removed:
+                    self._unmatch(guid)
+                if event.new_peer and not self.closed:
+                    self._send_announce([source])
+            elif isinstance(sub, wire.AckNack):
+                if sub.writer_guid.prefix != self.guid.prefix:
+                    continue
+                writer = self._writers.get(sub.writer_guid.entity_id)
+                if writer is not None:
+                    reader_guid = Guid(sender_prefix, sub.reader_entity_id)
+                    self._route(writer, writer.session.on_acknack(reader_guid, sub, now))
+            else:  # HEARTBEAT, GAP or DIRECT
+                reader_entity_id, sub = sub if isinstance(sub, wire.Direct) else (0, sub)
+                pairs = self._matched.get((sender_prefix, sub.writer_entity_id), ())
+                if reader_entity_id:
+                    pairs = [p for p in pairs if p[0].guid.entity_id == reader_entity_id]
+                for _, session in pairs:
+                    if isinstance(sub, wire.Gap):
+                        session.on_gap(sub)
+                    elif (ack := session.on_heartbeat(sub)) is not None:
+                        self._send(ack, *self._destinations((ack.writer_guid,)))
 
     # ------------------------------------------------------------------
     # outbound routing
 
+    def _broadcast(self, writer: DataWriter, sub) -> None:
+        """Send a submessage to every reader matched with the writer, by
+        the writer's send plan."""
+        plan = writer._send_plan
+        if plan is None or plan[0] != self.discovery.epoch:
+            plan = writer._send_plan = (
+                self.discovery.epoch, *self._destinations(writer._match_records))
+        self._send(sub, plan[1], plan[2])
+
     def _route(self, writer: DataWriter, directed: list[Directed]) -> None:
-        for item in directed:
-            sub = item.submessage
-            if item.dest is None:
-                plan = writer._send_plan
-                if plan is None or plan[0] != self.discovery.epoch:
-                    plan = writer._send_plan = (
-                        self.discovery.epoch, *self._destinations(writer._match_records))
-                self._send(sub, plan[1], plan[2])
+        for dest, sub in directed:
+            if dest is None:
+                self._broadcast(writer, sub)
             else:
                 if isinstance(sub, (wire.Heartbeat, wire.Gap)):
-                    sub = wire.Direct(item.dest.entity_id, sub)
-                self._send(sub, *self._destinations((item.dest,)))
+                    sub = wire.Direct(dest.entity_id, sub)
+                self._send(sub, *self._destinations((dest,)))
 
     def _send(self, sub, local: bool, addresses: Iterable) -> None:
         """Dispatch a submessage to this participant's readers when
         ``local``, and send it to each address; a submessage the encoder
         refuses is logged and dropped."""
         if local:
-            self._dispatch_submessage(sub, self.guid.prefix, None,
-                                      self.clock.monotonic_ns(), self.clock.wall_ns())
+            self._dispatch((sub,), self.guid.prefix, None)
         # One encoding serves every destination participant.
         data = None
         for address in addresses:

@@ -19,7 +19,6 @@ from minidds.dcps.guid import Guid
 from minidds.dcps.history import ReaderHistory, SampleInfo
 from minidds.dcps.matching import EndpointDescriptor, MatchRecord
 from minidds.dcps.timing import DeadlineTracker
-from minidds.rtps import wire
 from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSession
 
 log = logging.getLogger(__name__)
@@ -45,13 +44,6 @@ class ReaderStats:
     samples_accepted: int = 0
     samples_lost: int = 0  # sequences given up as unrecoverable
     sequences_seen: int = 0  # distinct sequences that arrived, delivered or not
-
-
-@dataclass(slots=True)
-class _InstanceState:
-    last_accepted_ns: Optional[int] = None
-    newest_source: Optional[tuple[int, Guid]] = None
-    activity: Optional[dict[Guid, int]] = None  # writer -> last arrival
 
 
 class DataReader:
@@ -81,7 +73,12 @@ class DataReader:
         self._deadlines = DeadlineTracker(self._deadline_period_ns)
         self._sessions: dict[Guid, ReaderSession] = {}
         self._match_records: dict[Guid, MatchRecord] = {}
-        self._instances: dict[int, _InstanceState] = {}
+        # Per instance handle: the SampleInfo of the last arrival to pass
+        # the filters (the newest, for by-source order, and the time of the
+        # last accepted, for the time filter), and for an exclusive reader
+        # each writer's last arrival.
+        self._last_passed: dict[int, SampleInfo] = {}
+        self._activity: dict[int, dict[Guid, int]] = {}
         self.stats = ReaderStats()
         self.listener: Optional[Callable[["DataReader"], None]] = None
         self.closed = False
@@ -117,87 +114,81 @@ class DataReader:
 
     # -- arrival pipeline ---------------------------------------------
 
-    def _handle_data(self, session: ReaderSession, sub: wire.Data,
-                     now_mono_ns: int, now_wall_ns: int, decoded: list) -> None:
+    def _handle_data(self, session: ReaderSession, info: SampleInfo, payload: bytes,
+                     now_wall_ns: int, decoded: list) -> None:
         """Run one DATA from the session's writer through the arrival
-        pipeline. ``decoded`` is the caller's memo for this DATA alone,
-        shared by the readers it is handed to: (type descriptor, sample)
+        pipeline. ``info`` and ``decoded`` are the caller's, for this DATA
+        alone, and shared by the readers it is handed to: the SampleInfo,
+        which is the same for each of them, and (type descriptor, sample)
         pairs, the sample None for a malformed payload, so the payload is
         deserialized once per type however many readers accept it."""
-        writer_guid = session.writer_guid
-        if not session.on_data(sub.sequence):
-            self.stats.duplicates_discarded += 1
+        stats = self.stats
+        if not session.on_data(info.sequence):
+            stats.duplicates_discarded += 1
             return
-        self.stats.samples_received += 1
+        stats.samples_received += 1
         # Matched by identity: hashing the frozen descriptor costs microseconds.
         for descriptor, sample in decoded:
             if descriptor is self.type:
                 break
         else:
             try:
-                sample = idl.deserialize(self.type, sub.payload)
+                sample = idl.deserialize(self.type, payload)
             except idl.DecodeError:
                 sample = None
             decoded.append((self.type, sample))
         if sample is None:
-            self.stats.malformed_payloads += 1
+            stats.malformed_payloads += 1
             return
 
-        if (self._lifespan_ns != qos.INFINITE_NS
-                and now_wall_ns > sub.source_timestamp_ns + self._lifespan_ns):
-            self.stats.lifespan_expired += 1
+        lifespan = self._lifespan_ns
+        if lifespan != qos.INFINITE_NS and now_wall_ns > info.source_timestamp_ns + lifespan:
+            stats.lifespan_expired += 1
             return
 
-        handle = sub.instance_handle
-        inst = self._instances.get(handle)
-        if inst is None:
-            inst = self._instances[handle] = _InstanceState()
-
+        handle = info.instance_handle
+        now = info.arrival_timestamp_ns
         if self._exclusive:
-            owns = self._arbitrate(inst, writer_guid, now_mono_ns)
-            if inst.activity is None:
-                inst.activity = {}
-            inst.activity[writer_guid] = now_mono_ns
+            activity = self._activity.get(handle)
+            if activity is None:
+                activity = self._activity[handle] = {}
+            owns = self._arbitrate(activity, info.writer_guid, now)
+            activity[info.writer_guid] = now
             if not owns:
-                self.stats.ownership_filtered += 1
+                stats.ownership_filtered += 1
                 return
 
-        if (self._min_separation_ns > 0 and inst.last_accepted_ns is not None
-                and now_mono_ns < inst.last_accepted_ns + self._min_separation_ns):
-            self.stats.time_filter_dropped += 1
-            return
-
-        if self._by_source and inst.newest_source is not None:
-            newest_ts, newest_guid = inst.newest_source
-            newer = (sub.source_timestamp_ns > newest_ts
-                     or (sub.source_timestamp_ns == newest_ts
-                         and writer_guid < newest_guid))
-            if not newer:
-                self.stats.destination_order_dropped += 1
+        last = self._last_passed.get(handle)
+        if last is not None:
+            separation = self._min_separation_ns
+            if separation > 0 and now < last.arrival_timestamp_ns + separation:
+                stats.time_filter_dropped += 1
                 return
-
-        inst.last_accepted_ns = now_mono_ns
-        if self._by_source:
-            inst.newest_source = (sub.source_timestamp_ns, writer_guid)
+            if self._by_source and not (
+                    info.source_timestamp_ns > last.source_timestamp_ns
+                    or (info.source_timestamp_ns == last.source_timestamp_ns
+                        and info.writer_guid < last.writer_guid)):
+                stats.destination_order_dropped += 1
+                return
+        self._last_passed[handle] = info
         if self._deadlines.active:
-            self._deadlines.record(handle, now_mono_ns)
+            self._deadlines.record(handle, now)
 
-        info = SampleInfo(writer_guid, sub.sequence, sub.source_timestamp_ns,
-                          now_mono_ns, handle)
         outcome = self.history.insert(info, sample)
         if not outcome.accepted:
-            self.stats.rejected_by_limits += 1
+            stats.rejected_by_limits += 1
             return
-        self.stats.evicted_by_history += outcome.evicted_count
-        self.stats.samples_accepted += 1
+        stats.evicted_by_history += outcome.evicted_count
+        stats.samples_accepted += 1
         if self.listener is not None:
             self._notify()
 
-    def _arbitrate(self, inst: _InstanceState, arriving: Guid, now_ns: int) -> bool:
-        """Whether the arriving writer currently owns the instance."""
+    def _arbitrate(self, activity: dict[Guid, int], arriving: Guid, now_ns: int) -> bool:
+        """Whether the arriving writer currently owns the instance, given
+        each writer's last arrival on it."""
         period = self._deadline_period_ns
         candidates = {arriving}
-        for writer, seen_ns in (inst.activity or {}).items():
+        for writer, seen_ns in activity.items():
             if writer not in self._match_records:
                 continue
             if period != qos.INFINITE_NS and now_ns - seen_ns >= period:

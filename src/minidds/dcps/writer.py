@@ -46,7 +46,7 @@ class DataWriter:
             profile.value(qos.QosPolicyId.DEADLINE).period_ns)
         self._match_records: dict[Guid, MatchRecord] = {}
         # Where a write goes, derived from the matches; the participant
-        # builds it and a match change resets it (see participant._route).
+        # builds it and a match change resets it (see participant._broadcast).
         self._send_plan = None
         self.samples_written = 0
         self.closed = False
@@ -111,25 +111,25 @@ class DataWriter:
                 # A sample nobody can ask for again is not cached at all.
                 caching = session.keeps_history
                 if not caching or self.history.has_room(handle):
-                    now_wall = clock.wall_ns()
-                    source_ts = (source_timestamp_ns
-                                 if source_timestamp_ns is not None else now_wall)
-                    expiry = qos.INFINITE_NS
-                    if self._lifespan_ns != qos.INFINITE_NS:
-                        expiry = source_ts + self._lifespan_ns
-                    sequence = session.last_sequence + 1
-                    record = WriterSample(sequence, handle, payload, source_ts, expiry)
+                    source_ts = (source_timestamp_ns if source_timestamp_ns is not None
+                                 else clock.wall_ns())
+                    evicted = None
                     if caching:
-                        evicted = self.history.insert(record)
-                        directed = session.on_write(record)
-                        directed.extend(session.note_evicted(evicted))
-                    else:
-                        directed = session.on_write(record)
+                        expiry = qos.INFINITE_NS
+                        if self._lifespan_ns != qos.INFINITE_NS:
+                            expiry = source_ts + self._lifespan_ns
+                        # Cached first, under the sequence on_write assigns,
+                        # so a cache that refuses it leaves no sequence used.
+                        evicted = self.history.insert(WriterSample(
+                            session.last_sequence + 1, handle, payload, source_ts, expiry))
+                    data = session.on_write(handle, payload, source_ts)
                     if self._deadlines.active:
                         self._deadlines.record(handle, clock.monotonic_ns())
                     self.samples_written += 1
-                    self.participant._route(self, directed)
-                    return sequence
+                    self.participant._broadcast(self, data)
+                    if evicted:
+                        self.participant._route(self, session.note_evicted(evicted))
+                    return data.sequence
                 # Full keep-all cache: wait for acks to drain it.
                 if not (self._reliable and self._keep_all):
                     raise ResourceLimitsError("writer history full")

@@ -3,7 +3,9 @@
 Sessions are transport-free state machines: every input carries ``now``
 (nanoseconds) and outputs are ``Directed`` submessages for the caller to
 route. A ``dest`` of None means "every matched peer of this writer";
-otherwise the datagram goes only to that reader's participant.
+otherwise the datagram goes only to that reader's participant. A write
+is the exception: ``on_write`` returns its DATA alone, which always goes
+to every matched peer.
 
 Writer side: ``keeps_history`` says whether a written sample can be sent
 again, to a TRANSIENT_LOCAL writer's late joiner or on a RELIABLE
@@ -13,7 +15,10 @@ floor, heartbeat timer, and per-sequence retransmit stamps. Heartbeats
 flow every ``heartbeat_period`` (50 ms) while that reader has unacked
 samples and stop once it is caught up. A requested sequence still in
 the cache is retransmitted at most once per ``response_delay`` (5 ms);
-a requested sequence no longer in the cache is answered with a GAP.
+a requested sequence no longer in the cache is answered with a GAP. An
+ACKNACK acknowledges at most what was written: a base above
+``last_sequence + 1`` counts as ``last_sequence + 1``. So no floor is
+ever above the next write, and a write needs no release.
 
 Reader side: a settled floor plus a sparse set of received sequences
 above it. GAPs and a heartbeat ``first_seq`` above the floor both mark
@@ -89,7 +94,8 @@ class WriterSession:
 
     def add_reader(self, guid: Guid, *, reliable: bool, wants_history: bool,
                    now_ns: int) -> list[Directed]:
-        """Register a matched reader; returns any late-joiner replay."""
+        """Register a newly matched reader (not one already matched);
+        returns any late-joiner replay."""
         cached = self.history.by_seq  # in sequence order
         replay = reliable and wants_history and bool(cached)
         floor = next(iter(cached)) if replay else self.last_sequence + 1
@@ -121,12 +127,16 @@ class WriterSession:
                          sample.source_timestamp_ns, sample.instance_handle,
                          sample.payload)
 
-    def on_write(self, sample: WriterSample) -> list[Directed]:
-        self.last_sequence = max(self.last_sequence, sample.sequence)
-        out = [Directed(None, self._data_for(sample, 0))]
-        if self.history.by_seq:  # an empty cache has nothing to release
-            self._maybe_release()
-        return out
+    def on_write(self, instance_handle: int, payload: bytes,
+                 source_timestamp_ns: int) -> wire.Data:
+        """Assign the next sequence; returns the DATA for every matched
+        reader. Caching the sample is the writer's part: it inserts it as
+        ``last_sequence + 1`` first, while ``keeps_history`` holds. Nothing
+        is released here: no floor is above ``last_sequence + 1``, so the
+        cache already holds nothing acknowledged by every reader."""
+        self.last_sequence = sequence = self.last_sequence + 1
+        return wire.Data(self.writer_entity_id, 0, sequence, source_timestamp_ns,
+                         instance_handle, payload)
 
     def note_evicted(self, evicted: list[WriterSample]) -> list[Directed]:
         """Advertise history-evicted sequences so readers stop asking."""
@@ -144,9 +154,12 @@ class WriterSession:
         proxy = self._proxies.get(reader_guid)
         if proxy is None or not proxy.reliable:
             return []
-        if ack.base_seq > proxy.acked_below:
-            proxy.acked_below = ack.base_seq
-            for seq in [s for s in proxy.last_resend_ns if s < ack.base_seq]:
+        # An acknowledgement of sequences not yet written acknowledges only
+        # what was written: those later writes are still owed to the reader.
+        base = min(ack.base_seq, self.last_sequence + 1)
+        if base > proxy.acked_below:
+            proxy.acked_below = base
+            for seq in [s for s in proxy.last_resend_ns if s < base]:
                 del proxy.last_resend_ns[seq]
             self._maybe_release()
         out: list[Directed] = []

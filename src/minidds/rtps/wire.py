@@ -42,8 +42,10 @@ ACKNACK_MAX_BITS = 256
 _HEADER = struct.Struct("<4s2s2x12s")  # magic, version, reserved, sender prefix
 _SUBMSG_HEADER = struct.Struct("<BBH")  # kind, flags, body length
 _DATA_HEAD = struct.Struct("<IIQqQI")  # writer, reader, seq, stamp, handle, length
-# A DATA submessage's header and head together, so one pack writes both.
-_DATA_SUBMSG = struct.Struct(_SUBMSG_HEADER.format + _DATA_HEAD.format[1:])
+# A message of one DATA, the common datagram, up to its payload: message
+# header, submessage header and DATA head, so one pack writes all three.
+_DATA_MESSAGE = struct.Struct(
+    _HEADER.format + _SUBMSG_HEADER.format[1:] + _DATA_HEAD.format[1:])
 _HEARTBEAT = struct.Struct("<IQQI")
 _ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
 _GAP = struct.Struct("<IQQ")
@@ -167,15 +169,9 @@ def _encode_announce(sub: Announce) -> bytes:
 
 def _encode_submessage(sub: Submessage) -> bytes:
     if isinstance(sub, Data):
-        payload = sub.payload
-        length = _DATA_HEAD.size + len(payload)
-        if length > 0xFFFF:
-            raise ValueError("submessage body too large")
-        return _DATA_SUBMSG.pack(KIND_DATA, 0, length, sub.writer_entity_id,
-                                 sub.reader_entity_id, sub.sequence,
-                                 sub.source_timestamp_ns, sub.instance_handle,
-                                 len(payload)) + payload
-    if isinstance(sub, Announce):
+        kind = KIND_DATA
+        body = _DATA_HEAD.pack(*sub[:5], len(sub.payload)) + sub.payload
+    elif isinstance(sub, Announce):
         kind, body = KIND_ANNOUNCE, _encode_announce(sub)
     elif isinstance(sub, Heartbeat):
         kind = KIND_HEARTBEAT
@@ -215,12 +211,21 @@ def _encode_submessage(sub: Submessage) -> bytes:
 
 
 def encode_message(message: WireMessage) -> bytes:
-    if len(message.sender_prefix) != PREFIX_LEN:
+    prefix, submessages = message
+    if len(prefix) != PREFIX_LEN:
         raise ValueError("sender prefix must be 12 bytes")
-    if not message.submessages:
+    if len(submessages) == 1 and type(submessages[0]) is Data:
+        writer_eid, reader_eid, seq, ts, handle, payload = submessages[0]
+        length = _DATA_HEAD.size + len(payload)
+        if length > 0xFFFF:
+            raise ValueError("submessage body too large")
+        out = _DATA_MESSAGE.pack(MAGIC, VERSION, prefix, KIND_DATA, 0, length,
+                                 writer_eid, reader_eid, seq, ts, handle,
+                                 len(payload)) + payload
+    elif not submessages:
         raise ValueError("a message carries at least one submessage")
-    out = b"".join([_HEADER_START, message.sender_prefix,
-                    *map(_encode_submessage, message.submessages)])
+    else:
+        out = b"".join([_HEADER_START, prefix, *map(_encode_submessage, submessages)])
     if len(out) > MAX_DATAGRAM:
         raise ValueError(f"datagram of {len(out)} bytes exceeds UDP limit")
     return out

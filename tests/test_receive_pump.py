@@ -14,7 +14,7 @@ from minidds import idl, qos
 from minidds.clock import ManualClock
 from minidds.dcps.guid import Guid
 from minidds.dcps.matching import EndpointDescriptor, EndpointType
-from minidds.dcps.participant import DomainParticipant
+from minidds.dcps.participant import DomainParticipant, Topic
 from minidds.dcps.reader import DataReader
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
@@ -75,6 +75,26 @@ def test_a_closed_reader_gets_no_delivery(pair):
     writer, reader = _matched(a, b)
     reader.close()
     assert _no_delivery_from(writer, reader, b, rogue)
+
+
+def test_a_closed_reader_lists_no_match_and_keeps_its_counts(pair):
+    a, b, _, _ = pair
+    writer, reader = _matched(a, b)
+    writer.write({"n": 1})
+    _spin(b)
+    reader.close()
+    assert reader.matched_writers() == [] and reader.matches() == []
+    assert reader._sessions == {}
+    assert reader.statistics().sequences_seen == 1
+
+
+def test_a_closed_writer_lists_no_match_and_keeps_no_cache(pair):
+    a, b, _, _ = pair
+    writer, _ = _matched(a, b)
+    writer.write({"n": 1})  # unacknowledged, so cached
+    writer.close()
+    assert writer.matched_readers() == [] and writer.matches() == []
+    assert not writer.unacknowledged() and len(writer.history) == 0
 
 
 def test_a_writer_gone_from_announces_delivers_no_more(pair):
@@ -274,3 +294,95 @@ def test_an_acknack_the_encoder_refuses_is_logged_and_dropped(pair, monkeypatch,
         b.spin_once()  # returns: the refused ACKNACK does not escape it
     assert "submessage not sent" in caplog.text
     assert [s.values for s, _ in reader.take()] == [(4,)]
+
+
+def _reader(b, policies, topic=None):
+    return b.create_datareader(topic or b.create_topic("t", COUNTER), RELIABLE + policies)
+
+
+def _values(reader):
+    return [sample.values for sample, _ in reader.take()]
+
+
+def test_readers_of_one_participant_share_one_info_and_sample(pair):
+    a, b, _, _ = pair
+    writer, first = _matched(a, b)
+    second = _reader(b, [])
+    _spin(a, b, a)
+    writer.write({"n": 5})
+    _spin(b)
+    (sample, info), = first.take()
+    (other_sample, other_info), = second.take()
+    assert sample.values == (5,) and info.sequence == 1
+    assert other_sample is sample and other_info is info
+
+
+def test_a_reader_of_another_type_decodes_its_own_sample(pair):
+    a, b, _, _ = pair
+    writer, signed = _matched(a, b)
+    unsigned_type = idl.parse_idl("struct Counter { unsigned long n; };")[0]
+    topic = b.create_topic("t", COUNTER)
+    unsigned = _reader(b, [], Topic("t", unsigned_type, topic.qos))
+    _spin(a, b, a)
+    writer.write({"n": -1})
+    _spin(b)
+    (sample, info), = signed.take()
+    (other_sample, other_info), = unsigned.take()
+    assert (sample.values, other_sample.values) == ((-1,), (2**32 - 1,))
+    assert other_info is info
+
+
+def test_source_order_is_kept_per_reader(pair):
+    """The early reader has seen a newer sample and drops the older one;
+    the late reader, served after it, still takes it."""
+    a, b, _, _ = pair
+    by_source = [qos.DestinationOrder(qos.DestinationOrderKind.BY_SOURCE_TIMESTAMP)]
+    writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE + by_source)
+    early = _reader(b, by_source)
+    _spin(a, b, a)
+    writer.write({"n": 1}, source_timestamp_ns=200)
+    _spin(b)
+    late = _reader(b, by_source)
+    _spin(a, b, a)
+    writer.write({"n": 2}, source_timestamp_ns=100)
+    _spin(b)
+    assert _values(early) == [(1,)]
+    assert _values(late) == [(2,)]
+    assert (early.stats.destination_order_dropped, late.stats.destination_order_dropped) == (1, 0)
+
+
+def test_the_time_filter_is_kept_per_reader(pair):
+    a, b, _, clock = pair
+    writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE)
+    filtered = _reader(b, [qos.TimeBasedFilter(10 * MS)])
+    plain = _reader(b, [])
+    _spin(a, b, a)
+    for n in (1, 2):
+        writer.write({"n": n})
+        _spin(b)
+        clock.advance(MS)
+    assert _values(filtered) == [(1,)]
+    assert _values(plain) == [(1,), (2,)]
+    assert (filtered.stats.time_filter_dropped, plain.stats.time_filter_dropped) == (1, 0)
+
+
+def test_ownership_is_kept_per_reader(pair):
+    """The first reader has seen the strong writer and drops the weak
+    one's sample; the second, matched after, has not and takes it."""
+    a, b, _, _ = pair
+    exclusive = [qos.Ownership(qos.OwnershipKind.EXCLUSIVE)]
+    topic = a.create_topic("t", COUNTER)
+    strong = a.create_datawriter(topic, RELIABLE + exclusive + [qos.OwnershipStrength(10)])
+    weak = a.create_datawriter(topic, RELIABLE + exclusive + [qos.OwnershipStrength(5)])
+    first = _reader(b, exclusive)
+    _spin(a, b, a)
+    strong.write({"n": 1})
+    _spin(b)
+    second = _reader(b, exclusive)
+    _spin(a, b, a)
+    assert len(second.matched_writers()) == 2
+    weak.write({"n": 2})
+    _spin(b)
+    assert _values(first) == [(1,)]
+    assert _values(second) == [(2,)]
+    assert (first.stats.ownership_filtered, second.stats.ownership_filtered) == (1, 0)

@@ -21,11 +21,15 @@ def _writer(transient_local=False, history_kind=qos.HistoryKind.KEEP_ALL, depth=
 
 
 def _write(history, session, sequence, handle=0):
-    sample = WriterSample(sequence, handle, b"p%d" % sequence, sequence * 10)
-    evicted = history.insert(sample)
-    out = session.on_write(sample)
-    out.extend(session.note_evicted(evicted))
-    return out
+    """A DataWriter's write of ``sequence``: cached while the session keeps
+    history, then broadcast, then any evictions advertised."""
+    assert sequence == session.last_sequence + 1
+    payload, stamp = b"p%d" % sequence, sequence * 10
+    evicted = []
+    if session.keeps_history:
+        evicted = history.insert(WriterSample(sequence, handle, payload, stamp))
+    data = session.on_write(handle, payload, stamp)
+    return [Directed(None, data), *session.note_evicted(evicted)]
 
 
 class TestWriterSession:

@@ -364,6 +364,44 @@ class TestDecodeErrors:
         assert type(data.payload) is bytes and gap == wire.Gap(1, 1, 2)
 
 
+def _data_by_layout(prefix, writer, reader, sequence, stamp, handle, payload):
+    """A one-DATA message built field by field from docs/wire.md."""
+    le = "little"
+    body = (writer.to_bytes(4, le) + reader.to_bytes(4, le) + sequence.to_bytes(8, le)
+            + stamp.to_bytes(8, le, signed=True) + handle.to_bytes(8, le)
+            + len(payload).to_bytes(4, le) + payload)
+    return (b"MDDS" + bytes([1, 0]) + bytes(2) + prefix
+            + bytes([0x02, 0]) + len(body).to_bytes(2, le) + body)
+
+
+class TestOneDataMessage:
+    """A message of one DATA is packed by one struct; it must give the
+    bytes of the documented layout, as any other message does."""
+
+    LARGEST_PAYLOAD = wire.MAX_DATAGRAM - 60
+
+    def test_matches_the_documented_layout(self):
+        rng = random.Random(2112)
+        for _ in range(3000):
+            size = rng.choice((0, rng.randint(1, 64), rng.randint(65, 4096),
+                               self.LARGEST_PAYLOAD))
+            fields = (rng.getrandbits(32), rng.getrandbits(32), rng.getrandbits(64),
+                      rng.randint(-2**63, 2**63 - 1), rng.getrandbits(64),
+                      rng.randbytes(size))
+            prefix = rng.randbytes(12)
+            encoded = _encode(wire.Data(*fields), prefix=prefix)
+            assert encoded == _data_by_layout(prefix, *fields)
+            assert wire.decode_message(encoded) == _message(wire.Data(*fields), prefix=prefix)
+
+    @pytest.mark.parametrize("size,reason", [
+        (LARGEST_PAYLOAD + 1, "exceeds UDP limit"),
+        (0xFFFF - 35, "submessage body too large"),
+    ])
+    def test_size_limits(self, size, reason):
+        with pytest.raises(ValueError, match=reason):
+            _encode(wire.Data(1, 0, 1, 0, 0, bytes(size)))
+
+
 class TestFuzz:
     def test_mutated_datagrams_never_crash(self):
         ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "fuzz/topic", "FuzzType",

@@ -154,10 +154,11 @@ class _ReferenceSession:
         proxy = self.proxies.get(guid)
         if proxy is None or not proxy.reliable:
             return []
-        if ack.base_seq > proxy.acked_below:
-            proxy.acked_below = ack.base_seq
+        base = min(ack.base_seq, self.last_sequence + 1)  # nothing unwritten is acked
+        if base > proxy.acked_below:
+            proxy.acked_below = base
             proxy.last_resend_ns = {s: t for s, t in proxy.last_resend_ns.items()
-                                    if s >= ack.base_seq}
+                                    if s >= base}
             self._release()
         out, gone = [], []
         for seq in ack.missing:
@@ -241,9 +242,11 @@ def test_matches_the_brute_force_reference(seed):
     for _ in range(600):
         op = rng.random()
         if op < 0.4:
+            # As DataWriter.write: cached only while the session keeps history.
             handle = rng.choice(HANDLES)
             assert history.has_room(handle) == reference.has_room(handle)
-            if not history.has_room(handle):
+            caching = session.keeps_history
+            if caching and not history.has_room(handle):
                 continue
             expiry = qos.INFINITE_NS
             source_ts = wall + rng.randint(-100, 100)  # out of order
@@ -252,14 +255,19 @@ def test_matches_the_brute_force_reference(seed):
                 expiry = source_ts + lifespan
             sample = WriterSample(session.last_sequence + 1, handle,
                                   b"%d" % rng.randrange(1000), source_ts, expiry)
-            try:
-                evicted = reference.insert(sample)
-            except ResourceLimitsError:
-                with pytest.raises(ResourceLimitsError):
-                    history.insert(sample)
-                continue
-            assert history.insert(sample) == evicted
-            out = session.on_write(sample) + session.note_evicted(evicted)
+            evicted = []
+            if caching:
+                try:
+                    evicted = reference.insert(sample)
+                except ResourceLimitsError:
+                    with pytest.raises(ResourceLimitsError):
+                        history.insert(sample)
+                    continue
+                assert history.insert(sample) == evicted
+            data = session.on_write(handle, sample.payload, source_ts)
+            out = [Directed(None, data)] + session.note_evicted(evicted)
+            # The reference releases on every write too: it must find
+            # nothing to release.
             assert out == (ref_session.on_write(sample)
                            + ref_session.note_evicted(evicted))
         elif op < 0.6:
@@ -285,6 +293,9 @@ def test_matches_the_brute_force_reference(seed):
         elif op < 0.9:
             guid = rng.choice(READERS)
             reliable, wants_history = rng.random() < 0.8, rng.random() < 0.5
+            if guid in ref_session.proxies:  # a writer rematches, never re-adds
+                session.remove_reader(guid)
+                ref_session.remove_reader(guid)
             assert session.add_reader(guid, reliable=reliable,
                                       wants_history=wants_history, now_ns=now) == \
                 ref_session.add_reader(guid, reliable=reliable,
@@ -324,9 +335,8 @@ def test_release_and_heartbeats_stay_flat_as_the_cache_grows():
             pytest.fail(f"over the {budget_s} s budget while {what} at {i} of {n}")
 
     for seq in range(1, n + 1):
-        sample = WriterSample(seq, 0, b"", seq)
-        history.insert(sample)
-        session.on_write(sample)
+        history.insert(WriterSample(seq, 0, b"", seq))
+        session.on_write(0, b"", seq)
         within_budget("caching", seq)
     assert len(history) == n
     now = 0

@@ -163,3 +163,31 @@ def test_a_keep_all_writer_with_max_samples_and_best_effort_readers_never_blocks
     assert len(writer.history) == 0
     _spin(b)
     assert _values(reader) == list(range(1, 11))
+
+
+def test_an_acknack_past_the_last_write_leaves_later_writes_owed(parts):
+    """A reader that acknowledges sequences not yet written acknowledges
+    only those written: the next write stays cached and unacknowledged,
+    so a heartbeat gets it repaired."""
+    net, clock, (a, b, _) = parts
+    writer = _endpoint(a, "writer", [RELIABLE, KEEP_ALL])
+    reader = _endpoint(b, "reader", [RELIABLE, KEEP_ALL])
+    _spin(a, b, a)
+    for n in (1, 2):
+        writer.write({"n": n})
+    _spin(b)
+    assert _values(reader) == [1, 2]
+    ahead = wire.AckNack(reader.guid.entity_id, writer.guid, 100, ())
+    net.attach("rogue").send(
+        wire.encode_message(wire.WireMessage(reader.guid.prefix, (ahead,))), "A")
+    _spin(a)
+    assert len(writer.history) == 0
+    writer.write({"n": 3})
+    b.transport.drain()  # the DATA is lost on its way to B
+    assert len(writer.history) == 1 and writer.unacknowledged()
+    clock.advance(50 * MS)
+    _spin(a, b, a, b)
+    assert _values(reader) == [3]
+    clock.advance(50 * MS)
+    _spin(a, b, a)  # the next heartbeat draws the acknowledgement of 3
+    assert not writer.unacknowledged() and len(writer.history) == 0
