@@ -39,6 +39,15 @@ per reader type), both immutable; each reader keeps its own session,
 ownership, time-filter and source-order state. ``spin_once`` releases
 each drained datagram as soon as it is dispatched, so a received burst
 is never held both as datagrams and as cached samples.
+
+Arrival is stamped once per drained batch: ``spin_once`` reads the
+clock right after the drain, when every datagram of the batch had
+arrived, and each of them is dispatched with that one stamp (the
+``arrival_timestamp_ns`` of its samples, the time of its ACKNACKs and
+announces), even if a listener runs or the clock moves before the last
+one is dispatched. A send to this participant's own readers reads the
+clock when it is sent. Announces, timeouts and the writers' timers then
+read the clock again, after the batch.
 """
 
 from __future__ import annotations
@@ -72,6 +81,10 @@ _WRITER_KINDS = frozenset({qos.EntityKind.DATA_WRITER, qos.EntityKind.PUBLISHER}
 _READER_KINDS = frozenset({qos.EntityKind.DATA_READER, qos.EntityKind.SUBSCRIBER})
 
 QosInput = Union[qos.QosProfile, Iterable, Mapping, None]
+
+# Builds a SampleInfo from a tuple of its fields without the Python-level
+# ``__new__`` that NamedTuple generates; once per DATA arrival.
+_tuple_new = tuple.__new__
 
 
 class Topic:
@@ -300,6 +313,9 @@ class DomainParticipant:
         """One protocol iteration; returns the number of datagrams handled."""
         with self._lock:
             batch = self.transport.drain()
+            # Every datagram of the batch had arrived by the drain: one stamp.
+            arrived = self.clock.monotonic_ns()
+            arrived_wall = self.clock.wall_ns()
             for i, (data, source) in enumerate(batch):
                 batch[i] = None  # release each datagram once it is dispatched
                 try:
@@ -308,7 +324,8 @@ class DomainParticipant:
                     self.malformed_datagrams += 1
                     log.debug("dropped malformed datagram from %s: %s", source, exc)
                     continue
-                self._dispatch(message.submessages, message.sender_prefix, source)
+                self._dispatch(message.submessages, message.sender_prefix, source,
+                               arrived, arrived_wall)
             processed = len(batch)
             now = self.clock.monotonic_ns()
             if not self.closed and self.discovery.announce_due(now):
@@ -346,11 +363,11 @@ class DomainParticipant:
         for destination in destinations:
             self.transport.send(data, destination)
 
-    def _dispatch(self, submessages, sender_prefix: bytes, source) -> None:
+    def _dispatch(self, submessages, sender_prefix: bytes, source,
+                  now: int, now_wall: int) -> None:
         """Hand the submessages of one datagram, or of one local send, to
-        the endpoints they concern; DATA, the common kind, is tested first."""
-        now = self.clock.monotonic_ns()
-        now_wall = self.clock.wall_ns()
+        the endpoints they concern, as arrived at ``now`` (monotonic) and
+        ``now_wall``; DATA, the common kind, is tested first."""
         for sub in submessages:
             if type(sub) is wire.Data:
                 # A plain tuple finds the entry keyed by the equal Guid.
@@ -361,8 +378,9 @@ class DomainParticipant:
                     continue
                 # Every field is the same for each reader: they share one
                 # record, and one sample per type in the ``decoded`` memo.
-                info = SampleInfo(pairs[0][1].writer_guid, sub.sequence,
-                                  sub.source_timestamp_ns, now, sub.instance_handle)
+                info = _tuple_new(SampleInfo, (pairs[0][1].writer_guid, sub.sequence,
+                                               sub.source_timestamp_ns, now,
+                                               sub.instance_handle))
                 decoded: list = []
                 for reader, session in pairs:
                     reader._handle_data(session, info, sub.payload, now_wall, decoded)
@@ -420,7 +438,8 @@ class DomainParticipant:
         ``local``, and send it to each address; a submessage the encoder
         refuses is logged and dropped."""
         if local:
-            self._dispatch((sub,), self.guid.prefix, None)
+            self._dispatch((sub,), self.guid.prefix, None,
+                           self.clock.monotonic_ns(), self.clock.wall_ns())
         # One encoding serves every destination participant.
         data = None
         for address in addresses:

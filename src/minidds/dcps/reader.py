@@ -73,8 +73,8 @@ class DataReader:
         self._deadlines = DeadlineTracker(self._deadline_period_ns)
         self._sessions: dict[Guid, ReaderSession] = {}
         self._match_records: dict[Guid, MatchRecord] = {}
-        # Per instance handle: the SampleInfo of the last arrival to pass
-        # the filters (the newest, for by-source order, and the time of the
+        # Per instance handle: the SampleInfo of the last arrival the cache
+        # accepted (the newest, for by-source order, and the time of the
         # last accepted, for the time filter), and for an exclusive reader
         # each writer's last arrival.
         self._last_passed: dict[int, SampleInfo] = {}
@@ -170,7 +170,6 @@ class DataReader:
                         and info.writer_guid < last.writer_guid)):
                 stats.destination_order_dropped += 1
                 return
-        self._last_passed[handle] = info
         if self._deadlines.active:
             self._deadlines.record(handle, now)
 
@@ -178,6 +177,7 @@ class DataReader:
         if not outcome.accepted:
             stats.rejected_by_limits += 1
             return
+        self._last_passed[handle] = info
         stats.evicted_by_history += outcome.evicted_count
         stats.samples_accepted += 1
         if self.listener is not None:

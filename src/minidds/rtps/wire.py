@@ -412,8 +412,27 @@ _DECODERS = {
 }
 
 
+# A message of one DATA: the size of its head (everything up to the
+# payload) and the offset of the DATA body; and the one call that reads it.
+_DATA_MESSAGE_LEN = _DATA_MESSAGE.size
+_DATA_BODY_START = HEADER_LEN + SUBMSG_HEADER_LEN
+_unpack_data_message = _DATA_MESSAGE.unpack_from
+
+
 def decode_message(data: bytes) -> WireMessage:
     size = len(data)
+    if size >= _DATA_MESSAGE_LEN:
+        # The common datagram, a well-formed message of one DATA, is read
+        # by one struct call; anything else, malformed input included,
+        # takes the loop below.
+        (magic, version, prefix, kind, _flags, length, writer_eid, reader_eid,
+         seq, ts, handle, payload_len) = _unpack_data_message(data)
+        if (kind == KIND_DATA and payload_len == size - _DATA_MESSAGE_LEN
+                and length == size - _DATA_BODY_START
+                and magic == MAGIC and version == VERSION):
+            return _tuple_new(WireMessage, (prefix, (_tuple_new(Data, (
+                writer_eid, reader_eid, seq, ts, handle,
+                data[_DATA_MESSAGE_LEN:])),)))
     if size < HEADER_LEN:
         raise WireError(0, "datagram shorter than header")
     magic, version, prefix = _HEADER.unpack_from(data)

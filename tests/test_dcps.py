@@ -414,6 +414,37 @@ class TestQosBehaviors:
         assert stats.samples_accepted == 2
         assert stats.rejected_by_limits == 2
 
+    def _full_reader(self, solo, policies, writer_policies=()):
+        """A keep-all reader that holds one sample, and a writer."""
+        topic = solo.create_topic("t", _counter_type())
+        reader = solo.create_datareader(
+            topic, policies + [qos.History(qos.HistoryKind.KEEP_ALL),
+                               qos.ResourceLimits(max_samples=1)])
+        return reader, solo.create_datawriter(topic, list(writer_policies))
+
+    def test_time_filter_counts_from_the_last_accepted_sample(self, solo):
+        reader, writer = self._full_reader(solo, [qos.TimeBasedFilter(100 * MS)])
+        writer.write({"n": 1})
+        solo.clock.advance(150 * MS)
+        writer.write({"n": 2})      # refused by the full cache
+        assert _values(reader.take()) == [(1,)]
+        solo.clock.advance(60 * MS)
+        writer.write({"n": 3})      # 210 ms after the last accepted sample
+        assert _values(reader.take()) == [(3,)]
+        stats = reader.statistics()
+        assert (stats.rejected_by_limits, stats.time_filter_dropped) == (1, 0)
+
+    def test_source_order_counts_from_the_last_accepted_sample(self, solo):
+        by_source = [qos.DestinationOrder(qos.DestinationOrderKind.BY_SOURCE_TIMESTAMP)]
+        reader, writer = self._full_reader(solo, by_source, by_source)
+        writer.write({"n": 1}, source_timestamp_ns=100)
+        writer.write({"n": 2}, source_timestamp_ns=300)  # refused by the full cache
+        assert _values(reader.take()) == [(1,)]
+        writer.write({"n": 3}, source_timestamp_ns=200)  # newer than the last accepted
+        assert _values(reader.take()) == [(3,)]
+        stats = reader.statistics()
+        assert (stats.rejected_by_limits, stats.destination_order_dropped) == (1, 0)
+
 
 # ---------------------------------------------------------------------------
 # Two participants over the in-process network

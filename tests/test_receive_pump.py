@@ -2,8 +2,11 @@
 creation order and no other reader is visited, a listener may add a
 reader mid-dispatch, closed readers and departed writers get no further
 delivery and leave no trace in the match table, an ACKNACK the encoder
-refuses is dropped like any other submessage, and one spin never holds
-a received burst both as datagrams and as cached samples."""
+refuses is dropped like any other submessage, one spin never holds
+a received burst both as datagrams and as cached samples, each drained
+datagram is decoded once (a malformed one is counted and delivers
+nothing), and every datagram of one drained batch carries the arrival
+stamp read at the drain."""
 
 import logging
 import tracemalloc
@@ -386,3 +389,60 @@ def test_ownership_is_kept_per_reader(pair):
     assert _values(first) == [(1,)]
     assert _values(second) == [(2,)]
     assert (first.stats.ownership_filtered, second.stats.ownership_filtered) == (1, 0)
+
+
+def _one_data(writer, n):
+    return wire.encode_message(wire.WireMessage(writer.guid.prefix, (
+        wire.Data(writer.guid.entity_id, 0, n, 0, 0, _payload(n)),)))
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda raw: raw[:56] + (len(raw) - 59).to_bytes(4, "little") + raw[60:],  # payload length
+    lambda raw: raw[:4] + b"\x02" + raw[5:],  # version
+    lambda raw: b"X" + raw[1:],  # magic
+], ids=["payload-length", "version", "magic"])
+def test_a_malformed_one_data_datagram_is_counted_and_delivers_nothing(pair, mangle):
+    a, b, rogue, _ = pair
+    writer, reader = _matched(a, b)
+    rogue.send(mangle(_one_data(writer, 1)), "B")
+    _spin(b)
+    assert b.malformed_datagrams == 1
+    assert reader.take() == [] and reader.statistics().samples_received == 0
+    rogue.send(_one_data(writer, 2), "B")
+    _spin(b)
+    assert b.malformed_datagrams == 1
+    assert _values(reader) == [(2,)]
+
+
+def test_each_drained_datagram_is_decoded_once(pair, monkeypatch):
+    a, b, rogue, _ = pair
+    writer, reader = _matched(a, b)
+    local = b.create_datawriter(b.create_topic("t", COUNTER), RELIABLE)
+    _spin(b)  # B's queue is empty
+    calls = []
+    decode = wire.decode_message
+    monkeypatch.setattr(wire, "decode_message", lambda data: (
+        calls.append(data), decode(data))[1])
+    for n in range(5):
+        writer.write({"n": n})
+    rogue.send(b"MDDS", "B")  # malformed: decoded once, then counted
+    local.write({"n": 9})  # to a reader on B itself: not encoded, not decoded
+    queued = [data for data, _ in b.transport._queue]
+    assert b.spin_once() == 6
+    assert calls == queued
+    assert len(reader.take()) == 6 and b.malformed_datagrams == 1
+
+
+def test_a_drained_batch_carries_one_arrival_stamp(pair):
+    """The clock is read once per drain: a listener that advances it
+    while the batch is dispatched moves no sample's arrival stamp."""
+    a, b, _, clock = pair
+    writer, reader = _matched(a, b)
+    _spin(b)  # B's queue is empty
+    for n in range(3):
+        writer.write({"n": n})
+    reader.listener = lambda _r: clock.advance(MS)
+    drained = clock.monotonic_ns()
+    assert b.spin_once() == 3
+    assert [info.arrival_timestamp_ns for _, info in reader.take()] == [drained] * 3
+    assert clock.monotonic_ns() == drained + 3 * MS

@@ -402,6 +402,93 @@ class TestOneDataMessage:
             _encode(wire.Data(1, 0, 1, 0, 0, bytes(size)))
 
 
+def _outcome(raw):
+    """What decode_message makes of ``raw``: the message and the type of
+    each record in it, or the offset and reason it is refused at."""
+    try:
+        message = wire.decode_message(raw)
+    except wire.WireError as exc:
+        return exc.offset, exc.reason
+    return message, [type(r) for r in (message, *message.submessages)]
+
+
+class TestOneDataBranch:
+    """decode_message reads a well-formed message of one DATA with one
+    struct call, and every other datagram with its submessage loop. On
+    any input the branch must agree with the loop alone: the same
+    records, or a refusal at the same offset for the same reason."""
+
+    LARGEST_FRAMED = 0xFFFF - 36  # the largest payload a body length can frame
+    EXTREMES = (0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**63 - 1, 2**63, 2**64 - 1)
+
+    def _random_message(self, rng, size):
+        """A one-DATA message with nonzero flags and reserved bytes, each
+        field drawn from its extremes or at random."""
+        def pick(bits):
+            return rng.choice([v for v in self.EXTREMES if v < 2**bits]
+                              + [rng.getrandbits(bits)])
+        stamp = rng.choice((-2**63, -1, 0, 2**63 - 1, rng.randint(-2**63, 2**63 - 1)))
+        raw = bytearray(_data_by_layout(rng.randbytes(12), pick(32), pick(32), pick(64),
+                                        stamp, pick(64), rng.randbytes(size)))
+        raw[6:8] = rng.randbytes(2)  # reserved
+        raw[21] = rng.randrange(1, 256)  # flags
+        return bytes(raw)
+
+    def _variants(self, raw, rng, values):
+        """``raw``; each of ``values(pos)`` written over each of its first
+        60 bytes; cut or extended by 1-4 bytes; followed by a second
+        submessage."""
+        yield raw
+        for pos in range(60):
+            for value in values(pos):
+                if value != raw[pos]:
+                    yield raw[:pos] + bytes([value]) + raw[pos + 1:]
+        for n in range(1, 5):
+            yield raw[:-n]
+            yield raw + rng.randbytes(n)
+        for second in (wire.Gap(1, 2, 3), wire.Heartbeat(1, 1, 4, 2),
+                       wire.Data(7, 0, 9, -1, 3, b"tail")):
+            yield raw + _encode(second)[wire.HEADER_LEN:]
+        yield raw + bytes([0x7F, 0, 2, 0]) + b"??"  # an unknown kind
+
+    def _agrees(self, monkeypatch, inputs):
+        """Checks each input; returns how many decoded."""
+        inputs = list(inputs)
+        with monkeypatch.context() as loop_only:
+            loop_only.setattr(wire, "_DATA_MESSAGE_LEN", float("inf"))
+            expected = [_outcome(raw) for raw in inputs]
+        for raw, want in zip(inputs, expected):
+            assert _outcome(raw) == want, raw[:64]
+        return sum(type(o[0]) is wire.WireMessage for o in expected)
+
+    def test_agrees_with_the_submessage_loop(self, monkeypatch):
+        rng = random.Random(1313)
+        every_value = range(256)
+        decoded = checked = 0
+        for size in (0, 1, 59, 60, 61, 300):  # every single-byte change
+            raw = self._random_message(rng, size)
+            decoded += self._agrees(monkeypatch, self._variants(raw, rng, lambda _: every_value))
+            checked += 1
+        sizes = [TestOneDataMessage.LARGEST_PAYLOAD, self.LARGEST_FRAMED] + [
+            rng.choice((0, rng.randint(1, 64), rng.randint(65, 2048))) for _ in range(100)]
+        for size in sizes:  # a few changes per byte
+            raw = self._random_message(rng, size)
+            decoded += self._agrees(monkeypatch, self._variants(raw, rng, lambda pos: (
+                raw[pos] ^ 0x01, raw[pos] ^ 0x80, rng.randrange(256))))
+            checked += 1
+        # Each message decodes, and so do some of its variants.
+        assert decoded > 2 * checked
+
+    def test_serves_every_well_formed_one_data_message(self, monkeypatch):
+        """With the loop's decoders gone, a DATA can come only from the branch."""
+        rng = random.Random(1314)
+        messages = [self._random_message(rng, size) for size in (0, 1, 64, self.LARGEST_FRAMED)]
+        expected = [wire.decode_message(raw) for raw in messages]
+        monkeypatch.setattr(wire, "_DECODERS", {})
+        assert [wire.decode_message(raw) for raw in messages] == expected
+        assert all(type(m.submessages[0].payload) is bytes for m in expected)
+
+
 class TestFuzz:
     def test_mutated_datagrams_never_crash(self):
         ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "fuzz/topic", "FuzzType",
