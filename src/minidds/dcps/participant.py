@@ -48,6 +48,12 @@ announces), even if a listener runs or the clock moves before the last
 one is dispatched. A send to this participant's own readers reads the
 clock when it is sent. Announces, timeouts and the writers' timers then
 read the clock again, after the batch.
+
+A datagram that starts with an ANNOUNCE is first shown to discovery,
+which drops a repeat of an announce it already holds without decoding
+it (``Discovery.repeats``). This participant's own announce is encoded
+once per change of its endpoint set and kept for every send until the
+next change.
 """
 
 from __future__ import annotations
@@ -241,7 +247,7 @@ class DomainParticipant:
         for remote in self.discovery.remote_endpoints():
             if remote.kind != entity.descriptor.kind:
                 self._consider_pair(entity, remote, now)
-        self.discovery.reset_announce_timer()
+        self.discovery.local_endpoints_changed()
 
     def _drop_endpoint(self, entity) -> None:
         with self._lock:
@@ -254,7 +260,7 @@ class DomainParticipant:
                     self._unlink(guid, entity)
                 entity._remove_match(guid)
             self._unmatch(entity.guid)
-            self.discovery.reset_announce_timer()
+            self.discovery.local_endpoints_changed()
 
     # ------------------------------------------------------------------
     # matching
@@ -318,6 +324,10 @@ class DomainParticipant:
             arrived_wall = self.clock.wall_ns()
             for i, (data, source) in enumerate(batch):
                 batch[i] = None  # release each datagram once it is dispatched
+                sender = wire.announce_sender(data)
+                if sender is not None and self.discovery.repeats(
+                        data, sender, source, arrived):
+                    continue
                 try:
                     message = wire.decode_message(data)
                 except wire.WireError as exc:
@@ -325,7 +335,7 @@ class DomainParticipant:
                     log.debug("dropped malformed datagram from %s: %s", source, exc)
                     continue
                 self._dispatch(message.submessages, message.sender_prefix, source,
-                               arrived, arrived_wall)
+                               arrived, arrived_wall, data)
             processed = len(batch)
             now = self.clock.monotonic_ns()
             if not self.closed and self.discovery.announce_due(now):
@@ -354,20 +364,27 @@ class DomainParticipant:
         return tuple(writers + readers)
 
     def _send_announce(self, destinations: Iterable) -> None:
-        announce = wire.Announce(self.domain_id, self._local_descriptors())
-        try:
-            data = wire.encode_message(wire.WireMessage(self.guid.prefix, (announce,)))
-        except ValueError as exc:
-            log.warning("announce not sent: %s", exc)
-            return
+        """Send the announce, encoded once per endpoint set; one the encoder
+        refuses is logged, not kept, and not sent."""
+        data = self.discovery.local_announce
+        if data is None:
+            announce = wire.Announce(self.domain_id, self._local_descriptors())
+            try:
+                data = wire.encode_message(wire.WireMessage(self.guid.prefix, (announce,)))
+            except ValueError as exc:
+                log.warning("announce not sent: %s", exc)
+                return
+            self.discovery.local_announce = data
         for destination in destinations:
             self.transport.send(data, destination)
 
     def _dispatch(self, submessages, sender_prefix: bytes, source,
-                  now: int, now_wall: int) -> None:
+                  now: int, now_wall: int, datagram: Optional[bytes] = None) -> None:
         """Hand the submessages of one datagram, or of one local send, to
         the endpoints they concern, as arrived at ``now`` (monotonic) and
-        ``now_wall``; DATA, the common kind, is tested first."""
+        ``now_wall``; DATA, the common kind, is tested first. ``datagram``
+        is the received datagram, for discovery to remember an announce
+        that came alone."""
         for sub in submessages:
             if type(sub) is wire.Data:
                 # A plain tuple finds the entry keyed by the equal Guid.
@@ -385,7 +402,9 @@ class DomainParticipant:
                 for reader, session in pairs:
                     reader._handle_data(session, info, sub.payload, now_wall, decoded)
             elif isinstance(sub, wire.Announce):
-                event = self.discovery.process_announce(sub, sender_prefix, source, now)
+                event = self.discovery.process_announce(
+                    sub, sender_prefix, source, now,
+                    datagram if len(submessages) == 1 else None)
                 if event is None:
                     continue
                 for descriptor in event.added + event.changed:

@@ -170,14 +170,13 @@ class DataReader:
                         and info.writer_guid < last.writer_guid)):
                 stats.destination_order_dropped += 1
                 return
-        if self._deadlines.active:
-            self._deadlines.record(handle, now)
-
         outcome = self.history.insert(info, sample)
         if not outcome.accepted:
             stats.rejected_by_limits += 1
             return
         self._last_passed[handle] = info
+        if self._deadlines.active:
+            self._deadlines.record(handle, now)
         stats.evicted_by_history += outcome.evicted_count
         stats.samples_accepted += 1
         if self.listener is not None:

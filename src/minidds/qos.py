@@ -368,7 +368,8 @@ class QosProfile:
     enabled: bool = False
 
     def value(self, policy_id: QosPolicyId) -> QosValue:
-        return self.policies.get(policy_id, default_value(policy_id))
+        value = self.policies.get(policy_id)
+        return default_value(policy_id) if value is None else value
 
     def with_value(self, value: QosValue) -> "QosProfile":
         policies = dict(self.policies)

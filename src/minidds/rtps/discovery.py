@@ -10,6 +10,20 @@ Rules:
 - announces from another domain, or echoes of our own, are ignored;
 - an endpoint absent from 3 consecutive announces of its peer is removed;
 - a peer silent for 3 announce periods is dropped with all endpoints.
+
+Discovery works once per change. The participant encodes its announce
+at the first send after its endpoint set changes and keeps the bytes in
+``local_announce`` for every send until the next change. Per peer,
+discovery keeps the last datagram that carried one ANNOUNCE and nothing
+else and left no endpoint of that peer pending absence (every endpoint
+known for the peer was in it). A byte-identical datagram from the
+peer's address then only refreshes the peer's last-seen time
+(``repeats``): decoding and diffing it would find nothing added,
+changed or missing. Anything else (other bytes, a new address, a
+pending absence, another domain, a malformed datagram) is decoded and
+processed in full, and an echo of our own current announce is dropped
+undecoded. The memo is one bytes object per live peer and goes with the
+peer.
 """
 
 from __future__ import annotations
@@ -32,6 +46,8 @@ Address = Hashable
 class _Peer:
     address: Address
     last_seen_ns: int
+    # The last datagram that needs no processing when repeated, or None.
+    announce: Optional[bytes] = None
     endpoints: dict[Guid, EndpointDescriptor] = field(default_factory=dict)
     missed: dict[Guid, int] = field(default_factory=dict)
 
@@ -54,6 +70,9 @@ class Discovery:
         self.static_peers = tuple(static_peers)
         self._peers: dict[bytes, _Peer] = {}
         self._last_announce_ns: Optional[int] = None
+        # This participant's encoded announce; None until it is encoded
+        # for the current endpoint set.
+        self.local_announce: Optional[bytes] = None
         # Bumped whenever a peer is added, dropped or changes address, so
         # whatever was derived from ``address_of`` knows to derive again.
         self.epoch = 0
@@ -67,8 +86,9 @@ class Discovery:
     def mark_announced(self, now_ns: int) -> None:
         self._last_announce_ns = now_ns
 
-    def reset_announce_timer(self) -> None:
-        """Make the next announce due immediately (endpoint set changed)."""
+    def local_endpoints_changed(self) -> None:
+        """Forget the encoded announce and make the next one due now."""
+        self.local_announce = None
         self._last_announce_ns = None
 
     def destinations(self) -> list[Address]:
@@ -81,8 +101,27 @@ class Discovery:
 
     # -- receive side -------------------------------------------------
 
+    def repeats(self, datagram: bytes, sender_prefix: bytes, source: Address,
+                now_ns: int) -> bool:
+        """Whether a datagram whose first submessage is an ANNOUNCE
+        (``wire.announce_sender``) needs no decoding: our own current
+        announce, or a peer's remembered one from the peer's address,
+        which then refreshes the peer."""
+        if datagram == self.local_announce:
+            return True
+        peer = self._peers.get(sender_prefix)
+        if peer is not None and peer.announce == datagram and peer.address == source:
+            peer.last_seen_ns = now_ns
+            return True
+        return False
+
     def process_announce(self, announce: wire.Announce, sender_prefix: bytes,
-                         source: Address, now_ns: int) -> Optional[PeerEvent]:
+                         source: Address, now_ns: int,
+                         datagram: Optional[bytes] = None) -> Optional[PeerEvent]:
+        """Diff an announce against what its peer last advertised.
+        ``datagram`` is the datagram when the announce was its only
+        submessage; it is remembered for ``repeats`` while no endpoint of
+        the peer is pending absence."""
         if announce.domain_id != self.domain_id:
             return None
         if sender_prefix == self.local_prefix:
@@ -117,6 +156,7 @@ class Discovery:
                 removed.append(guid)
                 del peer.endpoints[guid]
                 del peer.missed[guid]
+        peer.announce = datagram if len(peer.endpoints) == len(present) else None
         return PeerEvent(tuple(added), tuple(changed), tuple(removed), new_peer)
 
     def check_timeouts(self, now_ns: int) -> list[Guid]:

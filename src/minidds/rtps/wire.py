@@ -419,6 +419,18 @@ _DATA_BODY_START = HEADER_LEN + SUBMSG_HEADER_LEN
 _unpack_data_message = _DATA_MESSAGE.unpack_from
 
 
+_ANNOUNCE_FIRST = bytes((KIND_ANNOUNCE,))
+
+
+def announce_sender(data: bytes) -> Optional[bytes]:
+    """The sender prefix of an undecoded datagram whose first submessage
+    kind is ANNOUNCE, else None. Nothing else is read or checked, so a
+    receiver can look at a datagram before it decodes it."""
+    if data[HEADER_LEN:HEADER_LEN + 1] == _ANNOUNCE_FIRST:
+        return data[len(_HEADER_START):HEADER_LEN]
+    return None
+
+
 def decode_message(data: bytes) -> WireMessage:
     size = len(data)
     if size >= _DATA_MESSAGE_LEN:

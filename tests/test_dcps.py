@@ -445,6 +445,18 @@ class TestQosBehaviors:
         stats = reader.statistics()
         assert (stats.rejected_by_limits, stats.destination_order_dropped) == (1, 0)
 
+    def test_deadline_counts_from_the_last_accepted_sample(self, solo):
+        deadline = [qos.Deadline(100 * MS)]
+        reader, writer = self._full_reader(solo, deadline, deadline)
+        writer.write({"n": 0})
+        for n in range(1, 6):
+            solo.clock.advance(90 * MS)
+            writer.write({"n": n})  # refused by the full cache
+        stats = reader.statistics()
+        assert (stats.samples_accepted, stats.rejected_by_limits) == (1, 5)
+        # 450 ms since the one accepted sample: four whole periods missed.
+        assert [count for _, count in reader.check_deadlines()] == [4]
+
 
 # ---------------------------------------------------------------------------
 # Two participants over the in-process network

@@ -92,6 +92,23 @@ class TestProfiles:
         assert prof.value(qos.QosPolicyId.RELIABILITY) == qos.Reliability()
         assert prof.value(qos.QosPolicyId.HISTORY).depth == 1
 
+    def test_value_builds_a_default_only_for_an_absent_policy(self, monkeypatch):
+        default_value = qos.default_value
+        built = []
+
+        def counting(policy_id):
+            built.append(policy_id)
+            return default_value(policy_id)
+
+        monkeypatch.setattr(qos, "default_value", counting)
+        reliable = qos.Reliability(qos.ReliabilityKind.RELIABLE)
+        prof = qos.QosProfile(qos.EntityKind.DATA_WRITER,
+                              {qos.QosPolicyId.RELIABILITY: reliable})
+        assert prof.value(qos.QosPolicyId.RELIABILITY) is reliable
+        assert built == []
+        assert prof.value(qos.QosPolicyId.HISTORY) == default_value(qos.QosPolicyId.HISTORY)
+        assert built == [qos.QosPolicyId.HISTORY]
+
     def test_set_policy_returns_new_profile(self):
         prof = qos.QosProfile(qos.EntityKind.DATA_WRITER)
         updated = qos.set_policy(prof, qos.QosPolicyId.RELIABILITY,

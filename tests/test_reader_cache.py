@@ -9,6 +9,7 @@ size, must give the same outcomes, totals and samples from both.
 
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass
 
 import pytest
@@ -290,3 +291,40 @@ def test_take_stays_flat_over_many_instances():
     taken = _drain(history, n, budget)
     assert [info.instance_handle for info in taken] == sorted(handles)
     assert all(info.sequence > n for info in taken)
+
+
+def test_read_and_take_stay_flat_between_new_instances():
+    """65 536 keep-last(1) instances with random 64-bit handles, then 4096
+    rounds of one new instance and read(1), and 1024 rounds of one new
+    instance and take(64): each hands out the lowest handles cached. A
+    cache that sorts all its handles at every read or take after a new
+    instance spends about 1 ms per round at this size and cannot finish
+    inside the budget; bisecting the new handle in takes about 0.6 s."""
+    n, reads, takes = 65536, 4096, 1024
+    budget = _Budget(3.0)
+    history = ReaderHistory(qos.History(qos.HistoryKind.KEEP_LAST, 1), qos.ResourceLimits())
+    rng = random.Random(11)
+    handles = list({rng.getrandbits(64) for _ in range(n + reads + takes)})
+    assert len(handles) == n + reads + takes
+    sample = idl.Sample("Reading", (0,))
+    for i, handle in enumerate(handles[:n]):
+        budget.check("caching", i)
+        history.insert(SampleInfo(WRITERS[0], i + 1, 0, 0, handle), sample)
+    lowest = min(handles[:n])
+    for i, handle in enumerate(handles[n:n + reads]):
+        budget.check("reading", i)
+        history.insert(SampleInfo(WRITERS[0], n + i + 1, 0, 0, handle), sample)
+        lowest = min(lowest, handle)
+        [(_, info)] = history.read(1)
+        assert info.instance_handle == lowest
+    budget.check("reading", reads)
+    expected = sorted(handles[:n + reads])
+    for i, handle in enumerate(handles[n + reads:]):
+        budget.check("taking", i * 64)
+        history.insert(SampleInfo(WRITERS[0], n + reads + i + 1, 0, 0, handle), sample)
+        insort(expected, handle)
+        got = history.take(64)
+        assert [info.instance_handle for _, info in got] == expected[:64]
+        del expected[:64]
+    budget.check("taking", takes * 64)
+    assert history.total == len(expected) == reads + takes
