@@ -1,4 +1,4 @@
-"""Discovery-visible endpoint descriptors and the matching rule.
+"""Endpoint descriptors, the matching rule, and the endpoints' base class.
 
 A writer/reader pair matches when domain, topic name and type name agree,
 partition name lists intersect, and the reader's requested QoS is satisfiable
@@ -13,6 +13,7 @@ from typing import Optional
 
 from minidds import qos
 from minidds.dcps.guid import Guid
+from minidds.dcps.timing import DeadlineTracker
 from minidds.qos import RxoQos
 
 
@@ -64,3 +65,44 @@ def match_endpoints(a: EndpointDescriptor, b: EndpointDescriptor) -> MatchRecord
     if not report.compatible:
         return NoMatch(f"requested QoS exceeds offer: {report.describe()}", report)
     return MatchRecord(a.guid, b, report)
+
+
+class Endpoint:
+    """What a writer and a reader share. Each kind makes and unmakes its
+    own side of a match: ``_add_match(record, now_ns)`` records one, again
+    for a changed remote descriptor, and ``_remove_match(guid)`` forgets
+    one, if matched."""
+
+    def __init__(self, participant, topic, profile: qos.QosProfile,
+                 descriptor: EndpointDescriptor):
+        self.participant = participant
+        self.topic = topic
+        self.qos = profile
+        self.guid = descriptor.guid
+        self.descriptor = descriptor
+        self.type = topic.type
+        self._reliable = (profile.value(qos.QosPolicyId.RELIABILITY).kind
+                          == qos.ReliabilityKind.RELIABLE)
+        self._deadlines = DeadlineTracker(
+            profile.value(qos.QosPolicyId.DEADLINE).period_ns)
+        self._match_records: dict[Guid, MatchRecord] = {}  # by remote GUID
+        self.closed = False
+
+    def matches(self) -> list[MatchRecord]:
+        with self.participant._lock:
+            return list(self._match_records.values())
+
+    def _matched_guids(self) -> list[Guid]:
+        with self.participant._lock:
+            return list(self._match_records)
+
+    def check_deadlines(self, now_ns: Optional[int] = None) -> list[tuple[int, int]]:
+        with self.participant._lock:
+            if now_ns is None:
+                now_ns = self.participant.clock.monotonic_ns()
+            return self._deadlines.missed(now_ns)
+
+    def close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            self.participant._drop_endpoint(self)

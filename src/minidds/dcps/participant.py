@@ -49,6 +49,15 @@ one is dispatched. A send to this participant's own readers reads the
 clock when it is sent. Announces, timeouts and the writers' timers then
 read the clock again, after the batch.
 
+Pairing stays within a topic: a new endpoint meets the endpoints of the
+other kind on its topic (``_introduce``), and a new or changed remote
+one also those matched with it now, so one re-announced on another topic
+is unmatched (``_match_remote``). ``match_endpoints`` decides a pair and
+each endpoint makes or unmakes its own side: a writer routes a new
+reader's late-joiner replay, and a reader enters its session into the
+dispatch table or takes it out. A local pair records the reader's side
+first, so a durable writer's replay finds the session.
+
 A datagram that starts with an ANNOUNCE is first shown to discovery,
 which drops a repeat of an announce it already holds without decoding
 it (``Discovery.repeats``). This participant's own announce is encoded
@@ -75,8 +84,7 @@ from minidds.dcps.reader import DataReader
 from minidds.dcps.writer import DataWriter
 from minidds.rtps import wire
 from minidds.rtps.discovery import ANNOUNCE_PERIOD_NS, Discovery
-from minidds.rtps.reliability import (HEARTBEAT_PERIOD_NS, RESPONSE_DELAY_NS,
-                                      Directed)
+from minidds.rtps.reliability import HEARTBEAT_PERIOD_NS, Directed
 from minidds.rtps.transport import TransportError, UdpTransport
 
 log = logging.getLogger(__name__)
@@ -111,7 +119,6 @@ class DomainParticipant:
                  static_peers: Iterable = (),
                  announce_period_ns: int = ANNOUNCE_PERIOD_NS,
                  heartbeat_period_ns: int = HEARTBEAT_PERIOD_NS,
-                 response_delay_ns: int = RESPONSE_DELAY_NS,
                  max_blocking_time_ns: int = MAX_BLOCKING_TIME_NS,
                  port: Optional[int] = None,
                  bind_host: str = "0.0.0.0",
@@ -133,7 +140,6 @@ class DomainParticipant:
                                    announce_period_ns=announce_period_ns,
                                    static_peers=tuple(static_peers))
         self.heartbeat_period_ns = heartbeat_period_ns
-        self.response_delay_ns = response_delay_ns
         self.max_blocking_time_ns = max_blocking_time_ns
         self._topics: dict[str, Topic] = {}
         self._writers: dict[int, DataWriter] = {}
@@ -235,29 +241,27 @@ class DomainParticipant:
     def _introduce(self, entity) -> None:
         """Match a fresh endpoint against local and known remote peers."""
         now = self.clock.monotonic_ns()
-        locals_ = (self._readers.values() if isinstance(entity, DataWriter)
-                   else self._writers.values())
-        for other in list(locals_):
-            # Local pairs record the match on both entities, reader side
-            # first so a durable writer's replay finds a live session.
-            reader, writer = ((other, entity) if isinstance(entity, DataWriter)
-                              else (entity, other))
-            self._consider_pair(reader, writer.descriptor, now)
-            self._consider_pair(writer, reader.descriptor, now)
+        new = entity.descriptor
+        is_writer = new.kind == EndpointType.WRITER
+        for other in list((self._readers if is_writer else self._writers).values()):
+            if other.descriptor.topic_name == new.topic_name:
+                # Reader side first: a durable writer's replay needs the session.
+                reader, writer = (other, entity) if is_writer else (entity, other)
+                self._consider_pair(reader, writer.descriptor, now)
+                self._consider_pair(writer, reader.descriptor, now)
         for remote in self.discovery.remote_endpoints():
-            if remote.kind != entity.descriptor.kind:
+            if remote.kind != new.kind and remote.topic_name == new.topic_name:
                 self._consider_pair(entity, remote, now)
         self.discovery.local_endpoints_changed()
 
     def _drop_endpoint(self, entity) -> None:
         with self._lock:
-            is_writer = isinstance(entity, DataWriter)
-            (self._writers if is_writer else self._readers).pop(entity.guid.entity_id, None)
+            # Entity ids are unique across writers and readers.
+            self._writers.pop(entity.guid.entity_id, None)
+            self._readers.pop(entity.guid.entity_id, None)
             # A closed endpoint lists no match; a reader's statistics keep
             # what its sessions counted.
             for guid in list(entity._match_records):
-                if not is_writer:
-                    self._unlink(guid, entity)
                 entity._remove_match(guid)
             self._unmatch(entity.guid)
             self.discovery.local_endpoints_changed()
@@ -271,18 +275,9 @@ class DomainParticipant:
         if isinstance(result, NoMatch):
             if result.report is not None:
                 self._note_incompatible(local_entity.descriptor, remote, result.report)
-            if isinstance(local_entity, DataReader) and remote.guid in local_entity._sessions:
-                self._unlink(remote.guid, local_entity)
             local_entity._remove_match(remote.guid)
-        elif isinstance(local_entity, DataWriter):
-            self._route(local_entity, local_entity._add_match(result, now_ns))
         else:
-            session = local_entity._add_match(result)
-            if session is not None:
-                # In reader creation order; the sort merges one pair into a sorted run.
-                pairs = self._matched.get(remote.guid, ()) + ((local_entity, session),)
-                self._matched[remote.guid] = tuple(
-                    sorted(pairs, key=lambda pair: pair[0].guid.entity_id))
+            local_entity._add_match(result, now_ns)
 
     def _note_incompatible(self, local: EndpointDescriptor,
                            remote: EndpointDescriptor,
@@ -296,16 +291,27 @@ class DomainParticipant:
             del self.incompatible_qos[:-64]
 
     def _match_remote(self, remote: EndpointDescriptor, now_ns: int) -> None:
+        """Pair a new or changed remote endpoint within its topic, and with
+        the local endpoints matched with it now."""
         pool = (self._readers.values() if remote.kind == EndpointType.WRITER
                 else self._writers.values())
         for entity in list(pool):
-            self._consider_pair(entity, remote, now_ns)
+            if (entity.descriptor.topic_name == remote.topic_name
+                    or remote.guid in entity._match_records):
+                self._consider_pair(entity, remote, now_ns)
 
     def _unmatch(self, guid: Guid) -> None:
         for writer in self._writers.values():
             writer._remove_match(guid)
+        # Popped whole: each reader's own unlink then finds no entry.
         for reader, _ in self._matched.pop(guid, ()):
             reader._remove_match(guid)
+
+    def _link(self, writer_guid: Guid, reader: DataReader, session) -> None:
+        # In reader creation order; the sort merges one pair into a sorted run.
+        pairs = self._matched.get(writer_guid, ()) + ((reader, session),)
+        self._matched[writer_guid] = tuple(
+            sorted(pairs, key=lambda pair: pair[0].guid.entity_id))
 
     def _unlink(self, writer_guid: Guid, reader: DataReader) -> None:
         pairs = tuple(p for p in self._matched.pop(writer_guid, ()) if p[0] is not reader)

@@ -17,8 +17,7 @@ from typing import Callable, Optional
 from minidds import idl, qos
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import ReaderHistory, SampleInfo
-from minidds.dcps.matching import EndpointDescriptor, MatchRecord
-from minidds.dcps.timing import DeadlineTracker
+from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
 from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSession
 
 log = logging.getLogger(__name__)
@@ -46,33 +45,22 @@ class ReaderStats:
     sequences_seen: int = 0  # distinct sequences that arrived, delivered or not
 
 
-class DataReader:
+class DataReader(Endpoint):
     def __init__(self, participant, topic, profile: qos.QosProfile,
                  descriptor: EndpointDescriptor):
-        self.participant = participant
-        self.topic = topic
-        self.qos = profile
-        self.guid = descriptor.guid
-        self.descriptor = descriptor
-        self.type = topic.type
-
-        self._reliable = (profile.value(qos.QosPolicyId.RELIABILITY).kind
-                          == qos.ReliabilityKind.RELIABLE)
+        super().__init__(participant, topic, profile, descriptor)
         self._exclusive = (profile.value(qos.QosPolicyId.OWNERSHIP).kind
                            == qos.OwnershipKind.EXCLUSIVE)
         self._by_source = (profile.value(qos.QosPolicyId.DESTINATION_ORDER).kind
                            == qos.DestinationOrderKind.BY_SOURCE_TIMESTAMP)
         self._min_separation_ns = profile.value(
             qos.QosPolicyId.TIME_BASED_FILTER).minimum_separation_ns
-        self._deadline_period_ns = profile.value(qos.QosPolicyId.DEADLINE).period_ns
         # Lifespan is a topic/writer policy; the reader enforces the value
         # configured on its own topic.
         self._lifespan_ns = topic.qos.value(qos.QosPolicyId.LIFESPAN).duration_ns
         self.history = ReaderHistory(profile.value(qos.QosPolicyId.HISTORY),
                                      profile.value(qos.QosPolicyId.RESOURCE_LIMITS))
-        self._deadlines = DeadlineTracker(self._deadline_period_ns)
         self._sessions: dict[Guid, ReaderSession] = {}
-        self._match_records: dict[Guid, MatchRecord] = {}
         # Per instance handle: the SampleInfo of the last arrival the cache
         # accepted (the newest, for by-source order, and the time of the
         # last accepted, for the time filter), and for an exclusive reader
@@ -81,36 +69,30 @@ class DataReader:
         self._activity: dict[int, dict[Guid, int]] = {}
         self.stats = ReaderStats()
         self.listener: Optional[Callable[["DataReader"], None]] = None
-        self.closed = False
 
     # -- matching (driven by the participant) -------------------------
 
-    def _add_match(self, record: MatchRecord) -> Optional[ReaderSession]:
-        """Record a match; returns the session of a newly matched writer."""
+    def _add_match(self, record: MatchRecord, now_ns: int) -> None:
+        """Record a match; a newly matched writer gets a session, entered
+        into the participant's dispatch table."""
         remote = record.remote
         self._match_records[remote.guid] = record
-        if remote.guid in self._sessions:
-            return None
-        session = self._sessions[remote.guid] = (
-            ReliableReaderSession(remote.guid, self.guid.entity_id) if self._reliable
-            else BestEffortReaderSession(remote.guid))
-        return session
+        if remote.guid not in self._sessions:
+            session = self._sessions[remote.guid] = (
+                ReliableReaderSession(remote.guid, self.guid.entity_id) if self._reliable
+                else BestEffortReaderSession(remote.guid))
+            self.participant._link(remote.guid, self, session)
 
     def _remove_match(self, guid: Guid) -> None:
         self._match_records.pop(guid, None)
         session = self._sessions.pop(guid, None)
         if session is not None:
+            self.participant._unlink(guid, self)
             # Keep the counters from a departed writer's session.
             self.stats.samples_lost += session.samples_lost
             self.stats.sequences_seen += session.unique_received
 
-    def matches(self) -> list[MatchRecord]:
-        with self.participant._lock:
-            return list(self._match_records.values())
-
-    def matched_writers(self) -> list[Guid]:
-        with self.participant._lock:
-            return list(self._match_records)
+    matched_writers = Endpoint._matched_guids
 
     # -- arrival pipeline ---------------------------------------------
 
@@ -185,7 +167,7 @@ class DataReader:
     def _arbitrate(self, activity: dict[Guid, int], arriving: Guid, now_ns: int) -> bool:
         """Whether the arriving writer currently owns the instance, given
         each writer's last arrival on it."""
-        period = self._deadline_period_ns
+        period = self._deadlines.period_ns
         candidates = {arriving}
         for writer, seen_ns in activity.items():
             if writer not in self._match_records:
@@ -221,12 +203,6 @@ class DataReader:
         with self.participant._lock:
             return self.history.take(max_samples)
 
-    def check_deadlines(self, now_ns: Optional[int] = None) -> list[tuple[int, int]]:
-        with self.participant._lock:
-            if now_ns is None:
-                now_ns = self.participant.clock.monotonic_ns()
-            return self._deadlines.missed(now_ns)
-
     def statistics(self) -> ReaderStats:
         with self.participant._lock:
             lost = sum(s.samples_lost for s in self._sessions.values())
@@ -236,8 +212,3 @@ class DataReader:
                 samples_lost=self.stats.samples_lost + lost,
                 sequences_seen=self.stats.sequences_seen + seen,
             )
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self.participant._drop_endpoint(self)

@@ -9,8 +9,7 @@ from minidds import idl, qos
 from minidds.dcps.errors import SampleTooLargeError
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import ResourceLimitsError, WriterHistory, WriterSample
-from minidds.dcps.matching import EndpointDescriptor, MatchRecord
-from minidds.dcps.timing import DeadlineTracker
+from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
 from minidds.rtps import wire
 from minidds.rtps.reliability import Directed, WriterSession
 
@@ -18,18 +17,10 @@ from minidds.rtps.reliability import Directed, WriterSession
 MAX_PAYLOAD = wire.MAX_DATAGRAM - wire.HEADER_LEN - wire.SUBMSG_HEADER_LEN - 36
 
 
-class DataWriter:
+class DataWriter(Endpoint):
     def __init__(self, participant, topic, profile: qos.QosProfile,
                  descriptor: EndpointDescriptor):
-        self.participant = participant
-        self.topic = topic
-        self.qos = profile
-        self.guid = descriptor.guid
-        self.descriptor = descriptor
-        self.type = topic.type
-
-        self._reliable = (profile.value(qos.QosPolicyId.RELIABILITY).kind
-                          == qos.ReliabilityKind.RELIABLE)
+        super().__init__(participant, topic, profile, descriptor)
         transient = (profile.value(qos.QosPolicyId.DURABILITY).kind
                      == qos.DurabilityKind.TRANSIENT_LOCAL)
         history_qos = profile.value(qos.QosPolicyId.HISTORY)
@@ -40,43 +31,33 @@ class DataWriter:
         self.session = WriterSession(
             self.history, writer_entity_id=self.guid.entity_id,
             transient_local=transient,
-            heartbeat_period_ns=participant.heartbeat_period_ns,
-            response_delay_ns=participant.response_delay_ns)
-        self._deadlines = DeadlineTracker(
-            profile.value(qos.QosPolicyId.DEADLINE).period_ns)
-        self._match_records: dict[Guid, MatchRecord] = {}
+            heartbeat_period_ns=participant.heartbeat_period_ns)
         # Where a write goes, derived from the matches; the participant
         # builds it and a match change resets it (see participant._broadcast).
         self._send_plan = None
         self.samples_written = 0
-        self.closed = False
 
     # -- matching (driven by the participant) -------------------------
 
-    def _add_match(self, record: MatchRecord, now_ns: int) -> list[Directed]:
+    def _add_match(self, record: MatchRecord, now_ns: int) -> None:
+        """Record a match; a newly matched reader gets any late-joiner replay."""
         remote = record.remote
         self._send_plan = None
         if remote.guid in self._match_records:
             self._match_records[remote.guid] = record
-            return []
+            return
         self._match_records[remote.guid] = record
         reliable = remote.rxo.reliability == qos.ReliabilityKind.RELIABLE
         wants_history = remote.rxo.durability == qos.DurabilityKind.TRANSIENT_LOCAL
-        return self.session.add_reader(remote.guid, reliable=reliable,
-                                       wants_history=wants_history, now_ns=now_ns)
+        self.participant._route(self, self.session.add_reader(
+            remote.guid, reliable=reliable, wants_history=wants_history, now_ns=now_ns))
 
     def _remove_match(self, guid: Guid) -> None:
         if self._match_records.pop(guid, None) is not None:
             self._send_plan = None
             self.session.remove_reader(guid)
 
-    def matches(self) -> list[MatchRecord]:
-        with self.participant._lock:
-            return list(self._match_records.values())
-
-    def matched_readers(self) -> list[Guid]:
-        with self.participant._lock:
-            return list(self._match_records)
+    matched_readers = Endpoint._matched_guids
 
     # -- write path ---------------------------------------------------
 
@@ -158,17 +139,6 @@ class DataWriter:
 
     # -- introspection ------------------------------------------------
 
-    def check_deadlines(self, now_ns: Optional[int] = None) -> list[tuple[int, int]]:
-        with self.participant._lock:
-            if now_ns is None:
-                now_ns = self.participant.clock.monotonic_ns()
-            return self._deadlines.missed(now_ns)
-
     def unacknowledged(self) -> bool:
         with self.participant._lock:
             return not self.session.all_acked()
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self.participant._drop_endpoint(self)

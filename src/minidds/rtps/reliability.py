@@ -78,13 +78,11 @@ class WriterSession:
 
     def __init__(self, history: WriterHistory, *, writer_entity_id: int,
                  transient_local: bool,
-                 heartbeat_period_ns: int = HEARTBEAT_PERIOD_NS,
-                 response_delay_ns: int = RESPONSE_DELAY_NS):
+                 heartbeat_period_ns: int = HEARTBEAT_PERIOD_NS):
         self.history = history
         self.writer_entity_id = writer_entity_id
         self.transient_local = transient_local
         self.heartbeat_period_ns = heartbeat_period_ns
-        self.response_delay_ns = response_delay_ns
         self.last_sequence = 0
         self._heartbeat_count = 0
         self._proxies: dict[Guid, _ReaderProxy] = {}
@@ -168,7 +166,7 @@ class WriterSession:
             sample = self.history.by_seq.get(seq)
             if sample is not None:
                 last = proxy.last_resend_ns.get(seq)
-                if last is None or now_ns - last >= self.response_delay_ns:
+                if last is None or now_ns - last >= RESPONSE_DELAY_NS:
                     proxy.last_resend_ns[seq] = now_ns
                     out.append(Directed(reader_guid,
                                         self._data_for(sample, reader_guid.entity_id)))
