@@ -25,20 +25,31 @@ retransmissions, late-joiner replays, HEARTBEATs) goes through
 ``_route``; an item addressed to one reader looks up that reader's
 address each time.
 
-``spin_once`` decodes each datagram and hands its submessages to one
-dispatch loop, which tests for DATA, the common kind, first; a send to
-this participant's own readers enters the same loop. It looks up a
-DATA, HEARTBEAT or GAP's writer in one table of the (reader, session)
-pairs matched with it, in reader creation order, so readers not matched
-are not visited; an addressed DATA or DIRECT picks its reader out of
-the entry. An entry is an immutable tuple, so a listener may create or
-close a reader mid-dispatch, and is replaced only where a reader gains
-or loses a match with that writer (closing a reader too). The readers
-of one DATA share its ``SampleInfo`` and its deserialized sample (one
-per reader type), both immutable; each reader keeps its own session,
-ownership, time-filter and source-order state. ``spin_once`` releases
-each drained datagram as soon as it is dispatched, so a received burst
-is never held both as datagrams and as cached samples.
+``spin_once`` reads a datagram of one DATA, the common kind, with one
+struct call (``wire.read_data_message``) into a *run*: consecutive such
+datagrams of a drained batch with one sender prefix, writer entity id
+and reader entity id. A run looks up its writer's entry once and keeps
+one ``SampleInfo`` and one payload slot per DATA. Any other datagram is
+decoded and handed to one dispatch loop, after the run read so far is
+delivered, so protocol order is kept: a HEARTBEAT right after a burst
+is answered with the burst counted. The loop hands a DATA on as a run
+of one, as does a send to this participant's own readers.
+
+A writer's entry in the dispatch table is an immutable tuple of the
+(reader, session) pairs matched with it, in reader creation order, so
+readers not matched are not visited; an addressed DATA or DIRECT picks
+its reader out of it. A run goes through each reader's arrival pipeline
+in one call, one reader after another (``_deliver``): the first
+reader's listener fires for the whole run before the second reader sees
+any of it, and a reader whose session is no longer the entry's (a
+listener closed it mid-run) gets none of the rest. A listener may
+create or close a reader mid-dispatch; an entry is replaced only where
+a reader gains or loses a match with that writer. The readers of one
+DATA share its ``SampleInfo`` and its deserialized sample (one per
+reader type), both immutable; each keeps its own session, ownership,
+time-filter and source-order state. A drained datagram is released
+once read and its payload once every reader type has decoded it, so a
+received burst is never held both as datagrams and as cached samples.
 
 Arrival is stamped once per drained batch: ``spin_once`` reads the
 clock right after the drain, when every datagram of the batch had
@@ -49,14 +60,16 @@ one is dispatched. A send to this participant's own readers reads the
 clock when it is sent. Announces, timeouts and the writers' timers then
 read the clock again, after the batch.
 
-Pairing stays within a topic: a new endpoint meets the endpoints of the
-other kind on its topic (``_introduce``), and a new or changed remote
-one also those matched with it now, so one re-announced on another topic
-is unmatched (``_match_remote``). ``match_endpoints`` decides a pair and
-each endpoint makes or unmakes its own side: a writer routes a new
-reader's late-joiner replay, and a reader enters its session into the
-dispatch table or takes it out. A local pair records the reader's side
-first, so a durable writer's replay finds the session.
+Pairing stays within a topic, through a table of local endpoints by
+topic and kind: a new endpoint meets those of the other kind on its
+topic (``_introduce``), and so does a new or changed remote one, a
+changed one also those matched with it now, which are on its previous
+topic, so one re-announced on another topic is unmatched
+(``_match_remote``). ``match_endpoints`` decides a pair and each
+endpoint makes or unmakes its own side: a writer routes a new reader's
+late-joiner replay, and a reader enters its session into the dispatch
+table or takes it out. A local pair records the reader's side first, so
+a durable writer's replay finds the session.
 
 A datagram that starts with an ANNOUNCE is first shown to discovery,
 which drops a repeat of an announce it already holds without decoding
@@ -144,6 +157,9 @@ class DomainParticipant:
         self._topics: dict[str, Topic] = {}
         self._writers: dict[int, DataWriter] = {}
         self._readers: dict[int, DataReader] = {}
+        # (topic name, kind) -> that topic's local endpoints of that kind,
+        # by entity id in creation order; only topics with endpoints.
+        self._on_topic: dict[tuple[str, EndpointType], dict[int, object]] = {}
         self._matched: dict[Guid, tuple] = {}  # writer -> (reader, session) pairs
         self._entity_counter = 0
         self._lock = threading.RLock()
@@ -238,17 +254,24 @@ class DomainParticipant:
             self._introduce(reader)
             return reader
 
+    def _local_on(self, topic_name: str, kind: EndpointType) -> list:
+        """This participant's endpoints of one kind on one topic, in
+        creation order."""
+        return list(self._on_topic.get((topic_name, kind), {}).values())
+
     def _introduce(self, entity) -> None:
-        """Match a fresh endpoint against local and known remote peers."""
+        """Enter a fresh endpoint in its topic's table and match it against
+        the local and known remote endpoints of the other kind there."""
         now = self.clock.monotonic_ns()
         new = entity.descriptor
         is_writer = new.kind == EndpointType.WRITER
-        for other in list((self._readers if is_writer else self._writers).values()):
-            if other.descriptor.topic_name == new.topic_name:
-                # Reader side first: a durable writer's replay needs the session.
-                reader, writer = (other, entity) if is_writer else (entity, other)
-                self._consider_pair(reader, writer.descriptor, now)
-                self._consider_pair(writer, reader.descriptor, now)
+        other_kind = EndpointType.READER if is_writer else EndpointType.WRITER
+        self._on_topic.setdefault((new.topic_name, new.kind), {})[entity.guid.entity_id] = entity
+        for other in self._local_on(new.topic_name, other_kind):
+            # Reader side first: a durable writer's replay needs the session.
+            reader, writer = (other, entity) if is_writer else (entity, other)
+            self._consider_pair(reader, writer.descriptor, now)
+            self._consider_pair(writer, reader.descriptor, now)
         for remote in self.discovery.remote_endpoints():
             if remote.kind != new.kind and remote.topic_name == new.topic_name:
                 self._consider_pair(entity, remote, now)
@@ -259,6 +282,11 @@ class DomainParticipant:
             # Entity ids are unique across writers and readers.
             self._writers.pop(entity.guid.entity_id, None)
             self._readers.pop(entity.guid.entity_id, None)
+            key = (entity.descriptor.topic_name, entity.descriptor.kind)
+            peers = self._on_topic[key]
+            del peers[entity.guid.entity_id]
+            if not peers:
+                del self._on_topic[key]
             # A closed endpoint lists no match; a reader's statistics keep
             # what its sessions counted.
             for guid in list(entity._match_records):
@@ -290,15 +318,19 @@ class DomainParticipant:
             self.incompatible_qos.append(entry)
             del self.incompatible_qos[:-64]
 
-    def _match_remote(self, remote: EndpointDescriptor, now_ns: int) -> None:
-        """Pair a new or changed remote endpoint within its topic, and with
-        the local endpoints matched with it now."""
-        pool = (self._readers.values() if remote.kind == EndpointType.WRITER
-                else self._writers.values())
-        for entity in list(pool):
-            if (entity.descriptor.topic_name == remote.topic_name
-                    or remote.guid in entity._match_records):
-                self._consider_pair(entity, remote, now_ns)
+    def _match_remote(self, remote: EndpointDescriptor, now_ns: int,
+                      previous: Optional[EndpointDescriptor] = None) -> None:
+        """Pair a new or changed remote endpoint within its topic, and a
+        changed one with the local endpoints matched with it now, which
+        are on the topic it ``previous``ly named."""
+        kind = (EndpointType.READER if remote.kind == EndpointType.WRITER
+                else EndpointType.WRITER)
+        entities = self._local_on(remote.topic_name, kind)
+        if previous is not None and previous.topic_name != remote.topic_name:
+            entities += [entity for entity in self._local_on(previous.topic_name, kind)
+                         if remote.guid in entity._match_records]
+        for entity in entities:
+            self._consider_pair(entity, remote, now_ns)
 
     def _unmatch(self, guid: Guid) -> None:
         for writer in self._writers.values():
@@ -328,8 +360,36 @@ class DomainParticipant:
             # Every datagram of the batch had arrived by the drain: one stamp.
             arrived = self.clock.monotonic_ns()
             arrived_wall = self.clock.wall_ns()
+            read_data = wire.read_data_message
+            payload_start = wire.DATA_PAYLOAD_START
+            # The run being read: its key (writer entity id, sender prefix,
+            # reader entity id), matched pairs, SampleInfos and payload slots.
+            run = pairs = writer_guid = None
+            infos: list = []
+            slots: list = []
             for i, (data, source) in enumerate(batch):
-                batch[i] = None  # release each datagram once it is dispatched
+                batch[i] = None  # release each datagram once it is read
+                head = read_data(data)
+                if head is not None:
+                    prefix, writer_eid, reader_eid, seq, stamp, handle = head
+                    if (writer_eid, prefix, reader_eid) != run:
+                        if infos:
+                            self._deliver(pairs, infos, slots, arrived_wall)
+                            infos, slots = [], []
+                        run = (writer_eid, prefix, reader_eid)
+                        pairs = self._pairs_for(prefix, writer_eid, reader_eid)
+                        if pairs:
+                            writer_guid = pairs[0][1].writer_guid
+                    if pairs:
+                        infos.append(_tuple_new(SampleInfo, (writer_guid, seq, stamp,
+                                                             arrived, handle)))
+                        slots.append(data[payload_start:])
+                    continue
+                # Any other datagram ends the run: it is delivered first.
+                if infos:
+                    self._deliver(pairs, infos, slots, arrived_wall)
+                    infos, slots = [], []
+                run = None
                 sender = wire.announce_sender(data)
                 if sender is not None and self.discovery.repeats(
                         data, sender, source, arrived):
@@ -342,6 +402,8 @@ class DomainParticipant:
                     continue
                 self._dispatch(message.submessages, message.sender_prefix, source,
                                arrived, arrived_wall, data)
+            if infos:
+                self._deliver(pairs, infos, slots, arrived_wall)
             processed = len(batch)
             now = self.clock.monotonic_ns()
             if not self.closed and self.discovery.announce_due(now):
@@ -392,29 +454,24 @@ class DomainParticipant:
         is the received datagram, for discovery to remember an announce
         that came alone."""
         for sub in submessages:
-            if type(sub) is wire.Data:
-                # A plain tuple finds the entry keyed by the equal Guid.
-                pairs = self._matched.get((sender_prefix, sub.writer_entity_id))
-                if pairs and sub.reader_entity_id:  # addressed: that reader, if matched
-                    pairs = [p for p in pairs if p[0].guid.entity_id == sub.reader_entity_id]
-                if not pairs:
-                    continue
-                # Every field is the same for each reader: they share one
-                # record, and one sample per type in the ``decoded`` memo.
-                info = _tuple_new(SampleInfo, (pairs[0][1].writer_guid, sub.sequence,
-                                               sub.source_timestamp_ns, now,
-                                               sub.instance_handle))
-                decoded: list = []
-                for reader, session in pairs:
-                    reader._handle_data(session, info, sub.payload, now_wall, decoded)
+            if type(sub) is wire.Data:  # a run of one
+                pairs = self._pairs_for(sender_prefix, sub.writer_entity_id,
+                                        sub.reader_entity_id)
+                if pairs:
+                    info = _tuple_new(SampleInfo, (pairs[0][1].writer_guid, sub.sequence,
+                                                   sub.source_timestamp_ns, now,
+                                                   sub.instance_handle))
+                    self._deliver(pairs, [info], [sub.payload], now_wall)
             elif isinstance(sub, wire.Announce):
                 event = self.discovery.process_announce(
                     sub, sender_prefix, source, now,
                     datagram if len(submessages) == 1 else None)
                 if event is None:
                     continue
-                for descriptor in event.added + event.changed:
+                for descriptor in event.added:
                     self._match_remote(descriptor, now)
+                for previous, descriptor in event.changed:
+                    self._match_remote(descriptor, now, previous)
                 for guid in event.removed:
                     self._unmatch(guid)
                 if event.new_peer and not self.closed:
@@ -428,14 +485,38 @@ class DomainParticipant:
                     self._route(writer, writer.session.on_acknack(reader_guid, sub, now))
             else:  # HEARTBEAT, GAP or DIRECT
                 reader_entity_id, sub = sub if isinstance(sub, wire.Direct) else (0, sub)
-                pairs = self._matched.get((sender_prefix, sub.writer_entity_id), ())
-                if reader_entity_id:
-                    pairs = [p for p in pairs if p[0].guid.entity_id == reader_entity_id]
-                for _, session in pairs:
+                for _, session in self._pairs_for(sender_prefix, sub.writer_entity_id,
+                                                  reader_entity_id):
                     if isinstance(sub, wire.Gap):
                         session.on_gap(sub)
                     elif (ack := session.on_heartbeat(sub)) is not None:
                         self._send(ack, *self._destinations((ack.writer_guid,)))
+
+    def _pairs_for(self, prefix: bytes, writer_eid: int, reader_eid: int) -> tuple:
+        """The (reader, session) pairs a submessage from this writer goes
+        to: all matched with it, or the addressed one if matched."""
+        # A plain tuple finds the entry keyed by the equal Guid.
+        pairs = self._matched.get((prefix, writer_eid), ())
+        if pairs and reader_eid:
+            pairs = tuple(p for p in pairs if p[0].guid.entity_id == reader_eid)
+        return pairs
+
+    def _deliver(self, pairs, infos: list, slots: list, now_wall: int) -> None:
+        """Hand a run of DATA from one writer to each reader in ``pairs``,
+        one after another in creation order, while the reader's session is
+        still the entry's: a reader closed mid-run gets none of the rest.
+        Readers of one type share one slot per DATA, which holds the
+        payload until the first of them replaces it by its sample; each
+        further type gets its own copy of the slot list, so a payload is
+        released once every type has decoded it."""
+        typed = {id(pairs[0][0].type): slots}
+        for reader, _ in pairs:
+            if id(reader.type) not in typed:
+                typed[id(reader.type)] = slots.copy()
+        writer_guid = infos[0].writer_guid
+        for reader, session in pairs:
+            if reader._sessions.get(writer_guid) is session:
+                reader._handle_data(session, infos, typed[id(reader.type)], now_wall)
 
     # ------------------------------------------------------------------
     # outbound routing

@@ -4,7 +4,8 @@ Every arriving sample runs the same gauntlet, in this order: lifespan
 expiry, exclusive-ownership arbitration, time-based filtering, source-
 timestamp ordering, then history insertion and listener notification.
 Drops at each stage are counted per reason and queryable via
-``statistics()``.
+``statistics()``. The participant hands a reader a run of DATA from one
+writer at a time, which goes through the pipeline in one call.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from minidds import idl, qos
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import ReaderHistory, SampleInfo
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
+from minidds.idl import Sample
 from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSession
 
 log = logging.getLogger(__name__)
@@ -96,73 +98,89 @@ class DataReader(Endpoint):
 
     # -- arrival pipeline ---------------------------------------------
 
-    def _handle_data(self, session: ReaderSession, info: SampleInfo, payload: bytes,
-                     now_wall_ns: int, decoded: list) -> None:
-        """Run one DATA from the session's writer through the arrival
-        pipeline. ``info`` and ``decoded`` are the caller's, for this DATA
-        alone, and shared by the readers it is handed to: the SampleInfo,
-        which is the same for each of them, and (type descriptor, sample)
-        pairs, the sample None for a malformed payload, so the payload is
-        deserialized once per type however many readers accept it."""
+    def _handle_data(self, session: ReaderSession, infos: list[SampleInfo],
+                     slots: list, now_wall_ns: int) -> None:
+        """The arrival pipeline: run a run of DATA from the session's
+        writer through it, in order. Every DATA arrives this way; one sent
+        to this participant's own readers, or one among other submessages,
+        is a run of one. The pipeline's state, counters and bound methods
+        are looked up once per run. ``infos`` holds each DATA's SampleInfo,
+        shared with the other readers the run is handed to, and ``slots``
+        one slot per DATA, shared with the readers of this type: a slot
+        holds the payload until the first of them to accept that DATA
+        replaces it by the sample, or by None for a malformed payload, so
+        each payload is deserialized once per type. A listener that closes
+        this reader, or unmatches the writer, ends the run for it."""
         stats = self.stats
-        if not session.on_data(info.sequence):
-            stats.duplicates_discarded += 1
-            return
-        stats.samples_received += 1
-        # Matched by identity: hashing the frozen descriptor costs microseconds.
-        for descriptor, sample in decoded:
-            if descriptor is self.type:
-                break
-        else:
-            try:
-                sample = idl.deserialize(self.type, payload)
-            except idl.DecodeError:
-                sample = None
-            decoded.append((self.type, sample))
-        if sample is None:
-            stats.malformed_payloads += 1
-            return
-
+        on_data = session.on_data
+        deserialize = idl.deserialize
+        insert = self.history.insert
+        kind = self.type
         lifespan = self._lifespan_ns
-        if lifespan != qos.INFINITE_NS and now_wall_ns > info.source_timestamp_ns + lifespan:
-            stats.lifespan_expired += 1
-            return
+        expires = lifespan != qos.INFINITE_NS
+        exclusive = self._exclusive
+        last_passed = self._last_passed
+        separation = self._min_separation_ns
+        by_source = self._by_source
+        deadlines = self._deadlines if self._deadlines.active else None
+        writer = infos[0].writer_guid
+        now = infos[0].arrival_timestamp_ns  # one per run: runs are read per drain
+        for i, info in enumerate(infos):
+            if not on_data(info.sequence):
+                stats.duplicates_discarded += 1
+                continue
+            stats.samples_received += 1
+            sample = slots[i]
+            if type(sample) is not Sample:
+                if sample is not None:
+                    try:
+                        sample = deserialize(kind, sample)
+                    except idl.DecodeError:
+                        sample = None
+                    slots[i] = sample
+                if sample is None:
+                    stats.malformed_payloads += 1
+                    continue
 
-        handle = info.instance_handle
-        now = info.arrival_timestamp_ns
-        if self._exclusive:
-            activity = self._activity.get(handle)
-            if activity is None:
-                activity = self._activity[handle] = {}
-            owns = self._arbitrate(activity, info.writer_guid, now)
-            activity[info.writer_guid] = now
-            if not owns:
-                stats.ownership_filtered += 1
-                return
+            if expires and now_wall_ns > info.source_timestamp_ns + lifespan:
+                stats.lifespan_expired += 1
+                continue
 
-        last = self._last_passed.get(handle)
-        if last is not None:
-            separation = self._min_separation_ns
-            if separation > 0 and now < last.arrival_timestamp_ns + separation:
-                stats.time_filter_dropped += 1
-                return
-            if self._by_source and not (
-                    info.source_timestamp_ns > last.source_timestamp_ns
-                    or (info.source_timestamp_ns == last.source_timestamp_ns
-                        and info.writer_guid < last.writer_guid)):
-                stats.destination_order_dropped += 1
-                return
-        outcome = self.history.insert(info, sample)
-        if not outcome.accepted:
-            stats.rejected_by_limits += 1
-            return
-        self._last_passed[handle] = info
-        if self._deadlines.active:
-            self._deadlines.record(handle, now)
-        stats.evicted_by_history += outcome.evicted_count
-        stats.samples_accepted += 1
-        if self.listener is not None:
-            self._notify()
+            handle = info.instance_handle
+            if exclusive:
+                activity = self._activity.get(handle)
+                if activity is None:
+                    activity = self._activity[handle] = {}
+                owns = self._arbitrate(activity, writer, now)
+                activity[writer] = now
+                if not owns:
+                    stats.ownership_filtered += 1
+                    continue
+
+            last = last_passed.get(handle)
+            if last is not None:
+                if separation > 0 and now < last.arrival_timestamp_ns + separation:
+                    stats.time_filter_dropped += 1
+                    continue
+                if by_source and not (
+                        info.source_timestamp_ns > last.source_timestamp_ns
+                        or (info.source_timestamp_ns == last.source_timestamp_ns
+                            and writer < last.writer_guid)):
+                    stats.destination_order_dropped += 1
+                    continue
+            outcome = insert(info, sample)
+            if not outcome.accepted:
+                stats.rejected_by_limits += 1
+                continue
+            last_passed[handle] = info
+            if deadlines is not None:
+                deadlines.record(handle, now)
+            stats.evicted_by_history += outcome.evicted_count
+            stats.samples_accepted += 1
+            if self.listener is not None:
+                self._notify()
+                if self._sessions.get(writer) is not session:
+                    return
 
     def _arbitrate(self, activity: dict[Guid, int], arriving: Guid, now_ns: int) -> bool:
         """Whether the arriving writer currently owns the instance, given

@@ -55,7 +55,7 @@ class _Peer:
 @dataclass(frozen=True)
 class PeerEvent:
     added: tuple[EndpointDescriptor, ...]
-    changed: tuple[EndpointDescriptor, ...]
+    changed: tuple[tuple[EndpointDescriptor, EndpointDescriptor], ...]  # (before, now)
     removed: tuple[Guid, ...]
     new_peer: bool
 
@@ -145,7 +145,7 @@ class Discovery:
             if known is None:
                 added.append(descriptor)
             elif known != descriptor:
-                changed.append(descriptor)
+                changed.append((known, descriptor))
             peer.endpoints[guid] = descriptor
             peer.missed[guid] = 0
 

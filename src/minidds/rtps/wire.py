@@ -14,6 +14,7 @@ readable. Decoding never reads past the datagram; malformed input raises
 from __future__ import annotations
 
 import struct
+from enum import EnumMeta
 from typing import NamedTuple, Optional, Union, get_type_hints
 
 from minidds import qos
@@ -71,6 +72,10 @@ _RXO_LAYOUTS = {pid: struct.Struct("<" + codes) for pid, codes in (
 _RXO_ENTRIES = [(row.id.value, row, _RXO_LAYOUTS[row.id]) for row in qos.ADVERTISED_QOS]
 _RXO_BY_ID = {entry[0]: entry for entry in _RXO_ENTRIES}
 _RXO_TYPES = get_type_hints(RxoQos)
+# Wire value -> member, per enum an announce carries; a lookup here costs
+# far less than calling the enum class.
+_MEMBERS = {kind: {member.value: member for member in kind}
+            for kind in (EndpointType, *_RXO_TYPES.values()) if isinstance(kind, EnumMeta)}
 
 
 class WireError(Exception):
@@ -295,11 +300,11 @@ def _decode_rxo(data: bytes, pos: int, end: int) -> tuple[RxoQos, int]:
             if kind is bool:
                 raw = bool(raw)
             elif kind is not int:
-                try:
-                    raw = kind(raw)
-                except ValueError:
+                member = _MEMBERS[kind].get(raw)
+                if member is None:
                     # Every enum is the first field of its row.
-                    raise WireError(pos, f"invalid {kind.__name__} value {raw}") from None
+                    raise WireError(pos, f"invalid {kind.__name__} value {raw}")
+                raw = member
             values[name] = raw
         pos += layout.size
     return RxoQos(**values), pos
@@ -315,10 +320,9 @@ def _decode_announce(data: bytes, start: int, end: int) -> Announce:
         guid = Guid.from_bytes(data[pos:pos + 16])
         _need(pos + 16, 1, end)
         kind_raw = data[pos + 16]
-        try:
-            kind = EndpointType(kind_raw)
-        except ValueError:
-            raise WireError(pos + 16, f"invalid endpoint kind {kind_raw}") from None
+        kind = _MEMBERS[EndpointType].get(kind_raw)
+        if kind is None:
+            raise WireError(pos + 16, f"invalid endpoint kind {kind_raw}")
         topic_name, pos = _decode_str(data, pos + 17, end)
         type_name, pos = _decode_str(data, pos, end)
         rxo, pos = _decode_rxo(data, pos, end)
@@ -413,10 +417,28 @@ _DECODERS = {
 
 
 # A message of one DATA: the size of its head (everything up to the
-# payload) and the offset of the DATA body; and the one call that reads it.
-_DATA_MESSAGE_LEN = _DATA_MESSAGE.size
+# payload, which starts there) and the offset of the DATA body; and the
+# one call that reads it.
+_DATA_MESSAGE_LEN = DATA_PAYLOAD_START = _DATA_MESSAGE.size
 _DATA_BODY_START = HEADER_LEN + SUBMSG_HEADER_LEN
 _unpack_data_message = _DATA_MESSAGE.unpack_from
+
+
+def read_data_message(data: bytes) -> Optional[tuple]:
+    """The head of a well-formed message of one DATA, the common datagram,
+    read by one struct call: (sender prefix, writer entity id, reader
+    entity id, sequence, source timestamp, instance handle); the payload
+    is ``data[DATA_PAYLOAD_START:]``. None for any other datagram,
+    malformed input included, which ``decode_message`` reads or refuses."""
+    size = len(data)
+    if size >= _DATA_MESSAGE_LEN:
+        (magic, version, prefix, kind, _flags, length, writer_eid, reader_eid,
+         seq, ts, handle, payload_len) = _unpack_data_message(data)
+        if (kind == KIND_DATA and payload_len == size - _DATA_MESSAGE_LEN
+                and length == size - _DATA_BODY_START
+                and magic == MAGIC and version == VERSION):
+            return prefix, writer_eid, reader_eid, seq, ts, handle
+    return None
 
 
 _ANNOUNCE_FIRST = bytes((KIND_ANNOUNCE,))
@@ -432,19 +454,11 @@ def announce_sender(data: bytes) -> Optional[bytes]:
 
 
 def decode_message(data: bytes) -> WireMessage:
+    head = read_data_message(data)
+    if head is not None:
+        return _tuple_new(WireMessage, (head[0], (_tuple_new(Data, (
+            *head[1:], data[_DATA_MESSAGE_LEN:])),)))
     size = len(data)
-    if size >= _DATA_MESSAGE_LEN:
-        # The common datagram, a well-formed message of one DATA, is read
-        # by one struct call; anything else, malformed input included,
-        # takes the loop below.
-        (magic, version, prefix, kind, _flags, length, writer_eid, reader_eid,
-         seq, ts, handle, payload_len) = _unpack_data_message(data)
-        if (kind == KIND_DATA and payload_len == size - _DATA_MESSAGE_LEN
-                and length == size - _DATA_BODY_START
-                and magic == MAGIC and version == VERSION):
-            return _tuple_new(WireMessage, (prefix, (_tuple_new(Data, (
-                writer_eid, reader_eid, seq, ts, handle,
-                data[_DATA_MESSAGE_LEN:])),)))
     if size < HEADER_LEN:
         raise WireError(0, "datagram shorter than header")
     magic, version, prefix = _HEADER.unpack_from(data)

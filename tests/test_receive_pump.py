@@ -419,8 +419,18 @@ def test_each_drained_datagram_is_decoded_once(pair, monkeypatch):
     writer, reader = _matched(a, b)
     local = b.create_datawriter(b.create_topic("t", COUNTER), RELIABLE)
     _spin(b)  # B's queue is empty
+    # A message of one DATA is read by read_data_message and never reaches
+    # decode_message; any other datagram is decoded by decode_message.
     calls = []
-    decode = wire.decode_message
+    read, decode = wire.read_data_message, wire.decode_message
+
+    def reading(data):
+        head = read(data)
+        if head is not None:
+            calls.append(data)
+        return head
+
+    monkeypatch.setattr(wire, "read_data_message", reading)
     monkeypatch.setattr(wire, "decode_message", lambda data: (
         calls.append(data), decode(data))[1])
     for n in range(5):

@@ -13,6 +13,7 @@ from minidds.dcps import participant as participant_module
 from minidds.dcps.guid import Guid
 from minidds.dcps.matching import EndpointDescriptor, EndpointType, RxoQos
 from minidds.dcps.participant import DomainParticipant
+from minidds.dcps.reader import DataReader
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
@@ -101,6 +102,69 @@ def test_a_writer_re_announced_on_another_topic_moves_its_match():
         b.spin_once()
         assert reader_a.take() == []
         assert [s.values for s, _ in reader_b.take()] == [(5,)]
+    finally:
+        b.close()
+        rogue.close()
+
+
+def test_pairing_looks_at_no_endpoint_on_another_topic():
+    """200 local readers on other topics: neither a remote writer's
+    announce nor a local writer's creation on topic "t" reads any of
+    them, and closing them empties the topic table."""
+    net, clock = InProcNetwork(), ManualClock(1_000_000_000)
+    b = DomainParticipant(0, transport=net.attach("B"), clock=clock)
+    rogue = net.attach("rogue")
+    looked = []
+
+    class Watched(DataReader):
+        def __getattribute__(self, name):
+            looked.append(name)
+            return super().__getattribute__(name)
+
+    try:
+        others = [b.create_datareader(b.create_topic(f"other{i}", COUNTER), BEST_EFFORT)
+                  for i in range(200)]
+        reader = b.create_datareader(b.create_topic("t", COUNTER), BEST_EFFORT)
+        b.spin_once()  # encodes B's announce, which reads every descriptor
+        for other in others:
+            other.__class__ = Watched
+        prefix = bytes(range(1, 13))
+        descriptor = EndpointDescriptor(Guid(prefix, 7), 0, "t", COUNTER.name,
+                                        EndpointType.WRITER, RxoQos())
+        rogue.send(wire.encode_message(wire.WireMessage(
+            prefix, (wire.Announce(0, (descriptor,)),))), "B")
+        b.spin_once()
+        local = b.create_datawriter(b.create_topic("t", COUNTER), BEST_EFFORT)
+        assert looked == []
+        assert reader.matched_writers() == [descriptor.guid, local.guid]
+        for other in others:
+            other.__class__ = DataReader
+            other.close()
+        assert sorted(b._on_topic) == [("t", EndpointType.WRITER), ("t", EndpointType.READER)]
+    finally:
+        b.close()
+        rogue.close()
+
+
+def test_a_reader_re_announced_on_another_topic_moves_its_match():
+    """A remote reader announced on topic "a", then under the same GUID
+    on topic "b": the writer of "a" unmatches it and the writer of "b"
+    matches it."""
+    net, clock = InProcNetwork(), ManualClock(1_000_000_000)
+    b = DomainParticipant(0, transport=net.attach("B"), clock=clock)
+    rogue = net.attach("rogue")
+    prefix = bytes(range(1, 13))
+    reader_guid = Guid(prefix, 7)
+    try:
+        writer_a = b.create_datawriter(b.create_topic("a", COUNTER), BEST_EFFORT)
+        writer_b = b.create_datawriter(b.create_topic("b", COUNTER), BEST_EFFORT)
+        for topic, matched in (("a", [[reader_guid], []]), ("b", [[], [reader_guid]])):
+            descriptor = EndpointDescriptor(reader_guid, 0, topic, COUNTER.name,
+                                            EndpointType.READER, RxoQos())
+            rogue.send(wire.encode_message(wire.WireMessage(
+                prefix, (wire.Announce(0, (descriptor,)),))), "B")
+            b.spin_once()
+            assert [w.matched_readers() for w in (writer_a, writer_b)] == matched
     finally:
         b.close()
         rogue.close()
