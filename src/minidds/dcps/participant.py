@@ -13,17 +13,21 @@ dispatch as a datagram from this participant would, without being
 encoded: DATA, an addressed HEARTBEAT or GAP, and the reader's ACKNACK
 reply follow exactly the rules a remote peer's do.
 
-A write's DATA goes straight to its writer's send plan (``_broadcast``):
+A write's DATA goes straight to its writer's send plan (``_plan``):
 whether a matched reader is on this participant, and the addresses of
 the other matched readers' participants, in order and without repeats.
 The plan depends only on the writer's matches and on discovery's peer
 addresses, so it is built at the first write after the writer gains or
 loses a match, or after discovery adds, drops or re-addresses a peer
-(``Discovery.epoch``), and reused for every write in between. The
-DATA is encoded once for all of them. The writer's other output (GAPs,
-retransmissions, late-joiner replays, HEARTBEATs) goes through
-``_route``; an item addressed to one reader looks up that reader's
-address each time.
+(``Discovery.epoch``), and reused for every write in between.
+``_publish`` sends the DATA by the plan in one pass: this participant's
+matched readers get it first, as a run of one straight to ``_deliver``,
+and the other participants one datagram, packed once from the record
+``on_write`` returned (``wire.pack_data_message``). The writer's other
+output (GAPs, retransmissions, late-joiner replays, HEARTBEATs) goes
+through ``_route`` and ``_send``; an item addressed to one reader looks
+up that reader's address each time. A closed participant closes its
+endpoints, so its writers refuse further writes.
 
 ``spin_once`` reads a datagram of one DATA, the common kind, with one
 struct call (``wire.read_data_message``) into a *run*: consecutive such
@@ -61,8 +65,9 @@ clock when it is sent. Announces, timeouts and the writers' timers then
 read the clock again, after the batch.
 
 Pairing stays within a topic, through a table of local endpoints by
-topic and kind: a new endpoint meets those of the other kind on its
-topic (``_introduce``), and so does a new or changed remote one, a
+topic and kind, and discovery's table of remote ones
+(``Discovery.remote_on``): a new endpoint meets those of the other kind
+on its topic (``_introduce``), and so does a new or changed remote one, a
 changed one also those matched with it now, which are on its previous
 topic, so one re-announced on another topic is unmatched
 (``_match_remote``). ``match_endpoints`` decides a pair and each
@@ -272,9 +277,8 @@ class DomainParticipant:
             reader, writer = (other, entity) if is_writer else (entity, other)
             self._consider_pair(reader, writer.descriptor, now)
             self._consider_pair(writer, reader.descriptor, now)
-        for remote in self.discovery.remote_endpoints():
-            if remote.kind != new.kind and remote.topic_name == new.topic_name:
-                self._consider_pair(entity, remote, now)
+        for remote in self.discovery.remote_on(new.topic_name, other_kind):
+            self._consider_pair(entity, remote, now)
         self.discovery.local_endpoints_changed()
 
     def _drop_endpoint(self, entity) -> None:
@@ -521,19 +525,39 @@ class DomainParticipant:
     # ------------------------------------------------------------------
     # outbound routing
 
-    def _broadcast(self, writer: DataWriter, sub) -> None:
-        """Send a submessage to every reader matched with the writer, by
-        the writer's send plan."""
+    def _plan(self, writer: DataWriter) -> tuple:
+        """The writer's send plan: (discovery epoch, whether a matched
+        reader is on this participant, the other matched readers'
+        addresses), built again after a match or peer change."""
         plan = writer._send_plan
         if plan is None or plan[0] != self.discovery.epoch:
             plan = writer._send_plan = (
                 self.discovery.epoch, *self._destinations(writer._match_records))
-        self._send(sub, plan[1], plan[2])
+        return plan
+
+    def _publish(self, writer: DataWriter, data: wire.Data) -> None:
+        """Send a write's DATA by the writer's send plan: to this
+        participant's matched readers as a run of one, then as one
+        datagram, packed once, to every other matched reader's address."""
+        _, local, addresses = self._plan(writer)
+        if local:
+            pairs = self._matched.get(writer.guid)
+            if pairs:
+                info = _tuple_new(SampleInfo, (writer.guid, data.sequence,
+                                               data.source_timestamp_ns,
+                                               self.clock.monotonic_ns(),
+                                               data.instance_handle))
+                self._deliver(pairs, [info], [data.payload], self.clock.wall_ns())
+        if addresses:
+            datagram = wire.pack_data_message(self.guid.prefix, data)
+            send = self.transport.send
+            for address in addresses:
+                send(datagram, address)
 
     def _route(self, writer: DataWriter, directed: list[Directed]) -> None:
         for dest, sub in directed:
             if dest is None:
-                self._broadcast(writer, sub)
+                self._send(sub, *self._plan(writer)[1:])
             else:
                 if isinstance(sub, (wire.Heartbeat, wire.Gap)):
                     sub = wire.Direct(dest.entity_id, sub)
@@ -608,6 +632,10 @@ class DomainParticipant:
         if self._thread is not None:
             self._thread.join(timeout=1.0)
             self._thread = None
+        # Its endpoints close with it: a writer refuses further writes.
+        with self._lock:
+            for entity in [*self._writers.values(), *self._readers.values()]:
+                entity.close()
         self.transport.close()
 
     def __enter__(self):

@@ -14,7 +14,7 @@ from minidds.rtps import wire
 from minidds.rtps.reliability import Directed, WriterSession
 
 # Largest payload that still fits one datagram beside the fixed framing.
-MAX_PAYLOAD = wire.MAX_DATAGRAM - wire.HEADER_LEN - wire.SUBMSG_HEADER_LEN - 36
+MAX_PAYLOAD = wire.MAX_DATAGRAM - wire.DATA_PAYLOAD_START
 
 
 class DataWriter(Endpoint):
@@ -33,7 +33,7 @@ class DataWriter(Endpoint):
             transient_local=transient,
             heartbeat_period_ns=participant.heartbeat_period_ns)
         # Where a write goes, derived from the matches; the participant
-        # builds it and a match change resets it (see participant._broadcast).
+        # builds it and a match change resets it (see participant._plan).
         self._send_plan = None
         self.samples_written = 0
 
@@ -67,9 +67,10 @@ class DataWriter(Endpoint):
 
         Returns the sequence number. Raises ``TypeMismatchError`` for a
         sample of the wrong shape, ``SampleTooLargeError`` past the
-        datagram limit, and ``ResourceLimitsError`` when a full keep-all
-        history does not drain within max_blocking_time (on the
-        participant's clock).
+        datagram limit, and the cache's ``ResourceLimitsError`` when it
+        refuses the sample; a RELIABLE KEEP_ALL writer first waits for
+        acks to make room, for at most max_blocking_time (on the
+        participant's clock). A refused sample uses no sequence.
         """
         if self.closed:
             raise RuntimeError("writer is closed")
@@ -89,13 +90,12 @@ class DataWriter(Endpoint):
         session = self.session
         while True:
             with self.participant._lock:
-                # A sample nobody can ask for again is not cached at all.
-                caching = session.keeps_history
-                if not caching or self.history.has_room(handle):
-                    source_ts = (source_timestamp_ns if source_timestamp_ns is not None
-                                 else clock.wall_ns())
-                    evicted = None
-                    if caching:
+                source_ts = (source_timestamp_ns if source_timestamp_ns is not None
+                             else clock.wall_ns())
+                evicted = None
+                try:
+                    # A sample nobody can ask for again is not cached at all.
+                    if session.keeps_history:
                         expiry = qos.INFINITE_NS
                         if self._lifespan_ns != qos.INFINITE_NS:
                             expiry = source_ts + self._lifespan_ns
@@ -103,17 +103,19 @@ class DataWriter(Endpoint):
                         # so a cache that refuses it leaves no sequence used.
                         evicted = self.history.insert(WriterSample(
                             session.last_sequence + 1, handle, payload, source_ts, expiry))
+                except ResourceLimitsError:
+                    if not (self._reliable and self._keep_all):
+                        raise
+                else:
                     data = session.on_write(handle, payload, source_ts)
                     if self._deadlines.active:
                         self._deadlines.record(handle, clock.monotonic_ns())
                     self.samples_written += 1
-                    self.participant._broadcast(self, data)
+                    self.participant._publish(self, data)
                     if evicted:
                         self.participant._route(self, session.note_evicted(evicted))
                     return data.sequence
                 # Full keep-all cache: wait for acks to drain it.
-                if not (self._reliable and self._keep_all):
-                    raise ResourceLimitsError("writer history full")
                 now = clock.monotonic_ns()
                 if block_deadline is None:
                     block_deadline = now + self.participant.max_blocking_time_ns

@@ -24,6 +24,11 @@ pending absence, another domain, a malformed datagram) is decoded and
 processed in full, and an echo of our own current announce is dropped
 undecoded. The memo is one bytes object per live peer and goes with the
 peer.
+
+The remote endpoints are also indexed by topic and kind
+(``remote_on``), kept as announces add, change, move or drop them and
+as silent peers go, so a new local endpoint looks only at its own
+topic.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 from minidds.dcps.guid import Guid
-from minidds.dcps.matching import EndpointDescriptor
+from minidds.dcps.matching import EndpointDescriptor, EndpointType
 from minidds.rtps import wire
 
 ANNOUNCE_PERIOD_NS = 1_000_000_000
@@ -69,6 +74,10 @@ class Discovery:
         self.announce_period_ns = announce_period_ns
         self.static_peers = tuple(static_peers)
         self._peers: dict[bytes, _Peer] = {}
+        # (topic name, kind) -> the remote endpoints known there, by GUID;
+        # only pairs with endpoints.
+        self._on_topic: dict[tuple[str, EndpointType],
+                             dict[Guid, EndpointDescriptor]] = {}
         self._last_announce_ns: Optional[int] = None
         # This participant's encoded announce; None until it is encoded
         # for the current endpoint set.
@@ -142,11 +151,15 @@ class Discovery:
         changed = []
         for guid, descriptor in present.items():
             known = peer.endpoints.get(guid)
-            if known is None:
-                added.append(descriptor)
-            elif known != descriptor:
-                changed.append((known, descriptor))
-            peer.endpoints[guid] = descriptor
+            if known != descriptor:
+                if known is None:
+                    added.append(descriptor)
+                else:
+                    changed.append((known, descriptor))
+                    self._unindex(known)
+                peer.endpoints[guid] = descriptor
+                self._on_topic.setdefault(
+                    (descriptor.topic_name, descriptor.kind), {})[guid] = descriptor
             peer.missed[guid] = 0
 
         removed = []
@@ -154,7 +167,7 @@ class Discovery:
             peer.missed[guid] = peer.missed.get(guid, 0) + 1
             if peer.missed[guid] >= ABSENCE_LIMIT:
                 removed.append(guid)
-                del peer.endpoints[guid]
+                self._unindex(peer.endpoints.pop(guid))
                 del peer.missed[guid]
         peer.announce = datagram if len(peer.endpoints) == len(present) else None
         return PeerEvent(tuple(added), tuple(changed), tuple(removed), new_peer)
@@ -165,8 +178,10 @@ class Discovery:
         cutoff = SILENCE_PERIODS * self.announce_period_ns
         for prefix in [p for p, peer in self._peers.items()
                        if now_ns - peer.last_seen_ns >= cutoff]:
-            removed.extend(self._peers[prefix].endpoints)
-            del self._peers[prefix]
+            endpoints = self._peers.pop(prefix).endpoints
+            removed.extend(endpoints)
+            for descriptor in endpoints.values():
+                self._unindex(descriptor)
             self.epoch += 1
         return removed
 
@@ -176,9 +191,18 @@ class Discovery:
         peer = self._peers.get(prefix)
         return peer.address if peer is not None else None
 
-    def remote_endpoints(self) -> list[EndpointDescriptor]:
-        return [ep for peer in self._peers.values()
-                for ep in peer.endpoints.values()]
+    def remote_on(self, topic_name: str, kind: EndpointType) -> list[EndpointDescriptor]:
+        """The known remote endpoints of one kind on one topic."""
+        return list(self._on_topic.get((topic_name, kind), {}).values())
+
+    def _unindex(self, descriptor: EndpointDescriptor) -> None:
+        key = (descriptor.topic_name, descriptor.kind)
+        entries = self._on_topic.get(key, {})
+        # An entry another peer listed under the same GUID stays.
+        if entries.get(descriptor.guid) is descriptor:
+            del entries[descriptor.guid]
+            if not entries:
+                del self._on_topic[key]
 
     def peer_count(self) -> int:
         return len(self._peers)

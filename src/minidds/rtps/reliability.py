@@ -4,8 +4,9 @@ Sessions are transport-free state machines: every input carries ``now``
 (nanoseconds) and outputs are ``Directed`` submessages for the caller to
 route. A ``dest`` of None means "every matched peer of this writer";
 otherwise the datagram goes only to that reader's participant. A write
-is the exception: ``on_write`` returns its DATA alone, which always goes
-to every matched peer.
+is the exception: ``on_write``, the one place that assigns a sequence,
+returns the write's DATA record alone, which the participant sends to
+every matched reader in one pass.
 
 Writer side: ``keeps_history`` says whether a written sample can be sent
 again, to a TRANSIENT_LOCAL writer's late joiner or on a RELIABLE
@@ -42,6 +43,10 @@ from minidds.rtps import wire
 
 HEARTBEAT_PERIOD_NS = 50_000_000
 RESPONSE_DELAY_NS = 5_000_000
+
+# Builds a record from a tuple of its fields without the Python-level
+# ``__new__`` that NamedTuple generates; once per write.
+_tuple_new = tuple.__new__
 
 # A give-up span larger than this collapses the whole range below it
 # instead of materializing per-sequence entries (defends against bogus
@@ -129,12 +134,13 @@ class WriterSession:
                  source_timestamp_ns: int) -> wire.Data:
         """Assign the next sequence; returns the DATA for every matched
         reader. Caching the sample is the writer's part: it inserts it as
-        ``last_sequence + 1`` first, while ``keeps_history`` holds. Nothing
-        is released here: no floor is above ``last_sequence + 1``, so the
-        cache already holds nothing acknowledged by every reader."""
+        ``last_sequence + 1`` first, while ``keeps_history`` holds, and
+        calls this only once the cache took it. Nothing is released here:
+        no floor is above ``last_sequence + 1``, so the cache already
+        holds nothing acknowledged by every reader."""
         self.last_sequence = sequence = self.last_sequence + 1
-        return wire.Data(self.writer_entity_id, 0, sequence, source_timestamp_ns,
-                         instance_handle, payload)
+        return _tuple_new(wire.Data, (self.writer_entity_id, 0, sequence,
+                                      source_timestamp_ns, instance_handle, payload))
 
     def note_evicted(self, evicted: list[WriterSample]) -> list[Directed]:
         """Advertise history-evicted sequences so readers stop asking."""

@@ -47,6 +47,10 @@ _DATA_HEAD = struct.Struct("<IIQqQI")  # writer, reader, seq, stamp, handle, len
 # header, submessage header and DATA head, so one pack writes all three.
 _DATA_MESSAGE = struct.Struct(
     _HEADER.format + _SUBMSG_HEADER.format[1:] + _DATA_HEAD.format[1:])
+# Its size, where the payload starts, and the most payload it can hold.
+_DATA_MESSAGE_LEN = DATA_PAYLOAD_START = _DATA_MESSAGE.size
+_DATA_PAYLOAD_ROOM = MAX_DATAGRAM - DATA_PAYLOAD_START
+_pack_data_head = _DATA_MESSAGE.pack
 _HEARTBEAT = struct.Struct("<IQQI")
 _ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
 _GAP = struct.Struct("<IQQ")
@@ -215,24 +219,36 @@ def _encode_submessage(sub: Submessage) -> bytes:
     return _SUBMSG_HEADER.pack(kind, 0, len(body)) + body
 
 
+def _oversized(size: int) -> ValueError:
+    return ValueError(f"datagram of {size} bytes exceeds UDP limit")
+
+
+def pack_data_message(prefix: bytes, data: Data) -> bytes:
+    """A message of one DATA, the common datagram, from a 12-byte sender
+    prefix: its head (message header, submessage header and DATA head)
+    packed by one struct call, then the payload. The inverse of
+    ``read_data_message``."""
+    writer_eid, reader_eid, seq, ts, handle, payload = data
+    size = len(payload)
+    if size > _DATA_PAYLOAD_ROOM:
+        if _DATA_HEAD.size + size > 0xFFFF:
+            raise ValueError("submessage body too large")
+        raise _oversized(DATA_PAYLOAD_START + size)
+    return _pack_data_head(MAGIC, VERSION, prefix, KIND_DATA, 0, _DATA_HEAD.size + size,
+                           writer_eid, reader_eid, seq, ts, handle, size) + payload
+
+
 def encode_message(message: WireMessage) -> bytes:
     prefix, submessages = message
     if len(prefix) != PREFIX_LEN:
         raise ValueError("sender prefix must be 12 bytes")
     if len(submessages) == 1 and type(submessages[0]) is Data:
-        writer_eid, reader_eid, seq, ts, handle, payload = submessages[0]
-        length = _DATA_HEAD.size + len(payload)
-        if length > 0xFFFF:
-            raise ValueError("submessage body too large")
-        out = _DATA_MESSAGE.pack(MAGIC, VERSION, prefix, KIND_DATA, 0, length,
-                                 writer_eid, reader_eid, seq, ts, handle,
-                                 len(payload)) + payload
-    elif not submessages:
+        return pack_data_message(prefix, submessages[0])
+    if not submessages:
         raise ValueError("a message carries at least one submessage")
-    else:
-        out = b"".join([_HEADER_START, prefix, *map(_encode_submessage, submessages)])
+    out = b"".join([_HEADER_START, prefix, *map(_encode_submessage, submessages)])
     if len(out) > MAX_DATAGRAM:
-        raise ValueError(f"datagram of {len(out)} bytes exceeds UDP limit")
+        raise _oversized(len(out))
     return out
 
 
@@ -416,10 +432,8 @@ _DECODERS = {
 }
 
 
-# A message of one DATA: the size of its head (everything up to the
-# payload, which starts there) and the offset of the DATA body; and the
-# one call that reads it.
-_DATA_MESSAGE_LEN = DATA_PAYLOAD_START = _DATA_MESSAGE.size
+# A message of one DATA: the offset of its DATA body, and the one call
+# that reads its head.
 _DATA_BODY_START = HEADER_LEN + SUBMSG_HEADER_LEN
 _unpack_data_message = _DATA_MESSAGE.unpack_from
 

@@ -586,16 +586,21 @@ class TestFanOut:
             participant.close()
 
     def test_one_encoding_serves_every_destination(self, monkeypatch):
-        encoded = []
-        original = wire.encode_message
+        packed = []  # every DATA encoded or packed
+        original, pack = wire.encode_message, wire.pack_data_message
 
         def counting(message):
-            encoded.append(message)
+            packed.extend(message.submessages)
             return original(message)
 
+        def counting_pack(prefix, data):
+            packed.append(data)
+            return pack(prefix, data)
+
         monkeypatch.setattr(wire, "encode_message", counting)
+        monkeypatch.setattr(wire, "pack_data_message", counting_pack)
         self.writer.write({"id": 1, "v": 2})
-        assert [type(sub) for m in encoded for sub in m.submessages] == [wire.Data]
+        assert [type(sub) for sub in packed] == [wire.Data]
         _spin(*self.parts[1:])
         for reader in self.readers:
             assert _values(reader.take()) == [(1, 2)]
@@ -730,16 +735,21 @@ class TestSameParticipantReliable:
                                           self.RELIABLE)
         _spin(self.a, self.b, self.a)
         assert writer.matched_readers() == [local.guid, remote.guid]
-        encoded = []
-        original = wire.encode_message
+        packed = []  # every DATA encoded or packed
+        original, pack = wire.encode_message, wire.pack_data_message
 
         def counting(message):
-            encoded.append(message)
+            packed.extend(message.submessages)
             return original(message)
 
+        def counting_pack(prefix, data):
+            packed.append(data)
+            return pack(prefix, data)
+
         monkeypatch.setattr(wire, "encode_message", counting)
+        monkeypatch.setattr(wire, "pack_data_message", counting_pack)
         writer.write({"n": 9})
-        assert [type(sub) for m in encoded for sub in m.submessages] == [wire.Data]
+        assert [type(sub) for sub in packed] == [wire.Data]
         self._heartbeat_rounds(self.a, self.b)
         assert not writer.unacknowledged()
         assert len(writer.history) == 0

@@ -135,16 +135,21 @@ def test_a_local_reader_matched_mid_stream_shares_the_remote_encode(fx, monkeypa
     _spin(fx.a, fx.b, fx.a)
     assert fx.write(1) == ["B"]
     local = fx.reader(fx.a)  # matches the writer as it is created
-    encoded = []
-    original = wire.encode_message
+    packed = []  # every DATA encoded or packed
+    original, pack = wire.encode_message, wire.pack_data_message
 
     def counting(message):
-        encoded.append(message)
+        packed.extend(message.submessages)
         return original(message)
 
+    def counting_pack(prefix, data):
+        packed.append(data)
+        return pack(prefix, data)
+
     monkeypatch.setattr(wire, "encode_message", counting)
+    monkeypatch.setattr(wire, "pack_data_message", counting_pack)
     assert fx.write(2) == ["B"]
-    assert [type(sub) for m in encoded for sub in m.submessages] == [wire.Data]
+    assert [type(sub) for sub in packed] == [wire.Data]
     assert _values(local) == [2]
     _spin(fx.b)
     assert _values(remote) == [1, 2]

@@ -168,3 +168,87 @@ def test_a_reader_re_announced_on_another_topic_moves_its_match():
     finally:
         b.close()
         rogue.close()
+
+
+def test_a_new_endpoint_looks_at_no_remote_endpoint_on_another_topic():
+    """Two peers announce 1 000 writers on other topics and one on "t":
+    creating a reader on "t" reads none of the 1 000 and matches the
+    one."""
+    net, clock = InProcNetwork(), ManualClock(1_000_000_000)
+    b = DomainParticipant(0, transport=net.attach("B"), clock=clock)
+    rogue = net.attach("rogue")
+    looked = []
+
+    class Watched(EndpointDescriptor):
+        def __getattribute__(self, name):
+            looked.append(name)
+            return super().__getattribute__(name)
+
+    try:
+        target = EndpointDescriptor(Guid(bytes(12), 1), 0, "t", COUNTER.name,
+                                    EndpointType.WRITER, RxoQos())
+        for peer in (1, 2):
+            prefix = bytes([peer]) * 12
+            descriptors = tuple(
+                EndpointDescriptor(Guid(prefix, i), 0, f"other{peer}.{i}", COUNTER.name,
+                                   EndpointType.WRITER, RxoQos())
+                for i in range(1, 501))
+            if peer == 1:
+                target = EndpointDescriptor(Guid(prefix, 501), 0, "t", COUNTER.name,
+                                            EndpointType.WRITER, RxoQos())
+                descriptors += (target,)
+            rogue.send(wire.encode_message(wire.WireMessage(
+                prefix, (wire.Announce(0, descriptors),))), "B")
+        b.spin_once()
+        others = [d for peer in b.discovery._peers.values()
+                  for d in peer.endpoints.values() if d.topic_name != "t"]
+        assert len(others) == 1_000
+        for descriptor in others:
+            object.__setattr__(descriptor, "__class__", Watched)
+        reader = b.create_datareader(b.create_topic("t", COUNTER), BEST_EFFORT)
+        assert looked == []
+        assert reader.matched_writers() == [target.guid]
+    finally:
+        b.close()
+        rogue.close()
+
+
+def test_discovery_indexes_remote_endpoints_by_topic_and_kind():
+    """The index follows every announce: an endpoint added, moved to
+    another topic, gone after ABSENCE_LIMIT announces, and gone with a
+    silent peer. A GUID two peers list stays while one of them lists it."""
+    from minidds.rtps.discovery import ABSENCE_LIMIT, Discovery
+
+    disc = Discovery(bytes(12), 0, announce_period_ns=1_000)
+    writer, reader = EndpointType.WRITER, EndpointType.READER
+
+    def ep(prefix, entity_id, topic, kind=writer):
+        return EndpointDescriptor(Guid(prefix, entity_id), 0, topic, COUNTER.name, kind,
+                                  RxoQos())
+
+    def announce(prefix, *endpoints, now=0):
+        disc.process_announce(wire.Announce(0, endpoints), prefix, prefix, now)
+
+    p, q = b"p" * 12, b"q" * 12
+    w1, w2, r1 = ep(p, 1, "a"), ep(p, 2, "a"), ep(p, 3, "a", reader)
+    announce(p, w1, w2, r1)
+    assert disc.remote_on("a", writer) == [w1, w2]
+    assert disc.remote_on("a", reader) == [r1]
+    moved = ep(p, 2, "b")
+    announce(p, w1, moved, r1)
+    assert disc.remote_on("a", writer) == [w1]
+    assert disc.remote_on("b", writer) == [moved]
+    for _ in range(ABSENCE_LIMIT):
+        announce(p, moved, r1)
+    assert disc.remote_on("a", writer) == []
+    assert sorted(disc._on_topic) == [("a", reader), ("b", writer)]
+    shared = ep(q, 9, "c")
+    announce(p, moved, r1, ep(q, 9, "c"))  # each peer's copy, as decoded
+    announce(q, shared, now=1)
+    for _ in range(ABSENCE_LIMIT):
+        announce(p, moved, r1)
+    assert disc.remote_on("c", writer) == [shared]  # q still lists it
+    assert sorted(disc.check_timeouts(3_000)) == sorted([moved.guid, r1.guid])
+    assert disc.remote_on("b", writer) == [] and disc.remote_on("a", reader) == []
+    assert disc.check_timeouts(4_000) == [shared.guid]
+    assert disc._on_topic == {}
