@@ -89,6 +89,37 @@ def test_the_packer_and_the_encoder_refuse_alike(size, message):
 
 
 # ---------------------------------------------------------------------------
+# Each stage of a write runs once
+
+@pytest.mark.parametrize("reliability, cached", [
+    (qos.ReliabilityKind.RELIABLE, 1), (qos.ReliabilityKind.BEST_EFFORT, 0)])
+def test_a_write_runs_each_stage_once(monkeypatch, reliability, cached):
+    """Serialize, key hash and sequence once per write; the cache is
+    asked once (``insert``, which checks ``has_room`` itself) when the
+    writer caches, and not at all when it does not. Every stage is
+    looked up at call time, so a wrapper installed after set-up sees it."""
+    from minidds.dcps.history import WriterHistory
+    from minidds.rtps.reliability import WriterSession
+
+    endpoint_qos = [qos.Reliability(reliability)]
+    pair = _Pair(ManualClock(1_000 * MS), KEYED, endpoint_qos, endpoint_qos)
+    calls = []
+    for owner, name in ((idl, "serialize"), (idl, "key_hash"), (WriterSession, "on_write"),
+                        (WriterHistory, "insert"), (WriterHistory, "has_room")):
+        def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    try:
+        assert pair.writer.write({"id": 1, "v": 1}) == 1
+        assert sorted(calls) == sorted(["serialize", "key_hash", "on_write"]
+                                       + ["insert", "has_room"] * cached)
+        assert len(pair.sent) == 1
+    finally:
+        pair.close()
+
+
+# ---------------------------------------------------------------------------
 # A refused write uses no sequence and sends nothing
 
 class _TickingClock(ManualClock):
