@@ -21,13 +21,13 @@ addresses, so it is built at the first write after the writer gains or
 loses a match, or after discovery adds, drops or re-addresses a peer
 (``Discovery.epoch``), and reused for every write in between.
 ``_publish`` sends the DATA by the plan in one pass: this participant's
-matched readers get it first, as a run of one straight to ``_deliver``,
-and the other participants one datagram, packed once from the record
-``on_write`` returned (``wire.pack_data_message``). The writer's other
-output (GAPs, retransmissions, late-joiner replays, HEARTBEATs) goes
-through ``_route`` and ``_send``; an item addressed to one reader looks
-up that reader's address each time. A closed participant closes its
-endpoints, so its writers refuse further writes.
+matched readers get it first, through the same dispatch as any local
+send, and the other participants one datagram, packed once from the
+record ``on_write`` returned (``wire.pack_data_message``). The writer's
+other output (GAPs, retransmissions, late-joiner replays, HEARTBEATs)
+goes through ``_route`` and ``_send``; an item addressed to one reader
+looks up that reader's address each time. A closed participant closes
+its endpoints, so its writers refuse further writes.
 
 ``spin_once`` reads a datagram of one DATA, the common kind, with one
 struct call (``wire.read_data_message``) into a *run*: consecutive such
@@ -537,17 +537,13 @@ class DomainParticipant:
 
     def _publish(self, writer: DataWriter, data: wire.Data) -> None:
         """Send a write's DATA by the writer's send plan: to this
-        participant's matched readers as a run of one, then as one
-        datagram, packed once, to every other matched reader's address."""
+        participant's matched readers through the dispatch, as ``_send``
+        does, then as one datagram, packed once, to every other matched
+        reader's address."""
         _, local, addresses = self._plan(writer)
         if local:
-            pairs = self._matched.get(writer.guid)
-            if pairs:
-                info = _tuple_new(SampleInfo, (writer.guid, data.sequence,
-                                               data.source_timestamp_ns,
-                                               self.clock.monotonic_ns(),
-                                               data.instance_handle))
-                self._deliver(pairs, [info], [data.payload], self.clock.wall_ns())
+            self._dispatch((data,), self.guid.prefix, None,
+                           self.clock.monotonic_ns(), self.clock.wall_ns())
         if addresses:
             datagram = wire.pack_data_message(self.guid.prefix, data)
             send = self.transport.send

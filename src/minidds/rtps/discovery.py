@@ -74,10 +74,11 @@ class Discovery:
         self.announce_period_ns = announce_period_ns
         self.static_peers = tuple(static_peers)
         self._peers: dict[bytes, _Peer] = {}
-        # (topic name, kind) -> the remote endpoints known there, by GUID;
-        # only pairs with endpoints.
+        # (topic name, kind) -> the remote endpoints known there, by
+        # (peer prefix, GUID), so each peer's copy comes and goes on its
+        # own; only pairs with endpoints.
         self._on_topic: dict[tuple[str, EndpointType],
-                             dict[Guid, EndpointDescriptor]] = {}
+                             dict[tuple[bytes, Guid], EndpointDescriptor]] = {}
         self._last_announce_ns: Optional[int] = None
         # This participant's encoded announce; None until it is encoded
         # for the current endpoint set.
@@ -156,10 +157,10 @@ class Discovery:
                     added.append(descriptor)
                 else:
                     changed.append((known, descriptor))
-                    self._unindex(known)
+                    self._unindex(sender_prefix, known)
                 peer.endpoints[guid] = descriptor
-                self._on_topic.setdefault(
-                    (descriptor.topic_name, descriptor.kind), {})[guid] = descriptor
+                self._on_topic.setdefault((descriptor.topic_name, descriptor.kind),
+                                          {})[sender_prefix, guid] = descriptor
             peer.missed[guid] = 0
 
         removed = []
@@ -167,7 +168,7 @@ class Discovery:
             peer.missed[guid] = peer.missed.get(guid, 0) + 1
             if peer.missed[guid] >= ABSENCE_LIMIT:
                 removed.append(guid)
-                self._unindex(peer.endpoints.pop(guid))
+                self._unindex(sender_prefix, peer.endpoints.pop(guid))
                 del peer.missed[guid]
         peer.announce = datagram if len(peer.endpoints) == len(present) else None
         return PeerEvent(tuple(added), tuple(changed), tuple(removed), new_peer)
@@ -181,7 +182,7 @@ class Discovery:
             endpoints = self._peers.pop(prefix).endpoints
             removed.extend(endpoints)
             for descriptor in endpoints.values():
-                self._unindex(descriptor)
+                self._unindex(prefix, descriptor)
             self.epoch += 1
         return removed
 
@@ -195,14 +196,12 @@ class Discovery:
         """The known remote endpoints of one kind on one topic."""
         return list(self._on_topic.get((topic_name, kind), {}).values())
 
-    def _unindex(self, descriptor: EndpointDescriptor) -> None:
+    def _unindex(self, prefix: bytes, descriptor: EndpointDescriptor) -> None:
         key = (descriptor.topic_name, descriptor.kind)
-        entries = self._on_topic.get(key, {})
-        # An entry another peer listed under the same GUID stays.
-        if entries.get(descriptor.guid) is descriptor:
-            del entries[descriptor.guid]
-            if not entries:
-                del self._on_topic[key]
+        entries = self._on_topic[key]
+        del entries[prefix, descriptor.guid]
+        if not entries:
+            del self._on_topic[key]
 
     def peer_count(self) -> int:
         return len(self._peers)

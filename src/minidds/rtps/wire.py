@@ -47,10 +47,8 @@ _DATA_HEAD = struct.Struct("<IIQqQI")  # writer, reader, seq, stamp, handle, len
 # header, submessage header and DATA head, so one pack writes all three.
 _DATA_MESSAGE = struct.Struct(
     _HEADER.format + _SUBMSG_HEADER.format[1:] + _DATA_HEAD.format[1:])
-# Its size, where the payload starts, and the most payload it can hold.
+# Its size, where the payload starts.
 _DATA_MESSAGE_LEN = DATA_PAYLOAD_START = _DATA_MESSAGE.size
-_DATA_PAYLOAD_ROOM = MAX_DATAGRAM - DATA_PAYLOAD_START
-_pack_data_head = _DATA_MESSAGE.pack
 _HEARTBEAT = struct.Struct("<IQQI")
 _ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
 _GAP = struct.Struct("<IQQ")
@@ -224,18 +222,23 @@ def _oversized(size: int) -> ValueError:
 
 
 def pack_data_message(prefix: bytes, data: Data) -> bytes:
-    """A message of one DATA, the common datagram, from a 12-byte sender
-    prefix: its head (message header, submessage header and DATA head)
-    packed by one struct call, then the payload. The inverse of
-    ``read_data_message``."""
+    """A message of one DATA, the common datagram: its head (message
+    header, submessage header and DATA head) packed by one struct call,
+    then the payload. The inverse of ``read_data_message``.
+
+    ``prefix`` must be the 12-byte sender prefix. It is not checked here,
+    and struct pads or cuts one of another length, so a caller with an
+    unchecked prefix goes through ``encode_message``, which refuses it."""
     writer_eid, reader_eid, seq, ts, handle, payload = data
-    size = len(payload)
-    if size > _DATA_PAYLOAD_ROOM:
-        if _DATA_HEAD.size + size > 0xFFFF:
-            raise ValueError("submessage body too large")
-        raise _oversized(DATA_PAYLOAD_START + size)
-    return _pack_data_head(MAGIC, VERSION, prefix, KIND_DATA, 0, _DATA_HEAD.size + size,
-                           writer_eid, reader_eid, seq, ts, handle, size) + payload
+    length = _DATA_HEAD.size + len(payload)
+    if length > 0xFFFF:
+        raise ValueError("submessage body too large")
+    out = _DATA_MESSAGE.pack(MAGIC, VERSION, prefix, KIND_DATA, 0, length,
+                             writer_eid, reader_eid, seq, ts, handle,
+                             len(payload)) + payload
+    if len(out) > MAX_DATAGRAM:
+        raise _oversized(len(out))
+    return out
 
 
 def encode_message(message: WireMessage) -> bytes:

@@ -7,6 +7,8 @@ readers of its old one. Every case runs on ``InProcNetwork`` and a
 ``ManualClock``, and counts calls instead of timing them.
 """
 
+import pytest
+
 from minidds import idl, qos
 from minidds.clock import ManualClock
 from minidds.dcps import participant as participant_module
@@ -252,3 +254,35 @@ def test_discovery_indexes_remote_endpoints_by_topic_and_kind():
     assert disc.remote_on("b", writer) == [] and disc.remote_on("a", reader) == []
     assert disc.check_timeouts(4_000) == [shared.guid]
     assert disc._on_topic == {}
+
+
+@pytest.mark.parametrize("q_first", [False, True])
+def test_a_guid_two_peers_list_stays_while_either_lists_it(q_first):
+    """Peers p and q both list GUID G; p stops. q's copy stays in the
+    index, and a reader created later pairs with it, whichever peer
+    announced G first."""
+    from minidds.rtps.discovery import ABSENCE_LIMIT
+
+    net, clock = InProcNetwork(), ManualClock(1_000_000_000)
+    a = DomainParticipant(0, transport=net.attach("a"), clock=clock)
+    try:
+        topic = a.create_topic("c", COUNTER)
+        p, q = b"p" * 12, b"q" * 12
+        copies = {prefix: EndpointDescriptor(Guid(q, 9), 0, "c", COUNTER.name,
+                                             EndpointType.WRITER, RxoQos())
+                  for prefix in (p, q)}
+
+        def announce(prefix, *endpoints):
+            a.discovery.process_announce(wire.Announce(0, endpoints), prefix, prefix, 0)
+
+        for prefix in ((q, p) if q_first else (p, q)):
+            announce(prefix, copies[prefix])
+        both = [copies[q], copies[p]] if q_first else [copies[p], copies[q]]
+        assert a.discovery.remote_on("c", EndpointType.WRITER) == both
+        for _ in range(ABSENCE_LIMIT):
+            announce(p)
+        assert a.discovery.remote_on("c", EndpointType.WRITER) == [copies[q]]
+        reader = a.create_datareader(topic)
+        assert reader.matched_writers() == [Guid(q, 9)]
+    finally:
+        a.close()
