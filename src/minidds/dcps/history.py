@@ -227,7 +227,8 @@ class ReaderHistory:
     guid) order, equal keys in arrival order. ``instances[h]`` keeps
     instance ``h``'s pairs in that order: an arrival that sorts last, the
     common case as each writer's sequences rise, is appended; any other is
-    placed by bisection after every equal key. The pairs are stored as
+    placed after every equal key, by a galloping search back from the end
+    and a bisection inside the bracket it finds. The pairs are stored as
     they are handed out, so ``take`` returns slices of the cache.
     ``_handles`` lists the cached handles in ascending order, except those
     of instances new since the last ``read`` or ``take``, which wait in
@@ -240,11 +241,12 @@ class ReaderHistory:
     Costs, for n cached samples: ``insert`` O(1) for a new instance or
     an arrival that sorts last in a cached instance (in a full keep-last
     instance it replaces the front entry in place, plus a shift of the
-    instance's depth), and O(log n) plus a list shift for any other
-    arrival; ``read`` and ``take`` O(returned + instances visited) plus
-    one list shift per take, plus, for k new instances, k shifts of the
-    handle list or, past ``_INSORT_MAX``, one sort of it. A take that
-    drains the cache hands it all out in one pass and resets it.
+    instance's depth), and O(log d) plus a list shift for an arrival that
+    sorts d entries before the end; ``read`` and ``take`` O(returned +
+    instances visited) plus one list shift per take, plus, for k new
+    instances, k shifts of the handle list or, past ``_INSORT_MAX``, one
+    sort of it. A take that drains the cache hands it all out in one pass
+    and resets it.
     """
 
     def __init__(self, history: qos.History, limits: qos.ResourceLimits):
@@ -296,7 +298,13 @@ class ReaderHistory:
             position = len(entries)
             entries.append((sample, info))
         else:
-            position = bisect_right(entries, (sequence, info.writer_guid), key=_order_key)
+            order = (sequence, info.writer_guid)
+            lo, hi, step = len(entries) - 1, len(entries), 1
+            while lo > 0 and order < _order_key(entries[lo]):
+                hi = lo
+                lo = max(lo - step, 0)
+                step += step
+            position = bisect_right(entries, order, lo, hi, key=_order_key)
             entries.insert(position, (sample, info))
         self.total += 1
         evicted = 0

@@ -235,6 +235,33 @@ def test_equal_sequence_and_writer_keep_arrival_order():
     assert [sample.values[0] for sample, _ in taken] == ["first", "second", "third", "newer"]
 
 
+def test_a_late_arrival_costs_the_same_in_a_larger_instance(monkeypatch):
+    """An arrival that sorts 3 entries before the end of its instance is
+    placed with the same number of key comparisons among 1 024 entries
+    as among 65 536: the search starts from the end of the instance."""
+    from minidds.dcps import history as history_module
+
+    compared = []
+    order_key = history_module._order_key
+
+    def counting(entry):
+        compared.append(entry)
+        return order_key(entry)
+
+    monkeypatch.setattr(history_module, "_order_key", counting)
+    counts = []
+    for n in (1024, 65536):
+        history = ReaderHistory(qos.History(qos.HistoryKind.KEEP_ALL), qos.ResourceLimits())
+        late = n - 3
+        for seq in [*range(1, late), n - 2, n - 1, n, late]:
+            compared.clear()
+            assert history.insert(SampleInfo(WRITERS[0], seq, 0, 0, 4),
+                                  idl.Sample("Reading", (seq,))).accepted
+        counts.append(len(compared))
+        assert [info.sequence for _, info in history.take(n)] == list(range(1, n + 1))
+    assert counts[0] == counts[1] <= 6, counts
+
+
 class _Budget:
     def __init__(self, seconds: float):
         self.seconds = seconds
