@@ -8,16 +8,22 @@ field is named exactly ``key``, that field is the key. Serialization is
 little-endian with each primitive aligned to its natural size from offset 0;
 strings are a 32-bit byte length plus UTF-8 bytes, aligned to 4 (see
 "Payload encoding" in docs/wire.md).
+
+A type's codec is straight-line Python generated from its descriptor,
+one struct call per run of fixed-size fields, and compiled when a sample
+is first encoded or decoded, never when the type is parsed or matched.
+What it cannot take (a wrong shape or value, short or bad bytes) goes to
+one field-by-field routine per direction, the only one that raises.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -327,16 +333,16 @@ def make_sample(descriptor: TypeDescriptor, values) -> Sample:
     if isinstance(values, Sample):
         return values
     if isinstance(values, Mapping):
-        names = {f.name for f in descriptor.fields}
-        extra = set(values) - names
-        if extra:
-            raise TypeMismatchError(
-                f"{descriptor.name} has no field named {sorted(extra)[0]!r}")
-        missing = [f.name for f in descriptor.fields if f.name not in values]
-        if missing:
+        codec = descriptor._codec
+        if values.keys() != codec.name_set:
+            extra = set(values) - codec.name_set
+            if extra:
+                raise TypeMismatchError(
+                    f"{descriptor.name} has no field named {sorted(extra)[0]!r}")
+            missing = [name for name in codec.names if name not in values]
             raise TypeMismatchError(
                 f"{descriptor.name}: missing value for field {missing[0]!r}")
-        ordered = tuple(values[f.name] for f in descriptor.fields)
+        ordered = tuple([values[name] for name in codec.names])
     else:
         ordered = tuple(values)
     return Sample(descriptor.name, ordered)
@@ -355,66 +361,143 @@ _EXACT_TYPE = {kind: int for kind in _INT_RANGES}
 _EXACT_TYPE.update({PrimitiveKind.BOOLEAN: bool, PrimitiveKind.FLOAT: float,
                     PrimitiveKind.DOUBLE: float, PrimitiveKind.STRING: str})
 _U32 = struct.Struct("<I")
-_PADS = tuple(bytes(n) for n in range(4))
+# What the generated code leaves to the field-by-field routines: a wrong
+# shape, a value struct cannot pack, bad text, short or long bytes.
+_FALLBACK = (ValueError, TypeError, OverflowError, struct.error)
 
 
-def _run_structs(kinds: Sequence[PrimitiveKind], padded: bool) -> tuple[struct.Struct, ...]:
-    """Structs for a run of fixed-size fields. Padded, there is one per
-    start offset mod 8, each holding the alignment padding before and
-    between the fields at that offset; unpadded (key bytes), just one."""
-    structs = []
-    for residue in range(8 if padded else 1):
-        fmt, offset = "<", residue
-        for kind in kinds:
-            pad = -offset % kind.size if padded else 0
-            fmt += "x" * pad + kind.fmt
-            offset += pad + kind.size
-        structs.append(struct.Struct(fmt))
-    return tuple(structs)
+def _struct(kinds: Sequence[PrimitiveKind], offset: int = 0,
+            padded: bool = True) -> struct.Struct:
+    """A struct of ``kinds`` in order from ``offset``: each aligned to its
+    size when ``padded``, else back to back (key bytes)."""
+    fmt = "<"
+    for kind in kinds:
+        pad = -offset % kind.size if padded else 0
+        fmt += "x" * pad + kind.fmt
+        offset += pad + kind.size
+    return struct.Struct(fmt)
 
 
-def _segments(fields: Iterable[tuple[int, FieldDescriptor]], padded: bool) -> tuple:
-    """In declaration order: ``(index, None)`` per string field, and
-    ``(slice, structs)`` per run of fixed-size fields that are adjacent
-    in the type."""
-    runs: list = []  # [start, stop, kinds], or [index, None, None] for a string
-    for index, f in fields:
+def _runs(fields: Iterable[tuple[int, FieldDescriptor]]) -> list:
+    """``(index, field)`` pairs split after each string, as ``(indexes,
+    kinds, string)``: the run's fixed-size fields, the kinds one struct
+    packs (theirs, then the string's length prefix), and the string's
+    index, None in a last run without one."""
+    runs, indexes, kinds = [], [], []
+    for i, f in fields:
         if f.kind is PrimitiveKind.STRING:
-            runs.append([index, None, None])
-        elif runs and runs[-1][1] == index:
-            runs[-1][1] += 1
-            runs[-1][2].append(f.kind)
+            runs.append((indexes, kinds + [PrimitiveKind.UNSIGNED_LONG], i))
+            indexes, kinds = [], []
         else:
-            runs.append([index, index + 1, [f.kind]])
-    return tuple((start, None) if kinds is None
-                 else (slice(start, stop), _run_structs(kinds, padded))
-                 for start, stop, kinds in runs)
+            indexes.append(i)
+            kinds.append(f.kind)
+    if kinds:
+        runs.append((indexes, kinds, None))
+    return runs
+
+
+def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
+    """Source of one type's ``pack``, ``unpack`` and ``key`` functions,
+    and the namespace they run in. The source holds generator-made names
+    (``v2`` is field 2's value, ``b2`` its UTF-8 bytes, ``l2`` their
+    length), integer literals, and the namespace's constants: ``name``,
+    the first run's ``pack0`` and ``unpack0``, each later run's structs
+    by offset mod 8 (``table1``...), the key runs' unpadded ``key0``...
+    No name or value from the descriptor is spliced in."""
+    fields = list(enumerate(descriptor.fields))
+    every = "".join(f"v{i}, " for i, _ in fields)
+    test = " and ".join(
+        f"type(v{i}) is {_EXACT_TYPE[f.kind].__name__}" + (
+            " and {} <= v{} <= {}".format(_INT_RANGES[f.kind][0], i, _INT_RANGES[f.kind][1])
+            if f.kind in _INT_RANGES else "")
+        for i, f in fields)
+    namespace: dict = {"name": descriptor.name, "Fallback": _FALLBACK}
+    pack = [f"b{i} = v{i}.encode()" for i, f in fields if f.kind is PrimitiveKind.STRING]
+    unpack, pieces = [], []
+    for n, (indexes, kinds, string) in enumerate(_runs(fields)):
+        tail = [] if string is None else [string]
+        values = ", ".join([f"v{i}" for i in indexes] + [f"len(b{i})" for i in tail])
+        targets = "".join([f"v{i}, " for i in indexes] + [f"l{i}, " for i in tail])
+        if n == 0:  # at offset 0
+            first = _struct(kinds)
+            namespace.update(pack0=first.pack, unpack0=first.unpack_from)
+            pieces.append(f"pack0({values})")
+            unpack.append(f"{targets}= unpack0(data)")
+            start = str(first.size)
+        else:  # at offset o, just past a string
+            namespace[f"table{n}"] = tuple(_struct(kinds, r) for r in range(8))
+            pack += [f"o = {end}", f"t{n} = table{n}[o & 7]"]
+            pieces.append(f"t{n}.pack({values})")
+            unpack += [f"t{n} = table{n}[o & 7]", f"{targets}= t{n}.unpack_from(data, o)"]
+            start = f"o + t{n}.size"
+        if string is None:
+            unpack.append(f"o = {start}")
+        else:
+            pieces.append(f"b{string}")
+            end = f"{start} + len(b{string})"
+            unpack += [f"a = {start}", f"o = a + l{string}", f"v{string} = data[a:o].decode()"]
+    pack = ["if sample.type_name == name:", f"    {every}= sample.values", f"    if {test}:",
+            *(f"        {line}" for line in pack), f"        return {' + '.join(pieces)}"]
+    unpack += ["if o == len(data):", f"    return ({every})"]
+
+    key = [f"return {UNKEYED_HANDLE}"]
+    if descriptor.key_fields:
+        key_fields = [(i, f) for i, f in fields if f.is_key]
+        pieces = []
+        for n, (indexes, kinds, string) in enumerate(_runs(key_fields)):
+            namespace[f"key{n}"] = _struct(kinds, padded=False).pack
+            tail = [] if string is None else [string]
+            values = ", ".join([f"v{i}" for i in indexes] + [f"len(b{i})" for i in tail])
+            pieces += [f"key{n}({values})"] + [f"b{i}" for i in tail]
+        key = [f"{every}= values",
+               *(f"b{i} = v{i}.encode()" for i, f in key_fields if f.kind is PrimitiveKind.STRING),
+               f"h = {FNV64_OFFSET}",
+               f"for c in {' + '.join(pieces)}:",
+               f"    h = (h ^ c) * {FNV64_PRIME} & {2**64 - 1}",
+               "return h"]
+    # Each function returns None on any failure.
+    source = ""
+    for signature, body in (("pack(sample)", pack), ("unpack(data)", unpack),
+                            ("key(values)", key)):
+        source += "".join([f"def {signature}:\n    try:\n",
+                           *(f"        {line}\n" for line in body),
+                           "    except Fallback:\n        pass\n\n"])
+    return source, namespace
 
 
 class _Codec:
-    """One type's serialization, compiled once per descriptor.
+    """One type's serialization: straight-line code generated and
+    compiled when the type is first encoded or decoded, then kept on the
+    descriptor.
 
-    Each field's check is reduced to an exact type (plus a range for
-    integers), so a well-formed sample is checked with one tuple
-    comparison; anything else goes through ``_check_value`` for the
-    precise error. Adjacent fixed-size fields pack and unpack with one
-    precompiled ``struct.Struct``. Error types, messages and offsets are
-    those of encoding field by field.
+    ``pack(sample)`` checks the sample with one expression of exact
+    types and integer ranges, then packs each run of fixed-size fields
+    with the next string's length prefix in one struct call; past a
+    string it picks the run's struct by offset mod 8. ``unpack(data)``
+    mirrors it and accepts only the exact payload length. ``key(values)``
+    packs the key fields, unpadded, and folds FNV-1a over the bytes; it
+    does not check. Each returns None on any failure, and the caller
+    hands the sample or payload to ``encode_field_by_field`` or
+    ``decode_field_by_field``: they take what the exact types leave out
+    (an int for a double, an int subclass) and raise every error.
     """
 
     def __init__(self, descriptor: TypeDescriptor):
         fields = descriptor.fields
         self.name = descriptor.name
         self.fields = fields
-        self.keyed = any(f.is_key for f in fields)
-        self.types = tuple(_EXACT_TYPE[f.kind] for f in fields)
-        self.ranges = tuple((i, *_INT_RANGES[f.kind]) for i, f in enumerate(fields)
-                            if f.kind in _INT_RANGES)
-        self.segments = _segments(enumerate(fields), padded=True)
-        self.key_segments = _segments(
-            ((i, f) for i, f in enumerate(fields) if f.is_key), padded=False)
+        self.names = tuple(f.name for f in fields)
+        self.name_set = frozenset(self.names)
+        self.source, namespace = _generate(descriptor)
+        exec(compile(self.source, "<idl codec>", "exec"), namespace)
+        self.pack, self.unpack, self.key = namespace["pack"], namespace["unpack"], namespace["key"]
 
-    def check(self, sample: Sample) -> None:
+    def encode_field_by_field(self, sample: Sample, mode: str = "payload"):
+        """Check ``sample`` and encode it one field at a time: the payload
+        (``"payload"``), its length only (``"size"``, which packs zeros
+        in place of the numbers), or the key fields unpadded (``"key"``).
+        A float out of its kind's range names its field in a payload and
+        passes the struct module's error through in a key."""
         if sample.type_name != self.name:
             raise TypeMismatchError(
                 f"sample of type {sample.type_name!r} does not match descriptor {self.name!r}")
@@ -422,58 +505,35 @@ class _Codec:
         if len(values) != len(self.fields):
             raise TypeMismatchError(
                 f"{self.name}: expected {len(self.fields)} values, got {len(values)}")
-        if tuple(map(type, values)) == self.types:
-            for i, lo, hi in self.ranges:
-                if not lo <= values[i] <= hi:
-                    break
-            else:
-                return
         for f, value in zip(self.fields, values):
             _check_value(f.kind, value, f.name)
-
-    def pack(self, values: Sequence) -> bytes:
-        """Encode checked values."""
+        padded = mode != "key"
         out = bytearray()
-        try:
-            for index, structs in self.segments:
-                if structs is None:
-                    encoded = values[index].encode("utf-8")
-                    out += _PADS[-len(out) & 3]
-                    out += _U32.pack(len(encoded))
-                    out += encoded
-                else:
-                    out += structs[len(out) & 7].pack(*values[index])
-        except (struct.error, OverflowError):
-            # A float out of the kind's range: name the first such field.
-            for f, value in zip(self.fields, values):
-                if f.kind is not PrimitiveKind.STRING:
-                    try:
-                        struct.pack("<" + f.kind.fmt, value)
-                    except (struct.error, OverflowError) as exc:
-                        raise TypeMismatchError(f"field {f.name!r}: {exc}") from None
-            raise
-        return bytes(out)
+        for f, value in zip(self.fields, values):
+            if not (padded or f.is_key):
+                continue
+            if f.kind is PrimitiveKind.STRING:
+                encoded = value.encode("utf-8")
+                out += bytes(-len(out) & 3 if padded else 0) + _U32.pack(len(encoded)) + encoded
+                continue
+            out += bytes(-len(out) % f.kind.size if padded else 0)
+            try:
+                out += struct.pack("<" + f.kind.fmt, 0 if mode == "size" else value)
+            except (struct.error, OverflowError) as exc:
+                if not padded:
+                    raise
+                raise TypeMismatchError(f"field {f.name!r}: {exc}") from None
+        return len(out) if mode == "size" else bytes(out)
 
-    def size(self, values: Sequence) -> int:
-        """Byte length ``pack`` would produce for checked values."""
-        size = 0
-        for index, structs in self.segments:
-            if structs is None:
-                size += (-size & 3) + 4 + len(values[index].encode("utf-8"))
-            else:
-                size += structs[size & 7].size
-        return size
-
-    def unpack(self, data: bytes) -> tuple:
+    def decode_field_by_field(self, data: bytes) -> tuple:
         values: list = []
         offset = 0
         n = len(data)
-        for index, structs in self.segments:
-            if structs is None:
-                name = self.fields[index].name
+        for f in self.fields:
+            if f.kind is PrimitiveKind.STRING:
                 offset += -offset & 3
                 if offset + 4 > n:
-                    raise DecodeError(offset, f"truncated before length of field {name!r}")
+                    raise DecodeError(offset, f"truncated before length of field {f.name!r}")
                 (length,) = _U32.unpack_from(data, offset)
                 offset += 4
                 if offset + length > n:
@@ -481,52 +541,41 @@ class _Codec:
                 try:
                     values.append(data[offset:offset + length].decode("utf-8"))
                 except UnicodeDecodeError:
-                    raise DecodeError(offset, f"field {name!r} is not valid UTF-8") from None
+                    raise DecodeError(offset, f"field {f.name!r} is not valid UTF-8") from None
                 offset += length
             else:
-                run = structs[offset & 7]
-                if offset + run.size > n:
-                    for f in self.fields[index]:  # find the one that does not fit
-                        offset += -offset % f.kind.size
-                        if offset + f.kind.size > n:
-                            raise DecodeError(offset, f"truncated in field {f.name!r}")
-                        offset += f.kind.size
-                values += run.unpack_from(data, offset)
-                offset += run.size
+                offset += -offset % f.kind.size
+                if offset + f.kind.size > n:
+                    raise DecodeError(offset, f"truncated in field {f.name!r}")
+                values += struct.unpack_from("<" + f.kind.fmt, data, offset)
+                offset += f.kind.size
         if offset != n:
             raise DecodeError(offset, f"{n - offset} trailing bytes")
         return tuple(values)
-
-    def key_bytes(self, values: Sequence) -> bytes:
-        """Key-field encodings of checked values, unpadded."""
-        out = bytearray()
-        for index, structs in self.key_segments:
-            if structs is None:
-                encoded = values[index].encode("utf-8")
-                out += _U32.pack(len(encoded))
-                out += encoded
-            else:
-                out += structs[0].pack(*values[index])
-        return bytes(out)
 
 
 def serialize(descriptor: TypeDescriptor, sample: Sample) -> bytes:
     """Encode a sample; equal samples yield equal bytes."""
     codec = descriptor._codec
-    codec.check(sample)
-    return codec.pack(sample.values)
+    data = codec.pack(sample)
+    return codec.encode_field_by_field(sample) if data is None else data
 
 
 def serialized_size(descriptor: TypeDescriptor, sample: Sample) -> int:
-    """Byte length ``serialize`` would produce, without producing it."""
+    """Byte length ``serialize`` would produce. A sample it would refuse
+    only for a float out of range is measured without packing."""
     codec = descriptor._codec
-    codec.check(sample)
-    return codec.size(sample.values)
+    data = codec.pack(sample)
+    return codec.encode_field_by_field(sample, "size") if data is None else len(data)
 
 
 def deserialize(descriptor: TypeDescriptor, data: bytes) -> Sample:
     """Decode bytes produced by ``serialize``; trailing bytes are an error."""
-    return Sample(descriptor.name, descriptor._codec.unpack(data))
+    codec = descriptor._codec
+    values = codec.unpack(data)
+    if values is None:
+        values = codec.decode_field_by_field(data)
+    return Sample(descriptor.name, values)
 
 
 # ---------------------------------------------------------------------------
@@ -541,19 +590,19 @@ def fnv1a_64(data: bytes) -> int:
 
 def key_bytes(descriptor: TypeDescriptor, sample: Sample) -> bytes:
     """Key-field encodings concatenated in declaration order, unpadded."""
-    codec = descriptor._codec
-    codec.check(sample)
-    return codec.key_bytes(sample.values)
+    return descriptor._codec.encode_field_by_field(sample, "key")
 
 
 def key_hash(descriptor: TypeDescriptor, sample: Sample, *, checked: bool = False) -> int:
     """64-bit instance handle. Unkeyed types map every sample to handle 0;
     keyed samples hash their key bytes, so equal keys share a handle.
     ``checked`` says the caller has already checked the sample against
-    the descriptor (``serialize`` does), so it is not checked again."""
+    the descriptor (``serialize`` does), so it is not checked again;
+    unchecked, the sample is checked as ``key_bytes`` checks it."""
     codec = descriptor._codec
-    if not codec.keyed:
-        return UNKEYED_HANDLE
-    if not checked:
-        codec.check(sample)
-    return fnv1a_64(codec.key_bytes(sample.values))
+    if checked:
+        handle = codec.key(sample.values)
+        if handle is not None:
+            return handle
+    key = codec.encode_field_by_field(sample, "key")
+    return fnv1a_64(key) if descriptor.key_fields else UNKEYED_HANDLE

@@ -281,6 +281,12 @@ MIXED_ERRORS = [
     ((1, 1.5, 2.5, "ok", 7), "Other",
      (("TypeMismatchError", "sample of type 'Other' does not match descriptor 'M'"),) * 4),
 ]
+# An unkeyed type checks its samples alike in all four functions.
+UNKEYED_ERRORS = [
+    (("x",), "Other", "sample of type 'Other' does not match descriptor 'C'"),
+    (("x", 1), "C", "C: expected 1 values, got 2"),
+    ((1,), "C", "field 's' expects text"),
+]
 
 PADDED_BYTES = "0600000068c3a96c6c6f000000000000000000000000f8bffeffff0000000000070000000000000001000000020000007a7a00000000003f"
 MIXED_BYTES = "010000000000c03f0000000000000440020000006f6b07"
@@ -330,6 +336,13 @@ class TestErrors:
         got = tuple(_outcome(lambda: getattr(idl, f)(descriptor, sample)) for f in FUNCTIONS)
         assert got == expected
 
+    @pytest.mark.parametrize("values, type_name, message", UNKEYED_ERRORS)
+    def test_an_unkeyed_type_checks_alike(self, values, type_name, message):
+        descriptor = _type("struct C { string s; };")
+        sample = idl.Sample(type_name, values)
+        got = tuple(_outcome(lambda: getattr(idl, f)(descriptor, sample)) for f in FUNCTIONS)
+        assert got == (("TypeMismatchError", message),) * 4
+
     def test_pack_errors_are_struct_errors(self):
         # "error" above is struct.error: key_bytes lets it through.
         descriptor = _type("struct K { double k; //@key\n};")
@@ -369,22 +382,54 @@ class TestErrors:
 
 
 def test_write_checks_the_sample_once(monkeypatch):
-    checked = []
-    original = idl._Codec.check
-
-    def counting(codec, sample):
-        checked.append(sample)
-        original(codec, sample)
-
-    monkeypatch.setattr(idl._Codec, "check", counting)
+    """A sample is checked against its type in the generated ``pack``,
+    which inlines the check, or in ``encode_field_by_field``; the key
+    hash that follows gets the values only. A write runs ``pack`` once,
+    the field-by-field routine never, and the key hash does not check:
+    it hashes a sample that no check would pass."""
+    descriptor = _type(READING_IDL)
+    codec = descriptor._codec
+    calls = []
+    for name in ("pack", "key", "encode_field_by_field"):
+        def counting(*args, _original=getattr(codec, name), _name=name):
+            calls.append((_name, args))
+            return _original(*args)
+        monkeypatch.setattr(codec, name, counting)
     net = InProcNetwork()
     with DomainParticipant(0, transport=net.attach("solo"),
                            clock=ManualClock(1_000_000_000)) as participant:
-        topic = participant.create_topic("readings", _type(READING_IDL))
+        topic = participant.create_topic("readings", descriptor)
         reader = participant.create_datareader(topic)
         writer = participant.create_datawriter(topic)
         values, _payload, _key, handle = READING_VECTORS[1]
-        writer.write(idl.Sample("Reading", values))
-        assert len(checked) == 1
+        sample = idl.Sample("Reading", values)
+        writer.write(sample)
+        assert calls == [("pack", (sample,)), ("key", (values,))]
         (_sample, info), = reader.take()
         assert info.instance_handle == handle
+    unchecked = idl.Sample("Reading", values[:2] + ("not a stamp", None, b"no label"))
+    assert idl.key_hash(descriptor, unchecked, checked=True) == handle
+
+
+def test_matching_compiles_no_codec():
+    """Parsing, topics, endpoints and matching leave a type's codec
+    uncompiled; the first write compiles the writer's, and the first
+    DATA the reader's participant receives the reader's."""
+    net = InProcNetwork()
+    types = [_type(READING_IDL), _type(READING_IDL)]
+    a, b = (DomainParticipant(0, transport=net.attach(name), clock=ManualClock(1_000_000_000),
+                              static_peers=(peer,))
+            for name, peer in (("A", "B"), ("B", "A")))
+    with a, b:
+        writer = a.create_datawriter(a.create_topic("readings", types[0]))
+        reader = b.create_datareader(b.create_topic("readings", types[1]))
+        for _ in range(3):
+            a.spin_once()
+            b.spin_once()
+        assert writer.matched_readers() == [reader.guid]
+        assert ["_codec" in vars(t) for t in types] == [False, False]
+        writer.write(idl.Sample("Reading", READING_VECTORS[1][0]))
+        assert ["_codec" in vars(t) for t in types] == [True, False]
+        b.spin_once()
+        assert ["_codec" in vars(t) for t in types] == [True, True]
+        assert len(reader.take()) == 1

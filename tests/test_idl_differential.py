@@ -1,0 +1,217 @@
+"""The generated codecs against a field-by-field reference.
+
+``reference_encode``, ``reference_key_hash`` and ``reference_decode``
+restate "Payload encoding" in docs/wire.md one field at a time, with
+the decode errors the golden vectors in test_idl_codec.py record. Seeded
+random types of 1 to 8 fields over all eleven kinds, in the shapes that
+change the generated code (a string first, last, next to another, only
+strings, key fields apart, no key), must give the same payloads,
+instance handles and decoded values, and the same error for every
+truncated payload, a corrupted UTF-8 byte and a trailing byte.
+"""
+
+import random
+import struct
+
+import pytest
+
+from minidds import idl
+
+KINDS = list(idl.PrimitiveKind)
+STRING = idl.PrimitiveKind.STRING
+SHAPES = ("any", "string first", "string last", "adjacent strings", "only strings",
+          "keys apart", "no key")
+TYPES_PER_SHAPE = 12
+SAMPLES_PER_TYPE = 3
+TEXT = "aé日𝄞 z\x00"
+
+
+# ---------------------------------------------------------------------------
+# The reference
+
+def reference_encode(descriptor: idl.TypeDescriptor, values: tuple) -> bytes:
+    out = b""
+    for f, value in zip(descriptor.fields, values):
+        if f.kind is STRING:
+            text = value.encode("utf-8")
+            out += bytes(-len(out) % 4) + struct.pack("<I", len(text)) + text
+        else:
+            out += bytes(-len(out) % f.kind.size) + struct.pack("<" + f.kind.fmt, value)
+    return out
+
+
+def reference_key_hash(descriptor: idl.TypeDescriptor, values: tuple) -> int:
+    if not descriptor.key_fields:
+        return 0
+    key = b""
+    for f, value in zip(descriptor.fields, values):
+        if f.is_key and f.kind is STRING:
+            text = value.encode("utf-8")
+            key += struct.pack("<I", len(text)) + text
+        elif f.is_key:
+            key += struct.pack("<" + f.kind.fmt, value)
+    handle = 0xCBF29CE484222325
+    for byte in key:
+        handle = ((handle ^ byte) * 0x100000001B3) % 2**64
+    return handle
+
+
+def reference_decode(descriptor: idl.TypeDescriptor, data: bytes) -> tuple:
+    values = []
+    offset = 0
+    for f in descriptor.fields:
+        if f.kind is STRING:
+            offset += -offset % 4
+            if offset + 4 > len(data):
+                raise idl.DecodeError(offset, f"truncated before length of field {f.name!r}")
+            (length,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            if offset + length > len(data):
+                raise idl.DecodeError(offset, f"string length {length} exceeds remaining bytes")
+            try:
+                values.append(data[offset:offset + length].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise idl.DecodeError(offset, f"field {f.name!r} is not valid UTF-8") from None
+            offset += length
+        else:
+            offset += -offset % f.kind.size
+            if offset + f.kind.size > len(data):
+                raise idl.DecodeError(offset, f"truncated in field {f.name!r}")
+            values += struct.unpack_from("<" + f.kind.fmt, data, offset)
+            offset += f.kind.size
+    if offset != len(data):
+        raise idl.DecodeError(offset, f"{len(data) - offset} trailing bytes")
+    return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# Random types and values
+
+def _random_type(rng: random.Random, shape: str, number: int) -> idl.TypeDescriptor:
+    n = rng.randint(3 if shape == "keys apart" else 2 if shape == "adjacent strings" else 1, 8)
+    kinds = [rng.choice(KINDS) for _ in range(n)]
+    if shape == "string first":
+        kinds[0] = STRING
+    elif shape == "string last":
+        kinds[-1] = STRING
+    elif shape == "adjacent strings":
+        i = rng.randrange(n - 1)
+        kinds[i] = kinds[i + 1] = STRING
+    elif shape == "only strings":
+        kinds = [STRING] * n
+    if shape == "no key":
+        keys = set()
+    elif shape == "keys apart":
+        first = rng.randrange(n - 2)
+        keys = {first, rng.randrange(first + 2, n)}
+    else:
+        keys = {i for i in range(n) if rng.random() < 0.3}
+    fields = tuple(idl.FieldDescriptor(f"f{i}", kind, i in keys) for i, kind in enumerate(kinds))
+    return idl.TypeDescriptor(f"T{number}", fields)
+
+
+def _random_value(rng: random.Random, kind: idl.PrimitiveKind):
+    if kind is idl.PrimitiveKind.BOOLEAN:
+        return rng.random() < 0.5
+    if kind is STRING:
+        return "".join(rng.choice(TEXT) for _ in range(rng.choice([0, 1, 2, 3, 5, 8, 13])))
+    if kind is idl.PrimitiveKind.FLOAT:  # one a float32 holds exactly
+        return struct.unpack("<f", struct.pack("<f", rng.uniform(-1e6, 1e6)))[0]
+    if kind is idl.PrimitiveKind.DOUBLE:
+        return rng.choice([0.0, -0.0, rng.uniform(-1e300, 1e300), rng.random()])
+    bits = kind.size * 8
+    lo, hi = (-(2 ** (bits - 1)), 2 ** (bits - 1) - 1) if kind.fmt.islower() else (0, 2**bits - 1)
+    return rng.choice([lo, hi, 0, rng.randint(lo, hi)])
+
+
+def _types() -> list[idl.TypeDescriptor]:
+    rng = random.Random(20101)
+    return [_random_type(rng, shape, i * len(SHAPES) + j)
+            for i in range(TYPES_PER_SHAPE) for j, shape in enumerate(SHAPES)]
+
+
+DIFFERENTIAL_TYPES = _types()
+
+
+def _error(call):
+    try:
+        return call()
+    except idl.DecodeError as exc:
+        return type(exc), str(exc), exc.offset, exc.reason
+
+
+def _same(decoded, expected) -> bool:
+    # repr tells -0.0 from 0.0.
+    return repr(decoded) == repr(expected)
+
+
+# ---------------------------------------------------------------------------
+# The comparison
+
+def test_the_random_types_cover_every_shape_and_kind():
+    kinds = {f.kind for t in DIFFERENTIAL_TYPES for f in t.fields}
+    assert kinds == set(KINDS)
+    for descriptor in DIFFERENTIAL_TYPES:
+        assert 1 <= len(descriptor.fields) <= 8
+
+
+@pytest.mark.parametrize("descriptor", DIFFERENTIAL_TYPES, ids=lambda t: t.name)
+def test_the_generated_codec_matches_the_reference(descriptor):
+    rng = random.Random(descriptor.name)
+    for _ in range(SAMPLES_PER_TYPE):
+        values = tuple(_random_value(rng, f.kind) for f in descriptor.fields)
+        sample = idl.Sample(descriptor.name, values)
+        payload = idl.serialize(descriptor, sample)
+        assert payload == reference_encode(descriptor, values)
+        assert idl.serialized_size(descriptor, sample) == len(payload)
+        handle = reference_key_hash(descriptor, values)
+        assert idl.key_hash(descriptor, sample) == handle
+        assert idl.key_hash(descriptor, sample, checked=True) == handle
+        decoded = idl.deserialize(descriptor, payload)
+        assert decoded.type_name == descriptor.name and _same(decoded.values, values)
+
+        for cut in range(len(payload)):
+            truncated = payload[:cut]
+            expected = _error(lambda: reference_decode(descriptor, truncated))
+            assert _error(lambda: idl.deserialize(descriptor, truncated)) == expected, cut
+        trailing = payload + b"\x00"
+        assert _error(lambda: idl.deserialize(descriptor, trailing)) == _error(
+            lambda: reference_decode(descriptor, trailing))
+        text = [i for i, v in enumerate(values) if isinstance(v, str) and v]
+        if text:
+            # The first byte of a non-empty string's text: 0xff is never UTF-8.
+            i = rng.choice(text)
+            start = len(reference_encode(descriptor, values[:i] + ("",)))
+            corrupt = payload[:start] + b"\xff" + payload[start + 1:]
+            expected = _error(lambda: reference_decode(descriptor, corrupt))
+            assert expected[3] == f"field {descriptor.fields[i].name!r} is not valid UTF-8"
+            assert _error(lambda: idl.deserialize(descriptor, corrupt)) == expected
+
+
+def test_names_that_are_not_identifiers_stay_out_of_the_source():
+    odd = "x'); import os; ('"
+    descriptor = idl.TypeDescriptor(odd, (
+        idl.FieldDescriptor(odd, idl.PrimitiveKind.LONG, is_key=True),
+        idl.FieldDescriptor("a b\n", STRING, is_key=True),
+        idl.FieldDescriptor("{v}", idl.PrimitiveKind.DOUBLE),
+    ))
+    values = (-5, "héllo", 2.5)
+    sample = idl.Sample(odd, values)
+    payload = idl.serialize(descriptor, sample)
+    assert payload == reference_encode(descriptor, values)
+    assert idl.deserialize(descriptor, payload) == sample
+    assert idl.key_hash(descriptor, sample) == reference_key_hash(descriptor, values)
+    source = descriptor._codec.source
+    assert all(text not in source for text in (odd, "import", "a b", "{v}", "'", '"'))
+
+    with pytest.raises(idl.TypeMismatchError, match="^field 'a b\\\\n' expects text$"):
+        idl.serialize(descriptor, idl.Sample(odd, (-5, 7, 2.5)))
+    with pytest.raises(idl.TypeMismatchError) as caught:
+        idl.serialize(descriptor, idl.Sample(odd, (2**31, "", 2.5)))
+    assert str(caught.value) == f"field {odd!r} value 2147483648 outside long range"
+    with pytest.raises(idl.DecodeError) as caught:
+        idl.deserialize(descriptor, payload[:2])
+    assert caught.value.reason == f"truncated in field {odd!r}"
+    with pytest.raises(idl.DecodeError) as caught:
+        idl.deserialize(descriptor, payload[:8] + b"\xff" + payload[9:])
+    assert caught.value.reason == "field 'a b\\n' is not valid UTF-8"

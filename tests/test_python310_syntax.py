@@ -22,3 +22,28 @@ def test_the_runtime_parses_as_python_3_10():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _perfbench_idl() -> list[str]:
+    """The IDL sources perfbench's workloads declare, read without
+    importing the harness."""
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "inproc.py").read_text())
+    return [ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] in (["STREAM_IDL"], ["FANOUT_IDL"])]
+
+
+def test_generated_codecs_parse_as_python_3_10():
+    """The check above reads files; the code ``idl`` generates for each
+    type is checked here: the random types of the differential test, the
+    types perfbench's workloads send and the bridge's blob type."""
+    from minidds import fom, idl
+    from test_idl_differential import DIFFERENTIAL_TYPES
+
+    sources = _perfbench_idl()
+    assert len(sources) == 2
+    types = [*DIFFERENTIAL_TYPES, fom.blob_type()]
+    types += [t for source in sources for t in idl.parse_idl(source)]
+    assert {"Chunk", "Reading"} <= {t.name for t in types}
+    for descriptor in types:
+        ast.parse(descriptor._codec.source, feature_version=(3, 10))
