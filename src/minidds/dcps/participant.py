@@ -43,7 +43,8 @@ A writer's entry in the dispatch table is an immutable tuple of the
 (reader, session) pairs matched with it, in reader creation order, so
 readers not matched are not visited; an addressed DATA or DIRECT picks
 its reader out of it. A run goes through each reader's arrival pipeline
-in one call, one reader after another (``_deliver``): the first
+in one call, one reader after another (``_deliver``), and that reader's
+session takes the whole run in one call too (``on_run``): the first
 reader's listener fires for the whole run before the second reader sees
 any of it, and a reader whose session is no longer the entry's (a
 listener closed it mid-run) gets none of the rest. A listener may

@@ -1,11 +1,18 @@
 """The reading endpoint: arrival pipeline, sample cache, statistics.
 
-Every arriving sample runs the same gauntlet, in this order: lifespan
-expiry, exclusive-ownership arbitration, time-based filtering, source-
-timestamp ordering, then history insertion and listener notification.
-Drops at each stage are counted per reason and queryable via
-``statistics()``. The participant hands a reader a run of DATA from one
-writer at a time, which goes through the pipeline in one call.
+The participant hands a reader a run of DATA from one writer at a time,
+and the run goes through the arrival pipeline in one call. The writer's
+session is asked once which DATA of the run are new; the others are
+counted as duplicates. Every new sample then runs the same gauntlet, in
+this order: decoding, lifespan expiry, exclusive-ownership arbitration,
+time-based filtering, source-timestamp ordering, then history insertion
+and listener notification. Drops at each stage are counted per reason
+and queryable via ``statistics()``. Samples received, duplicates,
+samples accepted and history evictions are counted per run and added
+to the statistics at its end and before each listener call, so a
+listener reads them as of its own sample; what the session counts
+(``samples_lost``, ``sequences_seen``) covers the whole run from the
+first call on.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Callable, Optional
 
 from minidds import idl, qos
@@ -103,16 +111,20 @@ class DataReader(Endpoint):
         """The arrival pipeline: run a run of DATA from the session's
         writer through it, in order. Every DATA arrives this way; one sent
         to this participant's own readers, or one among other submessages,
-        is a run of one. The pipeline's state, counters and bound methods
-        are looked up once per run. ``infos`` holds each DATA's SampleInfo,
-        shared with the other readers the run is handed to, and ``slots``
-        one slot per DATA, shared with the readers of this type: a slot
-        holds the payload until the first of them to accept that DATA
-        replaces it by the sample, or by None for a malformed payload, so
-        each payload is deserialized once per type. A listener that closes
-        this reader, or unmatches the writer, ends the run for it."""
+        is a run of one. The session is asked once which DATA of the run
+        are new (``on_run``), and the rest are counted as duplicates; the
+        pipeline's state and bound methods are looked up once per run, and
+        its four per-sample counters are kept in locals and added to
+        ``stats`` at the end of the run and before every listener call, so
+        a listener reads them as of its sample. ``infos`` holds each
+        DATA's SampleInfo, shared with the other readers the run is handed
+        to, and ``slots`` one slot per DATA, shared with the readers of
+        this type: a slot holds the payload until the first of them to
+        accept that DATA replaces it by the sample, or by None for a
+        malformed payload, so each payload is deserialized once per type.
+        A listener that closes this reader, or unmatches the writer, ends
+        the run for it."""
         stats = self.stats
-        on_data = session.on_data
         deserialize = idl.deserialize
         insert = self.history.insert
         kind = self.type
@@ -123,13 +135,16 @@ class DataReader(Endpoint):
         separation = self._min_separation_ns
         by_source = self._by_source
         deadlines = self._deadlines if self._deadlines.active else None
+        listener = self.listener
         writer = infos[0].writer_guid
         now = infos[0].arrival_timestamp_ns  # one per run: runs are read per drain
-        for i, info in enumerate(infos):
-            if not on_data(info.sequence):
-                stats.duplicates_discarded += 1
-                continue
-            stats.samples_received += 1
+        fresh = session.on_run(infos)
+        # Not yet in stats: the DATA from position `counted` on.
+        received = accepted = evicted = counted = 0
+        positions = range(len(infos))
+        for i in positions if fresh is None else compress(positions, fresh):
+            info = infos[i]
+            received += 1
             sample = slots[i]
             if type(sample) is not Sample:
                 if sample is not None:
@@ -175,12 +190,24 @@ class DataReader(Endpoint):
             last_passed[handle] = info
             if deadlines is not None:
                 deadlines.record(handle, now)
-            stats.evicted_by_history += outcome.evicted_count
-            stats.samples_accepted += 1
-            if self.listener is not None:
+            evicted += outcome.evicted_count
+            accepted += 1
+            if listener is not None:
+                self._count(received, i + 1 - counted - received, accepted, evicted)
+                received = accepted = evicted = 0
+                counted = i + 1
                 self._notify()
                 if self._sessions.get(writer) is not session:
                     return
+                listener = self.listener
+        self._count(received, len(infos) - counted - received, accepted, evicted)
+
+    def _count(self, received: int, duplicates: int, accepted: int, evicted: int) -> None:
+        stats = self.stats
+        stats.samples_received += received
+        stats.duplicates_discarded += duplicates
+        stats.samples_accepted += accepted
+        stats.evicted_by_history += evicted
 
     def _arbitrate(self, activity: dict[Guid, int], arriving: Guid, now_ns: int) -> bool:
         """Whether the arriving writer currently owns the instance, given

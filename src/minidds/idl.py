@@ -24,6 +24,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -32,6 +33,10 @@ FNV64_PRIME = 0x100000001B3
 
 # Reserved handle for samples of unkeyed types.
 UNKEYED_HANDLE = 0
+
+# Builds a record from a tuple of its fields without the Python-level
+# ``__new__`` that NamedTuple generates; once per sample made or decoded.
+_tuple_new = tuple.__new__
 
 
 class PrimitiveKind(Enum):
@@ -96,8 +101,9 @@ class TypeDescriptor:
         return _Codec(self)
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
+    """A decoded or written sample: an immutable record that equals, and
+    unpacks like, the plain tuple ``(type_name, values)``."""
     type_name: str
     values: tuple  # field values in declaration order
 
@@ -345,7 +351,7 @@ def make_sample(descriptor: TypeDescriptor, values) -> Sample:
         ordered = tuple([values[name] for name in codec.names])
     else:
         ordered = tuple(values)
-    return Sample(descriptor.name, ordered)
+    return _tuple_new(Sample, (descriptor.name, ordered))
 
 
 def as_dict(descriptor: TypeDescriptor, sample: Sample) -> dict:
@@ -575,7 +581,7 @@ def deserialize(descriptor: TypeDescriptor, data: bytes) -> Sample:
     values = codec.unpack(data)
     if values is None:
         values = codec.decode_field_by_field(data)
-    return Sample(descriptor.name, values)
+    return _tuple_new(Sample, (descriptor.name, values))
 
 
 # ---------------------------------------------------------------------------

@@ -21,37 +21,47 @@ ACKNACK acknowledges at most what was written: a base above
 ``last_sequence + 1`` counts as ``last_sequence + 1``. So no floor is
 ever above the next write, and a write needs no release.
 
-Reader side: a settled floor plus a sparse set of received sequences
-above it. GAPs and a heartbeat ``first_seq`` above the floor both mark
-the skipped range as unrecoverable, counted in ``samples_lost``. The
-exception is a reader's first heartbeat while nothing has settled or
-been given up: it sets the floor one below the lower of its
-``first_seq`` and the lowest sequence already received, since a reader
-matched mid-stream was never owed what the writer sent before that.
-Both reader sessions answer HEARTBEAT and GAP; the best-effort one
-ignores them.
+Reader side: each reader session takes the DATA of a run from its
+writer in one call (``on_run``), the one place that decides which are
+new; ``on_data`` is a run of one. The reliable session keeps a settled
+floor plus a sparse set of received sequences above it. GAPs and a
+heartbeat ``first_seq`` above the floor both mark the skipped range as
+unrecoverable, counted in ``samples_lost``. The exception is a
+reader's first heartbeat while nothing has settled or been given up: it
+sets the floor one below the lower of its ``first_seq`` and the lowest
+sequence already received, since a reader matched mid-stream was never
+owed what the writer sent before that. Both reader sessions answer
+HEARTBEAT and GAP; the best-effort one ignores them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import WriterHistory, WriterSample
+from minidds.dcps.history import SampleInfo, WriterHistory, WriterSample
 from minidds.rtps import wire
 
 HEARTBEAT_PERIOD_NS = 50_000_000
 RESPONSE_DELAY_NS = 5_000_000
 
 # Builds a record from a tuple of its fields without the Python-level
-# ``__new__`` that NamedTuple generates; once per write.
+# ``__new__`` that NamedTuple generates; once per write and per ``on_data``.
 _tuple_new = tuple.__new__
 
 # A give-up span larger than this collapses the whole range below it
 # instead of materializing per-sequence entries (defends against bogus
 # GAP/HEARTBEAT input).
 _MAX_GIVEUP_SPAN = 65536
+
+
+def _on_data(session, sequence: int) -> bool:
+    """A reader session's ``on_data``: True when this sequence is new
+    (deliver it), False when it is not (a duplicate, or a best-effort
+    straggler). A run of one."""
+    return session.on_run((_tuple_new(SampleInfo, (session.writer_guid, sequence,
+                                                   0, 0, 0)),)) is None
 
 
 class Directed(NamedTuple):
@@ -249,14 +259,35 @@ class ReliableReaderSession:
                     self.received.add(seq)
             self._compact()
 
-    def on_data(self, sequence: int) -> bool:
-        """True when this sequence is new (deliver it); False = duplicate."""
-        if sequence <= self.floor or sequence in self.received:
-            return False
-        self.unique_received += 1
-        self.received.add(sequence)
-        self._compact()
-        return True
+    def on_run(self, infos: Sequence[SampleInfo]) -> Optional[bytearray]:
+        """Take a run of DATA in arrival order; returns None when every one
+        is new (deliver them all), else one flag per DATA, 1 for a new one.
+        A sequence is new unless it is settled (at or below the floor) or
+        already received."""
+        floor = self.floor
+        received = self.received
+        fresh = None
+        unique = 0
+        for i, info in enumerate(infos):
+            sequence = info.sequence
+            if sequence == floor + 1:
+                floor = sequence
+                while floor + 1 in received:  # what arrived above it settles too
+                    floor += 1
+                    received.remove(floor)
+            elif sequence <= floor or sequence in received:
+                if fresh is None:
+                    fresh = bytearray(b"\x01") * len(infos)
+                fresh[i] = 0
+                continue
+            else:
+                received.add(sequence)
+            unique += 1
+        self.floor = floor
+        self.unique_received += unique
+        return fresh
+
+    on_data = _on_data
 
     def on_gap(self, gap: wire.Gap) -> None:
         self._give_up(gap.gap_start, gap.gap_end)
@@ -291,7 +322,7 @@ class BestEffortReaderSession:
     is 1 exactly when s has arrived. Anything at or below the window is
     too old to tell and counts as a duplicate. An in-order sample clears
     the slots of the sequences it skips (all of them once it jumps a
-    whole window) with one bounded slice assignment, so each call costs
+    whole window) with one bounded slice assignment, so each DATA costs
     O(1) whatever the stream's length: nothing is rebuilt per sample.
     """
 
@@ -304,35 +335,51 @@ class BestEffortReaderSession:
         self.unique_received = 0
         self._seen = bytearray(self.WINDOW)
 
-    def on_data(self, sequence: int) -> bool:
+    def on_run(self, infos: Sequence[SampleInfo]) -> Optional[bytearray]:
+        """Take a run of DATA in arrival order; returns None when every one
+        is new (deliver them all), else one flag per DATA, 1 for a new one.
+        A sequence is new only above every one received before it."""
         window = self.WINDOW
+        seen = self._seen
         last = self.last_sequence
-        if sequence > last:
-            skipped = sequence - last - 1
-            if skipped >= window - 1:
-                self._seen = bytearray(window)
-            elif skipped:
-                start = (last + 1) % window
-                stop = start + skipped
-                if stop <= window:
-                    self._seen[start:stop] = bytes(skipped)
-                else:
-                    self._seen[start:] = bytes(window - start)
-                    self._seen[:stop - window] = bytes(stop - window)
-            self._seen[sequence % window] = 1
-            self.samples_lost += skipped
-            self.unique_received += 1
-            self.last_sequence = sequence
-            return True
-        slot = sequence % window
-        if sequence <= last - window or self._seen[slot]:
-            return False  # duplicate (or too old to tell)
-        # A straggler that lost a race with newer samples: arrived, but
-        # stays undelivered to preserve ordering.
-        self.unique_received += 1
-        self.samples_lost -= 1
-        self._seen[slot] = 1
-        return False
+        fresh = None
+        lost = unique = 0
+        for i, info in enumerate(infos):
+            sequence = info.sequence
+            if sequence > last:
+                skipped = sequence - last - 1
+                if skipped >= window - 1:
+                    seen = self._seen = bytearray(window)
+                elif skipped:
+                    start = (last + 1) % window
+                    stop = start + skipped
+                    if stop <= window:
+                        seen[start:stop] = bytes(skipped)
+                    else:
+                        seen[start:] = bytes(window - start)
+                        seen[:stop - window] = bytes(stop - window)
+                seen[sequence % window] = 1
+                lost += skipped
+                unique += 1
+                last = sequence
+                continue
+            slot = sequence % window
+            if sequence > last - window and not seen[slot]:
+                # A straggler that lost a race with newer samples: arrived,
+                # but stays undelivered to preserve ordering.
+                unique += 1
+                lost -= 1
+                seen[slot] = 1
+            # else a duplicate (or too old to tell)
+            if fresh is None:
+                fresh = bytearray(b"\x01") * len(infos)
+            fresh[i] = 0
+        self.last_sequence = last
+        self.samples_lost += lost
+        self.unique_received += unique
+        return fresh
+
+    on_data = _on_data
 
     def on_heartbeat(self, hb: wire.Heartbeat) -> None:
         return None  # a best-effort reader never acknowledges

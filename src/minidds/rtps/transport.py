@@ -19,6 +19,7 @@ import struct
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 log = logging.getLogger(__name__)
 
@@ -149,13 +150,21 @@ class LossyConfig:
         if self.max_reorder_depth < 0:
             raise ValueError("max_reorder_depth must be >= 0")
 
+    @cached_property
+    def faulty(self) -> bool:
+        """Whether any fault is set: drop, duplicate or reorder."""
+        return bool(self.drop_probability or self.duplicate_probability
+                    or self.max_reorder_depth)
+
 
 class InProcNetwork:
     """Hub connecting in-process transports, with seeded fault injection.
 
     Faults draw from one ``random.Random(seed)`` in a fixed order per
     send (drop, then duplicate, then a reorder offset per delivered
-    copy), which is what makes replays bit-identical.
+    copy), which is what makes replays bit-identical. A fault-free
+    network delivers each datagram once, at the back of the queue, and
+    draws nothing.
     """
 
     def __init__(self, config: LossyConfig | None = None):
@@ -178,6 +187,11 @@ class InProcNetwork:
 
     def route(self, data: bytes, source: str, dest: str) -> None:
         cfg = self.config
+        if not cfg.faulty:
+            target = self._endpoints.get(dest)
+            if target is not None:
+                target._deliver(data, source, 0)
+            return
         if cfg.drop_probability and self._rng.random() < cfg.drop_probability:
             return
         copies = 1
@@ -206,7 +220,10 @@ class InProcTransport:
         # The new datagram may overtake up to `offset` queued ones. A drain
         # in between only shortens the queue; insert then appends.
         queue = self._queue
-        queue.insert(max(0, len(queue) - reorder_offset), (data, source))
+        if reorder_offset:
+            queue.insert(max(0, len(queue) - reorder_offset), (data, source))
+        else:
+            queue.append((data, source))
         # A waiter counts itself before it checks the queue, so it either
         # sees this datagram or is counted here and woken.
         if self._waiters:
