@@ -101,8 +101,8 @@ class DataWriter(Endpoint):
                             expiry = source_ts + self._lifespan_ns
                         # Cached first, under the sequence on_write assigns,
                         # so a cache that refuses it leaves no sequence used.
-                        evicted = self.history.insert(WriterSample(
-                            session.last_sequence + 1, handle, payload, source_ts, expiry))
+                        evicted = self.history.insert(tuple.__new__(WriterSample, (
+                            session.last_sequence + 1, handle, payload, source_ts, expiry)))
                 except ResourceLimitsError:
                     if not (self._reliable and self._keep_all):
                         raise

@@ -201,7 +201,7 @@ class InProcNetwork:
         for _ in range(copies):
             offset = 0
             if cfg.max_reorder_depth:
-                offset = self._rng.randint(0, cfg.max_reorder_depth)
+                offset = self._rng.randrange(cfg.max_reorder_depth + 1)
             if target is not None:
                 target._deliver(data, source, offset)
 
