@@ -16,6 +16,12 @@ from minidds.rtps.reliability import Directed, WriterSession
 # Largest payload that still fits one datagram beside the fixed framing.
 MAX_PAYLOAD = wire.MAX_DATAGRAM - wire.DATA_PAYLOAD_START
 
+# Entries a writer's table from key bytes to instance handle holds before
+# it is emptied; about 113 bytes each at 8-byte keys (tracemalloc,
+# CPython 3.11), so about 1.8 MiB per writer when full. Writing threads
+# that race past the check can each add one entry beyond it.
+MAX_INSTANCE_HANDLES = 16_384
+
 
 class DataWriter(Endpoint):
     def __init__(self, participant, topic, profile: qos.QosProfile,
@@ -36,6 +42,9 @@ class DataWriter(Endpoint):
         # builds it and a match change resets it (see participant._plan).
         self._send_plan = None
         self.samples_written = 0
+        # Key bytes -> instance handle, so a write hashes a key once; None
+        # for an unkeyed type, whose samples all take UNKEYED_HANDLE.
+        self._handles = {} if self.type.key_fields else None
 
     # -- matching (driven by the participant) -------------------------
 
@@ -84,7 +93,20 @@ class DataWriter(Endpoint):
         if len(payload) > MAX_PAYLOAD:
             raise SampleTooLargeError(
                 f"{len(payload)} byte payload exceeds the {MAX_PAYLOAD} byte limit")
-        handle = idl.key_hash(self.type, sample, checked=True)
+        handles = self._handles
+        if handles is None:
+            handle = idl.UNKEYED_HANDLE
+        else:
+            # Keyed by bytes, not values: -0.0 and 0.0 are two instances
+            # on the wire, and each NaN write would add an entry.
+            key = self.type._codec.key_bytes(sample.values)
+            handle = handles.get(key)
+            if handle is None:
+                handle = idl.key_hash(self.type, sample, checked=True)
+                if key is not None:
+                    if len(handles) >= MAX_INSTANCE_HANDLES:
+                        handles.clear()
+                    handles[key] = handle
         clock = self.participant.clock
         block_deadline = None
         session = self.session

@@ -403,13 +403,14 @@ def _runs(fields: Iterable[tuple[int, FieldDescriptor]]) -> list:
 
 
 def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
-    """Source of one type's ``pack``, ``unpack`` and ``key`` functions,
-    and the namespace they run in. The source holds generator-made names
-    (``v2`` is field 2's value, ``b2`` its UTF-8 bytes, ``l2`` their
-    length), integer literals, and the namespace's constants: ``name``,
-    the first run's ``pack0`` and ``unpack0``, each later run's structs
-    by offset mod 8 (``table1``...), the key runs' unpadded ``key0``...
-    No name or value from the descriptor is spliced in."""
+    """Source of one type's ``pack``, ``unpack``, ``key_bytes`` and
+    ``key`` functions, and the namespace they run in. The source holds
+    generator-made names (``v2`` is field 2's value, ``b2`` its UTF-8
+    bytes, ``l2`` their length), integer literals, and the namespace's
+    constants: ``name``, the first run's ``pack0`` and ``unpack0``, each
+    later run's structs by offset mod 8 (``table1``...), the key runs'
+    unpadded ``key0``... No name or value from the descriptor is spliced
+    in."""
     fields = list(enumerate(descriptor.fields))
     every = "".join(f"v{i}, " for i, _ in fields)
     test = " and ".join(
@@ -446,7 +447,7 @@ def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
             *(f"        {line}" for line in pack), f"        return {' + '.join(pieces)}"]
     unpack += ["if o == len(data):", f"    return ({every})"]
 
-    key = [f"return {UNKEYED_HANDLE}"]
+    key_bytes, key = ['return b""'], [f"return {UNKEYED_HANDLE}"]
     if descriptor.key_fields:
         key_fields = [(i, f) for i, f in fields if f.is_key]
         pieces = []
@@ -455,16 +456,19 @@ def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
             tail = [] if string is None else [string]
             values = ", ".join([f"v{i}" for i in indexes] + [f"len(b{i})" for i in tail])
             pieces += [f"key{n}({values})"] + [f"b{i}" for i in tail]
-        key = [f"{every}= values",
-               *(f"b{i} = v{i}.encode()" for i, f in key_fields if f.kind is PrimitiveKind.STRING),
-               f"h = {FNV64_OFFSET}",
-               f"for c in {' + '.join(pieces)}:",
+        key_bytes = [f"{every}= values",
+                     *(f"b{i} = v{i}.encode()" for i, f in key_fields
+                       if f.kind is PrimitiveKind.STRING),
+                     f"return {' + '.join(pieces)}"]
+        # A None from key_bytes fails the loop, so key returns None too.
+        key = [f"h = {FNV64_OFFSET}",
+               "for c in key_bytes(values):",
                f"    h = (h ^ c) * {FNV64_PRIME} & {2**64 - 1}",
                "return h"]
     # Each function returns None on any failure.
     source = ""
     for signature, body in (("pack(sample)", pack), ("unpack(data)", unpack),
-                            ("key(values)", key)):
+                            ("key_bytes(values)", key_bytes), ("key(values)", key)):
         source += "".join([f"def {signature}:\n    try:\n",
                            *(f"        {line}\n" for line in body),
                            "    except Fallback:\n        pass\n\n"])
@@ -480,12 +484,15 @@ class _Codec:
     types and integer ranges, then packs each run of fixed-size fields
     with the next string's length prefix in one struct call; past a
     string it picks the run's struct by offset mod 8. ``unpack(data)``
-    mirrors it and accepts only the exact payload length. ``key(values)``
-    packs the key fields, unpadded, and folds FNV-1a over the bytes; it
-    does not check. Each returns None on any failure, and the caller
-    hands the sample or payload to ``encode_field_by_field`` or
-    ``decode_field_by_field``: they take what the exact types leave out
-    (an int for a double, an int subclass) and raise every error.
+    mirrors it and accepts only the exact payload length.
+    ``key_bytes(values)`` packs the key fields, unpadded (``b""`` for an
+    unkeyed type), and ``key(values)`` folds FNV-1a over those bytes (0
+    for an unkeyed type), so a table keyed by the bytes and the handle
+    share one definition of them; neither checks. Each returns None on
+    any failure, and the caller hands the sample or payload to
+    ``encode_field_by_field`` or ``decode_field_by_field``: they take
+    what the exact types leave out (an int for a double, an int
+    subclass) and raise every error.
     """
 
     def __init__(self, descriptor: TypeDescriptor):
@@ -496,7 +503,8 @@ class _Codec:
         self.name_set = frozenset(self.names)
         self.source, namespace = _generate(descriptor)
         exec(compile(self.source, "<idl codec>", "exec"), namespace)
-        self.pack, self.unpack, self.key = namespace["pack"], namespace["unpack"], namespace["key"]
+        self.pack, self.unpack = namespace["pack"], namespace["unpack"]
+        self.key_bytes, self.key = namespace["key_bytes"], namespace["key"]
 
     def encode_field_by_field(self, sample: Sample, mode: str = "payload"):
         """Check ``sample`` and encode it one field at a time: the payload

@@ -162,9 +162,10 @@ class InProcNetwork:
 
     Faults draw from one ``random.Random(seed)`` in a fixed order per
     send (drop, then duplicate, then a reorder offset per delivered
-    copy), which is what makes replays bit-identical. A fault-free
-    network delivers each datagram once, at the back of the queue, and
-    draws nothing.
+    copy), which is what makes replays bit-identical; the offset is drawn
+    inline, so a replay does not rest on ``randrange``'s internals. A
+    fault-free network delivers each datagram once, at the back of the
+    queue, and draws nothing.
     """
 
     def __init__(self, config: LossyConfig | None = None):
@@ -198,10 +199,16 @@ class InProcNetwork:
         if cfg.duplicate_probability and self._rng.random() < cfg.duplicate_probability:
             copies = 2
         target = self._endpoints.get(dest)
+        n = cfg.max_reorder_depth + 1
         for _ in range(copies):
             offset = 0
-            if cfg.max_reorder_depth:
-                offset = self._rng.randrange(cfg.max_reorder_depth + 1)
+            if n > 1:
+                # A uniform draw below n by rejection over getrandbits,
+                # the draws randrange(n) makes, without its call layers.
+                k = n.bit_length()
+                offset = self._rng.getrandbits(k)
+                while offset >= n:
+                    offset = self._rng.getrandbits(k)
             if target is not None:
                 target._deliver(data, source, offset)
 

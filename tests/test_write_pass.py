@@ -119,6 +119,32 @@ def test_a_write_runs_each_stage_once(monkeypatch, reliability, cached):
         pair.close()
 
 
+@pytest.mark.parametrize("type_, samples, hashes", [
+    (KEYED, [{"id": 1, "v": 1}, {"id": 1, "v": 2}, {"id": 2, "v": 3}, {"id": 1, "v": 4}], 2),
+    (COUNTER, [{"n": 1}, {"n": 2}], 0)])
+def test_a_writer_hashes_each_instance_once(monkeypatch, type_, samples, hashes):
+    """A later write of an instance calls no ``idl.key_hash``: the writer
+    keeps its handle. A writer of an unkeyed type calls it not at all,
+    and each of its DATA carries handle 0."""
+    pair = _Pair(ManualClock(1_000 * MS), type_, [RELIABLE], [RELIABLE])
+    calls = []
+    key_hash = idl.key_hash
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return key_hash(*args, **kwargs)
+
+    monkeypatch.setattr(idl, "key_hash", counting)
+    try:
+        for sample in samples:
+            pair.writer.write(sample)
+        assert len(calls) == hashes
+        assert [wire.read_data_message(d)[5] for d in pair.sent] == [
+            key_hash(type_, idl.make_sample(type_, s)) for s in samples]
+    finally:
+        pair.close()
+
+
 # ---------------------------------------------------------------------------
 # A refused write uses no sequence and sends nothing
 
