@@ -35,9 +35,14 @@ datagrams of a drained batch with one sender prefix, writer entity id
 and reader entity id. A run looks up its writer's entry once and keeps
 one ``SampleInfo`` and one payload slot per DATA. Any other datagram is
 decoded and handed to one dispatch loop, after the run read so far is
-delivered, so protocol order is kept: a HEARTBEAT right after a burst
-is answered with the burst counted. The loop hands a DATA on as a run
-of one, as does a send to this participant's own readers.
+delivered, so protocol order is kept. The loop hands a DATA on as a run
+of one, as does a send to this participant's own readers. A HEARTBEAT
+of the batch is the exception: the batch's HEARTBEATs are answered in
+arrival order once the whole batch has been delivered, so each ACKNACK
+reflects every DATA of the drain, also the repairs that a faulty
+network carried behind the HEARTBEAT (a heartbeat response delay of
+zero). A HEARTBEAT sent to this participant's own readers is answered
+at once.
 
 A writer's entry in the dispatch table is an immutable tuple of the
 (reader, session) pairs matched with it, in reader creation order, so
@@ -372,6 +377,8 @@ class DomainParticipant:
             run = pairs = writer_guid = None
             infos: list = []
             slots: list = []
+            # The batch's HEARTBEATs, answered once it is all delivered.
+            heartbeats: list = []
             for i, (data, source) in enumerate(batch):
                 batch[i] = None  # release each datagram once it is read
                 head = read_data(data)
@@ -406,9 +413,11 @@ class DomainParticipant:
                     log.debug("dropped malformed datagram from %s: %s", source, exc)
                     continue
                 self._dispatch(message.submessages, message.sender_prefix, source,
-                               arrived, arrived_wall, data)
+                               arrived, arrived_wall, data, heartbeats)
             if infos:
                 self._deliver(pairs, infos, slots, arrived_wall)
+            for prefix, reader_eid, heartbeat in heartbeats:
+                self._control(prefix, reader_eid, heartbeat, arrived, arrived_wall)
             processed = len(batch)
             now = self.clock.monotonic_ns()
             if not self.closed and self.discovery.announce_due(now):
@@ -452,12 +461,14 @@ class DomainParticipant:
             self.transport.send(data, destination)
 
     def _dispatch(self, submessages, sender_prefix: bytes, source,
-                  now: int, now_wall: int, datagram: Optional[bytes] = None) -> None:
+                  now: int, now_wall: int, datagram: Optional[bytes] = None,
+                  heartbeats: Optional[list] = None) -> None:
         """Hand the submessages of one datagram, or of one local send, to
         the endpoints they concern, as arrived at ``now`` (monotonic) and
         ``now_wall``; DATA, the common kind, is tested first. ``datagram``
         is the received datagram, for discovery to remember an announce
-        that came alone."""
+        that came alone. A HEARTBEAT is appended to ``heartbeats``, when
+        given, to be answered later, else answered at once."""
         for sub in submessages:
             if type(sub) is wire.Data:  # a run of one
                 pairs = self._pairs_for(sender_prefix, sub.writer_entity_id,
@@ -490,12 +501,21 @@ class DomainParticipant:
                     self._route(writer, writer.session.on_acknack(reader_guid, sub, now))
             else:  # HEARTBEAT, GAP or DIRECT
                 reader_entity_id, sub = sub if isinstance(sub, wire.Direct) else (0, sub)
-                for _, session in self._pairs_for(sender_prefix, sub.writer_entity_id,
-                                                  reader_entity_id):
-                    if isinstance(sub, wire.Gap):
-                        session.on_gap(sub)
-                    elif (ack := session.on_heartbeat(sub)) is not None:
-                        self._send(ack, *self._destinations((ack.writer_guid,)))
+                if heartbeats is not None and type(sub) is wire.Heartbeat:
+                    heartbeats.append((sender_prefix, reader_entity_id, sub))
+                else:
+                    self._control(sender_prefix, reader_entity_id, sub, now, now_wall)
+
+    def _control(self, prefix: bytes, reader_eid: int, sub, now: int,
+                 now_wall: int) -> None:
+        """Hand a HEARTBEAT or GAP to each reader it concerns that is still
+        matched, and send each ACKNACK it draws."""
+        for reader, session in self._pairs_for(prefix, sub.writer_entity_id, reader_eid):
+            if reader._sessions.get(session.writer_guid) is not session:
+                continue  # closed, or unmatched, by a listener meanwhile
+            ack = reader._handle_control(session, sub, now, now_wall)
+            if ack is not None:
+                self._send(ack, *self._destinations((ack.writer_guid,)))
 
     def _pairs_for(self, prefix: bytes, writer_eid: int, reader_eid: int) -> tuple:
         """The (reader, session) pairs a submessage from this writer goes

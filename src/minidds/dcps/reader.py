@@ -2,17 +2,23 @@
 
 The participant hands a reader a run of DATA from one writer at a time,
 and the run goes through the arrival pipeline in one call. The writer's
-session is asked once which DATA of the run are new; the others are
-counted as duplicates. Every new sample then runs the same gauntlet, in
-this order: decoding, lifespan expiry, exclusive-ownership arbitration,
-time-based filtering, source-timestamp ordering, then history insertion
-and listener notification. Drops at each stage are counted per reason
-and queryable via ``statistics()``. Samples received, duplicates,
-samples accepted and history evictions are counted per run and added
-to the statistics at its end and before each listener call, so a
-listener reads them as of its own sample; what the session counts
-(``samples_lost``, ``sequences_seen``) covers the whole run from the
-first call on.
+session is asked once which DATA of the run are new and what to hand
+on; the others are counted as duplicates. A RELIABLE reader's session
+hands each writer's DATA on in sequence order: what arrives above a
+hole waits there, and goes through the pipeline, in order, with the
+DATA that repairs the hole or the GAP or HEARTBEAT that gives it up, as
+of that arrival. So each writer's samples reach the cache in sequence
+order. Every new sample then runs the same gauntlet, in this order:
+decoding, lifespan expiry, exclusive-ownership arbitration, time-based
+filtering, source-timestamp ordering, then history insertion and
+listener notification. Drops at each stage are counted per reason and
+queryable via ``statistics()``. Samples received, duplicates, samples
+accepted and history evictions are counted per run and added to the
+statistics at its end and before each listener call, so a listener
+reads them as of its own sample; what the session counts
+(``samples_lost``, ``sequences_seen``, ``beyond_window``) covers the
+whole run from the first call on. A DATA that waits when its writer
+unmatches is never handed on, and counts in ``samples_lost``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import repeat
 from typing import Callable, Optional
 
 from minidds import idl, qos
@@ -28,7 +34,8 @@ from minidds.dcps.guid import Guid
 from minidds.dcps.history import ReaderHistory, SampleInfo
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
 from minidds.idl import Sample
-from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSession
+from minidds.rtps import wire
+from minidds.rtps.reliability import NOT_NEW, BestEffortReaderSession, ReliableReaderSession
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +58,9 @@ class ReaderStats:
     rejected_by_limits: int = 0
     evicted_by_history: int = 0
     samples_accepted: int = 0
-    samples_lost: int = 0  # sequences given up as unrecoverable
+    samples_lost: int = 0  # sequences given up, and DATA held when their writer left
     sequences_seen: int = 0  # distinct sequences that arrived, delivered or not
+    beyond_window: int = 0  # DATA too far ahead of a reliable floor to hold
 
 
 class DataReader(Endpoint):
@@ -98,9 +106,11 @@ class DataReader(Endpoint):
         session = self._sessions.pop(guid, None)
         if session is not None:
             self.participant._unlink(guid, self)
+            session.drop_held()
             # Keep the counters from a departed writer's session.
             self.stats.samples_lost += session.samples_lost
             self.stats.sequences_seen += session.unique_received
+            self.stats.beyond_window += session.beyond_window
 
     matched_writers = Endpoint._matched_guids
 
@@ -108,22 +118,55 @@ class DataReader(Endpoint):
 
     def _handle_data(self, session: ReaderSession, infos: list[SampleInfo],
                      slots: list, now_wall_ns: int) -> None:
-        """The arrival pipeline: run a run of DATA from the session's
-        writer through it, in order. Every DATA arrives this way; one sent
-        to this participant's own readers, or one among other submessages,
-        is a run of one. The session is asked once which DATA of the run
-        are new (``on_run``), and the rest are counted as duplicates; the
-        pipeline's state and bound methods are looked up once per run, and
-        its four per-sample counters are kept in locals and added to
-        ``stats`` at the end of the run and before every listener call, so
-        a listener reads them as of its sample. ``infos`` holds each
-        DATA's SampleInfo, shared with the other readers the run is handed
-        to, and ``slots`` one slot per DATA, shared with the readers of
-        this type: a slot holds the payload until the first of them to
-        accept that DATA replaces it by the sample, or by None for a
-        malformed payload, so each payload is deserialized once per type.
-        A listener that closes this reader, or unmatches the writer, ends
-        the run for it."""
+        """Take a run of DATA from the session's writer: every DATA arrives
+        this way; one sent to this participant's own readers, or one among
+        other submessages, is a run of one. The session is asked once
+        which DATA of the run are new and what to hand on (``on_run``).
+        ``infos`` holds each DATA's SampleInfo, shared with the other
+        readers the run is handed to, and ``slots`` one slot per DATA,
+        shared with the readers of this type: a slot holds the payload
+        until the first of them to accept that DATA replaces it by the
+        sample, or by None for a malformed payload, so each payload is
+        deserialized once per type, held or not."""
+        if self._reliable:
+            entries = session.on_run(infos, slots)
+        else:
+            fresh = session.on_run(infos)
+            entries = None if fresh is None else [
+                (info, slots, i) if new else NOT_NEW
+                for i, (info, new) in enumerate(zip(infos, fresh))]
+        if entries is None:
+            entries = zip(infos, repeat(slots), range(len(infos)))
+        # One per run: runs are read per drain.
+        self._admit(session, entries, infos[0].arrival_timestamp_ns, now_wall_ns)
+
+    def _handle_control(self, session: ReaderSession, sub, now: int,
+                        now_wall_ns: int) -> Optional[wire.AckNack]:
+        """Take a HEARTBEAT or GAP from the session's writer; what it
+        releases goes through the pipeline at once. Returns the ACKNACK
+        to send, if any."""
+        ack = session.on_gap(sub) if type(sub) is wire.Gap else session.on_heartbeat(sub)
+        released = session.released
+        if released:
+            session.released = []
+            self._admit(session, released, now, now_wall_ns)
+            if self._sessions.get(session.writer_guid) is not session:
+                return None
+        return ack
+
+    def _admit(self, session: ReaderSession, entries, now: int,
+               now_wall_ns: int) -> None:
+        """The arrival pipeline: run what the session hands on through it,
+        in order. Each entry is ``(info, slots, index)`` for a DATA, or
+        ``NOT_NEW`` for a duplicate. Every DATA runs the same gauntlet: decoding,
+        lifespan expiry, exclusive-ownership arbitration, time-based
+        filtering, source-timestamp ordering, then history insertion and
+        listener notification, all as of ``now``. The pipeline's state
+        and bound methods are looked up once per call, and its four
+        per-sample counters are kept in locals and added to ``stats`` at
+        the end and before every listener call, so a listener reads them
+        as of its sample. A listener that closes this reader, or
+        unmatches the writer, ends the call for it."""
         stats = self.stats
         deserialize = idl.deserialize
         insert = self.history.insert
@@ -136,14 +179,13 @@ class DataReader(Endpoint):
         by_source = self._by_source
         deadlines = self._deadlines if self._deadlines.active else None
         listener = self.listener
-        writer = infos[0].writer_guid
-        now = infos[0].arrival_timestamp_ns  # one per run: runs are read per drain
-        fresh = session.on_run(infos)
-        # Not yet in stats: the DATA from position `counted` on.
-        received = accepted = evicted = counted = 0
-        positions = range(len(infos))
-        for i in positions if fresh is None else compress(positions, fresh):
-            info = infos[i]
+        writer = session.writer_guid
+        # Not yet in stats.
+        received = duplicates = accepted = evicted = 0
+        for info, slots, i in entries:
+            if info is None:
+                duplicates += 1
+                continue
             received += 1
             sample = slots[i]
             if type(sample) is not Sample:
@@ -193,14 +235,13 @@ class DataReader(Endpoint):
             evicted += outcome.evicted_count
             accepted += 1
             if listener is not None:
-                self._count(received, i + 1 - counted - received, accepted, evicted)
-                received = accepted = evicted = 0
-                counted = i + 1
+                self._count(received, duplicates, accepted, evicted)
+                received = duplicates = accepted = evicted = 0
                 self._notify()
                 if self._sessions.get(writer) is not session:
                     return
                 listener = self.listener
-        self._count(received, len(infos) - counted - received, accepted, evicted)
+        self._count(received, duplicates, accepted, evicted)
 
     def _count(self, received: int, duplicates: int, accepted: int, evicted: int) -> None:
         stats = self.stats
@@ -250,10 +291,11 @@ class DataReader(Endpoint):
 
     def statistics(self) -> ReaderStats:
         with self.participant._lock:
-            lost = sum(s.samples_lost for s in self._sessions.values())
-            seen = sum(s.unique_received for s in self._sessions.values())
+            sessions = self._sessions.values()
+            stats = self.stats
             return replace(
-                self.stats,
-                samples_lost=self.stats.samples_lost + lost,
-                sequences_seen=self.stats.sequences_seen + seen,
+                stats,
+                samples_lost=stats.samples_lost + sum(s.samples_lost for s in sessions),
+                sequences_seen=stats.sequences_seen + sum(s.unique_received for s in sessions),
+                beyond_window=stats.beyond_window + sum(s.beyond_window for s in sessions),
             )

@@ -23,15 +23,20 @@ ever above the next write, and a write needs no release.
 
 Reader side: each reader session takes the DATA of a run from its
 writer in one call (``on_run``), the one place that decides which are
-new; ``on_data`` is a run of one. The reliable session keeps a settled
-floor plus a sparse set of received sequences above it. GAPs and a
-heartbeat ``first_seq`` above the floor both mark the skipped range as
-unrecoverable, counted in ``samples_lost``. The exception is a
-reader's first heartbeat while nothing has settled or been given up: it
-sets the floor one below the lower of its ``first_seq`` and the lowest
-sequence already received, since a reader matched mid-stream was never
-owed what the writer sent before that. Both reader sessions answer
-HEARTBEAT and GAP; the best-effort one ignores them.
+new; ``on_data`` is a run of one. The reliable session hands each
+writer's DATA on in sequence order, as a RELIABLE reader must: it keeps
+a settled floor, and holds each DATA above a hole until the hole fills
+or is given up, then releases the whole in-order run above it. GAPs and
+a heartbeat ``first_seq`` above the floor give the skipped range up:
+the sequences in it that never arrived count in ``samples_lost``, and
+the DATA held in it are released. The exception is a reader's first
+heartbeat while nothing has settled or been given up: it sets the floor
+one below the lower of its ``first_seq`` and the lowest sequence already
+held, since a reader matched mid-stream was never owed what the writer
+sent before that. So such a reader holds its first DATA until that
+heartbeat. A DATA more than ``_MAX_GIVEUP_SPAN`` above the floor is
+refused, counted, and asked for again later. Both reader sessions
+answer HEARTBEAT and GAP; the best-effort one ignores them.
 """
 
 from __future__ import annotations
@@ -50,16 +55,29 @@ RESPONSE_DELAY_NS = 5_000_000
 # ``__new__`` that NamedTuple generates; once per write and per ``on_data``.
 _tuple_new = tuple.__new__
 
-# A give-up span larger than this collapses the whole range below it
-# instead of materializing per-sequence entries (defends against bogus
-# GAP/HEARTBEAT input).
+# How far above its floor a reliable reader session holds anything: a
+# DATA further ahead is refused, to be sent again, and a GAP is recorded
+# only up to here. Bounds ``held`` (defends against bogus sequences).
 _MAX_GIVEUP_SPAN = 65536
+
+# What a reliable reader session holds for a DATA that waits behind a
+# hole: its SampleInfo, and the run's payload slots with its index there.
+Held = tuple[SampleInfo, list, int]
+
+# The entry a session hands on in the place of a DATA that is not new,
+# shaped like a held one so the pipeline can unpack every entry alike.
+NOT_NEW = (None, None, 0)
+
+
+def _entries(infos: Sequence[SampleInfo], slots: list, n: int) -> list[Held]:
+    """The entries of the first ``n`` DATA of a run."""
+    return [(infos[i], slots, i) for i in range(n)]
 
 
 def _on_data(session, sequence: int) -> bool:
-    """A reader session's ``on_data``: True when this sequence is new
-    (deliver it), False when it is not (a duplicate, or a best-effort
-    straggler). A run of one."""
+    """The best-effort session's ``on_data``: True when this sequence is
+    new (deliver it), False when it is not (a duplicate, or a straggler).
+    A run of one."""
     return session.on_run((_tuple_new(SampleInfo, (session.writer_guid, sequence,
                                                    0, 0, 0)),)) is None
 
@@ -226,68 +244,115 @@ class WriterSession:
 
 
 class ReliableReaderSession:
-    """Reader-side tracking for one matched reliable writer."""
+    """Reader-side tracking for one matched reliable writer.
+
+    Every sequence up to ``floor`` is settled: handed on, or given up.
+    ``held`` maps each sequence above ``floor + 1`` that arrived or was
+    given up to what waits there: the entry ``(info, slots, index)`` of a
+    DATA that arrived, or None for a sequence given up. So a DATA is new unless it is at or
+    below the floor or held, and nothing above a hole is handed on until
+    the hole fills or is given up; then the run above it is released in
+    sequence order. ``held`` keeps only sequences at most
+    ``_MAX_GIVEUP_SPAN`` above the floor: a DATA further ahead is refused
+    (counted in ``beyond_window``) and not marked received, so the writer
+    sends it again, and the part of a GAP above the bound is not
+    recorded. What a GAP or HEARTBEAT releases is appended, in order, to
+    ``released``, for the reader to take.
+    """
 
     def __init__(self, writer_guid: Guid, reader_entity_id: int):
         self.writer_guid = writer_guid
         self.reader_entity_id = reader_entity_id
         self.floor = 0  # every sequence <= floor is settled
-        self.received: set[int] = set()
+        self.held: dict[int, Optional[Held]] = {}
+        self.released: list[Held] = []
         self.samples_lost = 0
         self.unique_received = 0
+        self.beyond_window = 0
         self._last_heartbeat_count = 0
 
-    def _compact(self) -> None:
-        while self.floor + 1 in self.received:
-            self.floor += 1
-            self.received.remove(self.floor)
+    def _release(self, floor: int, out: list) -> int:
+        """Settle the sequences held just above ``floor``, appending each
+        arrived DATA's entry to ``out``; returns the new floor."""
+        held = self.held
+        while floor + 1 in held:
+            floor += 1
+            entry = held.pop(floor)
+            if entry is not None:
+                out.append(entry)
+        return floor
 
     def _give_up(self, start: int, end: int) -> None:
-        start = max(start, self.floor + 1)
+        floor = self.floor
+        start = max(start, floor + 1)
         if start > end:
             return
-        if start == self.floor + 1 or end - start + 1 > _MAX_GIVEUP_SPAN:
-            got = sum(1 for s in self.received if s <= end)
-            self.samples_lost += (end - self.floor) - got
-            self.received = {s for s in self.received if s > end}
-            self.floor = end
-            self._compact()  # what arrived just above the range settles too
-        else:
-            for seq in range(start, end + 1):
-                if seq not in self.received:
+        held = self.held
+        if start > floor + 1:
+            # Above a hole, which still waits: each sequence not yet
+            # arrived settles as given up, up to the bound.
+            for seq in range(start, min(end, floor + _MAX_GIVEUP_SPAN) + 1):
+                if seq not in held:
+                    held[seq] = None
                     self.samples_lost += 1
-                    self.received.add(seq)
-            self._compact()
+            return
+        # The hole itself: everything up to ``end`` settles, and what
+        # arrived is released in order; what waits above it follows.
+        if end - floor > len(held):
+            settled = sorted(seq for seq in held if seq <= end)
+        else:
+            settled = [seq for seq in range(start, end + 1) if seq in held]
+        released = self.released
+        for seq in settled:
+            entry = held.pop(seq)
+            if entry is not None:
+                released.append(entry)
+        self.samples_lost += end - floor - len(settled)
+        self.floor = self._release(end, released)
 
-    def on_run(self, infos: Sequence[SampleInfo]) -> Optional[bytearray]:
-        """Take a run of DATA in arrival order; returns None when every one
-        is new (deliver them all), else one flag per DATA, 1 for a new one.
-        A sequence is new unless it is settled (at or below the floor) or
-        already received."""
+    def on_run(self, infos: Sequence[SampleInfo], slots: list) -> Optional[list]:
+        """Take a run of DATA in arrival order, ``slots[i]`` the payload
+        slot of ``infos[i]``. Returns None when the run is handed on as it
+        is: every DATA new and next in order. Else what to hand on, in
+        order: the entry ``(info, slots, index)`` of each DATA released,
+        and ``NOT_NEW`` in the place of each DATA of the run that is not
+        new."""
         floor = self.floor
-        received = self.received
-        fresh = None
+        held = self.held
+        out = None
         unique = 0
         for i, info in enumerate(infos):
             sequence = info.sequence
             if sequence == floor + 1:
                 floor = sequence
-                while floor + 1 in received:  # what arrived above it settles too
-                    floor += 1
-                    received.remove(floor)
-            elif sequence <= floor or sequence in received:
-                if fresh is None:
-                    fresh = bytearray(b"\x01") * len(infos)
-                fresh[i] = 0
+                unique += 1
+                if out is not None:
+                    out.append((info, slots, i))
+                if floor + 1 in held:  # it filled the hole below them
+                    if out is None:
+                        out = _entries(infos, slots, i + 1)
+                    floor = self._release(floor, out)
                 continue
+            if out is None:
+                out = _entries(infos, slots, i)
+            if sequence <= floor or sequence in held:
+                out.append(NOT_NEW)
+            elif sequence - floor > _MAX_GIVEUP_SPAN:
+                self.beyond_window += 1
             else:
-                received.add(sequence)
-            unique += 1
+                held[sequence] = (info, slots, i)
+                unique += 1
         self.floor = floor
         self.unique_received += unique
-        return fresh
+        return out
 
-    on_data = _on_data
+    def on_data(self, sequence: int) -> bool:
+        """A run of one, without a payload: True when the sequence is new,
+        whether it is released or held."""
+        unique = self.unique_received
+        self.on_run((_tuple_new(SampleInfo, (self.writer_guid, sequence, 0, 0, 0)),),
+                    [None])
+        return self.unique_received > unique
 
     def on_gap(self, gap: wire.Gap) -> None:
         self._give_up(gap.gap_start, gap.gap_end)
@@ -297,17 +362,23 @@ class ReliableReaderSession:
             return None  # stale or duplicated heartbeat
         if not (self._last_heartbeat_count or self.floor or self.samples_lost):
             # The first heartbeat: below it and every arrival, nothing was sent here.
-            self.floor = max(0, min((hb.first_seq, *self.received)) - 1)
-            self._compact()
+            self.floor = self._release(max(0, min((hb.first_seq, *self.held)) - 1),
+                                       self.released)
         self._last_heartbeat_count = hb.count
         if hb.first_seq > self.floor + 1:
             # The writer no longer offers anything below first_seq.
             self._give_up(self.floor + 1, hb.first_seq - 1)
         base = self.floor + 1
         window_end = min(hb.last_seq, base + wire.ACKNACK_MAX_BITS - 1)
-        missing = tuple(s for s in range(base, window_end + 1)
-                        if s not in self.received)
+        held = self.held
+        missing = tuple(s for s in range(base, window_end + 1) if s not in held)
         return wire.AckNack(self.reader_entity_id, self.writer_guid, base, missing)
+
+    def drop_held(self) -> None:
+        """The writer is gone: what waits behind a hole is never handed
+        on, and counts in ``samples_lost``."""
+        self.samples_lost += sum(entry is not None for entry in self.held.values())
+        self.held.clear()
 
 
 class BestEffortReaderSession:
@@ -327,12 +398,14 @@ class BestEffortReaderSession:
     """
 
     WINDOW = 1024
+    released = ()  # nothing is held, so nothing is released
 
     def __init__(self, writer_guid: Guid):
         self.writer_guid = writer_guid
         self.last_sequence = 0
         self.samples_lost = 0
         self.unique_received = 0
+        self.beyond_window = 0  # never counted: nothing is held
         self._seen = bytearray(self.WINDOW)
 
     def on_run(self, infos: Sequence[SampleInfo]) -> Optional[bytearray]:
@@ -386,3 +459,6 @@ class BestEffortReaderSession:
 
     def on_gap(self, gap: wire.Gap) -> None:
         pass
+
+    def drop_held(self) -> None:
+        pass  # nothing waits: a best-effort reader never holds a DATA

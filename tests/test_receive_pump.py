@@ -337,7 +337,9 @@ def test_a_reader_of_another_type_decodes_its_own_sample(pair):
 
 def test_source_order_is_kept_per_reader(pair):
     """The early reader has seen a newer sample and drops the older one;
-    the late reader, served after it, still takes it."""
+    the late reader, served after it, still takes it. The late reader,
+    matched mid-stream, holds its first DATA until the writer's first
+    HEARTBEAT to it, which goes out on the writer's next spin."""
     a, b, _, _ = pair
     by_source = [qos.DestinationOrder(qos.DestinationOrderKind.BY_SOURCE_TIMESTAMP)]
     writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE + by_source)
@@ -349,6 +351,8 @@ def test_source_order_is_kept_per_reader(pair):
     _spin(a, b, a)
     writer.write({"n": 2}, source_timestamp_ns=100)
     _spin(b)
+    assert late.take() == []
+    _spin(a, b)
     assert _values(early) == [(1,)]
     assert _values(late) == [(2,)]
     assert (early.stats.destination_order_dropped, late.stats.destination_order_dropped) == (1, 0)
@@ -409,9 +413,12 @@ def test_a_malformed_one_data_datagram_is_counted_and_delivers_nothing(pair, man
     assert b.malformed_datagrams == 1
     assert reader.take() == [] and reader.statistics().samples_received == 0
     rogue.send(_one_data(writer, 2), "B")
+    _spin(b)  # 2 waits behind 1, which never arrived
+    assert reader.take() == [] and reader.statistics().samples_received == 0
+    rogue.send(_one_data(writer, 1), "B")
     _spin(b)
     assert b.malformed_datagrams == 1
-    assert _values(reader) == [(2,)]
+    assert _values(reader) == [(1,), (2,)]
 
 
 def test_each_drained_datagram_is_decoded_once(pair, monkeypatch):

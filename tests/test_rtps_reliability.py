@@ -159,12 +159,12 @@ class TestReliableReaderSession:
     def test_out_of_order_arrivals_compact(self):
         s = self._session()
         assert s.on_data(3) is True
-        assert s.floor == 0
+        assert (s.floor, list(s.held)) == (0, [3])
         assert s.on_data(1) is True
-        assert s.floor == 1
+        assert (s.floor, list(s.held)) == (1, [3])
         assert s.on_data(2) is True
         assert s.floor == 3
-        assert s.received == set()
+        assert s.held == {}
 
     def test_heartbeat_produces_acknack_for_missing(self):
         s = self._session()

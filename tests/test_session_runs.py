@@ -1,15 +1,19 @@
 """Both reader sessions' ``on_run`` against a per-sample reference.
 
-``_reliable_on_data`` and ``_BestEffortReference.on_data`` restate the
-duplicate and loss rule one DATA at a time: the reliable one on a
-settled floor and a set of received sequences, the best-effort one with
-every sequence it has ever received. Seeded random runs mix in-order
-sequences, duplicates inside a run and of earlier runs, reorders inside
-and beyond ``WINDOW``, and jumps of a whole window or more; the reliable
-session also gets GAPs and HEARTBEATs between runs. After every run the
-session and the reference must agree on which positions are fresh, and
-on ``samples_lost``, ``unique_received`` and the floor (the best-effort
-session's ``last_sequence``).
+``_HoldReference`` and ``_BestEffortReference.on_data`` restate the
+duplicate and loss rule one DATA at a time: the reliable one holds each
+DATA above a hole and releases each in-order run once the hole fills or
+is given up, the best-effort one keeps every sequence it has ever
+received. Seeded random runs mix in-order sequences, duplicates inside a
+run and of earlier runs, reorders inside and beyond ``WINDOW``, and
+jumps of a whole window or more; the reliable session also gets GAPs and
+HEARTBEATs between runs. After every run the best-effort session and its
+reference must agree on which positions are fresh; the reliable session
+and its reference on what each run, GAP and HEARTBEAT hands on, in
+order, with each duplicate in its place, and on every ACKNACK. Both
+must agree on ``samples_lost``, ``unique_received`` and the floor (the
+best-effort session's ``last_sequence``), the reliable ones also on
+what is held and on ``beyond_window``.
 """
 
 import random
@@ -23,6 +27,8 @@ from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSess
 
 WRITER = Guid(b"\x07" * 12, 3)
 WINDOW = BestEffortReaderSession.WINDOW
+SPAN = 65536  # how far above its floor a reliable session holds anything
+DUP = "duplicate"
 
 
 def _infos(sequences):
@@ -37,15 +43,68 @@ def _fresh(result, n):
 # ---------------------------------------------------------------------------
 # The references
 
-def _reliable_on_data(session: ReliableReaderSession, sequence: int) -> bool:
-    if sequence <= session.floor or sequence in session.received:
-        return False
-    session.unique_received += 1
-    session.received.add(sequence)
-    while session.floor + 1 in session.received:
-        session.floor += 1
-        session.received.remove(session.floor)
-    return True
+class _HoldReference:
+    """The reliable rule, one sequence at a time. ``arrived`` maps each
+    DATA held above the floor to its payload, ``given_up`` holds each
+    sequence above the floor written off; ``out`` collects what is handed
+    on, with DUP in the place of a DATA that was not new."""
+
+    def __init__(self):
+        self.floor = 0
+        self.arrived: dict[int, str] = {}
+        self.given_up: set[int] = set()
+        self.samples_lost = self.unique_received = self.beyond_window = 0
+        self.count = 0
+        self.out: list = []
+
+    def _settle(self):
+        while self.floor + 1 in self.arrived or self.floor + 1 in self.given_up:
+            self.floor += 1
+            if self.floor in self.arrived:
+                self.out.append(self.arrived.pop(self.floor))
+            else:
+                self.given_up.remove(self.floor)
+
+    def on_data(self, sequence: int, payload: str) -> None:
+        if (sequence <= self.floor or sequence in self.arrived
+                or sequence in self.given_up):
+            self.out.append(DUP)
+        elif sequence > self.floor + SPAN:
+            self.beyond_window += 1
+        else:
+            self.unique_received += 1
+            self.arrived[sequence] = payload
+            self._settle()
+
+    def on_gap(self, start: int, end: int) -> None:
+        if start > self.floor + 1:
+            for seq in range(start, min(end, self.floor + SPAN) + 1):
+                if seq not in self.arrived and seq not in self.given_up:
+                    self.given_up.add(seq)
+                    self.samples_lost += 1
+            return
+        for seq in range(self.floor + 1, end + 1):
+            if seq in self.arrived:
+                self.out.append(self.arrived.pop(seq))
+            elif seq in self.given_up:
+                self.given_up.remove(seq)
+            else:
+                self.samples_lost += 1
+        self.floor = max(self.floor, end)
+        self._settle()
+
+    def on_heartbeat(self, hb):
+        if hb.count <= self.count:
+            return None
+        if not (self.count or self.floor or self.samples_lost):
+            self.floor = max(0, min((hb.first_seq, *self.arrived)) - 1)
+            self._settle()
+        self.count = hb.count
+        self.on_gap(self.floor + 1, hb.first_seq - 1)
+        base = self.floor + 1
+        missing = tuple(s for s in range(base, min(hb.last_seq, base + 255) + 1)
+                        if s not in self.arrived and s not in self.given_up)
+        return wire.AckNack(9, WRITER, base, missing)
 
 
 class _BestEffortReference:
@@ -120,46 +179,70 @@ def test_best_effort_matches_the_reference(seed):
             step, run)
 
 
+def _handed_on(session: ReliableReaderSession, infos, slots) -> list:
+    """What ``on_run`` hands on: payloads in order, DUP for a duplicate."""
+    entries = session.on_run(infos, slots)
+    if entries is None:
+        return list(slots)
+    return [DUP if info is None else cell[i] for info, cell, i in entries]
+
+
+def _taken(session: ReliableReaderSession) -> list:
+    released, session.released = session.released, []
+    return [cell[i] for _, cell, i in released]
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_reliable_matches_the_reference(seed):
-    """GAPs and HEARTBEATs go to both sessions through the real methods;
-    only the DATA path differs."""
     rng = random.Random(seed)
     session = ReliableReaderSession(WRITER, 9)
-    reference = ReliableReaderSession(WRITER, 9)
+    reference = _HoldReference()
     sent: list[int] = []
     count = top = 0  # the last heartbeat's count, the highest sequence sent
     for step in range(rng.choice((5, 40, 150))):
         roll = rng.random()
+        reference.out = []
         if roll < 0.15:
             start = max(1, reference.floor + rng.randint(-4, 40))
             gap = wire.Gap(WRITER.entity_id, start, start + rng.choice(
                 (0, rng.randint(1, 30), rng.randint(WINDOW, 3 * WINDOW))))
             session.on_gap(gap)
-            reference.on_gap(gap)
+            reference.on_gap(gap.gap_start, gap.gap_end)
+            assert _taken(session) == reference.out, (step, gap)
         elif roll < 0.30:
             count += rng.choice((1, 1, 1, 0))  # at times a repeated count
             hb = wire.Heartbeat(WRITER.entity_id,
                                 max(1, reference.floor + rng.randint(-4, 60)),
                                 top + rng.randint(0, 20), count)
             assert session.on_heartbeat(hb) == reference.on_heartbeat(hb), (step, hb)
+            assert _taken(session) == reference.out, (step, hb)
         else:
             run = _run(rng, max(top, reference.floor), reference.floor, sent)
             top = max(top, *run)
-            fresh = _fresh(session.on_run(_infos(run)), len(run))
-            assert fresh == [i for i, seq in enumerate(run)
-                             if _reliable_on_data(reference, seq)], (step, run)
-        assert (session.floor, session.received, session.samples_lost,
-                session.unique_received) == (
-            reference.floor, reference.received, reference.samples_lost,
-            reference.unique_received), step
+            slots = [f"{seq}@{step}.{i}" for i, seq in enumerate(run)]
+            for seq, payload in zip(run, slots):
+                reference.on_data(seq, payload)
+            assert _handed_on(session, _infos(run), slots) == reference.out, (step, run)
+        assert (session.floor, sorted(k for k, v in session.held.items() if v is not None),
+                sorted(k for k, v in session.held.items() if v is None),
+                session.samples_lost, session.unique_received, session.beyond_window) == (
+            reference.floor, sorted(reference.arrived), sorted(reference.given_up),
+            reference.samples_lost, reference.unique_received,
+            reference.beyond_window), step
 
 
-@pytest.mark.parametrize("make", [lambda: BestEffortReaderSession(WRITER),
-                                  lambda: ReliableReaderSession(WRITER, 9)],
-                         ids=["best-effort", "reliable"])
-def test_a_run_is_flagged_only_when_not_all_fresh(make):
-    session = make()
+def test_a_run_is_flagged_only_when_not_all_fresh():
+    session = BestEffortReaderSession(WRITER)
     assert session.on_run(_infos(range(1, 8193))) is None
     assert session.on_run(_infos([8192, 8193, 8193, 8194])) == bytearray([0, 1, 0, 1])
     assert session.on_data(8195) is True and session.on_data(8195) is False
+
+
+def test_a_reliable_run_is_handed_on_as_it_is_only_when_all_fresh_and_in_order():
+    session = ReliableReaderSession(WRITER, 9)
+    assert session.on_run(_infos(range(1, 8193)), [None] * 8192) is None
+    assert _handed_on(session, _infos([8192, 8193, 8193, 8194]), ["a", "b", "c", "d"]) == [
+        DUP, "b", DUP, "d"]
+    assert _handed_on(session, _infos([8196, 8197]), ["f", "g"]) == []  # behind 8195
+    assert _handed_on(session, _infos([8195]), ["e"]) == ["e", "f", "g"]
+    assert session.on_data(8198) is True and session.on_data(8198) is False
