@@ -42,11 +42,14 @@ def _per_instance_cap(history: qos.History, limits: qos.ResourceLimits) -> Optio
 # Writer side
 
 class WriterSample(NamedTuple):
-    """One cached outgoing sample: one object, with no ``__dict__``."""
+    """One cached outgoing sample: one object, with no ``__dict__``.
+    ``message`` is the datagram the write sent, a message of this one
+    DATA (``wire.pack_data_message``); its payload starts at
+    ``wire.DATA_PAYLOAD_START``."""
 
     sequence: int
     instance_handle: int
-    payload: bytes
+    message: bytes
     source_timestamp_ns: int
     expiry_wall_ns: int = qos.INFINITE_NS
 

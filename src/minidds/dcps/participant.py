@@ -22,8 +22,9 @@ loses a match, or after discovery adds, drops or re-addresses a peer
 (``Discovery.epoch``), and reused for every write in between.
 ``_publish`` sends the DATA by the plan in one pass: this participant's
 matched readers get it first, through the same dispatch as any local
-send, and the other participants one datagram, packed once from the
-record ``on_write`` returned (``wire.pack_data_message``). The writer's
+send, and the other participants one datagram. Both take the message
+the writer packed once for the write (``wire.pack_data_message``) and
+keeps as its cached sample, the same object. The writer's
 other output (GAPs, retransmissions, late-joiner replays, HEARTBEATs)
 goes through ``_route`` and ``_send``; an item addressed to one reader
 looks up that reader's address each time. A closed participant closes
@@ -57,9 +58,19 @@ create or close a reader mid-dispatch; an entry is replaced only where
 a reader gains or loses a match with that writer. The readers of one
 DATA share its ``SampleInfo`` and its deserialized sample (one per
 reader type), both immutable; each keeps its own session, ownership,
-time-filter and source-order state. A drained datagram is released
-once read and its payload once every reader type has decoded it, so a
-received burst is never held both as datagrams and as cached samples.
+time-filter and source-order state.
+
+Each DATA's bytes are held once. A run's payload slot holds the
+one-DATA datagram itself, and each reader type decodes the payload in
+place at ``wire.DATA_PAYLOAD_START``; a DATA a reliable session holds
+behind a hole waits there as that datagram, undecoded. So every slot is
+a one-DATA message: a local send hands over the write's own message,
+and any other DATA handed on alone (a local retransmission or replay,
+one among other submessages) is packed into one. The batch lets go of
+a drained datagram once read, and its slot once every reader type has
+decoded it, so the receiver holds each DATA as its datagram or as its
+decoded samples, not both; over ``InProcNetwork`` the writer's cache,
+the queue and a held slot are one object.
 
 Arrival is stamped once per drained batch: ``spin_once`` reads the
 clock right after the drain, when every datagram of the batch had
@@ -371,7 +382,6 @@ class DomainParticipant:
             arrived = self.clock.monotonic_ns()
             arrived_wall = self.clock.wall_ns()
             read_data = wire.read_data_message
-            payload_start = wire.DATA_PAYLOAD_START
             # The run being read: its key (writer entity id, sender prefix,
             # reader entity id), matched pairs, SampleInfos and payload slots.
             run = pairs = writer_guid = None
@@ -380,7 +390,7 @@ class DomainParticipant:
             # The batch's HEARTBEATs, answered once it is all delivered.
             heartbeats: list = []
             for i, (data, source) in enumerate(batch):
-                batch[i] = None  # release each datagram once it is read
+                batch[i] = None  # the batch lets go of each datagram once read
                 head = read_data(data)
                 if head is not None:
                     prefix, writer_eid, reader_eid, seq, stamp, handle = head
@@ -395,7 +405,7 @@ class DomainParticipant:
                     if pairs:
                         infos.append(_tuple_new(SampleInfo, (writer_guid, seq, stamp,
                                                              arrived, handle)))
-                        slots.append(data[payload_start:])
+                        slots.append(data)
                     continue
                 # Any other datagram ends the run: it is delivered first.
                 if infos:
@@ -462,13 +472,17 @@ class DomainParticipant:
 
     def _dispatch(self, submessages, sender_prefix: bytes, source,
                   now: int, now_wall: int, datagram: Optional[bytes] = None,
-                  heartbeats: Optional[list] = None) -> None:
+                  heartbeats: Optional[list] = None,
+                  message: Optional[bytes] = None) -> None:
         """Hand the submessages of one datagram, or of one local send, to
         the endpoints they concern, as arrived at ``now`` (monotonic) and
         ``now_wall``; DATA, the common kind, is tested first. ``datagram``
         is the received datagram, for discovery to remember an announce
         that came alone. A HEARTBEAT is appended to ``heartbeats``, when
-        given, to be answered later, else answered at once."""
+        given, to be answered later, else answered at once. ``message``
+        is the one-DATA message of a local send's lone DATA, when the
+        sender has it; any other DATA is packed into one, as a payload
+        slot always holds a one-DATA message."""
         for sub in submessages:
             if type(sub) is wire.Data:  # a run of one
                 pairs = self._pairs_for(sender_prefix, sub.writer_entity_id,
@@ -477,7 +491,9 @@ class DomainParticipant:
                     info = _tuple_new(SampleInfo, (pairs[0][1].writer_guid, sub.sequence,
                                                    sub.source_timestamp_ns, now,
                                                    sub.instance_handle))
-                    self._deliver(pairs, [info], [sub.payload], now_wall)
+                    slot = (message if message is not None
+                            else wire.pack_data_message(sender_prefix, sub))
+                    self._deliver(pairs, [info], [slot], now_wall)
             elif isinstance(sub, wire.Announce):
                 event = self.discovery.process_announce(
                     sub, sender_prefix, source, now,
@@ -531,9 +547,9 @@ class DomainParticipant:
         one after another in creation order, while the reader's session is
         still the entry's: a reader closed mid-run gets none of the rest.
         Readers of one type share one slot per DATA, which holds the
-        payload until the first of them replaces it by its sample; each
-        further type gets its own copy of the slot list, so a payload is
-        released once every type has decoded it."""
+        DATA's one-DATA message until the first of them replaces it by its
+        sample; each further type gets its own copy of the slot list, so a
+        message is released once every type has decoded it."""
         typed = {id(pairs[0][0].type): slots}
         for reader, _ in pairs:
             if id(reader.type) not in typed:
@@ -556,20 +572,20 @@ class DomainParticipant:
                 self.discovery.epoch, *self._destinations(writer._match_records))
         return plan
 
-    def _publish(self, writer: DataWriter, data: wire.Data) -> None:
+    def _publish(self, writer: DataWriter, data: wire.Data, message: bytes) -> None:
         """Send a write's DATA by the writer's send plan: to this
         participant's matched readers through the dispatch, as ``_send``
-        does, then as one datagram, packed once, to every other matched
-        reader's address."""
+        does, then to every other matched reader's address. Both take
+        ``message``, the datagram the writer packed and cached for it."""
         _, local, addresses = self._plan(writer)
         if local:
             self._dispatch((data,), self.guid.prefix, None,
-                           self.clock.monotonic_ns(), self.clock.wall_ns())
+                           self.clock.monotonic_ns(), self.clock.wall_ns(),
+                           message=message)
         if addresses:
-            datagram = wire.pack_data_message(self.guid.prefix, data)
             send = self.transport.send
             for address in addresses:
-                send(datagram, address)
+                send(message, address)
 
     def _route(self, writer: DataWriter, directed: list[Directed]) -> None:
         for dest, sub in directed:

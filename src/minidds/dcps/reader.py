@@ -124,10 +124,12 @@ class DataReader(Endpoint):
         which DATA of the run are new and what to hand on (``on_run``).
         ``infos`` holds each DATA's SampleInfo, shared with the other
         readers the run is handed to, and ``slots`` one slot per DATA,
-        shared with the readers of this type: a slot holds the payload
-        until the first of them to accept that DATA replaces it by the
-        sample, or by None for a malformed payload, so each payload is
-        deserialized once per type, held or not."""
+        shared with the readers of this type: a slot holds the DATA's
+        one-DATA message, whose payload starts at
+        ``wire.DATA_PAYLOAD_START``, until the first of them to accept
+        that DATA replaces it by the sample, or by None for a malformed
+        payload, so each payload is deserialized once per type, in place,
+        held or not."""
         if self._reliable:
             entries = session.on_run(infos, slots)
         else:
@@ -169,6 +171,7 @@ class DataReader(Endpoint):
         unmatches the writer, ends the call for it."""
         stats = self.stats
         deserialize = idl.deserialize
+        payload_start = wire.DATA_PAYLOAD_START
         insert = self.history.insert
         kind = self.type
         lifespan = self._lifespan_ns
@@ -191,7 +194,7 @@ class DataReader(Endpoint):
             if type(sample) is not Sample:
                 if sample is not None:
                     try:
-                        sample = deserialize(kind, sample)
+                        sample = deserialize(kind, sample, payload_start)
                     except idl.DecodeError:
                         sample = None
                     slots[i] = sample

@@ -22,6 +22,10 @@ MAX_PAYLOAD = wire.MAX_DATAGRAM - wire.DATA_PAYLOAD_START
 # that race past the check can each add one entry beyond it.
 MAX_INSTANCE_HANDLES = 16_384
 
+# Builds a record from a tuple of its fields without the Python-level
+# ``__new__`` that NamedTuple generates; twice per write.
+_tuple_new = tuple.__new__
+
 
 class DataWriter(Endpoint):
     def __init__(self, participant, topic, profile: qos.QosProfile,
@@ -114,6 +118,13 @@ class DataWriter(Endpoint):
             with self.participant._lock:
                 source_ts = (source_timestamp_ns if source_timestamp_ns is not None
                              else clock.wall_ns())
+                sequence = session.last_sequence + 1
+                # The write's one datagram, under the sequence on_write
+                # assigns: the cache keeps it, every matched participant
+                # is sent it, and a reader decodes the payload in it.
+                message = wire.pack_data_message(self.participant.guid.prefix, _tuple_new(
+                    wire.Data, (self.guid.entity_id, 0, sequence, source_ts, handle,
+                                payload)))
                 evicted = None
                 try:
                     # A sample nobody can ask for again is not cached at all.
@@ -121,10 +132,10 @@ class DataWriter(Endpoint):
                         expiry = qos.INFINITE_NS
                         if self._lifespan_ns != qos.INFINITE_NS:
                             expiry = source_ts + self._lifespan_ns
-                        # Cached first, under the sequence on_write assigns,
-                        # so a cache that refuses it leaves no sequence used.
-                        evicted = self.history.insert(tuple.__new__(WriterSample, (
-                            session.last_sequence + 1, handle, payload, source_ts, expiry)))
+                        # Cached first, so a cache that refuses it leaves no
+                        # sequence used.
+                        evicted = self.history.insert(_tuple_new(WriterSample, (
+                            sequence, handle, message, source_ts, expiry)))
                 except ResourceLimitsError:
                     if not (self._reliable and self._keep_all):
                         raise
@@ -133,7 +144,7 @@ class DataWriter(Endpoint):
                     if self._deadlines.active:
                         self._deadlines.record(handle, clock.monotonic_ns())
                     self.samples_written += 1
-                    self.participant._publish(self, data)
+                    self.participant._publish(self, data, message)
                     if evicted:
                         self.participant._route(self, session.note_evicted(evicted))
                     return data.sequence

@@ -410,7 +410,9 @@ def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
     constants: ``name``, the first run's ``pack0`` and ``unpack0``, each
     later run's structs by offset mod 8 (``table1``...), the key runs'
     unpadded ``key0``... No name or value from the descriptor is spliced
-    in."""
+    in. ``unpack`` reads the payload in place from ``data[s:]``: ``o``
+    is an offset into ``data``, and ``o - s`` the same offset in the
+    payload, which fixes the alignment."""
     fields = list(enumerate(descriptor.fields))
     every = "".join(f"v{i}, " for i, _ in fields)
     test = " and ".join(
@@ -429,20 +431,20 @@ def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
             first = _struct(kinds)
             namespace.update(pack0=first.pack, unpack0=first.unpack_from)
             pieces.append(f"pack0({values})")
-            unpack.append(f"{targets}= unpack0(data)")
-            start = str(first.size)
+            unpack.append(f"{targets}= unpack0(data, s)")
+            start, at = str(first.size), f"s + {first.size}"
         else:  # at offset o, just past a string
             namespace[f"table{n}"] = tuple(_struct(kinds, r) for r in range(8))
             pack += [f"o = {end}", f"t{n} = table{n}[o & 7]"]
             pieces.append(f"t{n}.pack({values})")
-            unpack += [f"t{n} = table{n}[o & 7]", f"{targets}= t{n}.unpack_from(data, o)"]
-            start = f"o + t{n}.size"
+            unpack += [f"t{n} = table{n}[o - s & 7]", f"{targets}= t{n}.unpack_from(data, o)"]
+            start = at = f"o + t{n}.size"
         if string is None:
-            unpack.append(f"o = {start}")
+            unpack.append(f"o = {at}")
         else:
             pieces.append(f"b{string}")
             end = f"{start} + len(b{string})"
-            unpack += [f"a = {start}", f"o = a + l{string}", f"v{string} = data[a:o].decode()"]
+            unpack += [f"a = {at}", f"o = a + l{string}", f"v{string} = data[a:o].decode()"]
     pack = ["if sample.type_name == name:", f"    {every}= sample.values", f"    if {test}:",
             *(f"        {line}" for line in pack), f"        return {' + '.join(pieces)}"]
     unpack += ["if o == len(data):", f"    return ({every})"]
@@ -467,7 +469,7 @@ def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
                "return h"]
     # Each function returns None on any failure.
     source = ""
-    for signature, body in (("pack(sample)", pack), ("unpack(data)", unpack),
+    for signature, body in (("pack(sample)", pack), ("unpack(data, s)", unpack),
                             ("key_bytes(values)", key_bytes), ("key(values)", key)):
         source += "".join([f"def {signature}:\n    try:\n",
                            *(f"        {line}\n" for line in body),
@@ -483,8 +485,9 @@ class _Codec:
     ``pack(sample)`` checks the sample with one expression of exact
     types and integer ranges, then packs each run of fixed-size fields
     with the next string's length prefix in one struct call; past a
-    string it picks the run's struct by offset mod 8. ``unpack(data)``
-    mirrors it and accepts only the exact payload length.
+    string it picks the run's struct by offset mod 8. ``unpack(data, s)``
+    mirrors it on the payload ``data[s:]``, read in place, and accepts
+    only the exact payload length.
     ``key_bytes(values)`` packs the key fields, unpadded (``b""`` for an
     unkeyed type), and ``key(values)`` folds FNV-1a over those bytes (0
     for an unkeyed type), so a table keyed by the bytes and the handle
@@ -583,12 +586,15 @@ def serialized_size(descriptor: TypeDescriptor, sample: Sample) -> int:
     return codec.encode_field_by_field(sample, "size") if data is None else len(data)
 
 
-def deserialize(descriptor: TypeDescriptor, data: bytes) -> Sample:
-    """Decode bytes produced by ``serialize``; trailing bytes are an error."""
+def deserialize(descriptor: TypeDescriptor, data: bytes, start: int = 0) -> Sample:
+    """Decode the payload ``data[start:]``, bytes produced by
+    ``serialize``, in place; trailing bytes are an error. A
+    ``DecodeError`` offset counts from ``start``, as if the payload had
+    been sliced out first."""
     codec = descriptor._codec
-    values = codec.unpack(data)
+    values = codec.unpack(data, start)
     if values is None:
-        values = codec.decode_field_by_field(data)
+        values = codec.decode_field_by_field(data[start:])
     return _tuple_new(Sample, (descriptor.name, values))
 
 

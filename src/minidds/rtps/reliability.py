@@ -35,8 +35,11 @@ one below the lower of its ``first_seq`` and the lowest sequence already
 held, since a reader matched mid-stream was never owed what the writer
 sent before that. So such a reader holds its first DATA until that
 heartbeat. A DATA more than ``_MAX_GIVEUP_SPAN`` above the floor is
-refused, counted, and asked for again later. Both reader sessions
-answer HEARTBEAT and GAP; the best-effort one ignores them.
+refused, counted, and asked for again later; until that first
+heartbeat, the bound counts from one below the lowest sequence held
+instead, so a reader matched with a writer already far past the bound
+holds what it is sent. Both reader sessions answer HEARTBEAT and GAP;
+the best-effort one ignores them.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ _MAX_GIVEUP_SPAN = 65536
 # What a reliable reader session holds for a DATA that waits behind a
 # hole: its SampleInfo, and the run's payload slots with its index there.
 Held = tuple[SampleInfo, list, int]
+
+# A reliable reader session's lowest held sequence while it holds nothing:
+# above every sequence the wire can carry.
+_NOTHING_HELD = 2**64
 
 # The entry a session hands on in the place of a DATA that is not new,
 # shaped like a held one so the pipeline can unpack every entry alike.
@@ -154,9 +161,12 @@ class WriterSession:
     # -- write path ---------------------------------------------------
 
     def _data_for(self, sample: WriterSample, reader_entity_id: int) -> wire.Data:
+        """A cached sample's DATA for one reader, a retransmission or a
+        late-joiner replay: the only place its payload is sliced out of
+        the cached message."""
         return wire.Data(self.writer_entity_id, reader_entity_id, sample.sequence,
                          sample.source_timestamp_ns, sample.instance_handle,
-                         sample.payload)
+                         sample.message[wire.DATA_PAYLOAD_START:])
 
     def on_write(self, instance_handle: int, payload: bytes,
                  source_timestamp_ns: int) -> wire.Data:
@@ -256,7 +266,9 @@ class ReliableReaderSession:
     ``_MAX_GIVEUP_SPAN`` above the floor: a DATA further ahead is refused
     (counted in ``beyond_window``) and not marked received, so the writer
     sends it again, and the part of a GAP above the bound is not
-    recorded. What a GAP or HEARTBEAT releases is appended, in order, to
+    recorded. Until the first heartbeat settles the floor, the bound
+    counts from one below the lowest sequence held (``_lowest_held``).
+    What a GAP or HEARTBEAT releases is appended, in order, to
     ``released``, for the reader to take.
     """
 
@@ -270,6 +282,13 @@ class ReliableReaderSession:
         self.unique_received = 0
         self.beyond_window = 0
         self._last_heartbeat_count = 0
+        # The lowest sequence held while the floor is 0.
+        self._lowest_held = _NOTHING_HELD
+
+    def _first_heartbeat_pending(self) -> bool:
+        """Whether the first heartbeat will still set the floor: nothing
+        has settled or been given up, and no heartbeat has come."""
+        return not (self._last_heartbeat_count or self.floor or self.samples_lost)
 
     def _release(self, floor: int, out: list) -> int:
         """Settle the sequences held just above ``floor``, appending each
@@ -337,11 +356,15 @@ class ReliableReaderSession:
                 out = _entries(infos, slots, i)
             if sequence <= floor or sequence in held:
                 out.append(NOT_NEW)
-            elif sequence - floor > _MAX_GIVEUP_SPAN:
+            elif sequence - floor > _MAX_GIVEUP_SPAN and (
+                    floor or not self._first_heartbeat_pending()
+                    or sequence - self._lowest_held >= _MAX_GIVEUP_SPAN):
                 self.beyond_window += 1
             else:
                 held[sequence] = (info, slots, i)
                 unique += 1
+                if not floor and sequence < self._lowest_held:
+                    self._lowest_held = sequence
         self.floor = floor
         self.unique_received += unique
         return out
@@ -360,9 +383,9 @@ class ReliableReaderSession:
     def on_heartbeat(self, hb: wire.Heartbeat) -> Optional[wire.AckNack]:
         if hb.count <= self._last_heartbeat_count:
             return None  # stale or duplicated heartbeat
-        if not (self._last_heartbeat_count or self.floor or self.samples_lost):
+        if self._first_heartbeat_pending():
             # The first heartbeat: below it and every arrival, nothing was sent here.
-            self.floor = self._release(max(0, min((hb.first_seq, *self.held)) - 1),
+            self.floor = self._release(max(0, min(hb.first_seq, self._lowest_held) - 1),
                                        self.released)
         self._last_heartbeat_count = hb.count
         if hb.first_seq > self.floor + 1:

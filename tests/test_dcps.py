@@ -642,9 +642,9 @@ class TestOneDeserializePerParticipant:
         calls = []
         original = idl.deserialize
 
-        def counting(descriptor, data):
+        def counting(descriptor, *data):
             calls.append(descriptor)
-            return original(descriptor, data)
+            return original(descriptor, *data)
 
         monkeypatch.setattr(idl, "deserialize", counting)
         return calls

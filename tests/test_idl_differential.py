@@ -8,6 +8,12 @@ change the generated code (a string first, last, next to another, only
 strings, key fields apart, no key), must give the same payloads,
 instance handles and decoded values, and the same error for every
 truncated payload, a corrupted UTF-8 byte and a trailing byte.
+
+Decoding in place, ``deserialize(d, data, start)``, must give what
+decoding the slice ``data[start:]`` gives: the same values or the same
+``DecodeError``, offset included, for the same payloads and for random
+byte mutations, behind prefixes of every length mod 8 and of a DATA
+message's head.
 """
 
 import random
@@ -16,6 +22,7 @@ import struct
 import pytest
 
 from minidds import idl
+from minidds.rtps import wire
 
 KINDS = list(idl.PrimitiveKind)
 STRING = idl.PrimitiveKind.STRING
@@ -186,6 +193,36 @@ def test_the_generated_codec_matches_the_reference(descriptor):
             expected = _error(lambda: reference_decode(descriptor, corrupt))
             assert expected[3] == f"field {descriptor.fields[i].name!r} is not valid UTF-8"
             assert _error(lambda: idl.deserialize(descriptor, corrupt)) == expected
+
+
+@pytest.mark.parametrize("descriptor", DIFFERENTIAL_TYPES, ids=lambda t: t.name)
+def test_decoding_in_place_matches_decoding_the_slice(descriptor):
+    rng = random.Random("in place " + descriptor.name)
+    for _ in range(SAMPLES_PER_TYPE):
+        values = tuple(_random_value(rng, f.kind) for f in descriptor.fields)
+        payload = idl.serialize(descriptor, idl.Sample(descriptor.name, values))
+        cases = [payload[:cut] for cut in range(len(payload) + 1)] + [payload + b"\x00"]
+        for _ in range(16):
+            mutated = bytearray(payload)
+            for _ in range(rng.choice((1, 1, 2, 4))):
+                if mutated:
+                    mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            cases.append(bytes(mutated))
+        text = [i for i, v in enumerate(values) if isinstance(v, str) and v]
+        for i in text:
+            start = len(reference_encode(descriptor, values[:i] + ("",)))
+            for bad in (b"\xff", b"\xc3", b"\x80"):  # never UTF-8, a cut pair, a stray tail
+                cases.append(payload[:start] + bad + payload[start + 1:])
+        for data in cases:
+            for start in (rng.randrange(8), wire.DATA_PAYLOAD_START):
+                whole = bytes(rng.randrange(256) for _ in range(start)) + data
+                in_place = _error(lambda: idl.deserialize(descriptor, whole, start))
+                sliced = _error(lambda: idl.deserialize(descriptor, whole[start:]))
+                assert repr(in_place) == repr(sliced), (data, start)
+                assert repr(sliced) == repr(_error(lambda: idl.deserialize(descriptor, data)))
+    # Past the end is an empty payload.
+    assert _error(lambda: idl.deserialize(descriptor, payload, len(payload) + 3)) == _error(
+        lambda: idl.deserialize(descriptor, b""))
 
 
 def test_names_that_are_not_identifiers_stay_out_of_the_source():

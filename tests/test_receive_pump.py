@@ -173,8 +173,14 @@ def test_matched_readers_are_served_in_creation_order(pair, monkeypatch):
 
 
 def test_one_spin_holds_a_burst_once(pair):
-    """200 samples of 20 kB wait in B's queue; the spin that caches them
-    may allocate on top of the queued burst no more than half of it."""
+    """200 samples of 20 kB are written and wait in B's queue, and one
+    spin caches them. From before the writes to the end of the spin the
+    payloads are held once, in the messages that the writer's cache, B's
+    queue and the reader's slots share, besides the decoded samples.
+    Each character is two bytes of UTF-8 and one in the decoded ``str``,
+    so the samples take half the burst, and any second copy of the
+    payloads (in the cache, or sliced out on receipt) shows: the peak
+    reads 2.0 bursts with one, 1.54 without."""
     a, b, _, _ = pair
     blob = idl.parse_idl("struct Blob { string s; };")[0]
     writer = a.create_datawriter(a.create_topic("blob", blob), RELIABLE)
@@ -184,17 +190,15 @@ def test_one_spin_holds_a_burst_once(pair):
     tracemalloc.start()
     try:
         for i in range(200):
-            writer.write({"s": chr(65 + i % 26) * 20_000})
+            writer.write({"s": chr(0xC0 + i % 26) * 10_000})
         burst = sum(len(data) for data, _ in b.transport._queue)
-        held, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
         _spin(b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert burst > 200 * 20_000
     assert len(reader.take()) == 200
-    assert (burst + peak - held) / burst < 1.5
+    assert peak / burst < 1.75
 
 
 def _acknacks_sent(participant, monkeypatch):

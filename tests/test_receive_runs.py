@@ -135,8 +135,8 @@ def test_a_malformed_payload_mid_run_is_counted_per_reader(pair, monkeypatch):
     assert unsigned.matched_writers() == [writer.guid]
     decoded = []
     deserialize = idl.deserialize
-    monkeypatch.setattr(idl, "deserialize", lambda descriptor, data: (
-        decoded.append(descriptor), deserialize(descriptor, data))[1])
+    monkeypatch.setattr(idl, "deserialize", lambda descriptor, *data: (
+        decoded.append(descriptor), deserialize(descriptor, *data))[1])
     _send_data(rogue, writer, 1)
     _send_data(rogue, writer, 2, payload=b"\x01")
     _send_data(rogue, writer, 3)
@@ -177,9 +177,13 @@ def test_a_run_of_addressed_data_reaches_only_its_reader(pair, monkeypatch):
 
 
 def test_one_spin_holds_a_burst_once_for_two_readers(pair):
-    """200 samples of 20 kB wait in B's queue for two readers of one
-    type; the spin that caches them may allocate on top of the queued
-    burst no more than half of it."""
+    """200 samples of 20 kB are written and wait in B's queue for two
+    readers of one type, and one spin caches them. From before the
+    writes to the end of the spin the payloads are held once, in the
+    shared messages, besides the decoded samples, which both readers
+    share. The text is two bytes of UTF-8 per character and one in the
+    decoded ``str``, so any second copy of the payloads shows: the peak
+    reads 2.0 bursts with one, 1.54 without."""
     a, b, _ = pair
     blob = idl.parse_idl("struct Blob { string s; };")[0]
     writer = a.create_datawriter(a.create_topic("blob", blob), RELIABLE)
@@ -190,14 +194,12 @@ def test_one_spin_holds_a_burst_once_for_two_readers(pair):
     tracemalloc.start()
     try:
         for i in range(200):
-            writer.write({"s": chr(65 + i % 26) * 20_000})
+            writer.write({"s": chr(0xC0 + i % 26) * 10_000})
         burst = sum(len(data) for data, _ in b.transport._queue)
-        held, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
         _spin(b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert burst > 200 * 20_000
     assert [len(r.take()) for r in readers] == [200, 200]
-    assert (burst + peak - held) / burst < 1.5
+    assert peak / burst < 1.75

@@ -27,7 +27,9 @@ def _write(history, session, sequence, handle=0):
     payload, stamp = b"p%d" % sequence, sequence * 10
     evicted = []
     if session.keeps_history:
-        evicted = history.insert(WriterSample(sequence, handle, payload, stamp))
+        message = wire.pack_data_message(b"\x00" * 12, wire.Data(
+            session.writer_entity_id, 0, sequence, stamp, handle, payload))
+        evicted = history.insert(WriterSample(sequence, handle, message, stamp))
     data = session.on_write(handle, payload, stamp)
     return [Directed(None, data), *session.note_evicted(evicted)]
 

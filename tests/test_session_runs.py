@@ -65,11 +65,17 @@ class _HoldReference:
             else:
                 self.given_up.remove(self.floor)
 
+    def _first_heartbeat_pending(self) -> bool:
+        return not (self.count or self.floor or self.samples_lost)
+
     def on_data(self, sequence: int, payload: str) -> None:
+        # Until the first heartbeat, the bound counts from below the lowest held.
+        base = (min((sequence, *self.arrived)) - 1 if self._first_heartbeat_pending()
+                else self.floor)
         if (sequence <= self.floor or sequence in self.arrived
                 or sequence in self.given_up):
             self.out.append(DUP)
-        elif sequence > self.floor + SPAN:
+        elif sequence > base + SPAN:
             self.beyond_window += 1
         else:
             self.unique_received += 1
@@ -96,7 +102,7 @@ class _HoldReference:
     def on_heartbeat(self, hb):
         if hb.count <= self.count:
             return None
-        if not (self.count or self.floor or self.samples_lost):
+        if self._first_heartbeat_pending():
             self.floor = max(0, min((hb.first_seq, *self.arrived)) - 1)
             self._settle()
         self.count = hb.count
@@ -229,6 +235,30 @@ def test_reliable_matches_the_reference(seed):
             reference.floor, sorted(reference.arrived), sorted(reference.given_up),
             reference.samples_lost, reference.unique_received,
             reference.beyond_window), step
+
+
+def test_a_reader_matched_far_into_a_stream_holds_its_data_until_the_first_heartbeat():
+    """A writer already past the hold bound: before its first heartbeat
+    the bound counts from the lowest sequence held, not from floor 0."""
+    session = ReliableReaderSession(WRITER, 9)
+    run = list(range(70_001, 70_101))
+    assert _handed_on(session, _infos(run), [f"s{seq}" for seq in run]) == []
+    assert (session.beyond_window, len(session.held)) == (0, 100)
+    ack = session.on_heartbeat(wire.Heartbeat(WRITER.entity_id, 70_001, 70_100, 1))
+    assert ack == wire.AckNack(9, WRITER, 70_101, ())
+    assert _taken(session) == [f"s{seq}" for seq in run]
+    assert (session.floor, session.held, session.samples_lost) == (70_100, {}, 0)
+    # Past the first heartbeat the bound counts from the floor again.
+    assert _handed_on(session, _infos([70_102 + SPAN]), ["far"]) == []
+    assert session.beyond_window == 1
+
+
+def test_before_the_first_heartbeat_the_bound_counts_from_the_lowest_held():
+    session = ReliableReaderSession(WRITER, 9)
+    assert _handed_on(session, _infos([SPAN + 10, 2 * SPAN + 9, 2 * SPAN + 10]),
+                      ["a", "b", "c"]) == []
+    assert sorted(session.held) == [SPAN + 10, 2 * SPAN + 9]
+    assert session.beyond_window == 1
 
 
 def test_a_run_is_flagged_only_when_not_all_fresh():

@@ -115,7 +115,7 @@ class _ReferenceSession:
     def _data(self, sample, reader_entity_id):
         return wire.Data(WRITER_ENTITY, reader_entity_id, sample.sequence,
                          sample.source_timestamp_ns, sample.instance_handle,
-                         sample.payload)
+                         wire.decode_message(sample.message).submessages[0].payload)
 
     def _release(self):
         if self.transient_local:
@@ -253,8 +253,11 @@ def test_matches_the_brute_force_reference(seed):
             if rng.random() < 0.7:
                 lifespan = rng.choice([rng.randint(1, 300), 10**6])
                 expiry = source_ts + lifespan
-            sample = WriterSample(session.last_sequence + 1, handle,
-                                  b"%d" % rng.randrange(1000), source_ts, expiry)
+            payload = b"%d" % rng.randrange(1000)
+            sequence = session.last_sequence + 1
+            sample = WriterSample(sequence, handle, wire.pack_data_message(
+                WRITER_GUID.prefix, wire.Data(WRITER_ENTITY, 0, sequence, source_ts,
+                                              handle, payload)), source_ts, expiry)
             evicted = []
             if caching:
                 try:
@@ -264,7 +267,7 @@ def test_matches_the_brute_force_reference(seed):
                         history.insert(sample)
                     continue
                 assert history.insert(sample) == evicted
-            data = session.on_write(handle, sample.payload, source_ts)
+            data = session.on_write(handle, payload, source_ts)
             out = [Directed(None, data)] + session.note_evicted(evicted)
             # The reference releases on every write too: it must find
             # nothing to release.

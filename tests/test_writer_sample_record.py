@@ -1,6 +1,7 @@
 """``WriterSample`` is an immutable named record of ``(sequence,
-instance_handle, payload, source_timestamp_ns, expiry_wall_ns)``, the
-last defaulting to ``qos.INFINITE_NS``. Each cached record is one object
+instance_handle, message, source_timestamp_ns, expiry_wall_ns)``, the
+last defaulting to ``qos.INFINITE_NS``; ``message`` is the one-DATA
+datagram the write sent. Each cached record is one object
 with no ``__dict__``, whether a test or ``DataWriter.write`` built it.
 
 It stays tracked by the cyclic GC: CPython untracks only exact tuples
@@ -14,6 +15,7 @@ from minidds.clock import ManualClock
 from minidds.dcps import WriterSample
 from minidds.dcps.history import WriterHistory
 from minidds.dcps.participant import DomainParticipant
+from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
@@ -21,12 +23,12 @@ COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
 
 def test_construction_by_position_and_by_keyword():
     by_position = WriterSample(3, 7, b"ab", 11, 99)
-    by_keyword = WriterSample(sequence=3, instance_handle=7, payload=b"ab",
+    by_keyword = WriterSample(sequence=3, instance_handle=7, message=b"ab",
                               source_timestamp_ns=11, expiry_wall_ns=99)
     assert by_position == by_keyword
-    assert (by_position.sequence, by_position.instance_handle, by_position.payload,
+    assert (by_position.sequence, by_position.instance_handle, by_position.message,
             by_position.source_timestamp_ns, by_position.expiry_wall_ns) == (3, 7, b"ab", 11, 99)
-    assert WriterSample._fields == ("sequence", "instance_handle", "payload",
+    assert WriterSample._fields == ("sequence", "instance_handle", "message",
                                     "source_timestamp_ns", "expiry_wall_ns")
 
 
@@ -62,7 +64,8 @@ def test_a_cached_record_is_one_object():
 
 
 def test_a_written_record_is_a_writer_sample():
-    """A TRANSIENT_LOCAL writer caches every write, matched or not."""
+    """A TRANSIENT_LOCAL writer caches every write, matched or not, as
+    the message of its one DATA."""
     with DomainParticipant(0, transport=InProcNetwork().attach("solo"),
                            clock=ManualClock(1_000_000_000)) as participant:
         writer = participant.create_datawriter(
@@ -72,6 +75,9 @@ def test_a_written_record_is_a_writer_sample():
         record = writer.history.by_seq[sequence]
         assert type(record) is WriterSample
         assert not hasattr(record, "__dict__")
-        assert record == (sequence, idl.UNKEYED_HANDLE,
-                          idl.serialize(COUNTER, idl.Sample("Counter", (42,))),
+        payload = idl.serialize(COUNTER, idl.Sample("Counter", (42,)))
+        assert record == (sequence, idl.UNKEYED_HANDLE, wire.pack_data_message(
+            participant.guid.prefix, wire.Data(writer.guid.entity_id, 0, sequence,
+                                               1_000_000_000, idl.UNKEYED_HANDLE, payload)),
                           1_000_000_000, qos.INFINITE_NS)
+        assert record.message[wire.DATA_PAYLOAD_START:] == payload
