@@ -3,7 +3,9 @@
 Both sides key their cache by instance handle and bound it with the history
 policy (keep-last depth or keep-all) and resource limits. The writer cache
 additionally serves retransmission lookups by sequence number and tracks
-expiry; the reader cache backs read/take ordering.
+expiry. The reader cache backs read/take; it only appends, so each
+instance keeps its samples in arrival order and keep-last keeps the
+newest arrivals, whichever writer sent them.
 """
 
 from __future__ import annotations
@@ -203,29 +205,19 @@ class WriterHistory:
 # ---------------------------------------------------------------------------
 # Reader side
 
-def _order_key(entry: tuple[Sample, SampleInfo]) -> tuple[int, Guid]:
-    info = entry[1]
-    return info.sequence, info.writer_guid
-
-
 class InsertOutcome(NamedTuple):
     accepted: bool
     reason: Optional[str] = None  # set when rejected
+    # Only a keep-last arrival of a new instance that max_samples turns
+    # away evicts itself; every other eviction is of an older entry.
     evicted_arriving: bool = False
     evicted_count: int = 0
 
 
-# Values, so every plain insert, and every in-place keep-last
-# replacement, can share one.
+# Values, so every plain insert, and every keep-last insert that evicts
+# one older entry, can share one.
 _ACCEPTED = InsertOutcome(True)
 _REPLACED = InsertOutcome(True, None, False, 1)
-
-# How many entries back from the end of an instance ``ReaderHistory``
-# scans, comparing sequences, for an arrival that does not sort last;
-# one sorting further back falls back to a galloping search. With
-# InProcNetwork reordering up to 8 places, about 9 in 10 such arrivals
-# of the reliable-stream benchmark sort within 16 of the end.
-_SCAN = 16
 
 # New handles that ``ReaderHistory`` bisects into its sorted handle list
 # one by one; more are merged by one sort, which costs about as much as
@@ -237,30 +229,23 @@ class ReaderHistory:
     """Received sample store backing read/take.
 
     ``read`` and ``take`` hand out ``(sample, info)`` pairs in ascending
-    instance handle order and, within an instance, in (sequence, writer
-    guid) order, equal keys in arrival order. ``instances[h]`` keeps
-    instance ``h``'s pairs in that order: an arrival that sorts last, the
-    common case as each writer's sequences rise, is appended; any other is
-    placed after every equal key, by a scan back over the last ``_SCAN``
-    entries that compares sequence numbers, and the writer guid only on
-    an equal sequence, or, past those, by a galloping search back from
-    the scan's end and a bisection inside the bracket it finds. The pairs
-    are stored as they are handed out, so ``take`` returns slices of the
-    cache. ``_handles`` lists the cached handles in ascending order,
-    except those of instances new since the last ``read`` or ``take``,
-    which wait in ``_new_handles`` until the next one merges them in:
-    bisected in one by one while there are at most ``_INSORT_MAX``, else
-    by one sort. Keep-last eviction removes an instance's lowest entries,
-    from the front, so a late retransmission older than the cached depth
-    falls out again at once and the cache converges to the newest
-    samples.
+    instance handle order and, within an instance, in arrival order, as
+    DESTINATION_ORDER BY_RECEPTION_TIMESTAMP asks. ``instances[h]``
+    keeps instance ``h``'s pairs in that order: an insert appends, and
+    keep-last eviction removes from the front, so the newest samples
+    stay whichever writer sent them. Each writer's samples arrive in
+    sequence order, as its session hands them on, except after the
+    writer matches again, when its replay starts over. A reader ordered
+    BY_SOURCE_TIMESTAMP admits only samples newer at the source, so for
+    it arrival order is source order. The pairs are stored as they are
+    handed out, so ``take`` returns slices of the cache. ``_handles``
+    lists the cached handles in ascending order, except those of
+    instances new since the last ``read`` or ``take``, which wait in
+    ``_new_handles`` until the next one merges them in: bisected in one
+    by one while there are at most ``_INSORT_MAX``, else by one sort.
 
-    Costs, for n cached samples: ``insert`` O(1) for a new instance or
-    an arrival that sorts last in a cached instance (in a full keep-last
-    instance it replaces the front entry in place, plus a shift of the
-    instance's depth), and for an arrival that sorts d entries before
-    the end a list shift plus O(d) sequence comparisons while d <=
-    ``_SCAN``, else ``_SCAN`` of them and O(log d) key comparisons;
+    Costs, for n cached samples: ``insert`` O(1), and in a keep-last
+    instance that must evict, one shift of the instance's entries;
     ``read`` and ``take`` O(returned + instances visited) plus one list
     shift per take, plus, for k new instances, k shifts of the handle
     list or, past ``_INSORT_MAX``, one sort of it. A take that drains
@@ -272,8 +257,6 @@ class ReaderHistory:
         self.limits = limits
         self._cap = _per_instance_cap(history, limits)
         self._keep_last = history.kind == qos.HistoryKind.KEEP_LAST
-        # The length at which a keep-last instance is full; None for keep-all.
-        self._full = self._cap if self._keep_last else None
         self.instances: dict[int, list[tuple[Sample, SampleInfo]]] = {}
         self._handles: list[int] = []
         self._new_handles: list[int] = []
@@ -292,68 +275,30 @@ class ReaderHistory:
             if limits.max_samples is not None and self.total >= limits.max_samples:
                 if not self._keep_last:
                     return InsertOutcome(False, "max_samples")
-                # Keep-last evicts the arriving instance's lowest entry:
+                # Keep-last evicts the arriving instance's oldest entry:
                 # the arrival itself.
                 return InsertOutcome(True, None, True, 1)
             self.instances[handle] = [(sample, info)]
             self._new_handles.append(handle)
             self.total += 1
             return _ACCEPTED
-        if len(entries) == self._full and info.sequence > entries[-1][1].sequence:
-            # Sorts last in a full keep-last instance: it replaces the
-            # front entry, and the total, hence max_samples, is unchanged.
-            del entries[0]
-            entries.append((sample, info))
-            return _REPLACED
-        cap = self._cap
-        if not self._keep_last:
+        if self._keep_last:
+            if len(entries) == self._cap or (
+                    limits.max_samples is not None and self.total >= limits.max_samples):
+                # A full instance, or a full cache: the arrival replaces
+                # the instance's oldest entry, and the total is unchanged.
+                del entries[0]
+                entries.append((sample, info))
+                return _REPLACED
+        else:
+            cap = self._cap
             if cap is not None and len(entries) >= cap:
                 return InsertOutcome(False, "max_samples_per_instance")
             if limits.max_samples is not None and self.total >= limits.max_samples:
                 return InsertOutcome(False, "max_samples")
-        sequence = info.sequence
-        if sequence > entries[-1][1].sequence:
-            position = len(entries)
-            entries.append((sample, info))
-        else:
-            # Scan back over the last _SCAN entries for the first that
-            # sorts at or before the arrival, by sequence alone unless
-            # equal: an equal key stays before it.
-            position = len(entries)
-            bound = max(position - _SCAN, 0)
-            while position > bound:
-                before = entries[position - 1][1]
-                if before.sequence <= sequence and (
-                        before.sequence < sequence
-                        or before.writer_guid <= info.writer_guid):
-                    break
-                position -= 1
-            else:
-                if position:
-                    # Further back: gallop back from the scan's end, then
-                    # bisect inside the bracket found.
-                    order = (sequence, info.writer_guid)
-                    lo, hi, step = position - 1, position, 1
-                    while lo > 0 and order < _order_key(entries[lo]):
-                        hi = lo
-                        lo = max(lo - step, 0)
-                        step += step
-                    position = bisect_right(entries, order, lo, hi, key=_order_key)
-            entries.insert(position, (sample, info))
+        entries.append((sample, info))
         self.total += 1
-        evicted = 0
-        if self._keep_last:
-            # A cached instance never empties here: inserts keep
-            # total <= max_samples, so at most one more victim.
-            evicted = max(0, len(entries) - cap)
-            if limits.max_samples is not None:
-                evicted = max(evicted, self.total - limits.max_samples)
-            if evicted:
-                del entries[:evicted]
-                self.total -= evicted
-        if not evicted:
-            return _ACCEPTED
-        return InsertOutcome(True, None, position < evicted, evicted)
+        return _ACCEPTED
 
     def read(self, max_samples: int) -> list[tuple[Sample, SampleInfo]]:
         if max_samples < 1:

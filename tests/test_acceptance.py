@@ -289,7 +289,7 @@ def test_lossy_transport_delivery():
 # ---------------------------------------------------------------------------
 # 5. The reader arrival pipeline against a brute-force replay of its
 # rules: exclusive arbitration, source ordering, keep-last eviction,
-# deadline counting.
+# deadline counting, and arrival order within an instance.
 
 _READING_SOURCE = "struct Reading { long id; //@key\n long v; };"
 _DEPTH = 3
@@ -337,9 +337,8 @@ class _ReaderModel:
         self.accepted += 1
 
     def cache(self, instance):
-        # Keep-last retains the highest (sequence, writer) entries and
-        # reads them back ascending.
-        return sorted(self.entries.get(instance, ()))[-_DEPTH:]
+        # Keep-last retains the newest accepted entries, in arrival order.
+        return self.entries.get(instance, [])[-_DEPTH:]
 
     def evictions(self):
         return sum(max(0, len(kept) - _DEPTH)
@@ -356,13 +355,24 @@ class _ReaderModel:
         return out
 
 
+def _by_instance(pairs):
+    """A reader's cache as the model states it: per instance handle, the
+    (sequence, writer, value, source stamp) of each sample, in order."""
+    cached = {}
+    for sample, info in pairs:
+        cached.setdefault(info.instance_handle, []).append(
+            (info.sequence, info.writer_guid, sample.values[1],
+             info.source_timestamp_ns))
+    return cached
+
+
 def test_reader_pipeline_against_oracle():
     reading, = idl.parse_idl(_READING_SOURCE)
     handle_of = {
         i: idl.key_hash(reading, idl.make_sample(reading, {"id": i, "v": 0}))
         for i in (1, 2, 3)
     }
-    exercised = dict(filtered=0, stale=0, evicted=0, missed=0)
+    exercised = dict(filtered=0, stale=0, evicted=0, missed=0, interleaved=0)
     for seed in (11, 23, 37, 52, 68):
         net = InProcNetwork()
         clock = ManualClock(1_000_000_000)
@@ -381,6 +391,15 @@ def test_reader_pipeline_against_oracle():
         assert strong.guid < weak.guid  # strength ties break on the guid
         assert len(reader.matched_writers()) == 2
         model = _ReaderModel({strong.guid: 10, weak.guid: 5})
+        # A keep-last reader with the default SHARED ownership and
+        # BY_RECEPTION_TIMESTAMP order, fed every write through a default
+        # twin of its writer: both twins' samples interleave in its
+        # cache, with nothing filtered.
+        twin = {w.guid: solo.create_datawriter(topic) for w in (strong, weak)}
+        plain = solo.create_datareader(
+            topic, [qos.History(qos.HistoryKind.KEEP_LAST, _DEPTH)])
+        assert len(plain.matched_writers()) == 2
+        arrived = {}                         # instance -> (seq, writer, v, ts)
 
         rng = random.Random(seed)
         value = 0
@@ -397,15 +416,23 @@ def test_reader_pipeline_against_oracle():
                                     source_timestamp_ns=ts)
             model.write(instance, writer.guid, sequence, value, ts,
                         clock.monotonic_ns())
+            twin_writer = twin[writer.guid]
+            sequence = twin_writer.write({"id": instance, "v": value},
+                                         source_timestamp_ns=ts)
+            arrived.setdefault(instance, []).append(
+                (sequence, twin_writer.guid, value, ts))
 
         now = clock.monotonic_ns()
-        cached = {}
-        for sample, info in reader.read():
-            cached.setdefault(info.instance_handle, []).append(
-                (info.sequence, info.writer_guid, sample.values[1],
-                 info.source_timestamp_ns))
+        cached = _by_instance(reader.read())
         for i in (1, 2, 3):
             assert cached.get(handle_of[i], []) == model.cache(i), (seed, i)
+        cached = _by_instance(plain.read())
+        for i in (1, 2, 3):
+            kept = arrived.get(i, [])[-_DEPTH:]
+            assert cached.get(handle_of[i], []) == kept, (seed, i)
+            exercised["interleaved"] += kept != sorted(kept)
+        assert plain.statistics().evicted_by_history == sum(
+            max(0, len(entries) - _DEPTH) for entries in arrived.values()), seed
         stats = reader.statistics()
         assert stats.ownership_filtered == model.filtered, seed
         assert stats.destination_order_dropped == model.stale, seed

@@ -103,22 +103,23 @@ class TestReaderHistory:
     def _sample(self, n):
         return idl.Sample("Counter", (n,))
 
-    def test_keep_last_keeps_newest_by_sequence(self):
+    def test_keep_last_keeps_newest_arrivals(self):
         history = self._history(qos.HistoryKind.KEEP_LAST, depth=2)
         for seq in (1, 3, 2):
             outcome = history.insert(self._info(seq), self._sample(seq))
             assert outcome.accepted
         assert history.total == 2
         kept = [info.sequence for _, info in history.read(10)]
-        assert kept == [2, 3]
+        assert kept == [3, 2]
 
-    def test_late_sample_below_depth_falls_out_again(self):
+    def test_late_sample_evicts_the_oldest_arrival(self):
         history = self._history(qos.HistoryKind.KEEP_LAST, depth=2)
         history.insert(self._info(5), self._sample(5))
         history.insert(self._info(6), self._sample(6))
         outcome = history.insert(self._info(1), self._sample(1))
-        assert outcome.accepted and outcome.evicted_arriving
-        assert [info.sequence for _, info in history.read(10)] == [5, 6]
+        assert outcome.accepted and not outcome.evicted_arriving
+        assert outcome.evicted_count == 1
+        assert [info.sequence for _, info in history.read(10)] == [6, 1]
 
     def test_keep_all_rejections_are_reported(self):
         history = self._history(max_samples_per_instance=1)
@@ -151,11 +152,11 @@ class TestReaderHistory:
         handles = [info.instance_handle for _, info in history.read(10)]
         assert handles == [3, 9]
 
-    def test_same_sequence_orders_by_writer_guid(self):
+    def test_same_sequence_keeps_arrival_order(self):
         history = self._history()
         history.insert(self._info(1, guid=GUID_B), self._sample(2))
         history.insert(self._info(1, guid=GUID_A), self._sample(1))
-        assert _values(history.read(10)) == [(1,), (2,)]
+        assert _values(history.read(10)) == [(2,), (1,)]
 
 
 # ---------------------------------------------------------------------------
