@@ -1,55 +1,63 @@
 """Where ``ReaderHistory.insert`` places an arrival, against a plain
-``bisect_right`` on the full key.
+append.
 
 ``reference_place`` restates the order contract in one line: an
-instance's entries are sorted by (sequence, writer guid), and an
-arrival goes after every entry whose key is at or before its own, so
-an equal key follows the copies already cached. The cache must end
-every seeded arrival order with its entries, tagged by arrival, in the
-reference's order. The orders cover what the cache's backward scan and
-its galloping fallback each meet:
+instance's entries are in arrival order, whatever their sequence numbers
+and writers, and a keep-last instance drops its oldest arrival. The cache
+must end every seeded arrival order with its entries, tagged by arrival,
+in the reference's order, both keeping all and keeping the last
+``DEPTH``. The orders are the ones a cache sorted by (sequence, writer
+guid) would have placed away from the end:
 
 - reorders of depth 0 to 8, made by ``InProcNetwork`` itself;
-- arrivals held back past the scan, up to a whole burst;
+- arrivals held back by a few entries, up to a whole burst;
 - two writers sending the same sequences;
 - a (sequence, writer) pair arriving again, near the end and far back.
 """
 
 import random
 from bisect import bisect_right
-from operator import itemgetter
 
 import pytest
 
 from minidds import idl, qos
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import _SCAN, ReaderHistory, SampleInfo
+from minidds.dcps.history import ReaderHistory, SampleInfo
 from minidds.rtps.transport import InProcNetwork, LossyConfig
 
 WRITERS = [Guid(bytes([i]) * 12, 7) for i in (2, 1)]  # listed out of guid order
 HANDLE = 5
 SEEDS = range(4)
+DEPTH = 16
 
 
 # ---------------------------------------------------------------------------
 # The reference
 
-def reference_place(entries: list, key: tuple, tag: int) -> None:
-    entries.insert(bisect_right(entries, key, key=itemgetter(0)), (key, tag))
+def reference_place(entries: list, key: tuple, tag: int, depth: int | None = None) -> int:
+    """Appends the arrival; returns how many entries keep-last evicts."""
+    entries.append((key, tag))
+    if depth is not None and len(entries) > depth:
+        del entries[0]
+        return 1
+    return 0
 
 
 def _check(arrivals: list[tuple[int, Guid]]) -> None:
-    history = ReaderHistory(qos.History(qos.HistoryKind.KEEP_ALL), qos.ResourceLimits())
-    reference: list = []
-    for tag, (sequence, writer) in enumerate(arrivals):
-        outcome = history.insert(SampleInfo(writer, sequence, 0, 0, HANDLE),
-                                 idl.Sample("Tagged", (tag,)))
-        assert outcome.accepted and not outcome.evicted_count
-        reference_place(reference, (sequence, writer), tag)
-    placed = [((info.sequence, info.writer_guid), sample.values[0])
-              for sample, info in history.instances[HANDLE]]
-    assert placed == reference
-    assert history.total == len(arrivals)
+    for policy, depth in ((qos.History(qos.HistoryKind.KEEP_ALL), None),
+                          (qos.History(qos.HistoryKind.KEEP_LAST, DEPTH), DEPTH)):
+        history = ReaderHistory(policy, qos.ResourceLimits())
+        reference: list = []
+        for tag, (sequence, writer) in enumerate(arrivals):
+            outcome = history.insert(SampleInfo(writer, sequence, 0, 0, HANDLE),
+                                     idl.Sample("Tagged", (tag,)))
+            evicted = reference_place(reference, (sequence, writer), tag, depth)
+            assert outcome.accepted and not outcome.evicted_arriving
+            assert outcome.evicted_count == evicted
+        placed = [((info.sequence, info.writer_guid), sample.values[0])
+                  for sample, info in history.instances[HANDLE]]
+        assert placed == reference
+        assert history.total == len(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +127,8 @@ def test_network_reorders(depth, seed):
 def test_arrivals_held_back_past_the_scan(burst, held, seed):
     rng = random.Random(seed)
     arrivals = _held_back(_stream(burst), rng, held)
-    # The first sequence arriving last sorts a whole burst back.
+    # The first sequence arriving last still goes last, a whole burst
+    # behind the place its sequence would sort to.
     arrivals.remove((1, WRITERS[0]))
     arrivals.append((1, WRITERS[0]))
     _check(arrivals)
@@ -140,24 +149,25 @@ def test_a_repeated_sequence_and_writer(seed):
 
 
 def test_the_orders_meet_the_scan_the_fallback_and_ties():
-    """Guards the generators, not the cache: at seed 0 they place
-    arrivals last, within the scan, past it by up to a whole burst, and
-    next to an equal sequence or an equal key."""
+    """Guards the generators, not the cache: at seed 0 they send arrivals
+    that a cache sorted by (sequence, writer guid) would place last, a
+    few entries back, more than 400 entries back, and next to an equal
+    sequence or an equal key. Each must still be appended."""
     distances, equal_sequences, equal_keys = [], 0, 0
     rng = random.Random(0)
     for arrivals in (_network_order(_stream(600), 8, 0),
                      _held_back(_stream(512), rng, 20),
                      _repeated(_two_writers(300, rng), rng, 40)):
-        reference: list = []
-        for tag, key in enumerate(arrivals):
-            position = bisect_right(reference, key, key=itemgetter(0))
-            distances.append(len(reference) - position)
+        ordered: list = []
+        for key in arrivals:
+            position = bisect_right(ordered, key)
+            distances.append(len(ordered) - position)
             if position:
-                before = reference[position - 1][0]
+                before = ordered[position - 1]
                 equal_sequences += before[0] == key[0] and before[1] != key[1]
                 equal_keys += before == key
-            reference_place(reference, key, tag)
+            ordered.insert(position, key)
     assert 0 in distances
-    assert any(0 < d <= _SCAN for d in distances)
-    assert any(d > _SCAN for d in distances) and max(distances) > 400
+    assert any(0 < d <= DEPTH for d in distances)
+    assert any(d > DEPTH for d in distances) and max(distances) > 400
     assert equal_sequences and equal_keys
