@@ -111,8 +111,8 @@ class WriterHistory:
             return False
         return self._max_samples is None or len(self.by_seq) < self._max_samples
 
-    def insert(self, sample: WriterSample) -> list[WriterSample]:
-        """Store a sample, returning any keep-last evictions. Raises
+    def insert(self, sample: WriterSample) -> None:
+        """Store a sample, evicting as keep-last asks. Raises
         ``ResourceLimitsError`` when there is no room (callers decide whether
         that blocks or errors)."""
         sequence, handle, _, _, expiry = sample
@@ -120,7 +120,6 @@ class WriterHistory:
             raise ResourceLimitsError("writer history full")
         by_seq = self.by_seq
         bucket = self.per_instance.get(handle)
-        evicted: list[WriterSample] = []
         if self._keep_last:
             full = self._max_samples is not None and len(by_seq) >= self._max_samples
             if bucket is None:
@@ -130,7 +129,8 @@ class WriterHistory:
                 # An instance never holds more than its cap, and one
                 # eviction leaves the cache below max_samples: one is
                 # enough for both. The bucket is refilled below.
-                evicted.append(by_seq.pop(bucket.popleft()))
+                del by_seq[bucket.popleft()]
+                self._compact()
         by_seq[sequence] = sample
         self._order.append(sequence)
         if bucket is None:
@@ -139,9 +139,6 @@ class WriterHistory:
             bucket.append(sequence)
         if expiry != qos.INFINITE_NS:
             self._finite_lifespan = True
-        if evicted:
-            self._compact()
-        return evicted
 
     def _compact(self) -> None:
         """Drop passed and removed entries from ``_order`` once they
@@ -175,11 +172,10 @@ class WriterHistory:
             self._compact()
         return released
 
-    def expire(self, now_wall_ns: int) -> list[WriterSample]:
-        """Drop samples whose expiry is before ``now_wall_ns``; returns them
-        in ascending sequence order."""
+    def expire(self, now_wall_ns: int) -> None:
+        """Drop samples whose expiry is before ``now_wall_ns``."""
         if not self._finite_lifespan:
-            return []
+            return
         expired = [s for s in self.by_seq.values() if s.expiry_wall_ns < now_wall_ns]
         for sample in expired:
             del self.by_seq[sample.sequence]
@@ -189,7 +185,6 @@ class WriterHistory:
                 del self.per_instance[sample.instance_handle]
         if expired:
             self._compact()
-        return expired
 
     def next_cached(self, sequence: int) -> Optional[int]:
         """The lowest cached sequence at or above ``sequence``, if any."""

@@ -25,10 +25,10 @@ matched readers get it first, through the same dispatch as any local
 send, and the other participants one datagram. Both take the message
 the writer packed once for the write (``wire.pack_data_message``) and
 keeps as its cached sample, the same object. The writer's
-other output (GAPs, retransmissions, late-joiner replays, HEARTBEATs)
-goes through ``_route`` and ``_send``; an item addressed to one reader
-looks up that reader's address each time. A closed participant closes
-its endpoints, so its writers refuse further writes.
+other output (retransmissions, late-joiner replays, and the HEARTBEATs
+and GAPs, each in a DIRECT) goes to one reader each, through ``_route``
+and ``_send``, which look up that reader's address each time. A closed
+participant closes its endpoints, so its writers refuse further writes.
 
 ``spin_once`` reads a datagram of one DATA, the common kind, with one
 struct call (``wire.read_data_message``) into a *run*: consecutive such
@@ -437,9 +437,8 @@ class DomainParticipant:
                 self._unmatch(guid)
             now_wall = self.clock.wall_ns()
             for writer in list(self._writers.values()):
-                directed = writer._expire(now_wall)
-                directed.extend(writer.session.step(now))
-                self._route(writer, directed)
+                writer.history.expire(now_wall)
+                self._route(writer.session.step(now))
             self._spun.notify_all()
             return processed
 
@@ -514,7 +513,7 @@ class DomainParticipant:
                 writer = self._writers.get(sub.writer_guid.entity_id)
                 if writer is not None:
                     reader_guid = Guid(sender_prefix, sub.reader_entity_id)
-                    self._route(writer, writer.session.on_acknack(reader_guid, sub, now))
+                    self._route(writer.session.on_acknack(reader_guid, sub, now))
             else:  # HEARTBEAT, GAP or DIRECT
                 reader_entity_id, sub = sub if isinstance(sub, wire.Direct) else (0, sub)
                 if heartbeats is not None and type(sub) is wire.Heartbeat:
@@ -587,14 +586,13 @@ class DomainParticipant:
             for address in addresses:
                 send(message, address)
 
-    def _route(self, writer: DataWriter, directed: list[Directed]) -> None:
+    def _route(self, directed: list[Directed]) -> None:
+        """Send each of a writer's submessages to the one reader it names;
+        a HEARTBEAT or GAP travels in a DIRECT addressed to that reader."""
         for dest, sub in directed:
-            if dest is None:
-                self._send(sub, *self._plan(writer)[1:])
-            else:
-                if isinstance(sub, (wire.Heartbeat, wire.Gap)):
-                    sub = wire.Direct(dest.entity_id, sub)
-                self._send(sub, *self._destinations((dest,)))
+            if isinstance(sub, (wire.Heartbeat, wire.Gap)):
+                sub = wire.Direct(dest.entity_id, sub)
+            self._send(sub, *self._destinations((dest,)))
 
     def _send(self, sub, local: bool, addresses: Iterable) -> None:
         """Dispatch a submessage to this participant's readers when

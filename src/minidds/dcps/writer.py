@@ -11,7 +11,7 @@ from minidds.dcps.guid import Guid
 from minidds.dcps.history import ResourceLimitsError, WriterHistory, WriterSample
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
 from minidds.rtps import wire
-from minidds.rtps.reliability import Directed, WriterSession
+from minidds.rtps.reliability import WriterSession
 
 # Largest payload that still fits one datagram beside the fixed framing.
 MAX_PAYLOAD = wire.MAX_DATAGRAM - wire.DATA_PAYLOAD_START
@@ -62,7 +62,7 @@ class DataWriter(Endpoint):
         self._match_records[remote.guid] = record
         reliable = remote.rxo.reliability == qos.ReliabilityKind.RELIABLE
         wants_history = remote.rxo.durability == qos.DurabilityKind.TRANSIENT_LOCAL
-        self.participant._route(self, self.session.add_reader(
+        self.participant._route(self.session.add_reader(
             remote.guid, reliable=reliable, wants_history=wants_history, now_ns=now_ns))
 
     def _remove_match(self, guid: Guid) -> None:
@@ -125,7 +125,6 @@ class DataWriter(Endpoint):
                 message = wire.pack_data_message(self.participant.guid.prefix, _tuple_new(
                     wire.Data, (self.guid.entity_id, 0, sequence, source_ts, handle,
                                 payload)))
-                evicted = None
                 try:
                     # A sample nobody can ask for again is not cached at all.
                     if session.keeps_history:
@@ -134,7 +133,7 @@ class DataWriter(Endpoint):
                             expiry = source_ts + self._lifespan_ns
                         # Cached first, so a cache that refuses it leaves no
                         # sequence used.
-                        evicted = self.history.insert(_tuple_new(WriterSample, (
+                        self.history.insert(_tuple_new(WriterSample, (
                             sequence, handle, message, source_ts, expiry)))
                 except ResourceLimitsError:
                     if not (self._reliable and self._keep_all):
@@ -145,8 +144,6 @@ class DataWriter(Endpoint):
                         self._deadlines.record(handle, clock.monotonic_ns())
                     self.samples_written += 1
                     self.participant._publish(self, data, message)
-                    if evicted:
-                        self.participant._route(self, session.note_evicted(evicted))
                     return data.sequence
                 # Full keep-all cache: wait for acks to drain it.
                 now = clock.monotonic_ns()
@@ -166,11 +163,6 @@ class DataWriter(Endpoint):
             if self.participant.spin_once() == 0 and clock.monotonic_ns() == now:
                 raise ResourceLimitsError(
                     "write blocked on a full keep-all history with no drain in sight")
-
-    # -- timers (driven by the participant) ---------------------------
-
-    def _expire(self, now_wall_ns: int) -> list[Directed]:
-        return self.session.note_evicted(self.history.expire(now_wall_ns))
 
     # -- introspection ------------------------------------------------
 

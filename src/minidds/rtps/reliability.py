@@ -2,11 +2,10 @@
 
 Sessions are transport-free state machines: every input carries ``now``
 (nanoseconds) and outputs are ``Directed`` submessages for the caller to
-route. A ``dest`` of None means "every matched peer of this writer";
-otherwise the datagram goes only to that reader's participant. A write
-is the exception: ``on_write``, the one place that assigns a sequence,
-returns the write's DATA record alone, which the participant sends to
-every matched reader in one pass.
+route, each to the one reader named by its ``dest``. A write is the
+exception: ``on_write``, the one place that assigns a sequence, returns
+the write's DATA record alone, which the participant sends to every
+matched reader in one pass.
 
 Writer side: ``keeps_history`` says whether a written sample can be sent
 again, to a TRANSIENT_LOCAL writer's late joiner or on a RELIABLE
@@ -16,7 +15,10 @@ floor, heartbeat timer, and per-sequence retransmit stamps. Heartbeats
 flow every ``heartbeat_period`` (50 ms) while that reader has unacked
 samples and stop once it is caught up. A requested sequence still in
 the cache is retransmitted at most once per ``response_delay`` (5 ms);
-a requested sequence no longer in the cache is answered with a GAP. An
+a requested sequence no longer in the cache is answered with a GAP. A
+sample that leaves the cache unacknowledged, by keep-last eviction or
+by expiry, is not announced: a reader learns it is gone from the next
+HEARTBEAT's ``first_seq``, or from the GAP that answers its ACKNACK. An
 ACKNACK acknowledges at most what was written: a base above
 ``last_sequence + 1`` counts as ``last_sequence + 1``. So no floor is
 ever above the next write, and a write needs no release.
@@ -90,7 +92,7 @@ def _on_data(session, sequence: int) -> bool:
 
 
 class Directed(NamedTuple):
-    dest: Optional[Guid]
+    dest: Guid
     submessage: wire.Submessage
 
 
@@ -162,11 +164,11 @@ class WriterSession:
 
     def _data_for(self, sample: WriterSample, reader_entity_id: int) -> wire.Data:
         """A cached sample's DATA for one reader, a retransmission or a
-        late-joiner replay: the only place its payload is sliced out of
-        the cached message."""
+        late-joiner replay. Its payload is a view of the cached message,
+        so packing the DATA copies the payload bytes once."""
         return wire.Data(self.writer_entity_id, reader_entity_id, sample.sequence,
                          sample.source_timestamp_ns, sample.instance_handle,
-                         sample.message[wire.DATA_PAYLOAD_START:])
+                         memoryview(sample.message)[wire.DATA_PAYLOAD_START:])
 
     def on_write(self, instance_handle: int, payload: bytes,
                  source_timestamp_ns: int) -> wire.Data:
@@ -179,15 +181,6 @@ class WriterSession:
         self.last_sequence = sequence = self.last_sequence + 1
         return _tuple_new(wire.Data, (self.writer_entity_id, 0, sequence,
                                       source_timestamp_ns, instance_handle, payload))
-
-    def note_evicted(self, evicted: list[WriterSample]) -> list[Directed]:
-        """Advertise history-evicted sequences so readers stop asking."""
-        if not evicted:
-            return []
-        unsettled = [s.sequence for s in evicted if any(
-            p.reliable and s.sequence >= p.acked_below for p in self._proxies.values())]
-        return [Directed(None, wire.Gap(self.writer_entity_id, lo, hi))
-                for lo, hi in _merge_ranges(unsettled)]
 
     # -- acknowledgements ---------------------------------------------
 

@@ -46,10 +46,10 @@ class TestWriterHistory:
     def test_keep_last_evicts_oldest_per_instance(self):
         history = self._history(qos.HistoryKind.KEEP_LAST, depth=2)
         for seq, handle in ((1, 7), (2, 7), (3, 8)):
-            assert history.insert(WriterSample(seq, handle, b"", 0)) == []
-        evicted = history.insert(WriterSample(4, 7, b"", 0))
-        assert [s.sequence for s in evicted] == [1]  # instance 8 untouched
-        assert sorted(history.by_seq) == [2, 3, 4]
+            history.insert(WriterSample(seq, handle, b"", 0))
+        assert sorted(history.by_seq) == [1, 2, 3]
+        history.insert(WriterSample(4, 7, b"", 0))
+        assert sorted(history.by_seq) == [2, 3, 4]  # 1 evicted, instance 8 untouched
 
     def test_release_after_eviction_emptied_the_instance(self):
         # Depth-1 eviction empties the instance bucket mid-insert; the
@@ -57,8 +57,8 @@ class TestWriterHistory:
         # acknowledgment can release it.
         history = self._history(qos.HistoryKind.KEEP_LAST, depth=1)
         history.insert(WriterSample(1, 0, b"", 0))
-        evicted = history.insert(WriterSample(2, 0, b"", 0))
-        assert [s.sequence for s in evicted] == [1]
+        history.insert(WriterSample(2, 0, b"", 0))
+        assert sorted(history.by_seq) == [2]
         assert {h: list(seqs) for h, seqs in history.per_instance.items()} == {0: [2]}
         assert history.release(2) == [2]
         assert history.by_seq == {} and history.per_instance == {}
@@ -88,9 +88,9 @@ class TestWriterHistory:
         history = self._history()
         history.insert(WriterSample(1, 0, b"", 0, expiry_wall_ns=50))
         history.insert(WriterSample(2, 0, b"", 0, expiry_wall_ns=200))
-        expired = history.expire(now_wall_ns=100)
-        assert [s.sequence for s in expired] == [1]
+        history.expire(now_wall_ns=100)
         assert sorted(history.by_seq) == [2]
+        assert {h: list(seqs) for h, seqs in history.per_instance.items()} == {0: [2]}
 
 
 class TestReaderHistory:

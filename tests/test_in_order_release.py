@@ -8,6 +8,12 @@ ahead of the repairs it follows is answered after them, so its ACKNACK
 asks for nothing that arrived in that batch. A DATA too far above the
 floor to hold is refused and counted, and comes again on request; the
 held DATA of a writer that unmatches are dropped and count as lost.
+
+A writer announces no sample it evicts or expires: a write sends its
+DATA and nothing else, and a DATA held above a lost one that has left
+the writer's cache waits for the next HEARTBEAT, whose ``first_seq``
+gives the hole up. A resent DATA is the cached datagram, addressed to
+its reader.
 """
 
 import pytest
@@ -22,18 +28,23 @@ from minidds.rtps.transport import InProcNetwork
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
 RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
             qos.History(qos.HistoryKind.KEEP_ALL)]
+KEEP_LAST_1 = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
+               qos.History(qos.HistoryKind.KEEP_LAST, 1)]
 SPAN = 65536  # how far above its floor a reliable reader holds anything
+MS = 1_000_000
 
 
 @pytest.fixture
-def pair():
-    """A reliable writer on A matched with a reliable reader on B, and a
+def pair(request):
+    """A reliable writer on A (KEEP_ALL, or the QoS a test passes by
+    indirect parametrization) matched with a reliable reader on B, and a
     rogue address that can send B datagrams under A's prefix."""
     net = InProcNetwork()
     clock = ManualClock(1_000_000_000)
     a = DomainParticipant(0, transport=net.attach("A"), clock=clock, static_peers=("B",))
     b = DomainParticipant(0, transport=net.attach("B"), clock=clock)
-    writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE)
+    writer = a.create_datawriter(a.create_topic("t", COUNTER),
+                                 getattr(request, "param", RELIABLE))
     reader = b.create_datareader(b.create_topic("t", COUNTER), RELIABLE)
     for participant in (a, b, a):
         participant.spin_once()
@@ -169,3 +180,93 @@ def test_the_held_data_of_a_departed_writer_count_as_lost(pair):
     assert _values(reader) == [1]
     stats = reader.statistics()
     assert (stats.samples_lost, stats.sequences_seen, stats.samples_accepted) == (2, 3, 1)
+
+
+@pytest.mark.parametrize("pair", [KEEP_LAST_1], indirect=True)
+def test_a_keep_last_write_sends_its_data_and_nothing_else(pair):
+    """Each write evicts the one before it, unacknowledged, unannounced."""
+    _, b, writer, reader, _, _ = pair
+    b.spin_once()  # A's last announce
+    assert _queued(b) == []
+    for n in range(1, 6):
+        writer.write({"n": n})
+    assert len(b.transport._queue) == 5  # one datagram per write
+    assert [type(sub) for sub in _queued(b)] == [wire.Data] * 5
+    b.spin_once()
+    assert _values(reader) == [1, 2, 3, 4, 5]
+
+
+def _acknowledged(a, b, writer):
+    """Write 1 and let its HEARTBEAT and ACKNACK go round, so the writer's
+    next HEARTBEAT is due one period from now."""
+    writer.write({"n": 1})
+    a.spin_once()  # HEARTBEAT 1-1
+    b.spin_once()  # takes 1, ACKNACK base 2
+    a.spin_once()
+    assert not writer.unacknowledged()
+
+
+def _held_until_the_next_heartbeat(a, b, reader, clock, waited):
+    """3 waits above the lost 2, unreleased and nothing counted lost, until
+    the spin one heartbeat period after the last HEARTBEAT (``waited`` ns
+    of which have already passed); that HEARTBEAT's ``first_seq`` gives 2
+    up."""
+    for step in (0, HEARTBEAT_PERIOD_NS - waited - 1):
+        clock.advance(step)
+        a.spin_once()
+        b.spin_once()
+        assert reader.take() == []
+        assert reader.statistics().samples_lost == 0
+    clock.advance(1)
+    a.spin_once()
+    hb, = _queued(b)
+    assert (hb.inner.first_seq, hb.inner.last_seq) == (3, 3)
+    b.spin_once()
+    assert _values(reader) == [3]
+    assert reader.statistics().samples_lost == 1
+
+
+@pytest.mark.parametrize("pair", [KEEP_LAST_1], indirect=True)
+def test_a_data_above_an_evicted_loss_waits_for_the_next_heartbeat(pair):
+    a, b, writer, reader, _, clock = pair
+    _acknowledged(a, b, writer)
+    assert _values(reader) == [1]
+    writer.write({"n": 2})
+    writer.write({"n": 3})  # evicts 2 before B acknowledged it
+    assert sorted(writer.history.by_seq) == [3]
+    _drop_data(b, {2})
+    _held_until_the_next_heartbeat(a, b, reader, clock, 0)
+
+
+@pytest.mark.parametrize("pair", [RELIABLE + [qos.Lifespan(40 * MS)]], indirect=True)
+def test_a_data_above_an_expired_loss_waits_for_the_next_heartbeat(pair):
+    a, b, writer, reader, _, clock = pair
+    _acknowledged(a, b, writer)
+    assert _values(reader) == [1]
+    writer.write({"n": 2})
+    clock.advance(30 * MS)
+    writer.write({"n": 3})
+    _drop_data(b, {2})
+    clock.advance(11 * MS)
+    a.spin_once()  # 2 expires before B acknowledged it
+    assert sorted(writer.history.by_seq) == [3]
+    _held_until_the_next_heartbeat(a, b, reader, clock, 41 * MS)
+
+
+def test_a_resent_data_is_the_cached_datagram_for_its_reader(pair):
+    a, b, writer, reader, _, _ = pair
+    for n in range(1, 4):
+        writer.write({"n": n})
+    _drop_data(b, {2})
+    b.spin_once()
+    a.spin_once()  # HEARTBEAT
+    b.spin_once()  # ACKNACK for 2
+    a.spin_once()  # resends 2
+    (resent, _), = b.transport._queue
+    cached = writer.history.by_seq[2].message
+    head = list(wire.read_data_message(cached))
+    head[2] = reader.guid.entity_id  # the reader entity id, 0 in the write
+    assert wire.read_data_message(resent) == tuple(head)
+    assert resent[wire.DATA_PAYLOAD_START:] == cached[wire.DATA_PAYLOAD_START:]
+    b.spin_once()
+    assert _values(reader) == [1, 2, 3]

@@ -22,26 +22,22 @@ def _writer(transient_local=False, history_kind=qos.HistoryKind.KEEP_ALL, depth=
 
 def _write(history, session, sequence, handle=0):
     """A DataWriter's write of ``sequence``: cached while the session keeps
-    history, then broadcast, then any evictions advertised."""
+    history, then handed to the session; returns the DATA for every
+    matched reader."""
     assert sequence == session.last_sequence + 1
     payload, stamp = b"p%d" % sequence, sequence * 10
-    evicted = []
     if session.keeps_history:
         message = wire.pack_data_message(b"\x00" * 12, wire.Data(
             session.writer_entity_id, 0, sequence, stamp, handle, payload))
-        evicted = history.insert(WriterSample(sequence, handle, message, stamp))
-    data = session.on_write(handle, payload, stamp)
-    return [Directed(None, data), *session.note_evicted(evicted)]
+        history.insert(WriterSample(sequence, handle, message, stamp))
+    return session.on_write(handle, payload, stamp)
 
 
 class TestWriterSession:
     def test_write_broadcasts_one_data(self):
         history, session = _writer()
         session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
-        out = _write(history, session, 1)
-        assert len(out) == 1
-        assert out[0].dest is None
-        data = out[0].submessage
+        data = _write(history, session, 1)
         assert isinstance(data, wire.Data)
         assert (data.writer_entity_id, data.reader_entity_id) == (11, 0)
         assert data.sequence == 1
@@ -82,6 +78,9 @@ class TestWriterSession:
         assert [d.submessage.sequence for d in out] == [2]
         assert out[0].dest == READER_A
         assert out[0].submessage.reader_entity_id == 21
+        # The resent payload is a view of the cached message, not a copy.
+        assert out[0].submessage.payload.obj is history.by_seq[2].message
+        assert out[0].submessage.payload == b"p2"
         # Asking again inside the response delay is suppressed.
         assert session.on_acknack(READER_A, nack, now_ns=12 * MS) == []
         again = session.on_acknack(READER_A, nack, now_ns=16 * MS)
@@ -91,16 +90,14 @@ class TestWriterSession:
         history, session = _writer(history_kind=qos.HistoryKind.KEEP_LAST, depth=1)
         session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
         _write(history, session, 1)
-        out = _write(history, session, 2)  # evicts 1 from keep-last(1)
-        gaps = [d for d in out if isinstance(d.submessage, wire.Gap)]
-        assert len(gaps) == 1
-        assert gaps[0].dest is None
-        assert (gaps[0].submessage.gap_start, gaps[0].submessage.gap_end) == (1, 1)
-        # A late request for the evicted sequence gets a targeted GAP.
+        _write(history, session, 2)  # evicts 1 from keep-last(1), unannounced
+        assert sorted(history.by_seq) == [2]
+        # A request for the evicted sequence gets a GAP to that reader alone.
         nack = wire.AckNack(21, Guid(b"\x00" * 12, 11), 1, (1,))
         out = session.on_acknack(READER_A, nack, now_ns=MS)
         assert [type(d.submessage) for d in out] == [wire.Gap]
         assert out[0].dest == READER_A
+        assert (out[0].submessage.gap_start, out[0].submessage.gap_end) == (1, 1)
 
     def test_acked_samples_release_from_volatile_history(self):
         history, session = _writer()
@@ -311,5 +308,4 @@ class TestDirectedRouting:
     def test_directed_dataclass_carries_destination(self):
         d = Directed(READER_A, wire.Gap(1, 1, 1))
         assert d.dest == READER_A
-        broadcast = Directed(None, wire.Gap(1, 1, 1))
-        assert broadcast.dest is None
+        assert d.submessage == wire.Gap(1, 1, 1)
