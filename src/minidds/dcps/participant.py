@@ -56,21 +56,22 @@ any of it, and a reader whose session is no longer the entry's (a
 listener closed it mid-run) gets none of the rest. A listener may
 create or close a reader mid-dispatch; an entry is replaced only where
 a reader gains or loses a match with that writer. The readers of one
-DATA share its ``SampleInfo`` and its deserialized sample (one per
-reader type), both immutable; each keeps its own session, ownership,
-time-filter and source-order state.
+DATA share its ``SampleInfo`` and its deserialized sample, both
+immutable: an endpoint takes only a ``Topic`` of this participant's
+``create_topic``, so the readers of one writer share one type. Each
+keeps its own session, ownership, time-filter and source-order state.
 
 Each DATA's bytes are held once. A run's payload slot holds the
-one-DATA datagram itself, and each reader type decodes the payload in
-place at ``wire.DATA_PAYLOAD_START``; a DATA a reliable session holds
-behind a hole waits there as that datagram, undecoded. So every slot is
-a one-DATA message: a local send hands over the write's own message,
-and any other DATA handed on alone (a local retransmission or replay,
-one among other submessages) is packed into one. The batch lets go of
-a drained datagram once read, and its slot once every reader type has
-decoded it, so the receiver holds each DATA as its datagram or as its
-decoded samples, not both; over ``InProcNetwork`` the writer's cache,
-the queue and a held slot are one object.
+one-DATA datagram itself, and the first reader to accept the DATA
+decodes the payload in place at ``wire.DATA_PAYLOAD_START``; a DATA a
+reliable session holds behind a hole waits there as that datagram,
+undecoded. So every slot is a one-DATA message: a local send hands over
+the write's own message, and any other DATA handed on alone (a local
+retransmission or replay, one among other submessages) is packed into
+one. The batch lets go of a drained datagram once read, and its slot
+once a reader has decoded it, so the receiver holds each DATA as its
+datagram or as its decoded sample, not both; over ``InProcNetwork`` the
+writer's cache, the queue and a held slot are one object.
 
 Arrival is stamped once per drained batch: ``spin_once`` reads the
 clock right after the drain, when every datagram of the batch had
@@ -248,8 +249,13 @@ class DomainParticipant:
         self._entity_counter += 1
         return Guid(self.guid.prefix, self._entity_counter)
 
+    def _check_own(self, topic: Topic) -> None:
+        if self._topics.get(topic.name) is not topic:  # hand-built, or another's
+            raise ValueError(f"{topic!r} was not created by this participant")
+
     def create_datawriter(self, topic: Topic, writer_qos: QosInput = None) -> DataWriter:
         with self._lock:
+            self._check_own(topic)
             profile = self._effective_profile(topic, writer_qos,
                                               qos.EntityKind.DATA_WRITER, _WRITER_KINDS)
             guid = self._next_guid()
@@ -264,6 +270,7 @@ class DomainParticipant:
     def create_datareader(self, topic: Topic, reader_qos: QosInput = None,
                           listener=None) -> DataReader:
         with self._lock:
+            self._check_own(topic)
             profile = self._effective_profile(topic, reader_qos,
                                               qos.EntityKind.DATA_READER, _READER_KINDS)
             guid = self._next_guid()
@@ -530,7 +537,7 @@ class DomainParticipant:
                 continue  # closed, or unmatched, by a listener meanwhile
             ack = reader._handle_control(session, sub, now, now_wall)
             if ack is not None:
-                self._send(ack, *self._destinations((ack.writer_guid,)))
+                self._send(ack, ack.writer_guid.prefix)
 
     def _pairs_for(self, prefix: bytes, writer_eid: int, reader_eid: int) -> tuple:
         """The (reader, session) pairs a submessage from this writer goes
@@ -545,18 +552,13 @@ class DomainParticipant:
         """Hand a run of DATA from one writer to each reader in ``pairs``,
         one after another in creation order, while the reader's session is
         still the entry's: a reader closed mid-run gets none of the rest.
-        Readers of one type share one slot per DATA, which holds the
-        DATA's one-DATA message until the first of them replaces it by its
-        sample; each further type gets its own copy of the slot list, so a
-        message is released once every type has decoded it."""
-        typed = {id(pairs[0][0].type): slots}
-        for reader, _ in pairs:
-            if id(reader.type) not in typed:
-                typed[id(reader.type)] = slots.copy()
+        The readers, all of one ``Topic`` and so of one type, share one
+        slot per DATA, which holds the DATA's one-DATA message until the
+        first of them replaces it by its sample."""
         writer_guid = infos[0].writer_guid
         for reader, session in pairs:
             if reader._sessions.get(writer_guid) is session:
-                reader._handle_data(session, infos, typed[id(reader.type)], now_wall)
+                reader._handle_data(session, infos, slots, now_wall)
 
     # ------------------------------------------------------------------
     # outbound routing
@@ -564,11 +566,20 @@ class DomainParticipant:
     def _plan(self, writer: DataWriter) -> tuple:
         """The writer's send plan: (discovery epoch, whether a matched
         reader is on this participant, the other matched readers'
-        addresses), built again after a match or peer change."""
+        addresses, in order and without repeats), built again after a
+        match or peer change."""
         plan = writer._send_plan
         if plan is None or plan[0] != self.discovery.epoch:
-            plan = writer._send_plan = (
-                self.discovery.epoch, *self._destinations(writer._match_records))
+            local = False
+            addresses: dict = {}
+            for reader in writer._match_records:
+                if reader.prefix == self.guid.prefix:
+                    local = True
+                else:
+                    address = self.discovery.address_of(reader.prefix)
+                    if address is not None:
+                        addresses[address] = None
+            plan = writer._send_plan = (self.discovery.epoch, local, tuple(addresses))
         return plan
 
     def _publish(self, writer: DataWriter, data: wire.Data, message: bytes) -> None:
@@ -592,38 +603,23 @@ class DomainParticipant:
         for dest, sub in directed:
             if isinstance(sub, (wire.Heartbeat, wire.Gap)):
                 sub = wire.Direct(dest.entity_id, sub)
-            self._send(sub, *self._destinations((dest,)))
+            self._send(sub, dest.prefix)
 
-    def _send(self, sub, local: bool, addresses: Iterable) -> None:
-        """Dispatch a submessage to this participant's readers when
-        ``local``, and send it to each address; a submessage the encoder
-        refuses is logged and dropped."""
-        if local:
-            self._dispatch((sub,), self.guid.prefix, None,
+    def _send(self, sub, prefix: bytes) -> None:
+        """Send a submessage to the participant ``prefix`` names: through
+        the dispatch when it is this one, else to its address; a
+        submessage the encoder refuses is logged and dropped."""
+        if prefix == self.guid.prefix:
+            self._dispatch((sub,), prefix, None,
                            self.clock.monotonic_ns(), self.clock.wall_ns())
-        # One encoding serves every destination participant.
-        data = None
-        for address in addresses:
+            return
+        address = self.discovery.address_of(prefix)
+        if address is not None:
             try:
-                if data is None:
-                    data = wire.encode_message(wire.WireMessage(self.guid.prefix, (sub,)))
+                data = wire.encode_message(wire.WireMessage(self.guid.prefix, (sub,)))
                 self.transport.send(data, address)
             except ValueError as exc:
                 log.warning("submessage not sent: %s", exc)
-
-    def _destinations(self, readers: Iterable[Guid]) -> tuple[bool, tuple]:
-        """Whether one of the readers is on this participant, and the
-        addresses of the others' participants, in order and without repeats."""
-        local = False
-        addresses: dict = {}
-        for reader in readers:
-            if reader.prefix == self.guid.prefix:
-                local = True
-            else:
-                address = self.discovery.address_of(reader.prefix)
-                if address is not None:
-                    addresses[address] = None
-        return local, tuple(addresses)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -35,7 +35,7 @@ from minidds.dcps.history import ReaderHistory, SampleInfo
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
 from minidds.idl import Sample
 from minidds.rtps import wire
-from minidds.rtps.reliability import NOT_NEW, BestEffortReaderSession, ReliableReaderSession
+from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSession
 
 log = logging.getLogger(__name__)
 
@@ -121,22 +121,17 @@ class DataReader(Endpoint):
         """Take a run of DATA from the session's writer: every DATA arrives
         this way; one sent to this participant's own readers, or one among
         other submessages, is a run of one. The session is asked once
-        which DATA of the run are new and what to hand on (``on_run``).
-        ``infos`` holds each DATA's SampleInfo, shared with the other
-        readers the run is handed to, and ``slots`` one slot per DATA,
-        shared with the readers of this type: a slot holds the DATA's
-        one-DATA message, whose payload starts at
+        which DATA of the run are new and what to hand on (``on_run``):
+        None for the whole run as it is, else the entries to hand on.
+        ``infos`` holds each DATA's SampleInfo and ``slots`` one slot per
+        DATA, both shared with the other readers the run is handed to,
+        which are all of this reader's topic and so of its type: a slot
+        holds the DATA's one-DATA message, whose payload starts at
         ``wire.DATA_PAYLOAD_START``, until the first of them to accept
         that DATA replaces it by the sample, or by None for a malformed
-        payload, so each payload is deserialized once per type, in place,
-        held or not."""
-        if self._reliable:
-            entries = session.on_run(infos, slots)
-        else:
-            fresh = session.on_run(infos)
-            entries = None if fresh is None else [
-                (info, slots, i) if new else NOT_NEW
-                for i, (info, new) in enumerate(zip(infos, fresh))]
+        payload, so each payload is deserialized once per participant, in
+        place, held or not."""
+        entries = session.on_run(infos, slots)
         if entries is None:
             entries = zip(infos, repeat(slots), range(len(infos)))
         # One per run: runs are read per drain.

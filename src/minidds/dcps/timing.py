@@ -39,7 +39,3 @@ class DeadlineTracker:
             if total > 0:
                 out.append((handle, total))
         return out
-
-    def forget(self, handle: int) -> None:
-        self._last.pop(handle, None)
-        self._accumulated.pop(handle, None)

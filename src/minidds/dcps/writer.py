@@ -119,12 +119,12 @@ class DataWriter(Endpoint):
                 source_ts = (source_timestamp_ns if source_timestamp_ns is not None
                              else clock.wall_ns())
                 sequence = session.last_sequence + 1
-                # The write's one datagram, under the sequence on_write
-                # assigns: the cache keeps it, every matched participant
-                # is sent it, and a reader decodes the payload in it.
-                message = wire.pack_data_message(self.participant.guid.prefix, _tuple_new(
-                    wire.Data, (self.guid.entity_id, 0, sequence, source_ts, handle,
-                                payload)))
+                # The write's one DATA, under the sequence on_write assigns,
+                # and its datagram: the cache keeps it, every matched
+                # participant is sent it, and a reader decodes the payload in it.
+                data = _tuple_new(wire.Data, (self.guid.entity_id, 0, sequence,
+                                              source_ts, handle, payload))
+                message = wire.pack_data_message(self.participant.guid.prefix, data)
                 try:
                     # A sample nobody can ask for again is not cached at all.
                     if session.keeps_history:
@@ -139,12 +139,12 @@ class DataWriter(Endpoint):
                     if not (self._reliable and self._keep_all):
                         raise
                 else:
-                    data = session.on_write(handle, payload, source_ts)
+                    session.on_write()
                     if self._deadlines.active:
                         self._deadlines.record(handle, clock.monotonic_ns())
                     self.samples_written += 1
                     self.participant._publish(self, data, message)
-                    return data.sequence
+                    return sequence
                 # Full keep-all cache: wait for acks to drain it.
                 now = clock.monotonic_ns()
                 if block_deadline is None:

@@ -4,8 +4,8 @@ Sessions are transport-free state machines: every input carries ``now``
 (nanoseconds) and outputs are ``Directed`` submessages for the caller to
 route, each to the one reader named by its ``dest``. A write is the
 exception: ``on_write``, the one place that assigns a sequence, returns
-the write's DATA record alone, which the participant sends to every
-matched reader in one pass.
+that sequence alone; the writer builds the write's DATA, and the
+participant sends it to every matched reader in one pass.
 
 Writer side: ``keeps_history`` says whether a written sample can be sent
 again, to a TRANSIENT_LOCAL writer's late joiner or on a RELIABLE
@@ -25,7 +25,9 @@ ever above the next write, and a write needs no release.
 
 Reader side: each reader session takes the DATA of a run from its
 writer in one call (``on_run``), the one place that decides which are
-new; ``on_data`` is a run of one. The reliable session hands each
+new, and both answer alike: None when the whole run is handed on as it
+is, else the entries to hand on, ``NOT_NEW`` in the place of a DATA
+that is not. ``on_data`` is a run of one. The reliable session hands each
 writer's DATA on in sequence order, as a RELIABLE reader must: it keeps
 a settled floor, and holds each DATA above a hole until the hole fills
 or is given up, then releases the whole in-order run above it. GAPs and
@@ -57,7 +59,7 @@ HEARTBEAT_PERIOD_NS = 50_000_000
 RESPONSE_DELAY_NS = 5_000_000
 
 # Builds a record from a tuple of its fields without the Python-level
-# ``__new__`` that NamedTuple generates; once per write and per ``on_data``.
+# ``__new__`` that NamedTuple generates; once per ``on_data``.
 _tuple_new = tuple.__new__
 
 # How far above its floor a reliable reader session holds anything: a
@@ -65,8 +67,8 @@ _tuple_new = tuple.__new__
 # only up to here. Bounds ``held`` (defends against bogus sequences).
 _MAX_GIVEUP_SPAN = 65536
 
-# What a reliable reader session holds for a DATA that waits behind a
-# hole: its SampleInfo, and the run's payload slots with its index there.
+# The entry a reader session hands on, or a reliable one holds behind a
+# hole, for a DATA: its SampleInfo, and the run's slots with its index there.
 Held = tuple[SampleInfo, list, int]
 
 # A reliable reader session's lowest held sequence while it holds nothing:
@@ -88,7 +90,7 @@ def _on_data(session, sequence: int) -> bool:
     new (deliver it), False when it is not (a duplicate, or a straggler).
     A run of one."""
     return session.on_run((_tuple_new(SampleInfo, (session.writer_guid, sequence,
-                                                   0, 0, 0)),)) is None
+                                                   0, 0, 0)),), [None]) is None
 
 
 class Directed(NamedTuple):
@@ -170,17 +172,15 @@ class WriterSession:
                          sample.source_timestamp_ns, sample.instance_handle,
                          memoryview(sample.message)[wire.DATA_PAYLOAD_START:])
 
-    def on_write(self, instance_handle: int, payload: bytes,
-                 source_timestamp_ns: int) -> wire.Data:
-        """Assign the next sequence; returns the DATA for every matched
-        reader. Caching the sample is the writer's part: it inserts it as
+    def on_write(self) -> int:
+        """Assign and return the next sequence. Building and caching the
+        write's DATA is the writer's part: it inserts the sample as
         ``last_sequence + 1`` first, while ``keeps_history`` holds, and
         calls this only once the cache took it. Nothing is released here:
         no floor is above ``last_sequence + 1``, so the cache already
         holds nothing acknowledged by every reader."""
-        self.last_sequence = sequence = self.last_sequence + 1
-        return _tuple_new(wire.Data, (self.writer_entity_id, 0, sequence,
-                                      source_timestamp_ns, instance_handle, payload))
+        self.last_sequence += 1
+        return self.last_sequence
 
     # -- acknowledgements ---------------------------------------------
 
@@ -424,14 +424,15 @@ class BestEffortReaderSession:
         self.beyond_window = 0  # never counted: nothing is held
         self._seen = bytearray(self.WINDOW)
 
-    def on_run(self, infos: Sequence[SampleInfo]) -> Optional[bytearray]:
-        """Take a run of DATA in arrival order; returns None when every one
-        is new (deliver them all), else one flag per DATA, 1 for a new one.
-        A sequence is new only above every one received before it."""
+    def on_run(self, infos: Sequence[SampleInfo], slots: list) -> Optional[list]:
+        """Take a run of DATA in arrival order and answer as the reliable
+        session does: None when every one is new (deliver them all), else
+        an entry per DATA, ``NOT_NEW`` for one that is not new. A sequence
+        is new only above every one received before it."""
         window = self.WINDOW
         seen = self._seen
         last = self.last_sequence
-        fresh = None
+        out = None
         lost = unique = 0
         for i, info in enumerate(infos):
             sequence = info.sequence
@@ -451,6 +452,8 @@ class BestEffortReaderSession:
                 lost += skipped
                 unique += 1
                 last = sequence
+                if out is not None:
+                    out.append((info, slots, i))
                 continue
             slot = sequence % window
             if sequence > last - window and not seen[slot]:
@@ -460,13 +463,13 @@ class BestEffortReaderSession:
                 lost -= 1
                 seen[slot] = 1
             # else a duplicate (or too old to tell)
-            if fresh is None:
-                fresh = bytearray(b"\x01") * len(infos)
-            fresh[i] = 0
+            if out is None:
+                out = _entries(infos, slots, i)
+            out.append(NOT_NEW)
         self.last_sequence = last
         self.samples_lost += lost
         self.unique_received += unique
-        return fresh
+        return out
 
     on_data = _on_data
 

@@ -240,6 +240,24 @@ class TestTopicsAndQosErrors:
         with pytest.raises(InconsistentTopicError):
             solo.create_topic("t", _keyed_type())
 
+    @pytest.mark.parametrize("create", ["create_datareader", "create_datawriter"])
+    def test_an_endpoint_takes_only_a_topic_of_its_own_participant(self, solo, create):
+        """DDS 1.4, 2.2.2.4.1.5 and 2.2.2.5.2.5: a topic this participant's
+        ``create_topic`` did not return is refused, so the readers of one
+        writer on a participant all share one type."""
+        topic = solo.create_topic("t", _counter_type())
+        with DomainParticipant(0, transport=InProcNetwork().attach("other"),
+                               clock=ManualClock(1_000_000_000)) as other:
+            foreign = other.create_topic("t", _counter_type())
+            for refused in (Topic("t", _counter_type(), topic.qos), foreign,
+                            Topic("u", _counter_type(), topic.qos)):
+                with pytest.raises(ValueError, match="not created by this participant"):
+                    getattr(solo, create)(refused)
+        assert solo.writers() == [] and solo.readers() == []
+        # The topic create_topic returned again by name is the same one.
+        again = solo.create_topic("t", _counter_type())
+        assert getattr(solo, create)(again).topic is topic
+
     def test_invalid_topic_qos(self, solo):
         with pytest.raises(InvalidQosError):
             solo.create_topic("t", _counter_type(),
@@ -618,7 +636,7 @@ class TestFanOut:
 
 class TestOneDeserializePerParticipant:
     """A DATA handed to several readers of one participant is deserialized
-    once per type; each reader still runs its own session check first."""
+    once; each reader still runs its own session check first."""
 
     def setup_method(self):
         self.net = InProcNetwork()
@@ -681,16 +699,20 @@ class TestOneDeserializePerParticipant:
         assert len(calls) == 2
         assert _values(early.take()) == [(1,)] and late.take() == []
 
-    def test_readers_of_different_types_decode_with_their_own(self, monkeypatch):
-        signed = self._reader()
+    def test_a_topic_asked_for_again_with_another_type_decodes_once(self, monkeypatch):
+        """``create_topic`` returns the registered topic for a type of the
+        same name, so a reader created on it decodes with that topic's
+        type, and shares the one decode."""
+        first = self._reader()
         unsigned_type = idl.parse_idl("struct Counter { unsigned long n; };")[0]
-        unsigned = self._reader(Topic("t", unsigned_type, self.topic_b.qos))
+        again = self.b.create_topic("t", unsigned_type)
+        assert again is self.topic_b
+        second = self._reader(again)
         calls = self._count_deserialize(monkeypatch)
         self.writer.write({"n": -1})
         _spin(self.b)
-        assert calls == [self.topic_b.type, unsigned_type]
-        assert _values(signed.take()) == [(-1,)]
-        assert _values(unsigned.take()) == [(2**32 - 1,)]
+        assert calls == [self.topic_b.type]
+        assert _values(first.take()) == _values(second.take()) == [(-1,)]
 
 
 class TestSameParticipantReliable:

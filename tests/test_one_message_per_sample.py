@@ -7,8 +7,8 @@ cache, the queue and a reader's held slot are one object.
 Every slot is a one-DATA message: a send to this participant's own
 readers hands over the write's message, and a DATA that did not come as
 one (a late-joiner replay to a local reader, a datagram of several
-submessages) is packed into one. Each is still decoded once per reader
-type, and a malformed payload still counts on every reader.
+submessages) is packed into one. Each is still decoded once per
+participant, and a malformed payload still counts on every reader.
 """
 
 import tracemalloc
@@ -17,13 +17,12 @@ import pytest
 
 from minidds import idl, qos
 from minidds.clock import ManualClock
-from minidds.dcps.participant import DomainParticipant, Topic
+from minidds.dcps.participant import DomainParticipant
 from minidds.rtps import wire
 from minidds.rtps.reliability import HEARTBEAT_PERIOD_NS
 from minidds.rtps.transport import InProcNetwork
 
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
-UNSIGNED = idl.parse_idl("struct Counter { unsigned long n; };")[0]
 BLOB = idl.parse_idl("struct Blob { string s; };")[0]
 RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
             qos.History(qos.HistoryKind.KEEP_ALL)]
@@ -139,14 +138,12 @@ def test_what_waits_behind_a_hole_adds_no_copy(pair):
 def test_a_same_participant_reader_decodes_the_writers_message(pair, decoded):
     a, _, _ = pair
     topic = a.create_topic("t", COUNTER)
-    readers = [a.create_datareader(topic, RELIABLE),
-               a.create_datareader(Topic("t", UNSIGNED, topic.qos), RELIABLE)]
+    readers = [a.create_datareader(topic, RELIABLE), a.create_datareader(topic, RELIABLE)]
     writer = a.create_datawriter(topic, RELIABLE)
     sequence = writer.write({"n": -1})
     message = writer.history.by_seq[sequence].message
-    assert decoded == [(COUNTER, message, wire.DATA_PAYLOAD_START),
-                       (UNSIGNED, message, wire.DATA_PAYLOAD_START)]
-    assert [_values(r) for r in readers] == [[(-1,)], [(2**32 - 1,)]]
+    assert decoded == [(COUNTER, message, wire.DATA_PAYLOAD_START)]
+    assert [_values(r) for r in readers] == [[(-1,)], [(-1,)]]
 
 
 def test_a_best_effort_writer_sends_its_message_to_a_local_reader(pair, decoded):
@@ -173,11 +170,11 @@ def test_a_late_joiner_is_replayed_from_the_cached_messages(pair, decoded, where
     joiner = a if where == "local" else b
     topic = joiner.create_topic("t", COUNTER)
     readers = [joiner.create_datareader(topic, DURABLE),
-               joiner.create_datareader(Topic("t", UNSIGNED, topic.qos), DURABLE)]
+               joiner.create_datareader(topic, DURABLE)]
     _spin(a, b, a, b)
     assert [_values(r) for r in readers] == [[(10,), (20,), (30,)]] * 2
-    # Each reader is replayed the DATA addressed to it, and decodes each once.
-    assert [d for d, _, _ in decoded] == [COUNTER] * 3 + [UNSIGNED] * 3
+    # Each reader is replayed the DATA addressed to it, and each is decoded once.
+    assert [d for d, _, _ in decoded] == [COUNTER] * 6
     cached = writer.history.by_seq
     for (_, data, start), seq in zip(decoded, (1, 2, 3) * 2):
         # A new message, with the cached one's payload.
@@ -186,12 +183,11 @@ def test_a_late_joiner_is_replayed_from_the_cached_messages(pair, decoded, where
         assert wire.read_data_message(data)[2] != 0
 
 
-def test_a_datagram_of_several_data_is_decoded_once_per_type(pair, net, decoded):
+def test_a_datagram_of_several_data_is_decoded_once_per_participant(pair, net, decoded):
     a, b, _ = pair
     writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE)
     topic = b.create_topic("t", COUNTER)
-    readers = [b.create_datareader(topic, RELIABLE), b.create_datareader(topic, RELIABLE),
-               b.create_datareader(Topic("t", UNSIGNED, topic.qos), RELIABLE)]
+    readers = [b.create_datareader(topic, RELIABLE) for _ in range(3)]
     _spin(a, b, a)
     assert all(r.matched_writers() == [writer.guid] for r in readers)
     good = idl.serialize(COUNTER, idl.make_sample(COUNTER, {"n": 7}))
@@ -199,7 +195,7 @@ def test_a_datagram_of_several_data_is_decoded_once_per_type(pair, net, decoded)
     net.attach("rogue").send(wire.encode_message(wire.WireMessage(writer.guid.prefix, (
         wire.Data(eid, 0, 1, 0, 0, good), wire.Data(eid, 0, 2, 0, 0, b"\x01")))), "B")
     _spin(b)
-    assert [d for d, _, _ in decoded] == [COUNTER, UNSIGNED, COUNTER, UNSIGNED]
+    assert [d for d, _, _ in decoded] == [COUNTER, COUNTER]
     for _, data, start in decoded:
         assert start == wire.DATA_PAYLOAD_START and wire.read_data_message(data) is not None
     assert [_values(r) for r in readers] == [[(7,)], [(7,)], [(7,)]]

@@ -17,7 +17,7 @@ from minidds import idl, qos
 from minidds.clock import ManualClock
 from minidds.dcps.guid import Guid
 from minidds.dcps.matching import EndpointDescriptor, EndpointType
-from minidds.dcps.participant import DomainParticipant, Topic
+from minidds.dcps.participant import DomainParticipant
 from minidds.dcps.reader import DataReader
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
@@ -324,19 +324,20 @@ def test_readers_of_one_participant_share_one_info_and_sample(pair):
     assert other_sample is sample and other_info is info
 
 
-def test_a_reader_of_another_type_decodes_its_own_sample(pair):
+def test_a_topic_asked_for_with_another_type_shares_the_decoded_sample(pair):
+    """``create_topic`` hands back the registered topic, so a reader made on
+    it is of that topic's type and shares the sample decoded once."""
     a, b, _, _ = pair
-    writer, signed = _matched(a, b)
+    writer, first = _matched(a, b)
     unsigned_type = idl.parse_idl("struct Counter { unsigned long n; };")[0]
-    topic = b.create_topic("t", COUNTER)
-    unsigned = _reader(b, [], Topic("t", unsigned_type, topic.qos))
+    second = _reader(b, [], b.create_topic("t", unsigned_type))
     _spin(a, b, a)
     writer.write({"n": -1})
     _spin(b)
-    (sample, info), = signed.take()
-    (other_sample, other_info), = unsigned.take()
-    assert (sample.values, other_sample.values) == ((-1,), (2**32 - 1,))
-    assert other_info is info
+    (sample, info), = first.take()
+    (other_sample, other_info), = second.take()
+    assert sample.values == (-1,)
+    assert other_sample is sample and other_info is info
 
 
 def test_source_order_is_kept_per_reader(pair):

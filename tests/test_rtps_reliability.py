@@ -22,25 +22,22 @@ def _writer(transient_local=False, history_kind=qos.HistoryKind.KEEP_ALL, depth=
 
 def _write(history, session, sequence, handle=0):
     """A DataWriter's write of ``sequence``: cached while the session keeps
-    history, then handed to the session; returns the DATA for every
-    matched reader."""
+    history, then handed to the session; returns the sequence it assigns."""
     assert sequence == session.last_sequence + 1
     payload, stamp = b"p%d" % sequence, sequence * 10
     if session.keeps_history:
         message = wire.pack_data_message(b"\x00" * 12, wire.Data(
             session.writer_entity_id, 0, sequence, stamp, handle, payload))
         history.insert(WriterSample(sequence, handle, message, stamp))
-    return session.on_write(handle, payload, stamp)
+    return session.on_write()
 
 
 class TestWriterSession:
-    def test_write_broadcasts_one_data(self):
+    def test_write_assigns_the_next_sequence(self):
         history, session = _writer()
         session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
-        data = _write(history, session, 1)
-        assert isinstance(data, wire.Data)
-        assert (data.writer_entity_id, data.reader_entity_id) == (11, 0)
-        assert data.sequence == 1
+        assert [_write(history, session, seq) for seq in (1, 2, 3)] == [1, 2, 3]
+        assert session.last_sequence == 3
 
     def test_heartbeat_cadence_and_stop_on_ack(self):
         history, session = _writer()

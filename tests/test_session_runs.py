@@ -8,9 +8,10 @@ received. Seeded random runs mix in-order sequences, duplicates inside a
 run and of earlier runs, reorders inside and beyond ``WINDOW``, and
 jumps of a whole window or more; the reliable session also gets GAPs and
 HEARTBEATs between runs. After every run the best-effort session and its
-reference must agree on which positions are fresh; the reliable session
-and its reference on what each run, GAP and HEARTBEAT hands on, in
-order, with each duplicate in its place, and on every ACKNACK. Both
+reference must agree on what the run hands on, in order, with each DATA
+that is not new in its place; the reliable session and its reference on
+what each run, GAP and HEARTBEAT hands on, in order, with each duplicate
+in its place, and on every ACKNACK. Both
 must agree on ``samples_lost``, ``unique_received`` and the floor (the
 best-effort session's ``last_sequence``), the reliable ones also on
 what is held and on ``beyond_window``.
@@ -33,11 +34,6 @@ DUP = "duplicate"
 
 def _infos(sequences):
     return [SampleInfo(WRITER, seq, 0, 0, 0) for seq in sequences]
-
-
-def _fresh(result, n):
-    """The fresh positions ``on_run`` flags: all of them for None."""
-    return list(range(n)) if result is None else [i for i in range(n) if result[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +165,15 @@ def _run(rng: random.Random, last: int, low: int, sent: list[int]) -> list[int]:
     return run
 
 
+def _handed_on(session, infos, slots) -> list:
+    """What ``on_run`` hands on: payloads in order, DUP for a DATA that is
+    not new."""
+    entries = session.on_run(infos, slots)
+    if entries is None:
+        return list(slots)
+    return [DUP if info is None else cell[i] for info, cell, i in entries]
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_best_effort_matches_the_reference(seed):
     rng = random.Random(seed)
@@ -178,19 +183,13 @@ def test_best_effort_matches_the_reference(seed):
     for step in range(rng.choice((5, 40, 150))):
         last = reference.last_sequence
         run = _run(rng, last, max(0, last - WINDOW), sent)
-        fresh = _fresh(session.on_run(_infos(run)), len(run))
-        assert fresh == [i for i, seq in enumerate(run) if reference.on_data(seq)], (step, run)
+        slots = [f"{seq}@{step}.{i}" for i, seq in enumerate(run)]
+        assert _handed_on(session, _infos(run), slots) == [
+            payload if reference.on_data(seq) else DUP
+            for seq, payload in zip(run, slots)], (step, run)
         assert (session.last_sequence, session.samples_lost, session.unique_received) == (
             reference.last_sequence, reference.samples_lost, reference.unique_received), (
             step, run)
-
-
-def _handed_on(session: ReliableReaderSession, infos, slots) -> list:
-    """What ``on_run`` hands on: payloads in order, DUP for a duplicate."""
-    entries = session.on_run(infos, slots)
-    if entries is None:
-        return list(slots)
-    return [DUP if info is None else cell[i] for info, cell, i in entries]
 
 
 def _taken(session: ReliableReaderSession) -> list:
@@ -261,10 +260,11 @@ def test_before_the_first_heartbeat_the_bound_counts_from_the_lowest_held():
     assert session.beyond_window == 1
 
 
-def test_a_run_is_flagged_only_when_not_all_fresh():
+def test_a_best_effort_run_is_handed_on_as_it_is_only_when_all_fresh():
     session = BestEffortReaderSession(WRITER)
-    assert session.on_run(_infos(range(1, 8193))) is None
-    assert session.on_run(_infos([8192, 8193, 8193, 8194])) == bytearray([0, 1, 0, 1])
+    assert session.on_run(_infos(range(1, 8193)), [None] * 8192) is None
+    assert _handed_on(session, _infos([8192, 8193, 8193, 8194]), ["a", "b", "c", "d"]) == [
+        DUP, "b", DUP, "d"]
     assert session.on_data(8195) is True and session.on_data(8195) is False
 
 
