@@ -10,7 +10,7 @@ newest arrivals, whichever writer sent them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import NamedTuple, Optional
 
@@ -214,37 +214,39 @@ class InsertOutcome(NamedTuple):
 _ACCEPTED = InsertOutcome(True)
 _REPLACED = InsertOutcome(True, None, False, 1)
 
-# New handles that ``ReaderHistory`` bisects into its sorted handle list
-# one by one; more are merged by one sort, which costs about as much as
-# 64 list shifts (measured on CPython 3.11 with 1 k to 64 k handles).
-_INSORT_MAX = 64
-
 
 class ReaderHistory:
     """Received sample store backing read/take.
 
-    ``read`` and ``take`` hand out ``(sample, info)`` pairs in ascending
-    instance handle order and, within an instance, in arrival order, as
-    DESTINATION_ORDER BY_RECEPTION_TIMESTAMP asks. ``instances[h]``
-    keeps instance ``h``'s pairs in that order: an insert appends, and
-    keep-last eviction removes from the front, so the newest samples
+    ``read`` and ``take`` hand out ``(sample, info)`` pairs instance by
+    instance, in the order the instances entered the cache, and, within
+    an instance, in arrival order, as DESTINATION_ORDER
+    BY_RECEPTION_TIMESTAMP asks. An instance enters with its first
+    accepted sample, and again with the first after a take emptied it;
+    a keep-last replacement keeps its place. OMG DDS 1.4 §2.2.3.6
+    (PRESENTATION, access scope INSTANCE) orders samples only within an
+    instance, so the order across instances is this cache's own. ``instances[h]``
+    keeps instance ``h``'s pairs in arrival order: an insert appends,
+    and keep-last eviction removes from the front, so the newest samples
     stay whichever writer sent them. Each writer's samples arrive in
     sequence order, as its session hands them on, except after the
     writer matches again, when its replay starts over. A reader ordered
     BY_SOURCE_TIMESTAMP admits only samples newer at the source, so for
     it arrival order is source order. The pairs are stored as they are
-    handed out, so ``take`` returns slices of the cache. ``_handles``
-    lists the cached handles in ascending order, except those of
-    instances new since the last ``read`` or ``take``, which wait in
-    ``_new_handles`` until the next one merges them in: bisected in one
-    by one while there are at most ``_INSORT_MAX``, else by one sort.
+    handed out, so ``take`` returns slices of the cache. ``_order``
+    lists the cached handles in entry order: an insert that makes an
+    instance appends its handle, and a take, which hands out from the
+    front and is the only way an instance empties, pops the handles it
+    emptied from the left. ``instances`` is not walked in its own order:
+    CPython walks a dict from its first slot, past those its deleted
+    entries left, so each take would pass every instance taken before it.
 
     Costs, for n cached samples: ``insert`` O(1), and in a keep-last
     instance that must evict, one shift of the instance's entries;
-    ``read`` and ``take`` O(returned + instances visited) plus one list
-    shift per take, plus, for k new instances, k shifts of the handle
-    list or, past ``_INSORT_MAX``, one sort of it. A take that drains
-    the cache hands it all out in one pass and resets it.
+    ``read`` and ``take`` O(returned + instances visited), plus, for a
+    take that stops inside an instance, one shift of that instance's
+    entries. A take that drains the cache hands it all out in one pass
+    and resets it.
     """
 
     def __init__(self, history: qos.History, limits: qos.ResourceLimits):
@@ -253,8 +255,7 @@ class ReaderHistory:
         self._cap = _per_instance_cap(history, limits)
         self._keep_last = history.kind == qos.HistoryKind.KEEP_LAST
         self.instances: dict[int, list[tuple[Sample, SampleInfo]]] = {}
-        self._handles: list[int] = []
-        self._new_handles: list[int] = []
+        self._order: deque[int] = deque()
         self.total = 0
 
     def insert(self, info: SampleInfo, sample: Sample) -> InsertOutcome:
@@ -274,7 +275,7 @@ class ReaderHistory:
                 # the arrival itself.
                 return InsertOutcome(True, None, True, 1)
             self.instances[handle] = [(sample, info)]
-            self._new_handles.append(handle)
+            self._order.append(handle)
             self.total += 1
             return _ACCEPTED
         if self._keep_last:
@@ -299,7 +300,7 @@ class ReaderHistory:
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         out: list[tuple[Sample, SampleInfo]] = []
-        for handle in self._sorted_handles():
+        for handle in self._order:
             out += self.instances[handle][:max_samples - len(out)]
             if len(out) == max_samples:
                 break
@@ -309,44 +310,26 @@ class ReaderHistory:
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         instances = self.instances
-        handles = self._sorted_handles()
+        order = self._order
+        out: list[tuple[Sample, SampleInfo]] = []
         if max_samples >= self.total:
             # One pass over the whole cache; the loop below would delete
             # a dict entry per instance.
-            out = []
-            for handle in handles:
+            for handle in order:
                 out += instances[handle]
             instances.clear()
-            handles.clear()
+            order.clear()
             self.total = 0
             return out
-        out = []
-        emptied = 0
-        for handle in handles:
-            entries = instances[handle]
+        # Fewer than are cached, so the loop stops before the handles run out.
+        while len(out) < max_samples:
+            entries = instances[order[0]]
             room = max_samples - len(out)
             if len(entries) > room:
                 out += entries[:room]
                 del entries[:room]
                 break
             out += entries
-            del instances[handle]
-            emptied += 1
-            if len(out) == max_samples:
-                break
-        del handles[:emptied]
+            del instances[order.popleft()]
         self.total -= len(out)
         return out
-
-    def _sorted_handles(self) -> list[int]:
-        """``_handles`` with the new instances' handles merged in."""
-        handles, new = self._handles, self._new_handles
-        if new:
-            if len(new) <= _INSORT_MAX:
-                for handle in new:
-                    insort(handles, handle)
-            else:
-                handles += new
-                handles.sort()
-            new.clear()
-        return handles

@@ -8,10 +8,10 @@ your own loop, or ``start()`` a background thread that does both.
 Application calls are serialized with the dispatch context by one
 participant lock, so entities may be used from any thread.
 
-A submessage for a reader on this participant goes through the same
-dispatch as a datagram from this participant would, without being
-encoded: DATA, an addressed HEARTBEAT or GAP, and the reader's ACKNACK
-reply follow exactly the rules a remote peer's do.
+A submessage for a reader on this participant is encoded as for any
+other participant and received as a batch of one (``_receive``): DATA,
+an addressed HEARTBEAT or GAP, and the reader's ACKNACK reply follow
+exactly the rules a remote peer's do.
 
 A write's DATA goes straight to its writer's send plan (``_plan``):
 whether a matched reader is on this participant, and the addresses of
@@ -21,8 +21,8 @@ addresses, so it is built at the first write after the writer gains or
 loses a match, or after discovery adds, drops or re-addresses a peer
 (``Discovery.epoch``), and reused for every write in between.
 ``_publish`` sends the DATA by the plan in one pass: this participant's
-matched readers get it first, through the same dispatch as any local
-send, and the other participants one datagram. Both take the message
+matched readers get it first, received as a batch of one like any
+local send, and the other participants one datagram. Both take the message
 the writer packed once for the write (``wire.pack_data_message``) and
 keeps as its cached sample, the same object. The writer's
 other output (retransmissions, late-joiner replays, and the HEARTBEATs
@@ -30,20 +30,20 @@ and GAPs, each in a DIRECT) goes to one reader each, through ``_route``
 and ``_send``, which look up that reader's address each time. A closed
 participant closes its endpoints, so its writers refuse further writes.
 
-``spin_once`` reads a datagram of one DATA, the common kind, with one
-struct call (``wire.read_data_message``) into a *run*: consecutive such
-datagrams of a drained batch with one sender prefix, writer entity id
-and reader entity id. A run looks up its writer's entry once and keeps
-one ``SampleInfo`` and one payload slot per DATA. Any other datagram is
-decoded and handed to one dispatch loop, after the run read so far is
-delivered, so protocol order is kept. The loop hands a DATA on as a run
-of one, as does a send to this participant's own readers. A HEARTBEAT
-of the batch is the exception: the batch's HEARTBEATs are answered in
-arrival order once the whole batch has been delivered, so each ACKNACK
-reflects every DATA of the drain, also the repairs that a faulty
-network carried behind the HEARTBEAT (a heartbeat response delay of
-zero). A HEARTBEAT sent to this participant's own readers is answered
-at once.
+``_receive`` takes a batch of datagrams: the one ``spin_once`` drained,
+or a send to this participant's own readers. It reads a datagram of
+one DATA, the common kind, with one struct call
+(``wire.read_data_message``) into a *run*: consecutive such datagrams
+of the batch with one sender prefix, writer entity id and reader entity
+id. A run looks up its writer's entry once and keeps one ``SampleInfo``
+and one payload slot per DATA. Any other datagram is decoded and handed
+to one dispatch loop, after the run read so far is delivered, so
+protocol order is kept. The loop hands a DATA that came among other
+submessages on as a run of one. A HEARTBEAT of the batch is the
+exception: the batch's HEARTBEATs are answered in arrival order once
+the whole batch has been delivered, so each ACKNACK reflects every DATA
+of the drain, also the repairs that a faulty network carried behind the
+HEARTBEAT (a heartbeat response delay of zero).
 
 A writer's entry in the dispatch table is an immutable tuple of the
 (reader, session) pairs matched with it, in reader creation order, so
@@ -65,10 +65,10 @@ Each DATA's bytes are held once. A run's payload slot holds the
 one-DATA datagram itself, and the first reader to accept the DATA
 decodes the payload in place at ``wire.DATA_PAYLOAD_START``; a DATA a
 reliable session holds behind a hole waits there as that datagram,
-undecoded. So every slot is a one-DATA message: a local send hands over
-the write's own message, and any other DATA handed on alone (a local
-retransmission or replay, one among other submessages) is packed into
-one. The batch lets go of a drained datagram once read, and its slot
+undecoded. So every slot is a one-DATA message: a datagram of one DATA
+is its own slot (for a reader on this participant, the write's own
+message), and a DATA among other submessages is packed into one. The
+batch lets go of a drained datagram once read, and its slot
 once a reader has decoded it, so the receiver holds each DATA as its
 datagram or as its decoded sample, not both; over ``InProcNetwork`` the
 writer's cache, the queue and a held slot are one object.
@@ -385,57 +385,9 @@ class DomainParticipant:
         """One protocol iteration; returns the number of datagrams handled."""
         with self._lock:
             batch = self.transport.drain()
-            # Every datagram of the batch had arrived by the drain: one stamp.
-            arrived = self.clock.monotonic_ns()
-            arrived_wall = self.clock.wall_ns()
-            read_data = wire.read_data_message
-            # The run being read: its key (writer entity id, sender prefix,
-            # reader entity id), matched pairs, SampleInfos and payload slots.
-            run = pairs = writer_guid = None
-            infos: list = []
-            slots: list = []
-            # The batch's HEARTBEATs, answered once it is all delivered.
-            heartbeats: list = []
-            for i, (data, source) in enumerate(batch):
-                batch[i] = None  # the batch lets go of each datagram once read
-                head = read_data(data)
-                if head is not None:
-                    prefix, writer_eid, reader_eid, seq, stamp, handle = head
-                    if (writer_eid, prefix, reader_eid) != run:
-                        if infos:
-                            self._deliver(pairs, infos, slots, arrived_wall)
-                            infos, slots = [], []
-                        run = (writer_eid, prefix, reader_eid)
-                        pairs = self._pairs_for(prefix, writer_eid, reader_eid)
-                        if pairs:
-                            writer_guid = pairs[0][1].writer_guid
-                    if pairs:
-                        infos.append(_tuple_new(SampleInfo, (writer_guid, seq, stamp,
-                                                             arrived, handle)))
-                        slots.append(data)
-                    continue
-                # Any other datagram ends the run: it is delivered first.
-                if infos:
-                    self._deliver(pairs, infos, slots, arrived_wall)
-                    infos, slots = [], []
-                run = None
-                sender = wire.announce_sender(data)
-                if sender is not None and self.discovery.repeats(
-                        data, sender, source, arrived):
-                    continue
-                try:
-                    message = wire.decode_message(data)
-                except wire.WireError as exc:
-                    self.malformed_datagrams += 1
-                    log.debug("dropped malformed datagram from %s: %s", source, exc)
-                    continue
-                self._dispatch(message.submessages, message.sender_prefix, source,
-                               arrived, arrived_wall, data, heartbeats)
-            if infos:
-                self._deliver(pairs, infos, slots, arrived_wall)
-            for prefix, reader_eid, heartbeat in heartbeats:
-                self._control(prefix, reader_eid, heartbeat, arrived, arrived_wall)
             processed = len(batch)
+            # Every datagram of the batch had arrived by the drain: one stamp.
+            self._receive(batch, self.clock.monotonic_ns(), self.clock.wall_ns())
             now = self.clock.monotonic_ns()
             if not self.closed and self.discovery.announce_due(now):
                 self._send_announce(self._announce_destinations())
@@ -448,6 +400,58 @@ class DomainParticipant:
                 self._route(writer.session.step(now))
             self._spun.notify_all()
             return processed
+
+    def _receive(self, batch: list, arrived: int, arrived_wall: int) -> None:
+        """Hand a batch of ``(datagram, source)`` pairs to the endpoints
+        they concern, as arrived at ``arrived`` (monotonic) and
+        ``arrived_wall``, then answer the batch's HEARTBEATs."""
+        read_data = wire.read_data_message
+        # The run being read: its key (writer entity id, sender prefix,
+        # reader entity id), matched pairs, SampleInfos and payload slots.
+        run = pairs = writer_guid = None
+        infos: list = []
+        slots: list = []
+        # The batch's HEARTBEATs, answered once it is all delivered.
+        heartbeats: list = []
+        for i, (data, source) in enumerate(batch):
+            batch[i] = None  # the batch lets go of each datagram once read
+            head = read_data(data)
+            if head is not None:
+                prefix, writer_eid, reader_eid, seq, stamp, handle = head
+                if (writer_eid, prefix, reader_eid) != run:
+                    if infos:
+                        self._deliver(pairs, infos, slots, arrived_wall)
+                        infos, slots = [], []
+                    run = (writer_eid, prefix, reader_eid)
+                    pairs = self._pairs_for(prefix, writer_eid, reader_eid)
+                    if pairs:
+                        writer_guid = pairs[0][1].writer_guid
+                if pairs:
+                    infos.append(_tuple_new(SampleInfo, (writer_guid, seq, stamp,
+                                                         arrived, handle)))
+                    slots.append(data)
+                continue
+            # Any other datagram ends the run: it is delivered first.
+            if infos:
+                self._deliver(pairs, infos, slots, arrived_wall)
+                infos, slots = [], []
+            run = None
+            sender = wire.announce_sender(data)
+            if sender is not None and self.discovery.repeats(
+                    data, sender, source, arrived):
+                continue
+            try:
+                message = wire.decode_message(data)
+            except wire.WireError as exc:
+                self.malformed_datagrams += 1
+                log.debug("dropped malformed datagram from %s: %s", source, exc)
+                continue
+            self._dispatch(message.submessages, message.sender_prefix, source,
+                           arrived, arrived_wall, data, heartbeats)
+        if infos:
+            self._deliver(pairs, infos, slots, arrived_wall)
+        for prefix, reader_eid, heartbeat in heartbeats:
+            self._control(prefix, reader_eid, heartbeat, arrived, arrived_wall)
 
     def _announce_destinations(self) -> list:
         destinations = self.discovery.destinations()
@@ -477,18 +481,16 @@ class DomainParticipant:
             self.transport.send(data, destination)
 
     def _dispatch(self, submessages, sender_prefix: bytes, source,
-                  now: int, now_wall: int, datagram: Optional[bytes] = None,
-                  heartbeats: Optional[list] = None,
-                  message: Optional[bytes] = None) -> None:
-        """Hand the submessages of one datagram, or of one local send, to
-        the endpoints they concern, as arrived at ``now`` (monotonic) and
-        ``now_wall``; DATA, the common kind, is tested first. ``datagram``
-        is the received datagram, for discovery to remember an announce
-        that came alone. A HEARTBEAT is appended to ``heartbeats``, when
-        given, to be answered later, else answered at once. ``message``
-        is the one-DATA message of a local send's lone DATA, when the
-        sender has it; any other DATA is packed into one, as a payload
-        slot always holds a one-DATA message."""
+                  now: int, now_wall: int, datagram: bytes,
+                  heartbeats: list) -> None:
+        """Hand the decoded submessages of one received ``datagram`` to the
+        endpoints they concern, as arrived at ``now`` (monotonic) and
+        ``now_wall``; DATA is tested first. A DATA here came among other
+        submessages, as a message of one DATA is read into a run without
+        decoding, and is packed into one, as a payload slot always holds
+        a one-DATA message. An announce that came alone is handed to
+        discovery with its ``datagram``, to be remembered. A HEARTBEAT is
+        appended to ``heartbeats``, to be answered after the batch."""
         for sub in submessages:
             if type(sub) is wire.Data:  # a run of one
                 pairs = self._pairs_for(sender_prefix, sub.writer_entity_id,
@@ -497,9 +499,8 @@ class DomainParticipant:
                     info = _tuple_new(SampleInfo, (pairs[0][1].writer_guid, sub.sequence,
                                                    sub.source_timestamp_ns, now,
                                                    sub.instance_handle))
-                    slot = (message if message is not None
-                            else wire.pack_data_message(sender_prefix, sub))
-                    self._deliver(pairs, [info], [slot], now_wall)
+                    self._deliver(pairs, [info],
+                                  [wire.pack_data_message(sender_prefix, sub)], now_wall)
             elif isinstance(sub, wire.Announce):
                 event = self.discovery.process_announce(
                     sub, sender_prefix, source, now,
@@ -523,7 +524,7 @@ class DomainParticipant:
                     self._route(writer.session.on_acknack(reader_guid, sub, now))
             else:  # HEARTBEAT, GAP or DIRECT
                 reader_entity_id, sub = sub if isinstance(sub, wire.Direct) else (0, sub)
-                if heartbeats is not None and type(sub) is wire.Heartbeat:
+                if type(sub) is wire.Heartbeat:
                     heartbeats.append((sender_prefix, reader_entity_id, sub))
                 else:
                     self._control(sender_prefix, reader_entity_id, sub, now, now_wall)
@@ -582,16 +583,15 @@ class DomainParticipant:
             plan = writer._send_plan = (self.discovery.epoch, local, tuple(addresses))
         return plan
 
-    def _publish(self, writer: DataWriter, data: wire.Data, message: bytes) -> None:
-        """Send a write's DATA by the writer's send plan: to this
-        participant's matched readers through the dispatch, as ``_send``
-        does, then to every other matched reader's address. Both take
-        ``message``, the datagram the writer packed and cached for it."""
+    def _publish(self, writer: DataWriter, message: bytes) -> None:
+        """Send a write's ``message``, the one-DATA datagram the writer
+        packed and cached for it, by the writer's send plan: to this
+        participant's matched readers as a received batch of one, as
+        ``_send`` does, then to every other matched reader's address."""
         _, local, addresses = self._plan(writer)
         if local:
-            self._dispatch((data,), self.guid.prefix, None,
-                           self.clock.monotonic_ns(), self.clock.wall_ns(),
-                           message=message)
+            self._receive([(message, None)], self.clock.monotonic_ns(),
+                          self.clock.wall_ns())
         if addresses:
             send = self.transport.send
             for address in addresses:
@@ -606,20 +606,23 @@ class DomainParticipant:
             self._send(sub, dest.prefix)
 
     def _send(self, sub, prefix: bytes) -> None:
-        """Send a submessage to the participant ``prefix`` names: through
-        the dispatch when it is this one, else to its address; a
-        submessage the encoder refuses is logged and dropped."""
-        if prefix == self.guid.prefix:
-            self._dispatch((sub,), prefix, None,
-                           self.clock.monotonic_ns(), self.clock.wall_ns())
+        """Send a submessage, encoded once, to the participant ``prefix``
+        names: to its address, or, when it is this one, as a received
+        batch of one. A submessage the encoder refuses is logged and
+        dropped, whichever participant it was for."""
+        local = prefix == self.guid.prefix
+        address = None if local else self.discovery.address_of(prefix)
+        if not local and address is None:
             return
-        address = self.discovery.address_of(prefix)
-        if address is not None:
-            try:
-                data = wire.encode_message(wire.WireMessage(self.guid.prefix, (sub,)))
-                self.transport.send(data, address)
-            except ValueError as exc:
-                log.warning("submessage not sent: %s", exc)
+        try:
+            data = wire.encode_message(wire.WireMessage(self.guid.prefix, (sub,)))
+        except ValueError as exc:
+            log.warning("submessage not sent: %s", exc)
+            return
+        if local:
+            self._receive([(data, None)], self.clock.monotonic_ns(), self.clock.wall_ns())
+        else:
+            self.transport.send(data, address)
 
     # ------------------------------------------------------------------
     # lifecycle

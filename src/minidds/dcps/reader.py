@@ -119,8 +119,9 @@ class DataReader(Endpoint):
     def _handle_data(self, session: ReaderSession, infos: list[SampleInfo],
                      slots: list, now_wall_ns: int) -> None:
         """Take a run of DATA from the session's writer: every DATA arrives
-        this way; one sent to this participant's own readers, or one among
-        other submessages, is a run of one. The session is asked once
+        this way; one alone in its received batch (a send to this
+        participant's own readers, say), or one among other submessages,
+        is a run of one. The session is asked once
         which DATA of the run are new and what to hand on (``on_run``):
         None for the whole run as it is, else the entries to hand on.
         ``infos`` holds each DATA's SampleInfo and ``slots`` one slot per

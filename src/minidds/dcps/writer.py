@@ -143,7 +143,7 @@ class DataWriter(Endpoint):
                     if self._deadlines.active:
                         self._deadlines.record(handle, clock.monotonic_ns())
                     self.samples_written += 1
-                    self.participant._publish(self, data, message)
+                    self.participant._publish(self, message)
                     return sequence
                 # Full keep-all cache: wait for acks to drain it.
                 now = clock.monotonic_ns()

@@ -145,12 +145,12 @@ class TestReaderHistory:
         assert len(history.take(10)) == 1
         assert history.take(10) == []
 
-    def test_ordering_spans_instances_by_handle(self):
+    def test_ordering_spans_instances_in_entry_order(self):
         history = self._history()
         history.insert(self._info(1, handle=9), self._sample(1))
         history.insert(self._info(2, handle=3), self._sample(2))
         handles = [info.instance_handle for _, info in history.read(10)]
-        assert handles == [3, 9]
+        assert handles == [9, 3]
 
     def test_same_sequence_keeps_arrival_order(self):
         history = self._history()

@@ -303,6 +303,45 @@ def test_an_acknack_the_encoder_refuses_is_logged_and_dropped(pair, monkeypatch,
     assert [s.values for s, _ in reader.take()] == [(4,)]
 
 
+def test_a_local_reliable_reader_exchanges_heartbeat_and_acknack_on_the_wire(
+        pair, monkeypatch):
+    """A RELIABLE reader on the writer's own participant is sent the
+    HEARTBEAT, and answers the ACKNACK, through the encoder and the
+    decoder, as a reader on another participant is."""
+    _, b, _, clock = pair
+    topic = b.create_topic("t", COUNTER)
+    reader = b.create_datareader(topic, RELIABLE)
+    writer = b.create_datawriter(topic, RELIABLE)
+    writer.write({"n": 1})
+    b.spin_once()  # the first HEARTBEAT and ACKNACK, and the announce
+    assert _values(reader) == [(1,)] and not writer.unacknowledged()
+    writer.write({"n": 2})
+    encoded, decoded = [], []
+    encode, decode = wire.encode_message, wire.decode_message
+
+    def encoding(message):
+        encoded.extend(message.submessages)
+        return encode(message)
+
+    def decoding(data):
+        message = decode(data)
+        decoded.extend(message.submessages)
+        return message
+
+    monkeypatch.setattr(wire, "encode_message", encoding)
+    monkeypatch.setattr(wire, "decode_message", decoding)
+    clock.advance(b.heartbeat_period_ns)
+    b.spin_once()
+    kinds = [type(sub) for sub in encoded]
+    assert kinds == [wire.Direct, wire.AckNack]
+    assert [type(sub) for sub in decoded] == kinds
+    assert type(decoded[0].inner) is wire.Heartbeat
+    assert decoded[0].reader_entity_id == reader.guid.entity_id
+    assert decoded[1].writer_guid == writer.guid
+    assert not writer.unacknowledged()
+    assert _values(reader) == [(2,)]
+
+
 def _reader(b, policies, topic=None):
     return b.create_datareader(topic or b.create_topic("t", COUNTER), RELIABLE + policies)
 
@@ -448,10 +487,18 @@ def test_each_drained_datagram_is_decoded_once(pair, monkeypatch):
     for n in range(5):
         writer.write({"n": n})
     rogue.send(b"MDDS", "B")  # malformed: decoded once, then counted
-    local.write({"n": 9})  # to a reader on B itself: not encoded, not decoded
+    # To a reader on B itself, received as a batch of one: its message is
+    # read once, at the write, and never decoded.
+    sequence = local.write({"n": 9})
+    assert calls == [local.history.by_seq[sequence].message]
+    calls.clear()
     queued = [data for data, _ in b.transport._queue]
     assert b.spin_once() == 6
-    assert calls == queued
+    assert calls[:6] == queued
+    # Then the local writer's HEARTBEAT to the reader on B and its ACKNACK,
+    # each decoded once, as a peer's are.
+    assert [type(decode(data).submessages[0]) for data in calls[6:]] == [
+        wire.Direct, wire.AckNack]
     assert len(reader.take()) == 6 and b.malformed_datagrams == 1
 
 
