@@ -4,7 +4,7 @@ from minidds.dcps.errors import (InconsistentTopicError, InvalidQosError,
                                  SampleTooLargeError, TransportUnavailableError)
 from minidds.dcps.guid import Guid, fresh_prefix
 from minidds.dcps.history import (InsertOutcome, ReaderHistory, ResourceLimitsError,
-                                  SampleInfo, WriterHistory, WriterSample)
+                                  SampleInfo, WriterHistory)
 from minidds.dcps.matching import (EndpointDescriptor, EndpointType, MatchRecord,
                                    NoMatch, RxoQos, match_endpoints)
 from minidds.dcps.participant import (DomainParticipant, Topic, create_participant)
@@ -32,7 +32,6 @@ __all__ = [
     "Topic",
     "TransportUnavailableError",
     "WriterHistory",
-    "WriterSample",
     "create_participant",
     "fresh_prefix",
     "match_endpoints",

@@ -43,22 +43,22 @@ def _per_instance_cap(history: qos.History, limits: qos.ResourceLimits) -> Optio
 # ---------------------------------------------------------------------------
 # Writer side
 
-class WriterSample(NamedTuple):
-    """One cached outgoing sample: one object, with no ``__dict__``.
-    ``message`` is the datagram the write sent, a message of this one
-    DATA (``wire.pack_data_message``); its payload starts at
-    ``wire.DATA_PAYLOAD_START``."""
-
-    sequence: int
-    instance_handle: int
-    message: bytes
-    source_timestamp_ns: int
-    expiry_wall_ns: int = qos.INFINITE_NS
+# (sequence, instance_handle, message, source_timestamp_ns, expiry_wall_ns)
+CachedSample = tuple[int, int, bytes, int, int]
 
 
 class WriterHistory:
     """Outgoing sample store; samples leave on ack release, keep-last
     eviction, expiry, or (keep-all) not at all until limits push back.
+
+    Each sample is cached as a ``CachedSample``, a plain tuple
+    ``(sequence, instance_handle, message, source_timestamp_ns,
+    expiry_wall_ns)``: ``message`` is the datagram the write sent, a
+    message of this one DATA (``wire.pack_data_message``), whose payload
+    starts at ``wire.DATA_PAYLOAD_START``, and ``expiry_wall_ns`` is
+    ``qos.INFINITE_NS`` for a sample that never expires. An exact tuple
+    of ints and bytes costs one allocation, and the collector untracks
+    it at its first pass, so a full cache adds nothing to later passes.
 
     Sequences must be inserted in increasing order, as the writer assigns
     them (``last_sequence + 1``). Every index keeps that order:
@@ -89,7 +89,7 @@ class WriterHistory:
         self._keep_last = history.kind == qos.HistoryKind.KEEP_LAST
         self._max_samples = limits.max_samples
         self._max_instances = limits.max_instances
-        self.by_seq: dict[int, WriterSample] = {}
+        self.by_seq: dict[int, CachedSample] = {}
         self.per_instance: dict[int, deque[int]] = {}
         self._order: list[int] = []
         self._head = 0
@@ -111,7 +111,7 @@ class WriterHistory:
             return False
         return self._max_samples is None or len(self.by_seq) < self._max_samples
 
-    def insert(self, sample: WriterSample) -> None:
+    def insert(self, sample: CachedSample) -> None:
         """Store a sample, evicting as keep-last asks. Raises
         ``ResourceLimitsError`` when there is no room (callers decide whether
         that blocks or errors)."""
@@ -161,7 +161,7 @@ class WriterHistory:
             if sample is not None:
                 # Every cached sequence below this one is gone, so it is
                 # the oldest of its instance.
-                handle = sample.instance_handle
+                handle = sample[1]  # instance_handle
                 bucket = per_instance[handle]
                 bucket.popleft()
                 if not bucket:
@@ -176,13 +176,15 @@ class WriterHistory:
         """Drop samples whose expiry is before ``now_wall_ns``."""
         if not self._finite_lifespan:
             return
-        expired = [s for s in self.by_seq.values() if s.expiry_wall_ns < now_wall_ns]
-        for sample in expired:
-            del self.by_seq[sample.sequence]
-            bucket = self.per_instance[sample.instance_handle]
-            bucket.remove(sample.sequence)
+        expired = [(sequence, handle)
+                   for sequence, handle, _, _, expiry in self.by_seq.values()
+                   if expiry < now_wall_ns]
+        for sequence, handle in expired:
+            del self.by_seq[sequence]
+            bucket = self.per_instance[handle]
+            bucket.remove(sequence)
             if not bucket:
-                del self.per_instance[sample.instance_handle]
+                del self.per_instance[handle]
         if expired:
             self._compact()
 
@@ -258,8 +260,11 @@ class ReaderHistory:
         self._order: deque[int] = deque()
         self.total = 0
 
-    def insert(self, info: SampleInfo, sample: Sample) -> InsertOutcome:
-        handle = info.instance_handle
+    def insert(self, pair: tuple[Sample, SampleInfo]) -> InsertOutcome:
+        """Cache a ``(sample, info)`` pair, the very object given, which
+        ``read`` and ``take`` hand out: the readers of one participant
+        pass the one pair they share per DATA."""
+        handle = pair[1].instance_handle
         entries = self.instances.get(handle)
         limits = self.limits
         if entries is None:
@@ -274,7 +279,7 @@ class ReaderHistory:
                 # Keep-last evicts the arriving instance's oldest entry:
                 # the arrival itself.
                 return InsertOutcome(True, None, True, 1)
-            self.instances[handle] = [(sample, info)]
+            self.instances[handle] = [pair]
             self._order.append(handle)
             self.total += 1
             return _ACCEPTED
@@ -284,7 +289,7 @@ class ReaderHistory:
                 # A full instance, or a full cache: the arrival replaces
                 # the instance's oldest entry, and the total is unchanged.
                 del entries[0]
-                entries.append((sample, info))
+                entries.append(pair)
                 return _REPLACED
         else:
             cap = self._cap
@@ -292,7 +297,7 @@ class ReaderHistory:
                 return InsertOutcome(False, "max_samples_per_instance")
             if limits.max_samples is not None and self.total >= limits.max_samples:
                 return InsertOutcome(False, "max_samples")
-        entries.append((sample, info))
+        entries.append(pair)
         self.total += 1
         return _ACCEPTED
 

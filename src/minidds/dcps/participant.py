@@ -56,22 +56,25 @@ any of it, and a reader whose session is no longer the entry's (a
 listener closed it mid-run) gets none of the rest. A listener may
 create or close a reader mid-dispatch; an entry is replaced only where
 a reader gains or loses a match with that writer. The readers of one
-DATA share its ``SampleInfo`` and its deserialized sample, both
-immutable: an endpoint takes only a ``Topic`` of this participant's
+DATA share one pair ``(sample, info)``, its deserialized sample and
+its ``SampleInfo``, all immutable, and each caches and hands out that
+very pair: an endpoint takes only a ``Topic`` of this participant's
 ``create_topic``, so the readers of one writer share one type. Each
 keeps its own session, ownership, time-filter and source-order state.
 
 Each DATA's bytes are held once. A run's payload slot holds the
 one-DATA datagram itself, and the first reader to accept the DATA
-decodes the payload in place at ``wire.DATA_PAYLOAD_START``; a DATA a
-reliable session holds behind a hole waits there as that datagram,
-undecoded. So every slot is a one-DATA message: a datagram of one DATA
-is its own slot (for a reader on this participant, the write's own
-message), and a DATA among other submessages is packed into one. The
-batch lets go of a drained datagram once read, and its slot
-once a reader has decoded it, so the receiver holds each DATA as its
-datagram or as its decoded sample, not both; over ``InProcNetwork`` the
-writer's cache, the queue and a held slot are one object.
+decodes the payload in place at ``wire.DATA_PAYLOAD_START`` and
+replaces the datagram by the pair; a DATA a reliable session holds
+behind a hole waits there as that datagram, undecoded, or as the pair
+another reader made. So every slot starts as a one-DATA message: a
+datagram of one DATA is its own slot (for a reader on this
+participant, the write's own message), and a DATA among other
+submessages is packed into one. The batch lets go of a drained
+datagram once read, and its slot once a reader has decoded it, so the
+receiver holds each DATA as its datagram or as its pair, not both;
+over ``InProcNetwork`` the writer's cache, the queue and a held slot
+are one object.
 
 Arrival is stamped once per drained batch: ``spin_once`` reads the
 clock right after the drain, when every datagram of the batch had
@@ -500,7 +503,7 @@ class DomainParticipant:
                                                    sub.source_timestamp_ns, now,
                                                    sub.instance_handle))
                     self._deliver(pairs, [info],
-                                  [wire.pack_data_message(sender_prefix, sub)], now_wall)
+                                  [wire.pack_data_message(sender_prefix, *sub)], now_wall)
             elif isinstance(sub, wire.Announce):
                 event = self.discovery.process_announce(
                     sub, sender_prefix, source, now,
@@ -555,7 +558,8 @@ class DomainParticipant:
         still the entry's: a reader closed mid-run gets none of the rest.
         The readers, all of one ``Topic`` and so of one type, share one
         slot per DATA, which holds the DATA's one-DATA message until the
-        first of them replaces it by its sample."""
+        first of them replaces it by the pair ``(sample, info)`` they all
+        cache."""
         writer_guid = infos[0].writer_guid
         for reader, session in pairs:
             if reader._sessions.get(writer_guid) is session:

@@ -33,7 +33,6 @@ from minidds import idl, qos
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import ReaderHistory, SampleInfo
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
-from minidds.idl import Sample
 from minidds.rtps import wire
 from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSession
 
@@ -129,9 +128,10 @@ class DataReader(Endpoint):
         which are all of this reader's topic and so of its type: a slot
         holds the DATA's one-DATA message, whose payload starts at
         ``wire.DATA_PAYLOAD_START``, until the first of them to accept
-        that DATA replaces it by the sample, or by None for a malformed
-        payload, so each payload is deserialized once per participant, in
-        place, held or not."""
+        that DATA replaces it by the pair ``(sample, info)``, or by None
+        for a malformed payload, so each payload is deserialized once per
+        participant, in place, held or not, and the readers of one
+        participant cache and hand out the very same pair."""
         entries = session.on_run(infos, slots)
         if entries is None:
             entries = zip(infos, repeat(slots), range(len(infos)))
@@ -159,8 +159,11 @@ class DataReader(Endpoint):
         ``NOT_NEW`` for a duplicate. Every DATA runs the same gauntlet: decoding,
         lifespan expiry, exclusive-ownership arbitration, time-based
         filtering, source-timestamp ordering, then history insertion and
-        listener notification, all as of ``now``. The pipeline's state
-        and bound methods are looked up once per call, and its four
+        listener notification, all as of ``now``. The first reader of
+        the participant to admit a DATA decodes its slot into the pair
+        ``(sample, info)``, and every reader inserts that pair as it is,
+        held behind a hole meanwhile or not. The pipeline's state and
+        bound methods are looked up once per call, and its four
         per-sample counters are kept in locals and added to ``stats`` at
         the end and before every listener call, so a listener reads them
         as of its sample. A listener that closes this reader, or
@@ -186,15 +189,15 @@ class DataReader(Endpoint):
                 duplicates += 1
                 continue
             received += 1
-            sample = slots[i]
-            if type(sample) is not Sample:
-                if sample is not None:
+            pair = slots[i]
+            if type(pair) is not tuple:
+                if pair is not None:
                     try:
-                        sample = deserialize(kind, sample, payload_start)
+                        pair = (deserialize(kind, pair, payload_start), info)
                     except idl.DecodeError:
-                        sample = None
-                    slots[i] = sample
-                if sample is None:
+                        pair = None
+                    slots[i] = pair
+                if pair is None:
                     stats.malformed_payloads += 1
                     continue
 
@@ -224,7 +227,7 @@ class DataReader(Endpoint):
                             and writer < last.writer_guid)):
                     stats.destination_order_dropped += 1
                     continue
-            outcome = insert(info, sample)
+            outcome = insert(pair)
             if not outcome.accepted:
                 stats.rejected_by_limits += 1
                 continue

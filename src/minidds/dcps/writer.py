@@ -8,7 +8,7 @@ from typing import Mapping, Optional, Union
 from minidds import idl, qos
 from minidds.dcps.errors import SampleTooLargeError
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import ResourceLimitsError, WriterHistory, WriterSample
+from minidds.dcps.history import ResourceLimitsError, WriterHistory
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
 from minidds.rtps import wire
 from minidds.rtps.reliability import WriterSession
@@ -21,10 +21,6 @@ MAX_PAYLOAD = wire.MAX_DATAGRAM - wire.DATA_PAYLOAD_START
 # CPython 3.11), so about 1.8 MiB per writer when full. Writing threads
 # that race past the check can each add one entry beyond it.
 MAX_INSTANCE_HANDLES = 16_384
-
-# Builds a record from a tuple of its fields without the Python-level
-# ``__new__`` that NamedTuple generates; twice per write.
-_tuple_new = tuple.__new__
 
 
 class DataWriter(Endpoint):
@@ -119,12 +115,12 @@ class DataWriter(Endpoint):
                 source_ts = (source_timestamp_ns if source_timestamp_ns is not None
                              else clock.wall_ns())
                 sequence = session.last_sequence + 1
-                # The write's one DATA, under the sequence on_write assigns,
-                # and its datagram: the cache keeps it, every matched
+                # The datagram of the write's one DATA, under the sequence
+                # on_write assigns: the cache keeps it, every matched
                 # participant is sent it, and a reader decodes the payload in it.
-                data = _tuple_new(wire.Data, (self.guid.entity_id, 0, sequence,
-                                              source_ts, handle, payload))
-                message = wire.pack_data_message(self.participant.guid.prefix, data)
+                message = wire.pack_data_message(
+                    self.participant.guid.prefix, self.guid.entity_id, 0, sequence,
+                    source_ts, handle, payload)
                 try:
                     # A sample nobody can ask for again is not cached at all.
                     if session.keeps_history:
@@ -133,8 +129,8 @@ class DataWriter(Endpoint):
                             expiry = source_ts + self._lifespan_ns
                         # Cached first, so a cache that refuses it leaves no
                         # sequence used.
-                        self.history.insert(_tuple_new(WriterSample, (
-                            sequence, handle, message, source_ts, expiry)))
+                        self.history.insert(
+                            (sequence, handle, message, source_ts, expiry))
                 except ResourceLimitsError:
                     if not (self._reliable and self._keep_all):
                         raise

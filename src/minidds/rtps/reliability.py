@@ -4,7 +4,7 @@ Sessions are transport-free state machines: every input carries ``now``
 (nanoseconds) and outputs are ``Directed`` submessages for the caller to
 route, each to the one reader named by its ``dest``. A write is the
 exception: ``on_write``, the one place that assigns a sequence, returns
-that sequence alone; the writer builds the write's DATA, and the
+that sequence alone; the writer frames the write's DATA, and the
 participant sends it to every matched reader in one pass.
 
 Writer side: ``keeps_history`` says whether a written sample can be sent
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import SampleInfo, WriterHistory, WriterSample
+from minidds.dcps.history import CachedSample, SampleInfo, WriterHistory
 from minidds.rtps import wire
 
 HEARTBEAT_PERIOD_NS = 50_000_000
@@ -164,16 +164,19 @@ class WriterSession:
 
     # -- write path ---------------------------------------------------
 
-    def _data_for(self, sample: WriterSample, reader_entity_id: int) -> wire.Data:
-        """A cached sample's DATA for one reader, a retransmission or a
-        late-joiner replay. Its payload is a view of the cached message,
-        so packing the DATA copies the payload bytes once."""
-        return wire.Data(self.writer_entity_id, reader_entity_id, sample.sequence,
-                         sample.source_timestamp_ns, sample.instance_handle,
-                         memoryview(sample.message)[wire.DATA_PAYLOAD_START:])
+    def _data_for(self, sample: CachedSample, reader_entity_id: int) -> wire.Data:
+        """A cached sample, the cache's tuple ``(sequence, instance_handle,
+        message, source_timestamp_ns, expiry_wall_ns)``, as a DATA for one
+        reader: a retransmission or a late-joiner replay. Its payload is a
+        view of the cached message, so packing the DATA copies the payload
+        bytes once."""
+        sequence, handle, message, source_ts, _ = sample
+        return wire.Data(self.writer_entity_id, reader_entity_id, sequence,
+                         source_ts, handle,
+                         memoryview(message)[wire.DATA_PAYLOAD_START:])
 
     def on_write(self) -> int:
-        """Assign and return the next sequence. Building and caching the
+        """Assign and return the next sequence. Framing and caching the
         write's DATA is the writer's part: it inserts the sample as
         ``last_sequence + 1`` first, while ``keeps_history`` holds, and
         calls this only once the cache took it. Nothing is released here:

@@ -221,15 +221,16 @@ def _oversized(size: int) -> ValueError:
     return ValueError(f"datagram of {size} bytes exceeds UDP limit")
 
 
-def pack_data_message(prefix: bytes, data: Data) -> bytes:
-    """A message of one DATA, the common datagram: its head (message
-    header, submessage header and DATA head) packed by one struct call,
-    then the payload. The inverse of ``read_data_message``.
+def pack_data_message(prefix: bytes, writer_eid: int, reader_eid: int, seq: int,
+                      ts: int, handle: int, payload: bytes) -> bytes:
+    """A message of one DATA, the common datagram, from the DATA's fields
+    in ``Data`` order: its head (message header, submessage header and
+    DATA head) packed by one struct call, then the payload. The inverse
+    of ``read_data_message``; a ``Data`` record packs as ``*data``.
 
     ``prefix`` must be the 12-byte sender prefix. It is not checked here,
     and struct pads or cuts one of another length, so a caller with an
     unchecked prefix goes through ``encode_message``, which refuses it."""
-    writer_eid, reader_eid, seq, ts, handle, payload = data
     length = _DATA_HEAD.size + len(payload)
     if length > 0xFFFF:
         raise ValueError("submessage body too large")
@@ -246,7 +247,7 @@ def encode_message(message: WireMessage) -> bytes:
     if len(prefix) != PREFIX_LEN:
         raise ValueError("sender prefix must be 12 bytes")
     if len(submessages) == 1 and type(submessages[0]) is Data:
-        return pack_data_message(prefix, submessages[0])
+        return pack_data_message(prefix, *submessages[0])
     if not submessages:
         raise ValueError("a message carries at least one submessage")
     out = b"".join([_HEADER_START, prefix, *map(_encode_submessage, submessages)])

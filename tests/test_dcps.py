@@ -10,7 +10,7 @@ from minidds.dcps.errors import (InconsistentTopicError, InvalidQosError,
                                  SampleTooLargeError)
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import (ReaderHistory, ResourceLimitsError, SampleInfo,
-                                  WriterHistory, WriterSample)
+                                  WriterHistory)
 from minidds.dcps.participant import DomainParticipant, Topic
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
@@ -46,9 +46,9 @@ class TestWriterHistory:
     def test_keep_last_evicts_oldest_per_instance(self):
         history = self._history(qos.HistoryKind.KEEP_LAST, depth=2)
         for seq, handle in ((1, 7), (2, 7), (3, 8)):
-            history.insert(WriterSample(seq, handle, b"", 0))
+            history.insert((seq, handle, b"", 0, qos.INFINITE_NS))
         assert sorted(history.by_seq) == [1, 2, 3]
-        history.insert(WriterSample(4, 7, b"", 0))
+        history.insert((4, 7, b"", 0, qos.INFINITE_NS))
         assert sorted(history.by_seq) == [2, 3, 4]  # 1 evicted, instance 8 untouched
 
     def test_release_after_eviction_emptied_the_instance(self):
@@ -56,8 +56,8 @@ class TestWriterHistory:
         # inserted sequence must still land in the index so a later
         # acknowledgment can release it.
         history = self._history(qos.HistoryKind.KEEP_LAST, depth=1)
-        history.insert(WriterSample(1, 0, b"", 0))
-        history.insert(WriterSample(2, 0, b"", 0))
+        history.insert((1, 0, b"", 0, qos.INFINITE_NS))
+        history.insert((2, 0, b"", 0, qos.INFINITE_NS))
         assert sorted(history.by_seq) == [2]
         assert {h: list(seqs) for h, seqs in history.per_instance.items()} == {0: [2]}
         assert history.release(2) == [2]
@@ -65,29 +65,29 @@ class TestWriterHistory:
 
     def test_keep_all_refuses_past_instance_cap(self):
         history = self._history(max_samples_per_instance=2)
-        history.insert(WriterSample(1, 7, b"", 0))
-        history.insert(WriterSample(2, 7, b"", 0))
+        history.insert((1, 7, b"", 0, qos.INFINITE_NS))
+        history.insert((2, 7, b"", 0, qos.INFINITE_NS))
         assert not history.has_room(7)
         assert history.has_room(8)
         with pytest.raises(ResourceLimitsError):
-            history.insert(WriterSample(3, 7, b"", 0))
+            history.insert((3, 7, b"", 0, qos.INFINITE_NS))
 
     def test_max_instances(self):
         history = self._history(max_instances=1)
-        history.insert(WriterSample(1, 7, b"", 0))
+        history.insert((1, 7, b"", 0, qos.INFINITE_NS))
         assert not history.has_room(8)
 
     def test_release_drops_acknowledged(self):
         history = self._history()
         for seq in (1, 2, 3):
-            history.insert(WriterSample(seq, 0, b"", 0))
+            history.insert((seq, 0, b"", 0, qos.INFINITE_NS))
         assert sorted(history.release(2)) == [1, 2]
         assert sorted(history.by_seq) == [3]
 
     def test_expire_by_wall_clock(self):
         history = self._history()
-        history.insert(WriterSample(1, 0, b"", 0, expiry_wall_ns=50))
-        history.insert(WriterSample(2, 0, b"", 0, expiry_wall_ns=200))
+        history.insert((1, 0, b"", 0, 50))
+        history.insert((2, 0, b"", 0, 200))
         history.expire(now_wall_ns=100)
         assert sorted(history.by_seq) == [2]
         assert {h: list(seqs) for h, seqs in history.per_instance.items()} == {0: [2]}
@@ -106,7 +106,7 @@ class TestReaderHistory:
     def test_keep_last_keeps_newest_arrivals(self):
         history = self._history(qos.HistoryKind.KEEP_LAST, depth=2)
         for seq in (1, 3, 2):
-            outcome = history.insert(self._info(seq), self._sample(seq))
+            outcome = history.insert((self._sample(seq), self._info(seq)))
             assert outcome.accepted
         assert history.total == 2
         kept = [info.sequence for _, info in history.read(10)]
@@ -114,31 +114,31 @@ class TestReaderHistory:
 
     def test_late_sample_evicts_the_oldest_arrival(self):
         history = self._history(qos.HistoryKind.KEEP_LAST, depth=2)
-        history.insert(self._info(5), self._sample(5))
-        history.insert(self._info(6), self._sample(6))
-        outcome = history.insert(self._info(1), self._sample(1))
+        history.insert((self._sample(5), self._info(5)))
+        history.insert((self._sample(6), self._info(6)))
+        outcome = history.insert((self._sample(1), self._info(1)))
         assert outcome.accepted and not outcome.evicted_arriving
         assert outcome.evicted_count == 1
         assert [info.sequence for _, info in history.read(10)] == [6, 1]
 
     def test_keep_all_rejections_are_reported(self):
         history = self._history(max_samples_per_instance=1)
-        assert history.insert(self._info(1), self._sample(1)).accepted
-        outcome = history.insert(self._info(2), self._sample(2))
+        assert history.insert((self._sample(1), self._info(1))).accepted
+        outcome = history.insert((self._sample(2), self._info(2)))
         assert (outcome.accepted, outcome.reason) == (False, "max_samples_per_instance")
         capped = self._history(max_samples=1)
-        capped.insert(self._info(1, handle=1), self._sample(1))
-        assert capped.insert(self._info(1, handle=2),
-                             self._sample(1)).reason == "max_samples"
+        capped.insert((self._sample(1), self._info(1, handle=1)))
+        assert capped.insert((self._sample(1),
+                              self._info(1, handle=2))).reason == "max_samples"
         strict = self._history(max_instances=1)
-        strict.insert(self._info(1, handle=1), self._sample(1))
-        assert strict.insert(self._info(1, handle=2),
-                             self._sample(1)).reason == "max_instances"
+        strict.insert((self._sample(1), self._info(1, handle=1)))
+        assert strict.insert((self._sample(1),
+                              self._info(1, handle=2))).reason == "max_instances"
 
     def test_read_keeps_take_removes(self):
         history = self._history()
         for seq in (1, 2):
-            history.insert(self._info(seq), self._sample(seq))
+            history.insert((self._sample(seq), self._info(seq)))
         assert len(history.read(10)) == 2
         assert len(history.read(10)) == 2
         assert len(history.take(1)) == 1
@@ -147,15 +147,15 @@ class TestReaderHistory:
 
     def test_ordering_spans_instances_in_entry_order(self):
         history = self._history()
-        history.insert(self._info(1, handle=9), self._sample(1))
-        history.insert(self._info(2, handle=3), self._sample(2))
+        history.insert((self._sample(1), self._info(1, handle=9)))
+        history.insert((self._sample(2), self._info(2, handle=3)))
         handles = [info.instance_handle for _, info in history.read(10)]
         assert handles == [9, 3]
 
     def test_same_sequence_keeps_arrival_order(self):
         history = self._history()
-        history.insert(self._info(1, guid=GUID_B), self._sample(2))
-        history.insert(self._info(1, guid=GUID_A), self._sample(1))
+        history.insert((self._sample(2), self._info(1, guid=GUID_B)))
+        history.insert((self._sample(1), self._info(1, guid=GUID_A)))
         assert _values(history.read(10)) == [(2,), (1,)]
 
 
@@ -612,9 +612,9 @@ class TestFanOut:
             packed.extend(message.submessages)
             return original(message)
 
-        def counting_pack(prefix, data):
-            packed.append(data)
-            return pack(prefix, data)
+        def counting_pack(prefix, *fields):
+            packed.append(wire.Data(*fields))
+            return pack(prefix, *fields)
 
         monkeypatch.setattr(wire, "encode_message", counting)
         monkeypatch.setattr(wire, "pack_data_message", counting_pack)
@@ -765,9 +765,9 @@ class TestSameParticipantReliable:
             packed.extend(message.submessages)
             return original(message)
 
-        def counting_pack(prefix, data):
-            packed.append(data)
-            return pack(prefix, data)
+        def counting_pack(prefix, *fields):
+            packed.append(wire.Data(*fields))
+            return pack(prefix, *fields)
 
         monkeypatch.setattr(wire, "encode_message", counting)
         monkeypatch.setattr(wire, "pack_data_message", counting_pack)

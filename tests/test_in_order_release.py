@@ -263,7 +263,7 @@ def test_a_resent_data_is_the_cached_datagram_for_its_reader(pair):
     b.spin_once()  # ACKNACK for 2
     a.spin_once()  # resends 2
     (resent, _), = b.transport._queue
-    cached = writer.history.by_seq[2].message
+    _, _, cached, _, _ = writer.history.by_seq[2]  # its message
     head = list(wire.read_data_message(cached))
     head[2] = reader.guid.entity_id  # the reader entity id, 0 in the write
     assert wire.read_data_message(resent) == tuple(head)

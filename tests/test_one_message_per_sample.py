@@ -9,6 +9,11 @@ readers hands over the write's message, and a DATA that did not come as
 one (a late-joiner replay to a local reader, a datagram of several
 submessages) is packed into one. Each is still decoded once per
 participant, and a malformed payload still counts on every reader.
+
+The first reader of a participant to accept a DATA puts the pair
+``(sample, info)`` in its slot, and every reader of the participant
+caches and hands out that very pair, also one that held the DATA
+behind a hole until a repair.
 """
 
 import tracemalloc
@@ -26,6 +31,8 @@ COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
 BLOB = idl.parse_idl("struct Blob { string s; };")[0]
 RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
             qos.History(qos.HistoryKind.KEEP_ALL)]
+BEST_EFFORT = [qos.Reliability(qos.ReliabilityKind.BEST_EFFORT),
+               qos.History(qos.HistoryKind.KEEP_ALL)]
 DURABLE = RELIABLE + [qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)]
 
 
@@ -36,6 +43,12 @@ def _spin(*participants):
 
 def _values(reader):
     return [sample.values for sample, _ in reader.take()]
+
+
+def _message(writer, sequence):
+    """The message the writer caches for ``sequence``: the third item of
+    its cached record."""
+    return writer.history.by_seq[sequence][2]
 
 
 @pytest.fixture
@@ -101,7 +114,7 @@ def test_a_written_burst_is_held_once(pair):
     assert queued > 200 * 20_000
     assert held < 1.2 * queued
     cached = writer.history.by_seq
-    assert all(cached[seq].message is data for seq, (data, _) in zip(cached, queue))
+    assert all(_message(writer, seq) is data for seq, (data, _) in zip(cached, queue))
 
 
 def test_what_waits_behind_a_hole_adds_no_copy(pair):
@@ -123,8 +136,7 @@ def test_what_waits_behind_a_hole_adds_no_copy(pair):
     session = reader._sessions[writer.guid]
     assert len(session.held) == 199 and reader.take() == []
     assert after - before < 0.05 * queued
-    cached = writer.history.by_seq
-    assert all(slots[i] is cached[info.sequence].message
+    assert all(slots[i] is _message(writer, info.sequence)
                for info, slots, i in session.held.values())
     clock.advance(HEARTBEAT_PERIOD_NS)
     _spin(a, b, a, b)  # HEARTBEAT, ACKNACK, the repair
@@ -141,7 +153,7 @@ def test_a_same_participant_reader_decodes_the_writers_message(pair, decoded):
     readers = [a.create_datareader(topic, RELIABLE), a.create_datareader(topic, RELIABLE)]
     writer = a.create_datawriter(topic, RELIABLE)
     sequence = writer.write({"n": -1})
-    message = writer.history.by_seq[sequence].message
+    message = _message(writer, sequence)
     assert decoded == [(COUNTER, message, wire.DATA_PAYLOAD_START)]
     assert [_values(r) for r in readers] == [[(-1,)], [(-1,)]]
 
@@ -175,11 +187,10 @@ def test_a_late_joiner_is_replayed_from_the_cached_messages(pair, decoded, where
     assert [_values(r) for r in readers] == [[(10,), (20,), (30,)]] * 2
     # Each reader is replayed the DATA addressed to it, and each is decoded once.
     assert [d for d, _, _ in decoded] == [COUNTER] * 6
-    cached = writer.history.by_seq
     for (_, data, start), seq in zip(decoded, (1, 2, 3) * 2):
         # A new message, with the cached one's payload.
         assert start == wire.DATA_PAYLOAD_START
-        assert data[start:] == cached[seq].message[start:]
+        assert data[start:] == _message(writer, seq)[start:]
         assert wire.read_data_message(data)[2] != 0
 
 
@@ -198,5 +209,62 @@ def test_a_datagram_of_several_data_is_decoded_once_per_participant(pair, net, d
     assert [d for d, _, _ in decoded] == [COUNTER, COUNTER]
     for _, data, start in decoded:
         assert start == wire.DATA_PAYLOAD_START and wire.read_data_message(data) is not None
-    assert [_values(r) for r in readers] == [[(7,)], [(7,)], [(7,)]]
+    taken = [r.take() for r in readers]
+    assert [[s.values for s, _ in t] for t in taken] == [[(7,)], [(7,)], [(7,)]]
+    assert taken[0][0] is taken[1][0] is taken[2][0]
     assert [r.statistics().malformed_payloads for r in readers] == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# One (sample, info) pair per DATA and participant
+
+@pytest.mark.parametrize("where", ["local", "remote"])
+def test_the_readers_of_one_participant_take_identical_pairs(pair, decoded, where):
+    """A RELIABLE and a BEST_EFFORT reader, on the writer's participant
+    or on another, take each DATA as the same object."""
+    a, b, _ = pair
+    writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE)
+    host = a if where == "local" else b
+    topic = host.create_topic("t", COUNTER)
+    readers = [host.create_datareader(topic, RELIABLE),
+               host.create_datareader(topic, BEST_EFFORT)]
+    _spin(a, b, a, b)
+    assert all(r.matched_writers() == [writer.guid] for r in readers)
+    for n in range(5):
+        writer.write({"n": n})
+    _spin(b)
+    first, second = (r.take() for r in readers)
+    assert [s.values for s, _ in first] == [(n,) for n in range(5)]
+    assert len(second) == 5 and all(x is y for x, y in zip(first, second))
+    assert len(decoded) == 5
+
+
+def test_a_reader_repaired_behind_a_hole_gets_the_pair_another_made(pair, decoded):
+    """DATA 1 is lost. B's RELIABLE reader holds DATA 2 and 3 behind the
+    hole, undecoded, while B's BEST_EFFORT reader, created after it,
+    decodes them on arrival; the repair hands the RELIABLE reader the
+    very pairs the other one made, with the written values, and only
+    DATA 1 is decoded again."""
+    a, b, clock = pair
+    writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE)
+    topic = b.create_topic("t", COUNTER)
+    held_back = b.create_datareader(topic, RELIABLE)
+    eager = b.create_datareader(topic, BEST_EFFORT)
+    _spin(a, b, a, b)
+    assert [r.matched_writers() for r in (held_back, eager)] == [[writer.guid]] * 2
+    assert not b.transport._queue
+    for n in (10, 20, 30):
+        writer.write({"n": n})
+    b.transport._queue.popleft()  # DATA 1
+    _spin(b)
+    assert sorted(held_back._sessions[writer.guid].held) == [2, 3]
+    assert held_back.take() == []
+    early = eager.take()
+    assert [s.values for s, _ in early] == [(20,), (30,)]
+    assert len(decoded) == 2
+    clock.advance(HEARTBEAT_PERIOD_NS)
+    _spin(a, b, a, b)  # HEARTBEAT, ACKNACK, the repair
+    repaired = held_back.take()
+    assert [s.values for s, _ in repaired] == [(10,), (20,), (30,)]
+    assert repaired[1] is early[0] and repaired[2] is early[1]
+    assert len(decoded) == 3

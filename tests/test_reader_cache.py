@@ -7,7 +7,8 @@ entered the cache and sorts each one. Seeded random interleavings of
 arrivals in order, reordered and from two writers, and of reads and
 takes of every size, must give the same outcomes, totals and samples
 from both: the instances in entry order, each in arrival order,
-whatever the handles and sequence numbers.
+whatever the handles and sequence numbers. Both hand out the very
+``(sample, info)`` pairs they were given.
 """
 
 import random
@@ -26,9 +27,12 @@ HANDLES = [0, 3, 2**63 + 5, 11]
 
 @dataclass(slots=True)
 class CachedSample:
-    info: SampleInfo
-    sample: idl.Sample
+    pair: tuple[idl.Sample, SampleInfo]
     arrival_index: int
+
+    @property
+    def info(self) -> SampleInfo:
+        return self.pair[1]
 
     def order_key(self):
         return self.arrival_index
@@ -51,8 +55,8 @@ class _ReferenceHistory:
         self._arrival_counter = 0
         self.total = 0
 
-    def insert(self, info: SampleInfo, sample: idl.Sample) -> InsertOutcome:
-        handle = info.instance_handle
+    def insert(self, pair: tuple[idl.Sample, SampleInfo]) -> InsertOutcome:
+        handle = pair[1].instance_handle
         samples = self.instances.get(handle)
         if samples is None:
             if (self.limits.max_instances is not None
@@ -66,7 +70,7 @@ class _ReferenceHistory:
             if self.limits.max_samples is not None and self.total >= self.limits.max_samples:
                 return InsertOutcome(False, "max_samples")
         self.instances[handle] = samples
-        entry = CachedSample(info, sample, self._arrival_counter)
+        entry = CachedSample(pair, self._arrival_counter)
         self._arrival_counter += 1
         samples.append(entry)
         self.total += 1
@@ -100,7 +104,7 @@ class _ReferenceHistory:
         return entries
 
     def read(self, max_samples: int):
-        return [(e.sample, e.info) for e in self._ordered()[:max_samples]]
+        return [e.pair for e in self._ordered()[:max_samples]]
 
     def take(self, max_samples: int):
         taken = self._ordered()[:max_samples]
@@ -110,7 +114,7 @@ class _ReferenceHistory:
             if not samples:
                 del self.instances[entry.info.instance_handle]
             self.total -= 1
-        return [(e.sample, e.info) for e in taken]
+        return [e.pair for e in taken]
 
 
 CONFIGS = [
@@ -184,7 +188,8 @@ def test_matches_the_brute_force_reference(config, seed):
         roll = rng.random()
         if roll < 0.75:
             info, sample = arrivals.next()
-            got, want = ours.insert(info, sample), reference.insert(info, sample)
+            pair = (sample, info)
+            got, want = ours.insert(pair), reference.insert(pair)
             assert got._asdict() == want._asdict(), f"step {step}: insert of {info}"
             in_place += got is _REPLACED
         else:
@@ -193,6 +198,8 @@ def test_matches_the_brute_force_reference(config, seed):
             got = getattr(ours, op)(max_samples)
             want = getattr(reference, op)(max_samples)
             assert got == want, f"step {step}: {op}({max_samples})"
+            # The very pairs inserted are handed out, not copies.
+            assert all(a is b for a, b in zip(got, want)), f"step {step}: {op}"
         assert ours.total == reference.total, f"step {step}"
     keep_last = history_policy.kind == qos.HistoryKind.KEEP_LAST
     assert (in_place > 0) == keep_last
@@ -207,11 +214,11 @@ def test_a_rejected_sample_leaves_no_empty_instance():
     guid = WRITERS[0]
     sample = idl.Sample("Reading", (0,))
     for seq in (1, 2):
-        assert history.insert(SampleInfo(guid, seq, 0, 0, 1), sample).accepted
-    refused = history.insert(SampleInfo(guid, 3, 0, 0, 2), sample)
+        assert history.insert((sample, SampleInfo(guid, seq, 0, 0, 1))).accepted
+    refused = history.insert((sample, SampleInfo(guid, 3, 0, 0, 2)))
     assert (refused.accepted, refused.reason) == (False, "max_samples")
     assert len(history.take(1)) == 1
-    assert history.insert(SampleInfo(guid, 4, 0, 0, 3), sample).accepted
+    assert history.insert((sample, SampleInfo(guid, 4, 0, 0, 3))).accepted
     assert [info.instance_handle for _, info in history.read(10)] == [1, 3]
 
 
@@ -221,9 +228,9 @@ def test_keep_last_one_replaces_in_place():
     history = ReaderHistory(qos.History(qos.HistoryKind.KEEP_LAST, 1), qos.ResourceLimits())
     guid = WRITERS[0]
     for seq in range(1, 5):
-        outcome = history.insert(SampleInfo(guid, seq, 0, 0, 9), idl.Sample("Reading", (seq,)))
+        outcome = history.insert((idl.Sample("Reading", (seq,)), SampleInfo(guid, seq, 0, 0, 9)))
         assert (outcome.accepted, outcome.evicted_count) == (True, int(seq > 1))
-    late = history.insert(SampleInfo(guid, 2, 0, 0, 9), idl.Sample("Reading", (2,)))
+    late = history.insert((idl.Sample("Reading", (2,)), SampleInfo(guid, 2, 0, 0, 9)))
     assert late is _REPLACED
     assert [info.sequence for _, info in history.take(5)] == [2]
     assert history.total == 0 and history.read(5) == []
@@ -236,8 +243,8 @@ def test_equal_sequence_and_writer_keep_arrival_order():
     history = ReaderHistory(qos.History(qos.HistoryKind.KEEP_ALL), qos.ResourceLimits())
     guid = WRITERS[0]
     for seq, value in ((3, "first"), (3, "second"), (5, "newer"), (3, "third")):
-        assert history.insert(SampleInfo(guid, seq, 0, 0, 1),
-                              idl.Sample("Reading", (value,))).accepted
+        assert history.insert((idl.Sample("Reading", (value,)),
+                               SampleInfo(guid, seq, 0, 0, 1))).accepted
     taken = history.take(10)
     assert [sample.values[0] for sample, _ in taken] == ["first", "second", "newer", "third"]
 
@@ -249,8 +256,8 @@ def _handed_out(items):
 def _filled(history: ReaderHistory, arrivals) -> ReaderHistory:
     """``history`` after one arrival per ``(handle, value)``, in order."""
     for seq, (handle, value) in enumerate(arrivals, 1):
-        assert history.insert(SampleInfo(WRITERS[0], seq, 0, 0, handle),
-                              idl.Sample("Reading", (value,))).accepted
+        assert history.insert((idl.Sample("Reading", (value,)),
+                               SampleInfo(WRITERS[0], seq, 0, 0, handle))).accepted
     return history
 
 
@@ -327,7 +334,7 @@ def test_take_stays_flat_over_one_large_instance():
     sample = idl.Sample("Reading", (0,))
     for seq in range(1, n + 1):
         budget.check("caching", seq)
-        assert history.insert(SampleInfo(WRITERS[0], seq, 0, 0, 4), sample).accepted
+        assert history.insert((sample, SampleInfo(WRITERS[0], seq, 0, 0, 4))).accepted
     taken = _drain(history, n, budget)
     assert [info.sequence for info in taken] == list(range(1, n + 1))
 
@@ -347,7 +354,7 @@ def test_take_stays_flat_over_many_instances(size):
     sample = idl.Sample("Reading", (0,))
     for i, handle in enumerate(handles + handles):
         budget.check("caching", i)
-        history.insert(SampleInfo(WRITERS[0], i + 1, 0, 0, handle), sample)
+        history.insert((sample, SampleInfo(WRITERS[0], i + 1, 0, 0, handle)))
     taken = _drain(history, n, budget, size)
     assert [info.instance_handle for info in taken] == handles
     assert all(info.sequence > n for info in taken)
@@ -371,17 +378,17 @@ def test_read_and_take_stay_flat_between_new_instances():
     sample = idl.Sample("Reading", (0,))
     for i, handle in enumerate(handles[:n]):
         budget.check("caching", i)
-        history.insert(SampleInfo(WRITERS[0], i + 1, 0, 0, handle), sample)
+        history.insert((sample, SampleInfo(WRITERS[0], i + 1, 0, 0, handle)))
     for i, handle in enumerate(handles[n:n + reads]):
         budget.check("reading", i)
-        history.insert(SampleInfo(WRITERS[0], n + i + 1, 0, 0, handle), sample)
+        history.insert((sample, SampleInfo(WRITERS[0], n + i + 1, 0, 0, handle)))
         [(_, info)] = history.read(1)
         assert info.instance_handle == handles[0]
     budget.check("reading", reads)
     # Every handle enters once, so entry order is the order of ``handles``.
     for i, handle in enumerate(handles[n + reads:]):
         budget.check("taking", i * 64)
-        history.insert(SampleInfo(WRITERS[0], n + reads + i + 1, 0, 0, handle), sample)
+        history.insert((sample, SampleInfo(WRITERS[0], n + reads + i + 1, 0, 0, handle)))
         got = history.take(64)
         assert [info.instance_handle for _, info in got] == handles[i * 64:(i + 1) * 64]
     budget.check("taking", takes * 64)

@@ -49,8 +49,8 @@ def _check(arrivals: list[tuple[int, Guid]]) -> None:
         history = ReaderHistory(policy, qos.ResourceLimits())
         reference: list = []
         for tag, (sequence, writer) in enumerate(arrivals):
-            outcome = history.insert(SampleInfo(writer, sequence, 0, 0, HANDLE),
-                                     idl.Sample("Tagged", (tag,)))
+            outcome = history.insert((idl.Sample("Tagged", (tag,)),
+                                      SampleInfo(writer, sequence, 0, 0, HANDLE)))
             evicted = reference_place(reference, (sequence, writer), tag, depth)
             assert outcome.accepted and not outcome.evicted_arriving
             assert outcome.evicted_count == evicted

@@ -490,7 +490,8 @@ def test_each_drained_datagram_is_decoded_once(pair, monkeypatch):
     # To a reader on B itself, received as a batch of one: its message is
     # read once, at the write, and never decoded.
     sequence = local.write({"n": 9})
-    assert calls == [local.history.by_seq[sequence].message]
+    _, _, message, _, _ = local.history.by_seq[sequence]
+    assert calls == [message]
     calls.clear()
     queued = [data for data, _ in b.transport._queue]
     assert b.spin_once() == 6

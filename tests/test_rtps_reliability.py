@@ -2,7 +2,7 @@
 
 from minidds import qos
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import WriterHistory, WriterSample
+from minidds.dcps.history import WriterHistory
 from minidds.rtps import wire
 from minidds.rtps.reliability import (BestEffortReaderSession, Directed,
                                       ReliableReaderSession, WriterSession)
@@ -26,9 +26,9 @@ def _write(history, session, sequence, handle=0):
     assert sequence == session.last_sequence + 1
     payload, stamp = b"p%d" % sequence, sequence * 10
     if session.keeps_history:
-        message = wire.pack_data_message(b"\x00" * 12, wire.Data(
-            session.writer_entity_id, 0, sequence, stamp, handle, payload))
-        history.insert(WriterSample(sequence, handle, message, stamp))
+        message = wire.pack_data_message(b"\x00" * 12, session.writer_entity_id, 0,
+                                         sequence, stamp, handle, payload)
+        history.insert((sequence, handle, message, stamp, qos.INFINITE_NS))
     return session.on_write()
 
 
@@ -76,7 +76,7 @@ class TestWriterSession:
         assert out[0].dest == READER_A
         assert out[0].submessage.reader_entity_id == 21
         # The resent payload is a view of the cached message, not a copy.
-        assert out[0].submessage.payload.obj is history.by_seq[2].message
+        assert out[0].submessage.payload.obj is history.by_seq[2][2]  # its message
         assert out[0].submessage.payload == b"p2"
         # Asking again inside the response delay is suppressed.
         assert session.on_acknack(READER_A, nack, now_ns=12 * MS) == []

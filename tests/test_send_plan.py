@@ -142,9 +142,9 @@ def test_a_local_reader_matched_mid_stream_shares_the_remote_encode(fx, monkeypa
         packed.extend(message.submessages)
         return original(message)
 
-    def counting_pack(prefix, data):
-        packed.append(data)
-        return pack(prefix, data)
+    def counting_pack(prefix, *fields):
+        packed.append(wire.Data(*fields))
+        return pack(prefix, *fields)
 
     monkeypatch.setattr(wire, "encode_message", counting)
     monkeypatch.setattr(wire, "pack_data_message", counting_pack)

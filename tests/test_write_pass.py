@@ -55,7 +55,7 @@ BOUNDARY = [
 
 @pytest.mark.parametrize("data", BOUNDARY)
 def test_the_packer_writes_the_documented_layout(data):
-    packed = wire.pack_data_message(PREFIX, data)
+    packed = wire.pack_data_message(PREFIX, *data)
     assert packed == _golden(PREFIX, data)
     assert packed == wire.encode_message(wire.WireMessage(PREFIX, (data,)))
     assert len(packed) == wire.DATA_PAYLOAD_START + len(data.payload)
@@ -63,14 +63,14 @@ def test_the_packer_writes_the_documented_layout(data):
 
 @pytest.mark.parametrize("data", BOUNDARY)
 def test_read_data_message_reads_every_packed_field_back(data):
-    packed = wire.pack_data_message(PREFIX, data)
+    packed = wire.pack_data_message(PREFIX, *data)
     assert wire.read_data_message(packed) == (PREFIX, *data[:5])
     assert packed[wire.DATA_PAYLOAD_START:] == data.payload
     assert wire.decode_message(packed) == wire.WireMessage(PREFIX, (data,))
 
 
 def test_the_largest_payload_fills_the_largest_datagram():
-    packed = wire.pack_data_message(PREFIX, wire.Data(1, 0, 1, 0, 0, bytes(MAX_PAYLOAD)))
+    packed = wire.pack_data_message(PREFIX, 1, 0, 1, 0, 0, bytes(MAX_PAYLOAD))
     assert len(packed) == wire.MAX_DATAGRAM == 65_507
 
 
@@ -82,7 +82,7 @@ def test_the_largest_payload_fills_the_largest_datagram():
 def test_the_packer_and_the_encoder_refuse_alike(size, message):
     data = wire.Data(1, 0, 1, 0, 0, bytes(size))
     with pytest.raises(ValueError) as packed:
-        wire.pack_data_message(PREFIX, data)
+        wire.pack_data_message(PREFIX, *data)
     with pytest.raises(ValueError) as encoded:
         wire.encode_message(wire.WireMessage(PREFIX, (data,)))
     assert str(packed.value) == str(encoded.value) == message
@@ -94,10 +94,10 @@ def test_the_packer_and_the_encoder_refuse_alike(size, message):
 @pytest.mark.parametrize("reliability, cached", [
     (qos.ReliabilityKind.RELIABLE, 1), (qos.ReliabilityKind.BEST_EFFORT, 0)])
 def test_a_write_runs_each_stage_once(monkeypatch, reliability, cached):
-    """Serialize, key hash and sequence once per write; the cache is
-    asked once (``insert``, which checks ``has_room`` itself) when the
-    writer caches, and not at all when it does not. Every stage is
-    looked up at call time, so a wrapper installed after set-up sees it."""
+    """Serialize, key hash, sequence and framing once per write; the
+    cache is asked once (``insert``, which checks ``has_room`` itself)
+    when the writer caches, and not at all when it does not. Every stage
+    is looked up at call time, so a wrapper installed after set-up sees it."""
     from minidds.dcps.history import WriterHistory
     from minidds.rtps.reliability import WriterSession
 
@@ -105,6 +105,7 @@ def test_a_write_runs_each_stage_once(monkeypatch, reliability, cached):
     pair = _Pair(ManualClock(1_000 * MS), KEYED, endpoint_qos, endpoint_qos)
     calls = []
     for owner, name in ((idl, "serialize"), (idl, "key_hash"), (WriterSession, "on_write"),
+                        (wire, "pack_data_message"),
                         (WriterHistory, "insert"), (WriterHistory, "has_room")):
         def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
@@ -112,7 +113,8 @@ def test_a_write_runs_each_stage_once(monkeypatch, reliability, cached):
         monkeypatch.setattr(owner, name, counting)
     try:
         assert pair.writer.write({"id": 1, "v": 1}) == 1
-        assert sorted(calls) == sorted(["serialize", "key_hash", "on_write"]
+        assert sorted(calls) == sorted(["serialize", "key_hash", "on_write",
+                                        "pack_data_message"]
                                        + ["insert", "has_room"] * cached)
         assert len(pair.sent) == 1
     finally:

@@ -15,7 +15,7 @@ import pytest
 
 from minidds import qos
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import ResourceLimitsError, WriterHistory, WriterSample
+from minidds.dcps.history import CachedSample, ResourceLimitsError, WriterHistory
 from minidds.rtps import wire
 from minidds.rtps.reliability import (HEARTBEAT_PERIOD_NS, RESPONSE_DELAY_NS,
                                       Directed, WriterSession)
@@ -44,13 +44,13 @@ class _ReferenceHistory:
         self.cap = limits.max_samples_per_instance
         if self.keep_last:
             self.cap = history.depth if self.cap is None else min(history.depth, self.cap)
-        self.by_seq: dict[int, WriterSample] = {}
+        self.by_seq: dict[int, CachedSample] = {}
         self.released: list[int] = []
 
     def per_instance(self) -> dict[int, list[int]]:
         buckets: dict[int, list[int]] = {}
         for seq in sorted(self.by_seq):
-            buckets.setdefault(self.by_seq[seq].instance_handle, []).append(seq)
+            buckets.setdefault(self.by_seq[seq][1], []).append(seq)
         return buckets
 
     def _bucket(self, handle):
@@ -67,8 +67,8 @@ class _ReferenceHistory:
         return (self.limits.max_samples is None
                 or len(self.by_seq) < self.limits.max_samples)
 
-    def insert(self, sample: WriterSample) -> None:
-        handle = sample.instance_handle
+    def insert(self, sample: CachedSample) -> None:
+        sequence, handle, _, _, _ = sample
         if not self.has_room(handle):
             raise ResourceLimitsError("full")
         if self.keep_last:
@@ -79,7 +79,7 @@ class _ReferenceHistory:
                 if not self._bucket(handle):
                     raise ResourceLimitsError("full (max_samples)")
                 del self.by_seq[min(self._bucket(handle))]
-        self.by_seq[sample.sequence] = sample
+        self.by_seq[sequence] = sample
 
     def release(self, up_to_sequence) -> list[int]:
         released = sorted(s for s in self.by_seq if s <= up_to_sequence)
@@ -89,8 +89,8 @@ class _ReferenceHistory:
         return released
 
     def expire(self, now_wall_ns) -> None:
-        for seq in [s for s, sample in self.by_seq.items()
-                    if sample.expiry_wall_ns < now_wall_ns]:
+        for seq in [s for s, (_, _, _, _, expiry) in self.by_seq.items()
+                    if expiry < now_wall_ns]:
             del self.by_seq[seq]
 
 
@@ -111,9 +111,9 @@ class _ReferenceSession:
         self.proxies: dict[Guid, _Proxy] = {}
 
     def _data(self, sample, reader_entity_id):
-        return wire.Data(WRITER_ENTITY, reader_entity_id, sample.sequence,
-                         sample.source_timestamp_ns, sample.instance_handle,
-                         wire.decode_message(sample.message).submessages[0].payload)
+        sequence, handle, message, source_ts, _ = sample
+        return wire.Data(WRITER_ENTITY, reader_entity_id, sequence, source_ts, handle,
+                         wire.decode_message(message).submessages[0].payload)
 
     def _release(self):
         if self.transient_local:
@@ -136,7 +136,7 @@ class _ReferenceSession:
         self._release()
 
     def on_write(self, sample):
-        self.last_sequence = max(self.last_sequence, sample.sequence)
+        self.last_sequence = max(self.last_sequence, sample[0])
         self._release()
         return self.last_sequence
 
@@ -245,9 +245,9 @@ def test_matches_the_brute_force_reference(seed):
                 expiry = source_ts + lifespan
             payload = b"%d" % rng.randrange(1000)
             sequence = session.last_sequence + 1
-            sample = WriterSample(sequence, handle, wire.pack_data_message(
-                WRITER_GUID.prefix, wire.Data(WRITER_ENTITY, 0, sequence, source_ts,
-                                              handle, payload)), source_ts, expiry)
+            sample = (sequence, handle, wire.pack_data_message(
+                WRITER_GUID.prefix, WRITER_ENTITY, 0, sequence, source_ts, handle,
+                payload), source_ts, expiry)
             if caching:
                 try:
                     reference.insert(sample)
@@ -323,7 +323,7 @@ def test_release_and_heartbeats_stay_flat_as_the_cache_grows():
             pytest.fail(f"over the {budget_s} s budget while {what} at {i} of {n}")
 
     for seq in range(1, n + 1):
-        history.insert(WriterSample(seq, 0, b"", seq))
+        history.insert((seq, 0, b"", seq, qos.INFINITE_NS))
         session.on_write()
         within_budget("caching", seq)
     assert len(history) == n

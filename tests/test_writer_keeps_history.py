@@ -53,7 +53,7 @@ def inserts(monkeypatch):
     original = WriterHistory.insert
 
     def recording(self, sample):
-        seen.append(sample.sequence)
+        seen.append(sample[0])  # its sequence
         return original(self, sample)
 
     monkeypatch.setattr(WriterHistory, "insert", recording)

@@ -1,83 +1,86 @@
-"""``WriterSample`` is an immutable named record of ``(sequence,
-instance_handle, message, source_timestamp_ns, expiry_wall_ns)``, the
-last defaulting to ``qos.INFINITE_NS``; ``message`` is the one-DATA
-datagram the write sent. Each cached record is one object
-with no ``__dict__``, whether a test or ``DataWriter.write`` built it.
+"""A writer caches each sample as an exact tuple ``(sequence,
+instance_handle, message, source_timestamp_ns, expiry_wall_ns)``;
+``message`` is the one-DATA datagram the write sent. The record is one
+object with no ``__dict__``, whether a test or ``DataWriter.write``
+built it.
 
-It stays tracked by the cyclic GC: CPython untracks only exact tuples
-whose items are all untracked, and a named tuple is a subclass.
+CPython's cyclic GC untracks an exact tuple whose items are all
+untracked at the first collection that meets it, and ints and bytes
+are never tracked, so a full writer cache adds nothing to the
+collector's later passes. A named tuple, a subclass, would stay tracked.
 """
+
+import gc
 
 import pytest
 
 from minidds import idl, qos
 from minidds.clock import ManualClock
-from minidds.dcps import WriterSample
 from minidds.dcps.history import WriterHistory
 from minidds.dcps.participant import DomainParticipant
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
-
-
-def test_construction_by_position_and_by_keyword():
-    by_position = WriterSample(3, 7, b"ab", 11, 99)
-    by_keyword = WriterSample(sequence=3, instance_handle=7, message=b"ab",
-                              source_timestamp_ns=11, expiry_wall_ns=99)
-    assert by_position == by_keyword
-    assert (by_position.sequence, by_position.instance_handle, by_position.message,
-            by_position.source_timestamp_ns, by_position.expiry_wall_ns) == (3, 7, b"ab", 11, 99)
-    assert WriterSample._fields == ("sequence", "instance_handle", "message",
-                                    "source_timestamp_ns", "expiry_wall_ns")
-
-
-def test_expiry_defaults_to_infinite():
-    assert WriterSample(1, 0, b"", 0).expiry_wall_ns == qos.INFINITE_NS
-    assert WriterSample._field_defaults == {"expiry_wall_ns": qos.INFINITE_NS}
-
-
-def test_is_immutable():
-    sample = WriterSample(1, 0, b"x", 5)
-    with pytest.raises(AttributeError):
-        sample.expiry_wall_ns = 10
-    with pytest.raises(TypeError):
-        sample[0] = 2
-    assert sample._replace(expiry_wall_ns=10) == WriterSample(1, 0, b"x", 5, 10)
-    assert sample.expiry_wall_ns == qos.INFINITE_NS
-
-
-def test_equality_and_hash():
-    sample = WriterSample(1, 2, b"x", 3, 4)
-    assert sample == WriterSample(1, 2, b"x", 3, 4)
-    assert sample == (1, 2, b"x", 3, 4)  # equals the plain tuple
-    assert sample != WriterSample(1, 2, b"y", 3, 4)
-    assert sample != WriterSample(1, 2, b"x", 3)
-    assert hash(sample) == hash((1, 2, b"x", 3, 4))
+KEYED = idl.parse_idl("struct KV { long id; //@key\n string v; };")[0]
+RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
+            qos.History(qos.HistoryKind.KEEP_ALL)]
+DURABLE = [qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)]
 
 
 def test_a_cached_record_is_one_object():
     history = WriterHistory(qos.History(qos.HistoryKind.KEEP_ALL), qos.ResourceLimits())
-    history.insert(WriterSample(1, 0, b"payload", 5))
-    record = history.by_seq[1]
+    record = (1, 0, b"payload", 5, qos.INFINITE_NS)
+    history.insert(record)
+    assert history.by_seq[1] is record
     assert not hasattr(record, "__dict__")
 
 
-def test_a_written_record_is_a_writer_sample():
+def test_a_written_record_is_an_exact_tuple():
     """A TRANSIENT_LOCAL writer caches every write, matched or not, as
     the message of its one DATA."""
     with DomainParticipant(0, transport=InProcNetwork().attach("solo"),
                            clock=ManualClock(1_000_000_000)) as participant:
         writer = participant.create_datawriter(
-            participant.create_topic("counters", COUNTER),
-            [qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)])
+            participant.create_topic("counters", COUNTER), DURABLE)
         sequence = writer.write({"n": 42})
         record = writer.history.by_seq[sequence]
-        assert type(record) is WriterSample
-        assert not hasattr(record, "__dict__")
+        assert type(record) is tuple
         payload = idl.serialize(COUNTER, idl.Sample("Counter", (42,)))
-        assert record == (sequence, idl.UNKEYED_HANDLE, wire.pack_data_message(
-            participant.guid.prefix, wire.Data(writer.guid.entity_id, 0, sequence,
-                                               1_000_000_000, idl.UNKEYED_HANDLE, payload)),
-                          1_000_000_000, qos.INFINITE_NS)
-        assert record.message[wire.DATA_PAYLOAD_START:] == payload
+        message = wire.pack_data_message(participant.guid.prefix, writer.guid.entity_id,
+                                         0, sequence, 1_000_000_000, idl.UNKEYED_HANDLE,
+                                         payload)
+        assert record == (sequence, idl.UNKEYED_HANDLE, message, 1_000_000_000,
+                          qos.INFINITE_NS)
+        assert record[2][wire.DATA_PAYLOAD_START:] == payload
+
+
+@pytest.mark.parametrize("policies, matched", [
+    (RELIABLE, True),
+    (RELIABLE + [qos.Lifespan(60_000_000_000)], True),
+    (DURABLE + [qos.History(qos.HistoryKind.KEEP_ALL)], False),
+])
+def test_a_collection_untracks_every_cached_record(policies, matched):
+    """A RELIABLE writer whose reader acknowledges nothing, with and
+    without a finite lifespan, and a TRANSIENT_LOCAL KEEP_ALL one with no
+    reader, keep every keyed write; after one collection none of the records is
+    tracked."""
+    net = InProcNetwork()
+    clock = ManualClock(1_000_000_000)
+    with DomainParticipant(0, transport=net.attach("A"), clock=clock,
+                           static_peers=("B",)) as a, \
+            DomainParticipant(0, transport=net.attach("B"), clock=clock) as b:
+        writer = a.create_datawriter(a.create_topic("t", KEYED), policies)
+        if matched:
+            reader = b.create_datareader(b.create_topic("t", KEYED), RELIABLE)
+            for _ in range(3):
+                a.spin_once()
+                b.spin_once()
+            assert writer.matched_readers() == [reader.guid]
+        for n in range(200):
+            writer.write({"id": n % 7, "v": "x" * n})
+        records = list(writer.history.by_seq.values())
+        assert len(records) == 200
+        gc.collect()
+        assert {type(record) for record in records} == {tuple}
+        assert not any(gc.is_tracked(record) for record in records)
