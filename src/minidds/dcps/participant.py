@@ -97,11 +97,15 @@ late-joiner replay, and a reader enters its session into the dispatch
 table or takes it out. A local pair records the reader's side first, so
 a durable writer's replay finds the session.
 
-A datagram that starts with an ANNOUNCE is first shown to discovery,
-which drops a repeat of an announce it already holds without decoding
-it (``Discovery.repeats``). This participant's own announce is encoded
-once per change of its endpoint set and kept for every send until the
-next change.
+A datagram whose only submessage is an ANNOUNCE is first shown to
+discovery by its sender and roster version (``wire.lone_announce``),
+and discovery drops our own and a roster it has already diffed without
+decoding them (``Discovery.repeats``). A newer roster is decoded and
+diffed, and an endpoint it no longer lists is unmatched at once: a
+closed remote reader stops pinning a writer's cache, and gets no more
+DATA, from the first announce after it closed. This participant's own
+announce is encoded once per change of its endpoint set, under a new
+roster version, and kept for every send until the next change.
 """
 
 from __future__ import annotations
@@ -439,9 +443,8 @@ class DomainParticipant:
                 self._deliver(pairs, infos, slots, arrived_wall)
                 infos, slots = [], []
             run = None
-            sender = wire.announce_sender(data)
-            if sender is not None and self.discovery.repeats(
-                    data, sender, source, arrived):
+            roster = wire.lone_announce(data)
+            if roster is not None and self.discovery.repeats(*roster, source, arrived):
                 continue
             try:
                 message = wire.decode_message(data)
@@ -450,7 +453,7 @@ class DomainParticipant:
                 log.debug("dropped malformed datagram from %s: %s", source, exc)
                 continue
             self._dispatch(message.submessages, message.sender_prefix, source,
-                           arrived, arrived_wall, data, heartbeats)
+                           arrived, arrived_wall, heartbeats)
         if infos:
             self._deliver(pairs, infos, slots, arrived_wall)
         for prefix, reader_eid, heartbeat in heartbeats:
@@ -473,7 +476,8 @@ class DomainParticipant:
         refuses is logged, not kept, and not sent."""
         data = self.discovery.local_announce
         if data is None:
-            announce = wire.Announce(self.domain_id, self._local_descriptors())
+            announce = wire.Announce(self.domain_id, self.discovery.local_version,
+                                     self._local_descriptors())
             try:
                 data = wire.encode_message(wire.WireMessage(self.guid.prefix, (announce,)))
             except ValueError as exc:
@@ -484,16 +488,14 @@ class DomainParticipant:
             self.transport.send(data, destination)
 
     def _dispatch(self, submessages, sender_prefix: bytes, source,
-                  now: int, now_wall: int, datagram: bytes,
-                  heartbeats: list) -> None:
-        """Hand the decoded submessages of one received ``datagram`` to the
+                  now: int, now_wall: int, heartbeats: list) -> None:
+        """Hand the decoded submessages of one received datagram to the
         endpoints they concern, as arrived at ``now`` (monotonic) and
         ``now_wall``; DATA is tested first. A DATA here came among other
         submessages, as a message of one DATA is read into a run without
         decoding, and is packed into one, as a payload slot always holds
-        a one-DATA message. An announce that came alone is handed to
-        discovery with its ``datagram``, to be remembered. A HEARTBEAT is
-        appended to ``heartbeats``, to be answered after the batch."""
+        a one-DATA message. A HEARTBEAT is appended to ``heartbeats``, to
+        be answered after the batch."""
         for sub in submessages:
             if type(sub) is wire.Data:  # a run of one
                 pairs = self._pairs_for(sender_prefix, sub.writer_entity_id,
@@ -505,9 +507,7 @@ class DomainParticipant:
                     self._deliver(pairs, [info],
                                   [wire.pack_data_message(sender_prefix, *sub)], now_wall)
             elif isinstance(sub, wire.Announce):
-                event = self.discovery.process_announce(
-                    sub, sender_prefix, source, now,
-                    datagram if len(submessages) == 1 else None)
+                event = self.discovery.process_announce(sub, sender_prefix, source, now)
                 if event is None:
                     continue
                 for descriptor in event.added:

@@ -49,17 +49,19 @@ class DataWriter(Endpoint):
     # -- matching (driven by the participant) -------------------------
 
     def _add_match(self, record: MatchRecord, now_ns: int) -> None:
-        """Record a match; a newly matched reader gets any late-joiner replay."""
+        """Record a match; a newly matched RELIABLE reader gets any
+        late-joiner replay."""
         remote = record.remote
         self._send_plan = None
         if remote.guid in self._match_records:
             self._match_records[remote.guid] = record
             return
         self._match_records[remote.guid] = record
-        reliable = remote.rxo.reliability == qos.ReliabilityKind.RELIABLE
-        wants_history = remote.rxo.durability == qos.DurabilityKind.TRANSIENT_LOCAL
-        self.participant._route(self.session.add_reader(
-            remote.guid, reliable=reliable, wants_history=wants_history, now_ns=now_ns))
+        # The session tracks RELIABLE readers alone (WriterSession.add_reader).
+        if remote.rxo.reliability == qos.ReliabilityKind.RELIABLE:
+            wants_history = remote.rxo.durability == qos.DurabilityKind.TRANSIENT_LOCAL
+            self.participant._route(self.session.add_reader(
+                remote.guid, wants_history=wants_history, now_ns=now_ns))
 
     def _remove_match(self, guid: Guid) -> None:
         if self._match_records.pop(guid, None) is not None:

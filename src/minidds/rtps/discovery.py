@@ -1,29 +1,42 @@
-"""Announce-flood discovery: peer tracking, absence counting, timeouts.
+"""Announce-flood discovery: peer tracking, roster versions, timeouts.
 
-Every participant broadcasts its full endpoint set each period. This
-module keeps the receive-side book: which peers exist, what they last
-advertised, and when an endpoint or a whole peer should be considered
-gone. Matching itself stays with the caller; ``process_announce``
-reports only what appeared, changed, or vanished.
+Every participant broadcasts its full endpoint set, its roster, each
+period. This module keeps the receive-side book: which peers exist, what
+they last advertised, and when an endpoint or a whole peer should be
+considered gone. Matching itself stays with the caller;
+``process_announce`` reports only what appeared, changed, or vanished.
 
-Rules:
-- announces from another domain, or echoes of our own, are ignored;
-- an endpoint absent from 3 consecutive announces of its peer is removed;
+Each announce carries its sender's roster version, ``local_version``,
+which starts at 1 and goes up by one at every change of the endpoint
+set. A peer's rosters are handled by that version:
+
+- an announce from another domain, or an echo of our own, is ignored;
+- an older roster than the peer's last changes nothing, not even the
+  peer's last-seen time;
+- an equal one only refreshes the peer (and moves it, if it came from
+  another address);
+- a newer one is diffed, and every endpoint it does not list is removed
+  at once;
 - a peer silent for 3 announce periods is dropped with all endpoints.
+
+So a version is a primitive order on rosters: a reordered or replayed
+older roster cannot bring a removed endpoint back. It relies on the
+sender prefix being unique, as DDSI-RTPS requires. A prefix reused while
+peers still remember it (possible only with a reused seeded ``rng``)
+starts its rosters again at version 1; while they are older than the
+remembered one they refresh nothing, so the old entry times out after
+``SILENCE_PERIODS`` and the participant is then discovered afresh.
 
 Discovery works once per change. The participant encodes its announce
 at the first send after its endpoint set changes and keeps the bytes in
-``local_announce`` for every send until the next change. Per peer,
-discovery keeps the last datagram that carried one ANNOUNCE and nothing
-else and left no endpoint of that peer pending absence (every endpoint
-known for the peer was in it). A byte-identical datagram from the
-peer's address then only refreshes the peer's last-seen time
-(``repeats``): decoding and diffing it would find nothing added,
-changed or missing. Anything else (other bytes, a new address, a
-pending absence, another domain, a malformed datagram) is decoded and
-processed in full, and an echo of our own current announce is dropped
-undecoded. The memo is one bytes object per live peer and goes with the
-peer.
+``local_announce`` for every send until the next change. A datagram
+whose only submessage is an ANNOUNCE is looked at undecoded
+(``wire.lone_announce``): one of our own, or one from a peer's address
+whose version is not newer than the peer's, is dropped there
+(``repeats``), as decoding it would find nothing to diff. Anything else
+(a newer version, a new address, an announce among other submessages,
+a malformed datagram) is decoded and processed in full. Per peer,
+discovery keeps one int, the version of the roster it last diffed.
 
 The remote endpoints are also indexed by topic and kind
 (``remote_on``), kept as announces add, change, move or drop them and
@@ -41,7 +54,6 @@ from minidds.dcps.matching import EndpointDescriptor, EndpointType
 from minidds.rtps import wire
 
 ANNOUNCE_PERIOD_NS = 1_000_000_000
-ABSENCE_LIMIT = 3
 SILENCE_PERIODS = 3
 
 Address = Hashable
@@ -51,10 +63,8 @@ Address = Hashable
 class _Peer:
     address: Address
     last_seen_ns: int
-    # The last datagram that needs no processing when repeated, or None.
-    announce: Optional[bytes] = None
+    version: int = -1  # of the roster last diffed; below any on the wire
     endpoints: dict[Guid, EndpointDescriptor] = field(default_factory=dict)
-    missed: dict[Guid, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,8 @@ class Discovery:
         # This participant's encoded announce; None until it is encoded
         # for the current endpoint set.
         self.local_announce: Optional[bytes] = None
+        # This participant's roster version, sent in every announce.
+        self.local_version = 1
         # Bumped whenever a peer is added, dropped or changes address, so
         # whatever was derived from ``address_of`` knows to derive again.
         self.epoch = 0
@@ -97,7 +109,9 @@ class Discovery:
         self._last_announce_ns = now_ns
 
     def local_endpoints_changed(self) -> None:
-        """Forget the encoded announce and make the next one due now."""
+        """Bump the roster version, forget the encoded announce and make
+        the next one due now."""
+        self.local_version += 1
         self.local_announce = None
         self._last_announce_ns = None
 
@@ -111,27 +125,27 @@ class Discovery:
 
     # -- receive side -------------------------------------------------
 
-    def repeats(self, datagram: bytes, sender_prefix: bytes, source: Address,
+    def repeats(self, sender_prefix: bytes, version: int, source: Address,
                 now_ns: int) -> bool:
-        """Whether a datagram whose first submessage is an ANNOUNCE
-        (``wire.announce_sender``) needs no decoding: our own current
-        announce, or a peer's remembered one from the peer's address,
-        which then refreshes the peer."""
-        if datagram == self.local_announce:
+        """Whether a datagram of one ANNOUNCE needs no decoding, from its
+        sender and roster ``version`` (``wire.lone_announce``): our own,
+        or a peer's from the peer's address with a version not newer than
+        the one last diffed. An equal version refreshes the peer."""
+        if sender_prefix == self.local_prefix:
             return True
         peer = self._peers.get(sender_prefix)
-        if peer is not None and peer.announce == datagram and peer.address == source:
+        if peer is None or peer.address != source or version > peer.version:
+            return False
+        if version == peer.version:
             peer.last_seen_ns = now_ns
-            return True
-        return False
+        return True
 
     def process_announce(self, announce: wire.Announce, sender_prefix: bytes,
-                         source: Address, now_ns: int,
-                         datagram: Optional[bytes] = None) -> Optional[PeerEvent]:
-        """Diff an announce against what its peer last advertised.
-        ``datagram`` is the datagram when the announce was its only
-        submessage; it is remembered for ``repeats`` while no endpoint of
-        the peer is pending absence."""
+                         source: Address, now_ns: int) -> Optional[PeerEvent]:
+        """Diff a roster newer than its peer's last against that one;
+        None when there is nothing to diff. An older roster changes
+        nothing; an equal one refreshes the peer and moves it to
+        ``source``."""
         if announce.domain_id != self.domain_id:
             return None
         if sender_prefix == self.local_prefix:
@@ -142,10 +156,15 @@ class Discovery:
             peer = _Peer(address=source, last_seen_ns=now_ns)
             self._peers[sender_prefix] = peer
             self.epoch += 1
+        elif announce.version < peer.version:
+            return None
         elif peer.address != source:
             peer.address = source
             self.epoch += 1
         peer.last_seen_ns = now_ns
+        if announce.version == peer.version:
+            return None
+        peer.version = announce.version
 
         present = {ep.guid: ep for ep in announce.endpoints}
         added = []
@@ -161,16 +180,9 @@ class Discovery:
                 peer.endpoints[guid] = descriptor
                 self._on_topic.setdefault((descriptor.topic_name, descriptor.kind),
                                           {})[sender_prefix, guid] = descriptor
-            peer.missed[guid] = 0
-
-        removed = []
-        for guid in [g for g in peer.endpoints if g not in present]:
-            peer.missed[guid] = peer.missed.get(guid, 0) + 1
-            if peer.missed[guid] >= ABSENCE_LIMIT:
-                removed.append(guid)
-                self._unindex(sender_prefix, peer.endpoints.pop(guid))
-                del peer.missed[guid]
-        peer.announce = datagram if len(peer.endpoints) == len(present) else None
+        removed = [guid for guid in peer.endpoints if guid not in present]
+        for guid in removed:
+            self._unindex(sender_prefix, peer.endpoints.pop(guid))
         return PeerEvent(tuple(added), tuple(changed), tuple(removed), new_peer)
 
     def check_timeouts(self, now_ns: int) -> list[Guid]:

@@ -10,10 +10,11 @@ participant sends it to every matched reader in one pass.
 Writer side: ``keeps_history`` says whether a written sample can be sent
 again, to a TRANSIENT_LOCAL writer's late joiner or on a RELIABLE
 reader's request; it is updated as readers match and unmatch, and while
-it is false the writer caches nothing. Per matched reader: acknowledged
-floor, heartbeat timer, and per-sequence retransmit stamps. Heartbeats
-flow every ``heartbeat_period`` (50 ms) while that reader has unacked
-samples and stop once it is caught up. A requested sequence still in
+it is false the writer caches nothing. Per matched RELIABLE reader, the
+only kind the session tracks: acknowledged floor, heartbeat timer, and
+per-sequence retransmit stamps. Heartbeats flow every
+``heartbeat_period`` (50 ms) while that reader has unacked samples and
+stop once it is caught up. A requested sequence still in
 the cache is retransmitted at most once per ``response_delay`` (5 ms);
 a requested sequence no longer in the cache is answered with a GAP. A
 sample that leaves the cache unacknowledged, by keep-last eviction or
@@ -101,7 +102,6 @@ class Directed(NamedTuple):
 @dataclass
 class _ReaderProxy:
     guid: Guid
-    reliable: bool
     acked_below: int  # every sequence < this is settled for the reader
     last_heartbeat_ns: int
     last_resend_ns: dict[int, int] = field(default_factory=dict)
@@ -134,15 +134,18 @@ class WriterSession:
 
     # -- membership ---------------------------------------------------
 
-    def add_reader(self, guid: Guid, *, reliable: bool, wants_history: bool,
+    def add_reader(self, guid: Guid, *, wants_history: bool,
                    now_ns: int) -> list[Directed]:
-        """Register a newly matched reader (not one already matched);
-        returns any late-joiner replay."""
+        """Register a newly matched RELIABLE reader (not one already
+        matched); returns its late-joiner replay when it ``wants_history``
+        (is TRANSIENT_LOCAL). A best-effort reader has no proxy here: it
+        is never heartbeated, acknowledged, replayed or released against,
+        so the writer sends it each write and nothing else."""
         cached = self.history.by_seq  # in sequence order
-        replay = reliable and wants_history and bool(cached)
+        replay = wants_history and bool(cached)
         floor = next(iter(cached)) if replay else self.last_sequence + 1
         self._proxies[guid] = _ReaderProxy(
-            guid, reliable, acked_below=floor,
+            guid, acked_below=floor,
             last_heartbeat_ns=now_ns - self.heartbeat_period_ns)
         self._note_membership()
         if not replay:
@@ -156,11 +159,7 @@ class WriterSession:
         self._maybe_release()
 
     def _note_membership(self) -> None:
-        self.keeps_history = self.transient_local or any(
-            p.reliable for p in self._proxies.values())
-
-    def matched_readers(self) -> list[Guid]:
-        return list(self._proxies)
+        self.keeps_history = self.transient_local or bool(self._proxies)
 
     # -- write path ---------------------------------------------------
 
@@ -190,7 +189,7 @@ class WriterSession:
     def on_acknack(self, reader_guid: Guid, ack: wire.AckNack,
                    now_ns: int) -> list[Directed]:
         proxy = self._proxies.get(reader_guid)
-        if proxy is None or not proxy.reliable:
+        if proxy is None:
             return []
         # An acknowledgement of sequences not yet written acknowledges only
         # what was written: those later writes are still owed to the reader.
@@ -219,14 +218,13 @@ class WriterSession:
     def _maybe_release(self) -> None:
         if self.transient_local:
             return  # the cache outlives acks for late joiners
-        floors = [p.acked_below for p in self._proxies.values() if p.reliable]
-        settled_below = min(floors) if floors else self.last_sequence + 1
-        self.history.release(settled_below - 1)
+        self.history.release(min((p.acked_below for p in self._proxies.values()),
+                                 default=self.last_sequence + 1) - 1)
 
     # -- timers -------------------------------------------------------
 
     def _unacked(self, proxy: _ReaderProxy) -> bool:
-        return proxy.reliable and proxy.acked_below <= self.last_sequence
+        return proxy.acked_below <= self.last_sequence
 
     def all_acked(self) -> bool:
         return not any(self._unacked(p) for p in self._proxies.values())

@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    header   : magic "MDDS" (4) | version 0x01 0x00 (2) | reserved (2)
+    header   : magic "MDDS" (4) | version 0x02 0x00 (2) | reserved (2)
              | sender guid prefix (12)
     submsg   : kind (1) | flags (1) | body length (2) | body
 
@@ -23,7 +23,7 @@ from minidds.dcps.matching import EndpointDescriptor, EndpointType
 from minidds.qos import RxoQos
 
 MAGIC = b"MDDS"
-VERSION = b"\x01\x00"
+VERSION = b"\x02\x00"
 RESERVED = b"\x00\x00"
 _HEADER_START = MAGIC + VERSION + RESERVED
 HEADER_LEN = 20
@@ -53,7 +53,7 @@ _HEARTBEAT = struct.Struct("<IQQI")
 _ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
 _GAP = struct.Struct("<IQQ")
 _DIRECT_HEAD = struct.Struct("<I")  # reader; the inner submessage follows
-_ANNOUNCE_HEAD = struct.Struct("<IH")  # domain, endpoint count
+_ANNOUNCE_HEAD = struct.Struct("<IQH")  # domain, roster version, endpoint count
 _U16 = struct.Struct("<H")  # string byte count, partition count
 
 # Byte layout of each advertised policy's value: one struct format character
@@ -89,6 +89,7 @@ class WireError(Exception):
 
 class Announce(NamedTuple):
     domain_id: int
+    version: int  # the sender's roster version; bumped at every endpoint change
     endpoints: tuple[EndpointDescriptor, ...]
 
 
@@ -164,7 +165,7 @@ def _encode_rxo(rxo: RxoQos) -> bytes:
 
 
 def _encode_announce(sub: Announce) -> bytes:
-    out = bytearray(_ANNOUNCE_HEAD.pack(sub.domain_id, len(sub.endpoints)))
+    out = bytearray(_ANNOUNCE_HEAD.pack(sub.domain_id, sub.version, len(sub.endpoints)))
     for ep in sub.endpoints:
         out.extend(ep.guid.to_bytes())
         out.append(ep.kind)
@@ -332,7 +333,7 @@ def _decode_rxo(data: bytes, pos: int, end: int) -> tuple[RxoQos, int]:
 
 def _decode_announce(data: bytes, start: int, end: int) -> Announce:
     _need(start, _ANNOUNCE_HEAD.size, end)
-    domain_id, endpoint_count = _ANNOUNCE_HEAD.unpack_from(data, start)
+    domain_id, version, endpoint_count = _ANNOUNCE_HEAD.unpack_from(data, start)
     pos = start + _ANNOUNCE_HEAD.size
     endpoints = []
     for _ in range(endpoint_count):
@@ -348,7 +349,7 @@ def _decode_announce(data: bytes, start: int, end: int) -> Announce:
         rxo, pos = _decode_rxo(data, pos, end)
         endpoints.append(EndpointDescriptor(guid, domain_id, topic_name, type_name, kind, rxo))
     _done(pos, end)
-    return Announce(domain_id, tuple(endpoints))
+    return Announce(domain_id, version, tuple(endpoints))
 
 
 def _decode_data(data: bytes, start: int, end: int) -> Data:
@@ -436,9 +437,9 @@ _DECODERS = {
 }
 
 
-# A message of one DATA: the offset of its DATA body, and the one call
-# that reads its head.
-_DATA_BODY_START = HEADER_LEN + SUBMSG_HEADER_LEN
+# The offset of a message's first submessage body, and the one call that
+# reads the head of a message of one DATA.
+_BODY_START = HEADER_LEN + SUBMSG_HEADER_LEN
 _unpack_data_message = _DATA_MESSAGE.unpack_from
 
 
@@ -453,29 +454,31 @@ def read_data_message(data: bytes) -> Optional[tuple]:
         (magic, version, prefix, kind, _flags, length, writer_eid, reader_eid,
          seq, ts, handle, payload_len) = _unpack_data_message(data)
         if (kind == KIND_DATA and payload_len == size - _DATA_MESSAGE_LEN
-                and length == size - _DATA_BODY_START
+                and length == size - _BODY_START
                 and magic == MAGIC and version == VERSION):
             return prefix, writer_eid, reader_eid, seq, ts, handle
     return None
 
 
-_ANNOUNCE_FIRST = bytes((KIND_ANNOUNCE,))
+# A message of one ANNOUNCE up to its roster version: message header,
+# submessage header, domain id and version, so one unpack reads them.
+_LONE_ANNOUNCE = struct.Struct(_HEADER.format + _SUBMSG_HEADER.format[1:] + "IQ")
 
 
-def announce_sender(data: bytes) -> Optional[bytes]:
-    """The sender prefix of an undecoded datagram whose first submessage
-    kind is ANNOUNCE, else None. Nothing else is read or checked, so a
-    receiver can look at a datagram before it decodes it."""
-    if data[HEADER_LEN:HEADER_LEN + 1] == _ANNOUNCE_FIRST:
-        return data[len(_HEADER_START):HEADER_LEN]
+def lone_announce(data: bytes) -> Optional[tuple[bytes, int]]:
+    """(sender prefix, roster version) of an undecoded datagram whose only
+    submessage is an ANNOUNCE, read by one struct call; None for any
+    other datagram. Nothing after the version is read or checked, so a
+    receiver can look at an announce before it decodes it."""
+    if len(data) >= _LONE_ANNOUNCE.size and data[HEADER_LEN] == KIND_ANNOUNCE:
+        (magic, version, prefix, _kind, _flags, length, _domain,
+         roster) = _LONE_ANNOUNCE.unpack_from(data)
+        if length == len(data) - _BODY_START and magic == MAGIC and version == VERSION:
+            return prefix, roster
     return None
 
 
 def decode_message(data: bytes) -> WireMessage:
-    head = read_data_message(data)
-    if head is not None:
-        return _tuple_new(WireMessage, (head[0], (_tuple_new(Data, (
-            *head[1:], data[_DATA_MESSAGE_LEN:])),)))
     size = len(data)
     if size < HEADER_LEN:
         raise WireError(0, "datagram shorter than header")

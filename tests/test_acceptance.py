@@ -457,7 +457,7 @@ def test_wire_codec_golden_and_fuzz():
     prefix = bytes(range(12))
     minimal = wire.WireMessage(prefix, (wire.Data(1, 0, 1, 0, 0, b""),))
     encoded = wire.encode_message(minimal)
-    assert encoded == (b"MDDS" + b"\x01\x00" + b"\x00\x00" + prefix
+    assert encoded == (b"MDDS" + b"\x02\x00" + b"\x00\x00" + prefix
                        + bytes([0x02, 0x00]) + struct.pack("<H", 36)
                        + struct.pack("<IIQqQI", 1, 0, 1, 0, 0, 0))
     assert len(encoded) == 60
@@ -478,7 +478,7 @@ def test_wire_codec_golden_and_fuzz():
         (wire.Heartbeat(2, 5, 9, 4), wire.Data(2, 0, 9, 1, 2, b"xy")),
         (wire.AckNack(6, Guid(b"\xbb" * 12, 2), 5, (5, 7, 9)),),
         (wire.Gap(2, 10, 12),),
-        (wire.Announce(3, (endpoint,)),),
+        (wire.Announce(3, 1, (endpoint,)),),
     )]
     rng = random.Random(0x60D)
     outcomes = {"decoded": 0, "rejected": 0}

@@ -91,7 +91,7 @@ def _reference_rxo(cur: _ReferenceCursor) -> RxoQos:
 
 def _reference_announce(data: bytes, start: int, end: int) -> wire.Announce:
     cur = _ReferenceCursor(data[start:end], start)
-    domain_id, endpoint_count = cur.unpack("<IH")
+    domain_id, version, endpoint_count = cur.unpack("<IQH")
     endpoints = []
     for _ in range(endpoint_count):
         guid = Guid.from_bytes(cur.take(16))
@@ -106,7 +106,7 @@ def _reference_announce(data: bytes, start: int, end: int) -> wire.Announce:
         rxo = _reference_rxo(cur)
         endpoints.append(EndpointDescriptor(guid, domain_id, topic_name, type_name, kind, rxo))
     cur.done()
-    return wire.Announce(domain_id, tuple(endpoints))
+    return wire.Announce(domain_id, version, tuple(endpoints))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,8 @@ def _announces() -> list[wire.Announce]:
                               EndpointType.READER, tuned),
            EndpointDescriptor(Guid(b"\xab" * 12, 2**32 - 1), 5, "", "Ünïcode",
                               EndpointType.READER, RxoQos(partitions=("a",)))]
-    return [wire.Announce(5, ()), wire.Announce(5, tuple(eps[:1])), wire.Announce(5, tuple(eps))]
+    return [wire.Announce(5, 1, ()), wire.Announce(5, 2, tuple(eps[:1])),
+            wire.Announce(5, 2**64 - 1, tuple(eps))]
 
 
 def _body(announce: wire.Announce) -> bytes:
@@ -143,9 +144,9 @@ def _fields(body: bytes) -> tuple[list[int], list[int]]:
     """Offsets in a valid body of its u16 counts and string lengths, and
     of its u8 fields: endpoint kinds, entry counts, policy ids and the
     bytes of single-byte policy values (the enum and flag bytes)."""
-    u16, u8 = [4], []
-    pos = 6
-    for _ in range(struct.unpack_from("<H", body, 4)[0]):
+    u16, u8 = [12], []
+    pos = 14
+    for _ in range(struct.unpack_from("<H", body, 12)[0]):
         u8.append(pos + 16)
         pos += 17
         for _ in range(2):

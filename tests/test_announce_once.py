@@ -1,8 +1,9 @@
 """Discovery works once per change.
 
 A participant encodes its announce once per change of its endpoint set,
-and a peer's byte-identical announce from the same address only
-refreshes the peer: it is not decoded. Every case counts ANNOUNCE
+under a new roster version, and a peer's announce of a version already
+diffed, from the same address, only refreshes the peer: it is not
+decoded. Every case counts ANNOUNCE
 decodes (or encodes) instead of timing them.
 
 The module needs nothing beyond the standard library, so each case also
@@ -17,7 +18,7 @@ from minidds import idl, qos
 from minidds.clock import ManualClock
 from minidds.dcps.participant import DomainParticipant
 from minidds.rtps import wire
-from minidds.rtps.discovery import ABSENCE_LIMIT, ANNOUNCE_PERIOD_NS
+from minidds.rtps.discovery import ANNOUNCE_PERIOD_NS
 from minidds.rtps.transport import InProcNetwork
 
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
@@ -128,27 +129,26 @@ def test_unchanged_announces_are_not_decoded():
         assert fed.matches() == matches
 
 
-def test_a_closed_endpoint_goes_after_absence_limit_announces():
-    """The changed announce is decoded, and so is each repeat while the
-    closed endpoint is pending absence, although the repeats are
-    byte-identical; after the one that removes it, repeats are not."""
+def test_a_closed_endpoint_goes_at_the_next_announce():
+    """The close bumps the roster version and makes an announce due: the
+    first announce after it is decoded and removes the endpoint at once,
+    and its repeats are not decoded."""
     with _Federation("A", "B") as fed:
         reader = fed.endpoint("A", "reader", "t")
         closing = fed.endpoint("B", "writer", "t")
         fed.endpoint("B", "writer", "u")
         fed.spin(rounds=3)
         assert reader.matched_writers() == [closing.guid]
-        before = fed["B"].discovery.local_announce
+        version = fed["B"].discovery.local_version
         closing.close()
+        assert fed["B"].discovery.local_version == version + 1
         with _announce_decodes() as decoded:
-            for announces in range(1, ABSENCE_LIMIT + 1):
+            fed.spin("B", "A")
+            assert len(decoded) == 1
+            assert reader.matched_writers() == []
+            for _ in range(3):
                 fed.period("B", "A")
-                assert fed["B"].discovery.local_announce != before
-                assert len(decoded) == announces
-                expected = [] if announces == ABSENCE_LIMIT else [closing.guid]
-                assert reader.matched_writers() == expected, announces
-            fed.period("B", "A")
-            assert len(decoded) == ABSENCE_LIMIT
+            assert len(decoded) == 1
 
 
 def test_identical_bytes_from_a_new_address_re_route_the_next_write():
@@ -188,10 +188,15 @@ def test_a_local_endpoint_change_changes_the_announce():
         assert writer.matched_readers() == [reader.guid]
         reader.close()
         fed.spin("B")
-        # The endpoint set, hence the announce, is back to the first.
-        assert fed["B"].discovery.local_announce == first
-        for _ in range(ABSENCE_LIMIT):
-            fed.period("B", "A")
+        # The endpoint set is back to the first, under a newer version.
+        third = fed["B"].discovery.local_announce
+        assert third not in (None, first, second)
+        (listed,), (relisted,) = (wire.decode_message(data).submessages
+                                  for data in (first, third))
+        assert relisted.endpoints == listed.endpoints
+        assert [wire.lone_announce(data)[1] for data in (first, second, third)] == [
+            listed.version, listed.version + 1, listed.version + 2]
+        fed.spin("A")
         assert writer.matched_readers() == []
 
 
@@ -248,11 +253,11 @@ def test_an_announce_that_came_with_another_submessage_is_decoded_each_time():
         writer = fed.endpoint("B", "writer", "t")
         fed.spin(rounds=3)
         sender = fed.net.attach("C")
-        announce = wire.Announce(0, (writer.descriptor,))
+        announce = wire.Announce(0, fed["B"].discovery.local_version, (writer.descriptor,))
         paired = wire.encode_message(wire.WireMessage(writer.guid.prefix,
                                                       (announce, announce)))
         foreign = wire.encode_message(wire.WireMessage(
-            b"\x07" * 12, (wire.Announce(1, (writer.descriptor,)),)))
+            b"\x07" * 12, (wire.Announce(1, 1, (writer.descriptor,)),)))
         with _announce_decodes() as decoded:
             for _ in range(2):
                 sender.send(paired, "A")
@@ -263,18 +268,26 @@ def test_an_announce_that_came_with_another_submessage_is_decoded_each_time():
         assert reader.matched_writers() == [writer.guid]
 
 
-def test_announce_sender_looks_only_at_the_header():
-    """The sender prefix of a datagram led by an ANNOUNCE, whatever
-    follows; None for one led by another kind, or too short to say."""
+def test_lone_announce_reads_only_the_head():
+    """The sender prefix and roster version of a datagram of one
+    ANNOUNCE, whatever its later bytes; None for an announce with
+    company, before or after it, for a datagram of another kind, of
+    another wire version, or too short to say."""
     prefix = b"\x07" * 12
-    announce = wire.Announce(0, ())
+    announce = wire.Announce(0, 2**64 - 2, ())
     data = wire.Data(1, 0, 1, 0, 0, b"")
-    led = wire.encode_message(wire.WireMessage(prefix, (announce, data)))
-    assert wire.announce_sender(led) == prefix
-    other = wire.encode_message(wire.WireMessage(prefix, (data, announce)))
-    assert wire.announce_sender(other) is None
-    assert wire.announce_sender(led[:wire.HEADER_LEN]) is None
-    assert wire.announce_sender(b"") is None
+    alone = wire.encode_message(wire.WireMessage(prefix, (announce,)))
+    assert wire.lone_announce(alone) == (prefix, 2**64 - 2)
+    # Nothing past the version is read: a mangled endpoint count passes.
+    assert wire.lone_announce(alone[:-2] + b"\xff\xff") == (prefix, 2**64 - 2)
+    for company in ((announce, data), (data, announce), (announce, announce)):
+        assert wire.lone_announce(wire.encode_message(
+            wire.WireMessage(prefix, company))) is None
+    assert wire.lone_announce(wire.encode_message(wire.WireMessage(prefix, (data,)))) is None
+    assert wire.lone_announce(alone[:4] + b"\x01" + alone[5:]) is None
+    assert wire.lone_announce(alone[:-1]) is None
+    assert wire.lone_announce(alone[:36]) is None
+    assert wire.lone_announce(b"") is None
 
 
 if __name__ == "__main__":

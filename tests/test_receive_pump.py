@@ -147,11 +147,12 @@ def test_matched_readers_are_served_in_creation_order(pair, monkeypatch):
     second = b.create_datareader(topic, RELIABLE)
     prefix = b"\x09" * 12
     writer_guid = Guid(prefix, 1)
-    for durability in (qos.DurabilityKind.VOLATILE, qos.DurabilityKind.TRANSIENT_LOCAL):
+    for version, durability in enumerate(
+            (qos.DurabilityKind.VOLATILE, qos.DurabilityKind.TRANSIENT_LOCAL), 1):
         rxo = qos.RxoQos(reliability=qos.ReliabilityKind.RELIABLE, durability=durability)
         descriptor = EndpointDescriptor(writer_guid, 0, "t", COUNTER.name,
                                         EndpointType.WRITER, rxo)
-        _send(rogue, prefix, wire.Announce(0, (descriptor,)))
+        _send(rogue, prefix, wire.Announce(0, version, (descriptor,)))
         _spin(b)
         if durability == qos.DurabilityKind.VOLATILE:
             assert [r.matched_writers() for r in (first, second)] == [[], [writer_guid]]
@@ -446,7 +447,7 @@ def _one_data(writer, n):
 
 @pytest.mark.parametrize("mangle", [
     lambda raw: raw[:56] + (len(raw) - 59).to_bytes(4, "little") + raw[60:],  # payload length
-    lambda raw: raw[:4] + b"\x02" + raw[5:],  # version
+    lambda raw: raw[:4] + b"\x01" + raw[5:],  # version
     lambda raw: b"X" + raw[1:],  # magic
 ], ids=["payload-length", "version", "magic"])
 def test_a_malformed_one_data_datagram_is_counted_and_delivers_nothing(pair, mangle):

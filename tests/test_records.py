@@ -25,7 +25,7 @@ def _records():
             wire.Gap(3, 2, 4),
             wire.Direct(4, heartbeat),
             wire.WireMessage(PREFIX, (heartbeat,)),
-            wire.Announce(0, (EndpointDescriptor(Guid(PREFIX, 3), 0, "t", "T",
+            wire.Announce(0, 1, (EndpointDescriptor(Guid(PREFIX, 3), 0, "t", "T",
                                                  EndpointType.WRITER),)),
             Directed(Guid(PREFIX, 4), heartbeat),
             SampleInfo(Guid(PREFIX, 3), 5, 1_000, 2_000, 9),

@@ -1,16 +1,21 @@
 """Delivery state machines, driven directly with scripted inputs."""
 
-from minidds import qos
+from minidds import idl, qos
+from minidds.clock import ManualClock
 from minidds.dcps.guid import Guid
+from minidds.dcps.participant import DomainParticipant
 from minidds.dcps.history import WriterHistory
 from minidds.rtps import wire
 from minidds.rtps.reliability import (BestEffortReaderSession, Directed,
                                       ReliableReaderSession, WriterSession)
+from minidds.rtps.transport import InProcNetwork
 
 READER_A = Guid(b"\x01" * 12, 21)
 READER_B = Guid(b"\x02" * 12, 22)
 
 MS = 1_000_000
+
+COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
 
 
 def _writer(transient_local=False, history_kind=qos.HistoryKind.KEEP_ALL, depth=1):
@@ -35,13 +40,13 @@ def _write(history, session, sequence, handle=0):
 class TestWriterSession:
     def test_write_assigns_the_next_sequence(self):
         history, session = _writer()
-        session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
+        session.add_reader(READER_A, wants_history=False, now_ns=0)
         assert [_write(history, session, seq) for seq in (1, 2, 3)] == [1, 2, 3]
         assert session.last_sequence == 3
 
     def test_heartbeat_cadence_and_stop_on_ack(self):
         history, session = _writer()
-        session.add_reader(READER_A, reliable=True, wants_history=False,
+        session.add_reader(READER_A, wants_history=False,
                            now_ns=100 * MS)
         _write(history, session, 1)
         first = session.step(now_ns=100 * MS)
@@ -59,15 +64,32 @@ class TestWriterSession:
         assert session.step(now_ns=300 * MS) == []
 
     def test_best_effort_reader_never_gets_heartbeats(self):
-        history, session = _writer()
-        session.add_reader(READER_A, reliable=False, wants_history=False, now_ns=0)
-        _write(history, session, 1)
-        assert session.step(now_ns=10_000 * MS) == []
-        assert session.all_acked()
+        """The session keeps no proxy for a best-effort reader: a RELIABLE
+        TRANSIENT_LOCAL writer replays nothing to a best-effort
+        TRANSIENT_LOCAL late joiner, caches nothing for it alone, and
+        never heartbeats it."""
+        clock = ManualClock(0)
+        net = InProcNetwork()
+        with DomainParticipant(0, clock=clock, transport=net.attach("p")) as p:
+            topic = p.create_topic("t", COUNTER)
+            writer = p.create_datawriter(topic, [
+                qos.Reliability(qos.ReliabilityKind.RELIABLE),
+                qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)])
+            writer.write({"n": 1})
+            reader = p.create_datareader(topic, [
+                qos.Reliability(qos.ReliabilityKind.BEST_EFFORT),
+                qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)])
+            assert writer.matched_readers() == [reader.guid]
+            assert reader.take() == []  # no replay
+            writer.write({"n": 2})
+            assert [s.values for s, _ in reader.take()] == [(2,)]
+            assert writer.session._proxies == {}
+            assert writer.session.step(now_ns=10_000 * MS) == []
+            assert writer.session.all_acked()
 
     def test_retransmit_with_damping(self):
         history, session = _writer()
-        session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
+        session.add_reader(READER_A, wants_history=False, now_ns=0)
         for seq in (1, 2, 3):
             _write(history, session, seq)
         nack = wire.AckNack(21, Guid(b"\x00" * 12, 11), 2, (2,))
@@ -85,7 +107,7 @@ class TestWriterSession:
 
     def test_gone_sequences_answered_with_gap(self):
         history, session = _writer(history_kind=qos.HistoryKind.KEEP_LAST, depth=1)
-        session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
+        session.add_reader(READER_A, wants_history=False, now_ns=0)
         _write(history, session, 1)
         _write(history, session, 2)  # evicts 1 from keep-last(1), unannounced
         assert sorted(history.by_seq) == [2]
@@ -98,8 +120,8 @@ class TestWriterSession:
 
     def test_acked_samples_release_from_volatile_history(self):
         history, session = _writer()
-        session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
-        session.add_reader(READER_B, reliable=True, wants_history=False, now_ns=0)
+        session.add_reader(READER_A, wants_history=False, now_ns=0)
+        session.add_reader(READER_B, wants_history=False, now_ns=0)
         for seq in (1, 2, 3):
             _write(history, session, seq)
         session.on_acknack(READER_A, wire.AckNack(21, Guid(b"\x00" * 12, 11), 4, ()), 0)
@@ -109,12 +131,12 @@ class TestWriterSession:
 
     def test_transient_local_keeps_history_and_replays(self):
         history, session = _writer(transient_local=True)
-        session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
+        session.add_reader(READER_A, wants_history=False, now_ns=0)
         for seq in (1, 2):
             _write(history, session, seq)
         session.on_acknack(READER_A, wire.AckNack(21, Guid(b"\x00" * 12, 11), 3, ()), 0)
         assert len(history) == 2  # nothing released
-        replay = session.add_reader(READER_B, reliable=True, wants_history=True,
+        replay = session.add_reader(READER_B, wants_history=True,
                                     now_ns=0)
         assert [d.submessage.sequence for d in replay] == [1, 2]
         assert all(d.dest == READER_B for d in replay)
@@ -123,19 +145,17 @@ class TestWriterSession:
     def test_late_joiner_without_history_request_gets_no_replay(self):
         history, session = _writer(transient_local=True)
         _write(history, session, 1)
-        assert session.add_reader(READER_A, reliable=True, wants_history=False,
-                                  now_ns=0) == []
-        assert session.add_reader(READER_B, reliable=False, wants_history=True,
+        assert session.add_reader(READER_A, wants_history=False,
                                   now_ns=0) == []
 
     def test_remove_reader_releases_its_backlog(self):
         history, session = _writer()
-        session.add_reader(READER_A, reliable=True, wants_history=False, now_ns=0)
+        session.add_reader(READER_A, wants_history=False, now_ns=0)
         _write(history, session, 1)
         assert len(history) == 1
         session.remove_reader(READER_A)
         assert len(history) == 0
-        assert session.matched_readers() == []
+        assert session.all_acked() and not session.keeps_history
 
 
 class TestReliableReaderSession:

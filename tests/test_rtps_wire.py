@@ -29,7 +29,7 @@ class TestGoldenVectors:
         encoded = _encode(data)
         expected = (
             b"MDDS"                      # magic
-            + b"\x01\x00"                # version 1.0
+            + b"\x02\x00"                # version 2.0
             + b"\x00\x00"                # reserved
             + PREFIX                     # sender guid prefix
             + bytes([0x02, 0x00])        # DATA, flags
@@ -71,9 +71,9 @@ class TestGoldenVectors:
     def test_announce_bytes_default_qos(self):
         ep = EndpointDescriptor(Guid(OTHER_PREFIX, 7), 3, "t", "T",
                                 EndpointType.WRITER, RxoQos())
-        encoded = _encode(wire.Announce(3, (ep,)))
+        encoded = _encode(wire.Announce(3, 0x0102030405060708, (ep,)))
         body = (
-            struct.pack("<IH", 3, 1)
+            struct.pack("<IQH", 3, 0x0102030405060708, 1)
             + OTHER_PREFIX + struct.pack("<I", 7)      # guid
             + bytes([0])                               # writer
             + struct.pack("<H", 1) + b"t"
@@ -96,10 +96,12 @@ class TestGoldenVectors:
         # hand; every advertised value differs from its default.
         ep = EndpointDescriptor(Guid(OTHER_PREFIX, 7), 3, "t", "T",
                                 EndpointType.WRITER, TestRoundTrips.RXO)
-        encoded = _encode(wire.Announce(3, (ep,)))
+        encoded = _encode(wire.Announce(3, 0x0102030405060708, (ep,)))
         expected = bytes.fromhex(
-            "01 00 51 00"                              # ANNOUNCE, body 81 bytes
-            "03 00 00 00 01 00"                        # domain 3, one endpoint
+            "01 00 59 00"                              # ANNOUNCE, body 89 bytes
+            "03 00 00 00"                              # domain 3
+            "08 07 06 05 04 03 02 01"                  # roster version
+            "01 00"                                    # one endpoint
             "aa aa aa aa aa aa aa aa aa aa aa aa 07 00 00 00"  # guid
             "00"                                       # writer
             "01 00 74 01 00 54"                        # "t", "T"
@@ -115,7 +117,8 @@ class TestGoldenVectors:
             "05 01 01 01"                              # presentation TOPIC, coherent, ordered
         )
         assert encoded[20:] == expected
-        assert wire.decode_message(encoded).submessages == (wire.Announce(3, (ep,)),)
+        assert wire.decode_message(encoded).submessages == (
+            wire.Announce(3, 0x0102030405060708, (ep,)),)
 
 
 class TestRoundTrips:
@@ -148,7 +151,7 @@ class TestRoundTrips:
                                   EndpointType.WRITER, self.RXO)
         ep_r = EndpointDescriptor(Guid(PREFIX, 2), 0, "topic/a", "TypeA",
                                   EndpointType.READER, RxoQos())
-        announce = wire.Announce(0, (ep_w, ep_r))
+        announce = wire.Announce(0, 2**64 - 1, (ep_w, ep_r))
         assert wire.decode_message(_encode(announce)).submessages == (announce,)
 
     def test_several_submessages_one_datagram(self):
@@ -170,7 +173,7 @@ class TestForwardCompatibility:
         assert decoded.submessages == (data,)
 
     def test_only_unknown_kinds_is_an_error(self):
-        raw = (b"MDDS\x01\x00\x00\x00" + PREFIX
+        raw = (b"MDDS\x02\x00\x00\x00" + PREFIX
                + bytes([0x7F, 0]) + struct.pack("<H", 2) + b"ab")
         with pytest.raises(wire.WireError):
             wire.decode_message(raw)
@@ -178,7 +181,7 @@ class TestForwardCompatibility:
     def test_direct_with_unknown_inner_kind_is_skipped(self):
         inner = bytes([0x30, 0]) + struct.pack("<H", 3) + b"abc"
         body = struct.pack("<I", 5) + inner
-        raw = bytearray(b"MDDS\x01\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
         raw += bytes([0x06, 0]) + struct.pack("<H", len(body)) + body
         raw += _encode(wire.Heartbeat(1, 1, 1, 1))[20:]
         decoded = wire.decode_message(bytes(raw))
@@ -225,7 +228,8 @@ class TestDecodeErrors:
     @pytest.mark.parametrize("mangle,offset", [
         (lambda raw: raw[:10], 0),                       # shorter than header
         (lambda raw: b"XDDS" + raw[4:], 0),              # bad magic
-        (lambda raw: raw[:4] + b"\x02\x00" + raw[6:], 4),  # wrong version
+        (lambda raw: raw[:4] + b"\x01\x00" + raw[6:], 4),  # the old version
+        (lambda raw: raw[:4] + b"\x02\x01" + raw[6:], 4),  # another minor version
     ])
     def test_header_errors(self, mangle, offset):
         raw = mangle(self._raw(wire.Gap(1, 1, 1)))
@@ -246,28 +250,28 @@ class TestDecodeErrors:
             wire.decode_message(bytes(raw))
 
     def test_trailing_bytes_in_body(self):
-        raw = bytearray(b"MDDS\x01\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
         body = struct.pack("<IQQ", 1, 1, 1) + b"\x00"
         raw += bytes([0x05, 0]) + struct.pack("<H", len(body)) + body
         with pytest.raises(wire.WireError):
             wire.decode_message(bytes(raw))
 
     def test_heartbeat_range_validated(self):
-        raw = bytearray(b"MDDS\x01\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
         body = struct.pack("<IQQI", 1, 9, 3, 1)
         raw += bytes([0x03, 0]) + struct.pack("<H", len(body)) + body
         with pytest.raises(wire.WireError):
             wire.decode_message(bytes(raw))
 
     def test_gap_range_validated(self):
-        raw = bytearray(b"MDDS\x01\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
         body = struct.pack("<IQQ", 1, 7, 3)
         raw += bytes([0x05, 0]) + struct.pack("<H", len(body)) + body
         with pytest.raises(wire.WireError):
             wire.decode_message(bytes(raw))
 
     def test_acknack_oversized_bitmap(self):
-        raw = bytearray(b"MDDS\x01\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
         body = (struct.pack("<I", 1) + Guid(PREFIX, 1).to_bytes()
                 + struct.pack("<QI", 1, 300) + bytes(38))
         raw += bytes([0x04, 0]) + struct.pack("<H", len(body)) + body
@@ -277,7 +281,7 @@ class TestDecodeErrors:
     def test_announce_bad_text(self):
         ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "topic", "T",
                                 EndpointType.WRITER, RxoQos())
-        raw = bytearray(self._raw(wire.Announce(0, (ep,))))
+        raw = bytearray(self._raw(wire.Announce(0, 1, (ep,))))
         index = raw.index(b"topic")
         raw[index] = 0xFF
         with pytest.raises(wire.WireError):
@@ -286,7 +290,7 @@ class TestDecodeErrors:
     def test_announce_invalid_enum_value(self):
         ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "t", "T",
                                 EndpointType.WRITER, RxoQos())
-        raw = bytearray(self._raw(wire.Announce(0, (ep,))))
+        raw = bytearray(self._raw(wire.Announce(0, 1, (ep,))))
         # The reliability policy entry is id 6 followed by its kind byte.
         index = raw.index(bytes([8, 6, 0]), 20) + 2
         raw[index] = 9
@@ -295,18 +299,18 @@ class TestDecodeErrors:
 
 
     # Offsets in the default-QoS announce of one endpoint with topic "t"
-    # and type "T": the entries start at byte 58.
+    # and type "T": the entries start at byte 66.
     @pytest.mark.parametrize("offset,policy_id,reason", [
-        (59, 6, "invalid ReliabilityKind value 9"),
-        (61, 1, "invalid DurabilityKind value 9"),
-        (63, 8, "invalid DestinationOrderKind value 9"),
-        (65, 9, "invalid OwnershipKind value 9"),
-        (90, 5, "invalid AccessScope value 9"),
+        (67, 6, "invalid ReliabilityKind value 9"),
+        (69, 1, "invalid DurabilityKind value 9"),
+        (71, 8, "invalid DestinationOrderKind value 9"),
+        (73, 9, "invalid OwnershipKind value 9"),
+        (98, 5, "invalid AccessScope value 9"),
     ])
     def test_announce_invalid_enum_reported_at_its_byte(self, offset, policy_id, reason):
         ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "t", "T",
                                 EndpointType.WRITER, RxoQos())
-        raw = bytearray(self._raw(wire.Announce(0, (ep,))))
+        raw = bytearray(self._raw(wire.Announce(0, 1, (ep,))))
         assert (raw[offset - 1], raw[offset]) == (policy_id, 0)
         raw[offset] = 9
         with pytest.raises(wire.WireError) as exc:
@@ -351,7 +355,7 @@ class TestDecodeErrors:
          "trailing bytes in submessage body"),
     ])
     def test_body_errors_are_reported_at_their_byte(self, kind, body, offset, reason):
-        raw = (b"MDDS\x01\x00\x00\x00" + PREFIX + bytes([kind, 0])
+        raw = (b"MDDS\x02\x00\x00\x00" + PREFIX + bytes([kind, 0])
                + struct.pack("<H", len(body)) + body)
         with pytest.raises(wire.WireError) as exc:
             wire.decode_message(raw)
@@ -370,7 +374,7 @@ def _data_by_layout(prefix, writer, reader, sequence, stamp, handle, payload):
     body = (writer.to_bytes(4, le) + reader.to_bytes(4, le) + sequence.to_bytes(8, le)
             + stamp.to_bytes(8, le, signed=True) + handle.to_bytes(8, le)
             + len(payload).to_bytes(4, le) + payload)
-    return (b"MDDS" + bytes([1, 0]) + bytes(2) + prefix
+    return (b"MDDS" + bytes([2, 0]) + bytes(2) + prefix
             + bytes([0x02, 0]) + len(body).to_bytes(2, le) + body)
 
 
@@ -413,10 +417,12 @@ def _outcome(raw):
 
 
 class TestOneDataBranch:
-    """decode_message reads a well-formed message of one DATA with one
-    struct call, and every other datagram with its submessage loop. On
-    any input the branch must agree with the loop alone: the same
-    records, or a refusal at the same offset for the same reason."""
+    """The receive path reads a well-formed message of one DATA with one
+    struct call (``read_data_message``), and hands every other datagram
+    to ``decode_message``'s submessage loop. On any input the two must
+    agree: a head exactly when the loop yields one DATA that fills the
+    datagram, and then the head's fields and the bytes from
+    ``DATA_PAYLOAD_START`` on are that DATA."""
 
     LARGEST_FRAMED = 0xFFFF - 36  # the largest payload a body length can frame
     EXTREMES = (0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**63 - 1, 2**63, 2**64 - 1)
@@ -451,42 +457,53 @@ class TestOneDataBranch:
             yield raw + _encode(second)[wire.HEADER_LEN:]
         yield raw + bytes([0x7F, 0, 2, 0]) + b"??"  # an unknown kind
 
-    def _agrees(self, monkeypatch, inputs):
-        """Checks each input; returns how many decoded."""
-        inputs = list(inputs)
-        with monkeypatch.context() as loop_only:
-            loop_only.setattr(wire, "_DATA_MESSAGE_LEN", float("inf"))
-            expected = [_outcome(raw) for raw in inputs]
-        for raw, want in zip(inputs, expected):
-            assert _outcome(raw) == want, raw[:64]
-        return sum(type(o[0]) is wire.WireMessage for o in expected)
+    def _agrees(self, inputs):
+        """Checks each input; returns how many the loop decoded and how
+        many ``read_data_message`` read."""
+        decoded = heads = 0
+        for raw in inputs:
+            head = wire.read_data_message(raw)
+            message = _outcome(raw)[0]
+            decoded += type(message) is wire.WireMessage
+            lone = (type(message) is wire.WireMessage and len(message.submessages) == 1
+                    and type(message.submessages[0]) is wire.Data
+                    and len(raw) == wire.DATA_PAYLOAD_START
+                    + len(message.submessages[0].payload))
+            assert (head is not None) == lone, raw[:64]
+            if head is not None:
+                heads += 1
+                record = wire.Data(*head[1:], raw[wire.DATA_PAYLOAD_START:])
+                assert (head[0], record) == (message.sender_prefix, message.submessages[0])
+        return decoded, heads
 
-    def test_agrees_with_the_submessage_loop(self, monkeypatch):
+    def test_agrees_with_the_submessage_loop(self):
         rng = random.Random(1313)
         every_value = range(256)
-        decoded = checked = 0
+        decoded = heads = checked = 0
         for size in (0, 1, 59, 60, 61, 300):  # every single-byte change
             raw = self._random_message(rng, size)
-            decoded += self._agrees(monkeypatch, self._variants(raw, rng, lambda _: every_value))
-            checked += 1
+            counts = self._agrees(self._variants(raw, rng, lambda _: every_value))
+            decoded, heads, checked = decoded + counts[0], heads + counts[1], checked + 1
         sizes = [TestOneDataMessage.LARGEST_PAYLOAD, self.LARGEST_FRAMED] + [
             rng.choice((0, rng.randint(1, 64), rng.randint(65, 2048))) for _ in range(100)]
         for size in sizes:  # a few changes per byte
             raw = self._random_message(rng, size)
-            decoded += self._agrees(monkeypatch, self._variants(raw, rng, lambda pos: (
+            counts = self._agrees(self._variants(raw, rng, lambda pos: (
                 raw[pos] ^ 0x01, raw[pos] ^ 0x80, rng.randrange(256))))
-            checked += 1
-        # Each message decodes, and so do some of its variants.
+            decoded, heads, checked = decoded + counts[0], heads + counts[1], checked + 1
+        # Each message decodes, and so do some of its variants; each is
+        # read by its head, and so are some of its variants.
         assert decoded > 2 * checked
+        assert heads > 2 * checked
 
-    def test_serves_every_well_formed_one_data_message(self, monkeypatch):
-        """With the loop's decoders gone, a DATA can come only from the branch."""
+    def test_serves_every_well_formed_one_data_message(self):
+        """Every well-formed message of one DATA is read by its head, as
+        the loop reads it, with a payload of bytes."""
         rng = random.Random(1314)
         messages = [self._random_message(rng, size) for size in (0, 1, 64, self.LARGEST_FRAMED)]
-        expected = [wire.decode_message(raw) for raw in messages]
-        monkeypatch.setattr(wire, "_DECODERS", {})
-        assert [wire.decode_message(raw) for raw in messages] == expected
-        assert all(type(m.submessages[0].payload) is bytes for m in expected)
+        assert self._agrees(messages) == (len(messages), len(messages))
+        assert all(type(wire.decode_message(raw).submessages[0].payload) is bytes
+                   for raw in messages)
 
 
 class TestFuzz:
@@ -494,7 +511,7 @@ class TestFuzz:
         ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "fuzz/topic", "FuzzType",
                                 EndpointType.WRITER, TestRoundTrips.RXO)
         seeds = [
-            _encode(wire.Announce(0, (ep,))),
+            _encode(wire.Announce(0, 7, (ep,))),
             _encode(wire.Data(1, 2, 3, 4, 5, b"0123456789abcdef"),
                     wire.Heartbeat(1, 1, 3, 2)),
             _encode(wire.AckNack(4, Guid(PREFIX, 1), 10, (10, 13)),

@@ -84,7 +84,7 @@ def test_a_peer_that_moves_gets_the_next_write_at_its_new_address(fx):
     # B's announce, unchanged, now arrives from another address: the
     # match stays as it is and only the peer's address changes.
     moved = fx.net.attach("B2")
-    announce = wire.Announce(0, fx.b._local_descriptors())
+    announce = wire.Announce(0, fx.b.discovery.local_version, fx.b._local_descriptors())
     moved.send(wire.encode_message(wire.WireMessage(fx.b.guid.prefix, (announce,))), "A")
     _spin(fx.a)
     assert fx.writer.matched_readers() == [reader.guid]

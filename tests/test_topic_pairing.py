@@ -7,6 +7,8 @@ readers of its old one. Every case runs on ``InProcNetwork`` and a
 ``ManualClock``, and counts calls instead of timing them.
 """
 
+from collections import Counter
+
 import pytest
 
 from minidds import idl, qos
@@ -81,19 +83,19 @@ def test_a_writer_re_announced_on_another_topic_moves_its_match():
         reader_a = b.create_datareader(b.create_topic("a", COUNTER), BEST_EFFORT)
         reader_b = b.create_datareader(b.create_topic("b", COUNTER), BEST_EFFORT)
 
-        def announce(topic):
+        def announce(topic, version):
             descriptor = EndpointDescriptor(writer_guid, 0, topic, COUNTER.name,
                                             EndpointType.WRITER, RxoQos())
             rogue.send(wire.encode_message(wire.WireMessage(
-                prefix, (wire.Announce(0, (descriptor,)),))), "B")
+                prefix, (wire.Announce(0, version, (descriptor,)),))), "B")
             b.spin_once()
 
-        announce("a")
+        announce("a", 1)
         assert reader_a.matched_writers() == [writer_guid]
         assert reader_b.matched_writers() == []
         assert [r for r, _ in b._matched[writer_guid]] == [reader_a]
 
-        announce("b")
+        announce("b", 2)
         assert reader_a.matched_writers() == []
         assert reader_b.matched_writers() == [writer_guid]
         assert [r for r, _ in b._matched[writer_guid]] == [reader_b]
@@ -134,7 +136,7 @@ def test_pairing_looks_at_no_endpoint_on_another_topic():
         descriptor = EndpointDescriptor(Guid(prefix, 7), 0, "t", COUNTER.name,
                                         EndpointType.WRITER, RxoQos())
         rogue.send(wire.encode_message(wire.WireMessage(
-            prefix, (wire.Announce(0, (descriptor,)),))), "B")
+            prefix, (wire.Announce(0, 1, (descriptor,)),))), "B")
         b.spin_once()
         local = b.create_datawriter(b.create_topic("t", COUNTER), BEST_EFFORT)
         assert looked == []
@@ -160,11 +162,12 @@ def test_a_reader_re_announced_on_another_topic_moves_its_match():
     try:
         writer_a = b.create_datawriter(b.create_topic("a", COUNTER), BEST_EFFORT)
         writer_b = b.create_datawriter(b.create_topic("b", COUNTER), BEST_EFFORT)
-        for topic, matched in (("a", [[reader_guid], []]), ("b", [[], [reader_guid]])):
+        for version, (topic, matched) in enumerate(
+                (("a", [[reader_guid], []]), ("b", [[], [reader_guid]])), 1):
             descriptor = EndpointDescriptor(reader_guid, 0, topic, COUNTER.name,
                                             EndpointType.READER, RxoQos())
             rogue.send(wire.encode_message(wire.WireMessage(
-                prefix, (wire.Announce(0, (descriptor,)),))), "B")
+                prefix, (wire.Announce(0, version, (descriptor,)),))), "B")
             b.spin_once()
             assert [w.matched_readers() for w in (writer_a, writer_b)] == matched
     finally:
@@ -200,7 +203,7 @@ def test_a_new_endpoint_looks_at_no_remote_endpoint_on_another_topic():
                                             EndpointType.WRITER, RxoQos())
                 descriptors += (target,)
             rogue.send(wire.encode_message(wire.WireMessage(
-                prefix, (wire.Announce(0, descriptors),))), "B")
+                prefix, (wire.Announce(0, 1, descriptors),))), "B")
         b.spin_once()
         others = [d for peer in b.discovery._peers.values()
                   for d in peer.endpoints.values() if d.topic_name != "t"]
@@ -217,9 +220,9 @@ def test_a_new_endpoint_looks_at_no_remote_endpoint_on_another_topic():
 
 def test_discovery_indexes_remote_endpoints_by_topic_and_kind():
     """The index follows every announce: an endpoint added, moved to
-    another topic, gone after ABSENCE_LIMIT announces, and gone with a
-    silent peer. A GUID two peers list stays while one of them lists it."""
-    from minidds.rtps.discovery import ABSENCE_LIMIT, Discovery
+    another topic, gone at the first announce without it, and gone with
+    a silent peer. A GUID two peers list stays while one of them lists it."""
+    from minidds.rtps.discovery import Discovery
 
     disc = Discovery(bytes(12), 0, announce_period_ns=1_000)
     writer, reader = EndpointType.WRITER, EndpointType.READER
@@ -228,8 +231,12 @@ def test_discovery_indexes_remote_endpoints_by_topic_and_kind():
         return EndpointDescriptor(Guid(prefix, entity_id), 0, topic, COUNTER.name, kind,
                                   RxoQos())
 
+    versions = Counter()
+
     def announce(prefix, *endpoints, now=0):
-        disc.process_announce(wire.Announce(0, endpoints), prefix, prefix, now)
+        versions[prefix] += 1  # each a newer roster
+        disc.process_announce(wire.Announce(0, versions[prefix], endpoints),
+                              prefix, prefix, now)
 
     p, q = b"p" * 12, b"q" * 12
     w1, w2, r1 = ep(p, 1, "a"), ep(p, 2, "a"), ep(p, 3, "a", reader)
@@ -240,15 +247,13 @@ def test_discovery_indexes_remote_endpoints_by_topic_and_kind():
     announce(p, w1, moved, r1)
     assert disc.remote_on("a", writer) == [w1]
     assert disc.remote_on("b", writer) == [moved]
-    for _ in range(ABSENCE_LIMIT):
-        announce(p, moved, r1)
+    announce(p, moved, r1)
     assert disc.remote_on("a", writer) == []
     assert sorted(disc._on_topic) == [("a", reader), ("b", writer)]
     shared = ep(q, 9, "c")
     announce(p, moved, r1, ep(q, 9, "c"))  # each peer's copy, as decoded
     announce(q, shared, now=1)
-    for _ in range(ABSENCE_LIMIT):
-        announce(p, moved, r1)
+    announce(p, moved, r1)
     assert disc.remote_on("c", writer) == [shared]  # q still lists it
     assert sorted(disc.check_timeouts(3_000)) == sorted([moved.guid, r1.guid])
     assert disc.remote_on("b", writer) == [] and disc.remote_on("a", reader) == []
@@ -261,7 +266,6 @@ def test_a_guid_two_peers_list_stays_while_either_lists_it(q_first):
     """Peers p and q both list GUID G; p stops. q's copy stays in the
     index, and a reader created later pairs with it, whichever peer
     announced G first."""
-    from minidds.rtps.discovery import ABSENCE_LIMIT
 
     net, clock = InProcNetwork(), ManualClock(1_000_000_000)
     a = DomainParticipant(0, transport=net.attach("a"), clock=clock)
@@ -272,15 +276,18 @@ def test_a_guid_two_peers_list_stays_while_either_lists_it(q_first):
                                              EndpointType.WRITER, RxoQos())
                   for prefix in (p, q)}
 
+        versions = Counter()
+
         def announce(prefix, *endpoints):
-            a.discovery.process_announce(wire.Announce(0, endpoints), prefix, prefix, 0)
+            versions[prefix] += 1  # each a newer roster
+            a.discovery.process_announce(wire.Announce(0, versions[prefix], endpoints),
+                                         prefix, prefix, 0)
 
         for prefix in ((q, p) if q_first else (p, q)):
             announce(prefix, copies[prefix])
         both = [copies[q], copies[p]] if q_first else [copies[p], copies[q]]
         assert a.discovery.remote_on("c", EndpointType.WRITER) == both
-        for _ in range(ABSENCE_LIMIT):
-            announce(p)
+        announce(p)
         assert a.discovery.remote_on("c", EndpointType.WRITER) == [copies[q]]
         reader = a.create_datareader(topic)
         assert reader.matched_writers() == [Guid(q, 9)]
