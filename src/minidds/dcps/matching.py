@@ -69,9 +69,11 @@ def match_endpoints(a: EndpointDescriptor, b: EndpointDescriptor) -> MatchRecord
 
 class Endpoint:
     """What a writer and a reader share. Each kind makes and unmakes its
-    own side of a match: ``_add_match(record, now_ns)`` records one, again
-    for a changed remote descriptor, and ``_remove_match(guid)`` forgets
-    one, if matched."""
+    own side of a match: ``_add_match(record, now_ns)`` records a new one,
+    and ``_remove_match(guid)`` forgets one, if matched. A pair is matched
+    once and unmatched once: a changed remote descriptor is unmatched and
+    then matched afresh, and a remote endpoint has one owner, the peer
+    whose prefix its GUID carries."""
 
     def __init__(self, participant, topic, profile: qos.QosProfile,
                  descriptor: EndpointDescriptor):

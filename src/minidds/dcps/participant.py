@@ -88,14 +88,16 @@ read the clock again, after the batch.
 Pairing stays within a topic, through a table of local endpoints by
 topic and kind, and discovery's table of remote ones
 (``Discovery.remote_on``): a new endpoint meets those of the other kind
-on its topic (``_introduce``), and so does a new or changed remote one, a
-changed one also those matched with it now, which are on its previous
-topic, so one re-announced on another topic is unmatched
-(``_match_remote``). ``match_endpoints`` decides a pair and each
-endpoint makes or unmakes its own side: a writer routes a new reader's
-late-joiner replay, and a reader enters its session into the dispatch
-table or takes it out. A local pair records the reader's side first, so
-a durable writer's replay finds the session.
+on its topic (``_introduce``), and so does a new remote one
+(``_match_remote``). A pair is matched once and unmatched once. Each
+remote endpoint has one owner, the peer whose prefix its GUID carries,
+and a changed one is unmatched and paired afresh, as a departure and an
+arrival, with a new session, a new proxy and any late-joiner replay.
+``match_endpoints`` decides a pair and each endpoint makes or unmakes
+its own side: a writer routes a new reader's late-joiner replay, and a
+reader enters its session into the dispatch table or takes it out. A
+local pair records the reader's side first, so a durable writer's
+replay finds the session.
 
 A datagram whose only submessage is an ANNOUNCE is first shown to
 discovery by its sender and roster version (``wire.lone_announce``),
@@ -105,7 +107,9 @@ diffed, and an endpoint it no longer lists is unmatched at once: a
 closed remote reader stops pinning a writer's cache, and gets no more
 DATA, from the first announce after it closed. This participant's own
 announce is encoded once per change of its endpoint set, under a new
-roster version, and kept for every send until the next change.
+roster version, and kept for every send until the next change. A closed
+participant sends one last announce, of no endpoints, so its peers
+unmatch its endpoints at once rather than after its silence.
 """
 
 from __future__ import annotations
@@ -338,7 +342,6 @@ class DomainParticipant:
         if isinstance(result, NoMatch):
             if result.report is not None:
                 self._note_incompatible(local_entity.descriptor, remote, result.report)
-            local_entity._remove_match(remote.guid)
         else:
             local_entity._add_match(result, now_ns)
 
@@ -353,18 +356,11 @@ class DomainParticipant:
             self.incompatible_qos.append(entry)
             del self.incompatible_qos[:-64]
 
-    def _match_remote(self, remote: EndpointDescriptor, now_ns: int,
-                      previous: Optional[EndpointDescriptor] = None) -> None:
-        """Pair a new or changed remote endpoint within its topic, and a
-        changed one with the local endpoints matched with it now, which
-        are on the topic it ``previous``ly named."""
+    def _match_remote(self, remote: EndpointDescriptor, now_ns: int) -> None:
+        """Pair a new remote endpoint within its topic."""
         kind = (EndpointType.READER if remote.kind == EndpointType.WRITER
                 else EndpointType.WRITER)
-        entities = self._local_on(remote.topic_name, kind)
-        if previous is not None and previous.topic_name != remote.topic_name:
-            entities += [entity for entity in self._local_on(previous.topic_name, kind)
-                         if remote.guid in entity._match_records]
-        for entity in entities:
+        for entity in self._local_on(remote.topic_name, kind):
             self._consider_pair(entity, remote, now_ns)
 
     def _unmatch(self, guid: Guid) -> None:
@@ -375,10 +371,9 @@ class DomainParticipant:
             reader._remove_match(guid)
 
     def _link(self, writer_guid: Guid, reader: DataReader, session) -> None:
-        # In reader creation order; the sort merges one pair into a sorted run.
-        pairs = self._matched.get(writer_guid, ()) + ((reader, session),)
-        self._matched[writer_guid] = tuple(
-            sorted(pairs, key=lambda pair: pair[0].guid.entity_id))
+        # In reader creation order: a writer's first match visits the
+        # readers in that order, and a later one is with a new reader.
+        self._matched[writer_guid] = self._matched.get(writer_guid, ()) + ((reader, session),)
 
     def _unlink(self, writer_guid: Guid, reader: DataReader) -> None:
         pairs = tuple(p for p in self._matched.pop(writer_guid, ()) if p[0] is not reader)
@@ -510,12 +505,10 @@ class DomainParticipant:
                 event = self.discovery.process_announce(sub, sender_prefix, source, now)
                 if event is None:
                     continue
-                for descriptor in event.added:
-                    self._match_remote(descriptor, now)
-                for previous, descriptor in event.changed:
-                    self._match_remote(descriptor, now, previous)
                 for guid in event.removed:
                     self._unmatch(guid)
+                for descriptor in event.added:
+                    self._match_remote(descriptor, now)
                 if event.new_peer and not self.closed:
                     self._send_announce([source])
             elif isinstance(sub, wire.AckNack):
@@ -666,10 +659,12 @@ class DomainParticipant:
         if self._thread is not None:
             self._thread.join(timeout=1.0)
             self._thread = None
-        # Its endpoints close with it: a writer refuses further writes.
+        # Its endpoints close with it: a writer refuses further writes. The
+        # last announce lists none of them, so peers unmatch them at once.
         with self._lock:
             for entity in [*self._writers.values(), *self._readers.values()]:
                 entity.close()
+            self._send_announce(self._announce_destinations())
         self.transport.close()
 
     def __enter__(self):

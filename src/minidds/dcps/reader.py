@@ -90,15 +90,14 @@ class DataReader(Endpoint):
     # -- matching (driven by the participant) -------------------------
 
     def _add_match(self, record: MatchRecord, now_ns: int) -> None:
-        """Record a match; a newly matched writer gets a session, entered
-        into the participant's dispatch table."""
+        """Record a new match; the writer gets a session, entered into
+        the participant's dispatch table."""
         remote = record.remote
         self._match_records[remote.guid] = record
-        if remote.guid not in self._sessions:
-            session = self._sessions[remote.guid] = (
-                ReliableReaderSession(remote.guid, self.guid.entity_id) if self._reliable
-                else BestEffortReaderSession(remote.guid))
-            self.participant._link(remote.guid, self, session)
+        session = self._sessions[remote.guid] = (
+            ReliableReaderSession(remote.guid, self.guid.entity_id) if self._reliable
+            else BestEffortReaderSession(remote.guid))
+        self.participant._link(remote.guid, self, session)
 
     def _remove_match(self, guid: Guid) -> None:
         self._match_records.pop(guid, None)

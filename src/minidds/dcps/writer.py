@@ -49,13 +49,10 @@ class DataWriter(Endpoint):
     # -- matching (driven by the participant) -------------------------
 
     def _add_match(self, record: MatchRecord, now_ns: int) -> None:
-        """Record a match; a newly matched RELIABLE reader gets any
-        late-joiner replay."""
+        """Record a new match; a RELIABLE reader gets any late-joiner
+        replay."""
         remote = record.remote
         self._send_plan = None
-        if remote.guid in self._match_records:
-            self._match_records[remote.guid] = record
-            return
         self._match_records[remote.guid] = record
         # The session tracks RELIABLE readers alone (WriterSession.add_reader).
         if remote.rxo.reliability == qos.ReliabilityKind.RELIABLE:

@@ -4,7 +4,15 @@ Every participant broadcasts its full endpoint set, its roster, each
 period. This module keeps the receive-side book: which peers exist, what
 they last advertised, and when an endpoint or a whole peer should be
 considered gone. Matching itself stays with the caller;
-``process_announce`` reports only what appeared, changed, or vanished.
+``process_announce`` reports only what appeared or vanished.
+
+Each remote endpoint has one owner, the participant whose GUID prefix
+its GUID carries (DDSI-RTPS 2.x 8.2.4): a roster's endpoints under
+another prefix are ignored, as an announce from another domain is, so
+no third party can list, or stop listing, another participant's
+endpoint. A GUID the owner lists again with a changed descriptor is
+reported as removed and then added, so the caller unmatches it and
+pairs it afresh, as it would a new endpoint.
 
 Each announce carries its sender's roster version, ``local_version``,
 which starts at 1 and goes up by one at every change of the endpoint
@@ -39,7 +47,7 @@ a malformed datagram) is decoded and processed in full. Per peer,
 discovery keeps one int, the version of the roster it last diffed.
 
 The remote endpoints are also indexed by topic and kind
-(``remote_on``), kept as announces add, change, move or drop them and
+(``remote_on``), by GUID alone, kept as announces add or drop them and
 as silent peers go, so a new local endpoint looks only at its own
 topic.
 """
@@ -70,8 +78,7 @@ class _Peer:
 @dataclass(frozen=True)
 class PeerEvent:
     added: tuple[EndpointDescriptor, ...]
-    changed: tuple[tuple[EndpointDescriptor, EndpointDescriptor], ...]  # (before, now)
-    removed: tuple[Guid, ...]
+    removed: tuple[Guid, ...]  # a changed endpoint is in both
     new_peer: bool
 
 
@@ -84,11 +91,10 @@ class Discovery:
         self.announce_period_ns = announce_period_ns
         self.static_peers = tuple(static_peers)
         self._peers: dict[bytes, _Peer] = {}
-        # (topic name, kind) -> the remote endpoints known there, by
-        # (peer prefix, GUID), so each peer's copy comes and goes on its
-        # own; only pairs with endpoints.
+        # (topic name, kind) -> the remote endpoints known there, by GUID;
+        # only pairs with endpoints.
         self._on_topic: dict[tuple[str, EndpointType],
-                             dict[tuple[bytes, Guid], EndpointDescriptor]] = {}
+                             dict[Guid, EndpointDescriptor]] = {}
         self._last_announce_ns: Optional[int] = None
         # This participant's encoded announce; None until it is encoded
         # for the current endpoint set.
@@ -145,7 +151,9 @@ class Discovery:
         """Diff a roster newer than its peer's last against that one;
         None when there is nothing to diff. An older roster changes
         nothing; an equal one refreshes the peer and moves it to
-        ``source``."""
+        ``source``. Only the endpoints under the sender's prefix count,
+        and one listed with a changed descriptor is both removed and
+        added."""
         if announce.domain_id != self.domain_id:
             return None
         if sender_prefix == self.local_prefix:
@@ -166,24 +174,18 @@ class Discovery:
             return None
         peer.version = announce.version
 
-        present = {ep.guid: ep for ep in announce.endpoints}
-        added = []
-        changed = []
-        for guid, descriptor in present.items():
-            known = peer.endpoints.get(guid)
-            if known != descriptor:
-                if known is None:
-                    added.append(descriptor)
-                else:
-                    changed.append((known, descriptor))
-                    self._unindex(sender_prefix, known)
-                peer.endpoints[guid] = descriptor
-                self._on_topic.setdefault((descriptor.topic_name, descriptor.kind),
-                                          {})[sender_prefix, guid] = descriptor
-        removed = [guid for guid in peer.endpoints if guid not in present]
+        present = {ep.guid: ep for ep in announce.endpoints
+                   if ep.guid.prefix == sender_prefix}
+        removed = [guid for guid, known in peer.endpoints.items()
+                   if present.get(guid) != known]
         for guid in removed:
-            self._unindex(sender_prefix, peer.endpoints.pop(guid))
-        return PeerEvent(tuple(added), tuple(changed), tuple(removed), new_peer)
+            self._unindex(peer.endpoints.pop(guid))
+        added = [ep for guid, ep in present.items() if guid not in peer.endpoints]
+        for descriptor in added:
+            peer.endpoints[descriptor.guid] = descriptor
+            self._on_topic.setdefault((descriptor.topic_name, descriptor.kind),
+                                      {})[descriptor.guid] = descriptor
+        return PeerEvent(tuple(added), tuple(removed), new_peer)
 
     def check_timeouts(self, now_ns: int) -> list[Guid]:
         """Drop peers silent for 3 periods; returns their endpoint guids."""
@@ -194,7 +196,7 @@ class Discovery:
             endpoints = self._peers.pop(prefix).endpoints
             removed.extend(endpoints)
             for descriptor in endpoints.values():
-                self._unindex(prefix, descriptor)
+                self._unindex(descriptor)
             self.epoch += 1
         return removed
 
@@ -208,10 +210,10 @@ class Discovery:
         """The known remote endpoints of one kind on one topic."""
         return list(self._on_topic.get((topic_name, kind), {}).values())
 
-    def _unindex(self, prefix: bytes, descriptor: EndpointDescriptor) -> None:
+    def _unindex(self, descriptor: EndpointDescriptor) -> None:
         key = (descriptor.topic_name, descriptor.kind)
         entries = self._on_topic[key]
-        del entries[prefix, descriptor.guid]
+        del entries[descriptor.guid]
         if not entries:
             del self._on_topic[key]
 

@@ -137,7 +137,8 @@ class WriterSession:
     def add_reader(self, guid: Guid, *, wants_history: bool,
                    now_ns: int) -> list[Directed]:
         """Register a newly matched RELIABLE reader (not one already
-        matched); returns its late-joiner replay when it ``wants_history``
+        matched; a changed reader descriptor is removed, then added
+        afresh); returns its late-joiner replay when it ``wants_history``
         (is TRANSIENT_LOCAL). A best-effort reader has no proxy here: it
         is never heartbeated, acknowledged, replayed or released against,
         so the writer sends it each write and nothing else."""

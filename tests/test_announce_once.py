@@ -44,12 +44,14 @@ def _announce_decodes():
 
 @contextlib.contextmanager
 def _announce_encodes():
-    """A Counter of ANNOUNCE encodes per sending participant's prefix."""
+    """A Counter of ANNOUNCE encodes per sending participant's prefix; an
+    empty roster, which names no participant (a closed one sends it), is
+    counted under None."""
     encode = wire._encode_announce
     encoded = Counter()
 
     def counting(sub):
-        encoded[sub.endpoints[0].guid.prefix] += 1
+        encoded[sub.endpoints[0].guid.prefix if sub.endpoints else None] += 1
         return encode(sub)
 
     wire._encode_announce = counting

@@ -3,8 +3,13 @@
 Every announce carries its sender's roster version. A peer diffs only a
 roster newer than the last it diffed and drops at once what that roster
 no longer lists; an older roster changes nothing, not even the peer's
-last-seen time. Every case runs on ``InProcNetwork`` and a
-``ManualClock``.
+last-seen time. A remote endpoint is matched once and unmatched once: a
+roster that lists a known GUID with a changed descriptor is a departure
+and an arrival, so the endpoint is paired afresh, with a new session
+and a new proxy. A roster counts only its sender's own endpoints, those
+whose GUID carries its prefix, so no third party can match or unmatch
+another participant's endpoint. Every case runs on ``InProcNetwork`` and
+a ``ManualClock``.
 """
 
 import pytest
@@ -15,7 +20,9 @@ from minidds.dcps.guid import Guid
 from minidds.dcps.matching import EndpointDescriptor, EndpointType, RxoQos
 from minidds.dcps.participant import DomainParticipant
 from minidds.rtps import wire
+from minidds.dcps.history import ResourceLimitsError
 from minidds.rtps.discovery import ANNOUNCE_PERIOD_NS, SILENCE_PERIODS
+from minidds.rtps.reliability import HEARTBEAT_PERIOD_NS
 from minidds.rtps.transport import InProcNetwork
 
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
@@ -109,6 +116,27 @@ def test_a_departed_reader_gets_no_more_data(pair, monkeypatch):
     assert [wire.lone_announce(data) is not None for data, _ in sent] == [True] * 3
 
 
+def test_a_closed_participant_is_unmatched_at_its_last_announce(pair, monkeypatch):
+    """A closed participant announces an empty roster: after one spin of
+    the writer's participant its best-effort writer has no match, and
+    sends the gone participant no DATA for 300 writes over 3 s, the
+    span in which the gone peer is still remembered."""
+    writer, reader = _matched(pair, [BEST_EFFORT], [BEST_EFFORT])
+    sent = []
+    send = pair.a.transport.send
+    monkeypatch.setattr(pair.a.transport, "send",
+                        lambda data, dest: (sent.append((data, dest)), send(data, dest)))
+    pair.b.close()
+    pair.a.spin_once()
+    assert writer.matched_readers() == []
+    for n in range(300):
+        pair.clock.advance(10 * MS)
+        writer.write({"n": n})
+        pair.a.spin_once()
+    assert writer.samples_written == 300
+    assert [dest for data, dest in sent if wire.read_data_message(data) is not None] == []
+
+
 def _announce(sender, prefix, version, *endpoints):
     sender.send(wire.encode_message(wire.WireMessage(
         prefix, (wire.Announce(0, version, endpoints),))), "B")
@@ -117,6 +145,11 @@ def _announce(sender, prefix, version, *endpoints):
 def _remote_writer(prefix, entity_id):
     return EndpointDescriptor(Guid(prefix, entity_id), 0, "t", COUNTER.name,
                               EndpointType.WRITER, RxoQos())
+
+
+def _remote_reader(prefix, reliability):
+    return EndpointDescriptor(Guid(prefix, 7), 0, "t", COUNTER.name,
+                              EndpointType.READER, RxoQos(reliability=reliability))
 
 
 def test_an_older_roster_does_not_bring_a_removed_endpoint_back(pair):
@@ -167,3 +200,87 @@ def test_a_peer_heard_only_through_older_rosters_times_out(pair):
     _announce(rogue, prefix, 4, e)
     pair.b.spin_once()
     assert reader.matched_writers() == [e.guid]
+
+
+def test_a_reader_re_announced_reliable_gets_a_proxy_a_cache_and_heartbeats(pair):
+    """A RELIABLE KEEP_ALL writer matches a BEST_EFFORT remote reader,
+    which is then re-announced RELIABLE under the same GUID. The writer
+    tracks it as it would a new RELIABLE reader: 3 writes stay cached,
+    unacknowledged, and a heartbeat period later it is sent a
+    HEARTBEAT."""
+    rogue = pair.net.attach("rogue")
+    prefix = bytes(range(1, 13))
+    writer = pair.b.create_datawriter(pair.b.create_topic("t", COUNTER),
+                                      [RELIABLE, KEEP_ALL])
+    reader = _remote_reader(prefix, qos.ReliabilityKind.BEST_EFFORT)
+    _announce(rogue, prefix, 1, reader)
+    pair.b.spin_once()
+    assert writer.matched_readers() == [reader.guid]
+    _announce(rogue, prefix, 2, _remote_reader(prefix, qos.ReliabilityKind.RELIABLE))
+    pair.b.spin_once()
+    assert writer.matched_readers() == [reader.guid]
+    for n in range(3):
+        writer.write({"n": n})
+    assert list(writer.session._proxies) == [reader.guid]
+    assert len(writer.history) == 3 and writer.unacknowledged()
+    rogue.drain()
+    pair.clock.advance(HEARTBEAT_PERIOD_NS)
+    pair.b.spin_once()
+    heartbeats = [sub for data, _ in rogue.drain()
+                  for sub in wire.decode_message(data).submessages
+                  if isinstance(sub, wire.Direct) and type(sub.inner) is wire.Heartbeat]
+    assert [(sub.reader_entity_id, sub.inner.last_seq) for sub in heartbeats] == [(7, 3)]
+
+
+def test_a_reader_re_announced_best_effort_stops_pinning_a_keep_all_cache(pair):
+    """A RELIABLE KEEP_ALL writer of ``max_samples=4`` matches a RELIABLE
+    remote reader that never acknowledges, which is then re-announced
+    BEST_EFFORT under the same GUID. The writer keeps no proxy for it,
+    so it takes 20 writes, one per 10 ms, refuses none and caches
+    none."""
+    rogue = pair.net.attach("rogue")
+    prefix = bytes(range(1, 13))
+    writer = pair.b.create_datawriter(
+        pair.b.create_topic("t", COUNTER),
+        [RELIABLE, KEEP_ALL, qos.ResourceLimits(max_samples=4)])
+    reader = _remote_reader(prefix, qos.ReliabilityKind.RELIABLE)
+    _announce(rogue, prefix, 1, reader)
+    pair.b.spin_once()
+    assert list(writer.session._proxies) == [reader.guid]
+    _announce(rogue, prefix, 2, _remote_reader(prefix, qos.ReliabilityKind.BEST_EFFORT))
+    pair.b.spin_once()
+    assert writer.matched_readers() == [reader.guid]
+    refused = 0
+    for n in range(20):
+        pair.clock.advance(10 * MS)
+        try:
+            writer.write({"n": n})
+        except ResourceLimitsError:
+            refused += 1
+        pair.spin()
+    assert refused == 0
+    assert writer.samples_written == 20
+    assert len(writer.history) == 0 and not writer.session._proxies
+
+
+def test_a_third_party_cannot_match_or_unmatch_another_participants_writer(pair):
+    """A third participant lists A's writer in its own roster to B, then
+    a roster without it. B ignores both listings: its reader stays
+    matched with A's writer through five announce periods and takes A's
+    next write."""
+    writer, reader = _matched(pair, [BEST_EFFORT], [BEST_EFFORT])
+    rogue = pair.net.attach("rogue")
+    prefix = bytes(range(1, 13))
+    _announce(rogue, prefix, 1, writer.descriptor)
+    pair.b.spin_once()
+    assert pair.b.discovery.remote_on("t", EndpointType.WRITER) == [writer.descriptor]
+    _announce(rogue, prefix, 2)
+    pair.b.spin_once()
+    assert reader.matched_writers() == [writer.guid]
+    for _ in range(5):
+        pair.clock.advance(ANNOUNCE_PERIOD_NS)
+        pair.spin(rounds=2)
+    assert reader.matched_writers() == [writer.guid]
+    writer.write({"n": 5})
+    pair.spin()
+    assert [sample.values for sample, _ in reader.take()] == [(5,)]

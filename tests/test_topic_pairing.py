@@ -1,10 +1,11 @@
 """Endpoints are paired only within a topic.
 
 A participant hands a pair to ``match_endpoints`` only when both
-endpoints name the same topic, or when they are matched now: a remote
-endpoint re-announced on another topic must still be unmatched from the
-readers of its old one. Every case runs on ``InProcNetwork`` and a
-``ManualClock``, and counts calls instead of timing them.
+endpoints name the same topic. A remote endpoint re-announced on another
+topic is unmatched from the endpoints of its old one and paired afresh
+on its new one, as any changed descriptor is. Every case runs on
+``InProcNetwork`` and a ``ManualClock``, and counts calls instead of
+timing them.
 """
 
 from collections import Counter
@@ -221,7 +222,7 @@ def test_a_new_endpoint_looks_at_no_remote_endpoint_on_another_topic():
 def test_discovery_indexes_remote_endpoints_by_topic_and_kind():
     """The index follows every announce: an endpoint added, moved to
     another topic, gone at the first announce without it, and gone with
-    a silent peer. A GUID two peers list stays while one of them lists it."""
+    a silent peer. A peer's listing of another's GUID is not indexed."""
     from minidds.rtps.discovery import Discovery
 
     disc = Discovery(bytes(12), 0, announce_period_ns=1_000)
@@ -251,7 +252,8 @@ def test_discovery_indexes_remote_endpoints_by_topic_and_kind():
     assert disc.remote_on("a", writer) == []
     assert sorted(disc._on_topic) == [("a", reader), ("b", writer)]
     shared = ep(q, 9, "c")
-    announce(p, moved, r1, ep(q, 9, "c"))  # each peer's copy, as decoded
+    announce(p, moved, r1, ep(q, 9, "c"))  # q's endpoint, listed by p
+    assert disc.remote_on("c", writer) == []
     announce(q, shared, now=1)
     announce(p, moved, r1)
     assert disc.remote_on("c", writer) == [shared]  # q still lists it
@@ -262,10 +264,11 @@ def test_discovery_indexes_remote_endpoints_by_topic_and_kind():
 
 
 @pytest.mark.parametrize("q_first", [False, True])
-def test_a_guid_two_peers_list_stays_while_either_lists_it(q_first):
-    """Peers p and q both list GUID G; p stops. q's copy stays in the
-    index, and a reader created later pairs with it, whichever peer
-    announced G first."""
+def test_only_the_owner_of_a_guid_lists_it(q_first):
+    """Peers p and q both list GUID G, which carries q's prefix; p then
+    stops. p's copy is never indexed, whichever peer announced G first:
+    a reader created later pairs with q's copy, and p dropping G changes
+    nothing."""
 
     net, clock = InProcNetwork(), ManualClock(1_000_000_000)
     a = DomainParticipant(0, transport=net.attach("a"), clock=clock)
@@ -283,13 +286,17 @@ def test_a_guid_two_peers_list_stays_while_either_lists_it(q_first):
             a.discovery.process_announce(wire.Announce(0, versions[prefix], endpoints),
                                          prefix, prefix, 0)
 
+        def indexed():
+            return [id(d) for d in a.discovery.remote_on("c", EndpointType.WRITER)]
+
         for prefix in ((q, p) if q_first else (p, q)):
             announce(prefix, copies[prefix])
-        both = [copies[q], copies[p]] if q_first else [copies[p], copies[q]]
-        assert a.discovery.remote_on("c", EndpointType.WRITER) == both
-        announce(p)
-        assert a.discovery.remote_on("c", EndpointType.WRITER) == [copies[q]]
+        assert indexed() == [id(copies[q])]
         reader = a.create_datareader(topic)
+        assert reader.matched_writers() == [Guid(q, 9)]
+        assert reader.matches()[0].remote is copies[q]
+        announce(p)
+        assert indexed() == [id(copies[q])]
         assert reader.matched_writers() == [Guid(q, 9)]
     finally:
         a.close()
