@@ -255,6 +255,8 @@ class ReaderHistory:
         self.history = history
         self.limits = limits
         self._cap = _per_instance_cap(history, limits)
+        self._max_samples = limits.max_samples
+        self._max_instances = limits.max_instances
         self._keep_last = history.kind == qos.HistoryKind.KEEP_LAST
         self.instances: dict[int, list[tuple[Sample, SampleInfo]]] = {}
         self._order: deque[int] = deque()
@@ -266,14 +268,14 @@ class ReaderHistory:
         pass the one pair they share per DATA."""
         handle = pair[1].instance_handle
         entries = self.instances.get(handle)
-        limits = self.limits
+        max_samples = self._max_samples
         if entries is None:
             # A new instance: only the cache-wide limits can turn it away,
             # as every per-instance cap is at least 1.
-            if (limits.max_instances is not None
-                    and len(self.instances) >= limits.max_instances):
+            if (self._max_instances is not None
+                    and len(self.instances) >= self._max_instances):
                 return InsertOutcome(False, "max_instances")
-            if limits.max_samples is not None and self.total >= limits.max_samples:
+            if max_samples is not None and self.total >= max_samples:
                 if not self._keep_last:
                     return InsertOutcome(False, "max_samples")
                 # Keep-last evicts the arriving instance's oldest entry:
@@ -285,7 +287,7 @@ class ReaderHistory:
             return _ACCEPTED
         if self._keep_last:
             if len(entries) == self._cap or (
-                    limits.max_samples is not None and self.total >= limits.max_samples):
+                    max_samples is not None and self.total >= max_samples):
                 # A full instance, or a full cache: the arrival replaces
                 # the instance's oldest entry, and the total is unchanged.
                 del entries[0]
@@ -295,7 +297,7 @@ class ReaderHistory:
             cap = self._cap
             if cap is not None and len(entries) >= cap:
                 return InsertOutcome(False, "max_samples_per_instance")
-            if limits.max_samples is not None and self.total >= limits.max_samples:
+            if max_samples is not None and self.total >= max_samples:
                 return InsertOutcome(False, "max_samples")
         entries.append(pair)
         self.total += 1

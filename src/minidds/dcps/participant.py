@@ -35,15 +35,18 @@ or a send to this participant's own readers. It reads a datagram of
 one DATA, the common kind, with one struct call
 (``wire.read_data_message``) into a *run*: consecutive such datagrams
 of the batch with one sender prefix, writer entity id and reader entity
-id. A run looks up its writer's entry once and keeps one ``SampleInfo``
-and one payload slot per DATA. Any other datagram is decoded and handed
-to one dispatch loop, after the run read so far is delivered, so
-protocol order is kept. The loop hands a DATA that came among other
-submessages on as a run of one. A HEARTBEAT of the batch is the
-exception: the batch's HEARTBEATs are answered in arrival order once
-the whole batch has been delivered, so each ACKNACK reflects every DATA
-of the drain, also the repairs that a faulty network carried behind the
-HEARTBEAT (a heartbeat response delay of zero).
+id. The run's key is kept in three locals, compared field by field with
+each datagram's, so a DATA that continues the run builds no key. A run
+looks up its writer's entry once and keeps one ``SampleInfo`` and one
+payload slot per DATA, and a best-effort session decides a run that
+continues its writer's stream in one step. Any other datagram is
+decoded and handed to one dispatch loop, after the run read so far is
+delivered, so protocol order is kept. The loop hands a DATA that came
+among other submessages on as a run of one. A HEARTBEAT of the batch is
+the exception: the batch's HEARTBEATs are answered in arrival order
+once the whole batch has been delivered, so each ACKNACK reflects every
+DATA of the drain, also the repairs that a faulty network carried
+behind the HEARTBEAT (a heartbeat response delay of zero).
 
 A writer's entry in the dispatch table is an immutable tuple of the
 (reader, session) pairs matched with it, in reader creation order, so
@@ -408,9 +411,10 @@ class DomainParticipant:
         they concern, as arrived at ``arrived`` (monotonic) and
         ``arrived_wall``, then answer the batch's HEARTBEATs."""
         read_data = wire.read_data_message
-        # The run being read: its key (writer entity id, sender prefix,
-        # reader entity id), matched pairs, SampleInfos and payload slots.
-        run = pairs = writer_guid = None
+        # The run being read: its key (writer entity id, sender prefix and
+        # reader entity id, the first None while no run is open), matched
+        # pairs, SampleInfos and payload slots.
+        run_writer = run_prefix = run_reader = pairs = writer_guid = None
         infos: list = []
         slots: list = []
         # The batch's HEARTBEATs, answered once it is all delivered.
@@ -420,11 +424,12 @@ class DomainParticipant:
             head = read_data(data)
             if head is not None:
                 prefix, writer_eid, reader_eid, seq, stamp, handle = head
-                if (writer_eid, prefix, reader_eid) != run:
+                if (writer_eid != run_writer or prefix != run_prefix
+                        or reader_eid != run_reader):
                     if infos:
                         self._deliver(pairs, infos, slots, arrived_wall)
                         infos, slots = [], []
-                    run = (writer_eid, prefix, reader_eid)
+                    run_writer, run_prefix, run_reader = writer_eid, prefix, reader_eid
                     pairs = self._pairs_for(prefix, writer_eid, reader_eid)
                     if pairs:
                         writer_guid = pairs[0][1].writer_guid
@@ -437,7 +442,7 @@ class DomainParticipant:
             if infos:
                 self._deliver(pairs, infos, slots, arrived_wall)
                 infos, slots = [], []
-            run = None
+            run_writer = None
             roster = wire.lone_announce(data)
             if roster is not None and self.discovery.repeats(*roster, source, arrived):
                 continue
@@ -562,30 +567,33 @@ class DomainParticipant:
     # outbound routing
 
     def _plan(self, writer: DataWriter) -> tuple:
-        """The writer's send plan: (discovery epoch, whether a matched
-        reader is on this participant, the other matched readers'
-        addresses, in order and without repeats), built again after a
-        match or peer change."""
-        plan = writer._send_plan
-        if plan is None or plan[0] != self.discovery.epoch:
-            local = False
-            addresses: dict = {}
-            for reader in writer._match_records:
-                if reader.prefix == self.guid.prefix:
-                    local = True
-                else:
-                    address = self.discovery.address_of(reader.prefix)
-                    if address is not None:
-                        addresses[address] = None
-            plan = writer._send_plan = (self.discovery.epoch, local, tuple(addresses))
+        """Build and keep the writer's send plan: (discovery epoch, whether
+        a matched reader is on this participant, the other matched
+        readers' addresses, in order and without repeats). ``_publish``
+        asks for it again after a match or peer change."""
+        local = False
+        addresses: dict = {}
+        for reader in writer._match_records:
+            if reader.prefix == self.guid.prefix:
+                local = True
+            else:
+                address = self.discovery.address_of(reader.prefix)
+                if address is not None:
+                    addresses[address] = None
+        plan = writer._send_plan = (self.discovery.epoch, local, tuple(addresses))
         return plan
 
     def _publish(self, writer: DataWriter, message: bytes) -> None:
         """Send a write's ``message``, the one-DATA datagram the writer
         packed and cached for it, by the writer's send plan: to this
         participant's matched readers as a received batch of one, as
-        ``_send`` does, then to every other matched reader's address."""
-        _, local, addresses = self._plan(writer)
+        ``_send`` does, then to every other matched reader's address.
+        The plan is built again only when a match change reset it or the
+        discovery epoch moved."""
+        plan = writer._send_plan
+        if plan is None or plan[0] != self.discovery.epoch:
+            plan = self._plan(writer)
+        _, local, addresses = plan
         if local:
             self._receive([(message, None)], self.clock.monotonic_ns(),
                           self.clock.wall_ns())

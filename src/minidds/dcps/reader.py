@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 from minidds import idl, qos
 from minidds.dcps.guid import Guid
-from minidds.dcps.history import ReaderHistory, SampleInfo
+from minidds.dcps.history import _ACCEPTED, _REPLACED, ReaderHistory, SampleInfo
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
 from minidds.rtps import wire
 from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSession
@@ -227,13 +227,18 @@ class DataReader(Endpoint):
                     stats.destination_order_dropped += 1
                     continue
             outcome = insert(pair)
-            if not outcome.accepted:
-                stats.rejected_by_limits += 1
-                continue
+            # The two outcomes every plain and keep-last insert shares are
+            # told apart by identity; only the others are read.
+            if outcome is _REPLACED:
+                evicted += 1
+            elif outcome is not _ACCEPTED:
+                if not outcome.accepted:
+                    stats.rejected_by_limits += 1
+                    continue
+                evicted += outcome.evicted_count
             last_passed[handle] = info
             if deadlines is not None:
                 deadlines.record(handle, now)
-            evicted += outcome.evicted_count
             accepted += 1
             if listener is not None:
                 self._count(received, duplicates, accepted, evicted)

@@ -27,6 +27,7 @@ class DataWriter(Endpoint):
     def __init__(self, participant, topic, profile: qos.QosProfile,
                  descriptor: EndpointDescriptor):
         super().__init__(participant, topic, profile, descriptor)
+        self._prefix = participant.guid.prefix
         transient = (profile.value(qos.QosPolicyId.DURABILITY).kind
                      == qos.DurabilityKind.TRANSIENT_LOCAL)
         history_qos = profile.value(qos.QosPolicyId.HISTORY)
@@ -118,7 +119,7 @@ class DataWriter(Endpoint):
                 # on_write assigns: the cache keeps it, every matched
                 # participant is sent it, and a reader decodes the payload in it.
                 message = wire.pack_data_message(
-                    self.participant.guid.prefix, self.guid.entity_id, 0, sequence,
+                    self._prefix, self.guid.entity_id, 0, sequence,
                     source_ts, handle, payload)
                 try:
                     # A sample nobody can ask for again is not cached at all.

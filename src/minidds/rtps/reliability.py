@@ -44,12 +44,16 @@ refused, counted, and asked for again later; until that first
 heartbeat, the bound counts from one below the lowest sequence held
 instead, so a reader matched with a writer already far past the bound
 holds what it is sent. Both reader sessions answer HEARTBEAT and GAP;
-the best-effort one ignores them.
+the best-effort one ignores them. The best-effort session decides a run
+that continues its stream, at most ``WINDOW`` consecutive sequences from
+the one after its newest, in one step, and any other run one DATA at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from minidds.dcps.guid import Guid
@@ -79,6 +83,8 @@ _NOTHING_HELD = 2**64
 # The entry a session hands on in the place of a DATA that is not new,
 # shaped like a held one so the pipeline can unpack every entry alike.
 NOT_NEW = (None, None, 0)
+
+_sequence_of = attrgetter("sequence")
 
 
 def _entries(infos: Sequence[SampleInfo], slots: list, n: int) -> list[Held]:
@@ -413,6 +419,14 @@ class BestEffortReaderSession:
     the slots of the sequences it skips (all of them once it jumps a
     whole window) with one bounded slice assignment, so each DATA costs
     O(1) whatever the stream's length: nothing is rebuilt per sample.
+
+    A run that continues the stream (its sequences consecutive from
+    ``last_sequence + 1``, and at most ``WINDOW`` of them) skips nothing
+    and is all new, so ``on_run`` decides it in one step: one slice
+    assignment sets its slots (two where it wraps the ring's end), and
+    ``last_sequence`` and ``unique_received`` move by its length. A
+    fault-free writer's runs, drained in order, are all of this kind up
+    to that length. Any other run is decided one DATA at a time.
     """
 
     WINDOW = 1024
@@ -430,10 +444,24 @@ class BestEffortReaderSession:
         """Take a run of DATA in arrival order and answer as the reliable
         session does: None when every one is new (deliver them all), else
         an entry per DATA, ``NOT_NEW`` for one that is not new. A sequence
-        is new only above every one received before it."""
+        is new only above every one received before it. A run that
+        continues the stream is decided in one step (see the class)."""
         window = self.WINDOW
         seen = self._seen
         last = self.last_sequence
+        n = len(infos)
+        if (n <= window and infos[0].sequence == last + 1
+                and list(map(_sequence_of, infos)) == list(range(last + 1, last + n + 1))):
+            start = (last + 1) % window
+            stop = start + n
+            if stop <= window:
+                seen[start:stop] = _ONES[:n]
+            else:
+                seen[start:] = _ONES[:window - start]
+                seen[:stop - window] = _ONES[:stop - window]
+            self.last_sequence = last + n
+            self.unique_received += n
+            return None
         out = None
         lost = unique = 0
         for i, info in enumerate(infos):
@@ -483,3 +511,8 @@ class BestEffortReaderSession:
 
     def drop_held(self) -> None:
         pass  # nothing waits: a best-effort reader never holds a DATA
+
+
+# The seen flags an in-order run of the best-effort session sets, sliced
+# to the run's length.
+_ONES = b"\x01" * BestEffortReaderSession.WINDOW

@@ -6,17 +6,22 @@ DATA above a hole and releases each in-order run once the hole fills or
 is given up, the best-effort one keeps every sequence it has ever
 received. Seeded random runs mix in-order sequences, duplicates inside a
 run and of earlier runs, reorders inside and beyond ``WINDOW``, and
-jumps of a whole window or more; the reliable session also gets GAPs and
-HEARTBEATs between runs. After every run the best-effort session and its
-reference must agree on what the run hands on, in order, with each DATA
-that is not new in its place; the reliable session and its reference on
-what each run, GAP and HEARTBEAT hands on, in order, with each duplicate
-in its place, and on every ACKNACK. Both
+jumps of a whole window or more; some runs continue the stream (at
+lengths around ``WINDOW``, or wrapping the best-effort ring), which the
+best-effort session decides in one step, and some fall behind the newest
+sequence (stragglers and duplicates inside the window). The reliable
+session also gets GAPs and HEARTBEATs between runs. After every run the
+best-effort session and its reference must agree on what the run hands
+on, in order, with each DATA that is not new in its place; the reliable
+session and its reference on what each run, GAP and HEARTBEAT hands on,
+in order, with each duplicate in its place, and on every ACKNACK. Both
 must agree on ``samples_lost``, ``unique_received`` and the floor (the
-best-effort session's ``last_sequence``), the reliable ones also on
-what is held and on ``beyond_window``.
+best-effort session's ``last_sequence``), the reliable ones also on what
+is held and on ``beyond_window``, the best-effort ones on every slot of
+the ring of seen flags.
 """
 
+import copy
 import random
 
 import pytest
@@ -153,15 +158,38 @@ def _next_sequence(rng: random.Random, last: int, low: int, sent: list[int]) -> 
     return last + 1
 
 
+def _in_order(rng: random.Random, last: int) -> list[int]:
+    """A run that continues the stream: consecutive sequences from
+    ``last + 1``, at the lengths around ``WINDOW``, or long enough to wrap
+    the best-effort ring past its end."""
+    length = rng.choice((1, WINDOW - 1, WINDOW, WINDOW + 1, rng.randint(2, 64),
+                         WINDOW - (last + 1) % WINDOW + rng.randint(1, 64)))
+    return list(range(last + 1, last + 1 + length))
+
+
+def _behind(rng: random.Random, last: int) -> list[int]:
+    """A run inside the window below ``last``: stragglers where a jump
+    left holes, and duplicates, each possibly twice."""
+    return [max(1, last - rng.randint(0, WINDOW - 1)) for _ in range(rng.randint(1, 64))]
+
+
 def _run(rng: random.Random, last: int, low: int, sent: list[int]) -> list[int]:
     """A run from ``last``, the highest sequence sent, above ``low``, the
     floor: every sequence at or below it is settled or too old to tell."""
-    run = []
-    for _ in range(rng.choice((1, 2, rng.randint(3, 40), rng.randint(100, 600)))):
-        seq = _next_sequence(rng, last, low, sent)
-        run.append(seq)
-        sent.append(seq)
-        last = max(last, seq)
+    roll = rng.random()
+    if roll < 0.25:
+        run = _in_order(rng, last)
+    elif roll < 0.35:
+        run = _behind(rng, last)
+    else:
+        run = []
+        for _ in range(rng.choice((1, 2, rng.randint(3, 40), rng.randint(100, 600)))):
+            seq = _next_sequence(rng, last, low, sent)
+            run.append(seq)
+            sent.append(seq)
+            last = max(last, seq)
+        return run
+    sent.extend(run)
     return run
 
 
@@ -174,6 +202,33 @@ def _handed_on(session, infos, slots) -> list:
     return [DUP if info is None else cell[i] for info, cell, i in entries]
 
 
+def _ring(reference: _BestEffortReference) -> bytearray:
+    """The seen flags the best-effort session's ring must hold: for each
+    sequence s in ``(last_sequence - WINDOW, last_sequence]``, whether s
+    arrived, at ``s % WINDOW``."""
+    last = reference.last_sequence
+    received = reference.received
+    flags = bytearray(map(received.__contains__, range(last - WINDOW + 1, last + 1)))
+    cut = WINDOW - (last + 1) % WINDOW  # the flag of the sequence at slot 0
+    return flags[cut:] + flags[:cut]
+
+
+def _agrees(session: BestEffortReaderSession, reference: _BestEffortReference) -> bool:
+    return (session.last_sequence, session.samples_lost, session.unique_received,
+            session._seen) == (reference.last_sequence, reference.samples_lost,
+                               reference.unique_received, _ring(reference))
+
+
+def _feed(session, reference, run, tag="") -> None:
+    """Hand one run to the session and its reference; both must agree on
+    what it hands on and on everything they count, every ring slot too."""
+    slots = [f"{seq}{tag}.{i}" for i, seq in enumerate(run)]
+    assert _handed_on(session, _infos(run), slots) == [
+        payload if reference.on_data(seq) else DUP
+        for seq, payload in zip(run, slots)], run
+    assert _agrees(session, reference), run
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_best_effort_matches_the_reference(seed):
     rng = random.Random(seed)
@@ -182,14 +237,63 @@ def test_best_effort_matches_the_reference(seed):
     sent: list[int] = []
     for step in range(rng.choice((5, 40, 150))):
         last = reference.last_sequence
-        run = _run(rng, last, max(0, last - WINDOW), sent)
-        slots = [f"{seq}@{step}.{i}" for i, seq in enumerate(run)]
-        assert _handed_on(session, _infos(run), slots) == [
-            payload if reference.on_data(seq) else DUP
-            for seq, payload in zip(run, slots)], (step, run)
-        assert (session.last_sequence, session.samples_lost, session.unique_received) == (
-            reference.last_sequence, reference.samples_lost, reference.unique_received), (
-            step, run)
+        _feed(session, reference, _run(rng, last, max(0, last - WINDOW), sent), f"@{step}")
+
+
+@pytest.mark.parametrize("before, hole, length", [
+    (0, 0, 1),
+    (0, 0, WINDOW - 1),
+    (0, 0, WINDOW),
+    (0, 0, WINDOW + 1),
+    (WINDOW - 10, 0, 15),  # wraps the ring's end
+    (WINDOW - 11, 5, 15),  # wraps, above a hole
+    (WINDOW - 1, 0, WINDOW),  # starts at slot 0, fills the ring
+    (300, 40, WINDOW - 40),  # the longest that keeps the whole hole in the window
+    (300, 40, WINDOW - 1),  # the hole is below the window: too old to tell
+], ids=lambda v: str(v))
+def test_an_in_order_run_leaves_every_slot_as_the_reference(before, hole, length):
+    """An in-order run after ``before`` sequences and a jump over
+    ``hole`` of them, decided in one step unless it is longer than
+    ``WINDOW``. Then every sequence of the window
+    arrives again, twice: each straggler from the hole counts as seen
+    exactly once, and every other one is a duplicate. The ring is
+    compared slot by slot after each run, so one slot that the in-order
+    step writes wrong, or leaves as it was, fails the test."""
+    session = BestEffortReaderSession(WRITER)
+    reference = _BestEffortReference()
+    if before:
+        _feed(session, reference, list(range(1, before + 1)))
+    start = before + hole + 1
+    run = list(range(start, start + length))
+    _feed(session, reference, run)
+    last = run[-1]
+    behind = list(range(max(1, last - WINDOW + 1), last + 1))
+    unique = session.unique_received
+    for seq in behind:
+        _feed(session, reference, [seq])
+    stragglers = [seq for seq in range(before + 1, start) if seq > last - WINDOW]
+    assert session.unique_received == unique + len(stragglers)
+    _feed(session, reference, behind)  # all again, as one run: all duplicates
+    assert session.unique_received == unique + len(stragglers)
+    assert session.samples_lost == hole - len(stragglers)
+
+
+def test_one_wrong_slot_changes_what_arrives_next():
+    """Why each slot is compared: after an in-order run that wraps the
+    ring above a hole, any one slot flipped the wrong way turns the next
+    arrival at it from a straggler into a duplicate, or from a duplicate
+    into a straggler."""
+    base = BestEffortReaderSession(WRITER)
+    reference = _BestEffortReference()
+    _feed(base, reference, list(range(1, WINDOW - 9)))
+    _feed(base, reference, list(range(WINDOW + 40, WINDOW + 60)))
+    for seq in range(60, WINDOW + 60):  # the window, one sequence per slot
+        session = copy.copy(base)
+        session._seen = bytearray(base._seen)
+        session._seen[seq % WINDOW] ^= 1
+        straggler = seq not in reference.received
+        assert session.on_data(seq) is False
+        assert session.unique_received - base.unique_received == (not straggler), seq
 
 
 def _taken(session: ReliableReaderSession) -> list:
