@@ -247,6 +247,10 @@ class DomainParticipant:
     def _effective_profile(self, topic: Topic, endpoint_qos: QosInput,
                            entity_kind: qos.EntityKind,
                            kinds: frozenset) -> qos.QosProfile:
+        """The endpoint's values over its topic's applicable ones. Each
+        value is checked once: the topic's at ``create_topic``, the
+        endpoint's here; the merged profile needs only the rules between
+        policies."""
         endpoint_profile = self._coerce_profile(entity_kind, endpoint_qos)
         problems = qos.validate_profile(endpoint_profile, kinds)
         if problems:
@@ -254,7 +258,7 @@ class DomainParticipant:
         merged = qos.settings_for(topic.qos.policies, kinds)
         merged.update(endpoint_profile.policies)
         effective = qos.QosProfile(entity_kind, merged, enabled=True)
-        problems = qos.validate_profile(effective, kinds)
+        problems = qos.cross_policy_errors(effective, kinds)
         if problems:
             raise InvalidQosError(problems)
         return effective

@@ -13,7 +13,6 @@ The policies an endpoint advertises are listed once, in ``ADVERTISED_QOS``:
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -25,6 +24,11 @@ INFINITE_NS = 2**63 - 1
 
 
 class EntityKind(Enum):
+    # Members are singletons, so identity hashing is equality hashing, and
+    # it runs in C where Enum's own hashes the name in Python; both enums
+    # key every policy table.
+    __hash__ = object.__hash__
+
     TOPIC = "T"
     DATA_READER = "DR"
     DATA_WRITER = "DW"
@@ -35,6 +39,8 @@ class EntityKind(Enum):
 
 class QosPolicyId(Enum):
     """The 18 policies, in table row order."""
+
+    __hash__ = object.__hash__  # as EntityKind's
 
     DURABILITY = 1
     DURABILITY_SERVICE = 2
@@ -300,14 +306,14 @@ _VALUE_TYPES: dict[QosPolicyId, type] = {
 }
 
 
-_VALUE_FIELDS: dict[QosPolicyId, tuple[str, ...]] = {
-    pid: tuple(f.name for f in dataclasses.fields(cls)) for pid, cls in _VALUE_TYPES.items()
-}
+# The value each absent policy stands for, built once: values are frozen,
+# so every profile shares them.
+_DEFAULTS: dict[QosPolicyId, QosValue] = {pid: cls() for pid, cls in _VALUE_TYPES.items()}
 
 
 def default_value(policy_id: QosPolicyId) -> QosValue:
-    """The value an absent policy stands for."""
-    return _VALUE_TYPES[policy_id]()
+    """The value an absent policy stands for: one shared, frozen value."""
+    return _DEFAULTS[policy_id]
 
 
 def value_errors(value: QosValue) -> list[str]:
@@ -368,6 +374,7 @@ class QosProfile:
     enabled: bool = False
 
     def value(self, policy_id: QosPolicyId) -> QosValue:
+        """The policy's value; for an absent one, the shared default."""
         value = self.policies.get(policy_id)
         return default_value(policy_id) if value is None else value
 
@@ -399,20 +406,27 @@ def validate_profile(prof: QosProfile,
     kinds = applicable_kinds if applicable_kinds is not None else frozenset({prof.entity_kind})
     errors = []
     for pid, value in prof.policies.items():
-        meta = policy_meta(pid)
-        if not (meta.applicability & kinds):
+        if _POLICY_TABLE[pid].applicability.isdisjoint(kinds):
             errors.append(f"{pid.name} not applicable to {prof.entity_kind.value}")
         if type(value) is not _VALUE_TYPES[pid]:
             errors.append(f"{pid.name} carries a value of the wrong variant")
             continue
         errors.extend(value_errors(value))
-    # Cross-policy: a reader's filter separation cannot exceed its deadline.
+    errors.extend(cross_policy_errors(prof, kinds))
+    return errors
+
+
+def cross_policy_errors(prof: QosProfile, kinds: frozenset[EntityKind]) -> list[str]:
+    """The violations of the rules between policies, the part of
+    ``validate_profile`` that a profile merged from values validated on
+    their own still needs: a reader's filter separation cannot exceed its
+    deadline."""
     if EntityKind.DATA_READER in kinds:
         tbf = prof.policies.get(QosPolicyId.TIME_BASED_FILTER)
-        deadline = prof.value(QosPolicyId.DEADLINE)
-        if tbf is not None and tbf.minimum_separation_ns > deadline.period_ns:
-            errors.append("TIME_BASED_FILTER minimum_separation exceeds DEADLINE period")
-    return errors
+        if (tbf is not None and tbf.minimum_separation_ns
+                > prof.value(QosPolicyId.DEADLINE).period_ns):
+            return ["TIME_BASED_FILTER minimum_separation exceeds DEADLINE period"]
+    return []
 
 
 def set_policy(prof: QosProfile, policy_id: QosPolicyId, value: QosValue) -> QosProfile:
@@ -479,12 +493,20 @@ class RxoQos:
 
     @classmethod
     def from_profile(cls, prof: QosProfile) -> "RxoQos":
-        values = {}
-        for row in ADVERTISED_QOS:
-            value = prof.value(row.id)
-            for name, value_name in zip(row.fields, _VALUE_FIELDS[row.id]):
-                values[name] = getattr(value, value_name)
-        return cls(partitions=prof.value(QosPolicyId.PARTITION).names, **values)
+        """The advertised values of a profile, its defaults included."""
+        value = prof.value
+        presentation = value(QosPolicyId.PRESENTATION)
+        return cls(reliability=value(QosPolicyId.RELIABILITY).kind,
+                   durability=value(QosPolicyId.DURABILITY).kind,
+                   destination_order=value(QosPolicyId.DESTINATION_ORDER).kind,
+                   ownership=value(QosPolicyId.OWNERSHIP).kind,
+                   ownership_strength=value(QosPolicyId.OWNERSHIP_STRENGTH).value,
+                   presentation_scope=presentation.access_scope,
+                   presentation_coherent=presentation.coherent_access,
+                   presentation_ordered=presentation.ordered_access,
+                   deadline_period_ns=value(QosPolicyId.DEADLINE).period_ns,
+                   latency_budget_ns=value(QosPolicyId.LATENCY_BUDGET).duration_ns,
+                   partitions=value(QosPolicyId.PARTITION).names)
 
 
 @dataclass(frozen=True)
@@ -523,9 +545,30 @@ ADVERTISED_QOS: tuple[AdvertisedPolicy, ...] = (
 )
 
 
+def _negotiated(*comparisons) -> Callable[[RxoQos], tuple]:
+    """A getter of the negotiated fields whose rows use one of
+    ``comparisons``, in table order."""
+    return operator.attrgetter(*[name for row in ADVERTISED_QOS
+                                 if row.satisfies in comparisons for name in row.fields])
+
+
+# check_rxo passes a compatible pair with two C-level getters: the fields
+# an offer must give at least as strong as the request, and those it
+# must give at most as long. An exact field (operator.eq) is in both.
+assert {row.satisfies for row in ADVERTISED_QOS} <= {None, operator.ge, operator.le, operator.eq}
+_AT_LEAST = _negotiated(operator.ge, operator.eq)
+_AT_MOST = _negotiated(operator.le, operator.eq)
+# The report of every compatible pair.
+_COMPATIBLE = CompatibilityReport()
+
+
 def check_rxo(offered: RxoQos, requested: RxoQos) -> CompatibilityReport:
     """Evaluate the request/offered contract between a writer's advertised
-    QoS and a reader's. Violations come in ``ADVERTISED_QOS`` order."""
+    QoS and a reader's. Violations come in ``ADVERTISED_QOS`` order; a
+    compatible pair gets one shared empty report."""
+    if (all(map(operator.ge, _AT_LEAST(offered), _AT_LEAST(requested)))
+            and all(map(operator.le, _AT_MOST(offered), _AT_MOST(requested)))):
+        return _COMPATIBLE
     return CompatibilityReport(tuple(
         PolicyViolation(row.id, row.value(offered), row.value(requested))
         for row in ADVERTISED_QOS if row.satisfies is not None
@@ -655,5 +698,5 @@ def settings_for(settings: Mapping[QosPolicyId, QosValue],
     one profile file feed writer, reader and topic creation."""
     return {
         pid: value for pid, value in settings.items()
-        if policy_meta(pid).applicability & kinds
+        if not _POLICY_TABLE[pid].applicability.isdisjoint(kinds)
     }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from enum import EnumMeta
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional, Union, get_type_hints
 
 from minidds import qos
@@ -54,6 +55,8 @@ _ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
 _GAP = struct.Struct("<IQQ")
 _DIRECT_HEAD = struct.Struct("<I")  # reader; the inner submessage follows
 _ANNOUNCE_HEAD = struct.Struct("<IQH")  # domain, roster version, endpoint count
+# An endpoint's guid (prefix and entity id), kind and topic name length.
+_ENDPOINT_HEAD = struct.Struct("<12sIBH")
 _U16 = struct.Struct("<H")  # string byte count, partition count
 
 # Byte layout of each advertised policy's value: one struct format character
@@ -78,6 +81,42 @@ _RXO_TYPES = get_type_hints(RxoQos)
 # far less than calling the enum class.
 _MEMBERS = {kind: {member.value: member for member in kind}
             for kind in (EndpointType, *_RXO_TYPES.values()) if isinstance(kind, EnumMeta)}
+
+# The canonical negotiated-qos block, the one the encoder writes: the
+# entry count, then every advertised entry, its id and then its value, in
+# table order. One struct call writes or reads all of it. Its items are
+# the head (the count and the ids) interleaved with the values of the
+# fields ``_RXO_FIELDS`` names; a decoder that meets another head reads
+# the block entry by entry.
+_RXO_BLOCK = struct.Struct(
+    "<B" + "".join("B" + layout.format[1:] for _, _, layout in _RXO_ENTRIES))
+_RXO_HEAD = (len(_RXO_ENTRIES), *(pid for pid, _, _ in _RXO_ENTRIES))
+# The advertised fields in RxoQos order, so a record is built positionally.
+_RXO_FIELDS = tuple(name for name in _RXO_TYPES if name != "partitions")
+
+
+def _block_order() -> list[int]:
+    """For each item of the canonical block, in order, its index in
+    ``_RXO_HEAD`` followed by the values of ``_RXO_FIELDS``."""
+    order = [0]
+    for entry_index, (_, row, _) in enumerate(_RXO_ENTRIES, 1):
+        order.append(entry_index)
+        order.extend(len(_RXO_HEAD) + _RXO_FIELDS.index(name) for name in row.fields)
+    return order
+
+
+_order = _block_order()
+_at = {index: at for at, index in enumerate(_order)}
+_rxo_items = itemgetter(*_order)  # head + field values -> block items
+_rxo_head = itemgetter(*[_at[i] for i in range(len(_RXO_HEAD))])
+_rxo_values = itemgetter(*[_at[i] for i in range(len(_RXO_HEAD), len(_order))])
+_rxo_fields = attrgetter(*_RXO_FIELDS)  # RxoQos -> field values
+# (index in _RXO_FIELDS, byte -> value) for each enum or flag field: the
+# enum's member, None for a byte that names none; a flag is true when
+# non-zero.
+_FLAG = {raw: raw != 0 for raw in range(256)}
+_RXO_CONVERT = tuple((i, _FLAG if _RXO_TYPES[name] is bool else _MEMBERS[_RXO_TYPES[name]])
+                     for i, name in enumerate(_RXO_FIELDS) if _RXO_TYPES[name] is not int)
 
 
 class WireError(Exception):
@@ -145,34 +184,33 @@ class WireMessage(NamedTuple):
 # ---------------------------------------------------------------------------
 # Encoding helpers
 
-def _pack_str(text: str) -> bytes:
+def _text(text: str) -> bytes:
     encoded = text.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise ValueError("string too long for wire")
+    return encoded
+
+
+def _pack_str(text: str) -> bytes:
+    encoded = _text(text)
     return _U16.pack(len(encoded)) + encoded
 
 
 def _encode_rxo(rxo: RxoQos) -> bytes:
-    out = bytearray()
-    out.extend(_U16.pack(len(rxo.partitions)))
-    for name in rxo.partitions:
-        out.extend(_pack_str(name))
-    out.append(len(_RXO_ENTRIES))
-    for pid, row, layout in _RXO_ENTRIES:
-        out.append(pid)
-        out.extend(layout.pack(*row.values(rxo)))
-    return bytes(out)
+    """The negotiated-qos block: the partitions, then the canonical
+    block, packed by one struct call."""
+    partitions = rxo.partitions
+    return b"".join([_U16.pack(len(partitions)), *map(_pack_str, partitions),
+                     _RXO_BLOCK.pack(*_rxo_items(_RXO_HEAD + _rxo_fields(rxo)))])
 
 
 def _encode_announce(sub: Announce) -> bytes:
-    out = bytearray(_ANNOUNCE_HEAD.pack(sub.domain_id, sub.version, len(sub.endpoints)))
+    parts = [_ANNOUNCE_HEAD.pack(sub.domain_id, sub.version, len(sub.endpoints))]
     for ep in sub.endpoints:
-        out.extend(ep.guid.to_bytes())
-        out.append(ep.kind)
-        out.extend(_pack_str(ep.topic_name))
-        out.extend(_pack_str(ep.type_name))
-        out.extend(_encode_rxo(ep.rxo))
-    return bytes(out)
+        topic = _text(ep.topic_name)
+        parts += (_ENDPOINT_HEAD.pack(*ep.guid, ep.kind, len(topic)), topic,
+                  _pack_str(ep.type_name), _encode_rxo(ep.rxo))
+    return b"".join(parts)
 
 
 def _encode_submessage(sub: Submessage) -> bytes:
@@ -280,15 +318,19 @@ def _done(pos: int, end: int) -> None:
         raise WireError(pos, "trailing bytes in submessage body")
 
 
-def _decode_str(data: bytes, pos: int, end: int) -> tuple[str, int]:
-    _need(pos, 2, end)
-    (length,) = _U16.unpack_from(data, pos)
-    pos += 2
+def _decode_text(data: bytes, pos: int, length: int, end: int) -> tuple[str, int]:
+    """The ``length`` UTF-8 bytes at ``pos``, after their count."""
     _need(pos, length, end)
     try:
         return data[pos:pos + length].decode("utf-8"), pos + length
     except UnicodeDecodeError:
         raise WireError(pos, "text is not valid UTF-8") from None
+
+
+def _decode_str(data: bytes, pos: int, end: int) -> tuple[str, int]:
+    _need(pos, 2, end)
+    (length,) = _U16.unpack_from(data, pos)
+    return _decode_text(data, pos + 2, length, end)
 
 
 def _decode_rxo(data: bytes, pos: int, end: int) -> tuple[RxoQos, int]:
@@ -299,7 +341,26 @@ def _decode_rxo(data: bytes, pos: int, end: int) -> tuple[RxoQos, int]:
     for _ in range(partition_count):
         name, pos = _decode_str(data, pos, end)
         partitions.append(name)
-    values: dict = {"partitions": tuple(partitions) or ("",)}
+    partitions = tuple(partitions) or ("",)
+    block_end = pos + _RXO_BLOCK.size
+    if block_end <= end:
+        items = _RXO_BLOCK.unpack_from(data, pos)
+        if _rxo_head(items) == _RXO_HEAD:
+            values = list(_rxo_values(items))
+            for i, to_value in _RXO_CONVERT:
+                values[i] = to_value.get(values[i])
+            # An enum byte that names no member reads None: the entry
+            # loop below then raises at its offset.
+            if None not in values:
+                return RxoQos(*values, partitions=partitions), block_end
+    return _decode_rxo_entries(data, pos, end, partitions)
+
+
+def _decode_rxo_entries(data: bytes, pos: int, end: int,
+                        partitions: tuple[str, ...]) -> tuple[RxoQos, int]:
+    """A negotiated-qos block after its partitions, read entry by entry:
+    any block, the canonical one included."""
+    values: dict = {"partitions": partitions}
     _need(pos, 1, end)
     entry_count = data[pos]
     pos += 1
@@ -338,13 +399,15 @@ def _decode_announce(data: bytes, start: int, end: int) -> Announce:
     endpoints = []
     for _ in range(endpoint_count):
         _need(pos, 16, end)
-        guid = Guid.from_bytes(data[pos:pos + 16])
         _need(pos + 16, 1, end)
-        kind_raw = data[pos + 16]
-        kind = _MEMBERS[EndpointType].get(kind_raw)
+        kind = _MEMBERS[EndpointType].get(data[pos + 16])
         if kind is None:
-            raise WireError(pos + 16, f"invalid endpoint kind {kind_raw}")
-        topic_name, pos = _decode_str(data, pos + 17, end)
+            raise WireError(pos + 16, f"invalid endpoint kind {data[pos + 16]}")
+        _need(pos + 17, 2, end)
+        prefix, entity_id, _, length = _ENDPOINT_HEAD.unpack_from(data, pos)
+        # The struct read a 12-byte prefix and a u32: a valid Guid.
+        guid = _tuple_new(Guid, (prefix, entity_id))
+        topic_name, pos = _decode_text(data, pos + _ENDPOINT_HEAD.size, length, end)
         type_name, pos = _decode_str(data, pos, end)
         rxo, pos = _decode_rxo(data, pos, end)
         endpoints.append(EndpointDescriptor(guid, domain_id, topic_name, type_name, kind, rxo))

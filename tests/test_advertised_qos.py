@@ -180,3 +180,77 @@ def test_random_full_pairs():
         _check(offered, requested, strength=rng.randint(-5, 5))
         violated.update(_expected(offered, requested))
     assert violated == set(VALUES)
+
+
+# ---------------------------------------------------------------------------
+# The fast paths against the table-driven code they replaced
+#
+# ``check_rxo`` passes a compatible pair with two C-level getters, and
+# ``RxoQos.from_profile`` is straight-line code. The functions below are
+# the table-driven forms they replaced, kept as references: every pair
+# must give the same violations, in the same order, with the same text.
+
+
+def _reference_check_rxo(offered: RxoQos, requested: RxoQos) -> qos.CompatibilityReport:
+    return qos.CompatibilityReport(tuple(
+        qos.PolicyViolation(row.id, row.value(offered), row.value(requested))
+        for row in qos.ADVERTISED_QOS if row.satisfies is not None
+        and not all(map(row.satisfies, row.values(offered), row.values(requested)))))
+
+
+def _reference_from_profile(prof: qos.QosProfile) -> RxoQos:
+    values = {}
+    for row in qos.ADVERTISED_QOS:
+        value = prof.value(row.id)
+        for name, field in zip(row.fields, dataclasses.fields(value)):
+            values[name] = getattr(value, field.name)
+    return RxoQos(partitions=prof.value(P.PARTITION).names, **values)
+
+
+def _same_report(offered: RxoQos, requested: RxoQos) -> qos.CompatibilityReport:
+    report = qos.check_rxo(offered, requested)
+    expected = _reference_check_rxo(offered, requested)
+    assert report == expected, (offered, requested)
+    assert [v.policy_id for v in report.violations] == [
+        v.policy_id for v in expected.violations]
+    assert report.describe() == expected.describe()
+    if expected.compatible:
+        # One shared empty report for every compatible pair.
+        assert report is qos.check_rxo(RxoQos(), RxoQos())
+    return report
+
+
+@pytest.mark.parametrize("pid", list(VALUES), ids=lambda pid: pid.name)
+def test_check_rxo_agrees_with_the_reference_on_every_pair(pid):
+    outcomes = set()
+    for o, r in itertools.product(VALUES[pid], repeat=2):
+        report = _same_report(_record({pid: o}, 0), _record({pid: r}, 0))
+        outcomes.add(report.compatible)
+    assert outcomes == {True, False}
+
+
+def test_check_rxo_agrees_with_the_reference_on_seeded_full_pairs():
+    rng = random.Random(3232)
+    counts = [0] * (len(VALUES) + 1)
+    for _ in range(3000):
+        offered = {pid: rng.choice(values) for pid, values in VALUES.items()
+                   if rng.random() < 0.6}
+        requested = {pid: rng.choice(values) for pid, values in VALUES.items()
+                     if rng.random() < 0.6}
+        report = _same_report(_record(offered, rng.randint(-3, 3)),
+                              _record(requested, rng.randint(-3, 3)))
+        counts[len(report.violations)] += 1
+    # Compatible pairs, and pairs with one to several violations, all occur.
+    assert all(counts[:4]), counts
+
+
+def test_from_profile_agrees_with_the_reference():
+    rng = random.Random(1717)
+    partitions = [qos.Partition(names) for names in ((), ("",), ("a", "b"), ("ü",))]
+    extra = [qos.OwnershipStrength(-4), qos.OwnershipStrength(9), qos.History(qos.HistoryKind.KEEP_ALL)]
+    for _ in range(500):
+        values = [rng.choice(vs) for vs in VALUES.values() if rng.random() < 0.5]
+        values += [v for v in (rng.choice(partitions), rng.choice(extra)) if rng.random() < 0.5]
+        for kind in (qos.EntityKind.DATA_WRITER, qos.EntityKind.DATA_READER):
+            prof = qos.profile(kind, values)
+            assert RxoQos.from_profile(prof) == _reference_from_profile(prof), values

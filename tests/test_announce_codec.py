@@ -9,6 +9,7 @@ policy id bytes), must decode to the same announce from both or fail
 with the same ``(offset, reason)``.
 """
 
+import dataclasses
 import random
 import struct
 
@@ -229,3 +230,165 @@ def test_seeded_mutations_agree(seed):
     assert decoded > 0
     # The mutations reach every kind of error the decoder raises.
     assert reasons >= {"truncated", "trailing", "text", "invalid", "unknown", "policy"}
+
+
+# ---------------------------------------------------------------------------
+# The canonical block against the field-by-field layout of docs/wire.md
+#
+# The encoder writes every advertised entry in table order, and the
+# decoder reads such a block with one struct call. Here the bytes come
+# from the layout as docs/wire.md spells it, entry by entry; any other
+# block goes through the entry loop, which must agree with the reference
+# decoder above.
+
+# (policy id, RxoQos fields, struct codes), in docs/wire.md's table order.
+_DOC_ENTRIES = (
+    (6, ("reliability",), "B"),
+    (1, ("durability",), "B"),
+    (8, ("destination_order",), "B"),
+    (9, ("ownership",), "B"),
+    (10, ("ownership_strength",), "i"),
+    (11, ("deadline_period_ns",), "q"),
+    (12, ("latency_budget_ns",), "q"),
+    (5, ("presentation_scope", "presentation_coherent", "presentation_ordered"), "BBB"),
+)
+
+_FIELD_VALUES = {
+    "reliability": list(qos.ReliabilityKind),
+    "durability": list(qos.DurabilityKind),
+    "destination_order": list(qos.DestinationOrderKind),
+    "ownership": list(qos.OwnershipKind),
+    "ownership_strength": [-2**31, -7, -1, 0, 1, 300, 2**31 - 1],
+    "deadline_period_ns": [0, 1, 5_000_000, 2**62, qos.INFINITE_NS],
+    "latency_budget_ns": [0, 1, 250, 2**40, qos.INFINITE_NS],
+    "presentation_scope": list(qos.AccessScope),
+    "presentation_coherent": [False, True],
+    "presentation_ordered": [False, True],
+}
+
+_PARTITIONS = [(), ("",), ("a",), ("left", "rïght", ""), ("x" * 300, "y", "z", "")]
+
+
+def _doc_entry(pid: int, rxo: RxoQos) -> bytes:
+    _, names, codes = next(e for e in _DOC_ENTRIES if e[0] == pid)
+    return bytes([pid]) + struct.pack("<" + codes, *(getattr(rxo, n) for n in names))
+
+
+def _doc_block(rxo: RxoQos, order=None) -> bytes:
+    """The negotiated-qos block with the entries ``order`` names, by
+    docs/wire.md: partitions, entry count, then id and value per entry."""
+    order = [e[0] for e in _DOC_ENTRIES] if order is None else order
+    out = struct.pack("<H", len(rxo.partitions))
+    for name in rxo.partitions:
+        encoded = name.encode("utf-8")
+        out += struct.pack("<H", len(encoded)) + encoded
+    return out + bytes([len(order)]) + b"".join(_doc_entry(pid, rxo) for pid in order)
+
+
+def _decoded(rxo: RxoQos) -> RxoQos:
+    # An empty partition list stands for the default partition.
+    return dataclasses.replace(rxo, partitions=rxo.partitions or ("",))
+
+
+def _one_field_records():
+    for name, values in _FIELD_VALUES.items():
+        for value in values:
+            yield RxoQos(**{name: value})
+
+
+def _seeded_records(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield RxoQos(partitions=rng.choice(_PARTITIONS),
+                     **{name: rng.choice(values) for name, values in _FIELD_VALUES.items()})
+
+
+def _block_outcome(decode, block: bytes):
+    data = LEAD + block + TAIL
+    start, end = len(LEAD), len(LEAD) + len(block)
+    try:
+        if decode is _reference_rxo:
+            cur = _ReferenceCursor(data[start:end], start)
+            return decode(cur), start + cur.pos
+        return decode(data, start, end)
+    except wire.WireError as exc:
+        return (exc.offset, exc.reason)
+
+
+def _check_canonical(rxo: RxoQos) -> None:
+    block = _doc_block(rxo)
+    assert wire._encode_rxo(rxo) == block, rxo
+    data = LEAD + block + TAIL
+    assert wire._decode_rxo(data, len(LEAD), len(LEAD) + len(block)) == (
+        _decoded(rxo), len(LEAD) + len(block)), rxo
+    # The entry loop reads the canonical block to the same value.
+    partitions_end = len(LEAD) + len(block) - wire._RXO_BLOCK.size
+    assert wire._decode_rxo_entries(data, partitions_end, len(LEAD) + len(block),
+                                    _decoded(rxo).partitions) == (
+        _decoded(rxo), len(LEAD) + len(block)), rxo
+
+
+def test_the_canonical_block_is_every_entry_in_table_order():
+    assert [pid for pid, _, _ in _DOC_ENTRIES] == [row.id.value for row in qos.ADVERTISED_QOS]
+    assert wire._RXO_HEAD == (8, *(pid for pid, _, _ in _DOC_ENTRIES))
+    assert wire._RXO_BLOCK.size == 1 + sum(1 + struct.calcsize("<" + codes)
+                                           for _, _, codes in _DOC_ENTRIES)
+
+
+def test_every_value_of_each_field_takes_the_canonical_path():
+    for rxo in _one_field_records():
+        _check_canonical(rxo)
+
+
+def test_seeded_full_records_take_the_canonical_path():
+    records = list(_seeded_records(32, 400))
+    assert {len(r.partitions) for r in records} == {len(p) for p in _PARTITIONS}
+    for rxo in records:
+        _check_canonical(rxo)
+
+
+def _other_orders(rng: random.Random):
+    ids = [pid for pid, _, _ in _DOC_ENTRIES]
+    yield ids[::-1]                                   # reordered
+    yield ids[1:] + ids[:1]
+    yield ids[:-1]                                    # one missing
+    yield []                                          # none
+    yield ids + [ids[0]]                              # one repeated
+    yield ids[:3] + [ids[4]] + ids[3:4] + ids[5:]     # two swapped
+    for _ in range(6):
+        yield rng.sample(ids, rng.randint(0, len(ids)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_other_blocks_decode_as_the_entry_loop_does(seed):
+    rng = random.Random(seed)
+    reasons = set()
+    for rxo in list(_seeded_records(seed, 60)) + list(_one_field_records())[::5]:
+        for order in _other_orders(rng):
+            block = _doc_block(rxo, order)
+            expected = _block_outcome(_reference_rxo, block)
+            assert _block_outcome(wire._decode_rxo, block) == expected, (rxo, order)
+            if not isinstance(expected[0], int):
+                # What a block with fewer entries leaves out is the default.
+                left_out = {n for pid, names, _ in _DOC_ENTRIES if pid not in order
+                            for n in names}
+                assert expected[0] == dataclasses.replace(
+                    _decoded(rxo), **{n: getattr(RxoQos(), n) for n in left_out})
+        canonical = _doc_block(rxo)
+        # Unknown or non-advertised ids, bad enum bytes, odd counts, and
+        # every truncation of the canonical block.
+        start = len(canonical) - wire._RXO_BLOCK.size
+        for at, byte in ((start, 9), (start, 7), (start, 0), (start + 1, 13),
+                         (start + 1, 2), (start + 3, 4), (start + 2, 2),
+                         (start + 3, 99), (start + 32, 2), (start + 33, 255),
+                         (start + 34, 7), (start + 11, 200)):
+            mutated = bytearray(canonical)
+            mutated[at] = byte
+            expected = _block_outcome(_reference_rxo, bytes(mutated))
+            assert _block_outcome(wire._decode_rxo, bytes(mutated)) == expected
+            if isinstance(expected[0], int):
+                reasons.add(expected[1].split(" ")[0])
+        for length in range(start, len(canonical)):
+            expected = _block_outcome(_reference_rxo, canonical[:length])
+            assert _block_outcome(wire._decode_rxo, canonical[:length]) == expected
+    assert reasons >= {"truncated", "invalid", "unknown", "policy"}

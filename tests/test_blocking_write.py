@@ -3,6 +3,7 @@ for at most max_blocking_time, whether the protocol is pumped inline by the
 writing thread or by the participant's own pump thread."""
 
 import socket
+import threading
 import time
 
 import pytest
@@ -78,6 +79,25 @@ class TestBlockingWrite:
         self._match_inline(a, b, writer)
         a.start()
         self._blocked_write_raises_after(writer, 0.5)
+
+    def test_only_the_pump_thread_spins_while_a_write_waits(self):
+        # A write blocked while a pump thread runs waits on the pump's
+        # spins: it never drains the transport or spins the participant
+        # itself, which would race the pump thread.
+        a, b, writer = self._pair(100 * MS)
+        self._match_inline(a, b, writer)
+        spinners = []
+        spin_once = a.spin_once
+
+        def recording_spin_once():
+            spinners.append(threading.current_thread())
+            return spin_once()
+
+        a.spin_once = recording_spin_once
+        a.start()
+        pump = a._thread
+        self._blocked_write_raises_after(writer, 0.1)
+        assert spinners and set(spinners) == {pump}
 
     def test_pump_threads_drain_a_one_sample_history(self):
         # Over UDP loopback the pump threads sleep in select between

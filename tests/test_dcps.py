@@ -288,6 +288,23 @@ class TestTopicsAndQosErrors:
         assert (loose.qos.value(qos.QosPolicyId.RELIABILITY).kind
                 == qos.ReliabilityKind.BEST_EFFORT)
 
+    def test_an_endpoint_is_validated_against_its_topics_values(self, solo):
+        # Each value is checked once, the topic's at create_topic; the rule
+        # between policies still applies to the merged profile.
+        topic = solo.create_topic("t", _counter_type(), [qos.Deadline(1_000_000)])
+        with pytest.raises(InvalidQosError) as refused:
+            solo.create_datareader(topic, [qos.TimeBasedFilter(2_000_000)])
+        assert refused.value.problems == [
+            "TIME_BASED_FILTER minimum_separation exceeds DEADLINE period"]
+        with pytest.raises(InvalidQosError) as refused:
+            solo.create_datareader(topic, [qos.History(qos.HistoryKind.KEEP_LAST, 0),
+                                           qos.Lifespan(5)])
+        assert refused.value.problems == ["HISTORY KEEP_LAST depth must be >= 1",
+                                          "LIFESPAN not applicable to DR"]
+        assert solo.readers() == []
+        reader = solo.create_datareader(topic, [qos.TimeBasedFilter(1_000_000)])
+        assert reader.qos.value(qos.QosPolicyId.DEADLINE).period_ns == 1_000_000
+
     def test_profile_input_forms(self, solo):
         topic = solo.create_topic("t", _counter_type())
         from_map = solo.create_datareader(

@@ -1,5 +1,6 @@
 """Policy metadata, profile validation, and the request/offered engine."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -108,6 +109,33 @@ class TestProfiles:
         assert built == []
         assert prof.value(qos.QosPolicyId.HISTORY) == default_value(qos.QosPolicyId.HISTORY)
         assert built == [qos.QosPolicyId.HISTORY]
+
+    # The 18 value classes, in table row order.
+    CLASSES = [qos.Durability, qos.DurabilityService, qos.Lifespan, qos.History,
+               qos.Presentation, qos.Reliability, qos.Partition, qos.DestinationOrder,
+               qos.Ownership, qos.OwnershipStrength, qos.Deadline, qos.LatencyBudget,
+               qos.TransportPriority, qos.TimeBasedFilter, qos.ResourceLimits,
+               qos.UserData, qos.TopicData, qos.GroupData]
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_an_absent_policy_reads_as_one_frozen_default(self, cls):
+        pid = cls.policy_id
+        assert [c.policy_id for c in self.CLASSES] == list(qos.QosPolicyId)
+        writer = qos.QosProfile(qos.EntityKind.DATA_WRITER)
+        value = writer.value(pid)
+        assert type(value) is cls and value == cls()
+        # Shared by every profile that lacks the policy, and by default_value.
+        other = qos.profile(qos.EntityKind.TOPIC, [
+            v for v in (qos.Reliability(qos.ReliabilityKind.RELIABLE),
+                        qos.Deadline(7)) if v.policy_id is not pid])
+        assert other.value(pid) is value is qos.default_value(pid)
+        # It cannot be changed: every field refuses assignment, and every
+        # field value is itself immutable, so the value hashes.
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+        hash(value)
+        assert value == cls()
 
     def test_set_policy_returns_new_profile(self):
         prof = qos.QosProfile(qos.EntityKind.DATA_WRITER)

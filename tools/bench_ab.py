@@ -13,13 +13,14 @@ gates; the side that goes first alternates from pair to pair, so a
 drift in machine speed favours neither.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` the
-summary gives each side's median and quartiles, and how many pairs the
-change won (better in the metric's direction), tied and ran. It records
-the interpreter, ``os.cpu_count()`` and both SHAs. The summary is
-printed as JSON, and written to ``--out`` when given. ``--smoke`` passes
-``--smoke`` to every run (small inputs), for a quick check that the
-tool works. Exits 1 when any run failed or reported incorrect output.
-Stdlib only.
+summary gives each side's median, quartiles, minimum and maximum, the
+median and quartiles of the per-pair ratio change / base, and how many
+pairs the change won (better in the metric's direction), tied and ran.
+It records the interpreter, ``os.cpu_count()`` and both SHAs. The
+summary is printed as JSON, and written to ``--out`` when given.
+``--smoke`` passes ``--smoke`` to every run (small inputs), for a quick
+check that the tool works. Exits 1 when any run failed or reported
+incorrect output. Stdlib only.
 """
 
 from __future__ import annotations
@@ -58,8 +59,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     """One metric over ``pairs`` of (base, change) values: each side's
-    median and quartiles, and the pairs the change won and tied, where
-    ``better`` ("lower" or "higher") says which way is a win."""
+    median, quartiles, minimum and maximum, the pairs the change won and
+    tied, where ``better`` ("lower" or "higher") says which way is a win,
+    and the median and quartiles of the per-pair ratio change / base (None
+    when every base is 0). The ratio compares each pair's two runs, which
+    share a seed and a stretch of machine time, so it shows a change
+    smaller than the spread between runs of one side."""
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
     sign = 1 if better == "higher" else -1
@@ -67,9 +72,16 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     tied = sum(change == base for base, change in pairs)
     out: dict = {"better": better, "pairs": len(pairs), "won": won, "tied": tied}
     for side, index in (("base", 0), ("change", 1)):
-        q1, median, q3 = quartiles([pair[index] for pair in pairs])
+        values = [pair[index] for pair in pairs]
+        q1, median, q3 = quartiles(values)
         out[side] = {"median": median, "q1": q1, "q3": q3,
-                     "values": [pair[index] for pair in pairs]}
+                     "min": min(values), "max": max(values), "values": values}
+    ratios = [change / base for base, change in pairs if base != 0]
+    if ratios:
+        q1, median, q3 = quartiles(ratios)
+        out["ratio"] = {"median": median, "q1": q1, "q3": q3, "pairs": len(ratios)}
+    else:
+        out["ratio"] = None
     return out
 
 
