@@ -494,19 +494,19 @@ class RxoQos:
     @classmethod
     def from_profile(cls, prof: QosProfile) -> "RxoQos":
         """The advertised values of a profile, its defaults included."""
-        value = prof.value
-        presentation = value(QosPolicyId.PRESENTATION)
-        return cls(reliability=value(QosPolicyId.RELIABILITY).kind,
-                   durability=value(QosPolicyId.DURABILITY).kind,
-                   destination_order=value(QosPolicyId.DESTINATION_ORDER).kind,
-                   ownership=value(QosPolicyId.OWNERSHIP).kind,
-                   ownership_strength=value(QosPolicyId.OWNERSHIP_STRENGTH).value,
+        values = {**_DEFAULTS, **prof.policies}
+        presentation = values[QosPolicyId.PRESENTATION]
+        return cls(reliability=values[QosPolicyId.RELIABILITY].kind,
+                   durability=values[QosPolicyId.DURABILITY].kind,
+                   destination_order=values[QosPolicyId.DESTINATION_ORDER].kind,
+                   ownership=values[QosPolicyId.OWNERSHIP].kind,
+                   ownership_strength=values[QosPolicyId.OWNERSHIP_STRENGTH].value,
                    presentation_scope=presentation.access_scope,
                    presentation_coherent=presentation.coherent_access,
                    presentation_ordered=presentation.ordered_access,
-                   deadline_period_ns=value(QosPolicyId.DEADLINE).period_ns,
-                   latency_budget_ns=value(QosPolicyId.LATENCY_BUDGET).duration_ns,
-                   partitions=value(QosPolicyId.PARTITION).names)
+                   deadline_period_ns=values[QosPolicyId.DEADLINE].period_ns,
+                   latency_budget_ns=values[QosPolicyId.LATENCY_BUDGET].duration_ns,
+                   partitions=values[QosPolicyId.PARTITION].names)
 
 
 @dataclass(frozen=True)
