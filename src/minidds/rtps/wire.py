@@ -95,21 +95,21 @@ _RXO_HEAD = (len(_RXO_ENTRIES), *(pid for pid, _, _ in _RXO_ENTRIES))
 _RXO_FIELDS = tuple(name for name in _RXO_TYPES if name != "partitions")
 
 
-def _block_order() -> list[int]:
-    """For each item of the canonical block, in order, its index in
-    ``_RXO_HEAD`` followed by the values of ``_RXO_FIELDS``."""
-    order = [0]
+def _block_getters() -> tuple[itemgetter, itemgetter, itemgetter]:
+    """Three getters over the canonical block's items: from the head
+    followed by the field values to the items in block order, and from
+    the items back to the head and to the field values."""
+    order = [0]  # per item, its index in the head followed by the values
     for entry_index, (_, row, _) in enumerate(_RXO_ENTRIES, 1):
         order.append(entry_index)
         order.extend(len(_RXO_HEAD) + _RXO_FIELDS.index(name) for name in row.fields)
-    return order
+    position = {index: at for at, index in enumerate(order)}
+    return (itemgetter(*order),
+            itemgetter(*[position[i] for i in range(len(_RXO_HEAD))]),
+            itemgetter(*[position[i] for i in range(len(_RXO_HEAD), len(order))]))
 
 
-_order = _block_order()
-_at = {index: at for at, index in enumerate(_order)}
-_rxo_items = itemgetter(*_order)  # head + field values -> block items
-_rxo_head = itemgetter(*[_at[i] for i in range(len(_RXO_HEAD))])
-_rxo_values = itemgetter(*[_at[i] for i in range(len(_RXO_HEAD), len(_order))])
+_rxo_items, _rxo_head, _rxo_values = _block_getters()
 _rxo_fields = attrgetter(*_RXO_FIELDS)  # RxoQos -> field values
 # (index in _RXO_FIELDS, byte -> value) for each enum or flag field: the
 # enum's member, None for a byte that names none; a flag is true when

@@ -247,7 +247,8 @@ def test_check_rxo_agrees_with_the_reference_on_seeded_full_pairs():
 def test_from_profile_agrees_with_the_reference():
     rng = random.Random(1717)
     partitions = [qos.Partition(names) for names in ((), ("",), ("a", "b"), ("ü",))]
-    extra = [qos.OwnershipStrength(-4), qos.OwnershipStrength(9), qos.History(qos.HistoryKind.KEEP_ALL)]
+    extra = [qos.OwnershipStrength(-4), qos.OwnershipStrength(9),
+             qos.History(qos.HistoryKind.KEEP_ALL)]
     for _ in range(500):
         values = [rng.choice(vs) for vs in VALUES.values() if rng.random() < 0.5]
         values += [v for v in (rng.choice(partitions), rng.choice(extra)) if rng.random() < 0.5]

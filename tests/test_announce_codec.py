@@ -6,7 +6,9 @@ body, a cursor over it, and ``struct`` formats looked up per field.
 Every truncation of a set of valid announces, and seeded mutations of
 them (byte flips, rewritten counts and string lengths, bad enum and
 policy id bytes), must decode to the same announce from both or fail
-with the same ``(offset, reason)``.
+with the same ``(offset, reason)``. The second half checks the canonical
+negotiated-qos block, which the encoder writes and the decoder reads in
+one struct call, against the layout docs/wire.md gives.
 """
 
 import dataclasses
