@@ -119,7 +119,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from typing import Iterable, Mapping, Optional, Union
 
 from minidds import idl, qos
@@ -635,16 +634,6 @@ class DomainParticipant:
 
     # ------------------------------------------------------------------
     # lifecycle
-
-    def pump(self, duration_s: float) -> None:
-        """Drive the protocol inline for a wall-clock interval."""
-        end = time.monotonic() + duration_s
-        while True:
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                return
-            self.transport.wait(min(0.005, remaining))
-            self.spin_once()
 
     def start(self, poll_interval_s: float = 0.005) -> None:
         """Run the datagram pump on a daemon thread."""

@@ -4,7 +4,12 @@ and instance key hashing.
 The accepted grammar is ``struct Name { <kind> <name>; ... };`` with the
 eleven primitive kinds below, `//` line comments, and an optional ``//@key``
 annotation marking key fields. When no field carries the annotation but a
-field is named exactly ``key``, that field is the key. Serialization is
+field is named exactly ``key``, that field is the key. Lexically, blanks
+are space, tab, CR and LF; identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``;
+a comment that reads ``@key`` once stripped is the annotation, which may
+sit before or after its field's ``;``, and any other ``//`` comment is
+ignored; any other character is an error. Positions are 1-based, and a
+tab counts as one column. Serialization is
 little-endian with each primitive aligned to its natural size from offset 0;
 strings are a 32-bit byte length plus UTF-8 bytes, aligned to 4 (see
 "Payload encoding" in docs/wire.md).
@@ -25,8 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -128,174 +131,108 @@ class DecodeError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Parsing
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT, PUNCT, KEY_ANNOTATION, EOF
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/":
-            if i + 1 < n and source[i + 1] == "/":
-                j = source.find("\n", i)
-                if j == -1:
-                    j = n
-                comment = source[i + 2:j].strip()
-                if comment == "@key":
-                    tokens.append(_Token("KEY_ANNOTATION", "//@key", line, col))
-                col += j - i
-                i = j
-                continue
-            raise ParseError(line, col, "unexpected character '/'")
-        if ch in "{};":
-            tokens.append(_Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        match = IDENT_RE.match(source, i)
-        if match:
-            text = match.group(0)
-            tokens.append(_Token("IDENT", text, line, col))
-            i = match.end()
-            col += len(text)
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def error(self, tok: _Token, message: str) -> ParseError:
-        return ParseError(tok.line, tok.column, message)
-
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "PUNCT" or tok.text != ch:
-            raise self.error(tok, f"expected {ch!r}, got {tok.text or 'end of input'!r}")
-        return tok
-
-    def expect_ident(self, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "IDENT":
-            raise self.error(tok, f"expected {what}, got {tok.text or 'end of input'!r}")
-        return tok
-
-    def parse_unit(self) -> list[TypeDescriptor]:
-        types: list[TypeDescriptor] = []
-        seen: set[str] = set()
-        while self.peek().kind != "EOF":
-            tok = self.expect_ident("'struct'")
-            if tok.text != "struct":
-                raise self.error(tok, f"expected 'struct', got {tok.text!r}")
-            name_tok = self.expect_ident("type name")
-            if name_tok.text in seen:
-                raise self.error(name_tok, f"duplicate type name {name_tok.text!r}")
-            seen.add(name_tok.text)
-            descriptor = self.parse_struct_body(name_tok.text)
-            types.append(descriptor)
-        return types
-
-    def parse_struct_body(self, type_name: str) -> TypeDescriptor:
-        self.expect_punct("{")
-        raw_fields: list[tuple[str, PrimitiveKind, bool]] = []
-        names: set[str] = set()
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text == "}":
-                if not raw_fields:
-                    raise self.error(tok, f"type {type_name!r} has no fields")
-                self.next()
-                break
-            kind = self.parse_kind()
-            name_tok = self.expect_ident("field name")
-            if name_tok.text in names:
-                raise self.error(name_tok, f"duplicate field name {name_tok.text!r}")
-            names.add(name_tok.text)
-            is_key = False
-            if self.peek().kind == "KEY_ANNOTATION":
-                self.next()
-                is_key = True
-            self.expect_punct(";")
-            if self.peek().kind == "KEY_ANNOTATION":
-                self.next()
-                is_key = True
-            raw_fields.append((name_tok.text, kind, is_key))
-        self.expect_punct(";")
-
-        annotated = any(is_key for _, _, is_key in raw_fields)
-        fields = tuple(
-            FieldDescriptor(
-                name, kind,
-                is_key or (not annotated and name == "key"),
-            )
-            for name, kind, is_key in raw_fields
-        )
-        return TypeDescriptor(type_name, fields)
-
-    def parse_kind(self) -> PrimitiveKind:
-        tok = self.expect_ident("field type")
-        word = tok.text
-        if word == "unsigned":
-            second = self.expect_ident("'short' or 'long'")
-            if second.text == "short":
-                return PrimitiveKind.UNSIGNED_SHORT
-            if second.text == "long":
-                if self.peek().kind == "IDENT" and self.peek().text == "long":
-                    self.next()
-                    return PrimitiveKind.UNSIGNED_LONG_LONG
-                return PrimitiveKind.UNSIGNED_LONG
-            raise self.error(second, f"expected 'short' or 'long' after 'unsigned', got {second.text!r}")
-        if word == "long":
-            if self.peek().kind == "IDENT" and self.peek().text == "long":
-                self.next()
-                return PrimitiveKind.LONG_LONG
-            return PrimitiveKind.LONG
-        kind = _KEYWORD_TO_KIND.get(word)
-        if kind is None:
-            raise self.error(tok, f"unknown field type {word!r}")
-        return kind
+# One match per token, blanks before it included: a line comment (group
+# 1 is its text), a punctuation mark or identifier (group 2), or any
+# other character but a blank (group 3, an error). Blanks up to the end
+# match with no group.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?://([^\n]*)|([{};]|[A-Za-z_][A-Za-z0-9_]*)|([^ \t\r\n])|\Z)")
+# Token texts that are not identifiers: punctuation, a key annotation,
+# and the end of input.
+_NOT_IDENT = frozenset(("{", "}", ";", "//@key", ""))
 
 
 def parse_idl(source: str) -> list[TypeDescriptor]:
     """Parse IDL source into type descriptors; raises ``ParseError`` with a
-    1-based line and column on the first offending token."""
-    return _Parser(_tokenize(source)).parse_unit()
+    1-based line and column on the first offending token. An unexpected
+    character anywhere is reported before any grammar error."""
+
+    def error(offset: int, message: str) -> ParseError:
+        return ParseError(source.count("\n", 0, offset) + 1,
+                          offset - source.rfind("\n", 0, offset), message)
+
+    # (text, offset) per token; a comment is kept, as "//@key", only when
+    # it reads @key once stripped; "" marks the end.
+    tokens = []
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastindex
+        if group == 2:
+            tokens.append((match[2], match.start(2)))
+        elif group == 1:
+            if match[1].strip() == "@key":
+                tokens.append(("//@key", match.start(1) - 2))
+        elif group == 3:
+            raise error(match.start(3), f"unexpected character {match[3]!r}")
+    tokens.append(("", len(source)))
+
+    types: dict[str, TypeDescriptor] = {}
+    i = 0
+    while tokens[i][0]:
+        text, at = tokens[i]
+        if text != "struct":
+            raise error(at, f"expected 'struct', got {text!r}")
+        type_name, at = tokens[i + 1]
+        if type_name in _NOT_IDENT:
+            raise error(at, f"expected type name, got {type_name or 'end of input'!r}")
+        if type_name in types:
+            raise error(at, f"duplicate type name {type_name!r}")
+        text, at = tokens[i + 2]
+        if text != "{":
+            raise error(at, f"expected '{{', got {text or 'end of input'!r}")
+        i += 3
+        fields: dict[str, tuple[PrimitiveKind, bool]] = {}
+        while True:
+            word, at = tokens[i]
+            if word == "}":
+                if not fields:
+                    raise error(at, f"type {type_name!r} has no fields")
+                break
+            if word in _NOT_IDENT:
+                raise error(at, f"expected field type, got {word or 'end of input'!r}")
+            i += 1
+            if word == "unsigned":
+                second, second_at = tokens[i]
+                if second in _NOT_IDENT:
+                    raise error(second_at, "expected 'short' or 'long', got "
+                                f"{second or 'end of input'!r}")
+                if second != "short" and second != "long":
+                    raise error(second_at, "expected 'short' or 'long' after "
+                                f"'unsigned', got {second!r}")
+                i += 1
+                word += " " + second
+            if (word == "long" or word == "unsigned long") and tokens[i][0] == "long":
+                i += 1
+                word += " long"
+            kind = _KEYWORD_TO_KIND.get(word)
+            if kind is None:
+                raise error(at, f"unknown field type {word!r}")
+            name, at = tokens[i]
+            if name in _NOT_IDENT:
+                raise error(at, f"expected field name, got {name or 'end of input'!r}")
+            if name in fields:
+                raise error(at, f"duplicate field name {name!r}")
+            # //@key may come before the semicolon or after it.
+            is_key = tokens[i + 1][0] == "//@key"
+            i += 1 + is_key
+            text, at = tokens[i]
+            if text != ";":
+                raise error(at, f"expected ';', got {text or 'end of input'!r}")
+            i += 1
+            if tokens[i][0] == "//@key":
+                i += 1
+                is_key = True
+            fields[name] = (kind, is_key)
+        text, at = tokens[i + 1]
+        if text != ";":
+            raise error(at, f"expected ';', got {text or 'end of input'!r}")
+        i += 2
+        annotated = any(is_key for _, is_key in fields.values())
+        types[type_name] = TypeDescriptor(type_name, tuple(
+            FieldDescriptor(name, kind, is_key or (not annotated and name == "key"))
+            for name, (kind, is_key) in fields.items()))
+    return list(types.values())
 
 
 def print_idl(types: Iterable[TypeDescriptor]) -> str:

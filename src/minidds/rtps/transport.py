@@ -183,9 +183,6 @@ class InProcNetwork:
     def detach(self, name: str) -> None:
         self._endpoints.pop(name, None)
 
-    def addresses(self) -> list[str]:
-        return sorted(self._endpoints)
-
     def route(self, data: bytes, source: str, dest: str) -> None:
         cfg = self.config
         if not cfg.faulty:

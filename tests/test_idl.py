@@ -2,7 +2,9 @@
 
 import pathlib
 import random
+import re
 import struct
+from dataclasses import dataclass
 
 import pytest
 
@@ -120,6 +122,37 @@ class TestParseErrors:
         with pytest.raises(idl.ParseError) as exc:
             idl.parse_idl("struct A { };")
         assert "no fields" in str(exc.value)
+
+    @pytest.mark.parametrize("source,message", [
+        ("struct A { long x } ;", "1:19: expected ';', got '}'"),
+        ("struct A { long x; };\nstruct A { long y; };", "2:8: duplicate type name 'A'"),
+        ("struct A { long x; long x; };", "1:25: duplicate field name 'x'"),
+        ("struct A { quux x; };", "1:12: unknown field type 'quux'"),
+        ("struct A { unsigned float x; };",
+         "1:21: expected 'short' or 'long' after 'unsigned', got 'float'"),
+        ("struct A { unsigned; };", "1:20: expected 'short' or 'long', got ';'"),
+        ("union A { long x; };", "1:1: expected 'struct', got 'union'"),
+        ("struct { long x; };", "1:8: expected type name, got '{'"),
+        ("struct A long x; };", "1:10: expected '{', got 'long'"),
+        ("struct A { ; };", "1:12: expected field type, got ';'"),
+        ("struct A { long //@key\n; };", "1:17: expected field name, got '//@key'"),
+        ("struct A { long x; } //@key\n", "1:22: expected ';', got '//@key'"),
+        ("struct A { long x; / };", "1:20: unexpected character '/'"),
+        ("struct A { long $; };", "1:17: unexpected character '$'"),
+        ("struct A {\r\n\tlong \u00e9; };", "2:7: unexpected character '\u00e9'"),
+        ("struct A { long x;", "1:19: expected field type, got 'end of input'"),
+        ("struct A { long x; }", "1:21: expected ';', got 'end of input'"),
+        ("struct A { };", "1:12: type 'A' has no fields"),
+        # The whole source is scanned before the grammar is checked.
+        ("union A { long $; };", "1:16: unexpected character '$'"),
+    ])
+    def test_exact_message(self, source, message):
+        with pytest.raises(idl.ParseError) as exc:
+            idl.parse_idl(source)
+        line, column, text = message.split(":", 2)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (
+            int(line), int(column), text[1:])
+        assert str(exc.value) == message
 
 
 class TestPrintIdl:
@@ -282,3 +315,245 @@ def _random_values(descriptor, rng):
             lo, hi = idl._INT_RANGES[kind]
             values.append(rng.randint(lo, hi))
     return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the front end
+
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str  # IDENT, PUNCT, KEY_ANNOTATION, EOF
+    text: str
+    line: int
+    column: int
+
+
+def _ref_tokenize(source):
+    """The character-by-character scanner ``parse_idl`` replaced, kept
+    as the reference."""
+    tokens = []
+    line = col = 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "/":
+            if i + 1 < n and source[i + 1] == "/":
+                j = source.find("\n", i)
+                if j == -1:
+                    j = n
+                if source[i + 2:j].strip() == "@key":
+                    tokens.append(_RefToken("KEY_ANNOTATION", "//@key", line, col))
+                col += j - i
+                i = j
+                continue
+            raise idl.ParseError(line, col, "unexpected character '/'")
+        if ch in "{};":
+            tokens.append(_RefToken("PUNCT", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        match = _REF_IDENT_RE.match(source, i)
+        if match:
+            text = match.group(0)
+            tokens.append(_RefToken("IDENT", text, line, col))
+            i = match.end()
+            col += len(text)
+            continue
+        raise idl.ParseError(line, col, f"unexpected character {ch!r}")
+    tokens.append(_RefToken("EOF", "", line, col))
+    return tokens
+
+
+class _RefParser:
+    """The recursive-descent parser ``parse_idl`` replaced, kept as the
+    reference."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def error(self, tok, message):
+        return idl.ParseError(tok.line, tok.column, message)
+
+    def expect_punct(self, ch):
+        tok = self.next()
+        if tok.kind != "PUNCT" or tok.text != ch:
+            raise self.error(tok, f"expected {ch!r}, got {tok.text or 'end of input'!r}")
+        return tok
+
+    def expect_ident(self, what):
+        tok = self.next()
+        if tok.kind != "IDENT":
+            raise self.error(tok, f"expected {what}, got {tok.text or 'end of input'!r}")
+        return tok
+
+    def parse_unit(self):
+        types = []
+        seen = set()
+        while self.peek().kind != "EOF":
+            tok = self.expect_ident("'struct'")
+            if tok.text != "struct":
+                raise self.error(tok, f"expected 'struct', got {tok.text!r}")
+            name_tok = self.expect_ident("type name")
+            if name_tok.text in seen:
+                raise self.error(name_tok, f"duplicate type name {name_tok.text!r}")
+            seen.add(name_tok.text)
+            types.append(self.parse_struct_body(name_tok.text))
+        return types
+
+    def parse_struct_body(self, type_name):
+        self.expect_punct("{")
+        raw_fields = []
+        names = set()
+        while True:
+            tok = self.peek()
+            if tok.kind == "PUNCT" and tok.text == "}":
+                if not raw_fields:
+                    raise self.error(tok, f"type {type_name!r} has no fields")
+                self.next()
+                break
+            kind = self.parse_kind()
+            name_tok = self.expect_ident("field name")
+            if name_tok.text in names:
+                raise self.error(name_tok, f"duplicate field name {name_tok.text!r}")
+            names.add(name_tok.text)
+            is_key = False
+            if self.peek().kind == "KEY_ANNOTATION":
+                self.next()
+                is_key = True
+            self.expect_punct(";")
+            if self.peek().kind == "KEY_ANNOTATION":
+                self.next()
+                is_key = True
+            raw_fields.append((name_tok.text, kind, is_key))
+        self.expect_punct(";")
+        annotated = any(is_key for _, _, is_key in raw_fields)
+        return idl.TypeDescriptor(type_name, tuple(
+            idl.FieldDescriptor(name, kind, is_key or (not annotated and name == "key"))
+            for name, kind, is_key in raw_fields))
+
+    def parse_kind(self):
+        tok = self.expect_ident("field type")
+        word = tok.text
+        if word == "unsigned":
+            second = self.expect_ident("'short' or 'long'")
+            if second.text == "short":
+                return idl.PrimitiveKind.UNSIGNED_SHORT
+            if second.text == "long":
+                if self.peek().kind == "IDENT" and self.peek().text == "long":
+                    self.next()
+                    return idl.PrimitiveKind.UNSIGNED_LONG_LONG
+                return idl.PrimitiveKind.UNSIGNED_LONG
+            raise self.error(
+                second, f"expected 'short' or 'long' after 'unsigned', got {second.text!r}")
+        if word == "long":
+            if self.peek().kind == "IDENT" and self.peek().text == "long":
+                self.next()
+                return idl.PrimitiveKind.LONG_LONG
+            return idl.PrimitiveKind.LONG
+        kind = {k.keyword: k for k in idl.PrimitiveKind}.get(word)
+        if kind is None:
+            raise self.error(tok, f"unknown field type {word!r}")
+        return kind
+
+
+def _outcome(parse, source):
+    """Descriptors, or a ParseError's (line, column, message)."""
+    try:
+        return parse(source)
+    except idl.ParseError as exc:
+        assert str(exc) == f"{exc.line}:{exc.column}: {exc.message}"
+        return (exc.line, exc.column, exc.message)
+
+
+CORPUS = [
+    (DATA / "climat.idl").read_text(),
+    ALL_KINDS_IDL,
+    MIXED_IDL.replace("\n", "\r\n"),
+    "struct A {\n\tunsigned long long a; unsigned long b //@key\n;\n"
+    "\tlong long c; long d; //  @key \r\n unsigned short e; };\n"
+    "struct B { boolean key; octet o; float f; double d; string s; };",
+    "// heading\r\nstruct T { // inline\n long x; //@keys\n long y; //\n};//@key",
+    "struct U { short s; //@key\u3000\n string t; // @key\n long key; };",
+    "struct V { long x; / }; struct W { long \u00e9; long $; long \x0b; };",
+    "struct A { long x; };\nstruct A { long y; };",
+]
+# Pieces a mutation inserts: blanks, comments, punctuation, keywords,
+# names, and characters the grammar refuses.
+PIECES = [" ", "\t", "\r\n", "\n", "/", "//", "//@key\n", " //@key", "// @key \n",
+          "{", "}", ";", "long", " long", "unsigned ", "short", "struct ", "key",
+          "x", "_a9", "$", "\u00e9", "\x0b", "\f", "\xa0", "@", "0"]
+MUTATIONS = 3000
+# Every message the front end has.
+MESSAGES = [
+    "unexpected character .*", "expected 'struct', got .*", "expected type name, got .*",
+    "duplicate type name .*", "expected '{', got .*", "type .* has no fields",
+    "expected field type, got .*", "expected 'short' or 'long', got .*",
+    "expected 'short' or 'long' after 'unsigned', got .*", "unknown field type .*",
+    "expected field name, got .*", "duplicate field name .*", "expected ';', got .*",
+]
+
+
+def _mutated(rng):
+    source = rng.choice(CORPUS)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(source) + 1)
+        j = min(len(source), i + rng.randint(1, 4))
+        op = rng.randrange(4)
+        if op == 0:
+            source = source[:i] + source[j:]
+        elif op == 1:
+            source = source[:i] + rng.choice(PIECES) + source[i:]
+        elif op == 2:
+            source = source[:j] + source[i:j] + source[j:]
+        else:
+            source = source[:i]
+    return source
+
+
+def test_parse_idl_agrees_with_the_reference_front_end():
+    """On the corpus, every truncation of it, and seeded mutations of it,
+    ``parse_idl`` gives the reference's descriptors or the reference's
+    ParseError position and message; between them the inputs reach
+    every message the front end has."""
+    rng = random.Random(0x1D1)
+    sources = list(CORPUS)
+    sources += [s[:n] for s in CORPUS for n in range(len(s))]
+    sources += [_mutated(rng) for _ in range(MUTATIONS)]
+
+    def reference(source):
+        return _RefParser(_ref_tokenize(source)).parse_unit()
+
+    reached = set()
+    parsed = 0
+    for source in sources:
+        expected = _outcome(reference, source)
+        assert _outcome(idl.parse_idl, source) == expected, repr(source)
+        if isinstance(expected, tuple):
+            reached.update(m for m in MESSAGES if re.fullmatch(m, expected[2]))
+        else:
+            parsed += 1
+    assert parsed > 100
+    assert reached == set(MESSAGES)

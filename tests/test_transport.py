@@ -1,6 +1,7 @@
 """Transport waits, addresses and drains: the in-process ``wait`` blocks
 until a delivery or its timeout, a UDP transport on port 0 reports the
-port the system bound, and a UDP drain under a flood reads at most one
+port the system bound, a datagram sent to a joined multicast group
+reaches another member, and a UDP drain under a flood reads at most one
 receive buffer's worth."""
 
 import random
@@ -111,6 +112,34 @@ def test_udp_port_zero_records_the_bound_port():
     finally:
         transport.close()
 
+
+
+def test_udp_multicast_reaches_another_member_of_the_group():
+    """Two transports join one group on one port; a datagram sent to the
+    group is drained by the other member within a second."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("", 0))
+        group_port = probe.getsockname()[1]
+    members = []
+    try:
+        for _ in range(2):
+            members.append(UdpTransport(0, port=0, multicast_group="239.255.0.1",
+                                        multicast_port=group_port))
+        sender, receiver = members
+        if sender.multicast_address is None or receiver.multicast_address is None:
+            pytest.skip("this host cannot join a multicast group")
+        assert sender.multicast_address == ("239.255.0.1", group_port)
+        sender.send(b"to the group", sender.multicast_address)
+        received = []
+        deadline = time.monotonic() + 1.0
+        while not received and time.monotonic() < deadline:
+            receiver.wait(max(0.0, deadline - time.monotonic()))
+            received = [(data, source) for data, source in receiver.drain()
+                        if data == b"to the group"]
+        assert [source[1] for _, source in received] == [sender.port]
+    finally:
+        for member in members:
+            member.close()
 
 class _FloodedSocket:
     """A bound UDP socket whose sender never stops: ``recvfrom`` never runs
