@@ -8,7 +8,8 @@ immutable snapshots; ``set_policy`` returns a new profile. Compatibility is
 a pure function producing a report, never an exception.
 
 The policies an endpoint advertises are listed once, in ``ADVERTISED_QOS``:
-``RxoQos``, the compatibility rules and the announce codec all read it.
+``RxoQos`` and the compatibility rules read it. The announce codec reads
+only ``RxoQos``, whose fields it sends in field order as one fixed record.
 """
 
 from __future__ import annotations
@@ -477,7 +478,9 @@ class CompatibilityReport:
 class RxoQos:
     """The policy values an endpoint advertises in announces: the negotiated
     ones, plus partition names and ownership strength (match-affecting but
-    not negotiated). ``ADVERTISED_QOS`` says which fields hold which policy."""
+    not negotiated). ``ADVERTISED_QOS`` says which fields hold which policy.
+    An announce carries the partitions, then every other field, in this
+    order, as one fixed 27-byte record (docs/wire.md)."""
 
     reliability: ReliabilityKind = ReliabilityKind.BEST_EFFORT
     durability: DurabilityKind = DurabilityKind.VOLATILE
@@ -527,7 +530,8 @@ class AdvertisedPolicy:
         return _VALUE_TYPES[self.id](*self.values(rxo))
 
 
-# The advertised policies, in announce (wire) order. Kinds with a strength
+# The advertised policies, in the order violation reports list them; the
+# announce does not use this order (see ``RxoQos``). Kinds with a strength
 # ordering must be offered at least as strong as requested, and so must the
 # presentation flags (an offered flag serves any request; a missing one
 # serves only a request without it). Budget-style durations must be offered

@@ -91,9 +91,12 @@ class UdpTransport:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             sock.setblocking(False)
             sock.bind(("", port))
-            member = struct.pack("4s4s", socket.inet_aton(group),
-                                 socket.inet_aton("0.0.0.0"))
+            # Join, and send, on the bind host's interface: the wildcard
+            # host leaves the choice to the routing table.
+            interface = socket.inet_aton(socket.gethostbyname(self.local_address[0]))
+            member = struct.pack("4s4s", socket.inet_aton(group), interface)
             sock.setsockopt(socket.IPPROTO_IP, socket.IP_ADD_MEMBERSHIP, member)
+            self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_IF, interface)
             self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, 1)
             self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1)
             self._socks[sock] = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)

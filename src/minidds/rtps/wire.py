@@ -2,12 +2,14 @@
 
 Layout (all integers little-endian):
 
-    header   : magic "MDDS" (4) | version 0x02 0x00 (2) | reserved (2)
+    header   : magic "MDDS" (4) | version 0x03 0x00 (2) | reserved (2)
              | sender guid prefix (12)
     submsg   : kind (1) | flags (1) | body length (2) | body
 
 Unknown submessage kinds are skipped over by length so newer peers stay
-readable. Decoding never reads past the datagram; malformed input raises
+readable; a datagram of another version is refused. Version 3.0 carries
+an announced endpoint's advertised QoS as one fixed 27-byte record.
+Decoding never reads past the datagram; malformed input raises
 ``WireError`` with the offending offset. See docs/wire.md for body layouts.
 """
 
@@ -15,16 +17,15 @@ from __future__ import annotations
 
 import struct
 from enum import EnumMeta
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple, Optional, Union, get_type_hints
 
-from minidds import qos
 from minidds.dcps.guid import Guid, PREFIX_LEN
 from minidds.dcps.matching import EndpointDescriptor, EndpointType
 from minidds.qos import RxoQos
 
 MAGIC = b"MDDS"
-VERSION = b"\x02\x00"
+VERSION = b"\x03\x00"
 RESERVED = b"\x00\x00"
 _HEADER_START = MAGIC + VERSION + RESERVED
 HEADER_LEN = 20
@@ -59,64 +60,26 @@ _ANNOUNCE_HEAD = struct.Struct("<IQH")  # domain, roster version, endpoint count
 _ENDPOINT_HEAD = struct.Struct("<12sIBH")
 _U16 = struct.Struct("<H")  # string byte count, partition count
 
-# Byte layout of each advertised policy's value: one struct format character
-# per field of its ``qos.ADVERTISED_QOS`` row. Policy ids on the wire reuse
-# the QosPolicyId numbering.
-_QP = qos.QosPolicyId
-_RXO_LAYOUTS = {pid: struct.Struct("<" + codes) for pid, codes in (
-    (_QP.RELIABILITY, "B"),
-    (_QP.DURABILITY, "B"),
-    (_QP.DESTINATION_ORDER, "B"),
-    (_QP.OWNERSHIP, "B"),
-    (_QP.OWNERSHIP_STRENGTH, "i"),
-    (_QP.DEADLINE, "q"),
-    (_QP.LATENCY_BUDGET, "q"),
-    (_QP.PRESENTATION, "BBB"),
-)}
-# (wire id, row, layout) per advertised policy, in announce order.
-_RXO_ENTRIES = [(row.id.value, row, _RXO_LAYOUTS[row.id]) for row in qos.ADVERTISED_QOS]
-_RXO_BY_ID = {entry[0]: entry for entry in _RXO_ENTRIES}
 _RXO_TYPES = get_type_hints(RxoQos)
 # Wire value -> member, per enum an announce carries; a lookup here costs
 # far less than calling the enum class.
 _MEMBERS = {kind: {member.value: member for member in kind}
             for kind in (EndpointType, *_RXO_TYPES.values()) if isinstance(kind, EnumMeta)}
 
-# The canonical negotiated-qos block, the one the encoder writes: the
-# entry count, then every advertised entry, its id and then its value, in
-# table order. One struct call writes or reads all of it. Its items are
-# the head (the count and the ids) interleaved with the values of the
-# fields ``_RXO_FIELDS`` names; a decoder that meets another head reads
-# the block entry by entry.
-_RXO_BLOCK = struct.Struct(
-    "<B" + "".join("B" + layout.format[1:] for _, _, layout in _RXO_ENTRIES))
-_RXO_HEAD = (len(_RXO_ENTRIES), *(pid for pid, _, _ in _RXO_ENTRIES))
-# The advertised fields in RxoQos order, so a record is built positionally.
+# The advertised-qos record: every RxoQos field but the partitions, in
+# field order, one struct code each, packed back to back (27 bytes).
 _RXO_FIELDS = tuple(name for name in _RXO_TYPES if name != "partitions")
-
-
-def _block_getters() -> tuple[itemgetter, itemgetter, itemgetter]:
-    """Three getters over the canonical block's items: from the head
-    followed by the field values to the items in block order, and from
-    the items back to the head and to the field values."""
-    order = [0]  # per item, its index in the head followed by the values
-    for entry_index, (_, row, _) in enumerate(_RXO_ENTRIES, 1):
-        order.append(entry_index)
-        order.extend(len(_RXO_HEAD) + _RXO_FIELDS.index(name) for name in row.fields)
-    position = {index: at for at, index in enumerate(order)}
-    return (itemgetter(*order),
-            itemgetter(*[position[i] for i in range(len(_RXO_HEAD))]),
-            itemgetter(*[position[i] for i in range(len(_RXO_HEAD), len(order))]))
-
-
-_rxo_items, _rxo_head, _rxo_values = _block_getters()
+_RXO = struct.Struct("<BBBBiBBBqq")
 _rxo_fields = attrgetter(*_RXO_FIELDS)  # RxoQos -> field values
-# (index in _RXO_FIELDS, byte -> value) for each enum or flag field: the
-# enum's member, None for a byte that names none; a flag is true when
-# non-zero.
+# (index in the record, byte offset in it, byte -> value, enum name) for
+# each enum or flag field: the enum's member, None for a byte that names
+# none; a flag is true when non-zero.
 _FLAG = {raw: raw != 0 for raw in range(256)}
-_RXO_CONVERT = tuple((i, _FLAG if _RXO_TYPES[name] is bool else _MEMBERS[_RXO_TYPES[name]])
-                     for i, name in enumerate(_RXO_FIELDS) if _RXO_TYPES[name] is not int)
+_RXO_CONVERT = tuple(
+    (i, struct.calcsize(_RXO.format[:i + 1]),
+     _FLAG if _RXO_TYPES[name] is bool else _MEMBERS[_RXO_TYPES[name]],
+     _RXO_TYPES[name].__name__)
+    for i, name in enumerate(_RXO_FIELDS) if _RXO_TYPES[name] is not int)
 
 
 class WireError(Exception):
@@ -197,11 +160,10 @@ def _pack_str(text: str) -> bytes:
 
 
 def _encode_rxo(rxo: RxoQos) -> bytes:
-    """The negotiated-qos block: the partitions, then the canonical
-    block, packed by one struct call."""
+    """The negotiated-qos block: the partitions, then the record."""
     partitions = rxo.partitions
     return b"".join([_U16.pack(len(partitions)), *map(_pack_str, partitions),
-                     _RXO_BLOCK.pack(*_rxo_items(_RXO_HEAD + _rxo_fields(rxo)))])
+                     _RXO.pack(*_rxo_fields(rxo))])
 
 
 def _encode_announce(sub: Announce) -> bytes:
@@ -341,55 +303,14 @@ def _decode_rxo(data: bytes, pos: int, end: int) -> tuple[RxoQos, int]:
     for _ in range(partition_count):
         name, pos = _decode_str(data, pos, end)
         partitions.append(name)
-    partitions = tuple(partitions) or ("",)
-    block_end = pos + _RXO_BLOCK.size
-    if block_end <= end:
-        items = _RXO_BLOCK.unpack_from(data, pos)
-        if _rxo_head(items) == _RXO_HEAD:
-            values = list(_rxo_values(items))
-            for i, to_value in _RXO_CONVERT:
-                values[i] = to_value.get(values[i])
-            # An enum byte that names no member reads None: the entry
-            # loop below then raises at its offset.
-            if None not in values:
-                return RxoQos(*values, partitions=partitions), block_end
-    return _decode_rxo_entries(data, pos, end, partitions)
-
-
-def _decode_rxo_entries(data: bytes, pos: int, end: int,
-                        partitions: tuple[str, ...]) -> tuple[RxoQos, int]:
-    """A negotiated-qos block after its partitions, read entry by entry:
-    any block, the canonical one included."""
-    values: dict = {"partitions": partitions}
-    _need(pos, 1, end)
-    entry_count = data[pos]
-    pos += 1
-    for _ in range(entry_count):
-        _need(pos, 1, end)
-        pid_raw = data[pos]
-        entry = _RXO_BY_ID.get(pid_raw)
-        if entry is None:
-            try:
-                reason = f"policy {_QP(pid_raw).name} not valid on the wire"
-            except ValueError:
-                reason = f"unknown policy id {pid_raw}"
-            raise WireError(pos, reason)
-        pos += 1
-        _, row, layout = entry
-        _need(pos, layout.size, end)
-        for name, raw in zip(row.fields, layout.unpack_from(data, pos)):
-            kind = _RXO_TYPES[name]
-            if kind is bool:
-                raw = bool(raw)
-            elif kind is not int:
-                member = _MEMBERS[kind].get(raw)
-                if member is None:
-                    # Every enum is the first field of its row.
-                    raise WireError(pos, f"invalid {kind.__name__} value {raw}")
-                raw = member
-            values[name] = raw
-        pos += layout.size
-    return RxoQos(**values), pos
+    _need(pos, _RXO.size, end)
+    values = list(_RXO.unpack_from(data, pos))
+    for i, offset, to_value, kind in _RXO_CONVERT:
+        value = to_value.get(values[i])
+        if value is None:
+            raise WireError(pos + offset, f"invalid {kind} value {values[i]}")
+        values[i] = value
+    return RxoQos(*values, partitions=tuple(partitions) or ("",)), pos + _RXO.size
 
 
 def _decode_announce(data: bytes, start: int, end: int) -> Announce:

@@ -457,7 +457,7 @@ def test_wire_codec_golden_and_fuzz():
     prefix = bytes(range(12))
     minimal = wire.WireMessage(prefix, (wire.Data(1, 0, 1, 0, 0, b""),))
     encoded = wire.encode_message(minimal)
-    assert encoded == (b"MDDS" + b"\x02\x00" + b"\x00\x00" + prefix
+    assert encoded == (b"MDDS" + b"\x03\x00" + b"\x00\x00" + prefix
                        + bytes([0x02, 0x00]) + struct.pack("<H", 36)
                        + struct.pack("<IIQqQI", 1, 0, 1, 0, 0, 0))
     assert len(encoded) == 60

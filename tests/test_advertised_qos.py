@@ -8,6 +8,7 @@ import itertools
 import pathlib
 import random
 import re
+import struct
 import typing
 
 import pytest
@@ -45,16 +46,22 @@ def test_rows_cover_the_record_once():
         assert row.value(RxoQos()) == qos.default_value(row.id)
 
 
-def test_every_row_has_exactly_one_wire_layout():
-    assert list(wire._RXO_LAYOUTS) == [row.id for row in qos.ADVERTISED_QOS]
-    for row in qos.ADVERTISED_QOS:
-        layout = wire._RXO_LAYOUTS[row.id]
-        assert len(layout.format) == 1 + len(row.fields), row.id  # "<" + one per field
+def test_every_advertised_field_has_exactly_one_wire_code():
+    # The announce record is every RxoQos field but the partitions, in
+    # field order, one struct code each: a byte per enum or flag, and a
+    # fixed-width integer per int field.
+    hints = typing.get_type_hints(RxoQos)
+    advertised = [f.name for f in dataclasses.fields(RxoQos) if f.name != "partitions"]
+    assert list(wire._RXO_FIELDS) == advertised
+    assert wire._RXO.format[0] == "<" and len(wire._RXO.format) == 1 + len(advertised)
+    for name, code in zip(advertised, wire._RXO.format[1:]):
+        assert code in ("iq" if hints[name] is int else "B"), name
+    assert wire._RXO.size == 27
 
 
 def test_every_enum_field_leads_its_row():
-    # The announce decoder reports an invalid enum value at the start of
-    # its policy's value, which is the enum's byte only when it comes first.
+    # A row reads as its value class positionally, and every value class
+    # with an enum starts with it.
     hints = typing.get_type_hints(RxoQos)
     for row in qos.ADVERTISED_QOS:
         for i, name in enumerate(row.fields):
@@ -65,12 +72,14 @@ def test_every_enum_field_leads_its_row():
                 assert kind in (int, bool), (row.id, name, kind)
 
 
-def test_docs_table_lists_the_rows_in_order():
+def test_docs_table_lists_the_record_fields_in_order():
     section = DOCS.read_text(encoding="utf-8").split("### ANNOUNCE", 1)[1]
     section = section.split("\n### ", 1)[0]
-    rows = re.findall(r"^\|\s*([A-Z_]+)\s*\|\s*(\d+)\s*\|", section, re.MULTILINE)
-    assert [(name, int(pid)) for name, pid in rows] == [
-        (row.id.name, row.id.value) for row in qos.ADVERTISED_QOS]
+    rows = re.findall(r"^\|\s*(\d+)\s*\|\s*(\d+)\s*\|\s*([a-z_]+)\s*\|", section, re.MULTILINE)
+    codes = wire._RXO.format[1:]
+    assert [(int(at), int(size), name) for at, size, name in rows] == [
+        (struct.calcsize("<" + codes[:i]), struct.calcsize("<" + code), name)
+        for i, (code, name) in enumerate(zip(codes, wire._RXO_FIELDS))]
 
 
 # ---------------------------------------------------------------------------

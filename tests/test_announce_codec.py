@@ -1,19 +1,20 @@
-"""ANNOUNCE decoding against the cursor-based reference it replaced.
+"""ANNOUNCE decoding against a field-by-field reference.
 
-``_ReferenceCursor`` and the two functions after it are the ANNOUNCE
-decoder as it was before it read the datagram in place: a copy of the
-body, a cursor over it, and ``struct`` formats looked up per field.
-Every truncation of a set of valid announces, and seeded mutations of
-them (byte flips, rewritten counts and string lengths, bad enum and
-policy id bytes), must decode to the same announce from both or fail
-with the same ``(offset, reason)``. The second half checks the canonical
-negotiated-qos block, which the encoder writes and the decoder reads in
-one struct call, against the layout docs/wire.md gives.
+``_ReferenceCursor`` and the two functions after it decode an ANNOUNCE
+as docs/wire.md spells it: a copy of the body, a cursor over it, and
+each field of the negotiated-qos record read on its own, at its
+documented offset and size. Every truncation of a set of valid
+announces, and seeded mutations of them (byte flips, rewritten counts
+and string lengths, bad kind bytes), must decode to the same announce
+from both or fail with the same ``(offset, reason)``. The second half
+checks the record, which the encoder writes and the decoder reads in one
+struct call, against the same layout.
 """
 
 import dataclasses
 import random
 import struct
+import typing
 
 import pytest
 
@@ -62,34 +63,43 @@ class _ReferenceCursor:
             raise wire.WireError(self.base + self.pos, "trailing bytes in submessage body")
 
 
+# docs/wire.md's negotiated-qos record: (offset, size, RxoQos field).
+_DOC_RECORD = (
+    (0, 1, "reliability"),
+    (1, 1, "durability"),
+    (2, 1, "destination_order"),
+    (3, 1, "ownership"),
+    (4, 4, "ownership_strength"),
+    (8, 1, "presentation_scope"),
+    (9, 1, "presentation_coherent"),
+    (10, 1, "presentation_ordered"),
+    (11, 8, "deadline_period_ns"),
+    (19, 8, "latency_budget_ns"),
+)
+_DOC_RECORD_SIZE = 27
+_HINTS = typing.get_type_hints(RxoQos)
+
+
 def _reference_rxo(cur: _ReferenceCursor) -> RxoQos:
     (partition_count,) = cur.unpack("<H")
     partitions = tuple(cur.take_str() for _ in range(partition_count))
-    values: dict = {"partitions": partitions or ("",)}
-    (entry_count,) = cur.unpack("<B")
-    for _ in range(entry_count):
-        (pid_raw,) = cur.unpack("<B")
-        entry = wire._RXO_BY_ID.get(pid_raw)
-        if entry is None:
+    start = cur.base + cur.pos
+    record = cur.take(_DOC_RECORD_SIZE)
+    values = {}
+    for at, size, name in _DOC_RECORD:
+        # A kind or flag is one unsigned byte; the integers are signed.
+        raw = int.from_bytes(record[at:at + size], "little", signed=size > 1)
+        kind = _HINTS[name]
+        if kind is bool:
+            raw = raw != 0
+        elif kind is not int:
             try:
-                reason = f"policy {qos.QosPolicyId(pid_raw).name} not valid on the wire"
+                raw = kind(raw)
             except ValueError:
-                reason = f"unknown policy id {pid_raw}"
-            raise wire.WireError(cur.base + cur.pos - 1, reason)
-        _, row, layout = entry
-        start = cur.base + cur.pos
-        for i, (name, raw) in enumerate(zip(row.fields, cur.unpack(layout.format))):
-            kind = wire._RXO_TYPES[name]
-            if kind is bool:
-                raw = bool(raw)
-            elif kind is not int:
-                try:
-                    raw = kind(raw)
-                except ValueError:
-                    raise wire.WireError(start + struct.calcsize(layout.format[:i + 1]),
-                                         f"invalid {kind.__name__} value {raw}") from None
-            values[name] = raw
-    return RxoQos(**values)
+                raise wire.WireError(start + at,
+                                     f"invalid {kind.__name__} value {raw}") from None
+        values[name] = raw
+    return RxoQos(partitions=partitions or ("",), **values)
 
 
 def _reference_announce(data: bytes, start: int, end: int) -> wire.Announce:
@@ -145,8 +155,8 @@ def _body(announce: wire.Announce) -> bytes:
 
 def _fields(body: bytes) -> tuple[list[int], list[int]]:
     """Offsets in a valid body of its u16 counts and string lengths, and
-    of its u8 fields: endpoint kinds, entry counts, policy ids and the
-    bytes of single-byte policy values (the enum and flag bytes)."""
+    of its u8 fields: endpoint kinds and the kind and flag bytes of each
+    negotiated-qos record."""
     u16, u8 = [12], []
     pos = 14
     for _ in range(struct.unpack_from("<H", body, 12)[0]):
@@ -161,16 +171,8 @@ def _fields(body: bytes) -> tuple[list[int], list[int]]:
         for _ in range(partitions):
             u16.append(pos)
             pos += 2 + struct.unpack_from("<H", body, pos)[0]
-        u8.append(pos)
-        entries = body[pos]
-        pos += 1
-        for _ in range(entries):
-            u8.append(pos)
-            layout = wire._RXO_BY_ID[body[pos]][2]
-            pos += 1
-            if set(layout.format[1:]) == {"B"}:
-                u8.extend(range(pos, pos + layout.size))
-            pos += layout.size
+        u8.extend(pos + at for at, size, _ in _DOC_RECORD if size == 1)
+        pos += _DOC_RECORD_SIZE
     assert pos == len(body)
     return u16, u8
 
@@ -231,29 +233,17 @@ def test_seeded_mutations_agree(seed):
             reasons.add(result[1].split(" ")[0])
     assert decoded > 0
     # The mutations reach every kind of error the decoder raises.
-    assert reasons >= {"truncated", "trailing", "text", "invalid", "unknown", "policy"}
+    assert reasons >= {"truncated", "trailing", "text", "invalid"}
 
 
 # ---------------------------------------------------------------------------
-# The canonical block against the field-by-field layout of docs/wire.md
+# The record against the field-by-field layout of docs/wire.md
 #
-# The encoder writes every advertised entry in table order, and the
-# decoder reads such a block with one struct call. Here the bytes come
-# from the layout as docs/wire.md spells it, entry by entry; any other
-# block goes through the entry loop, which must agree with the reference
-# decoder above.
-
-# (policy id, RxoQos fields, struct codes), in docs/wire.md's table order.
-_DOC_ENTRIES = (
-    (6, ("reliability",), "B"),
-    (1, ("durability",), "B"),
-    (8, ("destination_order",), "B"),
-    (9, ("ownership",), "B"),
-    (10, ("ownership_strength",), "i"),
-    (11, ("deadline_period_ns",), "q"),
-    (12, ("latency_budget_ns",), "q"),
-    (5, ("presentation_scope", "presentation_coherent", "presentation_ordered"), "BBB"),
-)
+# The encoder writes the record with one struct call, and the decoder
+# reads it with one. Here the bytes come from the layout as docs/wire.md
+# spells it, field by field, and any block the decoder refuses must be
+# refused by the reference decoder above at the same offset, for the
+# same reason.
 
 _FIELD_VALUES = {
     "reliability": list(qos.ReliabilityKind),
@@ -271,20 +261,15 @@ _FIELD_VALUES = {
 _PARTITIONS = [(), ("",), ("a",), ("left", "rïght", ""), ("x" * 300, "y", "z", "")]
 
 
-def _doc_entry(pid: int, rxo: RxoQos) -> bytes:
-    _, names, codes = next(e for e in _DOC_ENTRIES if e[0] == pid)
-    return bytes([pid]) + struct.pack("<" + codes, *(getattr(rxo, n) for n in names))
-
-
-def _doc_block(rxo: RxoQos, order=None) -> bytes:
-    """The negotiated-qos block with the entries ``order`` names, by
-    docs/wire.md: partitions, entry count, then id and value per entry."""
-    order = [e[0] for e in _DOC_ENTRIES] if order is None else order
+def _doc_block(rxo: RxoQos) -> bytes:
+    """The negotiated-qos block by docs/wire.md: partitions, then the
+    record, one field at a time."""
     out = struct.pack("<H", len(rxo.partitions))
     for name in rxo.partitions:
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded)) + encoded
-    return out + bytes([len(order)]) + b"".join(_doc_entry(pid, rxo) for pid in order)
+    return out + b"".join(int(getattr(rxo, name)).to_bytes(size, "little", signed=size > 1)
+                          for _, size, name in _DOC_RECORD)
 
 
 def _decoded(rxo: RxoQos) -> RxoQos:
@@ -317,80 +302,68 @@ def _block_outcome(decode, block: bytes):
         return (exc.offset, exc.reason)
 
 
-def _check_canonical(rxo: RxoQos) -> None:
+def _check_round_trip(rxo: RxoQos) -> None:
     block = _doc_block(rxo)
     assert wire._encode_rxo(rxo) == block, rxo
-    data = LEAD + block + TAIL
-    assert wire._decode_rxo(data, len(LEAD), len(LEAD) + len(block)) == (
-        _decoded(rxo), len(LEAD) + len(block)), rxo
-    # The entry loop reads the canonical block to the same value.
-    partitions_end = len(LEAD) + len(block) - wire._RXO_BLOCK.size
-    assert wire._decode_rxo_entries(data, partitions_end, len(LEAD) + len(block),
-                                    _decoded(rxo).partitions) == (
-        _decoded(rxo), len(LEAD) + len(block)), rxo
+    expected = (_decoded(rxo), len(LEAD) + len(block))
+    assert _block_outcome(wire._decode_rxo, block) == expected, rxo
+    assert _block_outcome(_reference_rxo, block) == expected, rxo
 
 
-def test_the_canonical_block_is_every_entry_in_table_order():
-    assert [pid for pid, _, _ in _DOC_ENTRIES] == [row.id.value for row in qos.ADVERTISED_QOS]
-    assert wire._RXO_HEAD == (8, *(pid for pid, _, _ in _DOC_ENTRIES))
-    assert wire._RXO_BLOCK.size == 1 + sum(1 + struct.calcsize("<" + codes)
-                                           for _, _, codes in _DOC_ENTRIES)
+def test_the_record_is_the_documented_layout():
+    assert [name for _, _, name in _DOC_RECORD] == list(wire._RXO_FIELDS)
+    assert [f.name for f in dataclasses.fields(RxoQos)] == [
+        *wire._RXO_FIELDS, "partitions"]
+    assert [at for at, _, _ in _DOC_RECORD] == [
+        sum(size for _, size, _ in _DOC_RECORD[:i]) for i in range(len(_DOC_RECORD))]
+    assert wire._RXO.size == _DOC_RECORD_SIZE == sum(size for _, size, _ in _DOC_RECORD)
 
 
-def test_every_value_of_each_field_takes_the_canonical_path():
+def test_every_value_of_each_field_round_trips():
     for rxo in _one_field_records():
-        _check_canonical(rxo)
+        _check_round_trip(rxo)
 
 
-def test_seeded_full_records_take_the_canonical_path():
+def test_seeded_full_records_round_trip():
     records = list(_seeded_records(32, 400))
     assert {len(r.partitions) for r in records} == {len(p) for p in _PARTITIONS}
     for rxo in records:
-        _check_canonical(rxo)
-
-
-def _other_orders(rng: random.Random):
-    ids = [pid for pid, _, _ in _DOC_ENTRIES]
-    yield ids[::-1]                                   # reordered
-    yield ids[1:] + ids[:1]
-    yield ids[:-1]                                    # one missing
-    yield []                                          # none
-    yield ids + [ids[0]]                              # one repeated
-    yield ids[:3] + [ids[4]] + ids[3:4] + ids[5:]     # two swapped
-    for _ in range(6):
-        yield rng.sample(ids, rng.randint(0, len(ids)))
+        _check_round_trip(rxo)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_other_blocks_decode_as_the_entry_loop_does(seed):
+def test_mutated_and_truncated_blocks_agree(seed):
     rng = random.Random(seed)
-    reasons = set()
+    reasons, flags = set(), 0
     for rxo in list(_seeded_records(seed, 60)) + list(_one_field_records())[::5]:
-        for order in _other_orders(rng):
-            block = _doc_block(rxo, order)
-            expected = _block_outcome(_reference_rxo, block)
-            assert _block_outcome(wire._decode_rxo, block) == expected, (rxo, order)
-            if not isinstance(expected[0], int):
-                # What a block with fewer entries leaves out is the default.
-                left_out = {n for pid, names, _ in _DOC_ENTRIES if pid not in order
-                            for n in names}
-                assert expected[0] == dataclasses.replace(
-                    _decoded(rxo), **{n: getattr(RxoQos(), n) for n in left_out})
-        canonical = _doc_block(rxo)
-        # Unknown or non-advertised ids, bad enum bytes, odd counts, and
-        # every truncation of the canonical block.
-        start = len(canonical) - wire._RXO_BLOCK.size
-        for at, byte in ((start, 9), (start, 7), (start, 0), (start + 1, 13),
-                         (start + 1, 2), (start + 3, 4), (start + 2, 2),
-                         (start + 3, 99), (start + 32, 2), (start + 33, 255),
-                         (start + 34, 7), (start + 11, 200)):
-            mutated = bytearray(canonical)
-            mutated[at] = byte
+        block = _doc_block(rxo)
+        start = len(block) - _DOC_RECORD_SIZE
+        # Every kind and flag byte set to a few values, defined or not.
+        for at, size, name in _DOC_RECORD:
+            if size != 1:
+                continue
+            for byte in (0, 1, 2, 3, 4, 9, 128, 255, rng.randrange(256)):
+                mutated = bytearray(block)
+                mutated[start + at] = byte
+                expected = _block_outcome(_reference_rxo, bytes(mutated))
+                assert _block_outcome(wire._decode_rxo, bytes(mutated)) == expected
+                if isinstance(expected[0], int):
+                    reasons.add(expected[1].split(" ")[0])
+                elif _HINTS[name] is bool and byte > 1:
+                    flags += getattr(expected[0], name)
+        # Random bytes anywhere in the block, then every truncation.
+        for _ in range(20):
+            mutated = bytearray(block)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
             expected = _block_outcome(_reference_rxo, bytes(mutated))
             assert _block_outcome(wire._decode_rxo, bytes(mutated)) == expected
-            if isinstance(expected[0], int):
-                reasons.add(expected[1].split(" ")[0])
-        for length in range(start, len(canonical)):
-            expected = _block_outcome(_reference_rxo, canonical[:length])
-            assert _block_outcome(wire._decode_rxo, canonical[:length]) == expected
-    assert reasons >= {"truncated", "invalid", "unknown", "policy"}
+        for length in range(len(block)):
+            expected = _block_outcome(_reference_rxo, block[:length])
+            assert _block_outcome(wire._decode_rxo, block[:length]) == expected
+            assert isinstance(expected[0], int)
+            if length >= start:
+                # A record that does not fit fails at its first byte.
+                assert expected == (len(LEAD) + start, "truncated body")
+    assert reasons == {"invalid"}
+    assert flags > 0  # a non-zero flag byte other than 1 reads as true

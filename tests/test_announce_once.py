@@ -16,6 +16,7 @@ from collections import Counter
 
 from minidds import idl, qos
 from minidds.clock import ManualClock
+from minidds.dcps.matching import EndpointType
 from minidds.dcps.participant import DomainParticipant
 from minidds.rtps import wire
 from minidds.rtps.discovery import ANNOUNCE_PERIOD_NS
@@ -232,6 +233,35 @@ def test_an_announce_the_encoder_refuses_is_not_kept():
                 fed.period("A")
         assert ["announce not sent" in line for line in logs.output] == [True, True]
         assert fed["A"].discovery.local_announce is None
+
+
+def test_a_thousand_writers_fit_one_announce():
+    """1 000 default-QoS writers on topics t0 ... t999 of type T: after
+    one announce exchange the peer lists them all, and no announce is
+    refused: the roster is 56 928 bytes, inside one 65 507-byte
+    datagram."""
+    t, = idl.parse_idl("struct T { long n; };")
+    with _Federation("A", "B") as fed:
+        a = fed["A"]
+        writers = [a.create_datawriter(a.create_topic(f"t{i}", t)) for i in range(1000)]
+        with unittest.TestCase().assertNoLogs("minidds.dcps.participant", "WARNING"):
+            fed.spin("A", "B")
+        listed = [descriptor.guid for i in range(1000)
+                  for descriptor in fed["B"].discovery.remote_on(f"t{i}", EndpointType.WRITER)]
+        assert listed == [writer.guid for writer in writers]
+
+
+def test_an_announce_of_wire_version_2_is_counted_as_malformed():
+    with _Federation("A") as fed:
+        announce = wire.encode_message(wire.WireMessage(b"\x07" * 12,
+                                                        (wire.Announce(0, 1, ()),)))
+        sender = fed.net.attach("C")
+        sender.send(announce[:4] + b"\x02\x00" + announce[6:], "A")
+        fed.spin("A")
+        assert (fed["A"].malformed_datagrams, fed["A"].discovery.peer_count()) == (1, 0)
+        sender.send(announce, "A")
+        fed.spin("A")
+        assert (fed["A"].malformed_datagrams, fed["A"].discovery.peer_count()) == (1, 1)
 
 
 def test_an_echo_of_our_own_announce_is_not_decoded():

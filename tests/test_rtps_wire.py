@@ -29,7 +29,7 @@ class TestGoldenVectors:
         encoded = _encode(data)
         expected = (
             b"MDDS"                      # magic
-            + b"\x02\x00"                # version 2.0
+            + b"\x03\x00"                # version 3.0
             + b"\x00\x00"                # reserved
             + PREFIX                     # sender guid prefix
             + bytes([0x02, 0x00])        # DATA, flags
@@ -79,26 +79,25 @@ class TestGoldenVectors:
             + struct.pack("<H", 1) + b"t"
             + struct.pack("<H", 1) + b"T"
             + struct.pack("<H", 1) + struct.pack("<H", 0)  # one empty partition
-            + bytes([8])                               # policy entry count
-            + bytes([6, 0])                            # reliability BEST_EFFORT
-            + bytes([1, 0])                            # durability VOLATILE
-            + bytes([8, 0])                            # dest order BY_RECEPTION
-            + bytes([9, 0])                            # ownership SHARED
-            + bytes([10]) + struct.pack("<i", 0)       # strength
-            + bytes([11]) + struct.pack("<q", qos.INFINITE_NS)  # deadline
-            + bytes([12]) + struct.pack("<q", 0)       # latency budget
-            + bytes([5, 0, 0, 0])                      # presentation
+            + bytes([0])                               # reliability BEST_EFFORT
+            + bytes([0])                               # durability VOLATILE
+            + bytes([0])                               # dest order BY_RECEPTION
+            + bytes([0])                               # ownership SHARED
+            + struct.pack("<i", 0)                     # strength
+            + bytes([0, 0, 0])                         # presentation
+            + struct.pack("<q", qos.INFINITE_NS)       # deadline
+            + struct.pack("<q", 0)                     # latency budget
         )
         assert encoded[20:] == bytes([0x01, 0]) + struct.pack("<H", len(body)) + body
 
     def test_announce_bytes_full_qos(self):
-        # Recorded from the encoder that spelled out each policy entry by
-        # hand; every advertised value differs from its default.
+        # Spelled out from docs/wire.md's record table; every advertised
+        # value differs from its default.
         ep = EndpointDescriptor(Guid(OTHER_PREFIX, 7), 3, "t", "T",
                                 EndpointType.WRITER, TestRoundTrips.RXO)
         encoded = _encode(wire.Announce(3, 0x0102030405060708, (ep,)))
         expected = bytes.fromhex(
-            "01 00 59 00"                              # ANNOUNCE, body 89 bytes
+            "01 00 50 00"                              # ANNOUNCE, body 80 bytes
             "03 00 00 00"                              # domain 3
             "08 07 06 05 04 03 02 01"                  # roster version
             "01 00"                                    # one endpoint
@@ -106,15 +105,14 @@ class TestGoldenVectors:
             "00"                                       # writer
             "01 00 74 01 00 54"                        # "t", "T"
             "02 00 05 00 61 6c 70 68 61 05 00 62 c3 a9 74 61"  # alpha, béta
-            "08"                                       # policy entry count
-            "06 01"                                    # reliability RELIABLE
-            "01 01"                                    # durability TRANSIENT_LOCAL
-            "08 01"                                    # dest order BY_SOURCE
-            "09 01"                                    # ownership EXCLUSIVE
-            "0a fd ff ff ff"                           # strength -3
-            "0b 40 4b 4c 00 00 00 00 00"               # deadline 5 ms
-            "0c fa 00 00 00 00 00 00 00"               # latency budget 250 ns
-            "05 01 01 01"                              # presentation TOPIC, coherent, ordered
+            "01"                                       # reliability RELIABLE
+            "01"                                       # durability TRANSIENT_LOCAL
+            "01"                                       # dest order BY_SOURCE
+            "01"                                       # ownership EXCLUSIVE
+            "fd ff ff ff"                              # strength -3
+            "01 01 01"                                 # presentation TOPIC, coherent, ordered
+            "40 4b 4c 00 00 00 00 00"                  # deadline 5 ms
+            "fa 00 00 00 00 00 00 00"                  # latency budget 250 ns
         )
         assert encoded[20:] == expected
         assert wire.decode_message(encoded).submessages == (
@@ -173,7 +171,7 @@ class TestForwardCompatibility:
         assert decoded.submessages == (data,)
 
     def test_only_unknown_kinds_is_an_error(self):
-        raw = (b"MDDS\x02\x00\x00\x00" + PREFIX
+        raw = (b"MDDS\x03\x00\x00\x00" + PREFIX
                + bytes([0x7F, 0]) + struct.pack("<H", 2) + b"ab")
         with pytest.raises(wire.WireError):
             wire.decode_message(raw)
@@ -181,7 +179,7 @@ class TestForwardCompatibility:
     def test_direct_with_unknown_inner_kind_is_skipped(self):
         inner = bytes([0x30, 0]) + struct.pack("<H", 3) + b"abc"
         body = struct.pack("<I", 5) + inner
-        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x03\x00\x00\x00" + PREFIX)
         raw += bytes([0x06, 0]) + struct.pack("<H", len(body)) + body
         raw += _encode(wire.Heartbeat(1, 1, 1, 1))[20:]
         decoded = wire.decode_message(bytes(raw))
@@ -228,14 +226,30 @@ class TestDecodeErrors:
     @pytest.mark.parametrize("mangle,offset", [
         (lambda raw: raw[:10], 0),                       # shorter than header
         (lambda raw: b"XDDS" + raw[4:], 0),              # bad magic
-        (lambda raw: raw[:4] + b"\x01\x00" + raw[6:], 4),  # the old version
-        (lambda raw: raw[:4] + b"\x02\x01" + raw[6:], 4),  # another minor version
+        (lambda raw: raw[:4] + b"\x01\x00" + raw[6:], 4),  # an old version
+        (lambda raw: raw[:4] + b"\x02\x00" + raw[6:], 4),  # the last version
+        (lambda raw: raw[:4] + b"\x03\x01" + raw[6:], 4),  # another minor version
     ])
     def test_header_errors(self, mangle, offset):
         raw = mangle(self._raw(wire.Gap(1, 1, 1)))
         with pytest.raises(wire.WireError) as exc:
             wire.decode_message(raw)
         assert exc.value.offset == offset
+
+    def test_a_version_2_announce_is_refused(self):
+        # A default-QoS announce of one endpoint in the 2.0 layout: an
+        # entry count, then each policy id and its value.
+        body = (struct.pack("<IQH", 0, 1, 1) + PREFIX + struct.pack("<IB", 1, 0)
+                + b"\x01\x00t\x01\x00T" + b"\x01\x00\x00\x00"
+                + bytes([8, 6, 0, 1, 0, 8, 0, 9, 0, 10]) + struct.pack("<i", 0)
+                + bytes([11]) + struct.pack("<q", qos.INFINITE_NS)
+                + bytes([12]) + struct.pack("<q", 0) + bytes([5, 0, 0, 0]))
+        raw = (b"MDDS\x02\x00\x00\x00" + PREFIX + bytes([0x01, 0])
+               + struct.pack("<H", len(body)) + body)
+        with pytest.raises(wire.WireError) as exc:
+            wire.decode_message(raw)
+        assert (exc.value.offset, exc.value.reason) == (4, "unsupported version 2.0")
+        assert wire.lone_announce(raw) is None
 
     def test_truncated_submessage_header(self):
         raw = self._raw(wire.Gap(1, 1, 1))[:22]
@@ -250,28 +264,28 @@ class TestDecodeErrors:
             wire.decode_message(bytes(raw))
 
     def test_trailing_bytes_in_body(self):
-        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x03\x00\x00\x00" + PREFIX)
         body = struct.pack("<IQQ", 1, 1, 1) + b"\x00"
         raw += bytes([0x05, 0]) + struct.pack("<H", len(body)) + body
         with pytest.raises(wire.WireError):
             wire.decode_message(bytes(raw))
 
     def test_heartbeat_range_validated(self):
-        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x03\x00\x00\x00" + PREFIX)
         body = struct.pack("<IQQI", 1, 9, 3, 1)
         raw += bytes([0x03, 0]) + struct.pack("<H", len(body)) + body
         with pytest.raises(wire.WireError):
             wire.decode_message(bytes(raw))
 
     def test_gap_range_validated(self):
-        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x03\x00\x00\x00" + PREFIX)
         body = struct.pack("<IQQ", 1, 7, 3)
         raw += bytes([0x05, 0]) + struct.pack("<H", len(body)) + body
         with pytest.raises(wire.WireError):
             wire.decode_message(bytes(raw))
 
     def test_acknack_oversized_bitmap(self):
-        raw = bytearray(b"MDDS\x02\x00\x00\x00" + PREFIX)
+        raw = bytearray(b"MDDS\x03\x00\x00\x00" + PREFIX)
         body = (struct.pack("<I", 1) + Guid(PREFIX, 1).to_bytes()
                 + struct.pack("<QI", 1, 300) + bytes(38))
         raw += bytes([0x04, 0]) + struct.pack("<H", len(body)) + body
@@ -291,32 +305,39 @@ class TestDecodeErrors:
         ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "t", "T",
                                 EndpointType.WRITER, RxoQos())
         raw = bytearray(self._raw(wire.Announce(0, 1, (ep,))))
-        # The reliability policy entry is id 6 followed by its kind byte.
-        index = raw.index(bytes([8, 6, 0]), 20) + 2
-        raw[index] = 9
+        # The record ends the announce; its first byte is the reliability kind.
+        raw[-27] = 9
         with pytest.raises(wire.WireError):
             wire.decode_message(bytes(raw))
 
-
     # Offsets in the default-QoS announce of one endpoint with topic "t"
-    # and type "T": the entries start at byte 66.
-    @pytest.mark.parametrize("offset,policy_id,reason", [
-        (67, 6, "invalid ReliabilityKind value 9"),
-        (69, 1, "invalid DurabilityKind value 9"),
-        (71, 8, "invalid DestinationOrderKind value 9"),
-        (73, 9, "invalid OwnershipKind value 9"),
-        (98, 5, "invalid AccessScope value 9"),
+    # and type "T": the 27-byte record starts at byte 65.
+    @pytest.mark.parametrize("offset,reason", [
+        (65, "invalid ReliabilityKind value 9"),
+        (66, "invalid DurabilityKind value 9"),
+        (67, "invalid DestinationOrderKind value 9"),
+        (68, "invalid OwnershipKind value 9"),
+        (73, "invalid AccessScope value 9"),
     ])
-    def test_announce_invalid_enum_reported_at_its_byte(self, offset, policy_id, reason):
+    def test_announce_invalid_enum_reported_at_its_byte(self, offset, reason):
         ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "t", "T",
                                 EndpointType.WRITER, RxoQos())
         raw = bytearray(self._raw(wire.Announce(0, 1, (ep,))))
-        assert (raw[offset - 1], raw[offset]) == (policy_id, 0)
+        assert len(raw) == 65 + 27 and raw[offset] == 0
         raw[offset] = 9
         with pytest.raises(wire.WireError) as exc:
             wire.decode_message(bytes(raw))
         assert (exc.value.offset, exc.value.reason) == (offset, reason)
         assert str(exc.value) == f"offset {offset}: {reason}"
+
+    def test_announce_flag_byte_is_true_when_non_zero(self):
+        ep = EndpointDescriptor(Guid(PREFIX, 1), 0, "t", "T",
+                                EndpointType.WRITER, RxoQos())
+        raw = bytearray(self._raw(wire.Announce(0, 1, (ep,))))
+        raw[74], raw[75] = 9, 0x80  # the coherent and ordered flags
+        (announce,) = wire.decode_message(bytes(raw)).submessages
+        rxo = announce.endpoints[0].rxo
+        assert (rxo.presentation_coherent, rxo.presentation_ordered) == (True, True)
 
     # Body layouts from docs/wire.md with the body starting at byte 24;
     # each error names the first field that does not fit, or the first
@@ -355,7 +376,7 @@ class TestDecodeErrors:
          "trailing bytes in submessage body"),
     ])
     def test_body_errors_are_reported_at_their_byte(self, kind, body, offset, reason):
-        raw = (b"MDDS\x02\x00\x00\x00" + PREFIX + bytes([kind, 0])
+        raw = (b"MDDS\x03\x00\x00\x00" + PREFIX + bytes([kind, 0])
                + struct.pack("<H", len(body)) + body)
         with pytest.raises(wire.WireError) as exc:
             wire.decode_message(raw)
@@ -374,7 +395,7 @@ def _data_by_layout(prefix, writer, reader, sequence, stamp, handle, payload):
     body = (writer.to_bytes(4, le) + reader.to_bytes(4, le) + sequence.to_bytes(8, le)
             + stamp.to_bytes(8, le, signed=True) + handle.to_bytes(8, le)
             + len(payload).to_bytes(4, le) + payload)
-    return (b"MDDS" + bytes([2, 0]) + bytes(2) + prefix
+    return (b"MDDS" + bytes([3, 0]) + bytes(2) + prefix
             + bytes([0x02, 0]) + len(body).to_bytes(2, le) + body)
 
 

@@ -113,22 +113,26 @@ def test_udp_port_zero_records_the_bound_port():
         transport.close()
 
 
-
-def test_udp_multicast_reaches_another_member_of_the_group():
-    """Two transports join one group on one port; a datagram sent to the
-    group is drained by the other member within a second."""
+def _multicast_exchange(bind_host: str) -> None:
+    """Two transports join one group on one port, on the interface of
+    their bind host; a datagram sent to the group is drained by the other
+    member within a second."""
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
         probe.bind(("", 0))
         group_port = probe.getsockname()[1]
     members = []
     try:
         for _ in range(2):
-            members.append(UdpTransport(0, port=0, multicast_group="239.255.0.1",
+            members.append(UdpTransport(0, port=0, bind_host=bind_host,
+                                        multicast_group="239.255.0.1",
                                         multicast_port=group_port))
         sender, receiver = members
         if sender.multicast_address is None or receiver.multicast_address is None:
             pytest.skip("this host cannot join a multicast group")
         assert sender.multicast_address == ("239.255.0.1", group_port)
+        # Group datagrams leave by the bind host's interface.
+        interface = sender._sock.getsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_IF, 4)
+        assert socket.inet_ntoa(interface) == bind_host
         sender.send(b"to the group", sender.multicast_address)
         received = []
         deadline = time.monotonic() + 1.0
@@ -140,6 +144,15 @@ def test_udp_multicast_reaches_another_member_of_the_group():
     finally:
         for member in members:
             member.close()
+
+
+def test_udp_multicast_reaches_another_member_of_the_group():
+    _multicast_exchange("0.0.0.0")
+
+
+def test_udp_multicast_reaches_another_member_on_a_specific_bind_host():
+    _multicast_exchange("127.0.0.1")
+
 
 class _FloodedSocket:
     """A bound UDP socket whose sender never stops: ``recvfrom`` never runs

@@ -35,7 +35,7 @@ def _golden(prefix: bytes, data: wire.Data) -> bytes:
     """A message of one DATA as docs/wire.md lays it out, one field at a time."""
     payload = data.payload
     return b"".join([
-        b"MDDS", b"\x02\x00", b"\x00\x00", prefix,
+        b"MDDS", b"\x03\x00", b"\x00\x00", prefix,
         struct.pack("<B", wire.KIND_DATA), b"\x00", struct.pack("<H", 36 + len(payload)),
         struct.pack("<I", data.writer_entity_id), struct.pack("<I", data.reader_entity_id),
         struct.pack("<Q", data.sequence), struct.pack("<q", data.source_timestamp_ns),
