@@ -15,6 +15,7 @@ from typing import Optional
 
 from minidds import fom, idl, qos
 from minidds.bench.errors import BenchConfigError, NoMatchWithinTimeout
+from minidds.dcps.errors import InvalidQosError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -199,7 +200,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"  {writer_guid} -> {reader_guid}: {report.describe()}",
                   file=sys.stderr)
         return EXIT_NO_MATCH
-    except (BenchConfigError, fom.FomError, qos.QosFileError) as exc:
+    except (BenchConfigError, fom.FomError, qos.QosFileError, InvalidQosError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -239,7 +239,7 @@ class DomainParticipant:
             problems = qos.validate_profile(profile)
             if problems:
                 raise InvalidQosError(problems)
-            topic = Topic(name, type_descriptor, profile.enable())
+            topic = Topic(name, type_descriptor, profile)
             self._topics[name] = topic
             return topic
 
@@ -256,7 +256,7 @@ class DomainParticipant:
             raise InvalidQosError(problems)
         merged = qos.settings_for(topic.qos.policies, kinds)
         merged.update(endpoint_profile.policies)
-        effective = qos.QosProfile(entity_kind, merged, enabled=True)
+        effective = qos.QosProfile(entity_kind, merged)
         problems = qos.cross_policy_errors(effective, kinds)
         if problems:
             raise InvalidQosError(problems)

@@ -1,11 +1,10 @@
-"""QoS policies: metadata table, typed policy values, profiles, and the
-request/offered compatibility engine.
+"""QoS policies: the applicability table, typed policy values, profiles,
+and the request/offered compatibility engine.
 
-Eighteen policies are modeled. Each carries static metadata (which entity
-kinds it applies to, whether it takes part in request/offered negotiation,
-whether it may change after enable, and its functional group). Profiles are
-immutable snapshots; ``set_policy`` returns a new profile. Compatibility is
-a pure function producing a report, never an exception.
+Eighteen policies are modeled. ``APPLICABILITY`` says which entity kinds
+each one may be set on. A profile is fixed at creation: no policy changes
+after its entity exists. Compatibility is a pure function producing a
+report, never an exception.
 
 The policies an endpoint advertises are listed once, in ``ADVERTISED_QOS``:
 ``RxoQos`` and the compatibility rules read it. The announce codec reads
@@ -17,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable, ClassVar, Iterable, Mapping, Optional, Union
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Union, get_args
 
 # Duration sentinel: treated as "infinite", compares above any real duration
 # and still fits a signed 64-bit wire field.
@@ -63,82 +62,31 @@ class QosPolicyId(Enum):
     GROUP_DATA = 18
 
 
-class Rxo(Enum):
-    YES = "Y"
-    NO = "N"
-    NOT_APPLICABLE = "-"
-
-
-class PolicyGroup(Enum):
-    DATA_AVAILABILITY = "Data Availability"
-    DATA_DELIVERY = "Data Delivery"
-    DATA_TIMELINESS = "Data Timeliness"
-    RESOURCES = "Resources"
-    CONFIGURATION = "Configuration"
-
-
-@dataclass(frozen=True)
-class PolicyMeta:
-    id: QosPolicyId
-    applicability: frozenset[EntityKind]
-    rxo: Rxo
-    modifiable: bool
-    group: PolicyGroup
-
-
-def _meta(pid, kinds, rxo, modifiable, group):
-    return PolicyMeta(pid, frozenset(kinds), rxo, modifiable, group)
-
-
 _K = EntityKind
-_POLICY_TABLE: dict[QosPolicyId, PolicyMeta] = {
-    m.id: m
-    for m in (
-        _meta(QosPolicyId.DURABILITY, {_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.YES, False, PolicyGroup.DATA_AVAILABILITY),
-        _meta(QosPolicyId.DURABILITY_SERVICE, {_K.TOPIC, _K.DATA_WRITER},
-              Rxo.NO, False, PolicyGroup.DATA_AVAILABILITY),
-        _meta(QosPolicyId.LIFESPAN, {_K.TOPIC, _K.DATA_WRITER},
-              Rxo.NOT_APPLICABLE, True, PolicyGroup.DATA_AVAILABILITY),
-        _meta(QosPolicyId.HISTORY, {_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.NO, False, PolicyGroup.DATA_AVAILABILITY),
-        _meta(QosPolicyId.PRESENTATION, {_K.PUBLISHER, _K.SUBSCRIBER},
-              Rxo.YES, False, PolicyGroup.DATA_DELIVERY),
-        _meta(QosPolicyId.RELIABILITY, {_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.YES, False, PolicyGroup.DATA_DELIVERY),
-        _meta(QosPolicyId.PARTITION, {_K.PUBLISHER, _K.SUBSCRIBER},
-              Rxo.NO, True, PolicyGroup.DATA_DELIVERY),
-        _meta(QosPolicyId.DESTINATION_ORDER, {_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.YES, False, PolicyGroup.DATA_DELIVERY),
-        _meta(QosPolicyId.OWNERSHIP, {_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.YES, False, PolicyGroup.DATA_DELIVERY),
-        _meta(QosPolicyId.OWNERSHIP_STRENGTH, {_K.DATA_WRITER},
-              Rxo.NOT_APPLICABLE, True, PolicyGroup.DATA_TIMELINESS),
-        _meta(QosPolicyId.DEADLINE, {_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.YES, True, PolicyGroup.DATA_TIMELINESS),
-        _meta(QosPolicyId.LATENCY_BUDGET, {_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.YES, True, PolicyGroup.DATA_TIMELINESS),
-        _meta(QosPolicyId.TRANSPORT_PRIORITY, {_K.TOPIC, _K.DATA_WRITER},
-              Rxo.NOT_APPLICABLE, True, PolicyGroup.DATA_TIMELINESS),
-        _meta(QosPolicyId.TIME_BASED_FILTER, {_K.DATA_READER},
-              Rxo.NOT_APPLICABLE, True, PolicyGroup.RESOURCES),
-        _meta(QosPolicyId.RESOURCE_LIMITS, {_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.NO, False, PolicyGroup.RESOURCES),
-        _meta(QosPolicyId.USER_DATA, {_K.PARTICIPANT, _K.DATA_READER, _K.DATA_WRITER},
-              Rxo.NO, True, PolicyGroup.CONFIGURATION),
-        _meta(QosPolicyId.TOPIC_DATA, {_K.TOPIC},
-              Rxo.NO, True, PolicyGroup.CONFIGURATION),
-        _meta(QosPolicyId.GROUP_DATA, {_K.PUBLISHER, _K.SUBSCRIBER},
-              Rxo.NO, True, PolicyGroup.CONFIGURATION),
-    )
+# The entity kinds each policy may be set on, one row per policy in table
+# row order. Entity creation refuses a policy set on any other kind.
+APPLICABILITY: dict[QosPolicyId, frozenset[EntityKind]] = {
+    QosPolicyId.DURABILITY: frozenset({_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.DURABILITY_SERVICE: frozenset({_K.TOPIC, _K.DATA_WRITER}),
+    QosPolicyId.LIFESPAN: frozenset({_K.TOPIC, _K.DATA_WRITER}),
+    QosPolicyId.HISTORY: frozenset({_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.PRESENTATION: frozenset({_K.PUBLISHER, _K.SUBSCRIBER}),
+    QosPolicyId.RELIABILITY: frozenset({_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.PARTITION: frozenset({_K.PUBLISHER, _K.SUBSCRIBER}),
+    QosPolicyId.DESTINATION_ORDER: frozenset({_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.OWNERSHIP: frozenset({_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.OWNERSHIP_STRENGTH: frozenset({_K.DATA_WRITER}),
+    QosPolicyId.DEADLINE: frozenset({_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.LATENCY_BUDGET: frozenset({_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.TRANSPORT_PRIORITY: frozenset({_K.TOPIC, _K.DATA_WRITER}),
+    QosPolicyId.TIME_BASED_FILTER: frozenset({_K.DATA_READER}),
+    QosPolicyId.RESOURCE_LIMITS: frozenset({_K.TOPIC, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.USER_DATA: frozenset({_K.PARTICIPANT, _K.DATA_READER, _K.DATA_WRITER}),
+    QosPolicyId.TOPIC_DATA: frozenset({_K.TOPIC}),
+    QosPolicyId.GROUP_DATA: frozenset({_K.PUBLISHER, _K.SUBSCRIBER}),
 }
 
-assert len(_POLICY_TABLE) == 18
-
-
-def policy_meta(policy_id: QosPolicyId) -> PolicyMeta:
-    """Metadata row for a policy. Total over the enumeration."""
-    return _POLICY_TABLE[policy_id]
+assert list(APPLICABILITY) == list(QosPolicyId)
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +237,17 @@ class GroupData:
     value: bytes = b""
 
 
+# The 18 value classes, in table row order.
 QosValue = Union[
-    Reliability, Durability, DurabilityService, Lifespan, History, Presentation,
+    Durability, DurabilityService, Lifespan, History, Presentation, Reliability,
     Partition, DestinationOrder, Ownership, OwnershipStrength, Deadline,
     LatencyBudget, TransportPriority, TimeBasedFilter, ResourceLimits,
     UserData, TopicData, GroupData,
 ]
 
-_VALUE_TYPES: dict[QosPolicyId, type] = {
-    cls.policy_id: cls
-    for cls in (
-        Reliability, Durability, DurabilityService, Lifespan, History,
-        Presentation, Partition, DestinationOrder, Ownership, OwnershipStrength,
-        Deadline, LatencyBudget, TransportPriority, TimeBasedFilter,
-        ResourceLimits, UserData, TopicData, GroupData,
-    )
-}
+_VALUE_TYPES: dict[QosPolicyId, type] = {cls.policy_id: cls for cls in get_args(QosValue)}
+
+assert list(_VALUE_TYPES) == list(QosPolicyId)
 
 
 # The value each absent policy stands for, built once: values are frozen,
@@ -342,9 +285,9 @@ def value_errors(value: QosValue) -> list[str]:
     elif isinstance(value, TimeBasedFilter):
         if value.minimum_separation_ns < 0:
             errors.append("TIME_BASED_FILTER minimum_separation must be >= 0")
-    elif isinstance(value, DurabilityService):
-        if value.cleanup_delay_ns < 0:
-            errors.append("DURABILITY_SERVICE cleanup_delay must be >= 0")
+    elif isinstance(value, (Presentation, DurabilityService, TransportPriority)):
+        if value != _DEFAULTS[pid]:  # nothing implements them
+            errors.append(f"{pid.name} is not supported: only its default value is accepted")
     elif isinstance(value, Partition):
         if not all(isinstance(n, str) for n in value.names):
             errors.append("PARTITION names must be text")
@@ -358,42 +301,24 @@ class QosError(Exception):
     pass
 
 
-class ImmutablePolicyError(QosError):
-    pass
-
-
-class NotApplicableError(QosError):
-    pass
-
-
 @dataclass(frozen=True)
 class QosProfile:
     """Immutable policy snapshot for one entity. Absent policy means default."""
 
     entity_kind: EntityKind
     policies: Mapping[QosPolicyId, QosValue] = field(default_factory=dict)
-    enabled: bool = False
 
     def value(self, policy_id: QosPolicyId) -> QosValue:
         """The policy's value; for an absent one, the shared default."""
         value = self.policies.get(policy_id)
         return default_value(policy_id) if value is None else value
 
-    def with_value(self, value: QosValue) -> "QosProfile":
-        policies = dict(self.policies)
-        policies[value.policy_id] = value
-        return QosProfile(self.entity_kind, policies, self.enabled)
 
-    def enable(self) -> "QosProfile":
-        return QosProfile(self.entity_kind, dict(self.policies), True)
-
-
-def profile(entity_kind: EntityKind, values: Iterable[QosValue] = (),
-            enabled: bool = False) -> QosProfile:
+def profile(entity_kind: EntityKind, values: Iterable[QosValue] = ()) -> QosProfile:
     policies: dict[QosPolicyId, QosValue] = {}
     for value in values:
         policies[value.policy_id] = value
-    return QosProfile(entity_kind, policies, enabled)
+    return QosProfile(entity_kind, policies)
 
 
 def validate_profile(prof: QosProfile,
@@ -407,7 +332,7 @@ def validate_profile(prof: QosProfile,
     kinds = applicable_kinds if applicable_kinds is not None else frozenset({prof.entity_kind})
     errors = []
     for pid, value in prof.policies.items():
-        if _POLICY_TABLE[pid].applicability.isdisjoint(kinds):
+        if APPLICABILITY[pid].isdisjoint(kinds):
             errors.append(f"{pid.name} not applicable to {prof.entity_kind.value}")
         if type(value) is not _VALUE_TYPES[pid]:
             errors.append(f"{pid.name} carries a value of the wrong variant")
@@ -428,22 +353,6 @@ def cross_policy_errors(prof: QosProfile, kinds: frozenset[EntityKind]) -> list[
                 > prof.value(QosPolicyId.DEADLINE).period_ns):
             return ["TIME_BASED_FILTER minimum_separation exceeds DEADLINE period"]
     return []
-
-
-def set_policy(prof: QosProfile, policy_id: QosPolicyId, value: QosValue) -> QosProfile:
-    """Store a policy value, enforcing applicability and changeability.
-
-    Raises ``ImmutablePolicyError`` when the entity is enabled and the policy
-    is not modifiable; raises ``NotApplicableError`` on entity kind mismatch.
-    """
-    if value.policy_id is not policy_id:
-        raise ValueError(f"value variant {type(value).__name__} does not match {policy_id.name}")
-    meta = policy_meta(policy_id)
-    if prof.entity_kind not in meta.applicability:
-        raise NotApplicableError(f"{policy_id.name} not applicable to {prof.entity_kind.value}")
-    if prof.enabled and not meta.modifiable:
-        raise ImmutablePolicyError(f"{policy_id.name} cannot change after enable")
-    return prof.with_value(value)
 
 
 # ---------------------------------------------------------------------------
@@ -702,5 +611,5 @@ def settings_for(settings: Mapping[QosPolicyId, QosValue],
     one profile file feed writer, reader and topic creation."""
     return {
         pid: value for pid, value in settings.items()
-        if not _POLICY_TABLE[pid].applicability.isdisjoint(kinds)
+        if not APPLICABILITY[pid].isdisjoint(kinds)
     }

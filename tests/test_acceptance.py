@@ -30,41 +30,38 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
-# 1. Policy metadata: all 18 policies x 4 columns, transcribed by hand.
+# 1. Policy applicability: the entity kinds of all 18 policies, transcribed
+# by hand.
 
 _POLICY_ROWS = [
-    # name, applies to, negotiated, changeable, group
-    ("DURABILITY",         "T DR DW",  "Y", False, "Data Availability"),
-    ("DURABILITY_SERVICE", "T DW",     "N", False, "Data Availability"),
-    ("LIFESPAN",           "T DW",     "-", True,  "Data Availability"),
-    ("HISTORY",            "T DR DW",  "N", False, "Data Availability"),
-    ("PRESENTATION",       "P S",      "Y", False, "Data Delivery"),
-    ("RELIABILITY",        "T DR DW",  "Y", False, "Data Delivery"),
-    ("PARTITION",          "P S",      "N", True,  "Data Delivery"),
-    ("DESTINATION_ORDER",  "T DR DW",  "Y", False, "Data Delivery"),
-    ("OWNERSHIP",          "T DR DW",  "Y", False, "Data Delivery"),
-    ("OWNERSHIP_STRENGTH", "DW",       "-", True,  "Data Timeliness"),
-    ("DEADLINE",           "T DR DW",  "Y", True,  "Data Timeliness"),
-    ("LATENCY_BUDGET",     "T DR DW",  "Y", True,  "Data Timeliness"),
-    ("TRANSPORT_PRIORITY", "T DW",     "-", True,  "Data Timeliness"),
-    ("TIME_BASED_FILTER",  "DR",       "-", True,  "Resources"),
-    ("RESOURCE_LIMITS",    "T DR DW",  "N", False, "Resources"),
-    ("USER_DATA",          "DP DR DW", "N", True,  "Configuration"),
-    ("TOPIC_DATA",         "T",        "N", True,  "Configuration"),
-    ("GROUP_DATA",         "P S",      "N", True,  "Configuration"),
+    # name, applies to
+    ("DURABILITY",         "T DR DW"),
+    ("DURABILITY_SERVICE", "T DW"),
+    ("LIFESPAN",           "T DW"),
+    ("HISTORY",            "T DR DW"),
+    ("PRESENTATION",       "P S"),
+    ("RELIABILITY",        "T DR DW"),
+    ("PARTITION",          "P S"),
+    ("DESTINATION_ORDER",  "T DR DW"),
+    ("OWNERSHIP",          "T DR DW"),
+    ("OWNERSHIP_STRENGTH", "DW"),
+    ("DEADLINE",           "T DR DW"),
+    ("LATENCY_BUDGET",     "T DR DW"),
+    ("TRANSPORT_PRIORITY", "T DW"),
+    ("TIME_BASED_FILTER",  "DR"),
+    ("RESOURCE_LIMITS",    "T DR DW"),
+    ("USER_DATA",          "DP DR DW"),
+    ("TOPIC_DATA",         "T"),
+    ("GROUP_DATA",         "P S"),
 ]
 
 
 def test_policy_table_cells():
     assert len(_POLICY_ROWS) == 18
     assert [row[0] for row in _POLICY_ROWS] == [p.name for p in qos.QosPolicyId]
-    for name, applies, negotiated, changeable, group in _POLICY_ROWS:
-        meta = qos.policy_meta(qos.QosPolicyId[name])
+    for name, applies in _POLICY_ROWS:
         wanted = frozenset(qos.EntityKind(token) for token in applies.split())
-        assert meta.applicability == wanted, name
-        assert meta.rxo.value == negotiated, name
-        assert meta.modifiable is changeable, name
-        assert meta.group.value == group, name
+        assert qos.APPLICABILITY[qos.QosPolicyId[name]] == wanted, name
 
 
 # ---------------------------------------------------------------------------

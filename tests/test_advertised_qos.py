@@ -18,6 +18,7 @@ from minidds.dcps.guid import Guid
 from minidds.dcps.matching import (EndpointDescriptor, EndpointType, MatchRecord,
                                    NoMatch, RxoQos, match_endpoints)
 from minidds.rtps import wire
+from test_qos import MATRIX
 
 P = qos.QosPolicyId
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "wire.md"
@@ -28,7 +29,8 @@ DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "wire.md"
 
 def test_negotiated_rows_are_the_rxo_yes_policies():
     negotiated = {row.id for row in qos.ADVERTISED_QOS if row.satisfies is not None}
-    rxo_yes = {pid for pid in P if qos.policy_meta(pid).rxo is qos.Rxo.YES}
+    # The RxO=Y rows of the policy table, as transcribed in plain text.
+    rxo_yes = {P[name] for name, _, rxo in MATRIX if rxo == "Y"}
     assert negotiated == rxo_yes
     assert len(negotiated) == 7
 

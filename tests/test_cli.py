@@ -110,6 +110,18 @@ class TestBenchLatency:
         assert rc == EXIT_CONFIG
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,fragment", [
+        ("history.depth = 0", "HISTORY KEEP_LAST depth must be >= 1"),
+        ("transport_priority.value = 5", "TRANSPORT_PRIORITY is not supported"),
+    ])
+    def test_invalid_qos_file_exits_2(self, tmp_path, line, fragment, capsys):
+        qos_path = tmp_path / "bad.qos"
+        qos_path.write_text(line + "\n")
+        rc = cli.main(["bench", "latency", "--selftest", "--count", "5",
+                       "--qos", str(qos_path)])
+        assert rc == EXIT_CONFIG
+        assert f"error: {fragment}" in capsys.readouterr().err
+
     def test_peer_list_parsing(self):
         assert cli._parse_peers(" a:1, b:2 ,") == [("a", 1), ("b", 2)]
         # rpartition keeps colons inside the host part.

@@ -1,36 +1,41 @@
-"""Policy metadata, profile validation, and the request/offered engine."""
+"""Policy applicability, profile validation, and the request/offered engine."""
 
 import dataclasses
 import itertools
 
 import pytest
 
-from minidds import qos
+from minidds import idl, qos
+from minidds.clock import ManualClock
+from minidds.dcps.errors import InvalidQosError
+from minidds.dcps.participant import DomainParticipant
+from minidds.rtps.transport import InProcNetwork
 
 # ---------------------------------------------------------------------------
-# Frozen transcription of the policy table: name, applicable entities, RxO,
-# modifiable after enable, functional group. Kept as plain text on purpose so
-# a regression in the table cannot hide behind shared constants.
+# Frozen transcription of the policy table: name, applicable entities, RxO
+# (Y: negotiated between writer and reader, N: not, -: not applicable). Kept
+# as plain text on purpose so a regression in the table cannot hide behind
+# shared constants.
 
 MATRIX = [
-    ("DURABILITY", "T DR DW", "Y", "no", "Data Availability"),
-    ("DURABILITY_SERVICE", "T DW", "N", "no", "Data Availability"),
-    ("LIFESPAN", "T DW", "-", "yes", "Data Availability"),
-    ("HISTORY", "T DR DW", "N", "no", "Data Availability"),
-    ("PRESENTATION", "P S", "Y", "no", "Data Delivery"),
-    ("RELIABILITY", "T DR DW", "Y", "no", "Data Delivery"),
-    ("PARTITION", "P S", "N", "yes", "Data Delivery"),
-    ("DESTINATION_ORDER", "T DR DW", "Y", "no", "Data Delivery"),
-    ("OWNERSHIP", "T DR DW", "Y", "no", "Data Delivery"),
-    ("OWNERSHIP_STRENGTH", "DW", "-", "yes", "Data Timeliness"),
-    ("DEADLINE", "T DR DW", "Y", "yes", "Data Timeliness"),
-    ("LATENCY_BUDGET", "T DR DW", "Y", "yes", "Data Timeliness"),
-    ("TRANSPORT_PRIORITY", "T DW", "-", "yes", "Data Timeliness"),
-    ("TIME_BASED_FILTER", "DR", "-", "yes", "Resources"),
-    ("RESOURCE_LIMITS", "T DR DW", "N", "no", "Resources"),
-    ("USER_DATA", "DP DR DW", "N", "yes", "Configuration"),
-    ("TOPIC_DATA", "T", "N", "yes", "Configuration"),
-    ("GROUP_DATA", "P S", "N", "yes", "Configuration"),
+    ("DURABILITY", "T DR DW", "Y"),
+    ("DURABILITY_SERVICE", "T DW", "N"),
+    ("LIFESPAN", "T DW", "-"),
+    ("HISTORY", "T DR DW", "N"),
+    ("PRESENTATION", "P S", "Y"),
+    ("RELIABILITY", "T DR DW", "Y"),
+    ("PARTITION", "P S", "N"),
+    ("DESTINATION_ORDER", "T DR DW", "Y"),
+    ("OWNERSHIP", "T DR DW", "Y"),
+    ("OWNERSHIP_STRENGTH", "DW", "-"),
+    ("DEADLINE", "T DR DW", "Y"),
+    ("LATENCY_BUDGET", "T DR DW", "Y"),
+    ("TRANSPORT_PRIORITY", "T DW", "-"),
+    ("TIME_BASED_FILTER", "DR", "-"),
+    ("RESOURCE_LIMITS", "T DR DW", "N"),
+    ("USER_DATA", "DP DR DW", "N"),
+    ("TOPIC_DATA", "T", "N"),
+    ("GROUP_DATA", "P S", "N"),
 ]
 
 
@@ -47,13 +52,9 @@ class TestPolicyTable:
         assert [name for name, *_ in MATRIX] == [p.name for p in qos.QosPolicyId]
         assert [p.value for p in qos.QosPolicyId] == list(range(1, 19))
 
-    @pytest.mark.parametrize("name,entities,rxo,modifiable,group", MATRIX)
-    def test_row(self, name, entities, rxo, modifiable, group):
-        meta = qos.policy_meta(qos.QosPolicyId[name])
-        assert meta.applicability == _kinds(entities)
-        assert meta.rxo == qos.Rxo(rxo)
-        assert meta.modifiable == (modifiable == "yes")
-        assert meta.group == qos.PolicyGroup(group)
+    @pytest.mark.parametrize("name,entities,rxo", MATRIX)
+    def test_row(self, name, entities, rxo):
+        assert qos.APPLICABILITY[qos.QosPolicyId[name]] == _kinds(entities)
 
     def test_default_values_cover_every_policy(self):
         for pid in qos.QosPolicyId:
@@ -85,6 +86,17 @@ class TestValueInvariants:
     ])
     def test_negative_durations_rejected(self, value):
         assert qos.value_errors(value)
+
+
+@pytest.fixture
+def solo():
+    with DomainParticipant(0, transport=InProcNetwork().attach("solo"),
+                           clock=ManualClock(1_000_000_000)) as participant:
+        yield participant
+
+
+def _topic(participant):
+    return participant.create_topic("t", idl.parse_idl("struct C { long n; };")[0])
 
 
 class TestProfiles:
@@ -137,32 +149,32 @@ class TestProfiles:
         hash(value)
         assert value == cls()
 
-    def test_set_policy_returns_new_profile(self):
-        prof = qos.QosProfile(qos.EntityKind.DATA_WRITER)
-        updated = qos.set_policy(prof, qos.QosPolicyId.RELIABILITY,
-                                 qos.Reliability(qos.ReliabilityKind.RELIABLE))
-        assert prof.value(qos.QosPolicyId.RELIABILITY).kind == qos.ReliabilityKind.BEST_EFFORT
-        assert updated.value(qos.QosPolicyId.RELIABILITY).kind == qos.ReliabilityKind.RELIABLE
+    def test_not_applicable_policy_rejected(self, solo):
+        with pytest.raises(InvalidQosError, match="OWNERSHIP_STRENGTH not applicable to DR"):
+            solo.create_datareader(_topic(solo), [qos.OwnershipStrength(1)])
 
-    def test_immutable_policy_rejected_after_enable(self):
-        prof = qos.QosProfile(qos.EntityKind.DATA_WRITER).enable()
-        with pytest.raises(qos.ImmutablePolicyError):
-            qos.set_policy(prof, qos.QosPolicyId.RELIABILITY,
-                           qos.Reliability(qos.ReliabilityKind.RELIABLE))
-        # Strength is modifiable, so the same enabled profile accepts it.
-        qos.set_policy(prof, qos.QosPolicyId.OWNERSHIP_STRENGTH,
-                       qos.OwnershipStrength(3))
+    def test_mismatched_value_variant_rejected(self, solo):
+        with pytest.raises(InvalidQosError, match="carries a value of the wrong variant"):
+            solo.create_datawriter(_topic(solo),
+                                   {qos.QosPolicyId.RELIABILITY: qos.Deadline(5)})
 
-    def test_not_applicable_policy_rejected(self):
-        prof = qos.QosProfile(qos.EntityKind.DATA_READER)
-        with pytest.raises(qos.NotApplicableError):
-            qos.set_policy(prof, qos.QosPolicyId.OWNERSHIP_STRENGTH,
-                           qos.OwnershipStrength(1))
-
-    def test_mismatched_value_variant_rejected(self):
-        prof = qos.QosProfile(qos.EntityKind.DATA_WRITER)
-        with pytest.raises(ValueError):
-            qos.set_policy(prof, qos.QosPolicyId.RELIABILITY, qos.Deadline(5))
+    # Nothing implements these values, so an entity refuses them rather
+    # than accept and ignore them; their defaults are still accepted.
+    @pytest.mark.parametrize("create,value", [
+        ("create_datareader", qos.Presentation(qos.AccessScope.TOPIC)),
+        ("create_datareader", qos.Presentation(coherent_access=True)),
+        ("create_datawriter", qos.Presentation(ordered_access=True)),
+        ("create_datawriter", qos.DurabilityService(5)),
+        ("create_datawriter", qos.TransportPriority(5)),
+    ], ids=["topic-scope", "coherent", "ordered", "durability-service", "transport-priority"])
+    def test_unsupported_value_refused(self, solo, create, value):
+        topic = _topic(solo)
+        with pytest.raises(InvalidQosError) as refused:
+            getattr(solo, create)(topic, [value])
+        assert refused.value.problems == [
+            f"{value.policy_id.name} is not supported: only its default value is accepted"]
+        assert solo.readers() == [] and solo.writers() == []
+        getattr(solo, create)(topic, [type(value)()])
 
     def test_validate_flags_inapplicable_policy(self):
         prof = qos.profile(qos.EntityKind.DATA_READER, [qos.Lifespan(10)])
