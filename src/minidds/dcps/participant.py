@@ -6,7 +6,11 @@ writers, and readers created through it. Protocol work happens in
 your own loop, or ``start()`` a background thread that does both.
 
 Application calls are serialized with the dispatch context by one
-participant lock, so entities may be used from any thread.
+lock, shared by every participant of the process, so entities may be
+used from any thread and there is no lock order to get wrong. A
+listener runs under that lock, so a thread that already holds it is
+inside a listener and never waits: a blocked write raises at once, and
+``close()`` leaves the pump to stop at its next loop check.
 
 A submessage for a reader on this participant is encoded as for any
 other participant and received as a batch of one (``_receive``): DATA,
@@ -149,6 +153,12 @@ QosInput = Union[qos.QosProfile, Iterable, Mapping, None]
 # ``__new__`` that NamedTuple generates; once per DATA arrival.
 _tuple_new = tuple.__new__
 
+# The one lock of every participant of the process, and the condition
+# notified at the end of every spin_once, for writers blocked on a full
+# keep-all history while a pump thread runs.
+_LOCK = threading.RLock()
+_SPUN = threading.Condition(_LOCK)
+
 
 class Topic:
     def __init__(self, name: str, type_descriptor: idl.TypeDescriptor,
@@ -198,10 +208,8 @@ class DomainParticipant:
         self._on_topic: dict[tuple[str, EndpointType], dict[int, object]] = {}
         self._matched: dict[Guid, tuple] = {}  # writer -> (reader, session) pairs
         self._entity_counter = 0
-        self._lock = threading.RLock()
-        # Notified at the end of every spin_once, for writers blocked on a
-        # full keep-all history while a pump thread runs.
-        self._spun = threading.Condition(self._lock)
+        self._lock = _LOCK
+        self._spun = _SPUN
         self._thread: Optional[threading.Thread] = None
         self._running = False
         self.closed = False
@@ -637,6 +645,8 @@ class DomainParticipant:
 
     def start(self, poll_interval_s: float = 0.005) -> None:
         """Run the datagram pump on a daemon thread."""
+        if self.closed:
+            raise RuntimeError("participant is closed")
         if self._thread is not None:
             return
         self._running = True
@@ -657,9 +667,11 @@ class DomainParticipant:
             return
         self.closed = True
         self._running = False
-        if self._thread is not None:
+        # A listener holds the lock the pump may wait for: the pump is left
+        # to exit at its next loop check.
+        if self._thread is not None and not self._lock._is_owned():
             self._thread.join(timeout=1.0)
-            self._thread = None
+        self._thread = None
         # Its endpoints close with it: a writer refuses further writes. The
         # last announce lists none of them, so peers unmatch them at once.
         with self._lock:

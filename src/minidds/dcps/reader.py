@@ -39,7 +39,8 @@ from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSess
 log = logging.getLogger(__name__)
 
 # A listener that holds the dispatch context longer than this draws a
-# warning; callbacks are documented as non-blocking.
+# warning. Listeners must not block: they run under the one lock of every
+# participant of the process, so a slow one stalls every participant.
 _LISTENER_BUDGET_S = 0.1
 
 ReaderSession = ReliableReaderSession | BestEffortReaderSession

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Mapping, Optional, Union
 
 from minidds import idl, qos
@@ -80,6 +79,10 @@ class DataWriter(Endpoint):
         refuses the sample; a RELIABLE KEEP_ALL writer first waits for
         acks to make room, for at most max_blocking_time (on the
         participant's clock). A refused sample uses no sequence.
+
+        A listener never waits: called from one, a write that finds a
+        full keep-all cache raises ``ResourceLimitsError`` at once, since
+        a wait would release the lock the listener's dispatch holds.
         """
         if self.closed:
             raise RuntimeError("writer is closed")
@@ -110,8 +113,10 @@ class DataWriter(Endpoint):
         clock = self.participant.clock
         block_deadline = None
         session = self.session
+        lock = self.participant._lock
+        in_listener = lock._is_owned()
         while True:
-            with self.participant._lock:
+            with lock:
                 source_ts = (source_timestamp_ns if source_timestamp_ns is not None
                              else clock.wall_ns())
                 sequence = session.last_sequence + 1
@@ -134,6 +139,9 @@ class DataWriter(Endpoint):
                 except ResourceLimitsError:
                     if not (self._reliable and self._keep_all):
                         raise
+                    if in_listener:
+                        raise ResourceLimitsError(
+                            "write blocked on a full keep-all history inside a listener")
                 else:
                     session.on_write()
                     if self._deadlines.active:
@@ -149,7 +157,7 @@ class DataWriter(Endpoint):
                     raise ResourceLimitsError(
                         "write blocked on a full keep-all history past max_blocking_time")
                 pump = self.participant._thread
-                if pump is not None and pump is not threading.current_thread():
+                if pump is not None:
                     # The wait releases the lock the pump thread needs.
                     self.participant._spun.wait((block_deadline - now) / 1e9)
                     continue

@@ -48,8 +48,8 @@ class UdpTransport:
     that up are logged and unicast continues alone. One ``drain`` reads
     at most one receive buffer (``SO_RCVBUF``) of datagrams per socket,
     each charged its payload plus ``DATAGRAM_OVERHEAD`` bytes, so a flood
-    of any datagram size cannot hold a spin, and the participant lock,
-    forever.
+    of any datagram size cannot hold a spin, and the lock every
+    participant shares, forever.
     """
 
     def __init__(self, domain_id: int = 0, *, port: int | None = None,
