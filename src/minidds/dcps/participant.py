@@ -7,10 +7,24 @@ your own loop, or ``start()`` a background thread that does both.
 
 Application calls are serialized with the dispatch context by one
 lock, shared by every participant of the process, so entities may be
-used from any thread and there is no lock order to get wrong. A
-listener runs under that lock, so a thread that already holds it is
-inside a listener and never waits: a blocked write raises at once, and
-``close()`` leaves the pump to stop at its next loop check.
+used from any thread and there is no lock order to get wrong. No
+listener runs under that lock. The arrival pipeline only marks a reader
+that accepted a sample ready, in an ordered set of its participant
+(``_ready``). The call that delivered (``spin_once``, a write to a
+reader on the writer's own participant, or a ``create_datareader``
+whose durable replay reached the new reader) takes the set before it
+releases the lock (``_take_ready``), then calls each ready reader's
+listener once, in the order the readers became ready, on its own thread
+(``reader.call_listeners``); a reader closed before its turn is
+skipped. So DATA_AVAILABLE is reported once per delivering call, as DDS
+allows for a status (OMG DDS 1.4, 2.2.4), and a KEEP_LAST reader's
+listener sees only the newest samples of each instance the call
+brought. A listener may call any entity of any participant, and its
+blocked write waits as the same write from an application thread does,
+or, on its participant's pump thread, drives the protocol inline. A
+reader's listener can run on two threads at once only if the
+application writes to a local reader while another thread spins the
+same participant.
 
 A submessage for a reader on this participant is encoded as for any
 other participant and received as a batch of one (``_receive``): DATA,
@@ -57,17 +71,16 @@ A writer's entry in the dispatch table is an immutable tuple of the
 readers not matched are not visited; an addressed DATA or DIRECT picks
 its reader out of it. A run goes through each reader's arrival pipeline
 in one call, one reader after another (``_deliver``), and that reader's
-session takes the whole run in one call too (``on_run``): the first
-reader's listener fires for the whole run before the second reader sees
-any of it, and a reader whose session is no longer the entry's (a
-listener closed it mid-run) gets none of the rest. A listener may
-create or close a reader mid-dispatch; an entry is replaced only where
-a reader gains or loses a match with that writer. The readers of one
-DATA share one pair ``(sample, info)``, its deserialized sample and
-its ``SampleInfo``, all immutable, and each caches and hands out that
-very pair: an endpoint takes only a ``Topic`` of this participant's
-``create_topic``, so the readers of one writer share one type. Each
-keeps its own session, ownership, time-filter and source-order state.
+session takes the whole run in one call too (``on_run``). No listener
+runs during the dispatch, so no reader is closed in it; an entry is
+replaced only where a reader gains or loses a match with that writer,
+and a run is delivered before any datagram that could change one is
+dispatched. The readers of one DATA share one pair ``(sample, info)``,
+its deserialized sample and its ``SampleInfo``, all immutable, and each
+caches and hands out that very pair: an endpoint takes only a ``Topic``
+of this participant's ``create_topic``, so the readers of one writer
+share one type. Each keeps its own session, ownership, time-filter and
+source-order state.
 
 Each DATA's bytes are held once. A run's payload slot holds the
 one-DATA datagram itself, and the first reader to accept the DATA
@@ -87,10 +100,11 @@ Arrival is stamped once per drained batch: ``spin_once`` reads the
 clock right after the drain, when every datagram of the batch had
 arrived, and each of them is dispatched with that one stamp (the
 ``arrival_timestamp_ns`` of its samples, the time of its ACKNACKs and
-announces), even if a listener runs or the clock moves before the last
-one is dispatched. A send to this participant's own readers reads the
-clock when it is sent. Announces, timeouts and the writers' timers then
-read the clock again, after the batch.
+announces), even if the clock moves before the last one is dispatched.
+A send to this participant's own readers reads the clock when it is
+sent. Announces, timeouts and the writers' timers then read the clock
+again, after the batch, and before any listener runs: a listener that
+stalls delays the next spin, whose drain comes before its timeouts.
 
 Pairing stays within a topic, through a table of local endpoints by
 topic and kind, and discovery's table of remote ones
@@ -133,7 +147,7 @@ from minidds.dcps.guid import Guid, fresh_prefix
 from minidds.dcps.history import SampleInfo
 from minidds.dcps.matching import (EndpointDescriptor, EndpointType, NoMatch, RxoQos,
                                    match_endpoints)
-from minidds.dcps.reader import DataReader
+from minidds.dcps.reader import DataReader, call_listeners
 from minidds.dcps.writer import DataWriter
 from minidds.rtps import wire
 from minidds.rtps.discovery import ANNOUNCE_PERIOD_NS, Discovery
@@ -207,6 +221,9 @@ class DomainParticipant:
         # by entity id in creation order; only topics with endpoints.
         self._on_topic: dict[tuple[str, EndpointType], dict[int, object]] = {}
         self._matched: dict[Guid, tuple] = {}  # writer -> (reader, session) pairs
+        # Readers that accepted a sample in the delivery under way, in the
+        # order they became ready; the call that delivered takes them.
+        self._ready: dict[DataReader, None] = {}
         self._entity_counter = 0
         self._lock = _LOCK
         self._spun = _SPUN
@@ -306,7 +323,10 @@ class DomainParticipant:
             reader.listener = listener
             self._readers[guid.entity_id] = reader
             self._introduce(reader)
-            return reader
+            # A local durable writer's replay may have made it ready.
+            ready = self._take_ready()
+        call_listeners(ready)
+        return reader
 
     def _local_on(self, topic_name: str, kind: EndpointType) -> list:
         """This participant's endpoints of one kind on one topic, in
@@ -398,7 +418,9 @@ class DomainParticipant:
     # datagram pump
 
     def spin_once(self) -> int:
-        """One protocol iteration; returns the number of datagrams handled."""
+        """One protocol iteration; returns the number of datagrams handled.
+        The listeners of the readers it delivered to are called at its
+        end, with the lock released."""
         with self._lock:
             batch = self.transport.drain()
             processed = len(batch)
@@ -415,7 +437,17 @@ class DomainParticipant:
                 writer.history.expire(now_wall)
                 self._route(writer.session.step(now))
             self._spun.notify_all()
-            return processed
+            ready = self._take_ready()
+        call_listeners(ready)
+        return processed
+
+    def _take_ready(self) -> dict:
+        """Under the lock: the readers the current call made ready, in the
+        order they became ready. Every call that delivers takes them before
+        it releases the lock, so each call calls exactly the listeners its
+        own delivery made ready."""
+        ready, self._ready = self._ready, {}
+        return ready
 
     def _receive(self, batch: list, arrived: int, arrived_wall: int) -> None:
         """Hand a batch of ``(datagram, source)`` pairs to the endpoints
@@ -543,11 +575,9 @@ class DomainParticipant:
 
     def _control(self, prefix: bytes, reader_eid: int, sub, now: int,
                  now_wall: int) -> None:
-        """Hand a HEARTBEAT or GAP to each reader it concerns that is still
-        matched, and send each ACKNACK it draws."""
+        """Hand a HEARTBEAT or GAP to each reader it concerns, and send each
+        ACKNACK it draws."""
         for reader, session in self._pairs_for(prefix, sub.writer_entity_id, reader_eid):
-            if reader._sessions.get(session.writer_guid) is not session:
-                continue  # closed, or unmatched, by a listener meanwhile
             ack = reader._handle_control(session, sub, now, now_wall)
             if ack is not None:
                 self._send(ack, ack.writer_guid.prefix)
@@ -563,16 +593,12 @@ class DomainParticipant:
 
     def _deliver(self, pairs, infos: list, slots: list, now_wall: int) -> None:
         """Hand a run of DATA from one writer to each reader in ``pairs``,
-        one after another in creation order, while the reader's session is
-        still the entry's: a reader closed mid-run gets none of the rest.
-        The readers, all of one ``Topic`` and so of one type, share one
-        slot per DATA, which holds the DATA's one-DATA message until the
-        first of them replaces it by the pair ``(sample, info)`` they all
-        cache."""
-        writer_guid = infos[0].writer_guid
+        one after another in creation order. The readers, all of one
+        ``Topic`` and so of one type, share one slot per DATA, which holds
+        the DATA's one-DATA message until the first of them replaces it by
+        the pair ``(sample, info)`` they all cache."""
         for reader, session in pairs:
-            if reader._sessions.get(writer_guid) is session:
-                reader._handle_data(session, infos, slots, now_wall)
+            reader._handle_data(session, infos, slots, now_wall)
 
     # ------------------------------------------------------------------
     # outbound routing
@@ -594,13 +620,14 @@ class DomainParticipant:
         plan = writer._send_plan = (self.discovery.epoch, local, tuple(addresses))
         return plan
 
-    def _publish(self, writer: DataWriter, message: bytes) -> None:
+    def _publish(self, writer: DataWriter, message: bytes) -> Iterable:
         """Send a write's ``message``, the one-DATA datagram the writer
         packed and cached for it, by the writer's send plan: to this
         participant's matched readers as a received batch of one, as
         ``_send`` does, then to every other matched reader's address.
         The plan is built again only when a match change reset it or the
-        discovery epoch moved."""
+        discovery epoch moved. Returns the readers the write made ready
+        (``_take_ready``)."""
         plan = writer._send_plan
         if plan is None or plan[0] != self.discovery.epoch:
             plan = self._plan(writer)
@@ -612,6 +639,7 @@ class DomainParticipant:
             send = self.transport.send
             for address in addresses:
                 send(message, address)
+        return self._take_ready() if local else ()
 
     def _route(self, directed: list[Directed]) -> None:
         """Send each of a writer's submessages to the one reader it names;
@@ -667,9 +695,9 @@ class DomainParticipant:
             return
         self.closed = True
         self._running = False
-        # A listener holds the lock the pump may wait for: the pump is left
-        # to exit at its next loop check.
-        if self._thread is not None and not self._lock._is_owned():
+        # Closed from its own pump thread (a listener), the pump is left to
+        # exit at its next loop check.
+        if self._thread is not None and self._thread is not threading.current_thread():
             self._thread.join(timeout=1.0)
         self._thread = None
         # Its endpoints close with it: a writer refuses further writes. The

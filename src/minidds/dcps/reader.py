@@ -10,15 +10,18 @@ DATA that repairs the hole or the GAP or HEARTBEAT that gives it up, as
 of that arrival. So each writer's samples reach the cache in sequence
 order. Every new sample then runs the same gauntlet, in this order:
 decoding, lifespan expiry, exclusive-ownership arbitration, time-based
-filtering, source-timestamp ordering, then history insertion and
-listener notification. Drops at each stage are counted per reason and
-queryable via ``statistics()``. Samples received, duplicates, samples
-accepted and history evictions are counted per run and added to the
-statistics at its end and before each listener call, so a listener
-reads them as of its own sample; what the session counts
-(``samples_lost``, ``sequences_seen``, ``beyond_window``) covers the
-whole run from the first call on. A DATA that waits when its writer
-unmatches is never handed on, and counts in ``samples_lost``.
+filtering, source-timestamp ordering, then history insertion. Drops at
+each stage are counted per reason and queryable via ``statistics()``.
+Samples received, duplicates, samples accepted and history evictions
+are counted per run and added to the statistics at its end. A DATA that
+waits when its writer unmatches is never handed on, and counts in
+``samples_lost``.
+
+The pipeline calls no listener: a reader that accepted a sample is
+marked ready on its participant, which calls each ready reader's
+listener once, after the call that delivered has released the lock
+(``call_listeners``). So a listener reads the statistics and the cache
+as of the whole delivery.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import logging
 import time
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from minidds import idl, qos
 from minidds.dcps.guid import Guid
@@ -38,12 +41,33 @@ from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSess
 
 log = logging.getLogger(__name__)
 
-# A listener that holds the dispatch context longer than this draws a
-# warning. Listeners must not block: they run under the one lock of every
-# participant of the process, so a slow one stalls every participant.
+# A listener that runs longer than this draws a warning. A listener runs
+# with the lock released, so it stalls no other thread; but it runs on the
+# thread that delivered, so a slow one delays that thread's next step: its
+# participant's next spin (announces and acks too), or the write that
+# delivered to it.
 _LISTENER_BUDGET_S = 0.1
 
 ReaderSession = ReliableReaderSession | BestEffortReaderSession
+
+
+def call_listeners(ready: Iterable["DataReader"]) -> None:
+    """Call each ready reader's listener once, in order, on this thread;
+    the participant calls it with the lock released, once the call that
+    delivered has taken the readers it made ready. A reader closed, or
+    whose listener was removed, before its turn is skipped."""
+    for reader in ready:
+        listener = reader.listener
+        if listener is None or reader.closed:
+            continue
+        began = time.monotonic()
+        try:
+            listener(reader)
+        except Exception:
+            log.exception("reader listener raised")
+        if __debug__ and time.monotonic() - began > _LISTENER_BUDGET_S:
+            log.warning("reader listener ran for %.0f ms",
+                        (time.monotonic() - began) * 1e3)
 
 
 @dataclass
@@ -148,8 +172,6 @@ class DataReader(Endpoint):
         if released:
             session.released = []
             self._admit(session, released, now, now_wall_ns)
-            if self._sessions.get(session.writer_guid) is not session:
-                return None
         return ack
 
     def _admit(self, session: ReaderSession, entries, now: int,
@@ -158,16 +180,14 @@ class DataReader(Endpoint):
         in order. Each entry is ``(info, slots, index)`` for a DATA, or
         ``NOT_NEW`` for a duplicate. Every DATA runs the same gauntlet: decoding,
         lifespan expiry, exclusive-ownership arbitration, time-based
-        filtering, source-timestamp ordering, then history insertion and
-        listener notification, all as of ``now``. The first reader of
-        the participant to admit a DATA decodes its slot into the pair
-        ``(sample, info)``, and every reader inserts that pair as it is,
-        held behind a hole meanwhile or not. The pipeline's state and
-        bound methods are looked up once per call, and its four
-        per-sample counters are kept in locals and added to ``stats`` at
-        the end and before every listener call, so a listener reads them
-        as of its sample. A listener that closes this reader, or
-        unmatches the writer, ends the call for it."""
+        filtering, source-timestamp ordering, then history insertion, all
+        as of ``now``. The first reader of the participant to admit a DATA
+        decodes its slot into the pair ``(sample, info)``, and every
+        reader inserts that pair as it is, held behind a hole meanwhile or
+        not. The pipeline's state and bound methods are looked up once
+        per call, and its four per-sample counters are kept in locals and
+        added to ``stats`` at the end. A reader with a listener that
+        accepted a sample is then marked ready on its participant."""
         stats = self.stats
         deserialize = idl.deserialize
         payload_start = wire.DATA_PAYLOAD_START
@@ -180,7 +200,6 @@ class DataReader(Endpoint):
         separation = self._min_separation_ns
         by_source = self._by_source
         deadlines = self._deadlines if self._deadlines.active else None
-        listener = self.listener
         writer = session.writer_guid
         # Not yet in stats.
         received = duplicates = accepted = evicted = 0
@@ -241,21 +260,12 @@ class DataReader(Endpoint):
             if deadlines is not None:
                 deadlines.record(handle, now)
             accepted += 1
-            if listener is not None:
-                self._count(received, duplicates, accepted, evicted)
-                received = duplicates = accepted = evicted = 0
-                self._notify()
-                if self._sessions.get(writer) is not session:
-                    return
-                listener = self.listener
-        self._count(received, duplicates, accepted, evicted)
-
-    def _count(self, received: int, duplicates: int, accepted: int, evicted: int) -> None:
-        stats = self.stats
         stats.samples_received += received
         stats.duplicates_discarded += duplicates
         stats.samples_accepted += accepted
         stats.evicted_by_history += evicted
+        if accepted and self.listener is not None:
+            self.participant._ready[self] = None
 
     def _arbitrate(self, activity: dict[Guid, int], arriving: Guid, now_ns: int) -> bool:
         """Whether the arriving writer currently owns the instance, given
@@ -275,16 +285,6 @@ class DataReader(Endpoint):
     def _strength_of(self, writer: Guid) -> int:
         record = self._match_records.get(writer)
         return record.remote.rxo.ownership_strength if record else 0
-
-    def _notify(self) -> None:
-        began = time.monotonic()
-        try:
-            self.listener(self)
-        except Exception:
-            log.exception("reader listener raised")
-        if __debug__ and time.monotonic() - began > _LISTENER_BUDGET_S:
-            log.warning("reader listener blocked the dispatch context for %.0f ms",
-                        (time.monotonic() - began) * 1e3)
 
     # -- application surface ------------------------------------------
 

@@ -1,7 +1,17 @@
-"""The writing endpoint: typed writes into a history cache plus delivery."""
+"""The writing endpoint: typed writes into a history cache plus delivery.
+
+A write holds the participants' one lock only while it caches and sends.
+One that delivers to a reader on its own participant calls that reader's
+listener after releasing it, before it returns. A write that finds a
+full RELIABLE KEEP_ALL cache waits for acks: on another thread's pump,
+or, when the participant has no pump or this is its pump thread (a
+listener), by spinning the participant inline. A listener's write is
+no different from an application thread's.
+"""
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping, Optional, Union
 
 from minidds import idl, qos
@@ -9,6 +19,7 @@ from minidds.dcps.errors import SampleTooLargeError
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import ResourceLimitsError, WriterHistory
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
+from minidds.dcps.reader import call_listeners
 from minidds.rtps import wire
 from minidds.rtps.reliability import WriterSession
 
@@ -80,9 +91,8 @@ class DataWriter(Endpoint):
         acks to make room, for at most max_blocking_time (on the
         participant's clock). A refused sample uses no sequence.
 
-        A listener never waits: called from one, a write that finds a
-        full keep-all cache raises ``ResourceLimitsError`` at once, since
-        a wait would release the lock the listener's dispatch holds.
+        A write that delivers to a reader on this participant calls that
+        reader's listener before it returns, after it released the lock.
         """
         if self.closed:
             raise RuntimeError("writer is closed")
@@ -110,13 +120,12 @@ class DataWriter(Endpoint):
                     if len(handles) >= MAX_INSTANCE_HANDLES:
                         handles.clear()
                     handles[key] = handle
-        clock = self.participant.clock
+        participant = self.participant
+        clock = participant.clock
         block_deadline = None
         session = self.session
-        lock = self.participant._lock
-        in_listener = lock._is_owned()
         while True:
-            with lock:
+            with participant._lock:
                 source_ts = (source_timestamp_ns if source_timestamp_ns is not None
                              else clock.wall_ns())
                 sequence = session.last_sequence + 1
@@ -139,34 +148,34 @@ class DataWriter(Endpoint):
                 except ResourceLimitsError:
                     if not (self._reliable and self._keep_all):
                         raise
-                    if in_listener:
-                        raise ResourceLimitsError(
-                            "write blocked on a full keep-all history inside a listener")
                 else:
                     session.on_write()
                     if self._deadlines.active:
                         self._deadlines.record(handle, clock.monotonic_ns())
                     self.samples_written += 1
-                    self.participant._publish(self, message)
-                    return sequence
+                    ready = participant._publish(self, message)
+                    break
                 # Full keep-all cache: wait for acks to drain it.
                 now = clock.monotonic_ns()
                 if block_deadline is None:
-                    block_deadline = now + self.participant.max_blocking_time_ns
+                    block_deadline = now + participant.max_blocking_time_ns
                 elif now >= block_deadline:
                     raise ResourceLimitsError(
                         "write blocked on a full keep-all history past max_blocking_time")
-                pump = self.participant._thread
-                if pump is not None:
+                if participant._thread not in (None, threading.current_thread()):
                     # The wait releases the lock the pump thread needs.
-                    self.participant._spun.wait((block_deadline - now) / 1e9)
+                    participant._spun.wait((block_deadline - now) / 1e9)
                     continue
-            # No pump thread: drive the protocol inline, outside the lock so
-            # other application threads keep access between spins.
-            self.participant.transport.wait(min(0.005, (block_deadline - now) / 1e9))
-            if self.participant.spin_once() == 0 and clock.monotonic_ns() == now:
+            # No pump thread, or this is it (in a listener): drive the
+            # protocol inline, outside the lock so other application threads
+            # keep access between spins.
+            participant.transport.wait(min(0.005, (block_deadline - now) / 1e9))
+            if participant.spin_once() == 0 and clock.monotonic_ns() == now:
                 raise ResourceLimitsError(
                     "write blocked on a full keep-all history with no drain in sight")
+        if ready:
+            call_listeners(ready)
+        return sequence
 
     # -- introspection ------------------------------------------------
 

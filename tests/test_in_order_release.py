@@ -123,7 +123,7 @@ def test_nothing_past_a_hole_is_handed_on_until_it_is_repaired(pair):
     assert heard == [1]
     a.spin_once()  # resends 2
     b.spin_once()
-    assert heard == [1, 2, 3, 4, 5]  # one listener call per sample, in order
+    assert heard == [1, 2, 3, 4, 5]  # the repaired run, at one listener call, in order
     stats = reader.statistics()
     assert (stats.samples_accepted, stats.samples_lost, stats.sequences_seen) == (5, 0, 5)
 

@@ -1,15 +1,15 @@
-"""A listener inside a run: the reader's counters as it reads them at
-each call, and after it ends the run by closing the reader or by
-unmatching the writer.
+"""A listener and the run it follows: the reader's counters as it reads
+them at its one call, and what closing the reader or unmatching the
+writer from it does.
 
 B drains one run of eight one-DATA datagrams sent under A's writer:
-sequence 1 twice, 2, a malformed 3, then 4 to 7. The listener fires for 1, 2
-and 4, reads ``statistics()`` every time, and on its third call closes
-its reader (or has B unmatch the writer, as discovery does when the
-writer leaves). Every counter reads as if the run were taken one DATA
-at a time, except ``sequences_seen``: the session takes the whole run
-before the first sample is handed on, so 5 to 7, which did arrive
-before the close, count as seen from the first call on.
+sequence 1 twice, 2, a malformed 3, then 4 to 7. The whole run goes
+through the reader's pipeline before the listener is called, once, at
+the end of the spin: it reads ``statistics()`` as of the whole run and
+finds every good sample cached. It then closes its reader (or has B
+unmatch the writer, as discovery does when the writer leaves), which
+keeps what the run delivered and stops what comes after: a further DATA
+from the writer is neither counted nor cached, and calls no listener.
 """
 
 import pytest
@@ -36,10 +36,10 @@ def _stats(received, duplicates, accepted, seen):
                        sequences_seen=seen)
 
 
-# What the listener reads at each of its three calls, and what the
-# reader reports after the run.
-AT_CALLS = [_stats(1, 0, 1, 7), _stats(2, 1, 2, 7), _stats(4, 1, 3, 7)]
-AFTER = _stats(4, 1, 3, 7)
+# What the listener reads at its one call, and what the reader reports
+# after the spin and after a further DATA.
+AT_CALL = _stats(7, 1, 6, 7)
+CACHED = [(1,), (2,), (4,), (5,), (6,), (7,)]
 
 
 @pytest.fixture(params=sorted(KINDS))
@@ -57,42 +57,48 @@ def run_setup(request):
         participant.spin_once()
     assert reader.matched_writers() == [writer.guid]
     rogue = net.attach("rogue")
-    for seq in RUN:
+
+    def send(seq):
         payload = (b"\x01" if seq == MALFORMED
                    else idl.serialize(COUNTER, idl.make_sample(COUNTER, {"n": seq})))
         rogue.send(wire.encode_message(wire.WireMessage(writer.guid.prefix, (
             wire.Data(writer.guid.entity_id, 0, seq, 0, 0, payload),))), "B")
-    yield b, writer, reader
+
+    for seq in RUN:
+        send(seq)
+    yield b, writer, reader, send
     a.close()
     b.close()
 
 
-def _listen(reader, end_run):
+def _listen(reader, end_delivery):
     read = []
 
     def listener(r):
         read.append(r.statistics())
-        if len(read) == 3:
-            end_run()
+        end_delivery()
 
     reader.listener = listener
     return read
 
 
-def test_closing_the_reader_at_the_third_sample(run_setup):
-    b, _, reader = run_setup
-    read = _listen(reader, reader.close)
+def _check(b, reader, read, send):
     assert b.spin_once() == len(RUN)
-    assert read == AT_CALLS
-    assert reader.statistics() == AFTER
-    assert [s.values for s, _ in reader.take()] == [(1,), (2,), (4,)]
+    assert read == [AT_CALL]
+    assert reader.statistics() == AT_CALL
+    send(len(RUN))  # sequence 8
+    assert b.spin_once() == 1
+    assert read == [AT_CALL]
+    assert reader.statistics() == AT_CALL
+    assert [s.values for s, _ in reader.take()] == CACHED
 
 
-def test_unmatching_the_writer_at_the_third_sample(run_setup):
-    b, writer, reader = run_setup
-    read = _listen(reader, lambda: b._unmatch(writer.guid))
-    assert b.spin_once() == len(RUN)
-    assert read == AT_CALLS
-    assert reader.statistics() == AFTER
+def test_closing_the_reader_from_its_listener_after_the_run(run_setup):
+    b, _, reader, send = run_setup
+    _check(b, reader, _listen(reader, reader.close), send)
+
+
+def test_unmatching_the_writer_from_the_listener_after_the_run(run_setup):
+    b, writer, reader, send = run_setup
+    _check(b, reader, _listen(reader, lambda: b._unmatch(writer.guid)), send)
     assert reader.matched_writers() == []
-    assert [s.values for s, _ in reader.take()] == [(1,), (2,), (4,)]

@@ -1,10 +1,10 @@
 """Threads and listeners: every participant of a process shares one lock,
-and a thread that already holds it (a listener) never waits. So a gateway
-whose listeners write on each other's participants cannot deadlock, a
-listener's write to a full keep-all writer raises at once instead of
-spinning the participant again, and ``close()`` from a listener does not
-wait for a pump, its own or another's. A closed participant refuses
-``start()``."""
+and a reader's listener runs after the call that delivered to it has
+released that lock. So a gateway whose listeners write on each other's
+participants cannot deadlock, a listener's write takes the path the same
+write from an application thread takes, and ``close()`` from a listener
+waits for another participant's pump, which the lock no longer holds
+up, but not for its own. A closed participant refuses ``start()``."""
 
 import sys
 import threading
@@ -58,10 +58,11 @@ def test_every_participant_shares_one_lock():
 
 def test_a_gateway_forwards_both_ways_from_overlapping_listeners():
     """Gateway A (domain 0) and gateway B (domain 1) forward each sample
-    their reader gets to a writer on the other gateway. The barrier lets
-    the two listeners overlap only if the gateways' pumps can hold locks
-    of their own at once, and then each pump, holding its own, waits for
-    the other's: a deadlock. Under one lock the barrier times out."""
+    their reader gets to a writer on the other gateway. The barrier makes
+    the two listeners overlap: with a lock per participant, held through
+    its listeners, each pump would hold its own and wait for the other's,
+    a deadlock. Listeners run with the one lock released, so both
+    forwards go through."""
     net = InProcNetwork()
     # A long announce period: a pump stalled by the barrier must not see
     # its peer time out.
@@ -113,10 +114,12 @@ def test_a_gateway_forwards_both_ways_from_overlapping_listeners():
     assert got == {source0: [11], source1: [10]}
 
 
-def test_a_listener_write_to_a_full_keep_all_writer_raises_at_once():
+def test_a_listener_write_to_a_full_keep_all_writer_behaves_as_an_application_write():
     """The writer's one slot holds a sample its silent peer never acks. A
-    listener's write to it raises without waiting out max_blocking_time
-    and without spinning the participant again inside the dispatch."""
+    listener's write to it takes the path the same write from the
+    application thread takes: with no pump thread it drives the protocol
+    inline, and on a manual clock that does not move it raises after one
+    spin that drained nothing, without waiting out max_blocking_time."""
     net = InProcNetwork()
     clock = ManualClock(1_000_000_000)
     a, silent = _peers(net, 0, "A", "B", clock=clock, announce_period_ns=60_000 * MS,
@@ -131,45 +134,79 @@ def test_a_listener_write_to_a_full_keep_all_writer_raises_at_once():
             silent.spin_once()
         assert full.matched_readers()
         full.write({"n": 1})
-        trigger = a.create_datawriter(a.create_topic("go", COUNTER), BEST_EFFORT)
-        outcome = []
-        spins_inside = []
-        in_listener = False
+        spins = []
         spin_once = a.spin_once
 
-        def recording_spin_once():
-            if in_listener:
-                spins_inside.append(threading.current_thread())
+        def counting_spin_once():
+            spins.append(None)
             return spin_once()
 
-        def listener(reader):
-            nonlocal in_listener
-            reader.take()
-            in_listener = True
+        def blocked_write():
+            spins.clear()
             began = time.monotonic()
-            try:
+            with pytest.raises(ResourceLimitsError) as raised:
                 full.write({"n": 2})
-            except ResourceLimitsError as exc:
-                outcome.append((str(exc), time.monotonic() - began))
-            finally:
-                in_listener = False
+            assert time.monotonic() - began < 1.0  # not max_blocking_time
+            return str(raised.value), len(spins)
 
-        a.spin_once = recording_spin_once
-        a.create_datareader(a.create_topic("go", COUNTER), BEST_EFFORT, listener=listener)
+        a.spin_once = counting_spin_once
+        from_application = blocked_write()
+        assert from_application == (
+            "write blocked on a full keep-all history with no drain in sight", 1)
+        trigger = a.create_datawriter(a.create_topic("go", COUNTER), BEST_EFFORT)
+        from_listener = []
+        a.create_datareader(a.create_topic("go", COUNTER), BEST_EFFORT,
+                            listener=lambda r: (r.take(), from_listener.append(blocked_write())))
         trigger.write({"n": 0})  # delivered to the local reader in this call
-        assert len(outcome) == 1
-        message, elapsed_s = outcome[0]
-        assert message == "write blocked on a full keep-all history inside a listener"
-        assert elapsed_s < 1.0  # not max_blocking_time
-        assert spins_inside == []
+        assert from_listener == [from_application]
     finally:
         a.close()
         silent.close()
 
 
+def test_a_listener_write_on_its_own_pump_thread_spins_until_acked():
+    """A's one-slot keep-all writer holds a sample B has not acked yet. A
+    listener on A's pump thread writes to it again: with no lock held, the
+    write spins A inline on that thread, as a write with no pump does,
+    until B's ack frees the slot."""
+    net = InProcNetwork()
+    a, b = _peers(net, 0, "A", "B", heartbeat_period_ns=5 * MS,
+                  max_blocking_time_ns=5_000 * MS)
+    try:
+        full = a.create_datawriter(
+            a.create_topic("t", COUNTER),
+            RELIABLE + [qos.ResourceLimits(max_samples=1, max_samples_per_instance=1)])
+        sink = b.create_datareader(b.create_topic("t", COUNTER), RELIABLE)
+        trigger = b.create_datawriter(b.create_topic("go", COUNTER), BEST_EFFORT)
+        outcome = []
+
+        def listener(reader):
+            reader.take()
+            outcome.append((full.write({"n": 2}), threading.current_thread()))
+
+        a.create_datareader(a.create_topic("go", COUNTER), BEST_EFFORT, listener=listener)
+        a.start(poll_interval_s=0.001)
+        b.start(poll_interval_s=0.001)
+        assert _within(lambda: full.matched_readers() and trigger.matched_readers(), 5.0)
+        full.write({"n": 1})
+        trigger.write({"n": 0})
+        assert _within(lambda: outcome, 5.0)
+        assert outcome == [(2, a._thread)]
+        got = []
+
+        def sunk():
+            got.extend(s.values[0] for s, _ in sink.take())
+            return got == [1, 2]
+
+        assert _within(sunk, 5.0), got
+    finally:
+        a.close()
+        b.close()
+
+
 def test_a_listener_closes_another_started_participant_at_once():
-    """The other participant's pump waits for the lock the listener holds,
-    so close() does not join it; the pump exits once the listener returns."""
+    """The listener holds no lock, so close() joins the other participant's
+    pump, which exits at its next loop check."""
     net = InProcNetwork()
     a, other = _peers(net, 0, "A", "B")
     try:
@@ -274,3 +311,69 @@ def test_threads_writing_on_several_participants_lose_no_sample():
         for part in (reader_part, *parts):
             part.close()
     assert sorted(received) == list(range(writers_n * per_thread))
+
+
+def test_a_started_gateway_forwards_reliable_streams_both_ways_in_order():
+    """The gateway shape, with every participant started and 200 RELIABLE
+    KEEP_ALL samples sent each way from two application threads, under a
+    short switch interval so the threads interleave finely: each sink gets
+    every sample once, in order."""
+    count = 200
+    net = InProcNetwork()
+    source0, a = _peers(net, 0, "S0", "A", announce_period_ns=60_000 * MS)
+    source1, b = _peers(net, 1, "S1", "B", announce_period_ns=60_000 * MS)
+    parts = (source0, a, source1, b)
+    writes = {}
+    sinks = {}
+    for source in (source0, source1):
+        writes[source] = source.create_datawriter(source.create_topic("in", COUNTER), RELIABLE)
+        sinks[source] = source.create_datareader(source.create_topic("out", COUNTER), RELIABLE)
+    forward_to = {a: b.create_datawriter(b.create_topic("out", COUNTER), RELIABLE),
+                  b: a.create_datawriter(a.create_topic("out", COUNTER), RELIABLE)}
+
+    def forwarder(gateway):
+        def listener(reader):
+            for sample, _ in reader.take():
+                forward_to[gateway].write({"n": sample.values[0]})
+        return listener
+
+    for gateway in (a, b):
+        gateway.create_datareader(gateway.create_topic("in", COUNTER), RELIABLE,
+                                  listener=forwarder(gateway))
+    got = {source0: [], source1: []}
+
+    def arrived():
+        for source, sink in sinks.items():
+            got[source] += [s.values[0] for s, _ in sink.take()]
+        return all(len(values) >= count for values in got.values())
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for part in parts:
+            part.start(poll_interval_s=0.001)
+        pumps = [part._thread for part in parts]
+        assert _within(lambda: all(w.matched_readers() for w in writes.values())
+                       and all(w.matched_readers() for w in forward_to.values()), 5.0)
+
+        def write_all(writer, base):
+            for k in range(count):
+                writer.write({"n": base + k})
+
+        threads = [threading.Thread(target=write_all, args=(writes[source], base))
+                   for source, base in ((source0, 0), (source1, 1000))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20.0)
+            assert not thread.is_alive()
+        assert _within(arrived, 20.0), {s: len(v) for s, v in got.items()}
+    finally:
+        sys.setswitchinterval(switch_interval)
+        for part in parts:
+            part.close()
+    for pump in pumps:
+        pump.join(timeout=1.0)
+        assert not pump.is_alive()
+    arrived()  # nothing more came
+    assert got == {source0: list(range(1000, 1000 + count)), source1: list(range(count))}

@@ -504,16 +504,21 @@ def test_each_drained_datagram_is_decoded_once(pair, monkeypatch):
     assert len(reader.take()) == 6 and b.malformed_datagrams == 1
 
 
-def test_a_drained_batch_carries_one_arrival_stamp(pair):
-    """The clock is read once per drain: a listener that advances it
-    while the batch is dispatched moves no sample's arrival stamp."""
+def test_a_drained_batch_carries_one_arrival_stamp(pair, monkeypatch):
+    """The clock is read once per drain: a clock that moves while the
+    batch is dispatched (here, at each payload decode) moves no sample's
+    arrival stamp. The listener is called once, after the whole batch."""
     a, b, _, clock = pair
     writer, reader = _matched(a, b)
     _spin(b)  # B's queue is empty
     for n in range(3):
         writer.write({"n": n})
-    reader.listener = lambda _r: clock.advance(MS)
+    deserialize = idl.deserialize
+    monkeypatch.setattr(idl, "deserialize", lambda *args: (
+        clock.advance(MS), deserialize(*args))[1])
+    called_at = []
+    reader.listener = lambda _r: called_at.append(clock.monotonic_ns())
     drained = clock.monotonic_ns()
     assert b.spin_once() == 3
     assert [info.arrival_timestamp_ns for _, info in reader.take()] == [drained] * 3
-    assert clock.monotonic_ns() == drained + 3 * MS
+    assert called_at == [drained + 3 * MS]

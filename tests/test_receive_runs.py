@@ -99,7 +99,9 @@ def test_a_heartbeat_after_a_run_is_answered_with_the_run_counted(pair, monkeypa
     assert _values(reader) == [(1,), (2,), (3,)]
 
 
-def test_a_reader_closed_mid_run_gets_none_of_the_rest(pair):
+def test_a_reader_closed_by_a_listener_keeps_the_run_and_gets_no_later_one(pair):
+    """Listeners run after the whole run went to every reader: one that
+    closes another reader leaves it the run, and takes it out of the next."""
     a, b, _ = pair
     (writer,), (first, second) = _matched(a, b)
     first.listener = lambda _r: second.close()
@@ -107,19 +109,28 @@ def test_a_reader_closed_mid_run_gets_none_of_the_rest(pair):
         writer.write({"n": n})
     _spin(b)
     assert _values(first) == [(0,), (1,), (2,)]
-    assert second.take() == [] and second.statistics().samples_received == 0
+    assert _values(second) == [(0,), (1,), (2,)]
+    assert second.statistics().samples_received == 3
     assert second.matched_writers() == []
+    writer.write({"n": 3})
+    _spin(b)
+    assert _values(first) == [(3,)]
+    assert second.take() == [] and second.statistics().samples_received == 3
 
 
-def test_a_listener_that_closes_its_own_reader_ends_the_run_for_it(pair):
+def test_a_listener_that_closes_its_own_reader_does_so_after_the_run(pair):
     a, b, _ = pair
     (writer,), (first, second) = _matched(a, b)
     first.listener = lambda r: r.close()
     for n in range(3):
         writer.write({"n": n})
     _spin(b)
-    assert first.statistics().samples_accepted == 1
+    assert first.closed and first.statistics().samples_accepted == 3
     assert _values(second) == [(0,), (1,), (2,)]
+    writer.write({"n": 3})
+    _spin(b)
+    assert first.statistics().samples_accepted == 3
+    assert _values(second) == [(3,)]
 
 
 def test_a_malformed_payload_mid_run_is_counted_per_reader(pair, monkeypatch):
