@@ -8,23 +8,27 @@ your own loop, or ``start()`` a background thread that does both.
 Application calls are serialized with the dispatch context by one
 lock, shared by every participant of the process, so entities may be
 used from any thread and there is no lock order to get wrong. No
-listener runs under that lock. The arrival pipeline only marks a reader
-that accepted a sample ready, in an ordered set of its participant
-(``_ready``). The call that delivered (``spin_once``, a write to a
-reader on the writer's own participant, or a ``create_datareader``
-whose durable replay reached the new reader) takes the set before it
-releases the lock (``_take_ready``), then calls each ready reader's
-listener once, in the order the readers became ready, on its own thread
-(``reader.call_listeners``); a reader closed before its turn is
-skipped. So DATA_AVAILABLE is reported once per delivering call, as DDS
-allows for a status (OMG DDS 1.4, 2.2.4), and a KEEP_LAST reader's
-listener sees only the newest samples of each instance the call
-brought. A listener may call any entity of any participant, and its
+listener runs under that lock. The arrival pipeline only reports what
+it accepted, and a reader with a listener that accepted a sample is
+marked ready, in an ordered set of its participant (``_ready``). The
+call that delivered (``spin_once``, a write to a reader on the writer's
+own participant, or a ``create_datareader`` whose durable replay reached
+the new reader) takes the set before it releases the lock, also when it
+raises, then calls each ready reader's listener once, in the order the
+readers became ready, on its own thread (``_call_listeners``); a reader
+closed before its turn is skipped. So DATA_AVAILABLE is reported once
+per delivering call, as DDS allows for a status (OMG DDS 1.4, 2.2.4).
+One exception keeps a KEEP_LAST reader's listener from losing a sample
+to the next of its instance before it has run: a spin pauses its batch
+(``_pending``) before a datagram of one DATA of an instance it already
+delivered to such a reader, and calls the listeners first. A datagram
+of several DATA, or a run a repair releases at once, still reaches a
+listener as one. A listener is never entered again while it runs, on
+this thread or another: a delivery meanwhile makes the call running it
+call it once more. It may call any entity of any participant, and its
 blocked write waits as the same write from an application thread does,
-or, on its participant's pump thread, drives the protocol inline. A
-reader's listener can run on two threads at once only if the
-application writes to a local reader while another thread spins the
-same participant.
+or, on the thread that spins its participant, drives the protocol
+inline, going on with a paused batch first.
 
 A submessage for a reader on this participant is encoded as for any
 other participant and received as a batch of one (``_receive``): DATA,
@@ -72,15 +76,15 @@ readers not matched are not visited; an addressed DATA or DIRECT picks
 its reader out of it. A run goes through each reader's arrival pipeline
 in one call, one reader after another (``_deliver``), and that reader's
 session takes the whole run in one call too (``on_run``). No listener
-runs during the dispatch, so no reader is closed in it; an entry is
-replaced only where a reader gains or loses a match with that writer,
-and a run is delivered before any datagram that could change one is
-dispatched. The readers of one DATA share one pair ``(sample, info)``,
-its deserialized sample and its ``SampleInfo``, all immutable, and each
-caches and hands out that very pair: an endpoint takes only a ``Topic``
-of this participant's ``create_topic``, so the readers of one writer
-share one type. Each keeps its own session, ownership, time-filter and
-source-order state.
+runs during a run's dispatch, so no reader is closed in it, and a run
+ends at a pause; an entry is replaced only where a reader gains or
+loses a match with that writer, and a run is delivered before any
+datagram that could change one is dispatched. The readers of one DATA
+share one pair ``(sample, info)``, its deserialized sample and its
+``SampleInfo``, all immutable, and each caches and hands out that very
+pair: an endpoint takes only a ``Topic`` of this participant's
+``create_topic``, so the readers of one writer share one type. Each
+keeps its own session, ownership, time-filter and source-order state.
 
 Each DATA's bytes are held once. A run's payload slot holds the
 one-DATA datagram itself, and the first reader to accept the DATA
@@ -102,9 +106,11 @@ arrived, and each of them is dispatched with that one stamp (the
 ``arrival_timestamp_ns`` of its samples, the time of its ACKNACKs and
 announces), even if the clock moves before the last one is dispatched.
 A send to this participant's own readers reads the clock when it is
-sent. Announces, timeouts and the writers' timers then read the clock
-again, after the batch, and before any listener runs: a listener that
-stalls delays the next spin, whose drain comes before its timeouts.
+sent. Announces and the writers' timers then read the clock again,
+after the batch; a peer's silence is judged as of the drain, when every
+datagram it had sent was in the batch. So a listener that stalls, in
+the middle of a batch or after it, is not taken for a peer's silence:
+the next spin first drains the announces that arrived meanwhile.
 
 Pairing stays within a topic, through a table of local endpoints by
 topic and kind, and discovery's table of remote ones
@@ -137,6 +143,7 @@ from __future__ import annotations
 
 import logging
 import threading
+import time
 from typing import Iterable, Mapping, Optional, Union
 
 from minidds import idl, qos
@@ -147,7 +154,7 @@ from minidds.dcps.guid import Guid, fresh_prefix
 from minidds.dcps.history import SampleInfo
 from minidds.dcps.matching import (EndpointDescriptor, EndpointType, NoMatch, RxoQos,
                                    match_endpoints)
-from minidds.dcps.reader import DataReader, call_listeners
+from minidds.dcps.reader import DataReader
 from minidds.dcps.writer import DataWriter
 from minidds.rtps import wire
 from minidds.rtps.discovery import ANNOUNCE_PERIOD_NS, Discovery
@@ -157,6 +164,13 @@ from minidds.rtps.transport import TransportError, UdpTransport
 log = logging.getLogger(__name__)
 
 MAX_BLOCKING_TIME_NS = 100_000_000
+
+# A listener that runs longer than this draws a warning. A listener runs
+# with the lock released, so it stalls no other thread; but it runs on the
+# thread that delivered, so a slow one delays that thread's next step: the
+# rest of its spin (and the announces and acks after it), or the write
+# that delivered to it.
+_LISTENER_BUDGET_S = 0.1
 
 _WRITER_KINDS = frozenset({qos.EntityKind.DATA_WRITER, qos.EntityKind.PUBLISHER})
 _READER_KINDS = frozenset({qos.EntityKind.DATA_READER, qos.EntityKind.SUBSCRIBER})
@@ -221,9 +235,16 @@ class DomainParticipant:
         # by entity id in creation order; only topics with endpoints.
         self._on_topic: dict[tuple[str, EndpointType], dict[int, object]] = {}
         self._matched: dict[Guid, tuple] = {}  # writer -> (reader, session) pairs
-        # Readers that accepted a sample in the delivery under way, in the
-        # order they became ready; the call that delivered takes them.
+        # Readers with a listener that accepted a sample in the delivery
+        # under way, in the order they became ready. Every call that
+        # delivers takes them before it releases the lock, also when it
+        # raises, so each calls exactly the listeners its own delivery made
+        # ready, and the set is empty whenever the lock is free.
         self._ready: dict[DataReader, None] = {}
+        # The drained batch a spin paused to call listeners with the lock
+        # released: [batch, index of the next datagram, arrival stamp, wall
+        # stamp, HEARTBEATs to answer once the batch is delivered].
+        self._pending: Optional[list] = None
         self._entity_counter = 0
         self._lock = _LOCK
         self._spun = _SPUN
@@ -322,10 +343,12 @@ class DomainParticipant:
             reader = DataReader(self, topic, profile, descriptor)
             reader.listener = listener
             self._readers[guid.entity_id] = reader
-            self._introduce(reader)
-            # A local durable writer's replay may have made it ready.
-            ready = self._take_ready()
-        call_listeners(ready)
+            try:
+                self._introduce(reader)
+            finally:
+                # A local durable writer's replay may have made it ready.
+                ready, self._ready = self._ready, {}
+        self._call_listeners(ready)
         return reader
 
     def _local_on(self, topic_name: str, kind: EndpointType) -> list:
@@ -418,51 +441,122 @@ class DomainParticipant:
     # datagram pump
 
     def spin_once(self) -> int:
-        """One protocol iteration; returns the number of datagrams handled.
-        The listeners of the readers it delivered to are called at its
-        end, with the lock released."""
+        """One protocol iteration: deliver the drained batch, then answer
+        its HEARTBEATs, announce, check timeouts and run the writers'
+        timers, and call the listeners of the readers it made ready, with
+        the lock released. Returns the number of datagrams delivered. Where
+        ``_receive`` stops early, the rest of the batch waits in
+        ``_pending`` while the listeners so far are called; a spin started
+        meanwhile, by a listener's blocked write, goes on with it."""
+        delivered, drain = 0, True
+        while True:
+            with self._lock:
+                try:
+                    pending, self._pending = self._pending, None  # dropped if it raises
+                    if pending is None and drain:
+                        # Every datagram of the batch had arrived by the drain: one stamp.
+                        pending = [self.transport.drain(), 0, self.clock.monotonic_ns(),
+                                   self.clock.wall_ns(), []]
+                    drain = False
+                    if pending is not None:
+                        batch, start, arrived, arrived_wall, heartbeats = pending
+                        pending[1] = self._receive(batch, arrived, arrived_wall, start,
+                                                   heartbeats)
+                        delivered += pending[1] - start
+                        if pending[1] < len(batch):
+                            self._pending = pending
+                        else:
+                            self._protocol_work(arrived)
+                            pending = None
+                finally:
+                    ready, self._ready = self._ready, {}
+            self._call_listeners(ready)
+            if pending is None:
+                return delivered
+
+    def _protocol_work(self, arrived: int) -> None:
+        """The end of a spin, once its batch is delivered: announce, drop
+        peers silent past the timeout as of the drain (``arrived``), so a
+        listener that stalled the spin is not taken for their silence, and
+        run the writers' timers."""
+        now = self.clock.monotonic_ns()
+        if not self.closed and self.discovery.announce_due(now):
+            self._send_announce(self._announce_destinations())
+            self.discovery.mark_announced(now)
+        for guid in self.discovery.check_timeouts(arrived):
+            self._unmatch(guid)
+        now_wall = self.clock.wall_ns()
+        for writer in list(self._writers.values()):
+            writer.history.expire(now_wall)
+            self._route(writer.session.step(now))
+        self._spun.notify_all()
+
+    def _call_listeners(self, ready: Iterable[DataReader]) -> None:
+        """With the lock released, call each ready reader's listener, in
+        order, on this thread; a reader closed, or whose listener was
+        removed, before its turn is skipped. A listener already running,
+        further up this thread or on another thread, is not entered again:
+        the call running it calls it once more when it returns, as it does
+        every listener that a delivery made ready again while it ran."""
+        if not ready:
+            return
         with self._lock:
-            batch = self.transport.drain()
-            processed = len(batch)
-            # Every datagram of the batch had arrived by the drain: one stamp.
-            self._receive(batch, self.clock.monotonic_ns(), self.clock.wall_ns())
-            now = self.clock.monotonic_ns()
-            if not self.closed and self.discovery.announce_due(now):
-                self._send_announce(self._announce_destinations())
-                self.discovery.mark_announced(now)
-            for guid in self.discovery.check_timeouts(now):
-                self._unmatch(guid)
-            now_wall = self.clock.wall_ns()
-            for writer in list(self._writers.values()):
-                writer.history.expire(now_wall)
-                self._route(writer.session.step(now))
-            self._spun.notify_all()
-            ready = self._take_ready()
-        call_listeners(ready)
-        return processed
+            claimed = []
+            for reader in ready:
+                if reader._rerun is None:
+                    reader._rerun = False
+                    claimed.append(reader)
+                else:
+                    reader._rerun = True
+        try:
+            while claimed:
+                for reader in claimed:
+                    listener = reader.listener
+                    if listener is None or reader.closed:
+                        continue
+                    began = time.monotonic()
+                    try:
+                        listener(reader)
+                    except Exception:
+                        log.exception("reader listener raised")
+                    if __debug__ and time.monotonic() - began > _LISTENER_BUDGET_S:
+                        log.warning("reader listener ran for %.0f ms",
+                                    (time.monotonic() - began) * 1e3)
+                with self._lock:
+                    again = [r for r in claimed if r._rerun]
+                    for reader in claimed:
+                        reader._rerun = False if reader._rerun else None
+                claimed = again
+        except BaseException:
+            for reader in claimed:
+                reader._rerun = None
+            raise
 
-    def _take_ready(self) -> dict:
-        """Under the lock: the readers the current call made ready, in the
-        order they became ready. Every call that delivers takes them before
-        it releases the lock, so each call calls exactly the listeners its
-        own delivery made ready."""
-        ready, self._ready = self._ready, {}
-        return ready
-
-    def _receive(self, batch: list, arrived: int, arrived_wall: int) -> None:
-        """Hand a batch of ``(datagram, source)`` pairs to the endpoints
-        they concern, as arrived at ``arrived`` (monotonic) and
-        ``arrived_wall``, then answer the batch's HEARTBEATs."""
+    def _receive(self, batch: list, arrived: int, arrived_wall: int, start: int = 0,
+                 heartbeats: Optional[list] = None) -> int:
+        """Hand the ``(datagram, source)`` pairs of a batch, from index
+        ``start`` on, to the endpoints they concern, as arrived at
+        ``arrived`` (monotonic) and ``arrived_wall``; the batch's HEARTBEATs
+        are gathered in ``heartbeats`` (of the calls that delivered it
+        before) and answered once it is all delivered. The call stops
+        before a datagram of one DATA of an instance it already delivered
+        to a KEEP_LAST reader with a listener, so that listener is called
+        before the DATA can replace one it has not seen. Returns the index
+        of the first datagram not delivered, ``len(batch)`` once all are."""
         read_data = wire.read_data_message
         # The run being read: its key (writer entity id, sender prefix and
         # reader entity id, the first None while no run is open), matched
         # pairs, SampleInfos and payload slots.
         run_writer = run_prefix = run_reader = pairs = writer_guid = None
+        listening = False  # a KEEP_LAST reader with a listener is in pairs
         infos: list = []
         slots: list = []
-        # The batch's HEARTBEATs, answered once it is all delivered.
-        heartbeats: list = []
-        for i, (data, source) in enumerate(batch):
+        delivered: set = set()  # instances given to such a reader
+        if heartbeats is None:
+            heartbeats = []
+        stop = len(batch)
+        for i in range(start, stop):
+            data, source = batch[i]
             batch[i] = None  # the batch lets go of each datagram once read
             head = read_data(data)
             if head is not None:
@@ -476,7 +570,17 @@ class DomainParticipant:
                     pairs = self._pairs_for(prefix, writer_eid, reader_eid)
                     if pairs:
                         writer_guid = pairs[0][1].writer_guid
+                        listening = stop - start > 1 and any(
+                            r.listener is not None
+                            and r.history.history.kind is qos.HistoryKind.KEEP_LAST
+                            for r, _ in pairs)
                 if pairs:
+                    if listening:
+                        if handle in delivered:
+                            batch[i] = (data, source)  # the next call's first
+                            stop = i
+                            break
+                        delivered.add(handle)
                     infos.append(_tuple_new(SampleInfo, (writer_guid, seq, stamp,
                                                          arrived, handle)))
                     slots.append(data)
@@ -499,8 +603,10 @@ class DomainParticipant:
                            arrived, arrived_wall, heartbeats)
         if infos:
             self._deliver(pairs, infos, slots, arrived_wall)
-        for prefix, reader_eid, heartbeat in heartbeats:
-            self._control(prefix, reader_eid, heartbeat, arrived, arrived_wall)
+        if stop == len(batch):
+            for prefix, reader_eid, heartbeat in heartbeats:
+                self._control(prefix, reader_eid, heartbeat, arrived, arrived_wall)
+        return stop
 
     def _announce_destinations(self) -> list:
         destinations = self.discovery.destinations()
@@ -578,7 +684,9 @@ class DomainParticipant:
         """Hand a HEARTBEAT or GAP to each reader it concerns, and send each
         ACKNACK it draws."""
         for reader, session in self._pairs_for(prefix, sub.writer_entity_id, reader_eid):
-            ack = reader._handle_control(session, sub, now, now_wall)
+            ack, accepted = reader._handle_control(session, sub, now, now_wall)
+            if accepted and reader.listener is not None:
+                self._ready[reader] = None
             if ack is not None:
                 self._send(ack, ack.writer_guid.prefix)
 
@@ -596,9 +704,12 @@ class DomainParticipant:
         one after another in creation order. The readers, all of one
         ``Topic`` and so of one type, share one slot per DATA, which holds
         the DATA's one-DATA message until the first of them replaces it by
-        the pair ``(sample, info)`` they all cache."""
+        the pair ``(sample, info)`` they all cache. A reader with a listener
+        that accepted a sample is marked ready."""
         for reader, session in pairs:
-            reader._handle_data(session, infos, slots, now_wall)
+            if (reader._handle_data(session, infos, slots, now_wall)
+                    and reader.listener is not None):
+                self._ready[reader] = None
 
     # ------------------------------------------------------------------
     # outbound routing
@@ -626,20 +737,23 @@ class DomainParticipant:
         participant's matched readers as a received batch of one, as
         ``_send`` does, then to every other matched reader's address.
         The plan is built again only when a match change reset it or the
-        discovery epoch moved. Returns the readers the write made ready
-        (``_take_ready``)."""
+        discovery epoch moved. Returns the readers the write made ready,
+        taken from ``_ready``."""
         plan = writer._send_plan
         if plan is None or plan[0] != self.discovery.epoch:
             plan = self._plan(writer)
         _, local, addresses = plan
         if local:
-            self._receive([(message, None)], self.clock.monotonic_ns(),
-                          self.clock.wall_ns())
+            try:
+                self._receive([(message, None)], self.clock.monotonic_ns(),
+                              self.clock.wall_ns())
+            finally:
+                ready, self._ready = self._ready, {}
         if addresses:
             send = self.transport.send
             for address in addresses:
                 send(message, address)
-        return self._take_ready() if local else ()
+        return ready if local else ()
 
     def _route(self, directed: list[Directed]) -> None:
         """Send each of a writer's submessages to the one reader it names;

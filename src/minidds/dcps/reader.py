@@ -17,20 +17,17 @@ are counted per run and added to the statistics at its end. A DATA that
 waits when its writer unmatches is never handed on, and counts in
 ``samples_lost``.
 
-The pipeline calls no listener: a reader that accepted a sample is
-marked ready on its participant, which calls each ready reader's
-listener once, after the call that delivered has released the lock
-(``call_listeners``). So a listener reads the statistics and the cache
-as of the whole delivery.
+The pipeline calls no listener: it reports how many samples it
+accepted, and the participant calls the listener once the call that
+delivered them has released the lock. So a listener reads the
+statistics and the cache as of all that call delivered.
 """
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from minidds import idl, qos
 from minidds.dcps.guid import Guid
@@ -39,35 +36,7 @@ from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
 from minidds.rtps import wire
 from minidds.rtps.reliability import BestEffortReaderSession, ReliableReaderSession
 
-log = logging.getLogger(__name__)
-
-# A listener that runs longer than this draws a warning. A listener runs
-# with the lock released, so it stalls no other thread; but it runs on the
-# thread that delivered, so a slow one delays that thread's next step: its
-# participant's next spin (announces and acks too), or the write that
-# delivered to it.
-_LISTENER_BUDGET_S = 0.1
-
 ReaderSession = ReliableReaderSession | BestEffortReaderSession
-
-
-def call_listeners(ready: Iterable["DataReader"]) -> None:
-    """Call each ready reader's listener once, in order, on this thread;
-    the participant calls it with the lock released, once the call that
-    delivered has taken the readers it made ready. A reader closed, or
-    whose listener was removed, before its turn is skipped."""
-    for reader in ready:
-        listener = reader.listener
-        if listener is None or reader.closed:
-            continue
-        began = time.monotonic()
-        try:
-            listener(reader)
-        except Exception:
-            log.exception("reader listener raised")
-        if __debug__ and time.monotonic() - began > _LISTENER_BUDGET_S:
-            log.warning("reader listener ran for %.0f ms",
-                        (time.monotonic() - began) * 1e3)
 
 
 @dataclass
@@ -111,6 +80,9 @@ class DataReader(Endpoint):
         self._activity: dict[int, dict[Guid, int]] = {}
         self.stats = ReaderStats()
         self.listener: Optional[Callable[["DataReader"], None]] = None
+        # None while the listener is not running; while it runs, whether a
+        # delivery made the reader ready again, so it runs once more.
+        self._rerun: Optional[bool] = None
 
     # -- matching (driven by the participant) -------------------------
 
@@ -140,7 +112,7 @@ class DataReader(Endpoint):
     # -- arrival pipeline ---------------------------------------------
 
     def _handle_data(self, session: ReaderSession, infos: list[SampleInfo],
-                     slots: list, now_wall_ns: int) -> None:
+                     slots: list, now_wall_ns: int) -> int:
         """Take a run of DATA from the session's writer: every DATA arrives
         this way; one alone in its received batch (a send to this
         participant's own readers, say), or one among other submessages,
@@ -155,27 +127,28 @@ class DataReader(Endpoint):
         that DATA replaces it by the pair ``(sample, info)``, or by None
         for a malformed payload, so each payload is deserialized once per
         participant, in place, held or not, and the readers of one
-        participant cache and hand out the very same pair."""
+        participant cache and hand out the very same pair. Returns how
+        many samples the cache accepted."""
         entries = session.on_run(infos, slots)
         if entries is None:
             entries = zip(infos, repeat(slots), range(len(infos)))
         # One per run: runs are read per drain.
-        self._admit(session, entries, infos[0].arrival_timestamp_ns, now_wall_ns)
+        return self._admit(session, entries, infos[0].arrival_timestamp_ns, now_wall_ns)
 
     def _handle_control(self, session: ReaderSession, sub, now: int,
-                        now_wall_ns: int) -> Optional[wire.AckNack]:
+                        now_wall_ns: int) -> tuple[Optional[wire.AckNack], int]:
         """Take a HEARTBEAT or GAP from the session's writer; what it
         releases goes through the pipeline at once. Returns the ACKNACK
-        to send, if any."""
+        to send, if any, and how many samples the cache accepted."""
         ack = session.on_gap(sub) if type(sub) is wire.Gap else session.on_heartbeat(sub)
         released = session.released
-        if released:
-            session.released = []
-            self._admit(session, released, now, now_wall_ns)
-        return ack
+        if not released:
+            return ack, 0
+        session.released = []
+        return ack, self._admit(session, released, now, now_wall_ns)
 
     def _admit(self, session: ReaderSession, entries, now: int,
-               now_wall_ns: int) -> None:
+               now_wall_ns: int) -> int:
         """The arrival pipeline: run what the session hands on through it,
         in order. Each entry is ``(info, slots, index)`` for a DATA, or
         ``NOT_NEW`` for a duplicate. Every DATA runs the same gauntlet: decoding,
@@ -186,8 +159,8 @@ class DataReader(Endpoint):
         reader inserts that pair as it is, held behind a hole meanwhile or
         not. The pipeline's state and bound methods are looked up once
         per call, and its four per-sample counters are kept in locals and
-        added to ``stats`` at the end. A reader with a listener that
-        accepted a sample is then marked ready on its participant."""
+        added to ``stats`` at the end. Returns how many samples the cache
+        accepted."""
         stats = self.stats
         deserialize = idl.deserialize
         payload_start = wire.DATA_PAYLOAD_START
@@ -264,8 +237,7 @@ class DataReader(Endpoint):
         stats.duplicates_discarded += duplicates
         stats.samples_accepted += accepted
         stats.evicted_by_history += evicted
-        if accepted and self.listener is not None:
-            self.participant._ready[self] = None
+        return accepted
 
     def _arbitrate(self, activity: dict[Guid, int], arriving: Guid, now_ns: int) -> bool:
         """Whether the arriving writer currently owns the instance, given

@@ -5,8 +5,9 @@ One that delivers to a reader on its own participant calls that reader's
 listener after releasing it, before it returns. A write that finds a
 full RELIABLE KEEP_ALL cache waits for acks: on another thread's pump,
 or, when the participant has no pump or this is its pump thread (a
-listener), by spinning the participant inline. A listener's write is
-no different from an application thread's.
+listener), by spinning the participant inline; that spin goes on with a
+batch a spin paused, and does not enter a listener that is running. A
+listener's write is no different from an application thread's.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from minidds.dcps.errors import SampleTooLargeError
 from minidds.dcps.guid import Guid
 from minidds.dcps.history import ResourceLimitsError, WriterHistory
 from minidds.dcps.matching import Endpoint, EndpointDescriptor, MatchRecord
-from minidds.dcps.reader import call_listeners
 from minidds.rtps import wire
 from minidds.rtps.reliability import WriterSession
 
@@ -174,7 +174,7 @@ class DataWriter(Endpoint):
                 raise ResourceLimitsError(
                     "write blocked on a full keep-all history with no drain in sight")
         if ready:
-            call_listeners(ready)
+            participant._call_listeners(ready)
         return sequence
 
     # -- introspection ------------------------------------------------

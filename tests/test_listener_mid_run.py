@@ -1,15 +1,18 @@
-"""A listener and the run it follows: the reader's counters as it reads
-them at its one call, and what closing the reader or unmatching the
-writer from it does.
+"""A listener and the datagrams of one drain: the reader's counters as
+it reads them at each call, and what closing the reader or unmatching
+the writer from it does to the DATA still to come.
 
-B drains one run of eight one-DATA datagrams sent under A's writer:
-sequence 1 twice, 2, a malformed 3, then 4 to 7. The whole run goes
-through the reader's pipeline before the listener is called, once, at
-the end of the spin: it reads ``statistics()`` as of the whole run and
-finds every good sample cached. It then closes its reader (or has B
-unmatch the writer, as discovery does when the writer leaves), which
-keeps what the run delivered and stops what comes after: a further DATA
-from the writer is neither counted nor cached, and calls no listener.
+B drains eight one-DATA datagrams sent under A's writer: sequence 1
+twice, 2, a malformed 3, then 4 to 7, all of one instance. A KEEP_ALL
+reader takes them as one run, and its listener is called once, at the
+end of the spin: it reads ``statistics()`` as of the whole run and finds
+every good sample cached. A KEEP_LAST reader could lose a sample to the
+next one of its instance, so the spin calls its listener, with the lock
+released, before each DATA of an instance already delivered to it:
+after 1, 2 and 4 (a duplicate or malformed DATA makes no call). At its
+last call the listener closes its reader (or has B unmatch the writer,
+as discovery does when the writer leaves): the DATA not yet delivered,
+and a later one, are neither counted nor cached, and call no listener.
 """
 
 import pytest
@@ -22,10 +25,10 @@ from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
-KINDS = {"reliable": [qos.Reliability(qos.ReliabilityKind.RELIABLE),
-                      qos.History(qos.HistoryKind.KEEP_ALL)],
-         "best-effort": [qos.Reliability(qos.ReliabilityKind.BEST_EFFORT),
-                         qos.History(qos.HistoryKind.KEEP_ALL)]}
+KINDS = {"reliable": qos.Reliability(qos.ReliabilityKind.RELIABLE),
+         "best-effort": qos.Reliability(qos.ReliabilityKind.BEST_EFFORT)}
+HISTORIES = {"keep-all": qos.History(qos.HistoryKind.KEEP_ALL),
+             "keep-last": qos.History(qos.HistoryKind.KEEP_LAST, 8)}
 RUN = (1, 1, 2, 3, 4, 5, 6, 7)
 MALFORMED = 3
 
@@ -36,13 +39,17 @@ def _stats(received, duplicates, accepted, seen):
                        sequences_seen=seen)
 
 
-# What the listener reads at its one call, and what the reader reports
-# after the spin and after a further DATA.
-AT_CALL = _stats(7, 1, 6, 7)
-CACHED = [(1,), (2,), (4,), (5,), (6,), (7,)]
+# Per history: what the listener reads at each call, the last of which
+# ends the delivery, and what the reader caches.
+EXPECTED = {
+    "keep-all": ([_stats(7, 1, 6, 7)], [(1,), (2,), (4,), (5,), (6,), (7,)]),
+    "keep-last": ([_stats(1, 0, 1, 1), _stats(2, 1, 2, 2), _stats(4, 1, 3, 4)],
+                  [(1,), (2,), (4,)]),
+}
 
 
-@pytest.fixture(params=sorted(KINDS))
+@pytest.fixture(params=[(k, h) for k in sorted(KINDS) for h in sorted(HISTORIES)],
+                ids="-".join)
 def run_setup(request):
     """A's writer matched with one reader on B, and a rogue address that
     sends B datagrams under A's prefix."""
@@ -50,7 +57,8 @@ def run_setup(request):
     clock = ManualClock(1_000_000_000)
     a = DomainParticipant(0, transport=net.attach("A"), clock=clock, static_peers=("B",))
     b = DomainParticipant(0, transport=net.attach("B"), clock=clock)
-    policies = KINDS[request.param]
+    kind, history = request.param
+    policies = [KINDS[kind], HISTORIES[history]]
     writer = a.create_datawriter(a.create_topic("t", COUNTER), policies)
     reader = b.create_datareader(b.create_topic("t", COUNTER), policies)
     for participant in (a, b, a, b):
@@ -66,39 +74,37 @@ def run_setup(request):
 
     for seq in RUN:
         send(seq)
-    yield b, writer, reader, send
+    yield b, writer, reader, send, EXPECTED[history]
     a.close()
     b.close()
 
 
-def _listen(reader, end_delivery):
+def _check(b, reader, send, expected, end_delivery):
+    at_calls, cached = expected
     read = []
 
     def listener(r):
         read.append(r.statistics())
-        end_delivery()
+        if len(read) == len(at_calls):
+            end_delivery()
 
     reader.listener = listener
-    return read
-
-
-def _check(b, reader, read, send):
     assert b.spin_once() == len(RUN)
-    assert read == [AT_CALL]
-    assert reader.statistics() == AT_CALL
+    assert read == at_calls
+    assert reader.statistics() == at_calls[-1]
     send(len(RUN))  # sequence 8
     assert b.spin_once() == 1
-    assert read == [AT_CALL]
-    assert reader.statistics() == AT_CALL
-    assert [s.values for s, _ in reader.take()] == CACHED
+    assert read == at_calls
+    assert reader.statistics() == at_calls[-1]
+    assert [s.values for s, _ in reader.take()] == cached
 
 
-def test_closing_the_reader_from_its_listener_after_the_run(run_setup):
-    b, _, reader, send = run_setup
-    _check(b, reader, _listen(reader, reader.close), send)
+def test_closing_the_reader_from_its_listener(run_setup):
+    b, _, reader, send, expected = run_setup
+    _check(b, reader, send, expected, reader.close)
 
 
-def test_unmatching_the_writer_from_the_listener_after_the_run(run_setup):
-    b, writer, reader, send = run_setup
-    _check(b, reader, _listen(reader, lambda: b._unmatch(writer.guid)), send)
+def test_unmatching_the_writer_from_its_listener(run_setup):
+    b, writer, reader, send, expected = run_setup
+    _check(b, reader, send, expected, lambda: b._unmatch(writer.guid))
     assert reader.matched_writers() == []

@@ -2,9 +2,10 @@
 and a reader's listener runs after the call that delivered to it has
 released that lock. So a gateway whose listeners write on each other's
 participants cannot deadlock, a listener's write takes the path the same
-write from an application thread takes, and ``close()`` from a listener
-waits for another participant's pump, which the lock no longer holds
-up, but not for its own. A closed participant refuses ``start()``."""
+write from an application thread takes, a listener is not entered again
+while it runs, and ``close()`` from a listener waits for another
+participant's pump, which the lock no longer holds up, but not for its
+own. A closed participant refuses ``start()``."""
 
 import sys
 import threading
@@ -202,6 +203,52 @@ def test_a_listener_write_on_its_own_pump_thread_spins_until_acked():
     finally:
         a.close()
         b.close()
+
+
+def test_a_listener_is_not_entered_again_while_it_runs():
+    """B's listener forwards each sample it takes to a one-slot keep-all
+    writer, whose blocked write spins B inline on B's pump thread while A's
+    application thread keeps writing. The DATA that spin delivers does not
+    call the running listener again; it runs once more when it returns,
+    and every sample is forwarded once, in order."""
+    count = 20
+    net = InProcNetwork()
+    a, b = _peers(net, 0, "A", "B", heartbeat_period_ns=5 * MS,
+                  max_blocking_time_ns=5_000 * MS)
+    try:
+        source = a.create_datawriter(a.create_topic("in", COUNTER), RELIABLE)
+        sink = a.create_datareader(a.create_topic("out", COUNTER), RELIABLE)
+        forward = b.create_datawriter(
+            b.create_topic("out", COUNTER),
+            RELIABLE + [qos.ResourceLimits(max_samples=1, max_samples_per_instance=1)])
+        depth, deepest = [0], [0]
+
+        def listener(reader):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            for sample, _ in reader.take():
+                forward.write(sample)
+            depth[0] -= 1
+
+        b.create_datareader(b.create_topic("in", COUNTER), RELIABLE, listener=listener)
+        a.start(poll_interval_s=0.001)
+        b.start(poll_interval_s=0.001)
+        assert _within(lambda: source.matched_readers() and forward.matched_readers(), 5.0)
+        for n in range(count):  # spaced, so some arrive while a write waits
+            source.write({"n": n})
+            time.sleep(0.002)
+        got = []
+
+        def forwarded():
+            got.extend(s.values[0] for s, _ in sink.take())
+            return len(got) >= count
+
+        assert _within(forwarded, 10.0), got
+    finally:
+        a.close()
+        b.close()
+    assert got == list(range(count))
+    assert deepest == [1]
 
 
 def test_a_listener_closes_another_started_participant_at_once():

@@ -3,8 +3,10 @@ only marks a reader ready; the call that delivered (``spin_once``, a
 write to a reader on the writer's own participant, or a reader's
 creation that a local durable writer replays to) calls each ready
 reader's listener once, in the order the readers became ready, on its
-own thread, once it has released the lock. A reader closed before its
-turn is not called.
+own thread, once it has released the lock. A spin pauses for them
+before a DATA that could replace a sample a KEEP_LAST reader's listener
+has not seen. A reader closed before its turn is not called, and a
+failed spin calls no listener.
 
 Every case runs on ``InProcNetwork`` and a ``ManualClock``."""
 
@@ -15,10 +17,12 @@ import pytest
 from minidds import idl, qos
 from minidds.clock import ManualClock
 from minidds.dcps.participant import DomainParticipant
+from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
 MS = 1_000_000
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
+KEYED = idl.parse_idl("struct Keyed { long k; //@key\n long n; };")[0]
 RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
             qos.History(qos.HistoryKind.KEEP_ALL)]
 
@@ -26,15 +30,25 @@ RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
 @pytest.fixture
 def pair():
     """Participants A and B, each the static peer of the other, on one
-    manual clock, with a 10 ms announce period."""
+    manual clock, with a 10 ms announce period, and a rogue address that
+    sends B datagrams under A's prefix."""
     net = InProcNetwork()
     clock = ManualClock(1_000_000_000)
     a, b = (DomainParticipant(0, transport=net.attach(name), clock=clock,
                               static_peers=(other,), announce_period_ns=10 * MS)
             for name, other in (("A", "B"), ("B", "A")))
-    yield a, b, clock
+    rogue = net.attach("rogue")
+    yield a, b, clock, lambda *subs: rogue.send(
+        wire.encode_message(wire.WireMessage(a.guid.prefix, subs)), "B")
     a.close()
     b.close()
+
+
+def _data(writer, seq, values):
+    """A DATA of ``writer`` with that sequence and those values."""
+    sample = idl.make_sample(writer.type, values)
+    return wire.Data(writer.guid.entity_id, 0, seq, 0, idl.key_hash(writer.type, sample),
+                     idl.serialize(writer.type, sample))
 
 
 def _matched(a, b, *topics):
@@ -65,7 +79,7 @@ def _lock_is_free(lock, timeout_s=1.0) -> bool:
 
 
 def test_a_listener_called_by_a_spin_holds_no_lock(pair):
-    a, b, _ = pair
+    a, b, *_ = pair
     (writer,), (reader,) = _matched(a, b, "t")
     free = []
     reader.listener = lambda r: free.append(_lock_is_free(b._lock))
@@ -75,7 +89,7 @@ def test_a_listener_called_by_a_spin_holds_no_lock(pair):
 
 
 def test_a_listener_called_by_a_local_write_holds_no_lock(pair):
-    a, _, _ = pair
+    a, *_ = pair
     free = []
     writer = a.create_datawriter(a.create_topic("t", COUNTER), RELIABLE)
     a.create_datareader(a.create_topic("t", COUNTER), RELIABLE,
@@ -88,7 +102,7 @@ def test_a_stalled_listener_does_not_drop_its_own_peer(pair):
     """B's listener stalls for four announce periods, on the clock. The
     spin that called it checked its peers' silence before it: A is kept,
     and after one announce from A the match and its session stay."""
-    a, b, clock = pair
+    a, b, clock, _ = pair
     (writer,), (reader,) = _matched(a, b, "t")
     session = reader._sessions[writer.guid]
     reader.listener = lambda r: clock.advance(4 * 10 * MS)
@@ -104,7 +118,7 @@ def test_a_stalled_listener_does_not_drop_its_own_peer(pair):
 
 
 def test_one_call_per_reader_per_delivering_call(pair):
-    a, b, _ = pair
+    a, b, *_ = pair
     (writer,), (first,) = _matched(a, b, "t")
     second = b.create_datareader(b.create_topic("t", COUNTER), RELIABLE)
     for participant in (a, b, a, b):
@@ -126,7 +140,7 @@ def test_one_call_per_reader_per_delivering_call(pair):
 def test_calls_follow_the_order_the_readers_became_ready(pair):
     """Readers x, y and z, created in that order, get DATA in the order
     y, x, y, z within one spin: y is called first, once."""
-    a, b, _ = pair
+    a, b, *_ = pair
     writers, readers = _matched(a, b, "x", "y", "z")
     calls = []
     for reader in readers:
@@ -139,7 +153,7 @@ def test_calls_follow_the_order_the_readers_became_ready(pair):
 
 
 def test_a_reader_closed_before_its_turn_is_not_called(pair):
-    a, b, _ = pair
+    a, b, *_ = pair
     writers, (first, second) = _matched(a, b, "x", "y")
     calls = []
 
@@ -156,26 +170,63 @@ def test_a_reader_closed_before_its_turn_is_not_called(pair):
     assert second.closed and len(second.take()) == 1
 
 
-def test_a_keep_last_reader_offers_its_listener_the_newest_of_a_spin(pair):
-    """Listeners are called once per spin, so a KEEP_LAST(1) reader's
-    listener takes the last of three samples one spin brought; the two
-    before it count as evicted."""
-    a, b, _ = pair
+def test_a_keep_last_reader_sees_each_sample_before_the_next_of_its_instance(pair):
+    """A spin calls a KEEP_LAST(1) reader's listener before it delivers a
+    DATA of an instance it already gave that reader: of four one-DATA
+    datagrams, of instances 1, 2, 1 and 1, the listener takes the first
+    two at one call, then each of the others, also when another datagram
+    came between. Three DATA of one instance in one datagram reach it at
+    one call: it takes the last, and the two before it count as
+    evicted."""
+    a, b, _, send = pair
     keep_last = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
                  qos.History(qos.HistoryKind.KEEP_LAST, 1)]
-    writer = a.create_datawriter(a.create_topic("t", COUNTER), keep_last)
+    writer = a.create_datawriter(a.create_topic("t", KEYED), keep_last)
     taken = []
     reader = b.create_datareader(
-        b.create_topic("t", COUNTER), keep_last,
-        listener=lambda r: taken.append([s.values[0] for s, _ in r.take()]))
+        b.create_topic("t", KEYED), keep_last,
+        listener=lambda r: taken.append([s.values[1] for s, _ in r.take()]))
     for participant in (a, b, a, b):
         participant.spin_once()
     assert reader.matched_writers() == [writer.guid]
-    for n in range(3):
-        writer.write({"n": n})
+    for n, k in enumerate((1, 2, 1, 1)):
+        writer.write({"k": k, "n": n})
+    assert b.spin_once() == 4
+    assert taken == [[0, 1], [2], [3]]
+    writer.write({"k": 1, "n": 4})
+    send(wire.Gap(writer.guid.entity_id, 1, 1))  # settled already: no effect
+    writer.write({"k": 1, "n": 5})
+    assert b.spin_once() == 3
+    assert taken[3:] == [[4], [5]]
+    assert reader.statistics().evicted_by_history == 0
+    send(*(_data(writer, seq, {"k": 1, "n": seq}) for seq in (7, 8, 9)))
     b.spin_once()
-    assert taken == [[2]]
+    assert taken[5:] == [[9]]
     assert reader.statistics().evicted_by_history == 2
+def test_a_spin_that_raises_calls_no_listener_and_leaves_nothing_ready(pair):
+    """A spin that fails after a DATA made a reader ready drops that
+    reader with its batch: neither that spin nor a later call of another
+    kind calls its listener, until a later DATA makes it ready again."""
+    a, b, _, _ = pair
+    (writer,), (reader,) = _matched(a, b, "t")
+    calls = []
+    reader.listener = lambda r: calls.append(len(r.take()))
+    writer.write({"n": 1})
+
+    def fail(_arrived):
+        raise RuntimeError("timer failed")
+
+    b._protocol_work = fail
+    with pytest.raises(RuntimeError, match="timer failed"):
+        b.spin_once()
+    del b._protocol_work
+    assert b._ready == {} and b._pending is None and calls == []
+    local = b.create_datawriter(b.create_topic("u", COUNTER), RELIABLE)
+    local.write({"n": 2})  # delivers to no reader
+    assert calls == []
+    assert b.spin_once() == 0 and calls == []
+    writer.write({"n": 3})  # the listener is called again, for both
+    assert b.spin_once() == 1 and calls == [2]
 
 
 def test_a_durable_replay_at_creation_calls_the_new_reader_once(pair):
@@ -184,7 +235,7 @@ def test_a_durable_replay_at_creation_calls_the_new_reader_once(pair):
     with the lock released, before ``create_datareader`` returns. A new
     writer has no history to replay, so creating one makes no reader
     ready."""
-    a, _, _ = pair
+    a, *_ = pair
     durable = RELIABLE + [qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)]
     writer = a.create_datawriter(a.create_topic("t", COUNTER), durable)
     for n in range(3):
