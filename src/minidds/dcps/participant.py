@@ -18,17 +18,16 @@ raises, then calls each ready reader's listener once, in the order the
 readers became ready, on its own thread (``_call_listeners``); a reader
 closed before its turn is skipped. So DATA_AVAILABLE is reported once
 per delivering call, as DDS allows for a status (OMG DDS 1.4, 2.2.4).
-One exception keeps a KEEP_LAST reader's listener from losing a sample
-to the next of its instance before it has run: a spin pauses its batch
-(``_pending``) before a datagram of one DATA of an instance it already
-delivered to such a reader, and calls the listeners first. A datagram
-of several DATA, or a run a repair releases at once, still reaches a
-listener as one. A listener is never entered again while it runs, on
-this thread or another: a delivery meanwhile makes the call running it
-call it once more. It may call any entity of any participant, and its
-blocked write waits as the same write from an application thread does,
-or, on the thread that spins its participant, drives the protocol
-inline, going on with a paused batch first.
+A KEEP_LAST reader with a listener holds back a DATA that could replace
+a sample its listener has not seen (``DataReader._admit``); once the
+listener returns, the call that ran it puts what waits through the
+reader's pipeline (``DataReader._resume``) and calls the listener again
+if the cache accepted anything. A listener is never entered again while
+it runs, on this thread or another: a delivery meanwhile makes the call
+running it call it once more. It may call any entity of any
+participant, and its blocked write waits as the same write from an
+application thread does, or, on the thread that spins its participant,
+drives the protocol inline.
 
 A submessage for a reader on this participant is encoded as for any
 other participant and received as a batch of one (``_receive``): DATA,
@@ -76,15 +75,15 @@ readers not matched are not visited; an addressed DATA or DIRECT picks
 its reader out of it. A run goes through each reader's arrival pipeline
 in one call, one reader after another (``_deliver``), and that reader's
 session takes the whole run in one call too (``on_run``). No listener
-runs during a run's dispatch, so no reader is closed in it, and a run
-ends at a pause; an entry is replaced only where a reader gains or
-loses a match with that writer, and a run is delivered before any
-datagram that could change one is dispatched. The readers of one DATA
-share one pair ``(sample, info)``, its deserialized sample and its
-``SampleInfo``, all immutable, and each caches and hands out that very
-pair: an endpoint takes only a ``Topic`` of this participant's
-``create_topic``, so the readers of one writer share one type. Each
-keeps its own session, ownership, time-filter and source-order state.
+runs during the dispatch, so no reader is closed in it; an entry is
+replaced only where a reader gains or loses a match with that writer,
+and a run is delivered before any datagram that could change one is
+dispatched. The readers of one DATA share one pair ``(sample, info)``,
+its deserialized sample and its ``SampleInfo``, all immutable, and each
+caches and hands out that very pair: an endpoint takes only a ``Topic``
+of this participant's ``create_topic``, so the readers of one writer
+share one type. Each keeps its own session, ownership, time-filter and
+source-order state.
 
 Each DATA's bytes are held once. A run's payload slot holds the
 one-DATA datagram itself, and the first reader to accept the DATA
@@ -108,9 +107,9 @@ announces), even if the clock moves before the last one is dispatched.
 A send to this participant's own readers reads the clock when it is
 sent. Announces and the writers' timers then read the clock again,
 after the batch; a peer's silence is judged as of the drain, when every
-datagram it had sent was in the batch. So a listener that stalls, in
-the middle of a batch or after it, is not taken for a peer's silence:
-the next spin first drains the announces that arrived meanwhile.
+datagram it had sent was in the batch. So a listener that stalls is
+not taken for a peer's silence: the next spin first drains the
+announces that arrived meanwhile.
 
 Pairing stays within a topic, through a table of local endpoints by
 topic and kind, and discovery's table of remote ones
@@ -167,9 +166,8 @@ MAX_BLOCKING_TIME_NS = 100_000_000
 
 # A listener that runs longer than this draws a warning. A listener runs
 # with the lock released, so it stalls no other thread; but it runs on the
-# thread that delivered, so a slow one delays that thread's next step: the
-# rest of its spin (and the announces and acks after it), or the write
-# that delivered to it.
+# thread that delivered, so a slow one delays that thread's next step: its
+# next spin, or the return of the write that delivered to it.
 _LISTENER_BUDGET_S = 0.1
 
 _WRITER_KINDS = frozenset({qos.EntityKind.DATA_WRITER, qos.EntityKind.PUBLISHER})
@@ -241,10 +239,6 @@ class DomainParticipant:
         # raises, so each calls exactly the listeners its own delivery made
         # ready, and the set is empty whenever the lock is free.
         self._ready: dict[DataReader, None] = {}
-        # The drained batch a spin paused to call listeners with the lock
-        # released: [batch, index of the next datagram, arrival stamp, wall
-        # stamp, HEARTBEATs to answer once the batch is delivered].
-        self._pending: Optional[list] = None
         self._entity_counter = 0
         self._lock = _LOCK
         self._spun = _SPUN
@@ -444,41 +438,25 @@ class DomainParticipant:
         """One protocol iteration: deliver the drained batch, then answer
         its HEARTBEATs, announce, check timeouts and run the writers'
         timers, and call the listeners of the readers it made ready, with
-        the lock released. Returns the number of datagrams delivered. Where
-        ``_receive`` stops early, the rest of the batch waits in
-        ``_pending`` while the listeners so far are called; a spin started
-        meanwhile, by a listener's blocked write, goes on with it."""
-        delivered, drain = 0, True
-        while True:
-            with self._lock:
-                try:
-                    pending, self._pending = self._pending, None  # dropped if it raises
-                    if pending is None and drain:
-                        # Every datagram of the batch had arrived by the drain: one stamp.
-                        pending = [self.transport.drain(), 0, self.clock.monotonic_ns(),
-                                   self.clock.wall_ns(), []]
-                    drain = False
-                    if pending is not None:
-                        batch, start, arrived, arrived_wall, heartbeats = pending
-                        pending[1] = self._receive(batch, arrived, arrived_wall, start,
-                                                   heartbeats)
-                        delivered += pending[1] - start
-                        if pending[1] < len(batch):
-                            self._pending = pending
-                        else:
-                            self._protocol_work(arrived)
-                            pending = None
-                finally:
-                    ready, self._ready = self._ready, {}
-            self._call_listeners(ready)
-            if pending is None:
-                return delivered
+        the lock released. Returns the number of datagrams delivered."""
+        with self._lock:
+            try:
+                batch = self.transport.drain()
+                delivered = len(batch)
+                # Every datagram of the batch had arrived by the drain: one stamp.
+                arrived = self.clock.monotonic_ns()
+                self._receive(batch, arrived, self.clock.wall_ns())
+                self._protocol_work(arrived)
+            finally:
+                ready, self._ready = self._ready, {}
+        self._call_listeners(ready)
+        return delivered
 
     def _protocol_work(self, arrived: int) -> None:
         """The end of a spin, once its batch is delivered: announce, drop
-        peers silent past the timeout as of the drain (``arrived``), so a
-        listener that stalled the spin is not taken for their silence, and
-        run the writers' timers."""
+        peers silent past the timeout as of the drain (``arrived``), when
+        every datagram they had sent was in the batch, and run the
+        writers' timers."""
         now = self.clock.monotonic_ns()
         if not self.closed and self.discovery.announce_due(now):
             self._send_announce(self._announce_destinations())
@@ -497,7 +475,8 @@ class DomainParticipant:
         removed, before its turn is skipped. A listener already running,
         further up this thread or on another thread, is not entered again:
         the call running it calls it once more when it returns, as it does
-        every listener that a delivery made ready again while it ran."""
+        every listener that a delivery made ready again while it ran, or
+        whose held-back DATA the cache accepted once it returned."""
         if not ready:
             return
         with self._lock:
@@ -523,40 +502,28 @@ class DomainParticipant:
                         log.warning("reader listener ran for %.0f ms",
                                     (time.monotonic() - began) * 1e3)
                 with self._lock:
-                    again = [r for r in claimed if r._rerun]
                     for reader in claimed:
-                        reader._rerun = False if reader._rerun else None
-                claimed = again
+                        reader._rerun = False if reader._resume() or reader._rerun else None
+                    claimed = [r for r in claimed if r._rerun is False]
         except BaseException:
             for reader in claimed:
                 reader._rerun = None
             raise
 
-    def _receive(self, batch: list, arrived: int, arrived_wall: int, start: int = 0,
-                 heartbeats: Optional[list] = None) -> int:
-        """Hand the ``(datagram, source)`` pairs of a batch, from index
-        ``start`` on, to the endpoints they concern, as arrived at
-        ``arrived`` (monotonic) and ``arrived_wall``; the batch's HEARTBEATs
-        are gathered in ``heartbeats`` (of the calls that delivered it
-        before) and answered once it is all delivered. The call stops
-        before a datagram of one DATA of an instance it already delivered
-        to a KEEP_LAST reader with a listener, so that listener is called
-        before the DATA can replace one it has not seen. Returns the index
-        of the first datagram not delivered, ``len(batch)`` once all are."""
+    def _receive(self, batch: list, arrived: int, arrived_wall: int) -> None:
+        """Hand a batch of ``(datagram, source)`` pairs to the endpoints
+        they concern, as arrived at ``arrived`` (monotonic) and
+        ``arrived_wall``, then answer the batch's HEARTBEATs."""
         read_data = wire.read_data_message
         # The run being read: its key (writer entity id, sender prefix and
         # reader entity id, the first None while no run is open), matched
         # pairs, SampleInfos and payload slots.
         run_writer = run_prefix = run_reader = pairs = writer_guid = None
-        listening = False  # a KEEP_LAST reader with a listener is in pairs
         infos: list = []
         slots: list = []
-        delivered: set = set()  # instances given to such a reader
-        if heartbeats is None:
-            heartbeats = []
-        stop = len(batch)
-        for i in range(start, stop):
-            data, source = batch[i]
+        # The batch's HEARTBEATs, answered once it is all delivered.
+        heartbeats: list = []
+        for i, (data, source) in enumerate(batch):
             batch[i] = None  # the batch lets go of each datagram once read
             head = read_data(data)
             if head is not None:
@@ -570,17 +537,7 @@ class DomainParticipant:
                     pairs = self._pairs_for(prefix, writer_eid, reader_eid)
                     if pairs:
                         writer_guid = pairs[0][1].writer_guid
-                        listening = stop - start > 1 and any(
-                            r.listener is not None
-                            and r.history.history.kind is qos.HistoryKind.KEEP_LAST
-                            for r, _ in pairs)
                 if pairs:
-                    if listening:
-                        if handle in delivered:
-                            batch[i] = (data, source)  # the next call's first
-                            stop = i
-                            break
-                        delivered.add(handle)
                     infos.append(_tuple_new(SampleInfo, (writer_guid, seq, stamp,
                                                          arrived, handle)))
                     slots.append(data)
@@ -603,10 +560,8 @@ class DomainParticipant:
                            arrived, arrived_wall, heartbeats)
         if infos:
             self._deliver(pairs, infos, slots, arrived_wall)
-        if stop == len(batch):
-            for prefix, reader_eid, heartbeat in heartbeats:
-                self._control(prefix, reader_eid, heartbeat, arrived, arrived_wall)
-        return stop
+        for prefix, reader_eid, heartbeat in heartbeats:
+            self._control(prefix, reader_eid, heartbeat, arrived, arrived_wall)
 
     def _announce_destinations(self) -> list:
         destinations = self.discovery.destinations()

@@ -20,7 +20,15 @@ waits when its writer unmatches is never handed on, and counts in
 The pipeline calls no listener: it reports how many samples it
 accepted, and the participant calls the listener once the call that
 delivered them has released the lock. So a listener reads the
-statistics and the cache as of all that call delivered.
+statistics and the cache as of all that call delivered. A KEEP_LAST
+reader with a listener holds back what its listener has not seen: the
+first DATA of an instance the cache accepted since the listener last
+returned waits (``_waiting``), with everything after it, and goes
+through the pipeline once the listener has returned, holding back
+again at the next repeated instance. So the listener sees each sample
+before the next of its instance can replace it. A DATA that waits has
+arrived (``sequences_seen``), and counts in ``samples_lost`` if its
+writer unmatches first.
 """
 
 from __future__ import annotations
@@ -66,6 +74,8 @@ class DataReader(Endpoint):
                            == qos.DestinationOrderKind.BY_SOURCE_TIMESTAMP)
         self._min_separation_ns = profile.value(
             qos.QosPolicyId.TIME_BASED_FILTER).minimum_separation_ns
+        self._keep_last = (profile.value(qos.QosPolicyId.HISTORY).kind
+                           == qos.HistoryKind.KEEP_LAST)
         # Lifespan is a topic/writer policy; the reader enforces the value
         # configured on its own topic.
         self._lifespan_ns = topic.qos.value(qos.QosPolicyId.LIFESPAN).duration_ns
@@ -83,6 +93,11 @@ class DataReader(Endpoint):
         # None while the listener is not running; while it runs, whether a
         # delivery made the reader ready again, so it runs once more.
         self._rerun: Optional[bool] = None
+        # For a KEEP_LAST reader with a listener: the instances whose sample
+        # the cache accepted since the listener last returned, and the
+        # (session, entries, now, now_wall) chunks held back, in arrival order.
+        self._unseen: set[int] = set()
+        self._waiting: list[tuple] = []
 
     # -- matching (driven by the participant) -------------------------
 
@@ -102,6 +117,11 @@ class DataReader(Endpoint):
         if session is not None:
             self.participant._unlink(guid, self)
             session.drop_held()
+            # What waits for the listener is never handed on either.
+            for chunk in self._waiting:
+                if chunk[0] is session:
+                    self.stats.samples_lost += sum(entry[0] is not None for entry in chunk[1])
+            self._waiting = [chunk for chunk in self._waiting if chunk[0] is not session]
             # Keep the counters from a departed writer's session.
             self.stats.samples_lost += session.samples_lost
             self.stats.sequences_seen += session.unique_received
@@ -159,8 +179,17 @@ class DataReader(Endpoint):
         reader inserts that pair as it is, held behind a hole meanwhile or
         not. The pipeline's state and bound methods are looked up once
         per call, and its four per-sample counters are kept in locals and
-        added to ``stats`` at the end. Returns how many samples the cache
-        accepted."""
+        added to ``stats`` at the end. A KEEP_LAST reader with a listener
+        holds back the first DATA of an instance in ``_unseen``, and every
+        entry after it, in this call and later ones, until ``_resume``.
+        Returns how many samples the cache accepted, or 1 when something
+        waits, so the reader is made ready for it."""
+        waiting = self._waiting
+        if waiting:
+            waiting.append((session, entries, now, now_wall_ns))
+            # A reader whose listener was removed holds nothing back.
+            return 1 if self.listener is not None else self._resume()
+        unseen = self._unseen if self._keep_last and self.listener is not None else None
         stats = self.stats
         deserialize = idl.deserialize
         payload_start = wire.DATA_PAYLOAD_START
@@ -176,10 +205,17 @@ class DataReader(Endpoint):
         writer = session.writer_guid
         # Not yet in stats.
         received = duplicates = accepted = evicted = 0
+        entries = iter(entries)
         for info, slots, i in entries:
             if info is None:
                 duplicates += 1
                 continue
+            handle = info.instance_handle
+            if unseen is not None and handle in unseen:
+                # This entry, then the rest of the live iterator: nothing is copied.
+                waiting.append((session, ((info, slots, i),), now, now_wall_ns))
+                waiting.append((session, entries, now, now_wall_ns))
+                break
             received += 1
             pair = slots[i]
             if type(pair) is not tuple:
@@ -197,7 +233,6 @@ class DataReader(Endpoint):
                 stats.lifespan_expired += 1
                 continue
 
-            handle = info.instance_handle
             if exclusive:
                 activity = self._activity.get(handle)
                 if activity is None:
@@ -232,12 +267,23 @@ class DataReader(Endpoint):
             last_passed[handle] = info
             if deadlines is not None:
                 deadlines.record(handle, now)
+            if unseen is not None:
+                unseen.add(handle)
             accepted += 1
         stats.samples_received += received
         stats.duplicates_discarded += duplicates
         stats.samples_accepted += accepted
         stats.evicted_by_history += evicted
-        return accepted
+        return accepted or (1 if waiting else 0)
+
+    def _resume(self) -> int:
+        """The listener has returned, or was removed: under the lock, forget
+        what it has seen and put what waits through the pipeline again, in
+        arrival order, until it holds back again. Returns a positive count
+        when the cache accepted anything or something waits again."""
+        self._unseen.clear()
+        waiting, self._waiting = self._waiting, []
+        return sum(self._admit(*chunk) for chunk in waiting)
 
     def _arbitrate(self, activity: dict[Guid, int], arriving: Guid, now_ns: int) -> bool:
         """Whether the arriving writer currently owns the instance, given

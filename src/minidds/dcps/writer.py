@@ -5,9 +5,9 @@ One that delivers to a reader on its own participant calls that reader's
 listener after releasing it, before it returns. A write that finds a
 full RELIABLE KEEP_ALL cache waits for acks: on another thread's pump,
 or, when the participant has no pump or this is its pump thread (a
-listener), by spinning the participant inline; that spin goes on with a
-batch a spin paused, and does not enter a listener that is running. A
-listener's write is no different from an application thread's.
+listener), by spinning the participant inline; that spin does not enter
+a listener that is running. A listener's write is no different from an
+application thread's.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ log = logging.getLogger(__name__)
 
 BASE_PORT = 7400
 PORT_RETRIES = 16
-DEFAULT_MULTICAST_GROUP = "239.255.0.1"
 # What a drain charges a datagram on top of its payload: below the
 # kernel's own per-datagram bookkeeping, which SO_RCVBUF also counts.
 DATAGRAM_OVERHEAD = 512

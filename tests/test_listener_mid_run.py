@@ -7,12 +7,16 @@ twice, 2, a malformed 3, then 4 to 7, all of one instance. A KEEP_ALL
 reader takes them as one run, and its listener is called once, at the
 end of the spin: it reads ``statistics()`` as of the whole run and finds
 every good sample cached. A KEEP_LAST reader could lose a sample to the
-next one of its instance, so the spin calls its listener, with the lock
-released, before each DATA of an instance already delivered to it:
-after 1, 2 and 4 (a duplicate or malformed DATA makes no call). At its
-last call the listener closes its reader (or has B unmatch the writer,
-as discovery does when the writer leaves): the DATA not yet delivered,
-and a later one, are neither counted nor cached, and call no listener.
+next one of its instance, so it holds back each DATA of an instance its
+cache accepted since the listener last returned, with every entry after
+it, and its listener is called, with the lock released, after 1, 2 and
+4 (a duplicate or malformed DATA makes no call). The duplicate comes
+before the first DATA held back, so it counts at the first call; every
+sequence has arrived, held back or not, so ``sequences_seen`` reads 7
+at each call. At its last call the listener closes its reader (or has B
+unmatch the writer, as discovery does when the writer leaves): the DATA
+still held back, 5 to 7, count as lost and are not cached, and a later
+one is neither counted nor cached; none calls the listener.
 """
 
 import pytest
@@ -33,17 +37,18 @@ RUN = (1, 1, 2, 3, 4, 5, 6, 7)
 MALFORMED = 3
 
 
-def _stats(received, duplicates, accepted, seen):
+def _stats(received, duplicates, accepted, seen=7, lost=0):
     return ReaderStats(samples_received=received, duplicates_discarded=duplicates,
                        malformed_payloads=int(received >= 3), samples_accepted=accepted,
-                       sequences_seen=seen)
+                       sequences_seen=seen, samples_lost=lost)
 
 
 # Per history: what the listener reads at each call, the last of which
-# ends the delivery, and what the reader caches.
+# ends the delivery, what the reader reads once it has, and what the
+# reader caches.
 EXPECTED = {
-    "keep-all": ([_stats(7, 1, 6, 7)], [(1,), (2,), (4,), (5,), (6,), (7,)]),
-    "keep-last": ([_stats(1, 0, 1, 1), _stats(2, 1, 2, 2), _stats(4, 1, 3, 4)],
+    "keep-all": ([_stats(7, 1, 6)], _stats(7, 1, 6), [(1,), (2,), (4,), (5,), (6,), (7,)]),
+    "keep-last": ([_stats(1, 1, 1), _stats(2, 1, 2), _stats(4, 1, 3)], _stats(4, 1, 3, lost=3),
                   [(1,), (2,), (4,)]),
 }
 
@@ -80,7 +85,7 @@ def run_setup(request):
 
 
 def _check(b, reader, send, expected, end_delivery):
-    at_calls, cached = expected
+    at_calls, at_end, cached = expected
     read = []
 
     def listener(r):
@@ -91,11 +96,11 @@ def _check(b, reader, send, expected, end_delivery):
     reader.listener = listener
     assert b.spin_once() == len(RUN)
     assert read == at_calls
-    assert reader.statistics() == at_calls[-1]
+    assert reader.statistics() == at_end
     send(len(RUN))  # sequence 8
     assert b.spin_once() == 1
     assert read == at_calls
-    assert reader.statistics() == at_calls[-1]
+    assert reader.statistics() == at_end
     assert [s.values for s, _ in reader.take()] == cached
 
 

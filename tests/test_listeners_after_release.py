@@ -3,10 +3,10 @@ only marks a reader ready; the call that delivered (``spin_once``, a
 write to a reader on the writer's own participant, or a reader's
 creation that a local durable writer replays to) calls each ready
 reader's listener once, in the order the readers became ready, on its
-own thread, once it has released the lock. A spin pauses for them
-before a DATA that could replace a sample a KEEP_LAST reader's listener
-has not seen. A reader closed before its turn is not called, and a
-failed spin calls no listener.
+own thread, once it has released the lock. A KEEP_LAST reader holds
+back a DATA that could replace a sample its listener has not seen, and
+takes it in once the listener has returned. A reader closed before its
+turn is not called, and a failed spin calls no listener.
 
 Every case runs on ``InProcNetwork`` and a ``ManualClock``."""
 
@@ -25,6 +25,11 @@ COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
 KEYED = idl.parse_idl("struct Keyed { long k; //@key\n long n; };")[0]
 RELIABLE = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
             qos.History(qos.HistoryKind.KEEP_ALL)]
+
+
+def _keep_last(depth):
+    return [qos.Reliability(qos.ReliabilityKind.RELIABLE),
+            qos.History(qos.HistoryKind.KEEP_LAST, depth)]
 
 
 @pytest.fixture
@@ -171,16 +176,14 @@ def test_a_reader_closed_before_its_turn_is_not_called(pair):
 
 
 def test_a_keep_last_reader_sees_each_sample_before_the_next_of_its_instance(pair):
-    """A spin calls a KEEP_LAST(1) reader's listener before it delivers a
-    DATA of an instance it already gave that reader: of four one-DATA
-    datagrams, of instances 1, 2, 1 and 1, the listener takes the first
-    two at one call, then each of the others, also when another datagram
-    came between. Three DATA of one instance in one datagram reach it at
-    one call: it takes the last, and the two before it count as
-    evicted."""
+    """A KEEP_LAST(1) reader with a listener holds back a DATA of an
+    instance its cache accepted since the listener last returned: of four
+    one-DATA datagrams, of instances 1, 2, 1 and 1, the listener takes
+    the first two at one call, then each of the others, also when another
+    datagram came between. Three DATA of one instance in one datagram
+    reach it at three calls, and none is evicted."""
     a, b, _, send = pair
-    keep_last = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
-                 qos.History(qos.HistoryKind.KEEP_LAST, 1)]
+    keep_last = _keep_last(1)
     writer = a.create_datawriter(a.create_topic("t", KEYED), keep_last)
     taken = []
     reader = b.create_datareader(
@@ -201,8 +204,115 @@ def test_a_keep_last_reader_sees_each_sample_before_the_next_of_its_instance(pai
     assert reader.statistics().evicted_by_history == 0
     send(*(_data(writer, seq, {"k": 1, "n": seq}) for seq in (7, 8, 9)))
     b.spin_once()
-    assert taken[5:] == [[9]]
-    assert reader.statistics().evicted_by_history == 2
+    assert taken[5:] == [[7], [8], [9]]
+    assert reader.statistics().evicted_by_history == 0
+
+
+def _keyed_reader(a, b, policies, listener):
+    """A reliable KEEP_ALL writer of ``KEYED`` on A and a matched reader
+    on B with those policies and that listener."""
+    writer = a.create_datawriter(a.create_topic("t", KEYED), RELIABLE)
+    reader = b.create_datareader(b.create_topic("t", KEYED), policies, listener=listener)
+    for participant in (a, b, a, b):
+        participant.spin_once()
+    assert reader.matched_writers() == [writer.guid]
+    return writer, reader
+
+
+def _taking(taken):
+    """A listener that appends the ``n`` of each sample it takes, per call."""
+    return lambda r: taken.append([s.values[1] for s, _ in r.take()])
+
+
+def test_a_repaired_run_reaches_a_keep_last_listener_one_sample_at_a_time(pair):
+    """DATA 1 to 4 of one instance reach B without 1, so B's reliable
+    session holds 2 to 4 behind the hole. The repair releases the four at
+    once; the KEEP_LAST(1) reader's listener takes each at its own call,
+    and none is evicted."""
+    a, b, *_ = pair
+    taken = []
+    writer, reader = _keyed_reader(a, b, _keep_last(1), _taking(taken))
+    for n in range(1, 5):
+        writer.write({"k": 1, "n": n})
+    queue = b.transport._queue
+    assert [wire.read_data_message(data)[3] for data, _ in queue] == [1, 2, 3, 4]
+    queue.popleft()  # DATA 1 is lost
+    b.spin_once()
+    assert taken == []
+    a.spin_once()  # HEARTBEAT
+    b.spin_once()  # ACKNACK for 1
+    a.spin_once()  # resends 1
+    b.spin_once()
+    assert taken == [[1], [2], [3], [4]]
+    assert reader.statistics().evicted_by_history == 0
+
+
+def test_a_keep_all_reader_beside_a_keep_last_one_takes_a_run_at_one_call(pair):
+    """A KEEP_ALL reader and a KEEP_LAST(1) reader on B share A's writer.
+    Four writes of one instance reach the KEEP_ALL listener at one call;
+    only the KEEP_LAST reader holds back, and takes them one at a time."""
+    a, b, *_ = pair
+    taken_last, taken_all = [], []
+    writer, _ = _keyed_reader(a, b, _keep_last(1), _taking(taken_last))
+    b.create_datareader(b.create_topic("t", KEYED), RELIABLE, listener=_taking(taken_all))
+    for participant in (a, b, a, b):
+        participant.spin_once()
+    for n in range(4):
+        writer.write({"k": 1, "n": n})
+    assert b.spin_once() == 4
+    assert taken_all == [[0, 1, 2, 3]]
+    assert taken_last == [[0], [1], [2], [3]]
+
+
+def test_a_reader_whose_listener_is_removed_takes_in_what_waits(pair):
+    """A KEEP_LAST(4) reader's listener removes itself at its first call,
+    without taking: the three DATA held back go into the cache once it
+    returns, and no call follows."""
+    a, b, *_ = pair
+    calls = []
+
+    def once(reader):
+        calls.append(len(reader.read()))
+        reader.listener = None
+
+    writer, reader = _keyed_reader(a, b, _keep_last(4), once)
+    for n in range(4):
+        writer.write({"k": 1, "n": n})
+    assert b.spin_once() == 4
+    assert calls == [1]
+    assert [s.values[1] for s, _ in reader.take()] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("listening", [True, False], ids=["kept", "removed"])
+def test_what_waits_after_a_failed_spin_comes_in_with_the_next_delivery(pair, listening):
+    """A spin fails after a KEEP_LAST(8) reader held back two DATA of the
+    instance it had just accepted. The next DATA for that reader brings
+    them in, in order: at one call each while its listener is kept, or
+    all at once into the cache once it was removed."""
+    a, b, *_ = pair
+    taken = []
+    writer, reader = _keyed_reader(a, b, _keep_last(8), _taking(taken))
+    for n in range(3):
+        writer.write({"k": 1, "n": n})
+
+    def fail(_arrived):
+        raise RuntimeError("timer failed")
+
+    b._protocol_work = fail
+    with pytest.raises(RuntimeError, match="timer failed"):
+        b.spin_once()
+    del b._protocol_work
+    assert taken == [] and [s.values[1] for s, _ in reader.read()] == [0]
+    if not listening:
+        reader.listener = None
+    writer.write({"k": 1, "n": 3})
+    assert b.spin_once() == 1
+    if listening:
+        assert taken == [[0], [1], [2], [3]]
+    else:
+        assert taken == [] and [s.values[1] for s, _ in reader.take()] == [0, 1, 2, 3]
+
+
 def test_a_spin_that_raises_calls_no_listener_and_leaves_nothing_ready(pair):
     """A spin that fails after a DATA made a reader ready drops that
     reader with its batch: neither that spin nor a later call of another
@@ -220,7 +330,7 @@ def test_a_spin_that_raises_calls_no_listener_and_leaves_nothing_ready(pair):
     with pytest.raises(RuntimeError, match="timer failed"):
         b.spin_once()
     del b._protocol_work
-    assert b._ready == {} and b._pending is None and calls == []
+    assert b._ready == {} and calls == []
     local = b.create_datawriter(b.create_topic("u", COUNTER), RELIABLE)
     local.write({"n": 2})  # delivers to no reader
     assert calls == []
