@@ -54,11 +54,13 @@ class WriterHistory:
     Each sample is cached as a ``CachedSample``, a plain tuple
     ``(sequence, instance_handle, message, source_timestamp_ns,
     expiry_wall_ns)``: ``message`` is the datagram the write sent, a
-    message of this one DATA (``wire.pack_data_message``), whose payload
-    starts at ``wire.DATA_PAYLOAD_START``, and ``expiry_wall_ns`` is
-    ``qos.INFINITE_NS`` for a sample that never expires. An exact tuple
-    of ints and bytes costs one allocation, and the collector untracks
-    it at its first pass, so a full cache adds nothing to later passes.
+    message of this one DATA (the bytes ``wire.pack_data_message``
+    packs, mostly packed by the type's codec, ``idl._Codec.message``),
+    whose payload starts at ``wire.DATA_PAYLOAD_START``, and
+    ``expiry_wall_ns`` is ``qos.INFINITE_NS`` for a sample that never
+    expires. An exact tuple of ints and bytes costs one allocation, and
+    the collector untracks it at its first pass, so a full cache adds
+    nothing to later passes.
 
     Sequences must be inserted in increasing order, as the writer assigns
     them (``last_sequence + 1``). Every index keeps that order:

@@ -44,7 +44,7 @@ loses a match, or after discovery adds, drops or re-addresses a peer
 ``_publish`` sends the DATA by the plan in one pass: this participant's
 matched readers get it first, received as a batch of one like any
 local send, and the other participants one datagram. Both take the message
-the writer packed once for the write (``wire.pack_data_message``) and
+the writer packed once for the write (``idl._Codec.message``) and
 keeps as its cached sample, the same object. The writer's
 other output (retransmissions, late-joiner replays, and the HEARTBEATs
 and GAPs, each in a DIRECT) goes to one reader each, through ``_route``

@@ -1,6 +1,12 @@
 """The writing endpoint: typed writes into a history cache plus delivery.
 
-A write holds the participants' one lock only while it caches and sends.
+A write holds the participants' one lock only while it packs, caches and
+sends its DATA. The pack is one call of the type's codec
+(``idl._Codec.message``), which checks the sample and returns the
+datagram under the sequence the lock hands out; a sample it leaves out
+is serialized, size-checked and packed as before (``_fallback``), which
+raises what the sample is refused for. Only the first write of an
+instance checks the sample before the lock, to hash its key.
 One that delivers to a reader on its own participant calls that reader's
 listener after releasing it, before it returns. A write that finds a
 full RELIABLE KEEP_ALL cache waits for acks: on another thread's pump,
@@ -24,7 +30,10 @@ from minidds.rtps import wire
 from minidds.rtps.reliability import WriterSession
 
 # Largest payload that still fits one datagram beside the fixed framing.
-MAX_PAYLOAD = wire.MAX_DATAGRAM - wire.DATA_PAYLOAD_START
+MAX_PAYLOAD = wire.MAX_PAYLOAD
+
+# The i64 range of a DATA's source timestamp.
+_STAMP_MIN, _STAMP_MAX = -2**63, 2**63 - 1
 
 # Entries a writer's table from key bytes to instance handle holds before
 # it is emptied; about 113 bytes each at 8-byte keys (tracemalloc,
@@ -86,7 +95,9 @@ class DataWriter(Endpoint):
 
         Returns the sequence number. Raises ``TypeMismatchError`` for a
         sample of the wrong shape, ``SampleTooLargeError`` past the
-        datagram limit, and the cache's ``ResourceLimitsError`` when it
+        datagram limit, ``TypeError`` or ``ValueError`` for a
+        ``source_timestamp_ns`` that is not an int in the i64 range,
+        and the cache's ``ResourceLimitsError`` when it
         refuses the sample; a RELIABLE KEEP_ALL writer first waits for
         acks to make room, for at most max_blocking_time (on the
         participant's clock). A refused sample uses no sequence.
@@ -102,19 +113,26 @@ class DataWriter(Endpoint):
                     f"sample is {sample.type_name!r}, topic carries {self.type.name!r}")
         else:
             sample = idl.make_sample(self.type, sample)
-        payload = idl.serialize(self.type, sample)
-        if len(payload) > MAX_PAYLOAD:
-            raise SampleTooLargeError(
-                f"{len(payload)} byte payload exceeds the {MAX_PAYLOAD} byte limit")
+        if source_timestamp_ns is not None:
+            if (not isinstance(source_timestamp_ns, int)
+                    or isinstance(source_timestamp_ns, bool)):
+                raise TypeError("source_timestamp_ns must be an int, got "
+                                f"{type(source_timestamp_ns).__name__}")
+            if not _STAMP_MIN <= source_timestamp_ns <= _STAMP_MAX:
+                raise ValueError(f"source_timestamp_ns {source_timestamp_ns} "
+                                 "is outside the i64 range")
+        codec = self.type._codec
         handles = self._handles
         if handles is None:
             handle = idl.UNKEYED_HANDLE
         else:
             # Keyed by bytes, not values: -0.0 and 0.0 are two instances
             # on the wire, and each NaN write would add an entry.
-            key = self.type._codec.key_bytes(sample.values)
+            key = codec.key_bytes(sample.values)
             handle = handles.get(key)
             if handle is None:
+                # A new key: the sample is checked before it is hashed.
+                idl.serialize(self.type, sample)
                 handle = idl.key_hash(self.type, sample, checked=True)
                 if key is not None:
                     if len(handles) >= MAX_INSTANCE_HANDLES:
@@ -132,9 +150,10 @@ class DataWriter(Endpoint):
                 # The datagram of the write's one DATA, under the sequence
                 # on_write assigns: the cache keeps it, every matched
                 # participant is sent it, and a reader decodes the payload in it.
-                message = wire.pack_data_message(
-                    self._prefix, self.guid.entity_id, 0, sequence,
-                    source_ts, handle, payload)
+                message = codec.message(sample, self._prefix, self.guid.entity_id,
+                                        sequence, source_ts, handle)
+                if message is None:
+                    message = self._fallback(sample, sequence, source_ts, handle)
                 try:
                     # A sample nobody can ask for again is not cached at all.
                     if session.keeps_history:
@@ -176,6 +195,18 @@ class DataWriter(Endpoint):
         if ready:
             participant._call_listeners(ready)
         return sequence
+
+    def _fallback(self, sample: idl.Sample, sequence: int, source_ts: int,
+                  handle: int) -> bytes:
+        """The datagram of a sample the codec's ``message`` leaves out:
+        one it checks field by field, or one it refuses, which raises
+        here."""
+        payload = idl.serialize(self.type, sample)
+        if len(payload) > MAX_PAYLOAD:
+            raise SampleTooLargeError(
+                f"{len(payload)} byte payload exceeds the {MAX_PAYLOAD} byte limit")
+        return wire.pack_data_message(self._prefix, self.guid.entity_id, 0, sequence,
+                                      source_ts, handle, payload)
 
     # -- introspection ------------------------------------------------
 

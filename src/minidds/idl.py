@@ -17,6 +17,8 @@ strings are a 32-bit byte length plus UTF-8 bytes, aligned to 4 (see
 A type's codec is straight-line Python generated from its descriptor,
 one struct call per run of fixed-size fields, and compiled when a sample
 is first encoded or decoded, never when the type is parsed or matched.
+It also packs a write's whole DATA message, head included (see
+``_Codec``).
 What it cannot take (a wrong shape or value, short or bad bytes) goes to
 one field-by-field routine per direction, the only one that raises.
 """
@@ -305,8 +307,9 @@ _EXACT_TYPE.update({PrimitiveKind.BOOLEAN: bool, PrimitiveKind.FLOAT: float,
                     PrimitiveKind.DOUBLE: float, PrimitiveKind.STRING: str})
 _U32 = struct.Struct("<I")
 # What the generated code leaves to the field-by-field routines: a wrong
-# shape, a value struct cannot pack, bad text, short or long bytes.
-_FALLBACK = (ValueError, TypeError, OverflowError, struct.error)
+# shape, a value struct cannot pack, bad text, short or long bytes, and
+# a string field's value that is no text (key_bytes runs unchecked).
+_FALLBACK = (ValueError, TypeError, OverflowError, struct.error, AttributeError)
 
 
 def _struct(kinds: Sequence[PrimitiveKind], offset: int = 0,
@@ -340,16 +343,21 @@ def _runs(fields: Iterable[tuple[int, FieldDescriptor]]) -> list:
 
 
 def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
-    """Source of one type's ``pack``, ``unpack``, ``key_bytes`` and
-    ``key`` functions, and the namespace they run in. The source holds
-    generator-made names (``v2`` is field 2's value, ``b2`` its UTF-8
-    bytes, ``l2`` their length), integer literals, and the namespace's
-    constants: ``name``, the first run's ``pack0`` and ``unpack0``, each
-    later run's structs by offset mod 8 (``table1``...), the key runs'
-    unpadded ``key0``... No name or value from the descriptor is spliced
-    in. ``unpack`` reads the payload in place from ``data[s:]``: ``o``
-    is an offset into ``data``, and ``o - s`` the same offset in the
-    payload, which fixes the alignment."""
+    """Source of one type's ``pack``, ``message``, ``unpack``,
+    ``key_bytes`` and ``key`` functions, and the namespace they run in.
+    The source holds generator-made names (``v2`` is field 2's value,
+    ``b2`` its UTF-8 bytes, ``l2`` their length), integer literals, and
+    the namespace's constants: ``name``, the first run's ``pack0`` and
+    ``unpack0``, ``head0`` (the one-DATA message head of ``wire`` with
+    the first run after it) and the ``magic`` and ``version`` it starts
+    with, each later run's structs by offset mod 8 (``table1``...), the
+    key runs' unpadded ``key0``... No name or value from the descriptor
+    is spliced in. ``unpack`` reads the payload in place from
+    ``data[s:]``: ``o`` is an offset into ``data``, and ``o - s`` the
+    same offset in the payload, which fixes the alignment."""
+    # Here, not at the top: wire's package imports dcps, which imports idl.
+    from minidds.rtps import wire
+
     fields = list(enumerate(descriptor.fields))
     every = "".join(f"v{i}, " for i, _ in fields)
     test = " and ".join(
@@ -357,8 +365,9 @@ def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
             " and {} <= v{} <= {}".format(_INT_RANGES[f.kind][0], i, _INT_RANGES[f.kind][1])
             if f.kind in _INT_RANGES else "")
         for i, f in fields)
-    namespace: dict = {"name": descriptor.name, "Fallback": _FALLBACK}
-    pack = [f"b{i} = v{i}.encode()" for i, f in fields if f.kind is PrimitiveKind.STRING]
+    namespace: dict = {"name": descriptor.name, "Fallback": _FALLBACK,
+                       "magic": wire.MAGIC, "version": wire.VERSION}
+    encode = [f"b{i} = v{i}.encode()" for i, f in fields if f.kind is PrimitiveKind.STRING]
     unpack, pieces = [], []
     for n, (indexes, kinds, string) in enumerate(_runs(fields)):
         tail = [] if string is None else [string]
@@ -366,24 +375,36 @@ def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
         targets = "".join([f"v{i}, " for i in indexes] + [f"l{i}, " for i in tail])
         if n == 0:  # at offset 0
             first = _struct(kinds)
-            namespace.update(pack0=first.pack, unpack0=first.unpack_from)
+            head = struct.Struct(wire.DATA_MESSAGE_FORMAT + first.format[1:])
+            namespace.update(pack0=first.pack, unpack0=first.unpack_from, head0=head.pack)
             pieces.append(f"pack0({values})")
+            first_values = values
             unpack.append(f"{targets}= unpack0(data, s)")
             start, at = str(first.size), f"s + {first.size}"
         else:  # at offset o, just past a string
             namespace[f"table{n}"] = tuple(_struct(kinds, r) for r in range(8))
-            pack += [f"o = {end}", f"t{n} = table{n}[o & 7]"]
+            encode += [f"o = {end}", f"t{n} = table{n}[o & 7]"]
             pieces.append(f"t{n}.pack({values})")
             unpack += [f"t{n} = table{n}[o - s & 7]", f"{targets}= t{n}.unpack_from(data, o)"]
             start = at = f"o + t{n}.size"
         if string is None:
+            end = start
             unpack.append(f"o = {at}")
         else:
             pieces.append(f"b{string}")
             end = f"{start} + len(b{string})"
             unpack += [f"a = {at}", f"o = a + l{string}", f"v{string} = data[a:o].decode()"]
-    pack = ["if sample.type_name == name:", f"    {every}= sample.values", f"    if {test}:",
-            *(f"        {line}" for line in pack), f"        return {' + '.join(pieces)}"]
+    check = ["if sample.type_name == name:", f"    {every}= sample.values", f"    if {test}:",
+             *(f"        {line}" for line in encode)]
+    pack = check + [f"        return {' + '.join(pieces)}"]
+    # The message head's fields in wire's order, the payload length n
+    # known before its bytes: no reader (0 addresses every matched
+    # reader), and a body of the DATA head and the payload.
+    body_head = wire.DATA_PAYLOAD_START - wire.HEADER_LEN - wire.SUBMSG_HEADER_LEN
+    head = (f"head0(magic, version, prefix, {wire.KIND_DATA}, 0, n + {body_head}, "
+            f"writer_eid, 0, seq, ts, handle, n, {first_values})")
+    message = check + [f"        n = {end}", f"        if n <= {wire.MAX_PAYLOAD}:",
+                       f"            return {' + '.join([head, *pieces[1:]])}"]
     unpack += ["if o == len(data):", f"    return ({every})"]
 
     key_bytes, key = ['return b""'], [f"return {UNKEYED_HANDLE}"]
@@ -406,7 +427,9 @@ def _generate(descriptor: TypeDescriptor) -> tuple[str, dict]:
                "return h"]
     # Each function returns None on any failure.
     source = ""
-    for signature, body in (("pack(sample)", pack), ("unpack(data, s)", unpack),
+    for signature, body in (("pack(sample)", pack),
+                            ("message(sample, prefix, writer_eid, seq, ts, handle)", message),
+                            ("unpack(data, s)", unpack),
                             ("key_bytes(values)", key_bytes), ("key(values)", key)):
         source += "".join([f"def {signature}:\n    try:\n",
                            *(f"        {line}\n" for line in body),
@@ -422,9 +445,15 @@ class _Codec:
     ``pack(sample)`` checks the sample with one expression of exact
     types and integer ranges, then packs each run of fixed-size fields
     with the next string's length prefix in one struct call; past a
-    string it picks the run's struct by offset mod 8. ``unpack(data, s)``
-    mirrors it on the payload ``data[s:]``, read in place, and accepts
-    only the exact payload length.
+    string it picks the run's struct by offset mod 8. ``message(sample,
+    prefix, writer_eid, seq, ts, handle)`` runs the same check and
+    returns the datagram of one DATA carrying the payload, addressed to
+    every matched reader: the bytes ``wire.pack_data_message`` packs
+    from the payload, with the message head (``wire``'s format) and the
+    payload's first run packed by one struct call. It is what a write
+    sends; a payload past ``wire.MAX_PAYLOAD`` makes it return None.
+    ``unpack(data, s)`` mirrors ``pack`` on the payload ``data[s:]``,
+    read in place, and accepts only the exact payload length.
     ``key_bytes(values)`` packs the key fields, unpadded (``b""`` for an
     unkeyed type), and ``key(values)`` folds FNV-1a over those bytes (0
     for an unkeyed type), so a table keyed by the bytes and the handle
@@ -443,7 +472,8 @@ class _Codec:
         self.name_set = frozenset(self.names)
         self.source, namespace = _generate(descriptor)
         exec(compile(self.source, "<idl codec>", "exec"), namespace)
-        self.pack, self.unpack = namespace["pack"], namespace["unpack"]
+        self.pack, self.message = namespace["pack"], namespace["message"]
+        self.unpack = namespace["unpack"]
         self.key_bytes, self.key = namespace["key_bytes"], namespace["key"]
 
     def encode_field_by_field(self, sample: Sample, mode: str = "payload"):

@@ -49,8 +49,12 @@ _DATA_HEAD = struct.Struct("<IIQqQI")  # writer, reader, seq, stamp, handle, len
 # header, submessage header and DATA head, so one pack writes all three.
 _DATA_MESSAGE = struct.Struct(
     _HEADER.format + _SUBMSG_HEADER.format[1:] + _DATA_HEAD.format[1:])
-# Its size, where the payload starts.
+# Its size, where the payload starts; its format, for a packer that
+# writes the payload's first fields in the same call (a type's codec,
+# ``idl._Codec.message``); and the largest payload that fits after it.
 _DATA_MESSAGE_LEN = DATA_PAYLOAD_START = _DATA_MESSAGE.size
+DATA_MESSAGE_FORMAT = _DATA_MESSAGE.format
+MAX_PAYLOAD = MAX_DATAGRAM - DATA_PAYLOAD_START
 _HEARTBEAT = struct.Struct("<IQQI")
 _ACKNACK_HEAD = struct.Struct("<I16sQI")  # reader, writer guid, base, bit count
 _GAP = struct.Struct("<IQQ")

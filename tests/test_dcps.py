@@ -15,6 +15,8 @@ from minidds.dcps.participant import DomainParticipant, Topic
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
+from test_write_pass import assert_one_pass, record_a_write
+
 MS = 1_000_000
 
 COUNTER_IDL = "struct Counter { long n; };"
@@ -622,21 +624,9 @@ class TestFanOut:
             participant.close()
 
     def test_one_encoding_serves_every_destination(self, monkeypatch):
-        packed = []  # every DATA encoded or packed
-        original, pack = wire.encode_message, wire.pack_data_message
-
-        def counting(message):
-            packed.extend(message.submessages)
-            return original(message)
-
-        def counting_pack(prefix, *fields):
-            packed.append(wire.Data(*fields))
-            return pack(prefix, *fields)
-
-        monkeypatch.setattr(wire, "encode_message", counting)
-        monkeypatch.setattr(wire, "pack_data_message", counting_pack)
-        self.writer.write({"id": 1, "v": 2})
-        assert [type(sub) for sub in packed] == [wire.Data]
+        packed, handed = record_a_write(monkeypatch, self.writer)
+        sequence = self.writer.write({"id": 1, "v": 2})
+        assert_one_pass(self.writer, sequence, packed, handed, 2)
         _spin(*self.parts[1:])
         for reader in self.readers:
             assert _values(reader.take()) == [(1, 2)]
@@ -775,21 +765,10 @@ class TestSameParticipantReliable:
                                           self.RELIABLE)
         _spin(self.a, self.b, self.a)
         assert writer.matched_readers() == [local.guid, remote.guid]
-        packed = []  # every DATA encoded or packed
-        original, pack = wire.encode_message, wire.pack_data_message
-
-        def counting(message):
-            packed.extend(message.submessages)
-            return original(message)
-
-        def counting_pack(prefix, *fields):
-            packed.append(wire.Data(*fields))
-            return pack(prefix, *fields)
-
-        monkeypatch.setattr(wire, "encode_message", counting)
-        monkeypatch.setattr(wire, "pack_data_message", counting_pack)
-        writer.write({"n": 9})
-        assert [type(sub) for sub in packed] == [wire.Data]
+        packed, handed = record_a_write(monkeypatch, writer)
+        sequence = writer.write({"n": 9})
+        assert_one_pass(writer, sequence, packed, handed, 2)
+        assert len(writer.history) == 1
         self._heartbeat_rounds(self.a, self.b)
         assert not writer.unacknowledged()
         assert len(writer.history) == 0

@@ -382,15 +382,17 @@ class TestErrors:
 
 
 def test_write_checks_the_sample_once(monkeypatch):
-    """A sample is checked against its type in the generated ``pack``,
-    which inlines the check, or in ``encode_field_by_field``; the key
-    hash that follows gets the values only. A write runs ``pack`` once,
-    the field-by-field routine never, and the key hash does not check:
-    it hashes a sample that no check would pass."""
+    """A sample is checked against its type in the generated ``message``
+    and ``pack``, which inline the check, or in
+    ``encode_field_by_field``; the key hash gets the values only. A
+    write runs ``message`` once, the field-by-field routine never, and
+    the key hash does not check: it hashes a sample that no check would
+    pass. So the first write of an instance runs ``pack`` once too,
+    before the hash, and a later write of it only ``message``."""
     descriptor = _type(READING_IDL)
     codec = descriptor._codec
     calls = []
-    for name in ("pack", "key", "encode_field_by_field"):
+    for name in ("pack", "message", "key", "encode_field_by_field"):
         def counting(*args, _original=getattr(codec, name), _name=name):
             calls.append((_name, args))
             return _original(*args)
@@ -403,10 +405,15 @@ def test_write_checks_the_sample_once(monkeypatch):
         writer = participant.create_datawriter(topic)
         values, _payload, _key, handle = READING_VECTORS[1]
         sample = idl.Sample("Reading", values)
-        writer.write(sample)
-        assert calls == [("pack", (sample,)), ("key", (values,))]
-        (_sample, info), = reader.take()
-        assert info.instance_handle == handle
+        head = (participant.guid.prefix, writer.guid.entity_id)
+        for sequence, stamp in ((1, 5), (2, 6)):
+            writer.write(sample, source_timestamp_ns=stamp)
+            (_sample, info), = reader.take()
+            assert info.instance_handle == handle
+            message = ("message", (sample, *head, sequence, stamp, handle))
+            assert calls == ([("pack", (sample,)), ("key", (values,)), message]
+                             if sequence == 1 else [message])
+            calls.clear()
     unchecked = idl.Sample("Reading", values[:2] + ("not a stamp", None, b"no label"))
     assert idl.key_hash(descriptor, unchecked, checked=True) == handle
 

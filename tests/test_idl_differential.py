@@ -252,3 +252,134 @@ def test_names_that_are_not_identifiers_stay_out_of_the_source():
     with pytest.raises(idl.DecodeError) as caught:
         idl.deserialize(descriptor, payload[:8] + b"\xff" + payload[9:])
     assert caught.value.reason == "field 'a b\\n' is not valid UTF-8"
+
+
+# ---------------------------------------------------------------------------
+# The codec's DATA message against wire.pack_data_message
+
+PREFIX = bytes(range(1, 13))
+U32, U64 = 2**32 - 1, 2**64 - 1
+# (writer entity id, sequence, source timestamp, instance handle): zero,
+# and at the bounds of their u32, u64, i64 and u64.
+HEADS = [(0, 0, 0, 0), (U32, U64, -2**63, U64), (U32, U64, 2**63 - 1, U64)]
+
+
+def _expected_message(descriptor, sample, head):
+    """The datagram a write of ``sample`` sent before the codec packed
+    it: ``serialize``, the size check, then ``pack_data_message``; or the
+    error it raised, as (type, text)."""
+    writer_eid, seq, ts, handle = head
+    try:
+        payload = idl.serialize(descriptor, sample)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if len(payload) > wire.MAX_PAYLOAD:
+        return "too large"
+    return wire.pack_data_message(PREFIX, writer_eid, 0, seq, ts, handle, payload)
+
+
+@pytest.mark.parametrize("descriptor", DIFFERENTIAL_TYPES, ids=lambda t: t.name)
+def test_the_codec_packs_the_message_the_packer_packs(descriptor):
+    codec = descriptor._codec
+    rng = random.Random("message " + descriptor.name)
+    for _ in range(SAMPLES_PER_TYPE):
+        values = tuple(_random_value(rng, f.kind) for f in descriptor.fields)
+        sample = idl.Sample(descriptor.name, values)
+        payload = reference_encode(descriptor, values)
+        for head in HEADS:
+            writer_eid, seq, ts, handle = head
+            assert codec.message(sample, PREFIX, *head) == wire.pack_data_message(
+                PREFIX, writer_eid, 0, seq, ts, handle, payload)
+
+
+@pytest.mark.parametrize("descriptor", [t for t in DIFFERENTIAL_TYPES
+                                        if any(f.kind is STRING for f in t.fields)],
+                         ids=lambda t: t.name)
+def test_the_largest_payload_is_packed_and_one_past_it_is_not(descriptor):
+    """The last string grows until the payload passes wire.MAX_PAYLOAD:
+    the largest sample that fits packs as before, the next is None."""
+    codec = descriptor._codec
+    rng = random.Random("largest " + descriptor.name)
+    values = [_random_value(rng, f.kind) for f in descriptor.fields]
+    last = max(i for i, f in enumerate(descriptor.fields) if f.kind is STRING)
+
+    def grown(length):
+        values[last] = "x" * length
+        return idl.Sample(descriptor.name, tuple(values))
+
+    low, high = 0, wire.MAX_PAYLOAD  # fits, does not fit
+    while high - low > 1:
+        middle = (low + high) // 2
+        fits = len(reference_encode(descriptor, grown(middle).values)) <= wire.MAX_PAYLOAD
+        low, high = (middle, high) if fits else (low, middle)
+    for head in HEADS:
+        largest = codec.message(grown(low), PREFIX, *head)
+        assert largest == _expected_message(descriptor, grown(low), head)
+        assert len(largest) > wire.MAX_DATAGRAM - 8
+        assert codec.message(grown(high), PREFIX, *head) is None
+        assert _expected_message(descriptor, grown(high), head) == "too large"
+
+
+class _Int(int):
+    pass
+
+
+def _fallbacks(descriptor, values):
+    """Samples the generated code leaves to the field-by-field routine,
+    one field replaced in each: values it takes (an int for a float, an
+    int subclass) and values it refuses."""
+    bad = {idl.PrimitiveKind.BOOLEAN: [1, None],
+           idl.PrimitiveKind.FLOAT: [3, True, 1e300, "1"],
+           idl.PrimitiveKind.DOUBLE: [3, True, _Int(-2), None],
+           STRING: [b"x", 7, "\ud800"]}
+    for i, f in enumerate(descriptor.fields):
+        if f.kind in bad:
+            replacements = bad[f.kind]
+        else:
+            lo, hi = idl._INT_RANGES[f.kind]
+            replacements = [True, _Int(values[i]), hi + 1, lo - 1, 2.0]
+        for value in replacements:
+            yield values[:i] + (value,) + values[i + 1:]
+    yield values[:-1]
+    yield values + (0,)
+
+
+@pytest.mark.parametrize("descriptor", DIFFERENTIAL_TYPES, ids=lambda t: t.name)
+def test_a_sample_the_codec_leaves_out_is_written_as_before(descriptor):
+    """For each such sample the codec's message is None, and a write sends
+    the bytes it sent before or raises the error it raised before,
+    without using a sequence."""
+    from minidds import qos
+    from minidds.clock import ManualClock
+    from minidds.dcps.participant import DomainParticipant
+    from minidds.rtps.transport import InProcNetwork
+
+    codec = descriptor._codec
+    rng = random.Random("fallback " + descriptor.name)
+    values = tuple(_random_value(rng, f.kind) for f in descriptor.fields)
+    cached = [qos.Reliability(qos.ReliabilityKind.RELIABLE),
+              qos.Durability(qos.DurabilityKind.TRANSIENT_LOCAL)]
+    with DomainParticipant(0, transport=InProcNetwork().attach("solo"),
+                           clock=ManualClock(1_000_000_000)) as participant:
+        writer = participant.create_datawriter(
+            participant.create_topic("t", descriptor), cached)
+        prefix, writer_eid = participant.guid.prefix, writer.guid.entity_id
+        for shaped in _fallbacks(descriptor, values):
+            sample = idl.Sample(descriptor.name, shaped)
+            sequence = writer.session.last_sequence + 1
+            try:
+                handle = reference_key_hash(descriptor, shaped)
+            except Exception:
+                handle = None  # the write refuses the sample before it hashes
+            head = (writer_eid, sequence, 5, handle)
+            assert codec.message(sample, prefix, *head) is None, shaped
+            expected = _expected_message(descriptor, sample, head)
+            expected = expected.replace(PREFIX, prefix, 1) if type(expected) is bytes else expected
+            try:
+                written = writer.write(sample, source_timestamp_ns=5)
+            except Exception as exc:
+                assert (type(exc), str(exc)) == expected, shaped
+                assert writer.session.last_sequence == sequence - 1
+            else:
+                assert written == sequence
+                assert writer.history.by_seq[sequence][2] == expected, shaped

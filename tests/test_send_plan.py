@@ -14,6 +14,8 @@ from minidds.dcps.participant import DomainParticipant
 from minidds.rtps import wire
 from minidds.rtps.transport import InProcNetwork
 
+from test_write_pass import assert_one_pass, record_a_write
+
 MS = 1_000_000
 COUNTER = idl.parse_idl("struct Counter { long n; };")[0]
 BEST_EFFORT = [qos.Reliability(qos.ReliabilityKind.BEST_EFFORT),
@@ -135,21 +137,9 @@ def test_a_local_reader_matched_mid_stream_shares_the_remote_encode(fx, monkeypa
     _spin(fx.a, fx.b, fx.a)
     assert fx.write(1) == ["B"]
     local = fx.reader(fx.a)  # matches the writer as it is created
-    packed = []  # every DATA encoded or packed
-    original, pack = wire.encode_message, wire.pack_data_message
-
-    def counting(message):
-        packed.extend(message.submessages)
-        return original(message)
-
-    def counting_pack(prefix, *fields):
-        packed.append(wire.Data(*fields))
-        return pack(prefix, *fields)
-
-    monkeypatch.setattr(wire, "encode_message", counting)
-    monkeypatch.setattr(wire, "pack_data_message", counting_pack)
+    packed, handed = record_a_write(monkeypatch, fx.writer)
     assert fx.write(2) == ["B"]
-    assert [type(sub) for sub in packed] == [wire.Data]
+    assert_one_pass(fx.writer, 2, packed, handed, 2)
     assert _values(local) == [2]
     _spin(fx.b)
     assert _values(remote) == [1, 2]

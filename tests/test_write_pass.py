@@ -1,8 +1,9 @@
 """A write goes out in one pass.
 
 The writer's cache is asked once (``WriterHistory.insert``); a sample it
-refuses uses no sequence and sends nothing. The write's DATA is packed
-once by ``wire.pack_data_message``, the inverse of
+refuses uses no sequence and sends nothing. The write's DATA is checked
+and packed once, by its type codec's ``message``, into the datagram
+``wire.pack_data_message`` would pack: the inverse of
 ``wire.read_data_message``, which ``encode_message`` also uses for a
 message of one DATA. A closed participant's writer publishes nothing.
 """
@@ -13,6 +14,7 @@ import pytest
 
 from minidds import idl, qos
 from minidds.clock import ManualClock
+from minidds.dcps.errors import SampleTooLargeError
 from minidds.dcps.history import ResourceLimitsError
 from minidds.dcps.participant import DomainParticipant
 from minidds.dcps.writer import MAX_PAYLOAD
@@ -91,13 +93,60 @@ def test_the_packer_and_the_encoder_refuse_alike(size, message):
 # ---------------------------------------------------------------------------
 # Each stage of a write runs once
 
+def record_a_write(monkeypatch, writer):
+    """Wrap what packs a DATA (``writer``'s codec's ``message``,
+    ``wire.pack_data_message`` and ``wire.encode_message``) and where
+    ``writer``'s participant hands a datagram on (``transport.send``, and
+    ``_receive`` for its own readers). Returns the two lists they fill:
+    (packer name, what it returned) per call, and each datagram handed on."""
+    packed, handed = [], []
+    for owner, name in ((writer.type._codec, "message"), (wire, "pack_data_message"),
+                        (wire, "encode_message")):
+        def packing(*args, _original=getattr(owner, name), _name=name):
+            result = _original(*args)
+            packed.append((_name, result))
+            return result
+        monkeypatch.setattr(owner, name, packing)
+    participant = writer.participant
+    send, receive = participant.transport.send, participant._receive
+
+    def sending(data, dest):
+        handed.append(data)
+        send(data, dest)
+
+    def receiving(batch, *args):
+        handed.extend(data for data, _ in batch)
+        return receive(batch, *args)
+
+    monkeypatch.setattr(participant.transport, "send", sending)
+    monkeypatch.setattr(participant, "_receive", receiving)
+    return packed, handed
+
+
+def assert_one_pass(writer, sequence, packed, handed, destinations):
+    """The write of ``sequence`` was packed once, by the codec's
+    ``message``, and that one datagram object went to ``destinations``
+    places (addresses and this participant's readers) and into the
+    writer's cache, when it caches."""
+    (packer, message), = packed
+    assert packer == "message"
+    assert wire.read_data_message(message)[3] == sequence
+    assert len(handed) == destinations
+    assert all(data is message for data in handed)
+    cached = writer.history.by_seq.get(sequence)
+    assert cached is None or cached[2] is message
+
+
 @pytest.mark.parametrize("reliability, cached", [
     (qos.ReliabilityKind.RELIABLE, 1), (qos.ReliabilityKind.BEST_EFFORT, 0)])
 def test_a_write_runs_each_stage_once(monkeypatch, reliability, cached):
-    """Serialize, key hash, sequence and framing once per write; the
-    cache is asked once (``insert``, which checks ``has_room`` itself)
-    when the writer caches, and not at all when it does not. Every stage
-    is looked up at call time, so a wrapper installed after set-up sees it."""
+    """A write checks and packs its DATA once, in the codec's
+    ``message``, and takes one sequence; the cache is asked once
+    (``insert``, which checks ``has_room`` itself) when the writer
+    caches, and not at all when it does not. The first write of an
+    instance also checks the sample (``serialize``) before it hashes its
+    key, once; a later write of it does neither. Every stage is looked
+    up at call time, so a wrapper installed after set-up sees it."""
     from minidds.dcps.history import WriterHistory
     from minidds.rtps.reliability import WriterSession
 
@@ -105,18 +154,32 @@ def test_a_write_runs_each_stage_once(monkeypatch, reliability, cached):
     pair = _Pair(ManualClock(1_000 * MS), KEYED, endpoint_qos, endpoint_qos)
     calls = []
     for owner, name in ((idl, "serialize"), (idl, "key_hash"), (WriterSession, "on_write"),
-                        (wire, "pack_data_message"),
+                        (pair.writer.type._codec, "message"), (wire, "pack_data_message"),
                         (WriterHistory, "insert"), (WriterHistory, "has_room")):
         def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
     try:
+        each_write = ["message", "on_write"] + ["insert", "has_room"] * cached
         assert pair.writer.write({"id": 1, "v": 1}) == 1
-        assert sorted(calls) == sorted(["serialize", "key_hash", "on_write",
-                                        "pack_data_message"]
-                                       + ["insert", "has_room"] * cached)
-        assert len(pair.sent) == 1
+        assert sorted(calls) == sorted(["serialize", "key_hash"] + each_write)
+        calls.clear()
+        assert pair.writer.write({"id": 1, "v": 2}) == 2
+        assert sorted(calls) == sorted(each_write)
+        assert len(pair.sent) == 2
+    finally:
+        pair.close()
+
+
+def test_a_write_hands_one_datagram_to_the_cache_and_the_network(monkeypatch):
+    pair = _Pair(ManualClock(1_000 * MS), KEYED, [RELIABLE], [RELIABLE])
+    try:
+        pair.writer.write({"id": 1, "v": 1})
+        packed, handed = record_a_write(monkeypatch, pair.writer)
+        sequence = pair.writer.write({"id": 1, "v": 2})
+        assert_one_pass(pair.writer, sequence, packed, handed, 1)
+        assert pair.writer.history.by_seq[sequence][2] is pair.sent[-1]
     finally:
         pair.close()
 
@@ -232,6 +295,62 @@ def test_a_keep_last_write_of_a_new_instance_into_a_full_cache_uses_nothing():
         assert pair.state() == before
         assert pair.writer.write({"id": 1, "v": 4}) == 3  # replaces instance 1
         assert pair.state() == (3, 3, 2, 3)
+    finally:
+        pair.close()
+
+
+# ---------------------------------------------------------------------------
+# The largest payload, and a source timestamp that fits no DATA
+
+TEXT = idl.parse_idl("struct Text { string t; };")[0]
+
+
+def _text(size: int, char: str) -> dict:
+    """A Text sample of a ``size`` byte payload: the length prefix, then
+    ``char`` repeated and ASCII to fill."""
+    width = len(char.encode())
+    return {"t": char * ((size - 4) // width) + "x" * ((size - 4) % width)}
+
+
+@pytest.mark.parametrize("char", ["x", "é"])
+def test_the_largest_payload_goes_out_and_one_byte_more_uses_nothing(char):
+    pair = _Pair(ManualClock(1_000 * MS), TEXT, [RELIABLE], [RELIABLE])
+    try:
+        assert pair.writer.write(_text(MAX_PAYLOAD, char)) == 1
+        (sent,) = pair.sent
+        assert len(sent) == wire.MAX_DATAGRAM
+        assert pair.writer.history.by_seq[1][2] is sent
+        before = pair.state()
+        with pytest.raises(SampleTooLargeError) as refused:
+            pair.writer.write(_text(MAX_PAYLOAD + 1, char))
+        assert str(refused.value) == (f"{MAX_PAYLOAD + 1} byte payload exceeds "
+                                      f"the {MAX_PAYLOAD} byte limit")
+        assert pair.state() == before
+        assert pair.writer.write({"t": char}) == 2
+    finally:
+        pair.close()
+
+
+@pytest.mark.parametrize("stamp, error, message", [
+    (I64_MAX + 1, ValueError,
+     "source_timestamp_ns 9223372036854775808 is outside the i64 range"),
+    (I64_MIN - 1, ValueError,
+     "source_timestamp_ns -9223372036854775809 is outside the i64 range"),
+    (1.5, TypeError, "source_timestamp_ns must be an int, got float"),
+    ("x", TypeError, "source_timestamp_ns must be an int, got str"),
+    (True, TypeError, "source_timestamp_ns must be an int, got bool"),
+])
+def test_a_source_timestamp_that_fits_no_data_uses_nothing(stamp, error, message):
+    pair = _Pair(ManualClock(1_000 * MS), COUNTER, [RELIABLE], [RELIABLE])
+    try:
+        before = pair.state()
+        with pytest.raises(error) as refused:
+            pair.writer.write({"n": 1}, source_timestamp_ns=stamp)
+        assert str(refused.value) == message
+        assert pair.state() == before
+        for sequence, bound in enumerate((I64_MIN, I64_MAX), 1):
+            assert pair.writer.write({"n": 1}, source_timestamp_ns=bound) == sequence
+            assert wire.read_data_message(pair.sent[-1])[4] == bound
     finally:
         pair.close()
 
